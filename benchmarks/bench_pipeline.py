@@ -1,11 +1,18 @@
 """Host-throughput benchmark for the micro-op pipeline.
 
-Runs each workload four times — micro-op pipeline OFF (the seed
-single-step interpreter), ON with cross-quantum chaining disabled, ON
-with chaining but the trace JIT off, and ON with the fused trace JIT —
-asserts the simulated results are bit-identical across all tiers
-(cycles, instruction count, stdout), and reports host wall-clock
-guest-instructions/sec for each, writing ``BENCH_pipeline.json``.
+Runs each workload on every execution tier of
+:data:`repro.machine.cpu.TIERS` — the seed single-step interpreter
+(``interp``), chained superblocks with the trace JIT off (``chained``),
+and the fused trace JIT (``traced``) — asserts the simulated results
+are bit-identical across all tiers (cycles, instruction count, stdout),
+and reports host wall-clock guest-instructions/sec for each, writing
+``BENCH_pipeline.json``.  Every timing is the median of ``--reps``
+repetitions (tiers interleaved rep by rep, so host drift hits them
+alike) with its interquartile range in the matching ``*_iqr`` field;
+speedups are ratios of medians.  Each row runs in a fresh interpreter,
+so code caches and collector state left behind by one workload cannot
+slow the tiers of the next (after the fbench row, an in-process lorenz
+traced tier reads ~25% slower).
 Multi-threaded workloads (``lorenz_mt``) run under the Process
 scheduler, comparing batched superblock quanta against the seed
 step-wise scheduler with per-thread cycle/trap parity checks.  Chained
@@ -25,12 +32,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import platform
+import statistics
+import subprocess
 import sys
 import time
 
+import repro
 from repro.harness.runner import run_native, run_native_process
+from repro.machine.cpu import ENGINE_TIERS, TIERS
 from repro.workloads import get_workload
 
 #: (workload, full_scale, quick_scale)
@@ -40,7 +52,30 @@ WORKLOADS = [
     ("lorenz_mt", 2000, 300),
     ("mixed_mt", 2000, 300),
 ]
-REPS = 3
+REPS = 7
+
+
+def _median_iqr(samples: list[float]) -> tuple[float, float]:
+    """Median and interquartile range of one rep series."""
+    if len(samples) < 2:
+        return samples[0], 0.0
+    q1, _, q3 = statistics.quantiles(samples, n=4)
+    return statistics.median(samples), q3 - q1
+
+
+def _tier_fields(samples: dict[str, list[float]], n: int) -> dict:
+    """Per tier ``<tier>_seconds`` (median), ``<tier>_seconds_iqr`` and
+    ``<tier>_ips`` for ``n`` guest instructions, plus the chained and
+    traced speedups over the interpreter (ratios of medians)."""
+    row = {}
+    for label, series in samples.items():
+        med, iqr = _median_iqr(series)
+        row[f"{label}_seconds"] = med
+        row[f"{label}_seconds_iqr"] = iqr
+        row[f"{label}_ips"] = n / med
+    row["chain_speedup"] = row["interp_seconds"] / row["chained_seconds"]
+    row["trace_speedup"] = row["interp_seconds"] / row["traced_seconds"]
+    return row
 
 
 def _thread_fingerprint(result) -> list | None:
@@ -54,14 +89,6 @@ def _thread_fingerprint(result) -> list | None:
     ]
 
 
-#: tier label -> (uops, chain, trace) runner flags.
-TIERS = {
-    "interp": (False, False, False),
-    "uops": (True, False, False),
-    "chained": (True, True, False),
-    "traced": (True, True, True),
-}
-
 #: workloads whose hot loop fuses into a trace (in-run superblock
 #: cycles).  The others break "unchainable" each lap (an output syscall
 #: in the outer loop), so the trace recorder never sees a cycle — the
@@ -70,21 +97,18 @@ TRACE_WORKLOADS = ("lorenz",)
 
 
 def bench_one(workload: str, scale: int | None, reps: int = REPS) -> dict:
-    """Best-of-``reps`` for each tier, with result-equality checks."""
+    """Median-of-``reps`` for each tier, with result-equality checks."""
     runner = (run_native_process if get_workload(workload).requires_process
               else run_native)
     runs = {}
-    for label, (uops, chain, trace) in TIERS.items():
-        best = None
-        for _ in range(reps):
-            result = runner(workload, scale, uops=uops, chain=chain,
-                            trace=trace)
-            if best is None or result.host.seconds < best.host.seconds:
-                best = result
-        runs[label] = best
+    samples: dict[str, list[float]] = {label: [] for label in TIERS}
+    for _ in range(reps):
+        for label, (uops, trace) in TIERS.items():
+            runs[label] = runner(workload, scale, uops=uops, trace=trace)
+            samples[label].append(runs[label].host.seconds)
 
     interp = runs["interp"]
-    for label in ("uops", "chained", "traced"):
+    for label in ENGINE_TIERS:
         other = runs[label]
         identical = (
             interp.cycles == other.cycles
@@ -99,7 +123,7 @@ def bench_one(workload: str, scale: int | None, reps: int = REPS) -> dict:
                 f"instructions {interp.instructions} vs {other.instructions})"
             )
 
-    uops, chained, traced = runs["uops"], runs["chained"], runs["traced"]
+    chained, traced = runs["chained"], runs["traced"]
     chain_stats = chained.host.chain or {}
     if workload.startswith("lorenz") and not chain_stats.get("links_followed"):
         raise AssertionError(
@@ -112,30 +136,21 @@ def bench_one(workload: str, scale: int | None, reps: int = REPS) -> dict:
             f"{workload}: traced tier compiled zero traces "
             f"(trace telemetry: {trace_stats}) — the trace JIT is silently off"
         )
+    n = chained.instructions
     row = {
         "workload": workload,
         "scale": scale,
-        "instructions": uops.instructions,
-        "simulated_cycles": uops.cycles,
+        "instructions": n,
+        "simulated_cycles": chained.cycles,
         "identical_results": True,
-        "interp_seconds": interp.host.seconds,
-        "interp_ips": interp.host.ips,
-        "uops_seconds": uops.host.seconds,
-        "uops_ips": uops.host.ips,
-        "speedup": interp.host.seconds / uops.host.seconds,
-        "chained_seconds": chained.host.seconds,
-        "chained_ips": chained.host.ips,
-        "chain_speedup": interp.host.seconds / chained.host.seconds,
-        "traced_seconds": traced.host.seconds,
-        "traced_ips": traced.host.ips,
-        "trace_speedup": interp.host.seconds / traced.host.seconds,
-        "uop_stats": uops.host.uop_stats,
+        **_tier_fields(samples, n),
+        "uop_stats": chained.host.uop_stats,
         "chain_stats": chain_stats,
         "trace_stats": trace_stats,
     }
-    if uops.host.sched is not None:
-        row["sched"] = uops.host.sched
-        row["threads"] = len(uops.host.threads)
+    if chained.host.sched is not None:
+        row["sched"] = chained.host.sched
+        row["threads"] = len(chained.host.threads)
     return row
 
 
@@ -158,8 +173,8 @@ def churn_one(scale: int, reps: int = REPS, quantum: int = CHURN_QUANTUM,
     startup-only site every ``every`` scheduler quanta.
 
     Quantum boundaries land at identical retirement counts in every
-    tier, so all four tiers see the same patch-event schedule and must
-    stay bit-identical.  The site executes only once (before the first
+    tier, so all tiers see the same patch-event schedule and must stay
+    bit-identical.  The site executes only once (before the first
     churn), so the events are pure invalidation traffic: under per-site
     invalidation the hot loop's superblocks, chains, and fused traces
     survive every event (``survived_blocks``), keeping the traced tier
@@ -172,11 +187,11 @@ def churn_one(scale: int, reps: int = REPS, quantum: int = CHURN_QUANTUM,
     from repro.workloads import build_program
 
     runs = {}
-    for label, (uops, chain, trace) in TIERS.items():
-        best = None
-        for _ in range(reps):
+    samples: dict[str, list[float]] = {label: [] for label in TIERS}
+    for _ in range(reps):
+        for label, (uops, trace) in TIERS.items():
             program = build_program("lorenz", scale)
-            cpu = CPU(program, uops=uops, chain=chain, trace=trace)
+            cpu = CPU(program, uops=uops, trace=trace)
             cpu.kernel = LinuxKernel()
             site = program.entry
             churns = 0
@@ -190,18 +205,16 @@ def churn_one(scale: int, reps: int = REPS, quantum: int = CHURN_QUANTUM,
                         program.unpatch(site)
                     program.patch_call(site, _churn_tramp)
                     churns += 1
-            seconds = time.perf_counter() - t0
-            if best is None or seconds < best[0]:
-                best = (seconds, cpu, churns)
-        runs[label] = best
+            samples[label].append(time.perf_counter() - t0)
+            runs[label] = (cpu, churns)
 
-    interp_secs, interp_cpu, churns = runs["interp"]
+    interp_cpu, churns = runs["interp"]
     if not churns:
         raise AssertionError(
             f"patch_churn: zero churn events at scale {scale} — the run "
             f"is too short for quantum {quantum} x {every}")
-    for label in ("uops", "chained", "traced"):
-        _, other, other_churns = runs[label]
+    for label in ENGINE_TIERS:
+        other, other_churns = runs[label]
         identical = (
             interp_cpu.cycles == other.cycles
             and interp_cpu.instruction_count == other.instruction_count
@@ -214,7 +227,7 @@ def churn_one(scale: int, reps: int = REPS, quantum: int = CHURN_QUANTUM,
                 f"under churn (cycles {interp_cpu.cycles} vs {other.cycles})"
             )
 
-    traced_cpu = runs["traced"][1]
+    traced_cpu = runs["traced"][0]
     stats = traced_cpu.uop_stats.as_dict()
     if not stats.get("survived_blocks"):
         raise AssertionError(
@@ -223,28 +236,16 @@ def churn_one(scale: int, reps: int = REPS, quantum: int = CHURN_QUANTUM,
     if not stats.get("trace_compiles"):
         raise AssertionError(
             "patch_churn: traced tier compiled zero traces under churn")
-    uops_secs, uops_cpu, _ = runs["uops"]
-    chained_secs, chained_cpu, _ = runs["chained"]
-    traced_secs = runs["traced"][0]
+    chained_cpu = runs["chained"][0]
     n = interp_cpu.instruction_count
     return {
         "workload": "patch_churn",
         "scale": scale,
         "instructions": n,
-        "simulated_cycles": uops_cpu.cycles,
+        "simulated_cycles": chained_cpu.cycles,
         "churn_events": churns,
         "identical_results": True,
-        "interp_seconds": interp_secs,
-        "interp_ips": n / interp_secs,
-        "uops_seconds": uops_secs,
-        "uops_ips": n / uops_secs,
-        "speedup": interp_secs / uops_secs,
-        "chained_seconds": chained_secs,
-        "chained_ips": n / chained_secs,
-        "chain_speedup": interp_secs / chained_secs,
-        "traced_seconds": traced_secs,
-        "traced_ips": n / traced_secs,
-        "trace_speedup": interp_secs / traced_secs,
+        **_tier_fields(samples, n),
         "uop_stats": stats,
         "chain_stats": _cpu_chain_summary(chained_cpu),
         "trace_stats": _cpu_trace_summary(traced_cpu),
@@ -264,20 +265,20 @@ ABLATION_QUANTUM = 16
 
 def ablation_one(workload: str, scale: int | None, reps: int = REPS) -> dict:
     """One ``FPVM_LAZY_FP`` on/off pair: same workload, same quantum,
-    best-of-``reps`` host seconds each way, with guest-result equality
+    median-of-``reps`` host seconds each way, with guest-result equality
     and switch-machinery vacuity checks."""
     runs = {}
-    for label, lazy in (("lazy", True), ("eager", False)):
-        best = None
-        for _ in range(reps):
-            result = run_native_process(workload, scale, chain=True,
-                                        quantum=ABLATION_QUANTUM,
-                                        lazy_fp=lazy)
-            if best is None or result.host.seconds < best.host.seconds:
-                best = result
-        runs[label] = best
+    samples: dict[str, list[float]] = {"lazy": [], "eager": []}
+    for _ in range(reps):
+        for label, lazy in (("lazy", True), ("eager", False)):
+            runs[label] = run_native_process(workload, scale,
+                                             quantum=ABLATION_QUANTUM,
+                                             lazy_fp=lazy)
+            samples[label].append(runs[label].host.seconds)
 
     lazy_r, eager_r = runs["lazy"], runs["eager"]
+    lazy_secs, lazy_iqr = _median_iqr(samples["lazy"])
+    eager_secs, eager_iqr = _median_iqr(samples["eager"])
     if (lazy_r.output != eager_r.output
             or lazy_r.instructions != eager_r.instructions):
         raise AssertionError(
@@ -296,10 +297,12 @@ def ablation_one(workload: str, scale: int | None, reps: int = REPS) -> dict:
         "workload": workload,
         "scale": scale,
         "quantum": ABLATION_QUANTUM,
-        "lazy_seconds": lazy_r.host.seconds,
-        "eager_seconds": eager_r.host.seconds,
+        "lazy_seconds": lazy_secs,
+        "lazy_seconds_iqr": lazy_iqr,
+        "eager_seconds": eager_secs,
+        "eager_seconds_iqr": eager_iqr,
         #: host wall-clock win from eliding the per-dispatch spill.
-        "lazy_host_speedup": eager_r.host.seconds / lazy_r.host.seconds,
+        "lazy_host_speedup": eager_secs / lazy_secs,
         "lazy_cycles": lazy_r.cycles,
         "eager_cycles": eager_r.cycles,
         #: simulated-cycle win — deterministic, machine-independent.
@@ -310,6 +313,29 @@ def ablation_one(workload: str, scale: int | None, reps: int = REPS) -> dict:
     }
 
 
+#: row kind -> ``fn(workload, scale, reps)`` producing that row.
+ROW_KINDS = {
+    "tier": bench_one,
+    "churn": lambda workload, scale, reps: churn_one(scale, reps),
+    "ablation": ablation_one,
+}
+
+
+def fresh_row(kind: str, workload: str, scale: int | None, reps: int) -> dict:
+    """One ``ROW_KINDS`` row, measured in a child interpreter."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, __file__, "--row", kind, workload,
+         "default" if scale is None else str(scale), "--reps", str(reps)],
+        env=env, capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"{kind} row {workload} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--quick", action="store_true",
@@ -317,15 +343,23 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", type=pathlib.Path,
                     default=pathlib.Path(__file__).parent / "results" / "BENCH_pipeline.json")
     ap.add_argument("--reps", type=int, default=REPS)
+    ap.add_argument("--row", nargs=3, metavar=("KIND", "WORKLOAD", "SCALE"),
+                    help="measure one row in this interpreter and print it "
+                         "as JSON (what each child of a full run does)")
     args = ap.parse_args(argv)
+
+    if args.row:
+        kind, workload, scale = args.row
+        scale = None if scale == "default" else int(scale)
+        print(json.dumps(ROW_KINDS[kind](workload, scale, args.reps)))
+        return 0
 
     results = []
     for workload, full, quick in WORKLOADS:
         scale = quick if args.quick else full
-        row = bench_one(workload, scale, args.reps)
+        row = fresh_row("tier", workload, scale, args.reps)
         results.append(row)
         print(f"{workload:>10}: interp {row['interp_ips']:>10,.0f} i/s | "
-              f"uops {row['uops_ips']:>10,.0f} i/s ({row['speedup']:.2f}x) | "
               f"chained {row['chained_ips']:>10,.0f} i/s "
               f"({row['chain_speedup']:.2f}x) | "
               f"traced {row['traced_ips']:>10,.0f} i/s "
@@ -333,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
               f"identical={row['identical_results']}")
 
     churn_scale = CHURN_SCALES[1] if args.quick else CHURN_SCALES[0]
-    row = churn_one(churn_scale, args.reps)
+    row = fresh_row("churn", "lorenz", churn_scale, args.reps)
     results.append(row)
     print(f"{'patch_churn':>10}: interp {row['interp_ips']:>10,.0f} i/s | "
           f"traced {row['traced_ips']:>10,.0f} i/s "
@@ -344,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     ablation = []
     for workload, full, quick in ABLATION_WORKLOADS:
         scale = quick if args.quick else full
-        row = ablation_one(workload, scale, args.reps)
+        row = fresh_row("ablation", workload, scale, args.reps)
         ablation.append(row)
         print(f"{workload:>10}: lazy FP {row['lazy_seconds']:.3f}s vs eager "
               f"{row['eager_seconds']:.3f}s "
@@ -360,7 +394,6 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "results": results,
-        "min_speedup": min(r["speedup"] for r in results),
         "min_chain_speedup": min(r["chain_speedup"] for r in results),
         "min_trace_speedup": min(r["trace_speedup"] for r in results),
         #: the ISSUE acceptance metric: trace-JIT speedup on the fusing
@@ -370,13 +403,13 @@ def main(argv: list[str] | None = None) -> int:
             if r["workload"] in TRACE_WORKLOADS
         ),
         #: FPVM_LAZY_FP on/off pairs (separate from ``results`` so the
-        #: tier-ratio minima above stay defined over 4-tier rows only).
+        #: tier-ratio minima above stay defined over tier rows only).
         "lazy_ablation": ablation,
     }
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"wrote {args.out} (min speedup {doc['min_speedup']:.2f}x, "
-          f"min chain speedup {doc['min_chain_speedup']:.2f}x, "
+    print(f"wrote {args.out} (min chain speedup "
+          f"{doc['min_chain_speedup']:.2f}x, "
           f"lorenz trace speedup {doc['lorenz_trace_speedup']:.2f}x)")
     return 0
 

@@ -42,6 +42,7 @@ from repro.harness.runner import (
     run_native,
     run_native_process,
 )
+from repro.machine.cpu import TIERS
 from repro.workloads import WORKLOAD_NAMES, get_workload
 
 _CONFIG_FACTORY = {
@@ -151,24 +152,15 @@ def _cmd_fleet(args) -> int:
     return 1 if rep.failed else 0
 
 
-#: host execution tiers the flow seam is independent of: the recorder
-#: sits behind the trap/emulate funnel all four share, so the graphs
-#: must come out identical whichever tier executed the guest.
-_FLOW_TIERS = {
-    "interp": dict(uops=False, chain=False, trace=False),
-    "uops": dict(uops=True, chain=False, trace=False),
-    "chained": dict(uops=True, chain=True, trace=False),
-    "traced": dict(uops=True, chain=True, trace=True),
-}
-
-
 def _cmd_flow(args) -> int:
+    # The flow recorder sits behind the trap/emulate funnel every host
+    # execution tier shares, so the graphs come out identical whichever
+    # tier executed the guest.
     w = get_workload(args.workload)
-    tier = _FLOW_TIERS[args.tier]
-    cfg = _CONFIG_FACTORY[args.config](flow=True, uops=tier["uops"])
+    uops, trace = TIERS[args.tier]
+    cfg = _CONFIG_FACTORY[args.config](flow=True, uops=uops)
     runner = run_fpvm_process if w.requires_process else run_fpvm
-    result = runner(args.workload, cfg, scale=args.scale,
-                    chain=tier["chain"], trace=tier["trace"])
+    result = runner(args.workload, cfg, scale=args.scale, trace=trace)
     label = f"{args.workload} ({args.config}, {args.tier} tier)"
     print(report.render_trap_heatmap(result.flow, result.program,
                                      title=f"Trap heatmap: {label}"))
@@ -260,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--config", choices=sorted(_CONFIG_FACTORY),
                         default="none",
                         help="none traps everything: richest heatmap")
-    p_flow.add_argument("--tier", choices=sorted(_FLOW_TIERS), default="traced")
+    p_flow.add_argument("--tier", choices=list(TIERS), default="traced")
     p_flow.add_argument("--scale", type=int, default=None)
 
     p_fleet = sub.add_parser(

@@ -17,8 +17,8 @@ checkable end to end:
   FETCH view) the same guest *must* see the patch markers, proving the
   shadow view is load-bearing rather than vacuously equal.
 - :func:`self_reading_report`: a guest that reads its own bytes every
-  loop iteration while the uop/chain/trace tiers hold live compiled
-  artifacts — all four tiers must agree bit-for-bit with the seed
+  loop iteration while the chained/traced tiers hold live compiled
+  artifacts — every tier must agree bit-for-bit with the seed
   interpreter, with the trace tier demonstrably active.
 """
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 from repro.core.vm import FPVM, FPVMConfig
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.assembler import assemble
-from repro.machine.cpu import CPU
+from repro.machine.cpu import CPU, TIERS
 from repro.machine.hostlib import install_host_library
 from repro.machine.program import TEXT_BASE
 
@@ -119,7 +119,7 @@ def native_reference(words: int) -> tuple[str, ...]:
     """Ground truth: the same guest run bare — no FPVM attached, no
     patches anywhere — through the seed interpreter."""
     program, _ = build_checksum_program(words)
-    cpu = CPU(program, uops=False, chain=False, trace=False)
+    cpu = CPU(program, uops=False, trace=False)
     cpu.kernel = LinuxKernel()
     cpu.run(max_steps=MAX_STEPS)
     return tuple(cpu.output)
@@ -226,19 +226,13 @@ def shadow_view_negative_report(trace_threshold: int = 2) -> dict:
 
 
 def self_reading_report(n: int = 400) -> dict:
-    """Run the self-reading guest through all four execution tiers;
+    """Run the self-reading guest through every execution tier;
     returns per-tier output/fingerprint and trace-tier vacuity info."""
-    tiers = {
-        "interp": (False, False, False),
-        "uops": (True, False, False),
-        "chained": (True, True, False),
-        "traced": (True, True, True),
-    }
     report: dict = {"tiers": {}}
-    for name, (uops, chain, trace) in tiers.items():
+    for name, (uops, trace) in TIERS.items():
         program = assemble(SELF_READING_SRC.format(n=n))
         install_host_library(program)
-        cpu = CPU(program, uops=uops, chain=chain, trace=trace)
+        cpu = CPU(program, uops=uops, trace=trace)
         cpu.kernel = LinuxKernel()
         if trace:
             cpu.trace_stabilize_threshold = 2

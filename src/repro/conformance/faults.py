@@ -34,7 +34,7 @@ from repro.errors import (
 from repro.kernel.kernel import LinuxKernel
 from repro.kernel.signals import SIGFPE, SignalContext
 from repro.machine.assembler import assemble
-from repro.machine.cpu import CPU
+from repro.machine.cpu import CPU, TIERS
 from repro.machine.hostlib import install_host_library
 from repro.machine.isa import OpClass
 from repro.machine.memory import PROT_READ, PROT_WRITE
@@ -411,8 +411,7 @@ def stale_trace_patch() -> FaultOutcome:
 
     # Discovery pass: run the traced tier clean to find an instruction
     # address strictly inside some compiled trace's covered ranges.
-    scout = CPU(build_program("lorenz", 60), uops=True, chain=True,
-                trace=True)
+    scout = CPU(build_program("lorenz", 60), uops=True, trace=True)
     scout.trace_stabilize_threshold = 2
     scout.kernel = LinuxKernel()
     scout.run(max_steps=MAX_STEPS)
@@ -435,10 +434,11 @@ def stale_trace_patch() -> FaultOutcome:
 
     k = total // 2
     twins = {}
-    for tier, flags in (("traced", True), ("interp", False)):
+    for tier in ("traced", "interp"):
         program = build_program("lorenz", 60)
-        cpu = CPU(program, uops=flags, chain=flags, trace=flags)
-        if flags:
+        uops, trace = TIERS[tier]
+        cpu = CPU(program, uops=uops, trace=trace)
+        if trace:
             cpu.trace_stabilize_threshold = 2
         cpu.kernel = LinuxKernel()
         tramp = _CountingTrampoline()
@@ -538,21 +538,11 @@ def _lazyfp_source(secrets=None, vloops: int = 150, spin: int = 400) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: tier label -> (uops, chain, trace) flags for the LazyFP sweep.
-_LAZYFP_TIERS = {
-    "stepwise": (False, False, False),
-    "batched": (True, False, False),
-    "chained": (True, True, False),
-    "traced": (True, True, True),
-}
-
-
-def _lazyfp_run(uops: bool, chain: bool, trace: bool, lazy: bool,
-                armed: bool = False) -> Process:
+def _lazyfp_run(tier: str, lazy: bool, armed: bool = False) -> Process:
     program = assemble(_lazyfp_source())
     install_host_library(program)
-    proc = Process(program, uops=uops, chain=chain,
-                   trace=trace, lazy_fp=lazy)
+    uops, trace = TIERS[tier]
+    proc = Process(program, uops=uops, trace=trace, lazy_fp=lazy)
     proc.kernel = LinuxKernel()
     if armed:
         proc.fp_skip_switch = True
@@ -573,10 +563,10 @@ def lazy_fp_leak() -> FaultOutcome:
     name = "lazy_fp_leak"
     desc = "skipped FP ownership switch leaks stale XMM to a fresh thread"
 
-    ref = _lazyfp_run(False, False, False, lazy=False)
+    ref = _lazyfp_run("interp", lazy=False)
     expect = tuple(ref.main.output)
-    for tier, (uops, chain, trace) in _LAZYFP_TIERS.items():
-        proc = _lazyfp_run(uops, chain, trace, lazy=True)
+    for tier in TIERS:
+        proc = _lazyfp_run(tier, lazy=True)
         if tuple(proc.main.output) != expect:
             return FaultOutcome(
                 name, desc, detected=False, recovered=False,
@@ -585,12 +575,12 @@ def lazy_fp_leak() -> FaultOutcome:
             return FaultOutcome(
                 name, desc, detected=False, recovered=False,
                 detail=f"lazy/{tier} never exercised the switch machinery")
-    armed = _lazyfp_run(True, False, False, lazy=True, armed=True)
+    armed = _lazyfp_run("chained", lazy=True, armed=True)
     if tuple(armed.main.output) != expect:
         return FaultOutcome(
             name, desc, detected=True, recovered=True,
-            detail="all 4 lazy tiers clean vs eager; armed seam "
-                   "observably leaked the victim bank")
+            detail=f"all {len(TIERS)} lazy tiers clean vs eager; armed "
+                   "seam observably leaked the victim bank")
     return FaultOutcome(
         name, desc, detected=False, recovered=False,
         detail="armed skip-switch seam produced no observable leak")

@@ -361,9 +361,9 @@ class Replayer:
 
 # -------------------------------------------------------------- harness
 def _make_cpu(program, config: FPVMConfig | None, uops: bool,
-              chain: bool, trace: bool | None = None,
+              trace: bool | None = None,
               trace_threshold: int | None = None) -> CPU:
-    cpu = CPU(program, uops=uops, chain=chain, trace=trace)
+    cpu = CPU(program, uops=uops, trace=trace)
     if trace_threshold is not None:
         cpu.trace_stabilize_threshold = trace_threshold
     kernel = LinuxKernel()
@@ -380,25 +380,22 @@ def differential_replay(
     program_factory,
     config: FPVMConfig | None = None,
     max_steps: int = DEFAULT_REPLAY_STEPS,
-    chain: bool = True,
     trace: bool | None = None,
     trace_threshold: int | None = None,
 ) -> ReplayReport:
     """Record ``program_factory()`` under the seed interpreter, then
     replay the chained engine against the journal.  ``config`` attaches
-    an FPVM (same config both sides); ``chain=False`` turns the check on
-    the unchained uop engine instead (isolation aid); ``trace=True``
-    pins the fused trace-JIT tier on so probes compile and run traces
+    an FPVM (same config both sides); ``trace=True`` pins the fused
+    trace-JIT tier on so probes compile and run traces
     (``None`` leaves the ``FPVM_TRACEJIT`` default), and
     ``trace_threshold`` lowers the stabilization threshold so even
     short fuzz loops fuse."""
     recorder = TraceRecorder(
-        _make_cpu(program_factory(), config, uops=False, chain=False,
-                  trace=False))
+        _make_cpu(program_factory(), config, uops=False, trace=False))
     journal = recorder.record(max_steps=max_steps)
 
     def chained_factory():
-        return _make_cpu(program_factory(), config, uops=True, chain=chain,
-                         trace=trace, trace_threshold=trace_threshold)
+        return _make_cpu(program_factory(), config, uops=True, trace=trace,
+                         trace_threshold=trace_threshold)
 
     return Replayer(journal, chained_factory).run()

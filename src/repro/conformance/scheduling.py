@@ -11,13 +11,12 @@ cycle/instruction/trap ledgers, the order joins were satisfied, the
 final-memory digest, and total simulated cycles.
 
 :func:`sweep` runs the axis over each program × attach mode × quantum
-× engine tier — batched superblocks with cross-quantum chaining off
-(``batched``), chaining on with the trace JIT pinned off (``chained``),
-and chaining plus the fused trace JIT (``traced``) — against the
-stepwise seed, plus a cross-quantum check per tier that the batched
-runs agree with *each other*: the axis programs synchronize only
-through ``thread_join``, so their results must not depend on the
-scheduling granularity either.  The ``traced`` cells are the
+× engine tier — chained superblocks with the trace JIT pinned off
+(``chained``) and chaining plus the fused trace JIT (``traced``) —
+against the stepwise seed (``interp``), plus a cross-quantum check
+per tier that the batched runs agree with *each other*: the axis
+programs synchronize only through ``thread_join``, so their results
+must not depend on the scheduling granularity either.  The ``traced`` cells are the
 scheduler-facing half of the trace-JIT contract: fused closures hand
 unretired budget back at side exits, so even quantum 1 — where no
 chain cycle ever completes in-run and traces only stabilize through
@@ -32,34 +31,22 @@ from repro.conformance import oracle
 from repro.core.vm import FPVM, FPVMConfig
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.assembler import assemble
+from repro.machine.cpu import ENGINE_TIERS, TIERS
 from repro.machine.hostlib import install_host_library
 from repro.machine.process import Process
 from repro.workloads import build_program
 
 #: scheduler quanta swept by the axis — degenerate (1 step per
 #: dispatch), odd (7, so superblock bodies straddle quantum
-#: boundaries and the engine falls back to single-stepping at the
-#: budget edge), and the scheduler default (64).
+#: boundaries and the engine retires partial bodies at the budget
+#: edge), and the scheduler default (64).
 QUANTA = (1, 7, 64)
-
-#: engine tiers swept against the stepwise seed: tier label -> the
-#: ``(chain, trace)`` flags handed to :class:`Process` (all run
-#: ``uops=True``).  ``chained`` follows direct-jump links across
-#: cached superblocks inside a quantum with the trace JIT pinned off;
-#: ``traced`` additionally fuses stable chain cycles into generated
-#: closures.  Both flags are pinned explicitly so the tiers stay
-#: distinct regardless of the ``FPVM_TRACEJIT`` environment default.
-TIERS = {
-    "batched": (False, False),
-    "chained": (True, False),
-    "traced": (True, True),
-}
-
 
 def cell_count() -> int:
     """Number of cells :func:`sweep` emits — per program × mode × tier,
     one cell per quantum plus the cross-quantum agreement check."""
-    return len(PROGRAMS) * len(ATTACH_MODES) * len(TIERS) * (len(QUANTA) + 1)
+    return (len(PROGRAMS) * len(ATTACH_MODES) * len(ENGINE_TIERS)
+            * (len(QUANTA) + 1))
 
 
 def _staggered_source(threads: int = 3, base: int = 24) -> str:
@@ -173,16 +160,15 @@ def process_fingerprint(proc: Process, vm=None) -> dict:
 def run_schedule(
     factory,
     quantum: int,
-    uops: bool,
+    tier: str,
     mode: str = "native",
     max_steps: int = oracle.DEFAULT_MAX_STEPS,
-    chain: bool | None = None,
-    trace: bool | None = None,
 ) -> dict:
     """One run of ``factory()`` under the given quantum/tier/mode,
     returning its :func:`process_fingerprint`."""
     config_factory = ATTACH_MODES[mode]
-    proc = Process(factory(), uops=uops, chain=chain, trace=trace)
+    uops, trace = TIERS[tier]
+    proc = Process(factory(), uops=uops, trace=trace)
     kernel = LinuxKernel()
     vm = None
     if config_factory is None:
@@ -203,7 +189,7 @@ class SchedCheck:
     quantum: int
     ok: bool
     detail: str = ""
-    tier: str = "batched"
+    tier: str = "chained"
 
     @property
     def label(self) -> str:
@@ -219,8 +205,11 @@ def _diff_keys(a: dict, b: dict) -> list[str]:
 
 
 def sweep(progress=None) -> list[SchedCheck]:
-    """The full axis: every program × mode × quantum × tier, each tier
-    vs stepwise, plus each tier's cross-quantum agreement check."""
+    """The full axis: every program × mode × quantum × engine tier
+    (:data:`~repro.machine.cpu.ENGINE_TIERS`, each with its flags pinned
+    so the tiers stay distinct whatever the ``FPVM_TRACEJIT`` default),
+    each tier vs stepwise, plus each tier's cross-quantum agreement
+    check."""
     checks: list[SchedCheck] = []
 
     def emit(check: SchedCheck) -> None:
@@ -230,13 +219,12 @@ def sweep(progress=None) -> list[SchedCheck]:
 
     for pname, factory in PROGRAMS.items():
         for mode in ATTACH_MODES:
-            tiered: dict[str, dict[int, dict]] = {t: {} for t in TIERS}
+            tiered: dict[str, dict[int, dict]] = {t: {} for t in ENGINE_TIERS}
             for quantum in QUANTA:
                 # one stepwise reference run shared by every tier.
-                stepwise = run_schedule(factory, quantum, uops=False, mode=mode)
-                for tier, (chain, trace) in TIERS.items():
-                    got = run_schedule(factory, quantum, uops=True,
-                                       mode=mode, chain=chain, trace=trace)
+                stepwise = run_schedule(factory, quantum, "interp", mode=mode)
+                for tier in ENGINE_TIERS:
+                    got = run_schedule(factory, quantum, tier, mode=mode)
                     tiered[tier][quantum] = got
                     bad = _diff_keys(stepwise, got)
                     emit(SchedCheck(

@@ -17,7 +17,10 @@ demoted back to a plain binary64.  Two delivery mechanisms:
 
 from __future__ import annotations
 
+import itertools
 import struct
+import types
+import weakref
 
 from repro.core import nanbox
 from repro.errors import MagicPageCorruptionError
@@ -28,18 +31,24 @@ from repro.machine.program import MAGIC_PAGE_ADDR
 MAGIC_COOKIE = 0xF9D0_C0DE_B0A7_1E55
 
 #: registry of live demotion handlers, indexed by the id stored on the
-#: magic page (the simulation's stand-in for a function pointer).
+#: magic page (the simulation's stand-in for a function pointer).  Each
+#: entry is a zero-argument resolver returning the handler, or None once
+#: it is gone: bound methods (``FPVM._magic_demote``) are held weakly,
+#: so a finished VM — with its CPU, program and box heap — is not kept
+#: alive by the registry, and its entry drops out when the VM dies.
 _HANDLER_REGISTRY: dict[int, object] = {}
-_NEXT_HANDLER_ID = 1
+_HANDLER_IDS = itertools.count(1)
 
 
 def register_demotion_handler(handler) -> int:
     """Give ``handler(cpu, addr)`` an address-like id trampolines can
     resolve through the magic page."""
-    global _NEXT_HANDLER_ID
-    hid = _NEXT_HANDLER_ID
-    _NEXT_HANDLER_ID += 1
-    _HANDLER_REGISTRY[hid] = handler
+    hid = next(_HANDLER_IDS)
+    if isinstance(handler, types.MethodType):
+        _HANDLER_REGISTRY[hid] = weakref.WeakMethod(
+            handler, lambda _ref: _HANDLER_REGISTRY.pop(hid, None))
+    else:
+        _HANDLER_REGISTRY[hid] = lambda: handler
     return hid
 
 
@@ -80,7 +89,8 @@ class MagicTrampoline:
                     f"magic page cookie mismatch at {MAGIC_PAGE_ADDR:#x}: "
                     f"read {cookie:#x}, want {MAGIC_COOKIE:#x}"
                 )
-            handler = _HANDLER_REGISTRY.get(handler_id)
+            resolve = _HANDLER_REGISTRY.get(handler_id)
+            handler = resolve() if resolve is not None else None
             if handler is None:
                 raise MagicPageCorruptionError(
                     f"magic page names unknown demotion handler {handler_id}"

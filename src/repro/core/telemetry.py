@@ -124,6 +124,25 @@ class SchedulerStats:
         }
 
 
+def aggregate_uop_stats(stats_dicts) -> dict:
+    """Sum per-thread ``UopStats.as_dict()`` records into one: scalar
+    counters add, dict counters (exit reasons, histograms) merge key by
+    key, and ``uop_hit_rate`` is recomputed from the summed counters."""
+    out: dict = {}
+    for stats in stats_dicts:
+        if not stats:
+            continue
+        for key, value in stats.items():
+            if isinstance(value, dict):
+                out.setdefault(key, Counter()).update(value)
+            else:
+                out[key] = out.get(key, 0) + value
+    total = (out.get("uops_retired", 0) + out.get("single_steps", 0)
+             + out.get("slow_fallbacks", 0))
+    out["uop_hit_rate"] = out.get("uops_retired", 0) / total if total else 0.0
+    return {k: dict(v) if isinstance(v, Counter) else v for k, v in out.items()}
+
+
 def aggregate_chain_stats(stats_dicts, cache_stats: dict | None = None) -> dict:
     """Merge per-thread ``UopStats.as_dict()`` chain telemetry into one
     run-level summary: link/unlink counters, the chain-length histogram,

@@ -25,7 +25,6 @@ class GuestJob:
     quantum: int = 64
     max_instructions: int = 100_000_000
     uops: bool = True
-    chain: bool = True
     trace: bool = True
     #: extra ``build_program`` kwargs as sorted (key, value) pairs —
     #: tuple-of-tuples so the job stays hashable and picklable.
@@ -40,8 +39,8 @@ class GuestJob:
         """Everything the program template depends on: jobs with equal
         keys share one built+lowered program, one pristine memory
         image, and one warm SuperblockCache inside a worker."""
-        return (self.workload, self.scale, self.uops, self.chain,
-                self.trace, self.build_kwargs)
+        return (self.workload, self.scale, self.uops, self.trace,
+                self.build_kwargs)
 
 
 @dataclass

@@ -28,6 +28,7 @@ from __future__ import annotations
 import os
 import time
 
+from repro.core.telemetry import aggregate_uop_stats
 from repro.fleet.jobs import GuestJob, GuestResult
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.cpu import CPU
@@ -72,18 +73,6 @@ def get_template(job: GuestJob) -> WorkloadTemplate:
     return template
 
 
-def _merge_uop_stats(cpus) -> dict:
-    out = {k: 0 for k in _UOP_KEYS}
-    for cpu in cpus:
-        stats = cpu.uop_stats
-        if stats is None:
-            continue
-        d = stats.as_dict()
-        for k in _UOP_KEYS:
-            out[k] += d.get(k, 0)
-    return out
-
-
 def run_guest(job: GuestJob, template: WorkloadTemplate | None = None) -> GuestResult:
     """Execute one guest to completion and return its full ledger.
 
@@ -111,7 +100,7 @@ def run_guest(job: GuestJob, template: WorkloadTemplate | None = None) -> GuestR
     try:
         if requires_process:
             proc = Process(program, max_instructions=job.max_instructions,
-                           uops=job.uops, chain=job.chain, trace=job.trace,
+                           uops=job.uops, trace=job.trace,
                            image=image, sb_cache=sb_cache)
             proc.kernel = kernel
             cpus = proc.threads  # live list: spawns during run() land here
@@ -133,12 +122,11 @@ def run_guest(job: GuestJob, template: WorkloadTemplate | None = None) -> GuestR
             if image is not None:
                 cpu = CPU.from_image(program, image,
                                      max_instructions=job.max_instructions,
-                                     uops=job.uops, chain=job.chain,
-                                     trace=job.trace)
+                                     uops=job.uops, trace=job.trace)
                 cpu._sb_cache = sb_cache
             else:
                 cpu = CPU(program, max_instructions=job.max_instructions,
-                          uops=job.uops, chain=job.chain, trace=job.trace)
+                          uops=job.uops, trace=job.trace)
             cpu.kernel = kernel
             cpus = [cpu]
             t0 = time.perf_counter()
@@ -151,7 +139,9 @@ def run_guest(job: GuestJob, template: WorkloadTemplate | None = None) -> GuestR
         result.fp_traps = sum(t.fp_trap_count for t in cpus)
         result.bp_traps = sum(t.bp_trap_count for t in cpus)
         result.cow_faults = mem.cow_faults
-        result.uop = _merge_uop_stats(cpus)
+        merged = aggregate_uop_stats(
+            [t.uop_stats.as_dict() for t in cpus if t.uop_stats is not None])
+        result.uop = {k: merged.get(k, 0) for k in _UOP_KEYS}
     except Exception as exc:  # deterministic guest failure: no retry
         result.error = f"{type(exc).__name__}: {exc}"
     finally:

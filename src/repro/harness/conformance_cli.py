@@ -97,7 +97,7 @@ def cmd_conformance(args) -> int:
 
     if not (args.faults_only or args.matrix_only):
         n_cells = scheduling.cell_count()
-        print(f"== scheduling axis (batched/chained vs stepwise, "
+        print(f"== scheduling axis (chained/traced vs stepwise, "
               f"{n_cells} cells) ==")
         progress = None
         if args.verbose:

@@ -28,7 +28,8 @@ class HostPerf:
 
     seconds: float = 0.0
     instructions: int = 0
-    #: micro-op engine counters (UopStats.as_dict()), if the pipeline ran.
+    #: micro-op engine counters (UopStats.as_dict()), if the pipeline
+    #: ran — summed over every thread for Process runs.
     uop_stats: dict | None = None
     #: compiled-trace tier counters, if an FPVM was attached.
     compiled_traces: int = 0
@@ -151,12 +152,10 @@ def run_native(
     workload: str,
     scale: int | None = None,
     uops: bool | None = None,
-    chain: bool | None = None,
     trace: bool | None = None,
     **kw,
 ) -> NativeResult:
-    cpu = CPU(build_program(workload, scale, **kw), uops=uops, chain=chain,
-              trace=trace)
+    cpu = CPU(build_program(workload, scale, **kw), uops=uops, trace=trace)
     cpu.kernel = LinuxKernel()
     t0 = time.perf_counter()
     cpu.run()
@@ -199,11 +198,16 @@ def _process_host_perf(proc, seconds: float) -> HostPerf:
                               if stats is not None else None),
         })
     total_instructions = sum(t.instruction_count for t in proc.threads)
-    main_stats = proc.main.uop_stats
-    from repro.core.telemetry import aggregate_chain_stats, aggregate_trace_stats
+    from repro.core.telemetry import (
+        aggregate_chain_stats,
+        aggregate_trace_stats,
+        aggregate_uop_stats,
+    )
 
     per_thread_stats = [t.uop_stats.as_dict() for t in proc.threads
                         if t.uop_stats is not None]
+    uop_stats = (aggregate_uop_stats(per_thread_stats)
+                 if per_thread_stats else None)
     chain = (aggregate_chain_stats(per_thread_stats, proc.sb_cache.as_dict())
              if per_thread_stats else None)
     trace = (aggregate_trace_stats(per_thread_stats, proc.sb_cache.as_dict())
@@ -211,7 +215,7 @@ def _process_host_perf(proc, seconds: float) -> HostPerf:
     return HostPerf(
         seconds=seconds,
         instructions=total_instructions,
-        uop_stats=main_stats.as_dict() if main_stats is not None else None,
+        uop_stats=uop_stats,
         threads=threads,
         sched=sched.as_dict(),
         chain=chain,
@@ -223,7 +227,6 @@ def run_native_process(
     workload: str,
     scale: int | None = None,
     uops: bool | None = None,
-    chain: bool | None = None,
     trace: bool | None = None,
     quantum: int = 64,
     lazy_fp: bool | None = None,
@@ -235,7 +238,7 @@ def run_native_process(
     from repro.machine.process import Process
 
     proc = Process(build_program(workload, scale, **kw), uops=uops,
-                   chain=chain, trace=trace, lazy_fp=lazy_fp)
+                   trace=trace, lazy_fp=lazy_fp)
     proc.kernel = LinuxKernel()
     t0 = time.perf_counter()
     proc.run(quantum=quantum)
@@ -250,7 +253,6 @@ def run_fpvm_process(
     config: FPVMConfig,
     config_name: str = "",
     scale: int | None = None,
-    chain: bool | None = None,
     trace: bool | None = None,
     quantum: int = 64,
     lazy_fp: bool | None = None,
@@ -261,7 +263,7 @@ def run_fpvm_process(
     from repro.machine.process import Process
 
     program = build_program(workload, scale, **kw)
-    proc = Process(program, chain=chain, trace=trace, lazy_fp=lazy_fp)
+    proc = Process(program, trace=trace, lazy_fp=lazy_fp)
     kernel = LinuxKernel()
     vm = FPVM(config).attach_process(proc, kernel)
     t0 = time.perf_counter()
@@ -297,14 +299,13 @@ def run_fpvm(
     config_name: str = "",
     scale: int | None = None,
     patch_sites: frozenset | None = None,
-    chain: bool | None = None,
     trace: bool | None = None,
     **kw,
 ) -> FPVMResult:
     program = build_program(workload, scale, **kw)
     if patch_sites is not None and config.patch_sites is None:
         config = config.with_(patch_sites=patch_sites)
-    cpu = CPU(program, chain=chain, trace=trace)
+    cpu = CPU(program, trace=trace)
     kernel = LinuxKernel()
     cpu.kernel = kernel
     vm = FPVM(config).attach(cpu, kernel)

@@ -34,7 +34,7 @@ from repro.machine.isa import (
 from repro.machine.memory import PROT_EXEC, PROT_READ, PROT_WRITE, Memory, PAGE_SIZE
 from repro.machine.program import PatchKind, Program, STACK_TOP, shadow_view_enabled
 from repro.machine.registers import Flags, RegisterFile, rounding_mode, unmasked_status
-from repro.machine.uops import chain_enabled_default, uops_enabled_default
+from repro.machine.uops import uops_enabled_default
 from repro.machine.tracejit import trace_enabled_default
 
 U64 = 0xFFFF_FFFF_FFFF_FFFF
@@ -59,6 +59,20 @@ class Trap:
     fp_flags: FPFlags | None = None
 
 
+#: The execution-tier ladder — the one place tier flags are spelled
+#: out: label -> ``(uops, trace)`` for :class:`CPU` and ``Process``.
+#: ``interp`` is the seed single-step interpreter (the oracle);
+#: ``chained`` runs cached superblocks with chain dispatch; ``traced``
+#: additionally fuses stable chain cycles into compiled trace closures.
+TIERS: dict[str, tuple[bool, bool]] = {
+    "interp": (False, False),
+    "chained": (True, False),
+    "traced": (True, True),
+}
+#: every micro-op tier: the ladder above the ``interp`` oracle.
+ENGINE_TIERS = tuple(tier for tier, (uops, _) in TIERS.items() if uops)
+
+
 def s64(v: int) -> int:
     v &= U64
     return v - (1 << 64) if v >= (1 << 63) else v
@@ -73,11 +87,10 @@ class CPU:
         costs: CostModel = DEFAULT_COSTS,
         max_instructions: int = 100_000_000,
         uops: bool | None = None,
-        chain: bool | None = None,
         trace: bool | None = None,
     ):
         self._init_core(program, costs, max_instructions, uops=uops,
-                        chain=chain, trace=trace)
+                        trace=trace)
         self.mem = Memory()
         self._load_image()
 
@@ -87,7 +100,6 @@ class CPU:
         costs: CostModel = DEFAULT_COSTS,
         max_instructions: int = 100_000_000,
         uops: bool | None = None,
-        chain: bool | None = None,
         trace: bool | None = None,
     ) -> None:
         """Initialise every per-core field *except* memory and the loaded
@@ -152,14 +164,9 @@ class CPU:
         #: FPVM_UOPS environment knob; semantics are identical either
         #: way — the engine falls back to step() wherever it must.
         self.uops_enabled = uops_enabled_default() if uops is None else uops
-        #: follow direct control edges between cached superblocks
-        #: (cross-quantum chaining) instead of returning to the engine
-        #: loop at every tail.  FPVM_CHAIN environment knob; only
-        #: meaningful with ``uops_enabled``.
-        self.chain_enabled = chain_enabled_default() if chain is None else chain
         #: fuse stable superblock chains into compiled trace closures
         #: (the trace-JIT tier, tracejit.py).  FPVM_TRACEJIT knob; only
-        #: meaningful with ``chain_enabled``.
+        #: meaningful with ``uops_enabled``.
         self.trace_enabled = trace_enabled_default() if trace is None else trace
         #: consecutive identical laps of a block cycle before fusing it
         #: (tests tune this; None = FPVM_TRACE_THRESHOLD / default 3).
@@ -210,7 +217,6 @@ class CPU:
         costs: CostModel = DEFAULT_COSTS,
         max_instructions: int = 100_000_000,
         uops: bool | None = None,
-        chain: bool | None = None,
         trace: bool | None = None,
     ) -> "CPU":
         """A CPU whose memory is a copy-on-write clone of ``image`` — a
@@ -227,7 +233,7 @@ class CPU:
         """
         cpu = cls.__new__(cls)
         cpu._init_core(program, costs, max_instructions, uops=uops,
-                       chain=chain, trace=trace)
+                       trace=trace)
         cpu.mem = Memory()
         cpu.mem.clone_pages(image)
         cpu.mem.bind_code_view(
@@ -247,16 +253,19 @@ class CPU:
         return self._uop_engine
 
     def run(self, max_steps: int | None = None) -> None:
+        """Run to halt as quanta of the remaining step budget, on every
+        tier; raises MachineError once ``max_steps`` steps (default
+        ``max_instructions``) pass without a halt — a program halting
+        on exactly its last allowed step finishes cleanly."""
         limit = max_steps if max_steps is not None else self.max_instructions
-        if self.uops_enabled:
-            self._engine().run(limit)
-            return
         steps = 0
         while not self.halted:
-            self.step()
-            steps += 1
+            if self.blocked:
+                raise MachineError("run blocked in thread_join outside "
+                                   "a process scheduler")
             if steps >= limit:
                 raise MachineError(f"run exceeded {limit} steps (runaway?)")
+            steps += self.run_quantum(limit - steps)
 
     def run_quantum(self, budget: int) -> int:
         """Execute up to ``budget`` scheduler steps and return how many

@@ -54,7 +54,6 @@ class Process:
         costs=None,
         max_instructions: int = 100_000_000,
         uops: bool | None = None,
-        chain: bool | None = None,
         trace: bool | None = None,
         image=None,
         sb_cache=None,
@@ -72,11 +71,10 @@ class Process:
             # clone of a pre-loaded template image (see CPU.from_image)
             # instead of a fresh load of the same bytes.
             main = CPU.from_image(program, image, self.costs,
-                                  max_instructions, uops=uops, chain=chain,
-                                  trace=trace)
+                                  max_instructions, uops=uops, trace=trace)
         else:
             main = CPU(program, self.costs, max_instructions, uops=uops,
-                       chain=chain, trace=trace)
+                       trace=trace)
         main.tid = 0
         main.process = self
         #: the process-wide superblock cache: one object — one cursor
@@ -145,7 +143,6 @@ class Process:
             self.costs,
             self.max_instructions,
             uops=self.main.uops_enabled,
-            chain=self.main.chain_enabled,
             trace=self.main.trace_enabled,
         )
         thread.trace_stabilize_threshold = self.main.trace_stabilize_threshold
@@ -235,7 +232,7 @@ class Process:
                     elif switched_in:
                         sched.fp_saves_elided += 1
                 steps += retired
-                if steps >= limit:
+                if steps >= limit and not all(t.halted for t in self.threads):
                     raise StepLimitError(f"process exceeded {limit} steps")
 
     # ------------------------------------------------------ lazy FP (§3.1)
@@ -398,7 +395,6 @@ def fork_process(parent: Process) -> Process:
         parent.costs,
         parent.max_instructions,
         uops=parent.main.uops_enabled,
-        chain=parent.main.chain_enabled,
         trace=parent.main.trace_enabled,
         lazy_fp=parent.lazy_fp,
     )

@@ -30,7 +30,7 @@ Semantics are bit-for-bit the seed interpreter's:
   :func:`repro.machine.hostfp.native_fp` (NaN-operand and
   divide-by-zero cases defer to it outright).
 
-Cross-quantum chaining (this PR's throughput lever): after a
+Cross-quantum chaining (always on): after a
 superblock's chainable control tail runs, the engine follows the edge
 through a per-block link cache — keyed on the *runtime* post-tail RIP,
 so indirect and name-resolved targets chain too — and keeps retiring
@@ -43,7 +43,7 @@ redundant by construction; host-function calls, patch sites, SLOW
 fallbacks, and budget edges break the chain back to the engine loop.
 Retire accounting inside a chain is batched into per-block run counts
 and settled when the chain ends (or eagerly before anything that can
-observe the counters).  At a quantum's budget edge the chaining tier
+observe the counters).  At a quantum's budget edge the engine
 retires a block body's fitting *prefix* through the pipeline — every
 closure is one seed step and leaves RIP correct, so the next quantum
 resumes mid-block via a suffix block — rather than degrading to the
@@ -57,6 +57,10 @@ in one per-process :class:`SuperblockCache` shared by every thread;
 when ``patch_seq`` moves the cache drops exactly the blocks, links and
 traces covering the changed sites — cross-thread and cross-guest — and
 everything else stays warm.
+
+The engine has one budgeted dispatch loop, :meth:`UopEngine.run_quantum`,
+with one chain dispatcher under it; ``CPU.run`` is a loop over quanta of
+the remaining step limit.
 """
 
 from __future__ import annotations
@@ -123,13 +127,6 @@ def uops_enabled_default() -> bool:
     """The ``FPVM_UOPS`` escape hatch: set to ``0`` to force the seed
     single-step interpreter everywhere (differential debugging)."""
     return os.environ.get("FPVM_UOPS", "1").strip().lower() not in _FALSEY
-
-
-def chain_enabled_default() -> bool:
-    """The ``FPVM_CHAIN`` escape hatch: set to ``0`` to keep the uop
-    pipeline but return to the engine loop at every control tail
-    (isolates chaining bugs from superblock bugs)."""
-    return os.environ.get("FPVM_CHAIN", "1").strip().lower() not in _FALSEY
 
 
 # ------------------------------------------------------- emulator metadata
@@ -1609,12 +1606,13 @@ class UopStats:
         self.blocks_built = 0
         self.block_runs = 0
         #: bodies whose fitting *prefix* was retired through the
-        #: pipeline at a quantum budget edge (chaining tier only).
+        #: pipeline at a budget edge.
         self.partial_block_runs = 0
         self.uops_retired = 0
         self.slow_fallbacks = 0
         self.single_steps = 0
-        #: scheduler quanta dispatched through run_quantum().
+        #: budgeted dispatches through run_quantum() (scheduler quanta
+        #: and CPU.run() calls alike).
         self.quantum_dispatches = 0
         #: why each quantum ended: budget / halted / blocked.
         self.quantum_exits: Counter = Counter()
@@ -1710,9 +1708,8 @@ class UopEngine:
 
     Block storage lives in the CPU's :class:`SuperblockCache` (shared
     by every thread of a process); the engine holds that cache's
-    per-thread view and, when chaining is enabled, follows direct
-    control edges between cached blocks instead of returning to its
-    loop at every tail."""
+    per-thread view and follows direct control edges between cached
+    blocks instead of returning to its loop at every tail."""
 
     def __init__(self, cpu) -> None:
         self.cpu = cpu
@@ -1722,11 +1719,9 @@ class UopEngine:
         #: The cache clears it *in place*, so this reference never
         #: goes stale across invalidations.
         self._blocks = cache.view(cpu)
-        self.chain_enabled = getattr(cpu, "chain_enabled", True)
-        #: the fused trace-JIT tier rides on chaining: the chain
-        #: dispatcher is both the region recorder and the fallback.
-        self.trace_enabled = (self.chain_enabled
-                              and bool(getattr(cpu, "trace_enabled", False)))
+        #: the fused trace-JIT tier: the chain dispatcher is both its
+        #: region recorder and its fallback.
+        self.trace_enabled = bool(getattr(cpu, "trace_enabled", False))
         #: entry -> ChainTrace (same in-place-clear contract as blocks).
         self._traces = cache.trace_view(cpu)
         #: entry -> [cycle signature, accumulated laps] for cycles that
@@ -1834,113 +1829,11 @@ class UopEngine:
         return steps, code
 
     # --------------------------------------------------------- main loop
-    def run(self, limit: int) -> None:
-        from repro.machine.cpu import MachineError
-
-        cpu = self.cpu
-        regs = cpu.regs
-        prog = cpu.program
-        patches = cpu._fetch_view.patches
-        cache = self.cache
-        blocks = self._blocks
-        traces = self._traces
-        stats = self.stats
-        step = cpu.step
-        chain_on = self.chain_enabled
-        steps = 0
-
-        while not cpu.halted:
-            if prog.patch_seq != cache.epoch:
-                cache.sync(prog)
-                stats.invalidated_blocks = cache.invalidated_blocks
-                stats.survived_blocks = cache.survived_blocks
-
-            rip = regs.rip
-            if cpu._suppress_patch_at is not None or rip in patches:
-                step()
-                steps += 1
-                stats.single_steps += 1
-                if steps >= limit:
-                    raise MachineError(f"run exceeded {limit} steps (runaway?)")
-                continue
-
-            if traces:
-                tr = traces.get(rip)
-                if tr is not None:
-                    done, code = self._trace_dispatch(tr, limit - steps)
-                    steps += done
-                    if steps >= limit:
-                        raise MachineError(
-                            f"run exceeded {limit} steps (runaway?)")
-                    if code == 1:
-                        # SLOW side exit: the faulting uop re-executes
-                        # through the seed path (full #XF protocol).
-                        stats.slow_fallbacks += 1
-                        step()
-                        steps += 1
-                        if steps >= limit:
-                            raise MachineError(
-                                f"run exceeded {limit} steps (runaway?)")
-                        continue
-                    if code != 5 and not (code == 4 and done == 0):
-                        continue
-                    # entry guard failed / zero-progress budget edge:
-                    # fall through to block dispatch at the same RIP.
-
-            block = blocks.get(rip)
-            if block is None:
-                block = self._new_block(rip)
-
-            n = block.n_body
-            if n and (limit - steps) >= n:
-                retired = self._run_body(cpu, block)
-                steps += retired
-                stats.uops_retired += retired
-                if retired < n:
-                    stats.slow_fallbacks += 1
-                    step()
-                    steps += 1
-                    if steps >= limit:
-                        raise MachineError(f"run exceeded {limit} steps (runaway?)")
-                    continue
-                stats.block_runs += 1
-                if steps >= limit:
-                    raise MachineError(f"run exceeded {limit} steps (runaway?)")
-                tail = block.tail
-                if tail is not None:
-                    tail()
-                    steps += 1
-                    stats.uops_retired += 1
-                    if steps >= limit:
-                        raise MachineError(f"run exceeded {limit} steps (runaway?)")
-                    if (chain_on and block.chainable and block.chain_root
-                            and not (block.chain_check and cpu.halted)):
-                        steps = self._chain_run(block, steps, limit)
-                continue
-            if n == 0 and block.tail is not None:
-                block.tail()
-                steps += 1
-                stats.uops_retired += 1
-                stats.block_runs += 1
-                if steps >= limit:
-                    raise MachineError(f"run exceeded {limit} steps (runaway?)")
-                if (chain_on and block.chainable and block.chain_root
-                        and not (block.chain_check and cpu.halted)):
-                    steps = self._chain_run(block, steps, limit)
-                continue
-
-            # No runnable block (sys/unmapped/odd shape) or not enough
-            # step budget left for the whole body: seed single-step.
-            step()
-            steps += 1
-            stats.single_steps += 1
-            if steps >= limit:
-                raise MachineError(f"run exceeded {limit} steps (runaway?)")
-
-    # ----------------------------------------------------- quantum entry
     def run_quantum(self, budget: int) -> int:
-        """Dispatch superblocks for one scheduler quantum of at most
-        ``budget`` steps; returns the number of steps taken.
+        """Dispatch superblocks for at most ``budget`` steps; returns the
+        number of steps taken.  The engine's only dispatch loop: a
+        scheduler quantum and a whole ``CPU.run`` (a loop over quanta of
+        the remaining step limit) both come through here.
 
         A "step" is exactly one seed ``cpu.step()`` equivalent — each
         body micro-op, each control tail, and each single-step fallback
@@ -1949,8 +1842,8 @@ class UopEngine:
         quantum ends when the budget is spent or the core halts or
         blocks (``thread_join``); a trap or SLOW sentinel inside the
         quantum falls back to ``step()`` and the quantum continues.
-        Never exceeds ``budget``: a block body only runs when it fits
-        in the remaining budget, and the tail / SLOW-fallback step is
+        Never exceeds ``budget``: a block body that does not fit retires
+        only its fitting prefix, and the tail / SLOW-fallback step is
         skipped once the budget is exhausted.
         """
         cpu = self.cpu
@@ -1962,7 +1855,6 @@ class UopEngine:
         traces = self._traces
         stats = self.stats
         step = cpu.step
-        chain_on = self.chain_enabled
         retired = 0
         exit_reason = "budget"
         stats.quantum_dispatches += 1
@@ -1992,6 +1884,8 @@ class UopEngine:
                     done, code = self._trace_dispatch(tr, budget - retired)
                     retired += done
                     if code == 1:
+                        # SLOW side exit: the faulting uop re-executes
+                        # through the seed path (full #XF protocol).
                         stats.slow_fallbacks += 1
                         if retired < budget:
                             step()
@@ -2009,63 +1903,52 @@ class UopEngine:
                 block = self._new_block(rip)
 
             n = block.n_body
-            if n and (budget - retired) >= n:
-                done = self._run_body(cpu, block)
+            tail = block.tail
+            if n:
+                # A body that does not fit the remaining budget retires
+                # its fitting prefix through the pipeline; the next
+                # quantum resumes at the mid-block RIP.
+                avail = budget - retired
+                k = n if avail >= n else avail
+                done = self._run_body(cpu, block, k)
                 retired += done
                 stats.uops_retired += done
-                if done < n:
+                if k < n:
+                    stats.partial_block_runs += 1
+                if done < k:
                     stats.slow_fallbacks += 1
                     if retired < budget:
                         step()
                         retired += 1
                     continue
+                if k < n:
+                    continue
                 stats.block_runs += 1
-                tail = block.tail
-                if tail is not None and retired < budget:
-                    tail()
-                    retired += 1
-                    stats.uops_retired += 1
-                    if (chain_on and block.chainable and block.chain_root
-                            and not (block.chain_check and cpu.halted)):
-                        retired = self._chain_quantum(block, retired, budget)
-                continue
-            if n == 0 and block.tail is not None:
-                block.tail()
+                if tail is None or retired >= budget:
+                    continue
+                tail()
+                retired += 1
+                stats.uops_retired += 1
+            elif tail is not None:
+                tail()
                 retired += 1
                 stats.uops_retired += 1
                 stats.block_runs += 1
-                if (chain_on and block.chainable and block.chain_root
-                        and not (block.chain_check and cpu.halted)):
-                    retired = self._chain_quantum(block, retired, budget)
+            else:
+                # No runnable block (sys/unmapped/odd shape): seed step.
+                step()
+                retired += 1
+                stats.single_steps += 1
                 continue
-
-            if chain_on and n:
-                # Body doesn't fit the remaining budget: retire the
-                # fitting prefix through the pipeline instead of seed
-                # single-stepping the quantum edge (chaining tier).
-                avail = budget - retired
-                done = self._run_body_partial(cpu, block, avail)
-                retired += done
-                stats.uops_retired += done
-                stats.partial_block_runs += 1
-                if done < avail:
-                    stats.slow_fallbacks += 1
-                    if retired < budget:
-                        step()
-                        retired += 1
-                continue
-
-            # No runnable block (sys/unmapped/odd shape) or the body
-            # does not fit in the remaining budget: seed single-step.
-            step()
-            retired += 1
-            stats.single_steps += 1
+            if (block.chainable and block.chain_root
+                    and not (block.chain_check and cpu.halted)):
+                retired = self._chain_quantum(block, retired, budget)
 
         stats.quantum_exits[exit_reason] += 1
         return retired
 
     # ---------------------------------------------------------- chaining
-    # Both dispatchers are entered right after ``block``'s *chainable*
+    # The chain dispatcher is entered right after ``block``'s *chainable*
     # tail executed, so on entry the CPU is neither halted nor blocked,
     # ``_suppress_patch_at`` is None, and ``patch_seq`` has not moved
     # since the engine loop's checkpoint — chainable tails cannot run
@@ -2091,7 +1974,7 @@ class UopEngine:
         """Settle a chain's deferred retire accounting: per-block run
         counts (``full_runs``, cleared in place), plus the in-flight
         body ``cur`` of which ``i`` micro-ops retired.  A plain method
-        taking explicit state so the dispatchers' hot-loop variables
+        taking explicit state so the dispatcher's hot-loop variables
         stay function-locals (a nested closure would turn them into
         cell variables, taxing every access in the block loop)."""
         cpu = self.cpu
@@ -2128,177 +2011,9 @@ class UopEngine:
         stats.block_runs += block_runs
         stats.uops_retired += uops_local
 
-    def _chain_run(self, block: Superblock, steps: int, limit: int) -> int:
-        """Chain dispatch for :meth:`run`: raises MachineError at the
-        step limit exactly like the engine loop's checkpoints.  Returns
-        the updated step count; the engine loop re-checks halt, epoch,
-        and patch state on return."""
-        from repro.machine.cpu import MachineError
-
-        cpu = self.cpu
-        regs = cpu.regs
-        patches = cpu._fetch_view.patches
-        blocks = self._blocks
-        stats = self.stats
-        breaks = stats.chain_breaks
-        root = block
-        budget_cut = False
-        links_followed = 0
-        block_runs = 0
-        uops_local = 0
-        full_runs: dict[int, list] = {}  # id(blk) -> [blk, run count]
-        cur: Superblock | None = None    # body in flight (partial flush)
-        i = 0                            # retired uops of cur's body
-        length = 1
-        # trace recording: the chain dispatcher doubles as the region
-        # selector — it watches the followed path for a block cycle and
-        # counts identical laps (see the trace-JIT tier).
-        trace_on = self.trace_enabled
-        traces = self._traces
-        rec = trace_on
-        cyc = None                       # detected cycle (block list)
-        ncyc = ci = reps = need = 0
-        if trace_on:
-            path = [block]
-            seen = {block.entry: 0}
-
-        try:
-            while True:
-                rip = regs.rip
-                nxt = block.links.get(rip)
-                if nxt is None:
-                    if rip in patches:
-                        breaks["patch"] += 1
-                        return steps
-                    nxt = blocks.get(rip)
-                    if nxt is None:
-                        nxt = self._new_block(rip)
-                    block.links[rip] = nxt
-                    stats.links_created += 1
-                if trace_on:
-                    e = nxt.entry
-                    if e in traces:
-                        # compiled trace head: break so the engine loop
-                        # enters the trace at this exact RIP.
-                        breaks["trace"] += 1
-                        return steps
-                    if rec:
-                        if cyc is None:
-                            j = seen.get(e)
-                            if j is None:
-                                if len(path) < _MAX_TRACE_BLOCKS:
-                                    seen[e] = len(path)
-                                    path.append(nxt)
-                                else:
-                                    rec = False
-                            else:
-                                cyc = path[j:]
-                                ncyc = len(cyc)
-                                ci = 0
-                                reps = 1
-                                need = self._trace_need(e)
-                                if reps >= need:
-                                    self._compile_trace(cyc)
-                                    if e in traces:
-                                        breaks["stabilized"] += 1
-                                        return steps
-                                    rec = False
-                        else:
-                            ci += 1
-                            if ci == ncyc:
-                                ci = 0
-                            if e != cyc[ci].entry:
-                                rec = False
-                                cyc = None
-                            elif ci == 0:
-                                reps += 1
-                                if reps >= need:
-                                    self._compile_trace(cyc)
-                                    if e in traces:
-                                        breaks["stabilized"] += 1
-                                        return steps
-                                    rec = False
-                n = nxt.n_body
-                tail = nxt.tail
-                if n == 0 and tail is None:
-                    breaks["empty"] += 1
-                    return steps
-                if limit - steps < n:
-                    budget_cut = True
-                    breaks["budget"] += 1
-                    return steps
-                links_followed += 1
-                length += 1
-                if n:
-                    cur = nxt
-                    i = 0
-                    for fn in nxt.body:
-                        if fn() is SLOW:
-                            break
-                        i += 1
-                    steps += i
-                    uops_local += i
-                    if i < n:
-                        stats.slow_fallbacks += 1
-                        breaks["slow"] += 1
-                        self._chain_flush(full_runs, cur, i, links_followed,
-                                          block_runs, uops_local)
-                        cur = None
-                        i = 0
-                        links_followed = block_runs = uops_local = 0
-                        cpu.step()
-                        steps += 1
-                        if steps >= limit:
-                            raise MachineError(
-                                f"run exceeded {limit} steps (runaway?)")
-                        return steps
-                    cur = None
-                    e = full_runs.get(id(nxt))
-                    if e is None:
-                        full_runs[id(nxt)] = [nxt, 1]
-                    else:
-                        e[1] += 1
-                    block_runs += 1
-                    if steps >= limit:
-                        raise MachineError(
-                            f"run exceeded {limit} steps (runaway?)")
-                if tail is None:
-                    breaks["notail"] += 1
-                    return steps
-                tail()
-                steps += 1
-                uops_local += 1
-                if n == 0:
-                    block_runs += 1
-                if nxt.chain_check and cpu.halted:
-                    breaks["halt"] += 1
-                    return steps
-                if steps >= limit:
-                    raise MachineError(
-                        f"run exceeded {limit} steps (runaway?)")
-                if not nxt.chainable:
-                    breaks["unchainable"] += 1
-                    return steps
-                block = nxt
-        finally:
-            self._chain_flush(full_runs, cur, i, links_followed,
-                              block_runs, uops_local)
-            if trace_on and cyc is not None and reps:
-                self._trace_note_cycle(cyc, reps)
-            if length > 1:
-                stats.chain_runs += 1
-                stats.chain_lengths[length] += 1
-            if length >= CHAIN_SHORT_LEN:
-                root.chain_shorts = 0
-            elif not budget_cut:
-                root.chain_shorts += 1
-                if root.chain_shorts >= CHAIN_DEMOTE_AFTER:
-                    root.chain_root = False
-                    stats.chain_demotions += 1
-
     def _chain_quantum(self, block: Superblock, retired: int,
                        budget: int) -> int:
-        """Chain dispatch for :meth:`run_quantum`: never exceeds
+        """The chain dispatcher of :meth:`run_quantum`: never exceeds
         ``budget``.  At the budget edge a linked body's fitting *prefix*
         is retired through the pipeline (each body closure is exactly
         one seed step, and every closure leaves RIP architecturally
@@ -2388,23 +2103,25 @@ class UopEngine:
                 if n == 0 and tail is None:
                     breaks["empty"] += 1
                     return retired
-                avail = budget - retired
-                if avail < n:
-                    # partial dispatch: retire the fitting prefix
-                    # through the pipeline, then end on the budget.
-                    budget_cut = True
-                    links_followed += 1
-                    length += 1
+                links_followed += 1
+                length += 1
+                if n:
+                    # At the budget edge only the body's fitting prefix
+                    # runs, then the chain ends on the budget.
+                    avail = budget - retired
+                    k = n if avail >= n else avail
+                    if k < n:
+                        budget_cut = True
+                        stats.partial_block_runs += 1
                     cur = nxt
                     i = 0
-                    for fn in nxt.body[:avail]:
+                    for fn in (nxt.body if k == n else nxt.body[:k]):
                         if fn() is SLOW:
                             break
                         i += 1
                     retired += i
                     uops_local += i
-                    stats.partial_block_runs += 1
-                    if i < avail:
+                    if i < k:
                         stats.slow_fallbacks += 1
                         breaks["slow"] += 1
                         self._chain_flush(full_runs, cur, i, links_followed,
@@ -2416,30 +2133,8 @@ class UopEngine:
                             cpu.step()
                             retired += 1
                         return retired
-                    breaks["budget"] += 1
-                    return retired
-                links_followed += 1
-                length += 1
-                if n:
-                    cur = nxt
-                    i = 0
-                    for fn in nxt.body:
-                        if fn() is SLOW:
-                            break
-                        i += 1
-                    retired += i
-                    uops_local += i
-                    if i < n:
-                        stats.slow_fallbacks += 1
-                        breaks["slow"] += 1
-                        self._chain_flush(full_runs, cur, i, links_followed,
-                                          block_runs, uops_local)
-                        cur = None
-                        i = 0
-                        links_followed = block_runs = uops_local = 0
-                        if retired < budget:
-                            cpu.step()
-                            retired += 1
+                    if k < n:
+                        breaks["budget"] += 1
                         return retired
                     cur = None
                     e = full_runs.get(id(nxt))
@@ -2488,11 +2183,17 @@ class UopEngine:
 
     # ------------------------------------------------------- body runner
     @staticmethod
-    def _run_body(cpu, block: Superblock) -> int:
-        """Execute the block body, flushing the retired prefix's
-        accounting even if a closure raises (memory fault etc.), so
-        counters are exact before any trap/exception is observable."""
+    def _run_body(cpu, block: Superblock, k: int) -> int:
+        """Execute the first ``k`` body micro-ops — the whole body, or
+        the prefix that fits the remaining budget — flushing the retired
+        prefix's accounting even if a closure raises (memory fault
+        etc.), so counters are exact before any trap/exception is
+        observable.  Every closure is exactly one seed step and leaves
+        RIP architecturally correct, so stopping after ``k`` of them is
+        stopping between steps."""
         body = block.body
+        if k < block.n_body:
+            body = body[:k]
         i = 0
         try:
             for fn in body:
@@ -2515,34 +2216,6 @@ class UopEngine:
                 else:
                     for cls in block.classes[:i]:
                         rbc[cls] += 1
-        return i
-
-    @staticmethod
-    def _run_body_partial(cpu, block: Superblock, k: int) -> int:
-        """Execute the first ``k`` body micro-ops — the prefix that
-        fits the remaining quantum budget.  Every closure is exactly
-        one seed step and leaves RIP architecturally correct, so
-        stopping after ``k`` of them is stopping between steps; the
-        next dispatch resumes at the mid-block RIP."""
-        body = block.body
-        i = 0
-        try:
-            for fn in body[:k]:
-                if fn() is SLOW:
-                    break
-                i += 1
-        finally:
-            if i:
-                cost = block.prefix_cost[i]
-                cpu.cycles += cost
-                cpu.work_cycles += cost
-                cpu.instruction_count += i
-                if block.prefix_touch[i]:
-                    cpu.fp_quantum_touched = True
-                    cpu.regs.fp_dirty |= block.prefix_fp[i]
-                rbc = cpu.retired_by_class
-                for cls in block.classes[:i]:
-                    rbc[cls] += 1
         return i
 
     # ---------------------------------------------------------- builder

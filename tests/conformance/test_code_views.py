@@ -16,6 +16,7 @@ from repro.conformance.codeviews import (
 )
 from repro.conformance.faults import run_scenario
 from repro.core.vm import FPVMConfig
+from repro.machine.cpu import ENGINE_TIERS, TIERS
 
 
 @pytest.fixture(scope="module")
@@ -61,16 +62,16 @@ def test_stale_trace_never_executes_through_patch():
     assert outcome.detected and outcome.recovered, str(outcome)
 
 
-@pytest.mark.parametrize("chain", [True, False])
-def test_per_site_tier_replays_with_live_patches(chain):
+@pytest.mark.parametrize("trace", [TIERS[t][1] for t in ENGINE_TIERS])
+def test_per_site_tier_replays_with_live_patches(trace):
     """The replay oracle: record the checksum guest (live profiler
     patch firing every lap) under the seed interpreter, replay the
-    per-site engine tiers against the journal — zero divergence."""
+    per-site engine tiers (traced and chained) against the journal —
+    zero divergence."""
     report = replay.differential_replay(
         lambda: build_checksum_program()[0],
         config=FPVMConfig.seq_short(uops=True),
-        trace=True,
+        trace=trace,
         trace_threshold=2,
-        chain=chain,
     )
     assert report.ok, report.describe()

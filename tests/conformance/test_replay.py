@@ -83,10 +83,6 @@ class TestCleanReplay:
             _factory(LOOP_SRC), config=FPVMConfig.seq_short(uops=True))
         assert report.ok, report.describe()
 
-    def test_unchained_engine_also_replays(self):
-        report = replay.differential_replay(_factory(LOOP_SRC), chain=False)
-        assert report.ok, report.describe()
-
     def test_traced_tier_also_replays(self):
         """Probes with the fused trace JIT pinned on must stay
         bit-identical to the seed journal — and the big probes must
@@ -238,10 +234,10 @@ class TestReplaySweeps:
         from repro.conformance.replay import TraceRecorder, _make_cpu
 
         recorder = TraceRecorder(
-            _make_cpu(_factory(LOOP_SRC)(), None, uops=False, chain=False))
+            _make_cpu(_factory(LOOP_SRC)(), None, uops=False))
         journal = recorder.record()
 
-        cpu = _make_cpu(_factory(LOOP_SRC)(), None, uops=True, chain=True)
+        cpu = _make_cpu(_factory(LOOP_SRC)(), None, uops=True)
         replayer = replay.Replayer(journal, lambda: None)  # diff use only
         done = 0
         while not cpu.halted:

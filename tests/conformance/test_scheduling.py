@@ -1,6 +1,6 @@
 """The scheduling conformance axis: batched superblock quanta vs the
 seed step-wise scheduler must be bit-identical at every quantum and
-every engine tier (batched, chained, traced), and the guest-visible
+every engine tier (chained, traced), and the guest-visible
 result must be quantum-independent."""
 
 import pytest
@@ -26,7 +26,7 @@ def test_axis_covers_every_cell(checks):
         (program, mode, tier, quantum)
         for program in scheduling.PROGRAMS
         for mode in scheduling.ATTACH_MODES
-        for tier in scheduling.TIERS
+        for tier in scheduling.ENGINE_TIERS
         for quantum in (*scheduling.QUANTA, 0)  # 0 = cross-quantum check
     }
     assert cells == expected
@@ -38,7 +38,7 @@ def test_staggered_joins_actually_park():
     program must park at least one join (main blocks on a worker that
     is still running) and print one value per shard."""
     fp = scheduling.run_schedule(
-        scheduling.PROGRAMS["staggered"], quantum=7, uops=True)
+        scheduling.PROGRAMS["staggered"], quantum=7, tier="traced")
     assert fp["join_log"]
     assert len(fp["output"]) == 3
 
@@ -47,8 +47,7 @@ def test_traced_cells_actually_fuse():
     """Guard: the ``traced`` tier must compile at least one fused trace
     under the axis workloads at the default scheduler quantum — else
     its cells silently collapse into re-testing plain chaining."""
-    proc = Process(scheduling.PROGRAMS["staggered"](),
-                   uops=True, chain=True, trace=True)
+    proc = Process(scheduling.PROGRAMS["staggered"](), uops=True, trace=True)
     proc.kernel = LinuxKernel()
     proc.run(quantum=64)
     compiles = sum(t.uop_stats.trace_compiles for t in proc.threads
@@ -61,7 +60,7 @@ def test_attached_mode_actually_traps():
     """Guard: the seq_short cells must virtualize the workers — every
     thread, not just main, takes FP traps."""
     fp = scheduling.run_schedule(
-        scheduling.PROGRAMS["staggered"], quantum=7, uops=True,
+        scheduling.PROGRAMS["staggered"], quantum=7, tier="traced",
         mode="seq_short")
     fp_traps = {tid: fp_count for tid, _, _, _, fp_count, _ in fp["threads"]}
     assert all(fp_traps[tid] > 0 for tid in (1, 2, 3))

@@ -1,6 +1,6 @@
-"""Four-tier differential fuzz: random loop programs executed by the
-seed interpreter, the uop pipeline, the chained dispatcher, and the
-fused trace JIT must be indistinguishable in every architectural
+"""Three-tier differential fuzz: random loop programs executed by the
+seed interpreter, the chained dispatcher, and the fused trace JIT must
+be indistinguishable in every architectural
 observable — registers, memory digests, and the cycle ledger.
 
 The hypothesis sweep carries the ``slow`` marker; a deterministic
@@ -14,23 +14,16 @@ from hypothesis import strategies as st
 from repro.conformance import oracle
 from repro.conformance.generators import fuzz_program
 from repro.kernel.kernel import LinuxKernel
-from repro.machine.cpu import CPU
-
-#: (label, uops, chain, trace) — the four execution tiers.
-TIERS = [
-    ("interp", False, False, False),
-    ("uops", True, False, False),
-    ("chained", True, True, False),
-    ("traced", True, True, True),
-]
+from repro.machine.cpu import CPU, ENGINE_TIERS, TIERS
 
 #: threshold 1: the small fuzz loops (2-6 iterations) must fuse, or the
 #: traced tier would silently degrade to plain chaining.
 TRACE_THRESHOLD = 1
 
 
-def _run_tier(seed: int, uops: bool, chain: bool, trace: bool):
-    cpu = CPU(fuzz_program(seed), uops=uops, chain=chain, trace=trace)
+def _run_tier(seed: int, tier: str):
+    uops, trace = TIERS[tier]
+    cpu = CPU(fuzz_program(seed), uops=uops, trace=trace)
     cpu.kernel = LinuxKernel()
     if trace:
         cpu.trace_stabilize_threshold = TRACE_THRESHOLD
@@ -56,20 +49,20 @@ def _run_tier(seed: int, uops: bool, chain: bool, trace: bool):
 
 
 def _assert_tiers_identical(seed: int) -> int:
-    """Run all four tiers on one seed; returns the traced tier's fused
+    """Run every tier on one seed; returns the traced tier's fused
     step count (for the vacuity guard)."""
-    base, _ = _run_tier(seed, *TIERS[0][1:])
+    base, _ = _run_tier(seed, "interp")
     trace_steps = 0
-    for label, uops, chain, trace in TIERS[1:]:
-        fp, stats = _run_tier(seed, uops, chain, trace)
-        assert fp == base, f"seed {seed}: tier {label} diverged"
-        if trace:
+    for tier in ENGINE_TIERS:
+        fp, stats = _run_tier(seed, tier)
+        assert fp == base, f"seed {seed}: tier {tier} diverged"
+        if tier == "traced":
             trace_steps = stats.trace_steps
     return trace_steps
 
 
 @pytest.mark.parametrize("seed", [0, 6, 27])
-def test_four_tier_smoke(seed):
+def test_three_tier_smoke(seed):
     """Deterministic tier-1 slice of the property, vacuity-guarded:
     these seeds are known to fuse traces at threshold 1."""
     assert _assert_tiers_identical(seed) > 0

@@ -64,7 +64,7 @@ def test_attached_differential(seed):
     fast = oracle.run_cell(
         fuzz_program(seed),
         FPVMConfig.seq_short(uops=True, trace_compile_threshold=2),
-        "uops",
+        "traced",
     )
     assert base.invariant_failures == []
     assert fast.invariant_failures == []
@@ -79,7 +79,7 @@ def test_compiled_tier_exercised_somewhere():
         run = oracle.run_cell(
             fuzz_program(seed),
             FPVMConfig.seq_short(uops=True, trace_compile_threshold=2),
-            "uops",
+            "traced",
         )
         total_hits += run.telemetry.compiled_trace_hits
     assert total_hits > 0

@@ -13,6 +13,7 @@ from repro.core.correctness import (
 from repro.core.profiler import MemoryEscapeProfiler, profile_patch_sites
 from repro.core.vm import FPVM, FPVMConfig
 from repro.core.wrappers import install_wrappers
+from repro.errors import MagicPageCorruptionError
 from repro.fpu import bits as B
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.assembler import assemble
@@ -225,6 +226,51 @@ class TestMagicPage:
 
         with pytest.raises(MemoryFault):
             cpu.mem.write_u64(MAGIC_PAGE_ADDR, 0)
+
+    def test_finished_vm_is_not_kept_alive(self, monkeypatch):
+        """The registry holds ``FPVM._magic_demote`` weakly: once a
+        run's result is dropped, its VM (with CPU, program and box heap)
+        is collectable and the registry has not grown."""
+        import gc
+        import weakref
+
+        from repro.core import correctness
+        from repro.harness.runner import run_fpvm as run_workload
+
+        vms = []
+        attach = FPVM.attach
+
+        def spy(vm, *args, **kwargs):
+            vms.append(weakref.ref(vm))
+            return attach(vm, *args, **kwargs)
+
+        monkeypatch.setattr(FPVM, "attach", spy)
+        gc.collect()
+        before = len(correctness._HANDLER_REGISTRY)
+        result = run_workload("lorenz", FPVMConfig.seq_short(), scale=20)
+        assert result.output and vms
+        del result
+        gc.collect()
+        assert all(ref() is None for ref in vms)
+        assert len(correctness._HANDLER_REGISTRY) <= before
+
+    def test_dead_handler_id_is_corruption(self):
+        """A magic page naming a handler whose VM has died must fail
+        as corruption, never call into a stale object."""
+        import gc
+
+        class Owner:
+            def demote(self, cpu, addr):
+                raise AssertionError("dead handler called")
+
+        owner = Owner()
+        hid = register_demotion_handler(owner.demote)
+        cpu = CPU(build("main:\n  hlt\n"))
+        map_magic_page(cpu, hid)
+        del owner
+        gc.collect()
+        with pytest.raises(MagicPageCorruptionError, match=str(hid)):
+            MagicTrampoline()(cpu, 0)
 
     def test_unmapped_magic_page_fails_loudly(self):
         prog = build("main:\n  hlt\n")

@@ -218,7 +218,7 @@ def test_template_patch_mid_batch_spares_other_guests():
     # A resident guest holding live views in the shared cache (as a
     # concurrently-running guest of the same template would).
     resident = CPU.from_image(template.program, template.image,
-                              uops=True, chain=True, trace=True)
+                              uops=True, trace=True)
     resident._sb_cache = template.sb_cache
     resident.kernel = LinuxKernel()
     resident.run()

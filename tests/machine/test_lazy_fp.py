@@ -6,7 +6,7 @@ import pytest
 
 from repro.conformance.scheduling import process_fingerprint
 from repro.machine.assembler import assemble
-from repro.machine.cpu import CPU
+from repro.machine.cpu import CPU, ENGINE_TIERS, TIERS
 from repro.machine.process import (
     Process,
     fork_process,
@@ -17,9 +17,9 @@ from repro.workloads import build_program
 DEADBEEF = 0xDEAD_BEEF_DEAD_BEEF
 
 
-def _mixed_proc(lazy, *, uops=True, chain=None, trace=None, scale=40):
+def _mixed_proc(lazy, *, uops=True, trace=None, scale=40):
     proc = Process(build_program("mixed_mt", scale, threads=4, fp_threads=2),
-                   uops=uops, chain=chain, trace=trace, lazy_fp=lazy)
+                   uops=uops, trace=trace, lazy_fp=lazy)
     from repro.kernel.kernel import LinuxKernel
 
     proc.kernel = LinuxKernel()
@@ -125,15 +125,14 @@ def test_integer_only_code_never_touches():
     assert cpu.fp_quantum_touched is False
 
 
-@pytest.mark.parametrize("chain,trace", [(False, False), (True, False),
-                                         (True, True)])
-def test_batched_dirty_masks_match_stepwise(chain, trace):
+@pytest.mark.parametrize("uops,trace", [TIERS[t] for t in ENGINE_TIERS])
+def test_batched_dirty_masks_match_stepwise(uops, trace):
     """The lowering-time per-superblock summaries must mark exactly the
     lanes the interpreter marks per instruction — per thread, at every
     quantum size."""
     for quantum in (1, 7, 64):
         ref = _mixed_proc(lazy=True, uops=False)
-        got = _mixed_proc(lazy=True, uops=True, chain=chain, trace=trace)
+        got = _mixed_proc(lazy=True, uops=uops, trace=trace)
         ref.run(quantum=quantum)
         got.run(quantum=quantum)
         assert ([(t.regs.fp_dirty, t.regs.fp_live) for t in ref.threads]
@@ -144,7 +143,7 @@ def test_batched_dirty_masks_match_stepwise(chain, trace):
 @pytest.mark.parametrize("lazy", [True, False])
 def test_batched_stepwise_parity_both_disciplines(lazy):
     ref = _mixed_proc(lazy=lazy, uops=False)
-    got = _mixed_proc(lazy=lazy, uops=True, chain=True)
+    got = _mixed_proc(lazy=lazy, uops=True)
     ref.run(quantum=7)
     got.run(quantum=7)
     assert process_fingerprint(ref) == process_fingerprint(got)

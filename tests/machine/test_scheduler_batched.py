@@ -7,7 +7,7 @@ import pytest
 from repro.core.vm import FPVM, FPVMConfig
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.assembler import assemble
-from repro.machine.cpu import CPU
+from repro.machine.cpu import CPU, ENGINE_TIERS, TIERS
 from repro.machine.hostlib import install_host_library
 from repro.machine.process import Process
 from repro.workloads import build_program
@@ -84,8 +84,8 @@ lp:
 """
 
 
-def _loop_cpu(uops: bool, chain: bool = False, trace: bool = False) -> CPU:
-    cpu = CPU(assemble(_LOOP_SRC), uops=uops, chain=chain, trace=trace)
+def _loop_cpu(uops: bool, trace: bool = False) -> CPU:
+    cpu = CPU(assemble(_LOOP_SRC), uops=uops, trace=trace)
     cpu.kernel = LinuxKernel()
     if trace:
         # stabilize immediately so even small budgets exercise the
@@ -120,21 +120,26 @@ def _fingerprint(proc: Process) -> dict:
 
 
 # ------------------------------------------------------- run_quantum
+#: the interpreter's and the chained engine's ``uops`` flag (``_loop_cpu``
+#: leaves the trace JIT off); the test ids stay ``[False]``/``[True]``.
+_RUN_QUANTUM_UOPS = [TIERS[t][0] for t in ("interp", "chained")]
+
+
 class TestRunQuantum:
-    @pytest.mark.parametrize("uops", [False, True])
+    @pytest.mark.parametrize("uops", _RUN_QUANTUM_UOPS)
     def test_zero_budget_is_a_noop(self, uops):
         cpu = _loop_cpu(uops)
         assert cpu.run_quantum(0) == 0
         assert cpu.instruction_count == 0
 
-    @pytest.mark.parametrize("uops", [False, True])
+    @pytest.mark.parametrize("uops", _RUN_QUANTUM_UOPS)
     def test_budget_exhaustion_stops_midway(self, uops):
         cpu = _loop_cpu(uops)
         assert cpu.run_quantum(5) == 5
         assert not cpu.halted
         assert cpu.instruction_count == 5
 
-    @pytest.mark.parametrize("uops", [False, True])
+    @pytest.mark.parametrize("uops", _RUN_QUANTUM_UOPS)
     def test_runs_to_halt_within_budget(self, uops):
         cpu = _loop_cpu(uops)
         taken = cpu.run_quantum(10_000)
@@ -145,16 +150,14 @@ class TestRunQuantum:
         assert taken == reference.instruction_count
 
     @pytest.mark.parametrize("budget", [1, 2, 3, 7, 64])
-    @pytest.mark.parametrize("chain,trace",
-                             [(False, False), (True, False), (True, True)],
-                             ids=["uops", "chained", "traced"])
-    def test_budget_never_exceeded(self, budget, chain, trace):
+    @pytest.mark.parametrize("tier", ENGINE_TIERS)
+    def test_budget_never_exceeded(self, budget, tier):
         """Superblock bodies — and fused trace closures — must not run
-        past the budget edge: the engine falls back to single-stepping
-        (or side-exits the trace) instead.  The whole ledger must also
+        past the budget edge: the engine retires a partial body (or
+        side-exits the trace) instead.  The whole ledger must also
         match the stepwise seed: exact budget accounting is worthless
         if the batched run books different cycles or traps."""
-        cpu = _loop_cpu(True, chain=chain, trace=trace)
+        cpu = _loop_cpu(*TIERS[tier])
         total = 0
         while not cpu.halted:
             taken = cpu.run_quantum(budget)
@@ -217,6 +220,24 @@ class TestSchedulerStats:
             effs[quantum] = proc.sched.quantum_efficiency
         assert effs[1] <= 1.0
         assert effs[64] > 2 * effs[1]
+
+    def test_host_perf_uop_stats_sum_every_thread(self):
+        """``HostPerf.uop_stats`` of a Process run covers every thread,
+        not only main: its step counters equal the per-thread sum."""
+        from repro.harness.runner import _process_host_perf
+
+        proc = Process(build_program("lorenz_mt", scale=30, threads=4),
+                       uops=True)
+        proc.kernel = LinuxKernel()
+        proc.run()
+        merged = _process_host_perf(proc, seconds=1.0).uop_stats
+        keys = ("uops_retired", "single_steps", "slow_fallbacks")
+        per_thread = sum(getattr(t.uop_stats, k)
+                         for t in proc.threads for k in keys)
+        assert sum(merged[k] for k in keys) == per_thread
+        main_only = sum(getattr(proc.main.uop_stats, k) for k in keys)
+        assert per_thread > main_only          # the workers are counted
+        assert merged["quantum_dispatches"] == proc.sched.dispatches
 
 
 # ------------------------------------------------------ batched parity

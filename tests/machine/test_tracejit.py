@@ -91,8 +91,8 @@ def _program(src: str, n: int = 150):
     return program
 
 
-def _cpu(program, uops_on=True, chain=True, trace=True, threshold=None):
-    cpu = CPU(program, uops=uops_on, chain=chain, trace=trace)
+def _cpu(program, uops_on=True, trace=True, threshold=None):
+    cpu = CPU(program, uops=uops_on, trace=trace)
     cpu.kernel = LinuxKernel()
     if threshold is not None:
         cpu.trace_stabilize_threshold = threshold
@@ -174,8 +174,8 @@ class TestStabilization:
             cpu.run_quantum(7)                    # ~1 lap per dispatch
         assert cpu.uop_stats.trace_compiles == 1
 
-    def test_trace_requires_chain_tier(self):
-        cpu = _cpu(_program(LOOP_SRC), chain=False, trace=True)
+    def test_trace_flag_off_compiles_nothing(self):
+        cpu = _cpu(_program(LOOP_SRC), trace=False)
         cpu.run()
         assert cpu._uop_engine.trace_enabled is False
         assert cpu.uop_stats.trace_compiles == 0
@@ -198,8 +198,7 @@ class TestParity:
         traced = _cpu(_program(LOOP_SRC))
         traced.run()
         assert traced.uop_stats.trace_steps > 0   # the tier actually ran
-        seed = _cpu(_program(LOOP_SRC), uops_on=False, chain=False,
-                    trace=False)
+        seed = _cpu(_program(LOOP_SRC), uops_on=False, trace=False)
         seed.run()
         assert _fingerprint(traced) == _fingerprint(seed)
 
@@ -208,8 +207,7 @@ class TestParity:
         traced = _cpu(_program(LOOP_SRC))
         while not traced.halted:
             traced.run_quantum(quantum)
-        seed = _cpu(_program(LOOP_SRC), uops_on=False, chain=False,
-                    trace=False)
+        seed = _cpu(_program(LOOP_SRC), uops_on=False, trace=False)
         seed.run()
         assert _fingerprint(traced) == _fingerprint(seed)
 
@@ -220,8 +218,7 @@ class TestParity:
         traced = _cpu(_program(LOOP_SRC), threshold=1)
         taken = traced.run_quantum(budget)
         assert taken == budget
-        seed = _cpu(_program(LOOP_SRC), uops_on=False, chain=False,
-                    trace=False)
+        seed = _cpu(_program(LOOP_SRC), uops_on=False, trace=False)
         for _ in range(budget):
             seed.step()
         assert _fingerprint(traced) == _fingerprint(seed)
@@ -237,8 +234,7 @@ class TestSideExits:
             cpu.run_quantum(7)
         st = cpu.uop_stats.as_dict()
         assert st["trace_exits"].get("budget", 0) > 0
-        seed = _cpu(_program(LOOP_SRC), uops_on=False, chain=False,
-                    trace=False)
+        seed = _cpu(_program(LOOP_SRC), uops_on=False, trace=False)
         seed.run()
         assert _fingerprint(cpu) == _fingerprint(seed)
 
@@ -254,8 +250,7 @@ class TestSideExits:
         assert st["trace_exits"].get("mxcsr", 0) >= 1
         assert st["slow_fallbacks"] > 0           # the laps still retired
 
-        seed = _cpu(_program(LOOP_SRC, n=400), uops_on=False, chain=False,
-                    trace=False)
+        seed = _cpu(_program(LOOP_SRC, n=400), uops_on=False, trace=False)
         _drive(seed, schedule)
         assert _fingerprint(traced) == _fingerprint(seed)
 
@@ -273,8 +268,7 @@ class TestSideExits:
         assert st["trace_exits"].get("mxcsr", 0) == 0   # no entry guard here
         assert st["slow_fallbacks"] > 0
 
-        seed = _cpu(_program(CVT_SRC, n=400), uops_on=False, chain=False,
-                    trace=False)
+        seed = _cpu(_program(CVT_SRC, n=400), uops_on=False, trace=False)
         _drive(seed, schedule)
         assert _fingerprint(traced) == _fingerprint(seed)
 
@@ -315,7 +309,7 @@ class TestPatchInvalidation:
         def seed_patch(cpu):
             seed_prog.patch_call(seed_prog.symbols["top"], seed_tramp)
 
-        seed = _cpu(seed_prog, uops_on=False, chain=False, trace=False)
+        seed = _cpu(seed_prog, uops_on=False, trace=False)
         _drive(seed, [(320, seed_patch)])
         assert seed_tramp.calls == tramp.calls
         assert _fingerprint(traced) == _fingerprint(seed)
@@ -326,8 +320,7 @@ class TestPatchInvalidation:
         B's very next dispatch must drop the trace and honor the patch
         — the shared cache's epoch mirror is the only wall between a
         cross-thread patch and a stale compiled trace."""
-        proc = Process(_program(THREADED_SRC), uops=True, chain=True,
-                       trace=True)
+        proc = Process(_program(THREADED_SRC), uops=True, trace=True)
         proc.kernel = LinuxKernel()
         prog = proc.main.program
         tid_a = proc.spawn(prog.symbols["worker"], 0)
@@ -369,8 +362,7 @@ class TestDemotionCycle:
         assert engine._trace_backoff.get(
             traced.program.symbols["top"], 0) >= 1
 
-        seed = _cpu(_program(LOOP_SRC, n=4000), uops_on=False, chain=False,
-                    trace=False)
+        seed = _cpu(_program(LOOP_SRC, n=4000), uops_on=False, trace=False)
         _drive(seed, schedule)
         assert _fingerprint(traced) == _fingerprint(seed)
 

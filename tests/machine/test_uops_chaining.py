@@ -66,12 +66,12 @@ def _program(src: str):
     return program
 
 
-def _cpu(program, uops_on=True, chain=None, config=None):
+def _cpu(program, uops_on=True, config=None):
     # trace=False: this file asserts *chained-tier* internals (link
     # counters, chain lengths, break reasons); the trace JIT sitting
     # above it would absorb the loops these numbers count.  The traced
     # tier has its own suite in test_tracejit.py.
-    cpu = CPU(program, uops=uops_on, chain=chain, trace=False)
+    cpu = CPU(program, uops=uops_on, trace=False)
     kernel = LinuxKernel()
     cpu.kernel = kernel
     if config is not None:
@@ -98,7 +98,7 @@ def _fingerprint(cpu):
 
 class TestChainMechanics:
     def test_loop_chains_and_stats(self):
-        cpu = _cpu(_program(LOOP_SRC), chain=True)
+        cpu = _cpu(_program(LOOP_SRC))
         cpu.run()
         st = cpu.uop_stats.as_dict()
         assert st["links_created"] >= 1
@@ -107,26 +107,12 @@ class TestChainMechanics:
         assert max(st["chain_lengths"]) > 100    # the self-loop trace
         assert st["chain_breaks"]                # every chain ends somewhere
 
-    def test_chained_identical_to_stepwise_and_unchained(self):
-        results = {}
-        for label, (uops_on, chain) in {
-            "stepwise": (False, False),
-            "unchained": (True, False),
-            "chained": (True, True),
-        }.items():
-            cpu = _cpu(_program(LOOP_SRC), uops_on=uops_on, chain=chain)
-            cpu.run()
-            results[label] = _fingerprint(cpu)
-        assert results["chained"] == results["stepwise"]
-        assert results["unchained"] == results["stepwise"]
-
-    def test_chain_flag_defaults_to_env(self, monkeypatch):
-        prog = _program(LOOP_SRC)
-        monkeypatch.setenv("FPVM_CHAIN", "0")
-        assert CPU(prog, uops=True).chain_enabled is False
-        monkeypatch.setenv("FPVM_CHAIN", "1")
-        assert CPU(prog, uops=True).chain_enabled is True
-        assert CPU(prog, uops=True, chain=False).chain_enabled is False
+    def test_chained_identical_to_stepwise(self):
+        chained = _cpu(_program(LOOP_SRC))
+        chained.run()
+        stepwise = _cpu(_program(LOOP_SRC), uops_on=False)
+        stepwise.run()
+        assert _fingerprint(chained) == _fingerprint(stepwise)
 
 
 class TestTailChainGrades:
@@ -149,8 +135,7 @@ class TestTailChainGrades:
         """A grade-2 (ret) tail that halts the core must not start a
         chain: the sentinel leaves RIP pointing *at* the ret, so a chain
         entered there would re-execute it against a dead stack."""
-        cpu = _cpu(_program(".text\nmain:\n  mov rax, 1\n  ret\n"),
-                   chain=True)
+        cpu = _cpu(_program(".text\nmain:\n  mov rax, 1\n  ret\n"))
         cpu.run()
         st = cpu.uop_stats.as_dict()
         assert cpu.halted
@@ -165,7 +150,7 @@ class TestQuantumBudgetParity:
 
     @pytest.mark.parametrize("budget", [*range(1, 14), 29, 64, 257])
     def test_single_quantum_trajectory(self, budget):
-        chained = _cpu(_program(LOOP_SRC), chain=True)
+        chained = _cpu(_program(LOOP_SRC))
         taken = chained.run_quantum(budget)
         assert taken == budget                    # loop far from halting
 
@@ -176,7 +161,7 @@ class TestQuantumBudgetParity:
 
     @pytest.mark.parametrize("quantum", [1, 3, 7, 64])
     def test_run_to_halt_in_quanta(self, quantum):
-        chained = _cpu(_program(LOOP_SRC), chain=True)
+        chained = _cpu(_program(LOOP_SRC))
         total = 0
         while not chained.halted:
             total += chained.run_quantum(quantum)
@@ -187,9 +172,9 @@ class TestQuantumBudgetParity:
 
     def test_partial_block_dispatch_at_budget_edge(self):
         """With a 4-uop loop body and quantum 7, every other dispatch
-        ends mid-block; the chaining tier retires the fitting prefix
+        ends mid-block; the engine retires the fitting prefix
         through the pipeline instead of seed-stepping the edge."""
-        chained = _cpu(_program(LOOP_SRC), chain=True)
+        chained = _cpu(_program(LOOP_SRC))
         while not chained.halted:
             chained.run_quantum(7)
         st = chained.uop_stats.as_dict()
@@ -218,7 +203,7 @@ class TestChainInvalidation:
         prog.patch_call(prog.symbols["top"], tramp)
         assert prog.patches[prog.symbols["top"]].kind is PatchKind.MAGIC_CALL
 
-        chained = _cpu(prog, chain=True)
+        chained = _cpu(prog)
         chained.run()
         assert tramp.calls == 150                 # every loop iteration
 
@@ -241,7 +226,7 @@ class TestChainInvalidation:
         """Patching after a chained run must unlink every cached edge;
         re-running the same CPU must see the patch."""
         prog = _program(LOOP_SRC)
-        cpu = _cpu(prog, chain=True)
+        cpu = _cpu(prog)
         cpu.run()
         assert cpu.uop_stats.links_created > 0
 
@@ -265,7 +250,7 @@ class TestChainInvalidation:
         """Under seq_short virtualization, FP micro-ops in a linked
         block go SLOW at unpromoted sites; the chain must flush its
         accounting, fall back to step(), and stay bit-identical."""
-        chained = _cpu(_program(LOOP_SRC), chain=True,
+        chained = _cpu(_program(LOOP_SRC),
                        config=FPVMConfig.seq_short(uops=True))
         chained.run()
         st = chained.uop_stats.as_dict()
@@ -280,21 +265,19 @@ class TestChainInvalidation:
         assert st["slow_fallbacks"] > 0
 
     def test_step_limit_reached_inside_chain(self):
-        cpu = _cpu(_program(".text\nmain:\n  nop\nspin:\n  jmp spin\n"),
-                   chain=True)
+        cpu = _cpu(_program(".text\nmain:\n  nop\nspin:\n  jmp spin\n"))
         with pytest.raises(MachineError):
             cpu.run(max_steps=500)
 
     def test_infinite_chain_respects_quantum_budget(self):
-        cpu = _cpu(_program(".text\nmain:\n  nop\nspin:\n  jmp spin\n"),
-                   chain=True)
+        cpu = _cpu(_program(".text\nmain:\n  nop\nspin:\n  jmp spin\n"))
         assert cpu.run_quantum(50) == 50
         assert not cpu.halted
 
 
 class TestRootDemotion:
     def test_short_chains_demote_their_root(self):
-        cpu = _cpu(_program(CALLRET_SRC), chain=True)
+        cpu = _cpu(_program(CALLRET_SRC))
         cpu.run()
         st = cpu.uop_stats.as_dict()
         assert st["chain_demotions"] >= 1
@@ -309,7 +292,7 @@ class TestRootDemotion:
     def test_budget_cuts_do_not_demote(self):
         """A quantum edge ends the trace, not the program's structure —
         chains cut by the budget must never blacklist their root."""
-        cpu = _cpu(_program(LOOP_SRC), chain=True)
+        cpu = _cpu(_program(LOOP_SRC))
         while not cpu.halted:
             cpu.run_quantum(5)                    # < one body + tail
         st = cpu.uop_stats.as_dict()
@@ -344,7 +327,7 @@ main:
 
 class TestSharedCacheAcrossThreads:
     def test_threads_share_one_cache(self):
-        proc = Process(_program(THREADED_SRC), uops=True, chain=True)
+        proc = Process(_program(THREADED_SRC), uops=True)
         proc.kernel = LinuxKernel()
         prog = proc.main.program
         proc.spawn(prog.symbols["worker"], 0)
@@ -358,7 +341,7 @@ class TestSharedCacheAcrossThreads:
         thread A would).  B's very next dispatch must drop its links and
         honor the patch — without ever re-entering the engine loop
         between chained blocks."""
-        proc = Process(_program(THREADED_SRC), uops=True, chain=True)
+        proc = Process(_program(THREADED_SRC), uops=True)
         proc.kernel = LinuxKernel()
         prog = proc.main.program
         tid_a = proc.spawn(prog.symbols["worker"], 0)

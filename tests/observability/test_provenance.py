@@ -5,8 +5,8 @@ Three contracts under test:
 1. **Lifecycle** — boxes are born at the right (rip, class) sites,
    propagate along edges, and die for the right reasons (consumed,
    clamped, demoted, collected) on the trap-diverse storm workloads.
-2. **Tier independence** — the interpreter, uop, chained, and traced
-   tiers produce the *same* flow graph for the same guest, because the
+2. **Tier independence** — the interpreter, chained, and traced tiers
+   produce the *same* flow graph for the same guest, because the
    recorder sits behind the one trap/emulate seam they all share.
 3. **Purity** — recording provenance never alters architectural state:
    with flow on vs off, stdout, the demoted memory digest, simulated
@@ -23,6 +23,7 @@ from repro.conformance.generators import fuzz_program
 from repro.core.vm import FPVMConfig
 from repro.fpu.ieee import FPFlags
 from repro.harness.runner import run_fpvm
+from repro.machine.cpu import TIERS
 from repro.observability import (
     KILL_REASONS,
     TRAP_CLASSES,
@@ -33,20 +34,10 @@ from repro.observability import (
 
 pytestmark = pytest.mark.flow
 
-#: the four host execution tiers the flow seam must be independent of.
-TIERS = {
-    "interp": dict(uops=False, chain=False, trace=False),
-    "uops": dict(uops=True, chain=False, trace=False),
-    "chained": dict(uops=True, chain=True, trace=False),
-    "traced": dict(uops=True, chain=True, trace=True),
-}
-
-
 def run_tier(workload: str, tier: str, scale: int, **config_kwargs):
-    t = TIERS[tier]
-    cfg = FPVMConfig.seq_short(flow=True, uops=t["uops"], **config_kwargs)
-    return run_fpvm(workload, cfg, scale=scale,
-                    chain=t["chain"], trace=t["trace"])
+    uops, trace = TIERS[tier]
+    cfg = FPVMConfig.seq_short(flow=True, uops=uops, **config_kwargs)
+    return run_fpvm(workload, cfg, scale=scale, trace=trace)
 
 
 # ------------------------------------------------------------ classify
@@ -165,7 +156,7 @@ class TestStormLifecycle:
         assert set(kills) <= set(KILL_REASONS)
 
     def test_host_perf_carries_flow_summary(self):
-        result = run_tier("range_storm", "uops", scale=10)
+        result = run_tier("range_storm", "chained", scale=10)
         flow = result.host.flow
         assert flow is not None
         assert flow["births"] > 0
