@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from repro.altmath.base import AltMathCosts, AltMathSystem, register_altmath
 from repro.fpu import bits as B
-from repro.machine import hostfp
-
-_INDEFINITE = 0x8000_0000_0000_0000
+from repro.fpu import fast
 
 
 @register_altmath
@@ -44,17 +42,17 @@ class BoxedIEEE(AltMathSystem):
         return value
 
     def from_i64(self, value: int):
-        return hostfp.native_fp("cvtsi2sd", value & 0xFFFF_FFFF_FFFF_FFFF)
+        return fast.cvtsi2sd(value & 0xFFFF_FFFF_FFFF_FFFF)
 
     def to_i64(self, value, truncate: bool = True) -> int:
-        return hostfp.native_fp("cvttsd2si" if truncate else "cvtsd2si", value)
+        return fast.cvttsd2si(value) if truncate else fast.cvtsd2si(value)
 
     def binary(self, op: str, a, b):
-        return hostfp.native_fp(op, a, b)
+        return fast.evaluate(op, a, b)
 
     def unary(self, op: str, a):
         if op == "sqrt":
-            return hostfp.native_fp("sqrt", a)
+            return fast.FAST_SCALAR["sqrt"](a)
         if op == "neg":
             return a ^ B.F64_SIGN_MASK
         if op == "abs":
@@ -62,7 +60,7 @@ class BoxedIEEE(AltMathSystem):
         raise KeyError(op)
 
     def fma(self, a, b, c):
-        return hostfp.native_fp("fma", a, b, c)
+        return fast.fma(a, b, c)
 
     def compare(self, a, b) -> int | None:
         if B.is_nan(a) or B.is_nan(b):

@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from repro.altmath.base import AltMathCosts, AltMathSystem, register_altmath
 from repro.fpu import bits as B
+from repro.fpu import fast
 
 
 @dataclass(frozen=True)
@@ -133,9 +134,7 @@ class LNSSystem(AltMathSystem):
 
     def to_i64(self, value: LNSValue, truncate: bool = True) -> int:
         bits = self.demote(value)
-        from repro.machine import hostfp
-
-        return hostfp.native_fp("cvttsd2si" if truncate else "cvtsd2si", bits)
+        return fast.cvttsd2si(bits) if truncate else fast.cvtsd2si(bits)
 
     # -------------------------------------------------------- arithmetic
     def binary(self, op: str, a: LNSValue, b: LNSValue) -> LNSValue:

@@ -13,9 +13,10 @@ checkable end to end:
   memory digest) must be bit-identical across patch configurations
   NONE / SEQ / SEQ_SHORT — with real profiler-discovered patches and
   live compiled traces — and must equal the host-computed checksum of
-  the pristine text.  Under ``FPVM_SHADOW_VIEW=0`` (text backed by the
-  FETCH view) the same guest *must* see the patch markers, proving the
-  shadow view is load-bearing rather than vacuously equal.
+  the pristine text.  The negative control (text pages overwritten with
+  the FETCH view's image) lives in the conformance tests: there the
+  same guest *must* see the patch markers, proving the shadow view is
+  load-bearing rather than vacuously equal.
 - :func:`self_reading_report`: a guest that reads its own bytes every
   loop iteration while the chained/traced tiers hold live compiled
   artifacts — every tier must agree bit-for-bit with the seed
@@ -177,51 +178,6 @@ def self_checksum_report(trace_threshold: int = 2) -> dict:
     digests = {c["text_digest"] for c in report["configs"].values()}
     report["bit_identical"] = (
         outputs == {reference} and digests == {pristine})
-    return report
-
-
-def shadow_view_negative_report(trace_threshold: int = 2) -> dict:
-    """Prove the shadow view is load-bearing, not vacuously equal.
-
-    Re-runs the SEQ config with ``FPVM_SHADOW_VIEW=0`` — guest text
-    backed by the FETCH view, patch markers eagerly pushed into memory
-    — and checks that the self-checksumming guest now *does* observe
-    the instrumentation: its checksum and text digest must diverge
-    from the pristine ground truth."""
-    import hashlib
-    import os
-
-    _, words = build_checksum_program()
-    reference = native_reference(words)
-    program, _ = build_checksum_program(words)
-    pristine = hashlib.sha256(program.data_view.text_bytes()).hexdigest()
-    prior = os.environ.get("FPVM_SHADOW_VIEW")
-    os.environ["FPVM_SHADOW_VIEW"] = "0"
-    try:
-        cpu = CPU(program)
-        kernel = LinuxKernel()
-        cpu.kernel = kernel
-        FPVM(FPVMConfig.seq(trace_compile_threshold=trace_threshold)).attach(
-            cpu, kernel)
-        cpu.run(max_steps=MAX_STEPS)
-    finally:
-        if prior is None:
-            del os.environ["FPVM_SHADOW_VIEW"]
-        else:
-            os.environ["FPVM_SHADOW_VIEW"] = prior
-    digest = _text_digest(cpu, program)
-    report = {
-        "output": tuple(cpu.output),
-        "reference_output": reference,
-        "patches": len(program.patches),
-        "text_digest": digest,
-        "pristine_text_digest": pristine,
-    }
-    report["guest_observed_markers"] = (
-        report["patches"] > 0
-        and report["output"] != reference
-        and digest != pristine
-    )
     return report
 
 

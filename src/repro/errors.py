@@ -8,13 +8,21 @@ signal deliveries, a corrupted magic page, a poisoned decode cache,
 box-heap exhaustion, device protocol misuse — maps to one subclass of
 :class:`FPVMFaultError` here, so a hardened component fails loudly with
 a machine-classifiable error instead of silently producing wrong
-numbers.
+numbers.  Malformed *input* — bytes the decoder cannot parse — raises
+:class:`EncodingError`, which stands outside that hierarchy.
 
-The hierarchy derives from :class:`RuntimeError` so pre-existing
+The fault hierarchy derives from :class:`RuntimeError` so pre-existing
 callers that caught broad runtime failures keep working.
 """
 
 from __future__ import annotations
+
+
+class EncodingError(ValueError):
+    """Malformed instruction or byte stream: an unencodable operand on
+    the way in, or bytes the decoder cannot parse on the way out.  Bad
+    *input*, not a machinery fault, so it is not an
+    :class:`FPVMFaultError`."""
 
 
 class FPVMFaultError(RuntimeError):

@@ -18,8 +18,8 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.fpu.ieee import FPFlags, FPResult, ieee_op
-from repro.machine import hostfp
+from repro.fpu import fast
+from repro.fpu.ieee import FPFlags, ieee_op
 from repro.machine.costs import DEFAULT_COSTS, CostModel
 from repro.machine.isa import (
     CONDITION_CODES,
@@ -32,7 +32,7 @@ from repro.machine.isa import (
     Xmm,
 )
 from repro.machine.memory import PROT_EXEC, PROT_READ, PROT_WRITE, Memory, PAGE_SIZE
-from repro.machine.program import PatchKind, Program, STACK_TOP, shadow_view_enabled
+from repro.machine.program import PatchKind, Program, STACK_TOP
 from repro.machine.registers import Flags, RegisterFile, rounding_mode, unmasked_status
 from repro.machine.uops import uops_enabled_default
 from repro.machine.tracejit import trace_enabled_default
@@ -184,11 +184,8 @@ class CPU:
         prog = self.program
         # Text: read+exec, NOT writable => excluded from the GC page scan.
         # The image is backed by the DATA view (pristine bytes) so guest
-        # loads from TEXT_BASE never observe instrumentation; the
-        # FPVM_SHADOW_VIEW=0 escape hatch backs it by the FETCH view
-        # instead, making patches guest-detectable.
-        view = prog.data_view if shadow_view_enabled() else prog.fetch_view
-        text = view.text_bytes()
+        # loads from TEXT_BASE never observe instrumentation.
+        text = prog.data_view.text_bytes()
         addr = prog.text_base
         end = prog.text_base + len(text)
         while addr < end:
@@ -201,7 +198,6 @@ class CPU:
             self.mem.write_bytes(prog.text_base, text)
             for pg in range(prog.text_base, end, PAGE_SIZE):
                 self.mem.protect(pg, PROT_READ | PROT_EXEC)
-        self.mem.bind_code_view(view)
         if prog.data:
             self.mem.write_bytes(prog.data_base, prog.data)
         self.regs.rip = prog.entry
@@ -236,9 +232,6 @@ class CPU:
                        trace=trace)
         cpu.mem = Memory()
         cpu.mem.clone_pages(image)
-        cpu.mem.bind_code_view(
-            program.data_view if shadow_view_enabled() else program.fetch_view
-        )
         cpu.regs.rip = program.entry
         cpu.regs.write_gpr(7, STACK_TOP - 64)  # sentinel already in image
         return cpu
@@ -453,7 +446,7 @@ class CPU:
             return False
         unmasked = unmasked_status(regs.mxcsr | 0x3F)  # which masks are clear
         if unmasked:
-            results = self._evaluate_fp_exact(instr)
+            results = self._evaluate_fp(instr, self._exact_evaluator())
             flags = FPFlags()
             for r in results:
                 flags = flags | r.flags
@@ -465,13 +458,14 @@ class CPU:
             regs.mxcsr |= flags.as_mxcsr_status()
             regs.rip = instr.addr + instr.size
             return True
-        # Native: values only, no flag bookkeeping.  The numpy fast
-        # path implements round-to-nearest only; a nondefault MXCSR.RC
+        # Native: values only, no flag bookkeeping.  The fast path
+        # implements round-to-nearest only; a nondefault MXCSR.RC
         # routes through the exact oracle.
         if rounding_mode(regs.mxcsr) == "ne":
-            values = self._evaluate_fp_native(instr)
+            values = self._evaluate_fp(instr, fast.evaluate)
         else:
-            values = [r.bits for r in self._evaluate_fp_exact(instr)]
+            values = [r.bits for r in
+                      self._evaluate_fp(instr, self._exact_evaluator())]
         self._commit_fp(instr, values)
         regs.rip = instr.addr + instr.size
         return True
@@ -506,36 +500,28 @@ class CPU:
         b = self.read_u64_operand(ops[1], fp=True)
         return [a, b]
 
-    def _evaluate_fp_exact(self, instr: Instruction) -> list[FPResult]:
-        ieee = instr.info.ieee
-        src = self._fp_sources(instr)
+    def _exact_evaluator(self):
+        """``ieee_op`` under the current MXCSR rounding mode."""
         mode = rounding_mode(self.regs.mxcsr)
-        if instr.mnemonic == "vfmadd213sd":
-            return [ieee_op("fma", src[0], src[1], src[2], mode=mode)]
-        if instr.mnemonic in ("sqrtsd", "cvtsi2sd", "cvttsd2si", "cvtsd2si"):
-            return [ieee_op(ieee, src[0], mode=mode)]
-        if instr.mnemonic == "sqrtpd":
-            return [ieee_op(ieee, src[0], mode=mode), ieee_op(ieee, src[1], mode=mode)]
-        if instr.info.lanes == 2:
-            return [ieee_op(ieee, src[0], src[1], mode=mode),
-                    ieee_op(ieee, src[2], src[3], mode=mode)]
-        return [ieee_op(ieee, src[0], src[1], mode=mode)]
+        return lambda op, *src: ieee_op(op, *src, mode=mode)
 
-    def _evaluate_fp_native(self, instr: Instruction) -> list[int]:
+    def _evaluate_fp(self, instr: Instruction, evaluate) -> list:
+        """Apply ``evaluate(op, *operands)`` per lane of ``instr``:
+        :func:`repro.fpu.fast.evaluate` for result bits, or the exact
+        oracle for :class:`~repro.fpu.ieee.FPResult`\\ s with flags."""
         ieee = instr.info.ieee
         src = self._fp_sources(instr)
-        if instr.mnemonic == "vfmadd213sd":
-            return [hostfp.native_fp("fma", src[0], src[1], src[2])]
-        if instr.mnemonic in ("sqrtsd", "cvtsi2sd", "cvttsd2si", "cvtsd2si"):
-            return [hostfp.native_fp(ieee, src[0])]
-        if instr.mnemonic == "sqrtpd":
-            return [hostfp.native_fp(ieee, src[0]), hostfp.native_fp(ieee, src[1])]
+        mn = instr.mnemonic
+        if mn == "vfmadd213sd":
+            return [evaluate("fma", src[0], src[1], src[2])]
+        if mn in ("sqrtsd", "cvtsi2sd", "cvttsd2si", "cvtsd2si"):
+            return [evaluate(ieee, src[0])]
+        if mn == "sqrtpd":
+            return [evaluate(ieee, src[0]), evaluate(ieee, src[1])]
         if instr.info.lanes == 2:
-            return [
-                hostfp.native_fp(ieee, src[0], src[1]),
-                hostfp.native_fp(ieee, src[2], src[3]),
-            ]
-        return [hostfp.native_fp(ieee, src[0], src[1])]
+            return [evaluate(ieee, src[0], src[1]),
+                    evaluate(ieee, src[2], src[3])]
+        return [evaluate(ieee, src[0], src[1])]
 
     def _commit_fp(self, instr: Instruction, values: list[int]) -> None:
         mn = instr.mnemonic

@@ -34,9 +34,21 @@ from repro.machine.isa import (
 _I64 = struct.Struct("<q")
 
 
+def _need(raw: bytes, pos: int, n: int) -> None:
+    if pos + n > len(raw):
+        raise EncodingError("truncated operand")
+
+
+def _reg(names: tuple[str, ...], rid: int) -> str:
+    if rid >= len(names):
+        raise EncodingError(f"bad register id {rid}")
+    return names[rid]
+
+
 def decode_instruction(raw: bytes, addr: int = 0) -> Instruction:
     """Decode one instruction from ``raw`` (which must start at the
-    instruction's first byte).  ``addr`` is recorded on the result."""
+    instruction's first byte).  ``addr`` is recorded on the result.
+    Malformed bytes raise :class:`~repro.errors.EncodingError`."""
     if len(raw) < 2:
         raise EncodingError("truncated instruction header")
     opcode_id = raw[0]
@@ -52,28 +64,33 @@ def decode_instruction(raw: bytes, addr: int = 0) -> Instruction:
         tag = raw[pos]
         pos += 1
         if tag == TAG_REG:
-            operands.append(Reg(GPR_NAMES[raw[pos]]))
+            _need(raw, pos, 1)
+            operands.append(Reg(_reg(GPR_NAMES, raw[pos])))
             pos += 1
         elif tag == TAG_XMM:
-            operands.append(Xmm(XMM_NAMES[raw[pos]]))
+            _need(raw, pos, 1)
+            operands.append(Xmm(_reg(XMM_NAMES, raw[pos])))
             pos += 1
         elif tag == TAG_IMM:
+            _need(raw, pos, 8)
             operands.append(Imm(_I64.unpack_from(raw, pos)[0]))
             pos += 8
         elif tag == TAG_MEM:
+            _need(raw, pos, 13)
             flags = raw[pos]
-            base = GPR_NAMES[raw[pos + 1]] if flags & 1 else None
-            index = GPR_NAMES[raw[pos + 2]] if flags & 2 else None
-            scale = raw[pos + 3]
-            size = raw[pos + 4]
+            base = _reg(GPR_NAMES, raw[pos + 1]) if flags & 1 else None
+            index = _reg(GPR_NAMES, raw[pos + 2]) if flags & 2 else None
             disp = _I64.unpack_from(raw, pos + 5)[0]
             rip_label = "<rip>" if flags & 4 else None
-            operands.append(
-                Mem(base=base, index=index, scale=scale, disp=disp,
-                    rip_label=rip_label, size=size)
-            )
+            try:
+                mem = Mem(base=base, index=index, scale=raw[pos + 3],
+                          disp=disp, rip_label=rip_label, size=raw[pos + 4])
+            except ValueError as exc:  # bad scale or access size
+                raise EncodingError(str(exc)) from None
+            operands.append(mem)
             pos += 13
         elif tag == TAG_LABEL:
+            _need(raw, pos, 8)
             target = _I64.unpack_from(raw, pos)[0]
             operands.append(Label(f"loc_{target:x}", addr=target))
             pos += 8

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import struct
 
+from repro.errors import EncodingError
 from repro.machine.isa import (
     GPR_NAMES,
     OPCODE_BY_ID,
@@ -43,10 +44,6 @@ TAG_XMM = 1
 TAG_IMM = 2
 TAG_MEM = 3
 TAG_LABEL = 4
-
-
-class EncodingError(Exception):
-    """Malformed instruction or byte stream."""
 
 
 def encode_instruction(instr: Instruction) -> bytes:
@@ -116,6 +113,8 @@ def encoded_length(raw: bytes, offset: int = 0) -> int:
             pos += 13
         else:
             raise EncodingError(f"bad operand tag {tag}")
+    if pos > len(raw):
+        raise EncodingError("truncated operand")
     return pos - offset
 
 

@@ -54,10 +54,6 @@ class Memory:
         #: pages privately materialized by a write to a shared page.
         self.cow_faults = 0
         self.auto_map = auto_map
-        #: the CodeView backing the guest text image (set by the CPU at
-        #: image load).  DATA-backed text never changes after load, so
-        #: the binding costs nothing on the access paths.
-        self._code_view = None
         #: observers for the PIN-like profiler: fn(addr, size, kind)
         #: with kind in {"fp_store", "int_store", "fp_load", "int_load"}.
         self.observers: list = []
@@ -164,46 +160,6 @@ class Memory:
             for pno, page in source._cow.items():
                 self._pages[pno] = _Page(bytearray(page.data), page.prot)
         self.auto_map = source.auto_map
-
-    # -------------------------------------------------------- code view
-    def bind_code_view(self, view) -> None:
-        """Declare ``view`` as the backing store of the guest text image.
-
-        With the default DATA view this is pure bookkeeping: pristine
-        text never changes, so guest loads from ``TEXT_BASE`` keep
-        returning original bytes no matter what gets patched, and COW
-        ``clone_pages``/``digest()`` stay bit-identical across fleet
-        guests with different live instrumentation.
-
-        With a FETCH view (the ``FPVM_SHADOW_VIEW=0`` escape hatch) the
-        memory registers a patch listener and eagerly re-syncs the
-        affected byte on every patch-state change, so patches become
-        guest-detectable — the behavior the shadow view exists to
-        prevent, kept around so conformance tests can prove the split
-        is load-bearing.
-        """
-        self._code_view = view
-        if view.patches is view.program.patches and view.patches is not None:
-            # FETCH-bound: keep the guest-visible image in sync.  The
-            # DATA view exposes a detached empty patch table, so this
-            # branch identifies FETCH without importing program.py.
-            view.program.patch_listeners.append(self._sync_patch_site)
-
-    def _sync_patch_site(self, addr: int) -> None:
-        """Re-copy the (possibly marked) first byte of the instruction
-        at ``addr`` from the bound FETCH view into the text page."""
-        byte = self._code_view.bytes_at(addr, 1)
-        if not byte:
-            return
-        pno = addr >> PAGE_SHIFT
-        page = self._pages.get(pno)
-        if page is None:
-            if pno not in self._cow:
-                return
-            # host-side instrumentation write, not a guest COW fault —
-            # materialize without touching ``cow_faults``.
-            page = self._materialize(pno)
-        page.data[addr & (PAGE_SIZE - 1)] = byte[0]
 
     def digest(self) -> str:
         """SHA-256 over every mapped page's (address, prot, contents) —

@@ -15,7 +15,6 @@ the ELF binary in the real system:
 from __future__ import annotations
 
 import copy as _copy
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -83,21 +82,6 @@ class ViewKind(Enum):
 _PATCH_MARKERS = {PatchKind.INT3: 0xCC, PatchKind.MAGIC_CALL: 0xE8}
 
 _NO_PATCHES: dict[int, Patch] = {}
-
-_FALSEY = ("0", "false", "off", "no")
-
-
-def shadow_view_enabled(env: str | None = None) -> bool:
-    """Whether guest text memory is backed by the DATA view (default).
-
-    ``FPVM_SHADOW_VIEW=0`` is the escape hatch: text pages are backed
-    by the FETCH view instead, making patches guest-detectable — useful
-    for debugging the instrumentation itself and for conformance tests
-    that prove the shadow view is load-bearing.
-    """
-    if env is None:
-        env = os.environ.get("FPVM_SHADOW_VIEW", "1")
-    return env.strip().lower() not in _FALSEY
 
 
 class CodeView:
@@ -196,10 +180,6 @@ class Program:
         #: processed and invalidate only the sites in the suffix.
         self.patch_events: list[int] = []
         self.patch_seq: int = 0
-        #: callbacks invoked with the patched address on every
-        #: patch-state change (e.g. a Memory with a FETCH-bound text
-        #: image keeping guest-visible bytes in sync).
-        self.patch_listeners: list = []
         #: source line info for diagnostics: addr -> line number.
         self.lines: dict[int, int] = {}
         self.fetch_view = CodeView(self, ViewKind.FETCH)
@@ -259,24 +239,10 @@ class Program:
         return addr in self.host_functions
 
     # -------------------------------------------------------- patching
-    @property
-    def patch_epoch(self) -> int:
-        """Compat alias for :attr:`patch_seq`.
-
-        Historic callers keyed caches on a single global epoch; the
-        sequence number preserves their arithmetic (one bump per
-        effective patch-state change) while ``patch_events`` carries
-        the per-site information that makes targeted invalidation
-        possible.
-        """
-        return self.patch_seq
-
     def _note_patch_change(self, addr: int) -> None:
         self.patch_gen[addr] = self.patch_gen.get(addr, 0) + 1
         self.patch_events.append(addr)
         self.patch_seq += 1
-        for listener in self.patch_listeners:
-            listener(addr)
 
     def patch_int3(self, addr: int) -> None:
         """Insert an ``int3``-style breakpoint in front of ``addr``."""
@@ -350,7 +316,6 @@ class Program:
         clone.patch_gen = dict(self.patch_gen)
         clone.patch_events = list(self.patch_events)
         clone.patch_seq = self.patch_seq
-        clone.patch_listeners = []
         clone.lines = self.lines
         clone.fetch_view = CodeView(clone, ViewKind.FETCH)
         clone.data_view = CodeView(clone, ViewKind.DATA)

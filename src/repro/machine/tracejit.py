@@ -23,7 +23,7 @@ Python closure:
 The FP fast-path guard (``cpu.fp_disabled`` / MXCSR field) is hoisted
 to one check per trace *entry*: nothing inside a trace can change it,
 because chainable tails cannot run host code and the fast FP helpers
-never write MXCSR status.  Likewise ``patch_epoch`` cannot move inside
+never write MXCSR status.  Likewise ``patch_seq`` cannot move inside
 a trace, so epoch invalidation is handled where it always was — the
 engine loop syncs the :class:`~repro.machine.uops.SuperblockCache`,
 and a flush drops every compiled trace with the blocks.
@@ -53,6 +53,14 @@ import os
 import struct
 from collections import OrderedDict
 
+from repro.fpu.fast import (
+    _PACK_D,
+    _PACK_Q,
+    _SQRT,
+    _UNPACK_D,
+    _UNPACK_Q,
+    FAST_SCALAR,
+)
 from repro.machine.isa import (
     FP_TOUCH_CLASSES,
     GPR_IDS,
@@ -68,22 +76,11 @@ from repro.machine.uops import (
     _FALSEY,
     _FP_FAST_FIELD,
     _FP_FAST_VALUE,
-    _fadd,
-    _fdiv,
-    _fmul,
-    _fsqrt,
-    _fsub,
     _load8_factory,
-    _PACK_D,
-    _PACK_Q,
     _PARITY,
     _raw_load8_factory,
     _raw_store8_factory,
-    _SQRT,
     _store8_factory,
-    _UNPACK_D,
-    _UNPACK_Q,
-    FAST_SCALAR,
     SLOW,
     U64,
     lower,
@@ -428,11 +425,9 @@ def _fp_operand(g: _Gen, op, s: int, lines: list[str]):
 
 
 # -------------------------------------------------------- body emitters
-#: pristine fast-scalar functions that may be opened up inline.  A
-#: monkeypatched ``FAST_SCALAR`` entry (the replay oracle's corruption
-#: seam) falls back to the call form so the patch keeps biting.
-_INLINE_FP = {"add": (_fadd, "+"), "sub": (_fsub, "-"),
-              "mul": (_fmul, "*"), "div": (_fdiv, "/")}
+#: fast-scalar ops opened up inline as host float arithmetic; the
+#: guard hands NaN operands and zero divisors to the bits-level form.
+_INLINE_FP = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 
 
 def _bind_fp_structs(g: _Gen):
@@ -442,8 +437,8 @@ def _bind_fp_structs(g: _Gen):
 
 def _fp_call(g: _Gen, target: str, fname: str, *args: str) -> str:
     """A fast-scalar call in float-lane representation: convert the
-    float operands to their exact bit patterns, call the (possibly
-    monkeypatched) bits-level helper, convert the result back."""
+    float operands to their exact bit patterns, call the bits-level
+    helper, convert the result back."""
     ud, pq, pd, uq = _bind_fp_structs(g)
     bits = ", ".join(f"{uq}({pd}({a}))[0]" for a in args)
     return f"{target} = {ud}({pq}({fname}({bits})))[0]"
@@ -463,9 +458,8 @@ def _emit_fp(g: _Gen, u, s: int):
         d = ops[0].id
         g.lanes.add(d)
         g.fp_guard = True
-        inline = _INLINE_FP.get(u.ieee)
-        if inline is not None and fast is inline[0]:
-            opch = inline[1]
+        opch = _INLINE_FP.get(u.ieee)
+        if opch is not None:
             guard = f"x{d}f != x{d}f or {e} != {e}"
             if u.ieee == "div":
                 guard += f" or {e} == 0.0"
@@ -477,26 +471,22 @@ def _emit_fp(g: _Gen, u, s: int):
             lines.append(_fp_call(g, f"x{d}f", fname, f"x{d}f", e))
         return lines
     if u.mnemonic == "sqrtsd" and isinstance(ops[0], Xmm):
-        fast = FAST_SCALAR["sqrt"]
         lines = []
         e = _fp_operand(g, ops[1], s, lines)
         if e is None:
             return None
-        fname = g.bind("f_sqrt", fast)
+        fname = g.bind("f_sqrt", FAST_SCALAR["sqrt"])
+        sq = g.bind("sq", _SQRT)
         d = ops[0].id
         g.lanes.add(d)
         g.fp_guard = True
-        if fast is _fsqrt:
-            sq = g.bind("sq", _SQRT)
-            # ``_fa >= 0.0`` is False for NaN, so NaN payloads and
-            # negative inputs both take the exact fallback.
-            lines += [f"_fa = {e}",
-                      "if _fa >= 0.0:",
-                      f"    x{d}f = {sq}(_fa)",
-                      "else:",
-                      "    " + _fp_call(g, f"x{d}f", fname, "_fa")]
-        else:
-            lines.append(_fp_call(g, f"x{d}f", fname, e))
+        # ``_fa >= 0.0`` is False for NaN, so NaN payloads and
+        # negative inputs both take the exact fallback.
+        lines += [f"_fa = {e}",
+                  "if _fa >= 0.0:",
+                  f"    x{d}f = {sq}(_fa)",
+                  "else:",
+                  "    " + _fp_call(g, f"x{d}f", fname, "_fa")]
         return lines
     return None
 

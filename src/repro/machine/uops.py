@@ -26,9 +26,8 @@ Semantics are bit-for-bit the seed interpreter's:
   exception propagation, so every observer of ``cycles`` /
   ``instruction_count`` sees the same values it would under
   single-stepping;
-- the fast scalar FP helpers are bit-exact against
-  :func:`repro.machine.hostfp.native_fp` (NaN-operand and
-  divide-by-zero cases defer to it outright).
+- FP closures evaluate through :mod:`repro.fpu.fast`, the same
+  values-only binary64 path the interpreter's native branch uses.
 
 Cross-quantum chaining (always on): after a
 superblock's chainable control tail runs, the engine follows the edge
@@ -66,13 +65,11 @@ the remaining step limit.
 from __future__ import annotations
 
 import itertools
-import math
 import os
-import struct
 from collections import Counter
 
-from repro.fpu import bits as B
-from repro.machine import hostfp
+from repro.fpu import fast as F
+from repro.fpu.fast import _PACK_Q, _fsqrt, FAST_SCALAR
 from repro.machine.isa import (
     CONDITION_CODES,
     FP_TOUCH_CLASSES,
@@ -247,102 +244,6 @@ def lower_program(program) -> int:
         lower(instr)
         n += 1
     return n
-
-
-# ----------------------------------------------------- fast scalar FP core
-_PACK_Q = struct.Struct("<Q").pack
-_UNPACK_D = struct.Struct("<d").unpack
-_PACK_D = struct.Struct("<d").pack
-_UNPACK_Q = struct.Struct("<Q").unpack
-_SQRT = math.sqrt
-_NATIVE = hostfp.native_fp
-_QUIET = B.quiet
-
-
-def _tf(bits: int) -> float:
-    return _UNPACK_D(_PACK_Q(bits))[0]
-
-
-def _tb(value: float) -> int:
-    return _UNPACK_Q(_PACK_D(value))[0]
-
-
-def _fadd(a: int, b: int) -> int:
-    fa = _UNPACK_D(_PACK_Q(a))[0]
-    fb = _UNPACK_D(_PACK_Q(b))[0]
-    if fa != fa or fb != fb:  # NaN payload flow: defer to the oracle
-        return _NATIVE("add", a, b)
-    return _UNPACK_Q(_PACK_D(fa + fb))[0]
-
-
-def _fsub(a: int, b: int) -> int:
-    fa = _UNPACK_D(_PACK_Q(a))[0]
-    fb = _UNPACK_D(_PACK_Q(b))[0]
-    if fa != fa or fb != fb:
-        return _NATIVE("sub", a, b)
-    return _UNPACK_Q(_PACK_D(fa - fb))[0]
-
-
-def _fmul(a: int, b: int) -> int:
-    fa = _UNPACK_D(_PACK_Q(a))[0]
-    fb = _UNPACK_D(_PACK_Q(b))[0]
-    if fa != fa or fb != fb:
-        return _NATIVE("mul", a, b)
-    return _UNPACK_Q(_PACK_D(fa * fb))[0]
-
-
-def _fdiv(a: int, b: int) -> int:
-    fa = _UNPACK_D(_PACK_Q(a))[0]
-    fb = _UNPACK_D(_PACK_Q(b))[0]
-    if fa != fa or fb != fb or fb == 0.0:
-        return _NATIVE("div", a, b)
-    return _UNPACK_Q(_PACK_D(fa / fb))[0]
-
-
-def _fmin(a: int, b: int) -> int:
-    # SSE minsd: src2 on NaN or equality (seed-identical).
-    fa = _UNPACK_D(_PACK_Q(a))[0]
-    fb = _UNPACK_D(_PACK_Q(b))[0]
-    if fa != fa or fb != fb or fa == fb:
-        return b
-    return a if fa < fb else b
-
-
-def _fmax(a: int, b: int) -> int:
-    fa = _UNPACK_D(_PACK_Q(a))[0]
-    fb = _UNPACK_D(_PACK_Q(b))[0]
-    if fa != fa or fb != fb or fa == fb:
-        return b
-    return a if fa > fb else b
-
-
-def _fsqrt(a: int, _b: int | None = None) -> int:
-    fa = _UNPACK_D(_PACK_Q(a))[0]
-    if fa != fa:
-        return _QUIET(a)
-    if fa >= 0.0:  # includes -0.0 (sqrt(-0.0) == -0.0)
-        return _UNPACK_Q(_PACK_D(_SQRT(fa)))[0]
-    return _NATIVE("sqrt", a)
-
-
-#: ieee base -> bit-exact scalar fast function (binary ops; sqrt unary).
-FAST_SCALAR = {
-    "add": _fadd, "sub": _fsub, "mul": _fmul, "div": _fdiv,
-    "min": _fmin, "max": _fmax, "sqrt": _fsqrt,
-}
-
-#: cmpXXsd predicate as a direct float comparison with IEEE unordered
-#: behaviour built in (NaN compares false to everything).
-_CMP_FAST = {
-    "eq": lambda fa, fb: fa == fb,
-    "lt": lambda fa, fb: fa < fb,
-    "le": lambda fa, fb: fa <= fb,
-    "unord": lambda fa, fb: fa != fa or fb != fb,
-    "neq": lambda fa, fb: not (fa == fb),
-    "nlt": lambda fa, fb: not (fa < fb),
-    "nle": lambda fa, fb: not (fa <= fb),
-    "ord": lambda fa, fb: fa == fa and fb == fb,
-}
 
 
 # ---------------------------------------------------- fast memory closures
@@ -544,36 +445,28 @@ def _bind_fp(uop: MicroOp, cpu):
     if mn == "cvtsi2sd":
         rd = _reader_u64(cpu, ops[1], False)
         xid = ops[0].id
+        cvt = F.cvtsi2sd
         if rd is None or not isinstance(ops[0], Xmm):
             return None
 
         def run_cvtsi2sd():
             if cpu.fp_disabled or (regs.mxcsr & _FP_FAST_FIELD) != _FP_FAST_VALUE:
                 return SLOW
-            a = rd()
-            v = a - (1 << 64) if a & (1 << 63) else a
-            regs.xmm[xid][0] = _UNPACK_Q(_PACK_D(float(v)))[0]
+            regs.xmm[xid][0] = cvt(rd())
             regs.rip = end
         return run_cvtsi2sd
 
     if mn in ("cvttsd2si", "cvtsd2si"):
         rd = _reader_u64(cpu, ops[1], True)
         wr = _writer_u64(cpu, ops[0], False)
-        trunc = mn == "cvttsd2si"
+        cvt = F.cvttsd2si if mn == "cvttsd2si" else F.cvtsd2si
         if rd is None or wr is None:
             return None
 
         def run_cvt2si():
             if cpu.fp_disabled or (regs.mxcsr & _FP_FAST_FIELD) != _FP_FAST_VALUE:
                 return SLOW
-            fa = _UNPACK_D(_PACK_Q(rd()))[0]
-            if fa != fa or not (-(2.0 ** 63) <= fa < 2.0 ** 63):
-                out = 0x8000_0000_0000_0000
-            elif trunc:
-                out = int(fa) & U64
-            else:
-                out = round(fa) & U64  # banker's rounding == hardware RNE
-            wr(out)
+            wr(cvt(rd()))
             regs.rip = end
         return run_cvt2si
 
@@ -582,23 +475,18 @@ def _bind_fp(uop: MicroOp, cpu):
             return None
         xid = ops[0].id
         rd_b = _reader_u64(cpu, ops[1], True)
+        ucomi = F.ucomi
         if rd_b is None:
             return None
 
         def run_ucomi():
             if cpu.fp_disabled or (regs.mxcsr & _FP_FAST_FIELD) != _FP_FAST_VALUE:
                 return SLOW
-            fa = _UNPACK_D(_PACK_Q(regs.xmm[xid][0]))[0]
-            fb = _UNPACK_D(_PACK_Q(rd_b()))[0]
+            packed = ucomi(regs.xmm[xid][0], rd_b())
             f = regs.flags
-            if fa != fa or fb != fb:
-                f.zf = f.pf = f.cf = True
-            elif fa == fb:
-                f.zf, f.pf, f.cf = True, False, False
-            elif fa < fb:
-                f.zf, f.pf, f.cf = False, False, True
-            else:
-                f.zf = f.pf = f.cf = False
+            f.zf = bool(packed & 1)
+            f.pf = bool(packed & 2)
+            f.cf = bool(packed & 4)
             f.sf = False
             f.of = False
             regs.rip = end
@@ -609,7 +497,7 @@ def _bind_fp(uop: MicroOp, cpu):
             return None
         xid = ops[0].id
         rd_b = _reader_u64(cpu, ops[1], True)
-        pred = _CMP_FAST[CMP_PREDS[mn]]
+        cmp = F.cmp_mask(CMP_PREDS[mn])
         if rd_b is None:
             return None
 
@@ -617,9 +505,7 @@ def _bind_fp(uop: MicroOp, cpu):
             if cpu.fp_disabled or (regs.mxcsr & _FP_FAST_FIELD) != _FP_FAST_VALUE:
                 return SLOW
             lanes = regs.xmm[xid]
-            fa = _UNPACK_D(_PACK_Q(lanes[0]))[0]
-            fb = _UNPACK_D(_PACK_Q(rd_b()))[0]
-            lanes[0] = U64 if pred(fa, fb) else 0
+            lanes[0] = cmp(lanes[0], rd_b())
             regs.rip = end
         return run_cmp
 
@@ -628,6 +514,7 @@ def _bind_fp(uop: MicroOp, cpu):
             return None
         d_id, m_id = ops[0].id, ops[1].id
         rd_c = _reader_u64(cpu, ops[2], True)
+        fma = F.fma
         if rd_c is None:
             return None
 
@@ -635,7 +522,7 @@ def _bind_fp(uop: MicroOp, cpu):
             if cpu.fp_disabled or (regs.mxcsr & _FP_FAST_FIELD) != _FP_FAST_VALUE:
                 return SLOW
             lanes = regs.xmm[d_id]
-            lanes[0] = _NATIVE("fma", regs.xmm[m_id][0], lanes[0], rd_c())
+            lanes[0] = fma(regs.xmm[m_id][0], lanes[0], rd_c())
             regs.rip = end
         return run_fma
 

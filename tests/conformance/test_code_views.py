@@ -1,22 +1,27 @@
 """Shadow-code-view conformance gates: the self-checksumming guest is
 bit-identical across patch configurations, a guest reading its own
 bytes mid-run never observes instrumentation while traces stay live,
-the FPVM_SHADOW_VIEW=0 escape hatch is demonstrably load-bearing, and
-the per-site invalidation tier replays bit-identically against the
+the DATA-view backing is demonstrably load-bearing, and the per-site invalidation tier replays bit-identically against the
 seed journal with live patches."""
+
+import hashlib
 
 import pytest
 
 from repro.conformance import replay
 from repro.conformance.codeviews import (
+    MAX_STEPS,
     build_checksum_program,
+    native_reference,
     self_checksum_report,
     self_reading_report,
-    shadow_view_negative_report,
 )
 from repro.conformance.faults import run_scenario
-from repro.core.vm import FPVMConfig
-from repro.machine.cpu import ENGINE_TIERS, TIERS
+from repro.core.vm import FPVM, FPVMConfig
+from repro.kernel.kernel import LinuxKernel
+from repro.machine.cpu import CPU, ENGINE_TIERS, TIERS
+from repro.machine.memory import PAGE_SIZE, PROT_EXEC, PROT_READ, PROT_WRITE
+from repro.machine.program import TEXT_BASE
 
 
 @pytest.fixture(scope="module")
@@ -42,13 +47,47 @@ def test_checksum_scenario_is_not_vacuous(checksum_report):
     assert checksum_report["configs"]["seq_short"]["compiled_traces"] > 0
 
 
-def test_shadow_view_off_is_observable():
-    """With FPVM_SHADOW_VIEW=0 the same guest must *see* the patch
-    markers (checksum and digest diverge) — proof the DATA-view backing
-    is load-bearing, not vacuously equal."""
-    report = shadow_view_negative_report()
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture
+def fetch_backed_run():
+    """The negative control: the SEQ run of the checksum guest with the
+    FETCH view's image — patch markers included — written into the
+    guest's text pages after attach, as if text were backed by the
+    patched stream instead of the pristine DATA view."""
+    _, words = build_checksum_program()
+    program, _ = build_checksum_program(words)
+    cpu = CPU(program)
+    kernel = LinuxKernel()
+    cpu.kernel = kernel
+    FPVM(FPVMConfig.seq(trace_compile_threshold=2)).attach(cpu, kernel)
+    text = program.fetch_view.text_bytes()
+    pages = range(TEXT_BASE, TEXT_BASE + len(text), PAGE_SIZE)
+    for pg in pages:
+        cpu.mem.protect(pg, PROT_READ | PROT_WRITE)
+    cpu.mem.write_bytes(TEXT_BASE, text)
+    for pg in pages:
+        cpu.mem.protect(pg, PROT_READ | PROT_EXEC)
+    cpu.run(max_steps=MAX_STEPS)
+    return {
+        "output": tuple(cpu.output),
+        "reference_output": native_reference(words),
+        "patches": len(program.patches),
+        "text_digest": _sha(cpu.mem.read_bytes(TEXT_BASE, len(text))),
+        "pristine_text_digest": _sha(program.data_view.text_bytes()),
+    }
+
+
+def test_shadow_view_off_is_observable(fetch_backed_run):
+    """With the FETCH image in its text pages the same guest must *see*
+    the patch markers (checksum and digest diverge) — proof the
+    DATA-view backing is load-bearing, not vacuously equal."""
+    report = fetch_backed_run
     assert report["patches"] >= 1
-    assert report["guest_observed_markers"], report
+    assert report["output"] != report["reference_output"], report
+    assert report["text_digest"] != report["pristine_text_digest"], report
 
 
 def test_self_reading_guest_identical_across_tiers():

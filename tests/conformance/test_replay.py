@@ -107,15 +107,26 @@ class TestCleanReplay:
 
 
 def _corrupt_mul(monkeypatch):
-    """Bit-flip the fast scalar multiply — the kind of silent micro-op
-    bug the replay harness exists to localize.  Probe CPUs bind their
-    block closures lazily, so every probe picks up the corruption."""
-    orig = uops.FAST_SCALAR["mul"]
+    """Bit-flip the result of every bound ``mulsd`` block closure — the
+    kind of silent micro-op bug the replay harness exists to localize.
+    Only the engine tiers bind block closures, so the seed journal stays
+    clean; probe CPUs bind lazily, so every probe picks up the
+    corruption."""
+    orig = uops.bind_exec
 
-    def bad_mul(a, b):
-        r = orig(a, b)
-        return r if r is None else r ^ 1
-    monkeypatch.setitem(uops.FAST_SCALAR, "mul", bad_mul)
+    def bad_bind(uop, cpu):
+        fn = orig(uop, cpu)
+        if fn is None or uop.mnemonic != "mulsd":
+            return fn
+        xid = uop.operands[0].id
+
+        def bad_mul():
+            r = fn()
+            if r is not uops.SLOW:
+                cpu.regs.xmm[xid][0] ^= 1
+            return r
+        return bad_mul
+    monkeypatch.setattr(uops, "bind_exec", bad_bind)
 
 
 class TestInjectedDivergence:
@@ -152,7 +163,7 @@ class TestInjectedDivergence:
         the corrupted trace first retires.
 
         The corruption lives only in the fused closure — the chained
-        dispatcher, the bound block closures, and ``FAST_SCALAR`` are
+        dispatcher, the bound block closures, and ``repro.fpu.fast`` are
         all pristine — so any divergence the replayer finds is
         attributable to the trace tier alone."""
         compiled = []
@@ -193,9 +204,11 @@ class TestInjectedDivergence:
         monotone and the first *visible* divergence need not be the
         first corrupted mul.  The replayer must still pin an adjacent
         clean/divergent step pair, on a step whose seed record wrote
-        the corrupted register."""
+        the corrupted register.  Traces stay off: a fused trace opens
+        ``mulsd`` up inline, so only the chained tier runs the
+        corrupted closure every lap."""
         _corrupt_mul(monkeypatch)
-        report = replay.differential_replay(_factory(LOOP_SRC))
+        report = replay.differential_replay(_factory(LOOP_SRC), trace=False)
         assert not report.ok
         div = report.divergence
         assert 4 <= div.step <= report.steps

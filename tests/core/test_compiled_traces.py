@@ -119,7 +119,7 @@ class TestEviction:
         # patched address may legitimately re-appear as a trace *entry*
         # (the CPU delivers the int3 before the FP trap there) but never
         # again strictly inside a trace body.
-        assert vm.sequencer._epoch == vm.program.patch_epoch
+        assert vm.sequencer._epoch == vm.program.patch_seq
         assert mid_addr not in {
             a for t in vm.sequencer.compiled.values() for a, _ in t.steps[1:]
         }

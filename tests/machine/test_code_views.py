@@ -1,5 +1,5 @@
 """Shadow code views: the split FETCH/DATA views of guest text, the
-memory binding that keeps patches invisible to guest loads, per-site
+DATA-backed text image that keeps patches invisible to guest loads, per-site
 cache invalidation, and the suppress-patch consumption fix."""
 
 import pytest
@@ -13,7 +13,6 @@ from repro.machine.program import (
     TEXT_BASE,
     PatchKind,
     ViewKind,
-    shadow_view_enabled,
 )
 from repro.workloads import build_program
 
@@ -67,27 +66,16 @@ class TestCodeView:
         assert prog.fetch_view.generation_at(a1) == 0
         assert prog.data_view.generation_at(a0) == 0
         assert prog.patch_seq == 3
-        assert prog.patch_epoch == prog.patch_seq  # compat property
 
     def test_copy_gets_independent_patch_state(self):
         prog = fuzz_program(9)
         prog.patch_int3(prog.instructions[0].addr)
         clone = prog.copy()
         assert clone.patch_seq == prog.patch_seq
-        assert clone.patch_listeners == []
         clone.clear_patches()
         assert prog.patches                     # parent untouched
         assert clone.patch_seq == prog.patch_seq + 1
         assert clone.fetch_view.patches is clone.patches
-
-    def test_env_knob(self, monkeypatch):
-        for value, expect in (("0", False), ("false", False),
-                              ("off", False), ("no", False),
-                              ("1", True), ("", True), ("yes", True)):
-            monkeypatch.setenv("FPVM_SHADOW_VIEW", value)
-            assert shadow_view_enabled() is expect
-        monkeypatch.delenv("FPVM_SHADOW_VIEW")
-        assert shadow_view_enabled() is True
 
 
 class TestShadowViewMemory:
@@ -104,21 +92,6 @@ class TestShadowViewMemory:
         addr = prog.instructions[0].addr
         prog.patch_int3(addr)
         assert cpu.mem.read_bytes(addr, 1)[0] == prog.text[addr - TEXT_BASE]
-
-    def test_escape_hatch_exposes_markers(self, monkeypatch):
-        monkeypatch.setenv("FPVM_SHADOW_VIEW", "0")
-        prog = fuzz_program(9)
-        a0 = prog.instructions[0].addr
-        a1 = prog.instructions[1].addr
-        prog.patch_int3(a0)
-        cpu = CPU(prog)
-        assert cpu.mem.read_bytes(a0, 1)[0] == 0xCC
-        # eager push: patches applied after load land in memory too
-        prog.patch_call(a1, _Tramp())
-        assert cpu.mem.read_bytes(a1, 1)[0] == 0xE8
-        # ... and unpatching restores the original byte
-        prog.unpatch(a0)
-        assert cpu.mem.read_bytes(a0, 1)[0] == prog.text[a0 - TEXT_BASE]
 
 
 _STRAIGHT_SRC = """

@@ -1,4 +1,4 @@
-"""The micro-op pipeline: bit-exact fast FP helpers, on/off execution
+"""The micro-op pipeline: the fast FP path against the IEEE oracle, on/off execution
 differentials, the FPVM_UOPS escape hatch, and superblock invalidation
 on patch-state epoch changes."""
 
@@ -7,9 +7,15 @@ import struct
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.fpu import fast
+from repro.fpu.ieee import ieee_op
 from repro.kernel.kernel import LinuxKernel
-from repro.machine import hostfp, uops
-from repro.machine.cpu import CPU, MachineError
+from repro.machine import uops
+from repro.machine.assembler import assemble
+from repro.machine.cpu import CPU, TIERS, MachineError
 from repro.machine.program import PatchKind
 from repro.conformance.generators import fuzz_program
 from repro.workloads import build_program
@@ -40,48 +46,136 @@ def _interesting_bits(rng: random.Random, n: int) -> list[int]:
     return out
 
 
+_BINARY_OPS = ("add", "sub", "mul", "div", "min", "max", "ucomi", "comi",
+               *(f"cmp_{pred}" for pred in uops.CMP_PREDS.values()))
+_UNARY_OPS = ("sqrt", "cvtsi2sd", "cvttsd2si", "cvtsd2si")
+U64 = 0xFFFF_FFFF_FFFF_FFFF
+_NAN_A = 0x7FF8_0000_0000_0001
+_NAN_B = 0xFFF8_0000_0000_0002
+_NEG_ZERO = 0x8000_0000_0000_0000
+
+
 class TestFastScalarBitExactness:
-    """The struct-based fast helpers must agree bit-for-bit with
-    hostfp.native_fp — the function the seed interpreter's native FP
-    path uses — on every input class."""
+    """Every values-only form in ``repro.fpu.fast`` — the one binary64
+    fast path the interpreter, the micro-op closures and the trace JIT
+    share — must agree bit-for-bit with the ``repro.fpu.ieee`` oracle
+    on every input class."""
 
     def test_binary_ops(self):
         rng = random.Random(0xF9)
         vals = _interesting_bits(rng, 400)
-        for op in ("add", "sub", "mul", "div", "min", "max"):
-            fast = uops.FAST_SCALAR[op]
+        for op in _BINARY_OPS:
             for i in range(0, len(vals) - 1, 2):
                 a, b = vals[i], vals[i + 1]
-                assert fast(a, b) == hostfp.native_fp(op, a, b), (
+                assert fast.evaluate(op, a, b) == ieee_op(op, a, b).bits, (
                     f"{op}({a:#x}, {b:#x})"
                 )
 
     def test_binary_ops_cross_pairs(self):
         rng = random.Random(0x51)
         vals = _interesting_bits(rng, 24)
-        for op in ("add", "sub", "mul", "div", "min", "max"):
-            fast = uops.FAST_SCALAR[op]
+        for op in _BINARY_OPS:
             for a in vals:
                 for b in vals:
-                    assert fast(a, b) == hostfp.native_fp(op, a, b)
+                    assert fast.evaluate(op, a, b) == ieee_op(op, a, b).bits, (
+                        f"{op}({a:#x}, {b:#x})")
 
     def test_sqrt(self):
         rng = random.Random(0xB2)
         for a in _interesting_bits(rng, 300):
-            assert uops.FAST_SCALAR["sqrt"](a) == hostfp.native_fp("sqrt", a)
+            assert fast.FAST_SCALAR["sqrt"](a) == ieee_op("sqrt", a).bits
 
     def test_cmp_predicates_match_native(self):
         rng = random.Random(0xC3)
         vals = _interesting_bits(rng, 20)
         for mn, pred in uops.CMP_PREDS.items():
-            fast = uops._CMP_FAST[pred]
+            cmp = fast.cmp_mask(pred)
             for a in vals:
                 for b in vals:
-                    fa = struct.unpack("<d", struct.pack("<Q", a))[0]
-                    fb = struct.unpack("<d", struct.pack("<Q", b))[0]
-                    want = hostfp.native_fp(f"cmp_{pred}", a, b)
-                    got = 0xFFFF_FFFF_FFFF_FFFF if fast(fa, fb) else 0
-                    assert got == want, f"{mn}/{pred}({a:#x}, {b:#x})"
+                    want = ieee_op(f"cmp_{pred}", a, b).bits
+                    assert cmp(a, b) == want, f"{mn}/{pred}({a:#x}, {b:#x})"
+                    assert fast.evaluate(f"cmp_{pred}", a, b) == want
+
+    def test_converts(self):
+        rng = random.Random(0xC7)
+        halves = [struct.unpack("<Q", struct.pack("<d", v))[0]
+                  for v in (0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 2.0 ** 62 + 0.0)]
+        for a in _interesting_bits(rng, 300) + halves:
+            for op in _UNARY_OPS:
+                assert fast.evaluate(op, a) == ieee_op(op, a).bits, (
+                    f"{op}({a:#x})")
+
+    def test_fma(self):
+        rng = random.Random(0xFA)
+        vals = _interesting_bits(rng, 18)
+        for a in vals:
+            for b in vals:
+                for c in vals[::3]:
+                    assert (fast.evaluate("fma", a, b, c)
+                            == ieee_op("fma", a, b, c).bits), (
+                        f"fma({a:#x}, {b:#x}, {c:#x})")
+
+    def test_two_nans_return_the_first(self):
+        """SSE returns the first NaN source, quieted — not whichever
+        operand a host compiler happened to put first."""
+        for op in ("add", "sub", "mul", "div"):
+            assert fast.evaluate(op, _NAN_A, _NAN_B) == _NAN_A, op
+            assert fast.evaluate(op, _NAN_B, _NAN_A) == _NAN_B, op
+        assert fast.evaluate("fma", _NAN_A, _NAN_B, _NAN_B) == _NAN_A
+
+    def test_signed_zero_fma(self):
+        """(+0 x -0) + -0 is -0: both addends are negative zeros."""
+        assert fast.evaluate("fma", _NEG_ZERO, 0, _NEG_ZERO) == _NEG_ZERO
+        assert fast.evaluate("fma", 0, _NEG_ZERO, 0) == 0
+
+    @given(st.integers(0, U64), st.integers(0, U64), st.integers(0, U64))
+    @settings(max_examples=300, deadline=None)
+    def test_raw_bit_patterns(self, a, b, c):
+        for op in _BINARY_OPS:
+            assert fast.evaluate(op, a, b) == ieee_op(op, a, b).bits, op
+        for op in _UNARY_OPS:
+            assert fast.evaluate(op, a) == ieee_op(op, a).bits, op
+        assert fast.evaluate("fma", a, b, c) == ieee_op("fma", a, b, c).bits
+
+
+#: two-NaN add/mul and a signed-zero fma, in a loop so the traced tier
+#: runs them inside a compiled trace.
+_NAN_ORDER_SRC = """
+.data
+nan_a: .quad 0x7ff8000000000001
+nan_b: .quad 0xfff8000000000002
+negz: .quad 0x8000000000000000
+n: .quad 8
+.text
+main:
+  mov rcx, [rip + n]
+top:
+  movsd xmm0, [rip + nan_a]
+  movsd xmm1, [rip + nan_b]
+  movsd xmm2, [rip + nan_a]
+  addsd xmm0, xmm1
+  mulsd xmm2, xmm1
+  xorpd xmm3, xmm3
+  movsd xmm4, [rip + negz]
+  movsd xmm5, [rip + negz]
+  vfmadd213sd xmm3, xmm4, xmm5
+  dec rcx
+  jne top
+  hlt
+"""
+
+
+@pytest.mark.parametrize("tier", list(TIERS))
+def test_guest_nan_order_and_signed_zero_fma(tier):
+    uops_on, trace = TIERS[tier]
+    cpu = CPU(assemble(_NAN_ORDER_SRC), uops=uops_on, trace=trace)
+    cpu.kernel = LinuxKernel()
+    cpu.trace_stabilize_threshold = 2
+    cpu.run()
+    xmm = cpu.regs.xmm
+    assert (xmm[0][0], xmm[2][0], xmm[3][0]) == (_NAN_A, _NAN_A, _NEG_ZERO)
+    if trace:
+        assert cpu.uop_stats.as_dict()["trace_steps"] > 0
 
 
 class TestUopsOnOffDifferential:
@@ -168,23 +262,23 @@ class TestSuperblockInvalidation:
     def test_patch_bumps_epoch(self):
         prog = fuzz_program(11)
         addr = prog.instructions[0].addr
-        e0 = prog.patch_epoch
+        e0 = prog.patch_seq
         prog.patch_int3(addr)
-        assert prog.patch_epoch == e0 + 1
+        assert prog.patch_seq == e0 + 1
         prog.unpatch(addr)
-        assert prog.patch_epoch == e0 + 2
+        assert prog.patch_seq == e0 + 2
         prog.unpatch(addr)  # no-op: nothing there
-        assert prog.patch_epoch == e0 + 2
+        assert prog.patch_seq == e0 + 2
         prog.patch_call(addr, _CountingTrampoline())
         prog.clear_patches()
-        assert prog.patch_epoch == e0 + 4
+        assert prog.patch_seq == e0 + 4
         prog.clear_patches()  # no-op when already empty
-        assert prog.patch_epoch == e0 + 4
+        assert prog.patch_seq == e0 + 4
 
     def test_copy_carries_epoch(self):
         prog = fuzz_program(11)
         prog.patch_int3(prog.instructions[0].addr)
-        assert prog.copy().patch_epoch == prog.patch_epoch
+        assert prog.copy().patch_seq == prog.patch_seq
 
     def test_stale_superblock_regression(self):
         """A patch applied between runs of the *same* CPU must fire even
