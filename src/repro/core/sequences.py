@@ -26,8 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.machine.isa import Instruction
-from repro.machine.uops import lower, shared_cache
+from repro.machine.uops import MicroOp, lower, shared_cache
 
 
 @dataclass
@@ -321,22 +320,22 @@ class SequenceEmulator:
         vm.telemetry.compiled_traces += 1
         del self._heat[addrs]
 
-    def _fetch(self, addr: int) -> Instruction:
+    def _fetch(self, addr: int) -> MicroOp:
         """Decode-cache lookup with cost charging; misses also insert
         the sequence-terminating instruction (trace-cache behaviour)."""
         vm = self.vm
         cached = vm.decode_cache.lookup(addr)
         if cached is not None:
-            vm.charge("decache", vm.costs.decode_cache_hit)
+            vm.ledger.charge("decache", vm.costs.decode_cache_hit)
             vm.telemetry.decode_hits += 1
             return cached
-        vm.charge("decache", vm.costs.decode_cache_hit)  # the failed probe
-        vm.charge("decode", vm.costs.decode_miss)
+        vm.ledger.charge("decache", vm.costs.decode_cache_hit)  # the failed probe
+        vm.ledger.charge("decode", vm.costs.decode_miss)
         vm.telemetry.decode_misses += 1
         raw = vm.program.fetch_view.raw_bytes_at(addr)
         return vm.decode_cache.decode_miss(addr, raw)
 
-    def _should_stop(self, instr: Instruction, context) -> tuple[bool, str]:
+    def _should_stop(self, instr: MicroOp, context) -> tuple[bool, str]:
         vm = self.vm
         # Patched instructions carry correctness hooks that emulation
         # would silently skip: always hand them back to the CPU.  The
@@ -345,7 +344,7 @@ class SequenceEmulator:
             return True, "unsupported"
         if not vm.emulator.supported(instr):
             return True, "unsupported"
-        if instr.is_fp_trap_capable() and instr.mnemonic != "cvtsi2sd":
+        if instr.fp_trap_capable and instr.mnemonic != "cvtsi2sd":
             if not vm.emulator.any_source_boxed(instr, context):
                 return True, "no_boxed_source"
         return False, ""

@@ -22,6 +22,7 @@ class CycleLedger:
         self.by_category: dict[str, int] = {c: 0 for c in LEDGER_CATEGORIES}
         self.counters: Counter = Counter()
         self._cpu = cpu
+        self._chargers: dict = {}
 
     def bind_cpu(self, cpu) -> None:
         self._cpu = cpu
@@ -38,6 +39,34 @@ class CycleLedger:
         self.by_category[category] += cycles
         if cpu_time and self._cpu is not None:
             self._cpu.cycles += cycles
+
+    def charger(self, *charges: tuple[str, int]):
+        """A zero-argument function that records one to three fixed
+        ``(category, cycles)`` charges, for callers that repeat the same
+        ones (the emulator's pre-bound steps).  Categories are checked
+        once, and equal sets share one function; the cycles go to
+        whichever CPU is bound when it runs."""
+        charge = self._chargers.get(charges)
+        if charge is not None:
+            return charge
+        assert 1 <= len(charges) <= 3, charges
+        for category, _ in charges:
+            if category not in self.by_category:
+                raise KeyError(f"unknown ledger category {category!r}")
+        by_category = self.by_category
+        total = sum(cycles for _, cycles in charges)
+        # Unrolled over three, padded with empty charges.
+        (c1, n1), (c2, n2), (c3, n3) = (charges + ((charges[0][0], 0),) * 2)[:3]
+
+        def charge() -> None:
+            by_category[c1] += n1
+            by_category[c2] += n2
+            by_category[c3] += n3
+            cpu = self._cpu
+            if cpu is not None:
+                cpu.cycles += total
+        self._chargers[charges] = charge
+        return charge
 
     def count(self, name: str, n: int = 1) -> None:
         self.counters[name] += n

@@ -118,6 +118,13 @@ class FPVM:
         self.allocator = BoxAllocator(gc_threshold=self.config.gc_threshold,
                                       capacity=self.config.box_capacity)
         self.decode_cache = DecodeCache(self.config.decode_cache_capacity)
+        #: exception-flow recorder, or None when disabled — every hook
+        #: site guards on that, so the disabled path costs nothing.
+        flow_on = (self.config.flow if self.config.flow is not None
+                   else flow_enabled_default())
+        self.flow = FlowRecorder() if flow_on else None
+        if self.flow is not None:
+            self.allocator.on_free = self.flow.on_free
         self.emulator = Emulator(self)
         self.sequencer = SequenceEmulator(self)
         self._device_handle = None
@@ -136,13 +143,6 @@ class FPVM:
             self.config.uops if self.config.uops is not None
             else uops_enabled_default()
         )
-        #: exception-flow recorder, or None when disabled — every hook
-        #: site guards on that, so the disabled path costs nothing.
-        flow_on = (self.config.flow if self.config.flow is not None
-                   else flow_enabled_default())
-        self.flow = FlowRecorder() if flow_on else None
-        if self.flow is not None:
-            self.allocator.on_free = self.flow.on_free
 
     # ------------------------------------------------------------ attach
     def attach(self, cpu, kernel) -> "FPVM":
@@ -151,6 +151,7 @@ class FPVM:
         self.kernel = kernel
         self.program = cpu.program
         self.costs = cpu.costs
+        self.emulator.steps.clear()  # steps pre-resolve the cost model
         self.ledger.bind_cpu(cpu)
         kernel.ledger = self.ledger
 

@@ -8,8 +8,9 @@ signal deliveries, a corrupted magic page, a poisoned decode cache,
 box-heap exhaustion, device protocol misuse — maps to one subclass of
 :class:`FPVMFaultError` here, so a hardened component fails loudly with
 a machine-classifiable error instead of silently producing wrong
-numbers.  Malformed *input* — bytes the decoder cannot parse — raises
-:class:`EncodingError`, which stands outside that hierarchy.
+numbers.  Malformed *input* stands outside that hierarchy: bytes the
+decoder cannot parse raise :class:`EncodingError`, and a configuration
+FPVM cannot run raises :class:`ConfigError`.
 
 The fault hierarchy derives from :class:`RuntimeError` so pre-existing
 callers that caught broad runtime failures keep working.
@@ -23,6 +24,11 @@ class EncodingError(ValueError):
     the way in, or bytes the decoder cannot parse on the way out.  Bad
     *input*, not a machinery fault, so it is not an
     :class:`FPVMFaultError`."""
+
+
+class ConfigError(ValueError):
+    """An :class:`~repro.core.vm.FPVMConfig` FPVM cannot run (say, a
+    ``supported_instructions`` mnemonic the emulator cannot emulate)."""
 
 
 class FPVMFaultError(RuntimeError):

@@ -27,7 +27,11 @@ class HostPerf:
     (micro-op pipeline vs. single-step interpretation)."""
 
     seconds: float = 0.0
+    #: natively retired guest instructions (every thread for Process
+    #: runs); emulated ones are counted separately below.
     instructions: int = 0
+    #: guest instructions FPVM emulated instead (0 for native runs).
+    emulated_instructions: int = 0
     #: micro-op engine counters (UopStats.as_dict()), if the pipeline
     #: ran — summed over every thread for Process runs.
     uop_stats: dict | None = None
@@ -58,8 +62,10 @@ class HostPerf:
 
     @property
     def ips(self) -> float:
-        """Host wall-clock guest-instructions per second."""
-        return self.instructions / self.seconds if self.seconds > 0 else 0.0
+        """Host wall-clock guest-instructions per second, counting the
+        instructions FPVM emulated as well as the native ones."""
+        guest = self.instructions + self.emulated_instructions
+        return guest / self.seconds if self.seconds > 0 else 0.0
 
 
 @dataclass
@@ -271,6 +277,7 @@ def run_fpvm_process(
     seconds = time.perf_counter() - t0
     t = vm.telemetry
     host = _process_host_perf(proc, seconds)
+    host.emulated_instructions = t.emulated_instructions
     host.compiled_traces = t.compiled_traces
     host.compiled_trace_hits = t.compiled_trace_hits
     if vm.flow is not None:
@@ -317,6 +324,7 @@ def run_fpvm(
     host = HostPerf(
         seconds=seconds,
         instructions=cpu.instruction_count,
+        emulated_instructions=t.emulated_instructions,
         uop_stats=stats.as_dict() if stats is not None else None,
         compiled_traces=t.compiled_traces,
         compiled_trace_hits=t.compiled_trace_hits,

@@ -8,7 +8,7 @@ import pytest
 
 from repro.harness import figures, report
 from repro.harness.configs import CONFIG_ORDER, named_configs
-from repro.harness.runner import run_comparison, run_fpvm, run_native
+from repro.harness.runner import HostPerf, run_comparison, run_fpvm, run_native
 from repro.core.vm import FPVMConfig
 
 SMALL_SCALES = {
@@ -57,6 +57,23 @@ class TestRunner:
         comp = run_comparison("lorenz", named_configs(), scale=30)
         for c in CONFIG_ORDER:
             assert 1.0 < comp.slowdown_from_lower_bound(c) < comp.slowdown(c)
+
+
+class TestHostPerf:
+    def test_ips_counts_emulated_instructions(self):
+        host = HostPerf(seconds=2.0, instructions=300, emulated_instructions=500)
+        assert host.ips == 400.0
+        assert HostPerf(instructions=300).ips == 0.0
+
+    def test_seq_short_ips_above_none(self):
+        """SEQ_SHORT emulates most of lorenz, so counting only native
+        instructions made it look slower than NONE."""
+        none = run_fpvm("lorenz", FPVMConfig.none(), scale=150).host
+        seq = run_fpvm("lorenz", FPVMConfig.seq_short(), scale=150).host
+        assert seq.emulated_instructions > seq.instructions
+        assert (none.instructions + none.emulated_instructions
+                == seq.instructions + seq.emulated_instructions)
+        assert seq.ips > none.ips
 
 
 class TestFigureShapes:
