@@ -1,10 +1,12 @@
-"""Differential trace replay: the oracle that makes chaining safe.
+"""Differential trace replay: the oracle that keeps the engine honest.
 
-Cross-quantum superblock chaining (machine/uops.py) is a speculative
-control-flow optimization of exactly the kind that corrupts state
-silently: a mis-followed edge or a skipped invalidation produces a run
-that *finishes* with plausible-looking output.  This module pins any
-chained execution back to the seed interpreter step by step:
+The superblock engine (machine/uops.py) batches retire accounting and
+caches bound blocks across control tails — optimizations of exactly the
+kind that corrupt state silently: a mis-dispatched block, deferred
+accounting settled at the wrong point, or a skipped invalidation
+produces a run that *finishes* with plausible-looking output.  This
+module pins any ``chained`` execution back to the seed interpreter
+step by step:
 
 - :class:`TraceRecorder` runs a program under the seed single-step
   interpreter (``uops=False``) and journals every architectural-state
@@ -18,8 +20,8 @@ chained execution back to the seed interpreter step by step:
   after ``run_quantum(n)`` must equal the journal's state after ``n``
   seed steps — for every ``n``.  The replayer verifies the final state
   and, on mismatch, binary-searches the first divergent step with a
-  fresh chained CPU per probe (fresh, so chains re-form naturally
-  instead of being suppressed by single-stepping).
+  fresh chained CPU per probe (fresh, so blocks and traces form
+  naturally instead of being suppressed by single-stepping).
 - :class:`Divergence` carries the full register/memory/trap context of
   the first divergent step, rendered by :meth:`Divergence.describe`.
 
@@ -257,8 +259,8 @@ class Replayer:
 
     ``cpu_factory`` must return a *fresh* chained CPU per call (its own
     Program image, kernel attached, ``uops=True``) — each probe replays
-    from the start so chains form exactly as they would in production,
-    rather than being suppressed by stepping."""
+    from the start so blocks and traces form exactly as they would in
+    production, rather than being suppressed by stepping."""
 
     def __init__(self, journal: Journal, cpu_factory) -> None:
         self.journal = journal
@@ -333,7 +335,7 @@ class Replayer:
         it fits — so for a corruption that later *washes out* of the
         architectural state the pair is exact but not necessarily
         globally minimal; persistent corruptions, the failure mode of
-        real chaining bugs, are monotone and the boundary is global.)
+        real engine bugs, are monotone and the boundary is global.)
         """
         journal = self.journal
         total = journal.total
@@ -387,7 +389,7 @@ def differential_replay(
     replay the chained engine against the journal.  ``config`` attaches
     an FPVM (same config both sides); ``trace=True`` pins the fused
     trace-JIT tier on so probes compile and run traces
-    (``None`` leaves the ``FPVM_TRACEJIT`` default), and
+    (``None`` leaves the CPU default, on), and
     ``trace_threshold`` lowers the stabilization threshold so even
     short fuzz loops fuse."""
     recorder = TraceRecorder(

@@ -12,14 +12,14 @@ final-memory digest, and total simulated cycles.
 
 :func:`sweep` runs the axis over each program × attach mode × quantum
 × engine tier — chained superblocks with the trace JIT pinned off
-(``chained``) and chaining plus the fused trace JIT (``traced``) —
+(``chained``) and superblocks plus the fused trace JIT (``traced``) —
 against the stepwise seed (``interp``), plus a cross-quantum check
 per tier that the batched runs agree with *each other*: the axis
 programs synchronize only through ``thread_join``, so their results
 must not depend on the scheduling granularity either.  The ``traced`` cells are the
 scheduler-facing half of the trace-JIT contract: fused closures hand
 unretired budget back at side exits, so even quantum 1 — where no
-chain cycle ever completes in-run and traces only stabilize through
+block cycle ever completes in-run and traces only stabilize through
 cross-run heat, if at all — must stay bit-identical.
 """
 
@@ -207,7 +207,7 @@ def _diff_keys(a: dict, b: dict) -> list[str]:
 def sweep(progress=None) -> list[SchedCheck]:
     """The full axis: every program × mode × quantum × engine tier
     (:data:`~repro.machine.cpu.ENGINE_TIERS`, each with its flags pinned
-    so the tiers stay distinct whatever the ``FPVM_TRACEJIT`` default),
+    so the tiers stay distinct whatever the CPU default),
     each tier vs stepwise, plus each tier's cross-quantum agreement
     check."""
     checks: list[SchedCheck] = []

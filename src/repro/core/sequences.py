@@ -161,7 +161,7 @@ class SequenceEmulator:
     :class:`CompiledTrace` closures keyed by entry address.  The
     compiled tier lives in the attached CPU's shared
     :class:`~repro.machine.uops.SuperblockCache` (``seq_traces``), so
-    sequence traces, superblocks, and fused chain traces share one
+    sequence traces, superblocks, and fused block traces share one
     eviction policy: per-site invalidation over ``Program.patch_events``
     drops exactly the artifacts covering a changed patch site (a patch
     appearing mid-trace must terminate emulation, and a stale compiled

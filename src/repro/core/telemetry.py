@@ -172,42 +172,6 @@ def aggregate_uop_stats(stats_dicts) -> dict:
     return {k: dict(v) if isinstance(v, Counter) else v for k, v in out.items()}
 
 
-def aggregate_chain_stats(stats_dicts, cache_stats: dict | None = None) -> dict:
-    """Merge per-thread ``UopStats.as_dict()`` chain telemetry into one
-    run-level summary: link/unlink counters, the chain-length histogram,
-    and its max/mean.  ``cache_stats`` is the owning
-    :class:`~repro.machine.uops.SuperblockCache`'s ``as_dict()`` —
-    invalidation and unlink counts live there because one cache serves
-    every thread."""
-    links_created = links_followed = chain_runs = chain_demotions = 0
-    breaks: Counter = Counter()
-    lengths: Counter = Counter()
-    for stats in stats_dicts:
-        if not stats:
-            continue
-        links_created += stats.get("links_created", 0)
-        links_followed += stats.get("links_followed", 0)
-        chain_runs += stats.get("chain_runs", 0)
-        chain_demotions += stats.get("chain_demotions", 0)
-        breaks.update(stats.get("chain_breaks") or {})
-        for length, count in (stats.get("chain_lengths") or {}).items():
-            lengths[int(length)] += count
-    total_blocks = sum(length * n for length, n in lengths.items())
-    out = {
-        "links_created": links_created,
-        "links_followed": links_followed,
-        "chain_runs": chain_runs,
-        "chain_demotions": chain_demotions,
-        "chain_breaks": dict(breaks),
-        "chain_lengths": {length: lengths[length] for length in sorted(lengths)},
-        "max_chain": max(lengths) if lengths else 0,
-        "mean_chain": total_blocks / chain_runs if chain_runs else 0.0,
-    }
-    if cache_stats is not None:
-        out["cache"] = dict(cache_stats)
-    return out
-
-
 def aggregate_trace_stats(stats_dicts, cache_stats: dict | None = None) -> dict:
     """Merge per-thread ``UopStats.as_dict()`` trace-JIT telemetry into
     one run-level summary: compile/recompile/demotion counters, steps

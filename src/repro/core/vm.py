@@ -29,7 +29,7 @@ from repro.kernel.signals import SIGFPE, SIGTRAP
 from repro.machine.costs import DEFAULT_COSTS
 from repro.machine.program import PatchKind
 from repro.machine.registers import MXCSR_DEFAULT, MXCSR_FPVM
-from repro.machine.uops import uops_enabled_default
+from repro.machine.uops import UOPS_DEFAULT
 from repro.observability import FlowRecorder, classify_flags, flow_enabled_default
 
 
@@ -68,8 +68,8 @@ class FPVMConfig:
     #: :class:`~repro.errors.BoxHeapExhaustedError`.
     box_capacity: int | None = None
     #: micro-op pipeline (host-side throughput; no simulated-semantics
-    #: effect).  None = inherit the CPU's setting (the ``FPVM_UOPS``
-    #: environment knob); True/False force it for this run.
+    #: effect).  None = inherit the CPU's setting (on unless the CPU
+    #: was built with ``uops=False``); True/False force it for this run.
     uops: bool | None = None
     #: promote a trace into a compiled-trace closure once it has been
     #: emulated this many times (0 disables the compiled tier).
@@ -141,7 +141,7 @@ class FPVM:
         self.fp_scribble_mask = 0
         self.uops_enabled = (
             self.config.uops if self.config.uops is not None
-            else uops_enabled_default()
+            else UOPS_DEFAULT
         )
 
     # ------------------------------------------------------------ attach
@@ -173,7 +173,7 @@ class FPVM:
         cpu.fp_disabled = self.config.trap_all_fp
 
         # Micro-op pipeline: the config can force it either way; by
-        # default the CPU's own setting (FPVM_UOPS knob) stands.
+        # default the CPU's own setting stands.
         if self.config.uops is not None:
             cpu.uops_enabled = self.config.uops
         self.uops_enabled = cpu.uops_enabled

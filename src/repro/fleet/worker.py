@@ -39,7 +39,7 @@ from repro.workloads import build_program, get_workload
 #: merged per-guest engine counters worth shipping across the process
 #: boundary (the fleet per-worker cache-reuse section reads these).
 _UOP_KEYS = ("blocks_built", "block_runs", "uops_retired",
-             "links_followed", "trace_compiles", "trace_runs",
+             "trace_compiles", "trace_runs",
              "trace_code_hits", "trace_code_evictions")
 
 

@@ -45,9 +45,6 @@ class HostPerf:
     #: scheduler-level telemetry (SchedulerStats.as_dict()): dispatches,
     #: steps, and quantum efficiency = instructions retired per dispatch.
     sched: dict | None = None
-    #: cross-quantum chaining summary (telemetry.aggregate_chain_stats):
-    #: link/unlink counters, chain-length histogram, cache state.
-    chain: dict | None = None
     #: fused trace-JIT summary (telemetry.aggregate_trace_stats):
     #: compiles/recompiles, side-exit breakdown, trace-length histogram.
     trace: dict | None = None
@@ -126,20 +123,6 @@ class Comparison:
         return self.runs[config_name].cycles / self.lower_bound_cycles(config_name)
 
 
-def _cpu_chain_summary(cpu) -> dict | None:
-    """Chain telemetry for a standalone CPU run, if the pipeline ran."""
-    from repro.core.telemetry import aggregate_chain_stats
-
-    stats = cpu.uop_stats
-    if stats is None:
-        return None
-    cache = cpu._sb_cache
-    return aggregate_chain_stats(
-        [stats.as_dict()],
-        cache.as_dict() if cache is not None else None,
-    )
-
-
 def _cpu_trace_summary(cpu) -> dict | None:
     """Trace-JIT telemetry for a standalone CPU run, if the pipeline ran."""
     from repro.core.telemetry import aggregate_trace_stats
@@ -171,7 +154,6 @@ def run_native(
         seconds=seconds,
         instructions=cpu.instruction_count,
         uop_stats=stats.as_dict() if stats is not None else None,
-        chain=_cpu_chain_summary(cpu),
         trace=_cpu_trace_summary(cpu),
     )
     return NativeResult(workload, cpu.cycles, cpu.instruction_count,
@@ -204,18 +186,12 @@ def _process_host_perf(proc, seconds: float) -> HostPerf:
                               if stats is not None else None),
         })
     total_instructions = sum(t.instruction_count for t in proc.threads)
-    from repro.core.telemetry import (
-        aggregate_chain_stats,
-        aggregate_trace_stats,
-        aggregate_uop_stats,
-    )
+    from repro.core.telemetry import aggregate_trace_stats, aggregate_uop_stats
 
     per_thread_stats = [t.uop_stats.as_dict() for t in proc.threads
                         if t.uop_stats is not None]
     uop_stats = (aggregate_uop_stats(per_thread_stats)
                  if per_thread_stats else None)
-    chain = (aggregate_chain_stats(per_thread_stats, proc.sb_cache.as_dict())
-             if per_thread_stats else None)
     trace = (aggregate_trace_stats(per_thread_stats, proc.sb_cache.as_dict())
              if per_thread_stats else None)
     return HostPerf(
@@ -224,7 +200,6 @@ def _process_host_perf(proc, seconds: float) -> HostPerf:
         uop_stats=uop_stats,
         threads=threads,
         sched=sched.as_dict(),
-        chain=chain,
         trace=trace,
     )
 
@@ -328,7 +303,6 @@ def run_fpvm(
         uop_stats=stats.as_dict() if stats is not None else None,
         compiled_traces=t.compiled_traces,
         compiled_trace_hits=t.compiled_trace_hits,
-        chain=_cpu_chain_summary(cpu),
         trace=_cpu_trace_summary(cpu),
     )
     if vm.flow is not None:

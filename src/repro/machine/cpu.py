@@ -34,8 +34,8 @@ from repro.machine.isa import (
 from repro.machine.memory import PROT_EXEC, PROT_READ, PROT_WRITE, Memory, PAGE_SIZE
 from repro.machine.program import PatchKind, Program, STACK_TOP
 from repro.machine.registers import Flags, RegisterFile, rounding_mode, unmasked_status
-from repro.machine.uops import uops_enabled_default
-from repro.machine.tracejit import trace_enabled_default
+from repro.machine.tracejit import TRACE_DEFAULT
+from repro.machine.uops import UOPS_DEFAULT
 
 U64 = 0xFFFF_FFFF_FFFF_FFFF
 #: Return address sentinel: a ``ret`` to this address halts the machine.
@@ -62,8 +62,9 @@ class Trap:
 #: The execution-tier ladder — the one place tier flags are spelled
 #: out: label -> ``(uops, trace)`` for :class:`CPU` and ``Process``.
 #: ``interp`` is the seed single-step interpreter (the oracle);
-#: ``chained`` runs cached superblocks with chain dispatch; ``traced``
-#: additionally fuses stable chain cycles into compiled trace closures.
+#: ``chained`` runs cached superblocks through the engine loop;
+#: ``traced`` additionally fuses stable block cycles into compiled
+#: trace closures.
 TIERS: dict[str, tuple[bool, bool]] = {
     "interp": (False, False),
     "chained": (True, False),
@@ -160,16 +161,16 @@ class CPU:
         #: text bytes, which belong to the DATA view backing memory.
         self._fetch_view = program.fetch_view
         #: run() through the pre-decoded micro-op pipeline (uops.py)
-        #: instead of the single-step interpreter loop.  Defaults to the
-        #: FPVM_UOPS environment knob; semantics are identical either
-        #: way — the engine falls back to step() wherever it must.
-        self.uops_enabled = uops_enabled_default() if uops is None else uops
-        #: fuse stable superblock chains into compiled trace closures
-        #: (the trace-JIT tier, tracejit.py).  FPVM_TRACEJIT knob; only
+        #: instead of the single-step interpreter loop (on by default);
+        #: semantics are identical either way — the engine falls back
+        #: to step() wherever it must.
+        self.uops_enabled = UOPS_DEFAULT if uops is None else uops
+        #: fuse stable superblock cycles into compiled trace closures
+        #: (the trace-JIT tier, tracejit.py; on by default); only
         #: meaningful with ``uops_enabled``.
-        self.trace_enabled = trace_enabled_default() if trace is None else trace
+        self.trace_enabled = TRACE_DEFAULT if trace is None else trace
         #: consecutive identical laps of a block cycle before fusing it
-        #: (tests tune this; None = FPVM_TRACE_THRESHOLD / default 3).
+        #: (tests tune this; None = tracejit.STABILIZE_THRESHOLD).
         self.trace_stabilize_threshold: int | None = None
         #: the SuperblockCache holding this core's blocks.  A Process
         #: installs its shared per-process cache here (one patch-epoch

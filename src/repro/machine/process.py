@@ -80,7 +80,7 @@ class Process:
         #: the process-wide superblock cache: one object — one cursor
         #: into ``Program.patch_events`` — shared by every thread CPU,
         #: so a patch made by any thread invalidates every thread's
-        #: blocks/links/traces *covering that site* in one sync while
+        #: blocks/traces *covering that site* in one sync while
         #: unrelated warm state survives.  Installed on each CPU
         #: before its engine exists (engines capture it at creation).
         #: A fleet worker passes its warm per-program cache in instead,
@@ -188,7 +188,7 @@ class Process:
         Each scheduler quantum is one batched :meth:`CPU.run_quantum`
         dispatch: with the uop pipeline enabled the whole quantum runs
         as superblock dispatches inside the engine; with it disabled
-        (``FPVM_UOPS=0`` / ``CPU(uops=False)``) the dispatch degrades
+        (``CPU(uops=False)``, the ``interp`` tier) the dispatch degrades
         to the seed's single-step loop.  Either way the step accounting
         is identical to ``quantum × thread.step()``, so batched and
         step-wise scheduling are bit-identical in every observable.

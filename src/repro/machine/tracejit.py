@@ -1,17 +1,16 @@
-"""Fused trace JIT: stable superblock chains compiled to one closure.
+"""Fused trace JIT: stable superblock cycles compiled to one closure.
 
-The chain dispatcher (see :mod:`repro.machine.uops`) already strings
-superblocks together through per-edge link caches, but still pays a
-link lookup, a per-block closure loop, per-uop ``SLOW`` checks, and a
-per-uop RIP store at every step of every lap of a hot loop.  This
-module is the tier above it: when a chain keeps retiring the *same*
-cyclic block sequence (``trace_stabilize_threshold`` consecutive
-laps), the whole cycle is specialized into a single ``compile()``\\ d
-Python closure:
+The engine loop (see :mod:`repro.machine.uops`) dispatches superblocks
+one at a time and pays a checkpoint, a block lookup, a per-block
+closure loop, per-uop ``SLOW`` checks, and a per-uop RIP store at every
+step of every lap of a hot loop.  This module is the tier above it:
+when the loop keeps retiring the *same* cyclic block sequence
+(``trace_stabilize_threshold`` consecutive laps), the whole cycle is
+specialized into a single ``compile()``\\ d Python closure:
 
 - operand accessors are constant-folded into the generated source
   (register indices, effective-address arithmetic, immediates);
-- per-block dispatch, link lookup, and retire accounting are hoisted
+- per-block dispatch, block lookup, and retire accounting are hoisted
   out of the loop entirely — one ``settle()`` call per trace *exit*
   charges ``iterations x per-iteration totals`` plus the retired
   prefix of the final partial lap;
@@ -22,7 +21,7 @@ Python closure:
 
 The FP fast-path guard (``cpu.fp_disabled`` / MXCSR field) is hoisted
 to one check per trace *entry*: nothing inside a trace can change it,
-because chainable tails cannot run host code and the fast FP helpers
+because traceable tails cannot run host code and the fast FP helpers
 never write MXCSR status.  Likewise ``patch_seq`` cannot move inside
 a trace, so epoch invalidation is handled where it always was — the
 engine loop syncs the :class:`~repro.machine.uops.SuperblockCache`,
@@ -31,7 +30,7 @@ and a flush drops every compiled trace with the blocks.
 Step parity is exact.  Each generated step is one seed ``cpu.step()``
 equivalent; a trace call retires ``iters * n_steps + pos`` steps and
 ``settle()`` charges cycles / instruction counts / per-class retire
-counters identically to the chained dispatcher.  Micro-ops the code
+counters identically to the engine loop.  Micro-ops the code
 generator does not specialize call their already-bound block closures
 (same objects the superblock body would have called), so semantics
 can never diverge by construction — only the dispatch around them
@@ -49,7 +48,6 @@ step (see ``tests/conformance/test_replay.py``).
 
 from __future__ import annotations
 
-import os
 import struct
 from collections import OrderedDict
 
@@ -73,7 +71,6 @@ from repro.machine.isa import (
 )
 from repro.machine.memory import PAGE_SHIFT, PAGE_SIZE, PROT_READ, PROT_WRITE
 from repro.machine.uops import (
-    _FALSEY,
     _FP_FAST_FIELD,
     _FP_FAST_VALUE,
     _load8_factory,
@@ -85,9 +82,17 @@ from repro.machine.uops import (
     U64,
     lower,
 )
+# Defined in uops, whose engine loop reads them on its hot path, and
+# re-exported here beside the exit codes they name.
+from repro.machine.uops import EXIT_NAMES, MAX_TRACE_BLOCKS  # noqa: F401
 
-#: Longest block cycle the recorder will consider for fusion.
-MAX_TRACE_BLOCKS = 16
+#: ``CPU(trace=None)`` fuses stable block cycles; ``trace=False`` (the
+#: ``chained`` tier) never compiles a trace.
+TRACE_DEFAULT = True
+
+#: Consecutive identical laps of a block cycle before it is fused
+#: (``cpu.trace_stabilize_threshold`` overrides it per CPU).
+STABILIZE_THRESHOLD = 3
 
 #: Demotion window: a trace is re-evaluated once it has run this often.
 DEMOTE_MIN_RUNS = 8
@@ -107,29 +112,12 @@ EXIT_HALT = 3     #: ret popped the return sentinel and halted the CPU
 EXIT_BUDGET = 4   #: not enough budget left for another full lap
 EXIT_MXCSR = 5    #: FP fast-path entry guard failed (attach / #XF mode)
 
-EXIT_NAMES = ("exit", "slow", "side", "halt", "budget", "mxcsr")
-
 #: Test seam: ``hook(entry, source, namespace) -> source | None`` runs
 #: just before ``compile()``; it may rewrite the generated source or
 #: rebind namespace constants (fault injection for the replay oracle).
 CODEGEN_HOOK = None
 
 _SBIT = 1 << 63
-
-
-def trace_enabled_default() -> bool:
-    """The ``FPVM_TRACEJIT`` escape hatch: set to ``0`` to keep chained
-    dispatch but never fuse chains into compiled traces."""
-    return os.environ.get("FPVM_TRACEJIT", "1").strip().lower() not in _FALSEY
-
-
-def stabilize_threshold_default() -> int:
-    """``FPVM_TRACE_THRESHOLD``: consecutive identical laps of a block
-    cycle before it is fused (default 3)."""
-    try:
-        return max(1, int(os.environ.get("FPVM_TRACE_THRESHOLD", "3")))
-    except ValueError:
-        return 3
 
 
 # ------------------------------------------------------------ ChainTrace
@@ -179,7 +167,7 @@ class ChainTrace:
         # ``prefix_fp[pos]``/``prefix_touch[pos]`` cover the first
         # ``pos`` steps of a lap, so settle() charges the dirty set of
         # any partial lap with one index.  Tail steps (cls None) are
-        # chainable control — they cannot write XMM state.
+        # traceable control — they cannot write XMM state.
         by_addr = cpu.program.by_addr
         pf = [0]
         pt = [False]
@@ -339,7 +327,7 @@ def _load_bits(g: _Gen, addr_expr: str, kind: str, target: str) -> list[str]:
     closure, so semantics are exactly the Memory methods'.  Observed
     kinds are covered by the entry guard: a trace never runs while
     memory observers are attached, and nothing inside a trace can
-    attach one (chainable tails cannot reach host code or syscalls)."""
+    attach one (traceable tails cannot reach host code or syscalls)."""
     fb = g.bind_mem(kind)
     uqf = g.bind("uqf", _S_Q.unpack_from)
     return _page_head(g, addr_expr) + [
@@ -695,7 +683,7 @@ def _emit_tail(g: _Gen, blk, u, expected: int, last: bool, j: int) -> bool:
         return True
 
     if mn == "call":
-        # only statically-known guest calls are chainable; they always
+        # only statically-known guest calls are traceable; they always
         # land on their target, so no post-tail guard is needed.
         if static is None or static != expected:
             return False
@@ -712,7 +700,7 @@ def _emit_tail(g: _Gen, blk, u, expected: int, last: bool, j: int) -> bool:
     tname = g.bind(f"t{j}", blk.tail)
     g.body.append(f"p = {s}")
     g.body.append(f"{tname}()")
-    if blk.chain_check:
+    if blk.halt_check:
         g.body.append("if c.halted:")
         g.body.append("    @SYNC")
         g.body.append(f"    return (i, {s + 1}, 3)")
@@ -734,7 +722,7 @@ def _relower(cpu, blocks):
     by_addr = cpu.program.by_addr
     out = []
     for b in blocks:
-        if b.tail is None or not b.chainable:
+        if b.tail is None or not b.traceable:
             return None
         body = []
         addr = b.entry
@@ -761,7 +749,7 @@ def _relower(cpu, blocks):
 #: ``compile()`` makes recompiles near-free.  The exec namespace is
 #: always fresh, so cached code never aliases state.
 #:
-#: The cache is a true LRU bounded by ``FPVM_TRACE_CACHE_CAP``: a
+#: The cache is a true LRU bounded by :data:`CODE_CACHE_CAP`: a
 #: long-lived fleet worker cycling through many distinct programs must
 #: not grow compiled-closure memory without limit.  Hits, misses, and
 #: evictions are module-level counters; the uop engine snapshots them
@@ -774,19 +762,14 @@ CODE_CACHE_MISSES = 0
 CODE_CACHE_EVICTIONS = 0
 
 
-def code_cache_cap() -> int:
-    """``FPVM_TRACE_CACHE_CAP``: max distinct compiled trace sources
-    kept (default 256, minimum 1)."""
-    try:
-        return max(1, int(os.environ.get("FPVM_TRACE_CACHE_CAP", "256")))
-    except ValueError:
-        return 256
+#: max distinct compiled trace sources kept (read at every compile).
+CODE_CACHE_CAP = 256
 
 
 def code_cache_stats() -> dict:
     return {
         "size": len(_CODE_CACHE),
-        "cap": code_cache_cap(),
+        "cap": CODE_CACHE_CAP,
         "hits": CODE_CACHE_HITS,
         "misses": CODE_CACHE_MISSES,
         "evictions": CODE_CACHE_EVICTIONS,
@@ -801,8 +784,7 @@ def _compile_source(source: str, entry: int):
         CODE_CACHE_HITS += 1
         return code
     CODE_CACHE_MISSES += 1
-    cap = code_cache_cap()
-    while len(_CODE_CACHE) >= cap:
+    while len(_CODE_CACHE) >= CODE_CACHE_CAP:
         _CODE_CACHE.popitem(last=False)
         CODE_CACHE_EVICTIONS += 1
     code = compile(source, f"<trace@{entry:#x}>", "exec")

@@ -8,8 +8,8 @@ sequence engine) and binds, per CPU, opclass-specialized execute
 closures whose operand accessors were resolved at bind time.  Straight-
 line runs of micro-ops are strung into cached :class:`Superblock`\\ s
 keyed by entry address; the block cache tracks the program's
-``patch_events`` log and invalidates *per site* — only blocks, chain
-links, and compiled traces whose address range covers a changed patch
+``patch_events`` log and invalidates *per site* — only blocks and
+compiled traces whose address range covers a changed patch
 site are dropped (any patch added, removed or cleared at that address),
 so patched instructions can never execute through a stale block while
 unrelated warm blocks survive patch churn.
@@ -29,43 +29,29 @@ Semantics are bit-for-bit the seed interpreter's:
 - FP closures evaluate through :mod:`repro.fpu.fast`, the same
   values-only binary64 path the interpreter's native branch uses.
 
-Cross-quantum chaining (always on): after a
-superblock's chainable control tail runs, the engine follows the edge
-through a per-block link cache — keyed on the *runtime* post-tail RIP,
-so indirect and name-resolved targets chain too — and keeps retiring
-blocks, a trace of blocks per dispatch, instead of returning to the
-engine loop at every control tail.  Chainable tails are those that
-cannot run host code (``jmp``/``jcc`` in any form, ``ret`` with a
-post-tail halt re-check, and ``call``\\ s statically known to target
-guest text), so the engine-loop re-checks the chain skips are
-redundant by construction; host-function calls, patch sites, SLOW
-fallbacks, and budget edges break the chain back to the engine loop.
-Retire accounting inside a chain is batched into per-block run counts
-and settled when the chain ends (or eagerly before anything that can
-observe the counters).  At a quantum's budget edge the engine
-retires a block body's fitting *prefix* through the pipeline — every
+One dispatch loop, :meth:`UopEngine.run_quantum`, runs every
+superblock the same way: a checkpoint (halt, block, patch-sequence
+sync, patch site), the compiled-trace lookup, the block lookup or
+build, the body (or the prefix that fits the step budget), then the
+control tail.  Retire accounting is deferred into per-block run counts
+and settled before anything that can observe the counters: a
+``cpu.step()`` fallback, a control tail that may run host code, the
+end of the quantum, or an exception on its way out.  At a quantum's
+budget edge the engine retires a body's fitting *prefix* — every
 closure is one seed step and leaves RIP correct, so the next quantum
-resumes mid-block via a suffix block — rather than degrading to the
-seed single-step path.  Chain dispatch has a fixed entry cost that
-only amortizes over long traces or repeated blocks, so roots that
-repeatedly produce short chains (without the quantum budget being the
-cutter) are *demoted* — LuaJIT-style trace-root blacklisting via
-``Superblock.chain_root`` — and the engine loop stops starting chains
-there while still letting chains pass through them.  Block caches live
-in one per-process :class:`SuperblockCache` shared by every thread;
-when ``patch_seq`` moves the cache drops exactly the blocks, links and
+resumes mid-block through a suffix block.  The same loop records block
+paths for the trace JIT (:mod:`repro.machine.tracejit`), which fuses
+a cycle that repeats unchanged into one compiled closure.  Block caches
+live in one per-process :class:`SuperblockCache` shared by every
+thread; when ``patch_seq`` moves the cache drops exactly the blocks and
 traces covering the changed sites — cross-thread and cross-guest — and
-everything else stays warm.
-
-The engine has one budgeted dispatch loop, :meth:`UopEngine.run_quantum`,
-with one chain dispatcher under it; ``CPU.run`` is a loop over quanta of
-the remaining step limit.
+everything else stays warm.  ``CPU.run`` is a loop over quanta of the
+remaining step limit.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from collections import Counter
 
 from repro.fpu import fast as F
@@ -94,7 +80,7 @@ U64 = 0xFFFF_FFFF_FFFF_FFFF
 #: ``cpu.step()`` (full seed semantics, including #XF delivery).
 SLOW = object()
 
-#: Superblocks stop growing here; the follow-on block chains naturally.
+#: Superblocks stop growing here; the follow-on block starts at the cut.
 MAX_BLOCK = 128
 
 #: The seed's native-FP fast path requires every MXCSR exception mask
@@ -107,23 +93,16 @@ _RETURN_SENTINEL = 0xDEAD_0000
 
 _PARITY = tuple(bin(i).count("1") % 2 == 0 for i in range(256))
 
-#: trace exit code -> stat name (mirrors ``tracejit.EXIT_NAMES``;
-#: duplicated here because :mod:`repro.machine.tracejit` imports this
-#: module and is itself only imported lazily from engine methods).
-_TRACE_EXIT_NAMES = ("exit", "slow", "side", "halt", "budget", "mxcsr")
+#: ``CPU(uops=None)`` runs this engine; ``uops=False`` (the ``interp``
+#: tier) single-steps the seed interpreter instead.
+UOPS_DEFAULT = True
 
-#: longest block cycle the chain recorder tracks (mirror of
-#: ``tracejit.MAX_TRACE_BLOCKS`` for the hot path).
-_MAX_TRACE_BLOCKS = 16
+#: Stat names of the exit codes a compiled trace returns, indexed by
+#: code (see :mod:`repro.machine.tracejit`, which imports this module).
+EXIT_NAMES = ("exit", "slow", "side", "halt", "budget", "mxcsr")
 
-# ------------------------------------------------------------------ config
-_FALSEY = ("0", "false", "off", "no")
-
-
-def uops_enabled_default() -> bool:
-    """The ``FPVM_UOPS`` escape hatch: set to ``0`` to force the seed
-    single-step interpreter everywhere (differential debugging)."""
-    return os.environ.get("FPVM_UOPS", "1").strip().lower() not in _FALSEY
+#: Longest block cycle the trace recorder will consider for fusion.
+MAX_TRACE_BLOCKS = 16
 
 
 # ------------------------------------------------------- emulator metadata
@@ -1160,21 +1139,21 @@ def bind_control(uop: MicroOp, cpu):
     return run_jcc
 
 
-def _tail_chain_grade(uop: MicroOp, prog) -> int:
-    """How the chain dispatcher may follow this control tail:
-    0 = not chainable, 1 = chain freely, 2 = chain after re-checking
-    ``cpu.halted`` (ret's return sentinel).
+def _tail_trace_grade(uop: MicroOp, prog) -> int:
+    """Whether this control tail may sit inside a compiled trace:
+    0 = no, 1 = yes, 2 = yes with a ``cpu.halted`` re-check after it
+    (ret's return sentinel).
 
-    Chain links key on the *runtime* post-tail RIP, so indirectness is
-    not a problem — a register-target or name-resolved ``jmp``/``jcc``
-    produces some address and the dispatcher looks it up live (a
-    rebound symbol simply links to the new target's block; decoded text
-    never changes without a patch-epoch bump).  What disqualifies a
-    tail is the ability to run *host* code — host-function calls can
-    patch, block, rebind, and move the epoch — so only ``call``\\ s
-    whose target is statically known to be guest text chain (an
-    indirect or name-resolved call may resolve to a host function).
-    ``ret`` can halt, which grade 2 re-checks after the tail runs."""
+    The engine loop looks the next block up by the *runtime* post-tail
+    RIP, so indirectness is not a problem — a register-target or
+    name-resolved ``jmp``/``jcc`` produces some address and the trace
+    guards its landing address.  What disqualifies a tail is the
+    ability to run *host* code — host-function calls can patch, block,
+    rebind, move the epoch and read the retire counters — so only
+    ``call``\\ s whose target is statically known to be guest text
+    qualify (an indirect or name-resolved call may resolve to a host
+    function).  The engine settles its deferred retire accounting
+    before every grade-0 tail."""
     mn = uop.mnemonic
     if mn == "jmp" or mn in CONDITION_CODES:
         return 1
@@ -1189,48 +1168,25 @@ def _tail_chain_grade(uop: MicroOp, prog) -> int:
     return 0
 
 
-#: A chain shorter than this many blocks (root included) did not cover
-#: the chain dispatcher's fixed entry cost.  Budget-cut chains are not
-#: counted — the quantum ended the trace, not the program's structure.
-CHAIN_SHORT_LEN = 6
-
-#: Consecutive short chains from one root before it is demoted
-#: (``chain_root = False``) and entry falls back to the engine loop.
-CHAIN_DEMOTE_AFTER = 4
-
-
 # -------------------------------------------------------------- superblock
 class Superblock:
     """A straight-line run of bound micro-ops plus an optional control
     tail, with prefix cost sums for batched retire accounting.
 
-    ``chainable`` marks tails the chain dispatcher may follow without
-    re-entering the engine loop (see :func:`_tail_chain_grade`): any
-    ``jmp``/``jcc``, ``ret`` (with ``chain_check`` set — the dispatcher
-    re-checks ``cpu.halted`` after it), or a ``call`` statically known
-    to target guest text.  Such tails cannot patch, block, or run host
-    code, so no engine-loop re-check is needed between the tail and the
-    next block.  ``links`` is the per-edge link cache: post-tail RIP ->
-    next Superblock, populated lazily by the chain dispatcher and
-    scrubbed per site with the block cache (edges keyed at a patched
-    address or targeting a dropped block go; the rest survive).
-
-    ``chain_root`` gates *starting* a chain here (continuing through
-    the block mid-chain only needs ``chainable``).  A chain entry has
-    fixed dispatch cost that only pays off over enough linked blocks;
-    roots whose chains come up structurally short
-    (< :data:`CHAIN_SHORT_LEN` blocks, not counting budget cuts)
-    :data:`CHAIN_DEMOTE_AFTER` times in a row are demoted — the
-    trace-root blacklisting of trace JITs — and fall back to plain
-    engine-loop dispatch until the block cache is rebuilt."""
+    ``traceable`` marks tails that cannot run host code (see
+    :func:`_tail_trace_grade`): any ``jmp``/``jcc``, ``ret`` (with
+    ``halt_check`` set — a trace re-checks ``cpu.halted`` after it), or
+    a ``call`` statically known to target guest text.  Only blocks with
+    such tails enter compiled traces, and the engine loop needs to
+    settle its deferred accounting only before the other tails."""
 
     __slots__ = ("entry", "end", "body", "classes", "class_counts",
-                 "prefix_cost", "n_body", "tail", "tail_addr", "chainable",
-                 "chain_check", "links", "chain_root", "chain_shorts",
-                 "prefix_fp", "prefix_touch", "fp_writes", "fp_touch")
+                 "prefix_cost", "n_body", "tail", "tail_addr", "traceable",
+                 "halt_check", "prefix_fp", "prefix_touch", "fp_writes",
+                 "fp_touch")
 
     def __init__(self, entry, body, classes, prefix_cost, tail, tail_addr,
-                 chain_grade=0, end=None, uops=()):
+                 trace_grade=0, end=None, uops=()):
         self.entry = entry
         #: exclusive end of the address range this block executes
         #: through (tail included).  Per-site invalidation drops a
@@ -1258,11 +1214,8 @@ class Superblock:
         self.fp_touch = pt[-1]
         self.tail = tail
         self.tail_addr = tail_addr
-        self.chainable = chain_grade > 0
-        self.chain_check = chain_grade == 2
-        self.links: dict[int, "Superblock"] = {}
-        self.chain_root = True
-        self.chain_shorts = 0
+        self.traceable = trace_grade > 0
+        self.halt_check = trace_grade == 2
 
 
 #: process-wide allocator for SuperblockCache view keys (see
@@ -1283,18 +1236,17 @@ class SuperblockCache:
     honest): when the program's sequence moves, :meth:`sync` walks only
     the *new* suffix of patched addresses and drops exactly the cached
     artifacts whose address range covers a changed site — superblocks
-    via ``[entry, end)``, chain links keyed at the site or targeting a
-    dropped block, fused traces via their recorded block ranges, and
-    the sequence emulator's compiled traces by step membership.  Every
+    via ``[entry, end)``, fused traces via their recorded block ranges,
+    and the sequence emulator's compiled traces by step membership.  Every
     thread's (and, for a fleet worker's warm cache, every guest's)
     unrelated blocks survive, turning a patch from a fleet-wide cache
     flush into a local event.  The per-site walk is still cross-thread
     sound: a patch made by thread A drops thread B's covering blocks
-    and links in the same sync, exactly like the old wholesale flush.
+    in the same sync, exactly like the old wholesale flush.
     """
 
     __slots__ = ("views", "epoch", "capacity", "cached_blocks",
-                 "invalidations", "evictions", "unlinks",
+                 "invalidations", "evictions",
                  "invalidated_blocks", "survived_blocks",
                  "trace_views", "seq_traces", "cached_traces",
                  "dropped_traces")
@@ -1311,8 +1263,6 @@ class SuperblockCache:
         self.invalidations = 0
         #: capacity evictions (wholesale, unlike the per-site sync).
         self.evictions = 0
-        #: chain-graph edges destroyed by invalidation/eviction.
-        self.unlinks = 0
         #: superblocks dropped because their range covered a patched
         #: site (cumulative across syncs).
         self.invalidated_blocks = 0
@@ -1352,8 +1302,8 @@ class SuperblockCache:
         return self.trace_views.setdefault(self._key(cpu), {})
 
     def release(self, cpu) -> None:
-        """Drop every view owned by ``cpu`` (blocks, chain links, and
-        compiled traces).  Fleet workers call this after each guest
+        """Drop every view owned by ``cpu`` (blocks and compiled
+        traces).  Fleet workers call this after each guest
         retires so a long-lived warm cache never accumulates the views
         of dead guests; the shared ``seq_traces`` and the process-wide
         epoch mirror stay warm for the next guest."""
@@ -1362,8 +1312,6 @@ class SuperblockCache:
             return
         view = self.views.pop(key, None)
         if view:
-            for blk in view.values():
-                self.unlinks += len(blk.links)
             self.cached_blocks -= len(view)
         tview = self.trace_views.pop(key, None)
         if tview:
@@ -1372,8 +1320,6 @@ class SuperblockCache:
 
     def _drop_all(self) -> None:
         for view in self.views.values():
-            for blk in view.values():
-                self.unlinks += len(blk.links)
             view.clear()
         self.cached_blocks = 0
         dropped = len(self.seq_traces)
@@ -1405,23 +1351,12 @@ class SuperblockCache:
         """Per-site invalidation across every thread/guest view."""
         dropped_any = False
         for view in self.views.values():
-            dead: set[int] = set()
             for blk in list(view.values()):
                 if any(blk.entry <= a < blk.end for a in sites):
-                    dead.add(id(blk))
                     del view[blk.entry]
-                    self.unlinks += len(blk.links)
                     self.cached_blocks -= 1
                     self.invalidated_blocks += 1
                     dropped_any = True
-            for blk in view.values():
-                if blk.links:
-                    bad = [rip for rip, nxt in blk.links.items()
-                           if rip in sites or id(nxt) in dead]
-                    for rip in bad:
-                        del blk.links[rip]
-                        self.unlinks += 1
-                        dropped_any = True
             self.survived_blocks += len(view)
         for tview in self.trace_views.values():
             for entry, trace in list(tview.items()):
@@ -1454,7 +1389,6 @@ class SuperblockCache:
             "cached_blocks": self.cached_blocks,
             "invalidations": self.invalidations,
             "evictions": self.evictions,
-            "unlinks": self.unlinks,
             "invalidated_blocks": self.invalidated_blocks,
             "survived_blocks": self.survived_blocks,
             "cached_traces": self.cached_traces,
@@ -1481,8 +1415,6 @@ class UopStats:
     __slots__ = ("blocks_built", "block_runs", "partial_block_runs",
                  "uops_retired", "slow_fallbacks", "single_steps",
                  "quantum_dispatches", "quantum_exits",
-                 "links_created", "links_followed", "chain_runs",
-                 "chain_breaks", "chain_lengths", "chain_demotions",
                  "trace_compiles", "trace_recompiles", "trace_runs",
                  "trace_iters", "trace_steps", "trace_exits",
                  "trace_lengths", "trace_demotions",
@@ -1503,21 +1435,7 @@ class UopStats:
         self.quantum_dispatches = 0
         #: why each quantum ended: budget / halted / blocked.
         self.quantum_exits: Counter = Counter()
-        #: chain edges installed in a block's link cache.
-        self.links_created = 0
-        #: chain edges actually followed (committed to execute).
-        self.links_followed = 0
-        #: dispatches that followed at least one chain edge.
-        self.chain_runs = 0
-        #: why chains ended: patch / budget / slow / empty / notail /
-        #: halt / unchainable.
-        self.chain_breaks: Counter = Counter()
-        #: histogram: blocks retired per chaining dispatch (>= 2).
-        self.chain_lengths: Counter = Counter()
-        #: roots blacklisted after consecutive structurally short
-        #: chains (see :data:`CHAIN_SHORT_LEN`).
-        self.chain_demotions = 0
-        #: stable chains fused into compiled trace closures.
+        #: stable block cycles fused into compiled trace closures.
         self.trace_compiles = 0
         #: compiles of an entry that had been compiled before
         #: (post-demotion re-stabilization or post-flush rebuild).
@@ -1529,8 +1447,8 @@ class UopStats:
         #: total steps retired through compiled traces.
         self.trace_steps = 0
         #: why trace dispatches ended, by exit name (see
-        #: ``tracejit.EXIT_NAMES``): exit / slow / side / halt /
-        #: budget / mxcsr.
+        #: :data:`EXIT_NAMES`): exit / slow / side / halt / budget /
+        #: mxcsr.
         self.trace_exits: Counter = Counter()
         #: histogram: superblocks per compiled trace.
         self.trace_lengths: Counter = Counter()
@@ -1540,7 +1458,7 @@ class UopStats:
         #: warm-start path a fleet worker's later guests ride).
         self.trace_code_hits = 0
         #: LRU evictions this engine's compiles forced out of the
-        #: bounded code cache (FPVM_TRACE_CACHE_CAP).
+        #: bounded code cache (``tracejit.CODE_CACHE_CAP``).
         self.trace_code_evictions = 0
         #: snapshot of the shared cache's per-site invalidation
         #: counters as of this engine's last observed sync (process-
@@ -1567,12 +1485,6 @@ class UopStats:
             "uop_hit_rate": self.uop_hit_rate,
             "quantum_dispatches": self.quantum_dispatches,
             "quantum_exits": dict(self.quantum_exits),
-            "links_created": self.links_created,
-            "links_followed": self.links_followed,
-            "chain_runs": self.chain_runs,
-            "chain_breaks": dict(self.chain_breaks),
-            "chain_lengths": dict(self.chain_lengths),
-            "chain_demotions": self.chain_demotions,
             "trace_compiles": self.trace_compiles,
             "trace_recompiles": self.trace_recompiles,
             "trace_runs": self.trace_runs,
@@ -1595,8 +1507,8 @@ class UopEngine:
 
     Block storage lives in the CPU's :class:`SuperblockCache` (shared
     by every thread of a process); the engine holds that cache's
-    per-thread view and follows direct control edges between cached
-    blocks instead of returning to its loop at every tail."""
+    per-thread view and, with the trace JIT on, this thread's compiled
+    traces."""
 
     def __init__(self, cpu) -> None:
         self.cpu = cpu
@@ -1606,14 +1518,15 @@ class UopEngine:
         #: The cache clears it *in place*, so this reference never
         #: goes stale across invalidations.
         self._blocks = cache.view(cpu)
-        #: the fused trace-JIT tier: the chain dispatcher is both its
+        #: the fused trace-JIT tier: the dispatch loop is both its
         #: region recorder and its fallback.
         self.trace_enabled = bool(getattr(cpu, "trace_enabled", False))
         #: entry -> ChainTrace (same in-place-clear contract as blocks).
         self._traces = cache.trace_view(cpu)
         #: entry -> [cycle signature, accumulated laps] for cycles that
-        #: have not reached the stabilization threshold inside a single
-        #: chain run (quantum-cut chains stabilize across runs).
+        #: have not reached the stabilization threshold inside one
+        #: recorded path (checkpoint breaks and quantum edges cut paths
+        #: long before a loop finishes).
         self._trace_heat: dict[int, list] = {}
         #: entry -> exponential re-stabilization backoff after demotion.
         self._trace_backoff: dict[int, int] = {}
@@ -1637,7 +1550,7 @@ class UopEngine:
         is fused — the configured threshold, doubled per demotion."""
         from repro.machine import tracejit
         base = max(1, getattr(self.cpu, "trace_stabilize_threshold",
-                              None) or tracejit.stabilize_threshold_default())
+                              None) or tracejit.STABILIZE_THRESHOLD)
         return base << min(self._trace_backoff.get(entry, 0),
                            tracejit.BACKOFF_CAP)
 
@@ -1669,9 +1582,8 @@ class UopEngine:
         stats.trace_lengths[len(blocks)] += 1
 
     def _trace_note_cycle(self, cyc, reps: int) -> None:
-        """Cross-run stabilization: accumulate completed laps of a
-        detected cycle whose chain run ended before the threshold
-        (quantum budgets cut chains long before a loop finishes)."""
+        """Cross-path stabilization: accumulate completed laps of a
+        detected cycle whose recorded path ended before the threshold."""
         entry = cyc[0].entry
         if entry in self._traces:
             return
@@ -1699,7 +1611,7 @@ class UopEngine:
         stats.trace_iters += iters
         stats.trace_steps += steps
         stats.uops_retired += steps
-        stats.trace_exits[_TRACE_EXIT_NAMES[code]] += 1
+        stats.trace_exits[EXIT_NAMES[code]] += 1
         tr.runs += 1
         if code == 1 or code == 2 or code == 5:
             tr.bad_exits += 1
@@ -1729,9 +1641,28 @@ class UopEngine:
         quantum ends when the budget is spent or the core halts or
         blocks (``thread_join``); a trap or SLOW sentinel inside the
         quantum falls back to ``step()`` and the quantum continues.
-        Never exceeds ``budget``: a block body that does not fit retires
-        only its fitting prefix, and the tail / SLOW-fallback step is
-        skipped once the budget is exhausted.
+        Never exceeds ``budget``: a body that does not fit retires only
+        its fitting prefix (every closure is one seed step and leaves
+        RIP correct, so stopping after ``k`` of them is stopping between
+        steps), and the tail / SLOW-fallback step is skipped once the
+        budget is exhausted.
+
+        Retire accounting is deferred: ``runs`` counts full body runs
+        per block, and ``i`` micro-ops of the in-flight body ``cur``
+        have retired.  :meth:`_settle` charges them before
+        ``cpu.step()``, before a tail that may run host code (see
+        :func:`_tail_trace_grade`), at quantum exit, and in the
+        ``finally`` when an exception escapes, so every observer of the
+        counters sees single-stepping's values.  Between those points
+        only body closures and traceable tails run; they touch
+        architectural state alone (tails bump the counters themselves,
+        which is order-independent integer addition).
+
+        With the trace JIT on, the loop records the path of blocks since
+        the last checkpoint break — quantum start, ``cpu.step()``, a
+        patch site, a trace dispatch, or a block whose tail is missing
+        or not traceable — and fuses a block cycle once it repeats
+        :meth:`_trace_need` laps.
         """
         cpu = self.cpu
         regs = cpu.regs
@@ -1742,142 +1673,191 @@ class UopEngine:
         traces = self._traces
         stats = self.stats
         step = cpu.step
+        settle = self._settle
         retired = 0
+        tails = 0
         exit_reason = "budget"
         stats.quantum_dispatches += 1
+        runs: dict = {}
+        cur: Superblock | None = None
+        i = 0
+        trace_on = self.trace_enabled
+        # recorder: ``fresh`` restarts the path at the next block.
+        fresh = True
+        rec = False
+        path: list = []
+        seen: dict = {}
+        cyc = None
+        ncyc = ci = reps = need = 0
 
-        while retired < budget:
-            if cpu.halted:
-                exit_reason = "halted"
-                break
-            if cpu.blocked:
-                exit_reason = "blocked"
-                break
-            if prog.patch_seq != cache.epoch:
-                cache.sync(prog)
-                stats.invalidated_blocks = cache.invalidated_blocks
-                stats.survived_blocks = cache.survived_blocks
+        try:
+            while retired < budget:
+                if cpu.halted:
+                    exit_reason = "halted"
+                    break
+                if cpu.blocked:
+                    exit_reason = "blocked"
+                    break
+                if prog.patch_seq != cache.epoch:
+                    cache.sync(prog)
+                    stats.invalidated_blocks = cache.invalidated_blocks
+                    stats.survived_blocks = cache.survived_blocks
 
-            rip = regs.rip
-            if cpu._suppress_patch_at is not None or rip in patches:
-                step()
-                retired += 1
-                stats.single_steps += 1
-                continue
+                rip = regs.rip
+                if cpu._suppress_patch_at is not None or rip in patches:
+                    if runs:
+                        settle(runs)
+                    step()
+                    retired += 1
+                    stats.single_steps += 1
+                    fresh = True
+                    continue
 
-            if traces:
-                tr = traces.get(rip)
-                if tr is not None:
-                    done, code = self._trace_dispatch(tr, budget - retired)
-                    retired += done
-                    if code == 1:
-                        # SLOW side exit: the faulting uop re-executes
-                        # through the seed path (full #XF protocol).
+                if traces:
+                    tr = traces.get(rip)
+                    if tr is not None:
+                        fresh = True
+                        done, code = self._trace_dispatch(tr, budget - retired)
+                        retired += done
+                        if code == 1:
+                            # SLOW side exit: the faulting uop re-executes
+                            # through the seed path (full #XF protocol).
+                            stats.slow_fallbacks += 1
+                            if retired < budget:
+                                if runs:
+                                    settle(runs)
+                                step()
+                                retired += 1
+                            continue
+                        if code != 5 and not (code == 4 and done == 0):
+                            continue
+                        # entry guard failed / lap doesn't fit the rest of
+                        # the quantum: fall through to block dispatch.
+
+                block = blocks.get(rip)
+                if block is None:
+                    block = self._new_block(rip)
+
+                if trace_on:
+                    if fresh:
+                        if cyc is not None:
+                            self._trace_note_cycle(cyc, reps)
+                            cyc = None
+                        path = [block]
+                        seen = {rip: 0}
+                        rec = True
+                        fresh = False
+                    elif rec:
+                        if cyc is None:
+                            j = seen.get(rip)
+                            if j is None:
+                                if len(path) < MAX_TRACE_BLOCKS:
+                                    seen[rip] = len(path)
+                                    path.append(block)
+                                else:
+                                    rec = False
+                            else:
+                                cyc = path[j:]
+                                ncyc = len(cyc)
+                                ci = 0
+                                reps = 1
+                                need = self._trace_need(rip)
+                        else:
+                            ci += 1
+                            if ci == ncyc:
+                                ci = 0
+                            if rip != cyc[ci].entry:
+                                rec = False
+                                cyc = None
+                            elif ci == 0:
+                                reps += 1
+                        if cyc is not None and ci == 0 and reps >= need:
+                            self._compile_trace(cyc)
+                            if rip in traces:
+                                continue          # dispatched at the top
+                            rec = False
+
+                n = block.n_body
+                tail = block.tail
+                if n:
+                    avail = budget - retired
+                    k = n if avail >= n else avail
+                    if k < n:
+                        stats.partial_block_runs += 1
+                    cur = block
+                    i = 0
+                    for fn in (block.body if k == n else block.body[:k]):
+                        if fn() is SLOW:
+                            break
+                        i += 1
+                    retired += i
+                    if i < k:
                         stats.slow_fallbacks += 1
+                        settle(runs, cur, i)
+                        cur = None
+                        fresh = True
                         if retired < budget:
                             step()
                             retired += 1
                         continue
-                    if code != 5 and not (code == 4 and done == 0):
+                    if k < n:
+                        break             # budget spent mid-body
+                    cur = None
+                    runs[block] = runs.get(block, 0) + 1
+                    if tail is None:
+                        fresh = True
                         continue
-                    # entry guard failed / lap doesn't fit the rest of
-                    # the quantum: fall through to block dispatch (the
-                    # partial-prefix path mirrors partial-block
-                    # retirement at the budget edge).
-
-            block = blocks.get(rip)
-            if block is None:
-                block = self._new_block(rip)
-
-            n = block.n_body
-            tail = block.tail
-            if n:
-                # A body that does not fit the remaining budget retires
-                # its fitting prefix through the pipeline; the next
-                # quantum resumes at the mid-block RIP.
-                avail = budget - retired
-                k = n if avail >= n else avail
-                done = self._run_body(cpu, block, k)
-                retired += done
-                stats.uops_retired += done
-                if k < n:
-                    stats.partial_block_runs += 1
-                if done < k:
-                    stats.slow_fallbacks += 1
-                    if retired < budget:
-                        step()
-                        retired += 1
+                    if retired >= budget:
+                        break
+                elif tail is not None:
+                    runs[block] = runs.get(block, 0) + 1
+                else:
+                    # No runnable block (sys/unmapped/odd shape): seed step.
+                    if runs:
+                        settle(runs)
+                    step()
+                    retired += 1
+                    stats.single_steps += 1
+                    fresh = True
                     continue
-                if k < n:
-                    continue
-                stats.block_runs += 1
-                if tail is None or retired >= budget:
-                    continue
+                if not block.traceable:
+                    settle(runs)
+                    fresh = True
                 tail()
                 retired += 1
-                stats.uops_retired += 1
-            elif tail is not None:
-                tail()
-                retired += 1
-                stats.uops_retired += 1
-                stats.block_runs += 1
-            else:
-                # No runnable block (sys/unmapped/odd shape): seed step.
-                step()
-                retired += 1
-                stats.single_steps += 1
-                continue
-            if (block.chainable and block.chain_root
-                    and not (block.chain_check and cpu.halted)):
-                retired = self._chain_quantum(block, retired, budget)
+                tails += 1
+        finally:
+            settle(runs, cur, i)
+            stats.uops_retired += tails
+            if cyc is not None:
+                self._trace_note_cycle(cyc, reps)
 
         stats.quantum_exits[exit_reason] += 1
         return retired
 
-    # ---------------------------------------------------------- chaining
-    # The chain dispatcher is entered right after ``block``'s *chainable*
-    # tail executed, so on entry the CPU is neither halted nor blocked,
-    # ``_suppress_patch_at`` is None, and ``patch_seq`` has not moved
-    # since the engine loop's checkpoint — chainable tails cannot run
-    # host code, so they cannot change any of that (ret can halt, which
-    # ``chain_check`` re-checks right after the tail).  The chain keeps
-    # those invariants by breaking back to the engine loop after
-    # anything that could violate them: a SLOW fallback (the
-    # ``cpu.step()`` may deliver a trap whose handler patches), a
-    # non-chainable tail (host calls can block or patch), a ret that
-    # halted, a patched link target, or an exhausted budget.
-    #
-    # Retire accounting inside a chain is *batched*: body flushes are
-    # deferred into per-block run counts and settled in one pass when
-    # the chain ends — or eagerly, before anything that can observe the
-    # counters runs (the SLOW fallback's cpu.step(), or an exception
-    # propagating out through the ``finally``).  Nothing inside a chain
-    # reads the counters between those points: body closures and
-    # chainable tails touch only architectural state (tails do bump the
-    # counters themselves, which is order-independent integer addition).
-
-    def _chain_flush(self, full_runs, cur, i,
-                     links_followed, block_runs, uops_local) -> None:
-        """Settle a chain's deferred retire accounting: per-block run
-        counts (``full_runs``, cleared in place), plus the in-flight
-        body ``cur`` of which ``i`` micro-ops retired.  A plain method
-        taking explicit state so the dispatcher's hot-loop variables
-        stay function-locals (a nested closure would turn them into
-        cell variables, taxing every access in the block loop)."""
+    def _settle(self, runs, cur=None, i: int = 0) -> None:
+        """Charge deferred retire accounting: ``runs`` (block -> full
+        body runs, cleared in place) plus the first ``i`` micro-ops of
+        the in-flight body ``cur``.  Counting per distinct block keeps
+        the ``retired_by_class`` updates (``OpClass`` hashing runs in
+        Python) to one pass per block, however often it ran.  A method
+        taking explicit state so the loop's variables stay locals."""
         cpu = self.cpu
         rbc = cpu.retired_by_class
         cycles = 0
         instrs = 0
+        nruns = 0
         fp_mask = 0
         fp_touched = False
-        for blk, count in full_runs.values():
+        for blk, count in runs.items():
             cycles += blk.prefix_cost[blk.n_body] * count
             instrs += blk.n_body * count
+            nruns += count
             fp_mask |= blk.fp_writes
             fp_touched = fp_touched or blk.fp_touch
             for cls, cnt in blk.class_counts.items():
                 rbc[cls] += cnt * count
-        full_runs.clear()
+        runs.clear()
         if cur is not None and i:
             cycles += cur.prefix_cost[i]
             instrs += i
@@ -1894,216 +1874,8 @@ class UopEngine:
         if instrs:
             cpu.instruction_count += instrs
         stats = self.stats
-        stats.links_followed += links_followed
-        stats.block_runs += block_runs
-        stats.uops_retired += uops_local
-
-    def _chain_quantum(self, block: Superblock, retired: int,
-                       budget: int) -> int:
-        """The chain dispatcher of :meth:`run_quantum`: never exceeds
-        ``budget``.  At the budget edge a linked body's fitting *prefix*
-        is retired through the pipeline (each body closure is exactly
-        one seed step, and every closure leaves RIP architecturally
-        correct, so stopping mid-block is stopping between steps); the
-        next quantum resumes at the mid-block RIP through a fresh
-        suffix block."""
-        cpu = self.cpu
-        regs = cpu.regs
-        patches = cpu._fetch_view.patches
-        blocks = self._blocks
-        stats = self.stats
-        breaks = stats.chain_breaks
-        root = block
-        budget_cut = False
-        links_followed = 0
-        block_runs = 0
-        uops_local = 0
-        full_runs: dict[int, list] = {}
-        cur: Superblock | None = None
-        i = 0
-        length = 1
-        trace_on = self.trace_enabled
-        traces = self._traces
-        rec = trace_on
-        cyc = None
-        ncyc = ci = reps = need = 0
-        if trace_on:
-            path = [block]
-            seen = {block.entry: 0}
-
-        try:
-            while retired < budget:
-                rip = regs.rip
-                nxt = block.links.get(rip)
-                if nxt is None:
-                    if rip in patches:
-                        breaks["patch"] += 1
-                        return retired
-                    nxt = blocks.get(rip)
-                    if nxt is None:
-                        nxt = self._new_block(rip)
-                    block.links[rip] = nxt
-                    stats.links_created += 1
-                if trace_on:
-                    e = nxt.entry
-                    if e in traces:
-                        breaks["trace"] += 1
-                        return retired
-                    if rec:
-                        if cyc is None:
-                            j = seen.get(e)
-                            if j is None:
-                                if len(path) < _MAX_TRACE_BLOCKS:
-                                    seen[e] = len(path)
-                                    path.append(nxt)
-                                else:
-                                    rec = False
-                            else:
-                                cyc = path[j:]
-                                ncyc = len(cyc)
-                                ci = 0
-                                reps = 1
-                                need = self._trace_need(e)
-                                if reps >= need:
-                                    self._compile_trace(cyc)
-                                    if e in traces:
-                                        breaks["stabilized"] += 1
-                                        return retired
-                                    rec = False
-                        else:
-                            ci += 1
-                            if ci == ncyc:
-                                ci = 0
-                            if e != cyc[ci].entry:
-                                rec = False
-                                cyc = None
-                            elif ci == 0:
-                                reps += 1
-                                if reps >= need:
-                                    self._compile_trace(cyc)
-                                    if e in traces:
-                                        breaks["stabilized"] += 1
-                                        return retired
-                                    rec = False
-                n = nxt.n_body
-                tail = nxt.tail
-                if n == 0 and tail is None:
-                    breaks["empty"] += 1
-                    return retired
-                links_followed += 1
-                length += 1
-                if n:
-                    # At the budget edge only the body's fitting prefix
-                    # runs, then the chain ends on the budget.
-                    avail = budget - retired
-                    k = n if avail >= n else avail
-                    if k < n:
-                        budget_cut = True
-                        stats.partial_block_runs += 1
-                    cur = nxt
-                    i = 0
-                    for fn in (nxt.body if k == n else nxt.body[:k]):
-                        if fn() is SLOW:
-                            break
-                        i += 1
-                    retired += i
-                    uops_local += i
-                    if i < k:
-                        stats.slow_fallbacks += 1
-                        breaks["slow"] += 1
-                        self._chain_flush(full_runs, cur, i, links_followed,
-                                          block_runs, uops_local)
-                        cur = None
-                        i = 0
-                        links_followed = block_runs = uops_local = 0
-                        if retired < budget:
-                            cpu.step()
-                            retired += 1
-                        return retired
-                    if k < n:
-                        breaks["budget"] += 1
-                        return retired
-                    cur = None
-                    e = full_runs.get(id(nxt))
-                    if e is None:
-                        full_runs[id(nxt)] = [nxt, 1]
-                    else:
-                        e[1] += 1
-                    block_runs += 1
-                if tail is None:
-                    breaks["notail"] += 1
-                    return retired
-                if retired >= budget:
-                    budget_cut = True
-                    breaks["budget"] += 1
-                    return retired
-                tail()
-                retired += 1
-                uops_local += 1
-                if n == 0:
-                    block_runs += 1
-                if nxt.chain_check and cpu.halted:
-                    breaks["halt"] += 1
-                    return retired
-                if not nxt.chainable:
-                    breaks["unchainable"] += 1
-                    return retired
-                block = nxt
-            budget_cut = True
-            breaks["budget"] += 1
-            return retired
-        finally:
-            self._chain_flush(full_runs, cur, i, links_followed,
-                              block_runs, uops_local)
-            if trace_on and cyc is not None and reps:
-                self._trace_note_cycle(cyc, reps)
-            if length > 1:
-                stats.chain_runs += 1
-                stats.chain_lengths[length] += 1
-            if length >= CHAIN_SHORT_LEN:
-                root.chain_shorts = 0
-            elif not budget_cut:
-                root.chain_shorts += 1
-                if root.chain_shorts >= CHAIN_DEMOTE_AFTER:
-                    root.chain_root = False
-                    stats.chain_demotions += 1
-
-    # ------------------------------------------------------- body runner
-    @staticmethod
-    def _run_body(cpu, block: Superblock, k: int) -> int:
-        """Execute the first ``k`` body micro-ops — the whole body, or
-        the prefix that fits the remaining budget — flushing the retired
-        prefix's accounting even if a closure raises (memory fault
-        etc.), so counters are exact before any trap/exception is
-        observable.  Every closure is exactly one seed step and leaves
-        RIP architecturally correct, so stopping after ``k`` of them is
-        stopping between steps."""
-        body = block.body
-        if k < block.n_body:
-            body = body[:k]
-        i = 0
-        try:
-            for fn in body:
-                if fn() is SLOW:
-                    break
-                i += 1
-        finally:
-            if i:
-                cost = block.prefix_cost[i]
-                cpu.cycles += cost
-                cpu.work_cycles += cost
-                cpu.instruction_count += i
-                if block.prefix_touch[i]:
-                    cpu.fp_quantum_touched = True
-                    cpu.regs.fp_dirty |= block.prefix_fp[i]
-                rbc = cpu.retired_by_class
-                if i == block.n_body:
-                    for cls, cnt in block.class_counts.items():
-                        rbc[cls] += cnt
-                else:
-                    for cls in block.classes[:i]:
-                        rbc[cls] += 1
-        return i
+        stats.block_runs += nruns
+        stats.uops_retired += instrs
 
     # ---------------------------------------------------------- builder
     def _build(self, entry: int) -> Superblock:
@@ -2118,7 +1890,7 @@ class UopEngine:
         prefix = [0]
         tail = None
         tail_addr = None
-        chain_grade = 0
+        trace_grade = 0
         addr = entry
         end = entry
         while len(body) < MAX_BLOCK:
@@ -2133,7 +1905,7 @@ class UopEngine:
                 tail = bind_control(uop, cpu)
                 if tail is not None:
                     tail_addr = addr
-                    chain_grade = _tail_chain_grade(uop, prog)
+                    trace_grade = _tail_trace_grade(uop, prog)
                     end = addr + uop.size
                 break
             if cls is OpClass.SYS:
@@ -2148,4 +1920,4 @@ class UopEngine:
             addr += uop.size
             end = addr
         return Superblock(entry, body, classes, prefix, tail, tail_addr,
-                          chain_grade, end=end, uops=uops)
+                          trace_grade, end=end, uops=uops)

@@ -6,10 +6,10 @@ ratios of medians) against the committed baseline.  The ratios are
 machine-independent — all tiers slow down together on a loaded or
 slower host — so the gate stays meaningful in CI, unlike absolute
 instructions/sec.  Two vacuity guards ride along: the chained tier
-must actually chain (zero links followed on a lorenz workload fails)
-and the traced tier must actually fuse (zero trace compiles on a
-trace workload fails) — a silently disabled tier would otherwise sail
-through the ratio gate at chained-tier speed."""
+must actually run superblocks (a lorenz row whose ``uop_hit_rate`` is
+under ``bench_pipeline.MIN_UOP_HIT_RATE`` fails) and the traced tier
+must actually fuse (zero trace compiles on a trace workload fails) — a
+silently disabled tier would otherwise sail through the ratio gate."""
 
 import importlib.util
 import json
@@ -61,9 +61,12 @@ def test_pipeline_speedup_no_regression(tmp_path):
                     f"{floor:.2f}x (baseline {base[ratio]:.2f}x)"
                 )
         if workload.startswith("lorenz"):
-            links = (row.get("chain_stats") or {}).get("links_followed", 0)
-            if not links:
-                failures.append(f"{workload}: chained tier followed zero links")
+            # vacuity: the chained tier really ran superblocks.
+            hit_rate = row["uop_stats"]["uop_hit_rate"]
+            if hit_rate < bench.MIN_UOP_HIT_RATE:
+                failures.append(
+                    f"{workload}: chained tier uop_hit_rate {hit_rate:.4f} "
+                    f"< {bench.MIN_UOP_HIT_RATE}")
         if workload in bench.TRACE_WORKLOADS:
             compiles = (row.get("trace_stats") or {}).get("trace_compiles", 0)
             if not compiles:

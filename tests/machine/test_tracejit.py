@@ -180,18 +180,6 @@ class TestStabilization:
         assert cpu._uop_engine.trace_enabled is False
         assert cpu.uop_stats.trace_compiles == 0
 
-    def test_env_knobs(self, monkeypatch):
-        prog = _program(LOOP_SRC)
-        monkeypatch.setenv("FPVM_TRACEJIT", "0")
-        assert CPU(prog, uops=True).trace_enabled is False
-        monkeypatch.setenv("FPVM_TRACEJIT", "1")
-        assert CPU(prog, uops=True).trace_enabled is True
-        assert CPU(prog, uops=True, trace=False).trace_enabled is False
-        monkeypatch.setenv("FPVM_TRACE_THRESHOLD", "17")
-        assert tracejit.stabilize_threshold_default() == 17
-        monkeypatch.setenv("FPVM_TRACE_THRESHOLD", "junk")
-        assert tracejit.stabilize_threshold_default() == 3
-
 
 class TestParity:
     def test_traced_run_identical_to_stepwise(self):
@@ -390,7 +378,7 @@ class TestDemotionCycle:
 
 class TestCodeCacheLRU:
     """The bounded source->code LRU behind ``_compile_source``: cap
-    enforcement via ``FPVM_TRACE_CACHE_CAP``, hit/miss/eviction
+    enforcement via ``CODE_CACHE_CAP``, hit/miss/eviction
     counters, and their surfacing through ``UopStats``."""
 
     @pytest.fixture(autouse=True)
@@ -416,8 +404,7 @@ class TestCodeCacheLRU:
         assert (h1 - h0, m1 - m0) == (1, 1)
 
     def test_cap_evicts_lru_first(self, monkeypatch):
-        monkeypatch.setenv("FPVM_TRACE_CACHE_CAP", "2")
-        assert tracejit.code_cache_cap() == 2
+        monkeypatch.setattr(tracejit, "CODE_CACHE_CAP", 2)
         e0 = tracejit.CODE_CACHE_EVICTIONS
         tracejit._compile_source("a = 1\n", 0)
         tracejit._compile_source("b = 1\n", 0)
@@ -428,12 +415,6 @@ class TestCodeCacheLRU:
         assert "a = 1\n" in tracejit._CODE_CACHE
         assert "b = 1\n" not in tracejit._CODE_CACHE
         assert len(tracejit._CODE_CACHE) == 2
-
-    def test_cap_floor_and_bad_values(self, monkeypatch):
-        monkeypatch.setenv("FPVM_TRACE_CACHE_CAP", "0")
-        assert tracejit.code_cache_cap() == 1
-        monkeypatch.setenv("FPVM_TRACE_CACHE_CAP", "nonsense")
-        assert tracejit.code_cache_cap() == 256
 
     def test_stats_shape(self):
         stats = tracejit.code_cache_stats()
@@ -456,7 +437,7 @@ class TestCodeCacheLRU:
     def test_eviction_pressure_surfaces_in_uop_stats(self, monkeypatch):
         """With a cap of 1, compiling two distinct traces back-to-back
         must record an eviction against the engine that triggered it."""
-        monkeypatch.setenv("FPVM_TRACE_CACHE_CAP", "1")
+        monkeypatch.setattr(tracejit, "CODE_CACHE_CAP", 1)
         prog_a = _program(LOOP_SRC, n=200)
         prog_b = _program(CVT_SRC, n=200)
         cpu_a = _cpu(prog_a, threshold=1)

@@ -1,5 +1,5 @@
 """The micro-op pipeline: the fast FP path against the IEEE oracle, on/off execution
-differentials, the FPVM_UOPS escape hatch, and superblock invalidation
+differentials, and superblock invalidation
 on patch-state epoch changes."""
 
 import random
@@ -231,23 +231,11 @@ class TestUopsOnOffDifferential:
         assert 0.0 < stats.uop_hit_rate <= 1.0
 
 
-class TestEscapeHatch:
-    def test_env_knob(self, monkeypatch):
-        for value, expect in (("0", False), ("false", False), ("off", False),
-                              ("no", False), ("1", True), ("", True), ("yes", True)):
-            monkeypatch.setenv("FPVM_UOPS", value)
-            assert uops.uops_enabled_default() is expect
-        monkeypatch.delenv("FPVM_UOPS")
-        assert uops.uops_enabled_default() is True
-
-    def test_cpu_honours_env_default(self, monkeypatch):
-        prog = fuzz_program(3)
-        monkeypatch.setenv("FPVM_UOPS", "0")
-        assert CPU(prog).uops_enabled is False
-        monkeypatch.setenv("FPVM_UOPS", "1")
-        assert CPU(prog).uops_enabled is True
-        # Explicit kwarg wins over the environment.
-        assert CPU(prog, uops=False).uops_enabled is False
+def test_engine_tiers_on_by_default():
+    prog = fuzz_program(3)
+    cpu = CPU(prog)
+    assert (cpu.uops_enabled, cpu.trace_enabled) == TIERS["traced"]
+    assert CPU(prog, uops=False).uops_enabled is False
 
 
 class _CountingTrampoline:

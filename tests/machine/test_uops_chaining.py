@@ -1,6 +1,7 @@
-"""Cross-quantum superblock chaining: link mechanics, quantum budget
-parity, invalidation edges, root demotion, and the shared per-process
-block cache under patching."""
+"""The engine loop across control tails: block dispatch through the
+``chained`` tier, quantum budget parity, trace-eligibility grades of
+tails, patch invalidation, and the shared per-process block cache under
+patching."""
 
 import pytest
 
@@ -13,9 +14,8 @@ from repro.machine.hostlib import install_host_library
 from repro.machine.process import Process
 from repro.machine.program import PatchKind
 
-#: FP loop whose body compiles to one superblock with a ``jne`` tail —
-#: the chain dispatcher's best case (a self-link followed every
-#: iteration).
+#: FP loop whose body compiles to one superblock with a ``jne`` tail,
+#: dispatched again after every iteration's tail.
 LOOP_SRC = """
 .data
 k: .double 1.0001
@@ -35,9 +35,8 @@ top:
   hlt
 """
 
-#: call/ret ping-pong around a host call: every chain is structurally
-#: short (call -> f, ret -> back, then the unchainable host-call tail),
-#: the demotion case.
+#: call/ret ping-pong around a host call: two traceable tails (call f,
+#: ret), then a host-call tail that settles the deferred accounting.
 CALLRET_SRC = """
 .data
 k: .double 1.25
@@ -67,10 +66,10 @@ def _program(src: str):
 
 
 def _cpu(program, uops_on=True, config=None):
-    # trace=False: this file asserts *chained-tier* internals (link
-    # counters, chain lengths, break reasons); the trace JIT sitting
-    # above it would absorb the loops these numbers count.  The traced
-    # tier has its own suite in test_tracejit.py.
+    # trace=False: this file asserts *chained-tier* internals (block
+    # runs, fallbacks, quantum exits); the trace JIT sitting above it
+    # would absorb the loops these numbers count.  The traced tier has
+    # its own suite in test_tracejit.py.
     cpu = CPU(program, uops=uops_on, trace=False)
     kernel = LinuxKernel()
     cpu.kernel = kernel
@@ -101,11 +100,10 @@ class TestChainMechanics:
         cpu = _cpu(_program(LOOP_SRC))
         cpu.run()
         st = cpu.uop_stats.as_dict()
-        assert st["links_created"] >= 1
-        assert st["links_followed"] > 100        # ~one link per iteration
-        assert st["chain_runs"] >= 1
-        assert max(st["chain_lengths"]) > 100    # the self-loop trace
-        assert st["chain_breaks"]                # every chain ends somewhere
+        assert st["blocks_built"] <= 4           # built once, reused
+        assert st["block_runs"] >= 150           # one per iteration
+        assert st["uop_hit_rate"] > 0.99
+        assert st["quantum_exits"] == {"halted": 1}
 
     def test_chained_identical_to_stepwise(self):
         chained = _cpu(_program(LOOP_SRC))
@@ -123,7 +121,7 @@ class TestTailChainGrades:
             uop = uops.lower(instr)
             if uop.opclass is uops.OpClass.CONTROL:
                 grades.setdefault(instr.mnemonic, set()).add(
-                    (uops._tail_chain_grade(uop, prog),
+                    (uops._tail_trace_grade(uop, prog),
                      str(instr.operands[0]) if instr.operands else ""))
         assert all(g == 1 for g, _ in grades["jne"])
         assert all(g == 2 for g, _ in grades["ret"])
@@ -132,21 +130,21 @@ class TestTailChainGrades:
         assert call_grades["print_f64"] == 0     # host function: never
 
     def test_ret_halt_guard(self):
-        """A grade-2 (ret) tail that halts the core must not start a
-        chain: the sentinel leaves RIP pointing *at* the ret, so a chain
-        entered there would re-execute it against a dead stack."""
+        """A grade-2 (ret) tail that halts the core ends the quantum:
+        the sentinel leaves RIP pointing *at* the ret, so dispatching
+        on from there would re-execute it against a dead stack."""
         cpu = _cpu(_program(".text\nmain:\n  mov rax, 1\n  ret\n"))
         cpu.run()
         st = cpu.uop_stats.as_dict()
         assert cpu.halted
         assert cpu.instruction_count == 2
-        assert st["links_followed"] == 0
-        assert st["chain_runs"] == 0
+        assert st["block_runs"] == 1
+        assert st["quantum_exits"] == {"halted": 1}
 
 
 class TestQuantumBudgetParity:
-    """run_quantum(n) under chaining must equal exactly n seed steps —
-    including budgets that land mid-body after a followed link."""
+    """run_quantum(n) must equal exactly n seed steps — including
+    budgets that land mid-body after a control tail."""
 
     @pytest.mark.parametrize("budget", [*range(1, 14), 29, 64, 257])
     def test_single_quantum_trajectory(self, budget):
@@ -179,7 +177,7 @@ class TestQuantumBudgetParity:
             chained.run_quantum(7)
         st = chained.uop_stats.as_dict()
         assert st["partial_block_runs"] > 0
-        assert st["chain_breaks"].get("budget", 0) > 0
+        assert st["quantum_exits"].get("budget", 0) > 0
 
         seed = _cpu(_program(LOOP_SRC), uops_on=False)
         seed.run()
@@ -196,8 +194,8 @@ class _Trampoline:
 
 class TestChainInvalidation:
     def test_patch_at_link_target_breaks_chain(self):
-        """A patched address must never be entered from inside a chain:
-        the dispatcher re-checks the patch table on every link miss."""
+        """A patched branch target must never run from a cached block:
+        the engine loop checks the patch table before every block."""
         prog = _program(LOOP_SRC)
         tramp = _Trampoline()
         prog.patch_call(prog.symbols["top"], tramp)
@@ -208,8 +206,7 @@ class TestChainInvalidation:
         assert tramp.calls == 150                 # every loop iteration
 
         st = chained.uop_stats.as_dict()
-        assert st["links_followed"] == 0          # edge leads into a patch
-        assert st["chain_runs"] == 0
+        assert st["single_steps"] >= 150          # the hook, every lap
 
         # identical to the stepwise seed under the *same* patch (the
         # magic-call hook has host-visible cycle cost, so both sides
@@ -223,12 +220,12 @@ class TestChainInvalidation:
         assert _fingerprint(chained) == _fingerprint(plain)
 
     def test_patch_epoch_bump_drops_links(self):
-        """Patching after a chained run must unlink every cached edge;
+        """Patching after a chained run must drop the covering block;
         re-running the same CPU must see the patch."""
         prog = _program(LOOP_SRC)
         cpu = _cpu(prog)
         cpu.run()
-        assert cpu.uop_stats.links_created > 0
+        assert cpu.uop_stats.block_runs > 0
 
         engine = cpu._uop_engine
         loop_entry = prog.symbols["top"]
@@ -243,12 +240,12 @@ class TestChainInvalidation:
         except MachineError:
             pass
         assert tramp.calls > 0, "stale chained superblock ran through a patch"
-        assert engine.cache.unlinks > 0
+        assert engine.cache.invalidated_blocks > 0
         assert engine.cache.invalidations > 0
 
     def test_slow_inside_chained_block(self):
-        """Under seq_short virtualization, FP micro-ops in a linked
-        block go SLOW at unpromoted sites; the chain must flush its
+        """Under seq_short virtualization, FP micro-ops in a cached
+        block go SLOW at unpromoted sites; the engine must settle its
         accounting, fall back to step(), and stay bit-identical."""
         chained = _cpu(_program(LOOP_SRC),
                        config=FPVMConfig.seq_short(uops=True))
@@ -260,8 +257,7 @@ class TestChainInvalidation:
                         config=FPVMConfig.seq_short(uops=False))
         stepwise.run()
         assert _fingerprint(chained) == _fingerprint(stepwise)
-        # the chain either hit SLOW mid-trace or never formed across the
-        # trap sites; both must be visible in telemetry, not silent.
+        # the SLOW fallbacks must be visible in telemetry, not silent.
         assert st["slow_fallbacks"] > 0
 
     def test_step_limit_reached_inside_chain(self):
@@ -275,29 +271,17 @@ class TestChainInvalidation:
         assert not cpu.halted
 
 
-class TestRootDemotion:
-    def test_short_chains_demote_their_root(self):
+class TestHostCallTails:
+    def test_host_call_loop_identical_to_stepwise(self):
+        """Traceable call/ret tails defer the block accounting; the
+        host-call tail settles it first, so print_f64 and the final
+        counters match the stepwise seed."""
         cpu = _cpu(_program(CALLRET_SRC))
         cpu.run()
-        st = cpu.uop_stats.as_dict()
-        assert st["chain_demotions"] >= 1
-        engine = cpu._uop_engine
-        assert any(not b.chain_root for b in engine._blocks.values()
-                   if b.chainable)
-        # demotion is a host-side throttle only: results stay identical.
         seed = _cpu(_program(CALLRET_SRC), uops_on=False)
         seed.run()
         assert _fingerprint(cpu) == _fingerprint(seed)
-
-    def test_budget_cuts_do_not_demote(self):
-        """A quantum edge ends the trace, not the program's structure —
-        chains cut by the budget must never blacklist their root."""
-        cpu = _cpu(_program(LOOP_SRC))
-        while not cpu.halted:
-            cpu.run_quantum(5)                    # < one body + tail
-        st = cpu.uop_stats.as_dict()
-        assert st["chain_breaks"].get("budget", 0) > 0
-        assert st["chain_demotions"] == 0
+        assert len(cpu.output) == 40
 
 
 THREADED_SRC = """
@@ -336,11 +320,9 @@ class TestSharedCacheAcrossThreads:
             assert t._engine().cache is proc.sb_cache
 
     def test_patch_by_one_thread_invalidates_anothers_links(self):
-        """The PR 3 gap chaining would have widened: thread B caches and
-        links the worker loop, then the patch lands (as a promotion by
-        thread A would).  B's very next dispatch must drop its links and
-        honor the patch — without ever re-entering the engine loop
-        between chained blocks."""
+        """Thread B caches the worker loop, then the patch lands (as a
+        promotion by thread A would).  B's very next dispatch must drop
+        its covering block and honor the patch."""
         proc = Process(_program(THREADED_SRC), uops=True)
         proc.kernel = LinuxKernel()
         prog = proc.main.program
@@ -348,22 +330,21 @@ class TestSharedCacheAcrossThreads:
         tid_b = proc.spawn(prog.symbols["worker"], 1)
         thread_a, thread_b = proc.threads[tid_a], proc.threads[tid_b]
 
-        # B runs a few quanta: the loop block is cached and self-linked.
+        # B runs a few quanta: the loop block is cached and re-run.
         thread_b.run_quantum(40)
-        assert thread_b.uop_stats.links_followed > 0
+        assert thread_b.uop_stats.block_runs > 1
 
         # A (host-side stand-in for its promotion path) patches an
-        # address inside the block B linked.
+        # address inside the block B cached.
         wtop = prog.symbols["wtop"]
         body_addr = prog.by_addr[wtop].addr + prog.by_addr[wtop].size
         tramp = _Trampoline()
         prog.patch_call(body_addr, tramp)
         thread_a.run_quantum(10)
 
-        before = proc.sb_cache.unlinks
         thread_b.run_quantum(40)
         assert tramp.calls > 0, (
-            "thread B executed a stale chained block through thread A's "
+            "thread B executed a stale cached block through thread A's "
             "patch site")
-        assert proc.sb_cache.unlinks >= before
+        assert proc.sb_cache.invalidated_blocks > 0
         assert proc.sb_cache.invalidations > 0
