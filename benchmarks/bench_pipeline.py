@@ -2,23 +2,22 @@
 
 Runs each workload on every execution tier of
 :data:`repro.machine.cpu.TIERS` — the seed single-step interpreter
-(``interp``), chained superblocks with the trace JIT off (``chained``),
-and the fused trace JIT (``traced``) — asserts the simulated results
-are bit-identical across all tiers (cycles, instruction count, stdout),
+(``interp``) and chained superblocks (``chained``) — asserts the
+simulated results are bit-identical across tiers (cycles, instruction
+count, stdout),
 and reports host wall-clock guest-instructions/sec for each, writing
 ``BENCH_pipeline.json``.  Every timing is the median of ``--reps``
 repetitions (tiers interleaved rep by rep, so host drift hits them
 alike) with its interquartile range in the matching ``*_iqr`` field;
 speedups are ratios of medians.  Each row runs in a fresh interpreter,
-so code caches and collector state left behind by one workload cannot
-slow the tiers of the next (after the fbench row, an in-process lorenz
-traced tier reads ~25% slower).
+so caches and collector state left behind by one workload cannot slow
+the tiers of the next.
 Multi-threaded workloads (``lorenz_mt``) run under the Process
 scheduler, comparing batched superblock quanta against the seed
 step-wise scheduler with per-thread cycle/trap parity checks.  Chained
-rows on the lorenz workloads must report a non-zero link count, and
-traced rows a non-zero compile count, so a silently disabled tier
-fails loudly instead of benchmarking the tier below it twice.
+rows on the lorenz workloads must retire almost every instruction
+through superblocks (``MIN_UOP_HIT_RATE``), so a silently disabled
+engine fails loudly instead of benchmarking the interpreter twice.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_pipeline.py [--quick] [--out PATH]
@@ -65,8 +64,8 @@ def _median_iqr(samples: list[float]) -> tuple[float, float]:
 
 def _tier_fields(samples: dict[str, list[float]], n: int) -> dict:
     """Per tier ``<tier>_seconds`` (median), ``<tier>_seconds_iqr`` and
-    ``<tier>_ips`` for ``n`` guest instructions, plus the chained and
-    traced speedups over the interpreter (ratios of medians)."""
+    ``<tier>_ips`` for ``n`` guest instructions, plus the chained
+    speedup over the interpreter (a ratio of medians)."""
     row = {}
     for label, series in samples.items():
         med, iqr = _median_iqr(series)
@@ -74,7 +73,6 @@ def _tier_fields(samples: dict[str, list[float]], n: int) -> dict:
         row[f"{label}_seconds_iqr"] = iqr
         row[f"{label}_ips"] = n / med
     row["chain_speedup"] = row["interp_seconds"] / row["chained_seconds"]
-    row["trace_speedup"] = row["interp_seconds"] / row["traced_seconds"]
     return row
 
 
@@ -89,12 +87,6 @@ def _thread_fingerprint(result) -> list | None:
     ]
 
 
-#: workloads whose hot loop fuses into a trace (in-run superblock
-#: cycles).  The others run a host call or syscall each lap, which
-#: restarts the trace recorder, so it never sees a cycle — the traced
-#: row must still be bit-identical, but compiles may be zero.
-TRACE_WORKLOADS = ("lorenz",)
-
 #: vacuity floor for the chained tier: the share of instructions it
 #: retires through superblocks (``uop_hit_rate``).  Every quick row
 #: reads above 0.9999; an engine that silently single-steps reads 0.
@@ -108,8 +100,8 @@ def bench_one(workload: str, scale: int | None, reps: int = REPS) -> dict:
     runs = {}
     samples: dict[str, list[float]] = {label: [] for label in TIERS}
     for _ in range(reps):
-        for label, (uops, trace) in TIERS.items():
-            runs[label] = runner(workload, scale, uops=uops, trace=trace)
+        for label, uops in TIERS.items():
+            runs[label] = runner(workload, scale, uops=uops)
             samples[label].append(runs[label].host.seconds)
 
     interp = runs["interp"]
@@ -128,19 +120,13 @@ def bench_one(workload: str, scale: int | None, reps: int = REPS) -> dict:
                 f"instructions {interp.instructions} vs {other.instructions})"
             )
 
-    chained, traced = runs["chained"], runs["traced"]
+    chained = runs["chained"]
     hit_rate = (chained.host.uop_stats or {}).get("uop_hit_rate", 0.0)
     if workload.startswith("lorenz") and hit_rate < MIN_UOP_HIT_RATE:
         raise AssertionError(
             f"{workload}: chained tier retired {hit_rate:.4f} of its "
             f"instructions through superblocks (< {MIN_UOP_HIT_RATE}) — "
             f"the engine is silently off"
-        )
-    trace_stats = traced.host.trace or {}
-    if workload in TRACE_WORKLOADS and not trace_stats.get("trace_compiles"):
-        raise AssertionError(
-            f"{workload}: traced tier compiled zero traces "
-            f"(trace telemetry: {trace_stats}) — the trace JIT is silently off"
         )
     n = chained.instructions
     row = {
@@ -151,7 +137,6 @@ def bench_one(workload: str, scale: int | None, reps: int = REPS) -> dict:
         "identical_results": True,
         **_tier_fields(samples, n),
         "uop_stats": chained.host.uop_stats,
-        "trace_stats": trace_stats,
     }
     if chained.host.sched is not None:
         row["sched"] = chained.host.sched
@@ -162,9 +147,7 @@ def bench_one(workload: str, scale: int | None, reps: int = REPS) -> dict:
 #: patch-churn row: scheduler quantum, and K — re-patch every K quanta.
 CHURN_QUANTUM = 64
 CHURN_QUANTA = 25
-#: (full_scale, quick_scale) for the churn row's lorenz guest.  The
-#: quick scale must be long enough to amortize trace compilation, or
-#: the traced-under-churn speedup floor measures warmup instead.
+#: (full_scale, quick_scale) for the churn row's lorenz guest.
 CHURN_SCALES = (2000, 600)
 
 
@@ -181,12 +164,11 @@ def churn_one(scale: int, reps: int = REPS, quantum: int = CHURN_QUANTUM,
     tier, so all tiers see the same patch-event schedule and must stay
     bit-identical.  The site executes only once (before the first
     churn), so the events are pure invalidation traffic: under per-site
-    invalidation the hot loop's superblocks and fused traces
-    survive every event (``survived_blocks``), keeping the traced tier
-    fast under churn — the wholesale-flush scheme would recompile the
-    world every ``every`` quanta instead.
+    invalidation the hot loop's superblocks survive every event
+    (``survived_blocks``), keeping the chained tier fast under churn —
+    the wholesale-flush scheme would rebuild the world every ``every``
+    quanta instead.
     """
-    from repro.harness.runner import _cpu_trace_summary
     from repro.kernel.kernel import LinuxKernel
     from repro.machine.cpu import CPU
     from repro.workloads import build_program
@@ -194,9 +176,9 @@ def churn_one(scale: int, reps: int = REPS, quantum: int = CHURN_QUANTUM,
     runs = {}
     samples: dict[str, list[float]] = {label: [] for label in TIERS}
     for _ in range(reps):
-        for label, (uops, trace) in TIERS.items():
+        for label, uops in TIERS.items():
             program = build_program("lorenz", scale)
-            cpu = CPU(program, uops=uops, trace=trace)
+            cpu = CPU(program, uops=uops)
             cpu.kernel = LinuxKernel()
             site = program.entry
             churns = 0
@@ -232,16 +214,12 @@ def churn_one(scale: int, reps: int = REPS, quantum: int = CHURN_QUANTUM,
                 f"under churn (cycles {interp_cpu.cycles} vs {other.cycles})"
             )
 
-    traced_cpu = runs["traced"][0]
-    stats = traced_cpu.uop_stats.as_dict()
+    chained_cpu = runs["chained"][0]
+    stats = chained_cpu.uop_stats.as_dict()
     if not stats.get("survived_blocks"):
         raise AssertionError(
             "patch_churn: zero superblocks survived a sync — per-site "
             "invalidation is silently degraded to a wholesale flush")
-    if not stats.get("trace_compiles"):
-        raise AssertionError(
-            "patch_churn: traced tier compiled zero traces under churn")
-    chained_cpu = runs["chained"][0]
     n = interp_cpu.instruction_count
     return {
         "workload": "patch_churn",
@@ -252,7 +230,6 @@ def churn_one(scale: int, reps: int = REPS, quantum: int = CHURN_QUANTUM,
         "identical_results": True,
         **_tier_fields(samples, n),
         "uop_stats": stats,
-        "trace_stats": _cpu_trace_summary(traced_cpu),
     }
 
 
@@ -366,16 +343,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{workload:>10}: interp {row['interp_ips']:>10,.0f} i/s | "
               f"chained {row['chained_ips']:>10,.0f} i/s "
               f"({row['chain_speedup']:.2f}x) | "
-              f"traced {row['traced_ips']:>10,.0f} i/s "
-              f"({row['trace_speedup']:.2f}x) | "
               f"identical={row['identical_results']}")
 
     churn_scale = CHURN_SCALES[1] if args.quick else CHURN_SCALES[0]
     row = fresh_row("churn", "lorenz", churn_scale, args.reps)
     results.append(row)
     print(f"{'patch_churn':>10}: interp {row['interp_ips']:>10,.0f} i/s | "
-          f"traced {row['traced_ips']:>10,.0f} i/s "
-          f"({row['trace_speedup']:.2f}x under {row['churn_events']} "
+          f"chained {row['chained_ips']:>10,.0f} i/s "
+          f"({row['chain_speedup']:.2f}x under {row['churn_events']} "
           f"churn events, "
           f"{row['uop_stats']['survived_blocks']} blocks survived)")
 
@@ -399,13 +374,6 @@ def main(argv: list[str] | None = None) -> int:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "results": results,
         "min_chain_speedup": min(r["chain_speedup"] for r in results),
-        "min_trace_speedup": min(r["trace_speedup"] for r in results),
-        #: the ISSUE acceptance metric: trace-JIT speedup on the fusing
-        #: (lorenz-class) workloads, where the ≥15x target applies.
-        "lorenz_trace_speedup": max(
-            r["trace_speedup"] for r in results
-            if r["workload"] in TRACE_WORKLOADS
-        ),
         #: FPVM_LAZY_FP on/off pairs (separate from ``results`` so the
         #: tier-ratio minima above stay defined over tier rows only).
         "lazy_ablation": ablation,
@@ -413,8 +381,7 @@ def main(argv: list[str] | None = None) -> int:
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {args.out} (min chain speedup "
-          f"{doc['min_chain_speedup']:.2f}x, "
-          f"lorenz trace speedup {doc['lorenz_trace_speedup']:.2f}x)")
+          f"{doc['min_chain_speedup']:.2f}x)")
     return 0
 
 

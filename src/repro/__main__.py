@@ -157,10 +157,9 @@ def _cmd_flow(args) -> int:
     # execution tier shares, so the graphs come out identical whichever
     # tier executed the guest.
     w = get_workload(args.workload)
-    uops, trace = TIERS[args.tier]
-    cfg = _CONFIG_FACTORY[args.config](flow=True, uops=uops)
+    cfg = _CONFIG_FACTORY[args.config](flow=True, uops=TIERS[args.tier])
     runner = run_fpvm_process if w.requires_process else run_fpvm
-    result = runner(args.workload, cfg, scale=args.scale, trace=trace)
+    result = runner(args.workload, cfg, scale=args.scale)
     label = f"{args.workload} ({args.config}, {args.tier} tier)"
     print(report.render_trap_heatmap(result.flow, result.program,
                                      title=f"Trap heatmap: {label}"))
@@ -252,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--config", choices=sorted(_CONFIG_FACTORY),
                         default="none",
                         help="none traps everything: richest heatmap")
-    p_flow.add_argument("--tier", choices=list(TIERS), default="traced")
+    p_flow.add_argument("--tier", choices=list(TIERS), default="chained")
     p_flow.add_argument("--scale", type=int, default=None)
 
     p_fleet = sub.add_parser(

@@ -18,9 +18,9 @@ checkable end to end:
   same guest *must* see the patch markers, proving the shadow view is
   load-bearing rather than vacuously equal.
 - :func:`self_reading_report`: a guest that reads its own bytes every
-  loop iteration while the chained/traced tiers hold live compiled
-  artifacts — every tier must agree bit-for-bit with the seed
-  interpreter, with the trace tier demonstrably active.
+  loop iteration while the chained tier holds live cached superblocks —
+  every tier must agree bit-for-bit with the seed interpreter, with the
+  chained tier's blocks demonstrably reused.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ top:
 """
 
 #: Reads one word of its own text each lap of a hot FP loop — the
-#: trace tier fuses the loop while the guest keeps observing its own
-#: (pristine) bytes.
+#: chained tier re-runs the loop's cached superblock while the guest
+#: keeps observing its own (pristine) bytes.
 SELF_READING_SRC = """
 .data
 k: .double 1.0001
@@ -120,7 +120,7 @@ def native_reference(words: int) -> tuple[str, ...]:
     """Ground truth: the same guest run bare — no FPVM attached, no
     patches anywhere — through the seed interpreter."""
     program, _ = build_checksum_program(words)
-    cpu = CPU(program, uops=False, trace=False)
+    cpu = CPU(program, uops=False)
     cpu.kernel = LinuxKernel()
     cpu.run(max_steps=MAX_STEPS)
     return tuple(cpu.output)
@@ -183,27 +183,26 @@ def self_checksum_report(trace_threshold: int = 2) -> dict:
 
 def self_reading_report(n: int = 400) -> dict:
     """Run the self-reading guest through every execution tier;
-    returns per-tier output/fingerprint and trace-tier vacuity info."""
+    returns per-tier output/fingerprint and chained-tier vacuity info."""
     report: dict = {"tiers": {}}
-    for name, (uops, trace) in TIERS.items():
+    for name, uops in TIERS.items():
         program = assemble(SELF_READING_SRC.format(n=n))
         install_host_library(program)
-        cpu = CPU(program, uops=uops, trace=trace)
+        cpu = CPU(program, uops=uops)
         cpu.kernel = LinuxKernel()
-        if trace:
-            cpu.trace_stabilize_threshold = 2
         cpu.run(max_steps=MAX_STEPS)
         stats = cpu.uop_stats.as_dict() if cpu.uop_stats else {}
         report["tiers"][name] = {
             "output": tuple(cpu.output),
             "instructions": cpu.instruction_count,
             "cycles": cpu.cycles,
-            "trace_compiles": stats.get("trace_compiles", 0),
-            "trace_steps": stats.get("trace_steps", 0),
+            "blocks_built": stats.get("blocks_built", 0),
+            "block_runs": stats.get("block_runs", 0),
         }
     outputs = {t["output"] for t in report["tiers"].values()}
     fingerprints = {(t["instructions"], t["cycles"])
                     for t in report["tiers"].values()}
     report["bit_identical"] = len(outputs) == 1 and len(fingerprints) == 1
-    report["traces_live"] = report["tiers"]["traced"]["trace_steps"] > 0
+    chained = report["tiers"]["chained"]
+    report["blocks_live"] = chained["block_runs"] > chained["blocks_built"]
     return report

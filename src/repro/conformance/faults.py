@@ -371,7 +371,7 @@ def scheduler_step_limit() -> FaultOutcome:
 
 class _CountingTrampoline:
     """A magic-call pre-hook that only counts its firings — the
-    observable that tells a stale trace from a live patch site."""
+    observable that tells a stale block from a live patch site."""
 
     def __init__(self):
         self.calls = 0
@@ -397,49 +397,46 @@ def _drive_patching(cpu, program, site: int, tramp, k: int,
             raise StepLimitError(f"patching twin exceeded {MAX_STEPS} steps")
 
 
-def stale_trace_patch() -> FaultOutcome:
-    """A correctness patch lands *inside* a live compiled trace
-    mid-run.  The fault being probed: if per-site invalidation failed
-    to kill the stale trace, the compiled closure would keep executing
-    straight through the new patch site without ever firing the
-    pre-hook — a silent wrong answer.  Detection is twofold: the
-    traced twin's pre-hook fire count must match an interpreter twin
-    patched at the identical retirement boundary, and the cache must
-    report at least one dropped trace."""
-    name = "stale_trace_patch"
-    desc = "patch planted inside a live compiled trace mid-run"
+def stale_block_patch() -> FaultOutcome:
+    """A correctness patch lands at a non-entry instruction *inside* a
+    live superblock mid-run.  The fault being probed: if per-site
+    invalidation failed to drop the covering block, its cached body
+    would keep executing straight through the new patch site without
+    ever firing the pre-hook — a silent wrong answer.  Detection is
+    twofold: the chained twin's pre-hook fire count and output must
+    match an interpreter twin patched at the identical retirement
+    boundary, and the cache must report at least one invalidated
+    block."""
+    name = "stale_block_patch"
+    desc = "patch planted inside a live superblock mid-run"
 
-    # Discovery pass: run the traced tier clean to find an instruction
-    # address strictly inside some compiled trace's covered ranges.
-    scout = CPU(build_program("lorenz", 60), uops=True, trace=True)
-    scout.trace_stabilize_threshold = 2
+    # Discovery pass: the chained tier's blocks, then the address an
+    # interpreter run retires most often in its second half that lies
+    # strictly inside one of them.
+    scout = CPU(build_program("lorenz", 60), uops=True)
     scout.kernel = LinuxKernel()
     scout.run(max_steps=MAX_STEPS)
-    total = scout.instruction_count
-    site = None
-    traces = scout._sb_cache.trace_view(scout)
-    for trace in traces.values():
-        for lo, hi in trace.ranges:
-            for addr in range(lo, hi):
-                if addr in scout.program.by_addr and addr != trace.entry:
-                    site = addr
-                    break
-            if site is not None:
-                break
-        if site is not None:
-            break
-    if site is None:
+    k = scout.instruction_count // 2
+    inside = {a for blk in scout._sb_cache.view(scout).values()
+              for a in range(blk.entry + 1, blk.end)
+              if a in scout.program.by_addr}
+    counter = CPU(build_program("lorenz", 60), uops=False)
+    counter.kernel = LinuxKernel()
+    heat: dict[int, int] = {}
+    while not counter.halted:
+        if counter.instruction_count >= k:
+            heat[counter.regs.rip] = heat.get(counter.regs.rip, 0) + 1
+        counter.step()
+    live = [a for a in heat if a in inside]
+    if not live:
         return FaultOutcome(name, desc, detected=False, recovered=False,
-                            detail="no compiled trace to plant a patch in")
+                            detail="no live superblock to plant a patch in")
+    site = max(live, key=lambda a: (heat[a], -a))
 
-    k = total // 2
     twins = {}
-    for tier in ("traced", "interp"):
+    for tier in ("chained", "interp"):
         program = build_program("lorenz", 60)
-        uops, trace = TIERS[tier]
-        cpu = CPU(program, uops=uops, trace=trace)
-        if trace:
-            cpu.trace_stabilize_threshold = 2
+        cpu = CPU(program, uops=TIERS[tier])
         cpu.kernel = LinuxKernel()
         tramp = _CountingTrampoline()
         try:
@@ -449,27 +446,21 @@ def stale_trace_patch() -> FaultOutcome:
                                 error=type(err).__name__, detail=str(err))
         twins[tier] = (cpu, tramp)
 
-    traced_cpu, traced_tramp = twins["traced"]
+    chained_cpu, chained_tramp = twins["chained"]
     interp_cpu, interp_tramp = twins["interp"]
-    cache = traced_cpu._sb_cache
-    stats = traced_cpu.uop_stats
-    identical = (tuple(traced_cpu.output) == tuple(interp_cpu.output)
-                 and traced_cpu.instruction_count == interp_cpu.instruction_count
-                 and traced_tramp.calls == interp_tramp.calls)
-    exercised = (traced_tramp.calls > 0
-                 and stats.trace_compiles > 0
-                 and cache.dropped_traces >= 1)
-    detail = (f"site={site:#x} hook fired {traced_tramp.calls}x in both "
-              f"tiers, {cache.dropped_traces} stale trace(s) dropped")
-    if identical and exercised:
-        return FaultOutcome(name, desc, detected=True, recovered=True,
-                            detail=detail)
+    dropped = chained_cpu._sb_cache.invalidated_blocks
+    identical = (tuple(chained_cpu.output) == tuple(interp_cpu.output)
+                 and chained_tramp.calls == interp_tramp.calls)
+    if identical and chained_tramp.calls > 0 and dropped >= 1:
+        return FaultOutcome(
+            name, desc, detected=True, recovered=True,
+            detail=(f"site={site:#x} hook fired {chained_tramp.calls}x in "
+                    f"both tiers, {dropped} covering block(s) invalidated"))
     return FaultOutcome(
         name, desc, detected=False, recovered=False,
-        detail=("stale trace executed through patch site: "
-                f"hook traced={traced_tramp.calls} interp={interp_tramp.calls}"
-                f" dropped_traces={cache.dropped_traces}"
-                if not identical or not exercised else detail))
+        detail=(f"stale block executed through patch site {site:#x}: hook "
+                f"chained={chained_tramp.calls} interp={interp_tramp.calls}"
+                f" invalidated_blocks={dropped}"))
 
 
 def _lazyfp_source(secrets=None, vloops: int = 150, spin: int = 400) -> str:
@@ -541,8 +532,7 @@ def _lazyfp_source(secrets=None, vloops: int = 150, spin: int = 400) -> str:
 def _lazyfp_run(tier: str, lazy: bool, armed: bool = False) -> Process:
     program = assemble(_lazyfp_source())
     install_host_library(program)
-    uops, trace = TIERS[tier]
-    proc = Process(program, uops=uops, trace=trace, lazy_fp=lazy)
+    proc = Process(program, uops=TIERS[tier], lazy_fp=lazy)
     proc.kernel = LinuxKernel()
     if armed:
         proc.fp_skip_switch = True
@@ -602,7 +592,7 @@ SCENARIOS = {
         device_entry_clobbered,
         scheduler_deadlock,
         scheduler_step_limit,
-        stale_trace_patch,
+        stale_block_patch,
         lazy_fp_leak,
     )
 }

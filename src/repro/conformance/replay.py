@@ -20,20 +20,17 @@ step by step:
   after ``run_quantum(n)`` must equal the journal's state after ``n``
   seed steps — for every ``n``.  The replayer verifies the final state
   and, on mismatch, binary-searches the first divergent step with a
-  fresh chained CPU per probe (fresh, so blocks and traces form
-  naturally instead of being suppressed by single-stepping).
+  fresh chained CPU per probe (fresh, so blocks form naturally
+  instead of being suppressed by single-stepping).
 - :class:`Divergence` carries the full register/memory/trap context of
   the first divergent step, rendered by :meth:`Divergence.describe`.
 
 :func:`differential_replay` is the pytest-facing entry point: it takes
 a zero-arg Program factory (each CPU needs its own image — patches and
-data are mutable) and returns a :class:`ReplayReport`.
-
-The same oracle pins the fused trace JIT (machine/tracejit.py):
-``differential_replay(..., trace=True)`` makes every probe compile and
-run fused traces, so a corrupted generated closure — injected through
-``tracejit.CODEGEN_HOOK`` in the conformance tests — is localized to
-the exact step the corrupted trace first retires it.
+data are mutable) and returns a :class:`ReplayReport`.  A corrupted
+bound closure — e.g. a planted ``mulsd`` fault in the conformance
+tests — is localized to the exact step the chained engine first
+retires it.
 """
 
 from __future__ import annotations
@@ -362,12 +359,8 @@ class Replayer:
 
 
 # -------------------------------------------------------------- harness
-def _make_cpu(program, config: FPVMConfig | None, uops: bool,
-              trace: bool | None = None,
-              trace_threshold: int | None = None) -> CPU:
-    cpu = CPU(program, uops=uops, trace=trace)
-    if trace_threshold is not None:
-        cpu.trace_stabilize_threshold = trace_threshold
+def _make_cpu(program, config: FPVMConfig | None, uops: bool) -> CPU:
+    cpu = CPU(program, uops=uops)
     kernel = LinuxKernel()
     cpu.kernel = kernel
     if config is not None:
@@ -382,22 +375,15 @@ def differential_replay(
     program_factory,
     config: FPVMConfig | None = None,
     max_steps: int = DEFAULT_REPLAY_STEPS,
-    trace: bool | None = None,
-    trace_threshold: int | None = None,
 ) -> ReplayReport:
     """Record ``program_factory()`` under the seed interpreter, then
     replay the chained engine against the journal.  ``config`` attaches
-    an FPVM (same config both sides); ``trace=True`` pins the fused
-    trace-JIT tier on so probes compile and run traces
-    (``None`` leaves the CPU default, on), and
-    ``trace_threshold`` lowers the stabilization threshold so even
-    short fuzz loops fuse."""
+    an FPVM (same config both sides)."""
     recorder = TraceRecorder(
-        _make_cpu(program_factory(), config, uops=False, trace=False))
+        _make_cpu(program_factory(), config, uops=False))
     journal = recorder.record(max_steps=max_steps)
 
     def chained_factory():
-        return _make_cpu(program_factory(), config, uops=True, trace=trace,
-                         trace_threshold=trace_threshold)
+        return _make_cpu(program_factory(), config, uops=True)
 
     return Replayer(journal, chained_factory).run()

@@ -11,16 +11,12 @@ cycle/instruction/trap ledgers, the order joins were satisfied, the
 final-memory digest, and total simulated cycles.
 
 :func:`sweep` runs the axis over each program × attach mode × quantum
-× engine tier — chained superblocks with the trace JIT pinned off
-(``chained``) and superblocks plus the fused trace JIT (``traced``) —
-against the stepwise seed (``interp``), plus a cross-quantum check
-per tier that the batched runs agree with *each other*: the axis
-programs synchronize only through ``thread_join``, so their results
-must not depend on the scheduling granularity either.  The ``traced`` cells are the
-scheduler-facing half of the trace-JIT contract: fused closures hand
-unretired budget back at side exits, so even quantum 1 — where no
-block cycle ever completes in-run and traces only stabilize through
-cross-run heat, if at all — must stay bit-identical.
+× engine tier (:data:`~repro.machine.cpu.ENGINE_TIERS`: the
+``chained`` superblock engine) against the stepwise seed
+(``interp``), plus a cross-quantum check per tier that the batched
+runs agree with *each other*: the axis programs synchronize only
+through ``thread_join``, so their results must not depend on the
+scheduling granularity either.
 """
 
 from __future__ import annotations
@@ -167,8 +163,8 @@ def run_schedule(
     """One run of ``factory()`` under the given quantum/tier/mode,
     returning its :func:`process_fingerprint`."""
     config_factory = ATTACH_MODES[mode]
-    uops, trace = TIERS[tier]
-    proc = Process(factory(), uops=uops, trace=trace)
+    uops = TIERS[tier]
+    proc = Process(factory(), uops=uops)
     kernel = LinuxKernel()
     vm = None
     if config_factory is None:
@@ -206,10 +202,9 @@ def _diff_keys(a: dict, b: dict) -> list[str]:
 
 def sweep(progress=None) -> list[SchedCheck]:
     """The full axis: every program × mode × quantum × engine tier
-    (:data:`~repro.machine.cpu.ENGINE_TIERS`, each with its flags pinned
-    so the tiers stay distinct whatever the CPU default),
-    each tier vs stepwise, plus each tier's cross-quantum agreement
-    check."""
+    (:data:`~repro.machine.cpu.ENGINE_TIERS`, each with its ``uops``
+    flag pinned whatever the CPU default), each tier vs stepwise, plus
+    each tier's cross-quantum agreement check."""
     checks: list[SchedCheck] = []
 
     def emit(check: SchedCheck) -> None:

@@ -172,43 +172,6 @@ def aggregate_uop_stats(stats_dicts) -> dict:
     return {k: dict(v) if isinstance(v, Counter) else v for k, v in out.items()}
 
 
-def aggregate_trace_stats(stats_dicts, cache_stats: dict | None = None) -> dict:
-    """Merge per-thread ``UopStats.as_dict()`` trace-JIT telemetry into
-    one run-level summary: compile/recompile/demotion counters, steps
-    retired inside fused traces, the side-exit breakdown by reason, and
-    the trace-length (blocks per cycle) histogram."""
-    compiles = recompiles = runs = iters = steps = demotions = 0
-    exits: Counter = Counter()
-    lengths: Counter = Counter()
-    for stats in stats_dicts:
-        if not stats:
-            continue
-        compiles += stats.get("trace_compiles", 0)
-        recompiles += stats.get("trace_recompiles", 0)
-        runs += stats.get("trace_runs", 0)
-        iters += stats.get("trace_iters", 0)
-        steps += stats.get("trace_steps", 0)
-        demotions += stats.get("trace_demotions", 0)
-        exits.update(stats.get("trace_exits") or {})
-        for length, count in (stats.get("trace_lengths") or {}).items():
-            lengths[int(length)] += count
-    out = {
-        "trace_compiles": compiles,
-        "trace_recompiles": recompiles,
-        "trace_runs": runs,
-        "trace_iters": iters,
-        "trace_steps": steps,
-        "trace_demotions": demotions,
-        "trace_exits": dict(exits),
-        "trace_lengths": {length: lengths[length] for length in sorted(lengths)},
-        "mean_iters_per_run": iters / runs if runs else 0.0,
-    }
-    if cache_stats is not None:
-        out["cached_traces"] = cache_stats.get("cached_traces", 0)
-        out["dropped_traces"] = cache_stats.get("dropped_traces", 0)
-    return out
-
-
 def percentile(values, q: float) -> float:
     """Linear-interpolated percentile (``q`` in [0, 100]) over an
     unsorted sequence — the p50/p99 the fleet front-end reports.
@@ -243,9 +206,8 @@ def aggregate_fleet_stats(
     Aggregation is exact — every guest's ledger is summed, never
     sampled — so fleet totals reconcile against serial execution to
     the cycle (the Mhatre & Chandran exactness property).  The
-    per-worker section carries the warm-cache reuse rates: superblock
-    hit rate (block dispatches served from cache vs built) and trace
-    code-cache hit rate (compiles served from the shared source cache).
+    per-worker section carries the warm-cache reuse rate: superblock
+    hit rate (block dispatches served from cache vs built).
     """
     latencies = [r["seconds"] for r in rows]
     per_worker: dict = {}
@@ -254,7 +216,6 @@ def aggregate_fleet_stats(
             "guests": 0, "cycles": 0, "instructions": 0, "cow_faults": 0,
             "fp_switches": 0, "fp_saves_elided": 0,
             "block_runs": 0, "blocks_built": 0,
-            "trace_compiles": 0, "trace_code_hits": 0, "trace_runs": 0,
         })
         w["guests"] += 1
         w["cycles"] += r["cycles"]
@@ -263,15 +224,12 @@ def aggregate_fleet_stats(
         w["fp_switches"] += r.get("fp_switches", 0)
         w["fp_saves_elided"] += r.get("fp_saves_elided", 0)
         uop = r.get("uop") or {}
-        for key in ("block_runs", "blocks_built", "trace_compiles",
-                    "trace_code_hits", "trace_runs"):
-            w[key] += uop.get(key, 0)
+        w["block_runs"] += uop.get("block_runs", 0)
+        w["blocks_built"] += uop.get("blocks_built", 0)
     for w in per_worker.values():
         dispatches = w["block_runs"] + w["blocks_built"]
         w["superblock_hit_rate"] = (w["block_runs"] / dispatches
                                     if dispatches else 0.0)
-        w["trace_cache_hit_rate"] = (w["trace_code_hits"] / w["trace_compiles"]
-                                     if w["trace_compiles"] else 0.0)
     return {
         "guests": len(rows),
         "workers": workers,

@@ -23,7 +23,7 @@ from repro.core.telemetry import CycleLedger, Telemetry
 from repro.core.wrappers import install_wrappers
 from repro.core.analysis import find_memory_escapes
 from repro.core.profiler import profile_patch_sites
-from repro.errors import BoxHeapExhaustedError
+from repro.errors import BoxHeapExhaustedError, ConfigError
 from repro.kernel.fpvm_dev import FPVM_IOCTL_REGISTER_ENTRY, FPVMDevice
 from repro.kernel.signals import SIGFPE, SIGTRAP
 from repro.machine.costs import DEFAULT_COSTS
@@ -49,7 +49,7 @@ class FPVMConfig:
     #: §5.3 foreign-function wrapping (libm + stdio).
     wrap_foreign: bool = True
     magic_wraps: bool = True
-    #: §5.1 patch-site discovery: "profiler" | "static" | "none".
+    #: §5.1 patch-site discovery: one of :data:`PATCH_SITE_SOURCES`.
     patch_site_source: str = "profiler"
     #: precomputed patch sites (harness caches the profiling run).
     patch_sites: frozenset | None = None
@@ -103,18 +103,45 @@ class FPVMConfig:
         return replace(self, **kw)
 
 
+#: the values ``FPVMConfig.patch_site_source`` may take.
+PATCH_SITE_SOURCES = ("profiler", "static", "none")
+
+
+def _check_config(cfg: FPVMConfig) -> None:
+    """Reject field values FPVM cannot run with :class:`ConfigError`
+    before any state is built.  Zero stays valid wherever it already
+    means something (``trace_compile_threshold=0`` disables the
+    compiled sequence tier)."""
+    if cfg.patch_site_source not in PATCH_SITE_SOURCES:
+        raise ConfigError(f"patch_site_source {cfg.patch_site_source!r} is "
+                          f"not one of {PATCH_SITE_SOURCES}")
+    for name, floor in (("decode_cache_capacity", 1), ("gc_threshold", 0),
+                        ("trace_compile_threshold", 0)):
+        if getattr(cfg, name) < floor:
+            raise ConfigError(f"{name} must be >= {floor}, "
+                              f"got {getattr(cfg, name)}")
+    if cfg.box_capacity is not None and cfg.box_capacity < 0:
+        raise ConfigError(f"box_capacity must be >= 0 or None, "
+                          f"got {cfg.box_capacity}")
+
+
 class FPVM:
     """One attached FPVM instance (per process/thread)."""
 
     def __init__(self, config: FPVMConfig | None = None):
         self.config = config or FPVMConfig()
+        _check_config(self.config)
         self.cpu = None
         self.kernel = None
         self.program = None
         self.costs = DEFAULT_COSTS
         self.ledger = CycleLedger()
         self.telemetry = Telemetry()
-        self.altmath = get_altmath(self.config.altmath, **self.config.altmath_kwargs)
+        try:
+            self.altmath = get_altmath(self.config.altmath,
+                                       **self.config.altmath_kwargs)
+        except KeyError as err:
+            raise ConfigError(err.args[0]) from None
         self.allocator = BoxAllocator(gc_threshold=self.config.gc_threshold,
                                       capacity=self.config.box_capacity)
         self.decode_cache = DecodeCache(self.config.decode_cache_capacity)
@@ -255,10 +282,8 @@ class FPVM:
             sites = sorted(profile_patch_sites(self.program))
         elif cfg.patch_site_source == "static":
             sites = sorted(find_memory_escapes(self.program).patch_sites)
-        elif cfg.patch_site_source == "none":
+        else:  # "none"
             sites = []
-        else:
-            raise ValueError(f"bad patch_site_source {cfg.patch_site_source!r}")
         for addr in sites:
             data_view.instruction_at(addr)  # validate against pristine text
         return sites

@@ -9,7 +9,8 @@ box-heap exhaustion, device protocol misuse — maps to one subclass of
 :class:`FPVMFaultError` here, so a hardened component fails loudly with
 a machine-classifiable error instead of silently producing wrong
 numbers.  Malformed *input* stands outside that hierarchy: bytes the
-decoder cannot parse raise :class:`EncodingError`, and a configuration
+decoder cannot parse raise :class:`EncodingError`, assembly source the
+assembler rejects raises :class:`AssemblerError`, and a configuration
 FPVM cannot run raises :class:`ConfigError`.
 
 The fault hierarchy derives from :class:`RuntimeError` so pre-existing
@@ -24,6 +25,17 @@ class EncodingError(ValueError):
     the way in, or bytes the decoder cannot parse on the way out.  Bad
     *input*, not a machinery fault, so it is not an
     :class:`FPVMFaultError`."""
+
+
+class AssemblerError(ValueError):
+    """Assembly source the assembler cannot accept, annotated with the
+    source line.  Bad *input*, like :class:`EncodingError`."""
+
+    def __init__(self, message: str, line_no: int | None = None):
+        if line_no is not None:
+            message = f"line {line_no}: {message}"
+        super().__init__(message)
+        self.line_no = line_no
 
 
 class ConfigError(ValueError):

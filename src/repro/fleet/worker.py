@@ -12,11 +12,7 @@ micro-op-lowered — and keeps, per program:
   guests — superblock bodies are per-CPU bound closures and cannot be
   reused, but the patch-epoch mirror, capacity bounds, and the
   sequence-emulator trace pool are; dead guests' views are released
-  after each run so a long-lived worker stays bounded;
-- the module-global trace-JIT source->code cache: trace codegen is
-  deterministic over program layout, so the first guest compiles and
-  every later guest's compiles are code-cache hits (the warm-start
-  the ``trace_code_hits`` counter measures).
+  after each run so a long-lived worker stays bounded.
 
 Semantics are untouched by all of this: a guest built from a template
 retires the same instructions, cycles, traps, and output as a cold
@@ -38,9 +34,7 @@ from repro.workloads import build_program, get_workload
 
 #: merged per-guest engine counters worth shipping across the process
 #: boundary (the fleet per-worker cache-reuse section reads these).
-_UOP_KEYS = ("blocks_built", "block_runs", "uops_retired",
-             "trace_compiles", "trace_runs",
-             "trace_code_hits", "trace_code_evictions")
+_UOP_KEYS = ("blocks_built", "block_runs", "uops_retired")
 
 
 class WorkloadTemplate:
@@ -100,8 +94,7 @@ def run_guest(job: GuestJob, template: WorkloadTemplate | None = None) -> GuestR
     try:
         if requires_process:
             proc = Process(program, max_instructions=job.max_instructions,
-                           uops=job.uops, trace=job.trace,
-                           image=image, sb_cache=sb_cache)
+                           uops=job.uops, image=image, sb_cache=sb_cache)
             proc.kernel = kernel
             cpus = proc.threads  # live list: spawns during run() land here
             t0 = time.perf_counter()
@@ -122,11 +115,11 @@ def run_guest(job: GuestJob, template: WorkloadTemplate | None = None) -> GuestR
             if image is not None:
                 cpu = CPU.from_image(program, image,
                                      max_instructions=job.max_instructions,
-                                     uops=job.uops, trace=job.trace)
+                                     uops=job.uops)
                 cpu._sb_cache = sb_cache
             else:
                 cpu = CPU(program, max_instructions=job.max_instructions,
-                          uops=job.uops, trace=job.trace)
+                          uops=job.uops)
             cpu.kernel = kernel
             cpus = [cpu]
             t0 = time.perf_counter()

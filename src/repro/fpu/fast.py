@@ -12,7 +12,7 @@ patterns to a result bit pattern and agrees with ``ieee_op(...).bits``
 on every input.
 
 The interpreter's native path calls :func:`evaluate`; the micro-op
-closures and the trace JIT call the per-op helpers directly.
+closures call the per-op helpers directly.
 """
 
 from __future__ import annotations

@@ -235,7 +235,7 @@ def render_fleet(fleet: dict, title: str) -> str:
     if per_worker:
         lines.append("")
         header = (f"  {'worker':<8}{'guests':>8}{'instr':>12}{'cow':>8}"
-                  f"{'fpsw':>7}{'elided':>8}{'sb hit':>9}{'trace hit':>11}")
+                  f"{'fpsw':>7}{'elided':>8}{'sb hit':>9}")
         lines.append(header)
         lines.append("  " + "-" * (len(header) - 2))
         for wid, w in per_worker.items():
@@ -245,7 +245,6 @@ def render_fleet(fleet: dict, title: str) -> str:
                 f"{w['cow_faults']:>8}{w.get('fp_switches', 0):>7}"
                 f"{w.get('fp_saves_elided', 0):>8}"
                 f"{w['superblock_hit_rate'] * 100:>8.1f}%"
-                f"{w['trace_cache_hit_rate'] * 100:>10.1f}%"
             )
     return "\n".join(lines)
 

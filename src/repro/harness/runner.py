@@ -45,8 +45,9 @@ class HostPerf:
     #: scheduler-level telemetry (SchedulerStats.as_dict()): dispatches,
     #: steps, and quantum efficiency = instructions retired per dispatch.
     sched: dict | None = None
-    #: fused trace-JIT summary (telemetry.aggregate_trace_stats):
-    #: compiles/recompiles, side-exit breakdown, trace-length histogram.
+    #: always None: native code runs on the chained engine, which has
+    #: no compiled-trace tier.  Kept so readers of ``host.trace`` (the
+    #: bench_fpvm harness) still find the attribute.
     trace: dict | None = None
     #: fleet summary (telemetry.aggregate_fleet_stats) when this perf
     #: record describes a multiprocess fleet batch rather than one run:
@@ -123,28 +124,13 @@ class Comparison:
         return self.runs[config_name].cycles / self.lower_bound_cycles(config_name)
 
 
-def _cpu_trace_summary(cpu) -> dict | None:
-    """Trace-JIT telemetry for a standalone CPU run, if the pipeline ran."""
-    from repro.core.telemetry import aggregate_trace_stats
-
-    stats = cpu.uop_stats
-    if stats is None:
-        return None
-    cache = cpu._sb_cache
-    return aggregate_trace_stats(
-        [stats.as_dict()],
-        cache.as_dict() if cache is not None else None,
-    )
-
-
 def run_native(
     workload: str,
     scale: int | None = None,
     uops: bool | None = None,
-    trace: bool | None = None,
     **kw,
 ) -> NativeResult:
-    cpu = CPU(build_program(workload, scale, **kw), uops=uops, trace=trace)
+    cpu = CPU(build_program(workload, scale, **kw), uops=uops)
     cpu.kernel = LinuxKernel()
     t0 = time.perf_counter()
     cpu.run()
@@ -154,7 +140,6 @@ def run_native(
         seconds=seconds,
         instructions=cpu.instruction_count,
         uop_stats=stats.as_dict() if stats is not None else None,
-        trace=_cpu_trace_summary(cpu),
     )
     return NativeResult(workload, cpu.cycles, cpu.instruction_count,
                         list(cpu.output), host=host)
@@ -186,21 +171,18 @@ def _process_host_perf(proc, seconds: float) -> HostPerf:
                               if stats is not None else None),
         })
     total_instructions = sum(t.instruction_count for t in proc.threads)
-    from repro.core.telemetry import aggregate_trace_stats, aggregate_uop_stats
+    from repro.core.telemetry import aggregate_uop_stats
 
     per_thread_stats = [t.uop_stats.as_dict() for t in proc.threads
                         if t.uop_stats is not None]
     uop_stats = (aggregate_uop_stats(per_thread_stats)
                  if per_thread_stats else None)
-    trace = (aggregate_trace_stats(per_thread_stats, proc.sb_cache.as_dict())
-             if per_thread_stats else None)
     return HostPerf(
         seconds=seconds,
         instructions=total_instructions,
         uop_stats=uop_stats,
         threads=threads,
         sched=sched.as_dict(),
-        trace=trace,
     )
 
 
@@ -208,7 +190,6 @@ def run_native_process(
     workload: str,
     scale: int | None = None,
     uops: bool | None = None,
-    trace: bool | None = None,
     quantum: int = 64,
     lazy_fp: bool | None = None,
     **kw,
@@ -219,7 +200,7 @@ def run_native_process(
     from repro.machine.process import Process
 
     proc = Process(build_program(workload, scale, **kw), uops=uops,
-                   trace=trace, lazy_fp=lazy_fp)
+                   lazy_fp=lazy_fp)
     proc.kernel = LinuxKernel()
     t0 = time.perf_counter()
     proc.run(quantum=quantum)
@@ -234,7 +215,6 @@ def run_fpvm_process(
     config: FPVMConfig,
     config_name: str = "",
     scale: int | None = None,
-    trace: bool | None = None,
     quantum: int = 64,
     lazy_fp: bool | None = None,
     **kw,
@@ -244,7 +224,7 @@ def run_fpvm_process(
     from repro.machine.process import Process
 
     program = build_program(workload, scale, **kw)
-    proc = Process(program, trace=trace, lazy_fp=lazy_fp)
+    proc = Process(program, lazy_fp=lazy_fp)
     kernel = LinuxKernel()
     vm = FPVM(config).attach_process(proc, kernel)
     t0 = time.perf_counter()
@@ -281,13 +261,12 @@ def run_fpvm(
     config_name: str = "",
     scale: int | None = None,
     patch_sites: frozenset | None = None,
-    trace: bool | None = None,
     **kw,
 ) -> FPVMResult:
     program = build_program(workload, scale, **kw)
     if patch_sites is not None and config.patch_sites is None:
         config = config.with_(patch_sites=patch_sites)
-    cpu = CPU(program, trace=trace)
+    cpu = CPU(program)
     kernel = LinuxKernel()
     cpu.kernel = kernel
     vm = FPVM(config).attach(cpu, kernel)
@@ -303,7 +282,6 @@ def run_fpvm(
         uop_stats=stats.as_dict() if stats is not None else None,
         compiled_traces=t.compiled_traces,
         compiled_trace_hits=t.compiled_trace_hits,
-        trace=_cpu_trace_summary(cpu),
     )
     if vm.flow is not None:
         host.flow = vm.flow.as_dict()

@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 import struct
 
+from repro.errors import AssemblerError
 from repro.machine.isa import (
     GPR_IDS,
     OPCODES,
@@ -39,16 +40,6 @@ from repro.machine.isa import (
     Xmm,
 )
 from repro.machine.program import DATA_BASE, TEXT_BASE, Program
-
-
-class AssemblerError(Exception):
-    """Syntax or semantic error, annotated with the source line."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
 
 
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):\s*(.*)$")
@@ -114,6 +105,12 @@ def assemble(source: str, text_base: int = TEXT_BASE, data_base: int = DATA_BASE
                 f"{mnemonic} expects {info.arity} operands, got {len(operands)}",
                 line_no,
             )
+        if info.writes_dst and operands and isinstance(operands[0], Imm):
+            raise AssemblerError(
+                f"{mnemonic} cannot write an immediate destination", line_no)
+        if sum(isinstance(op, Mem) for op in operands) > 1:
+            raise AssemblerError(
+                f"{mnemonic} takes at most one memory operand", line_no)
         instr = Instruction(mnemonic, tuple(operands), addr=iaddr)
         program.add_instruction(instr)
         program.lines[iaddr] = line_no
@@ -233,9 +230,13 @@ def _operand_kind(s: str, mnemonic: str) -> str:
 
 def _parse_int(tok: str, line_no: int) -> int:
     try:
-        return int(tok, 0)
+        value = int(tok, 0)
     except ValueError:
         raise AssemblerError(f"bad integer literal {tok!r}", line_no) from None
+    if not -(1 << 63) <= value < 1 << 64:
+        raise AssemblerError(f"integer literal {tok!r} exceeds 64 bits",
+                             line_no)
+    return value
 
 
 def _parse_operand(s: str, symbols: dict[str, int], mnemonic: str, line_no: int):
@@ -287,6 +288,10 @@ def _parse_mem(inner: str, symbols: dict[str, int], size: int, line_no: int) -> 
             disp += _parse_int(m.group(2), line_no)
         return Mem(disp=disp, rip_label=sym, size=size)
 
+    # an operator with nothing after it, or nothing at all: ``[rax + ]``
+    if re.search(r"(^|[+-])\s*($|\+)", inner):
+        raise AssemblerError(f"empty term in memory operand [{inner}]",
+                             line_no)
     base = None
     index = None
     scale = 1

@@ -34,7 +34,6 @@ from repro.machine.isa import (
 from repro.machine.memory import PROT_EXEC, PROT_READ, PROT_WRITE, Memory, PAGE_SIZE
 from repro.machine.program import PatchKind, Program, STACK_TOP
 from repro.machine.registers import Flags, RegisterFile, rounding_mode, unmasked_status
-from repro.machine.tracejit import TRACE_DEFAULT
 from repro.machine.uops import UOPS_DEFAULT
 
 U64 = 0xFFFF_FFFF_FFFF_FFFF
@@ -59,19 +58,13 @@ class Trap:
     fp_flags: FPFlags | None = None
 
 
-#: The execution-tier ladder — the one place tier flags are spelled
-#: out: label -> ``(uops, trace)`` for :class:`CPU` and ``Process``.
-#: ``interp`` is the seed single-step interpreter (the oracle);
-#: ``chained`` runs cached superblocks through the engine loop;
-#: ``traced`` additionally fuses stable block cycles into compiled
-#: trace closures.
-TIERS: dict[str, tuple[bool, bool]] = {
-    "interp": (False, False),
-    "chained": (True, False),
-    "traced": (True, True),
-}
-#: every micro-op tier: the ladder above the ``interp`` oracle.
-ENGINE_TIERS = tuple(tier for tier, (uops, _) in TIERS.items() if uops)
+#: The execution tiers — label -> the ``uops`` flag for :class:`CPU`
+#: and ``Process``.  ``interp`` is the seed single-step interpreter
+#: (the oracle); ``chained`` runs cached superblocks through the
+#: engine loop.
+TIERS: dict[str, bool] = {"interp": False, "chained": True}
+#: every micro-op tier: the tiers above the ``interp`` oracle.
+ENGINE_TIERS = tuple(tier for tier, uops in TIERS.items() if uops)
 
 
 def s64(v: int) -> int:
@@ -88,10 +81,8 @@ class CPU:
         costs: CostModel = DEFAULT_COSTS,
         max_instructions: int = 100_000_000,
         uops: bool | None = None,
-        trace: bool | None = None,
     ):
-        self._init_core(program, costs, max_instructions, uops=uops,
-                        trace=trace)
+        self._init_core(program, costs, max_instructions, uops=uops)
         self.mem = Memory()
         self._load_image()
 
@@ -101,7 +92,6 @@ class CPU:
         costs: CostModel = DEFAULT_COSTS,
         max_instructions: int = 100_000_000,
         uops: bool | None = None,
-        trace: bool | None = None,
     ) -> None:
         """Initialise every per-core field *except* memory and the loaded
         image.  ``__init__`` and :meth:`repro.machine.process.Process.spawn`
@@ -165,13 +155,6 @@ class CPU:
         #: semantics are identical either way — the engine falls back
         #: to step() wherever it must.
         self.uops_enabled = UOPS_DEFAULT if uops is None else uops
-        #: fuse stable superblock cycles into compiled trace closures
-        #: (the trace-JIT tier, tracejit.py; on by default); only
-        #: meaningful with ``uops_enabled``.
-        self.trace_enabled = TRACE_DEFAULT if trace is None else trace
-        #: consecutive identical laps of a block cycle before fusing it
-        #: (tests tune this; None = tracejit.STABILIZE_THRESHOLD).
-        self.trace_stabilize_threshold: int | None = None
         #: the SuperblockCache holding this core's blocks.  A Process
         #: installs its shared per-process cache here (one patch-epoch
         #: mirror for all threads) before the engine is created; left
@@ -214,7 +197,6 @@ class CPU:
         costs: CostModel = DEFAULT_COSTS,
         max_instructions: int = 100_000_000,
         uops: bool | None = None,
-        trace: bool | None = None,
     ) -> "CPU":
         """A CPU whose memory is a copy-on-write clone of ``image`` — a
         pristine loaded address space built once per program (a fleet
@@ -229,8 +211,7 @@ class CPU:
         them, so execution is bit-identical to a freshly loaded CPU.
         """
         cpu = cls.__new__(cls)
-        cpu._init_core(program, costs, max_instructions, uops=uops,
-                       trace=trace)
+        cpu._init_core(program, costs, max_instructions, uops=uops)
         cpu.mem = Memory()
         cpu.mem.clone_pages(image)
         cpu.regs.rip = program.entry

@@ -54,7 +54,6 @@ class Process:
         costs=None,
         max_instructions: int = 100_000_000,
         uops: bool | None = None,
-        trace: bool | None = None,
         image=None,
         sb_cache=None,
         lazy_fp: bool | None = None,
@@ -71,16 +70,15 @@ class Process:
             # clone of a pre-loaded template image (see CPU.from_image)
             # instead of a fresh load of the same bytes.
             main = CPU.from_image(program, image, self.costs,
-                                  max_instructions, uops=uops, trace=trace)
+                                  max_instructions, uops=uops)
         else:
-            main = CPU(program, self.costs, max_instructions, uops=uops,
-                       trace=trace)
+            main = CPU(program, self.costs, max_instructions, uops=uops)
         main.tid = 0
         main.process = self
         #: the process-wide superblock cache: one object — one cursor
         #: into ``Program.patch_events`` — shared by every thread CPU,
         #: so a patch made by any thread invalidates every thread's
-        #: blocks/traces *covering that site* in one sync while
+        #: blocks *covering that site* in one sync while
         #: unrelated warm state survives.  Installed on each CPU
         #: before its engine exists (engines capture it at creation).
         #: A fleet worker passes its warm per-program cache in instead,
@@ -143,9 +141,7 @@ class Process:
             self.costs,
             self.max_instructions,
             uops=self.main.uops_enabled,
-            trace=self.main.trace_enabled,
         )
-        thread.trace_stabilize_threshold = self.main.trace_stabilize_threshold
         thread.mem = self.mem                      # shared address space
         thread.output = self.main.output           # shared stdout
         thread.kernel = self.main.kernel
@@ -395,7 +391,6 @@ def fork_process(parent: Process) -> Process:
         parent.costs,
         parent.max_instructions,
         uops=parent.main.uops_enabled,
-        trace=parent.main.trace_enabled,
         lazy_fp=parent.lazy_fp,
     )
     child.mem.clone_pages(parent.mem)

@@ -8,11 +8,11 @@ sequence engine) and binds, per CPU, opclass-specialized execute
 closures whose operand accessors were resolved at bind time.  Straight-
 line runs of micro-ops are strung into cached :class:`Superblock`\\ s
 keyed by entry address; the block cache tracks the program's
-``patch_events`` log and invalidates *per site* — only blocks and
-compiled traces whose address range covers a changed patch
-site are dropped (any patch added, removed or cleared at that address),
-so patched instructions can never execute through a stale block while
-unrelated warm blocks survive patch churn.
+``patch_events`` log and invalidates *per site* — only blocks (and
+the sequence emulator's compiled traces) whose address range covers a
+changed patch site are dropped (any patch added, removed or cleared at
+that address), so patched instructions can never execute through a
+stale block while unrelated warm blocks survive patch churn.
 
 Semantics are bit-for-bit the seed interpreter's:
 
@@ -31,20 +31,17 @@ Semantics are bit-for-bit the seed interpreter's:
 
 One dispatch loop, :meth:`UopEngine.run_quantum`, runs every
 superblock the same way: a checkpoint (halt, block, patch-sequence
-sync, patch site), the compiled-trace lookup, the block lookup or
-build, the body (or the prefix that fits the step budget), then the
-control tail.  Retire accounting is deferred into per-block run counts
+sync, patch site), the block lookup or build, the body (or the
+prefix that fits the step budget), then the control tail.  Retire accounting is deferred into per-block run counts
 and settled before anything that can observe the counters: a
 ``cpu.step()`` fallback, a control tail that may run host code, the
 end of the quantum, or an exception on its way out.  At a quantum's
 budget edge the engine retires a body's fitting *prefix* — every
 closure is one seed step and leaves RIP correct, so the next quantum
-resumes mid-block through a suffix block.  The same loop records block
-paths for the trace JIT (:mod:`repro.machine.tracejit`), which fuses
-a cycle that repeats unchanged into one compiled closure.  Block caches
-live in one per-process :class:`SuperblockCache` shared by every
-thread; when ``patch_seq`` moves the cache drops exactly the blocks and
-traces covering the changed sites — cross-thread and cross-guest — and
+resumes mid-block through a suffix block.  Block caches live in one
+per-process :class:`SuperblockCache` shared by every thread; when
+``patch_seq`` moves the cache drops exactly the blocks and traces
+covering the changed sites — cross-thread and cross-guest — and
 everything else stays warm.  ``CPU.run`` is a loop over quanta of the
 remaining step limit.
 """
@@ -96,13 +93,6 @@ _PARITY = tuple(bin(i).count("1") % 2 == 0 for i in range(256))
 #: ``CPU(uops=None)`` runs this engine; ``uops=False`` (the ``interp``
 #: tier) single-steps the seed interpreter instead.
 UOPS_DEFAULT = True
-
-#: Stat names of the exit codes a compiled trace returns, indexed by
-#: code (see :mod:`repro.machine.tracejit`, which imports this module).
-EXIT_NAMES = ("exit", "slow", "side", "halt", "budget", "mxcsr")
-
-#: Longest block cycle the trace recorder will consider for fusion.
-MAX_TRACE_BLOCKS = 16
 
 
 # ------------------------------------------------------- emulator metadata
@@ -1139,33 +1129,24 @@ def bind_control(uop: MicroOp, cpu):
     return run_jcc
 
 
-def _tail_trace_grade(uop: MicroOp, prog) -> int:
-    """Whether this control tail may sit inside a compiled trace:
-    0 = no, 1 = yes, 2 = yes with a ``cpu.halted`` re-check after it
-    (ret's return sentinel).
+def _pure_tail(uop: MicroOp, prog) -> bool:
+    """Whether this control tail cannot run host code, so the engine
+    may retire it without settling its deferred retire accounting.
 
-    The engine loop looks the next block up by the *runtime* post-tail
-    RIP, so indirectness is not a problem — a register-target or
-    name-resolved ``jmp``/``jcc`` produces some address and the trace
-    guards its landing address.  What disqualifies a tail is the
-    ability to run *host* code — host-function calls can patch, block,
-    rebind, move the epoch and read the retire counters — so only
-    ``call``\\ s whose target is statically known to be guest text
-    qualify (an indirect or name-resolved call may resolve to a host
-    function).  The engine settles its deferred retire accounting
-    before every grade-0 tail."""
+    Host-function calls can patch, block, rebind, move the epoch and
+    read the retire counters.  Any ``jmp``/``jcc`` or ``ret`` is pure,
+    as is a ``call`` whose target is statically known to be guest text
+    (an indirect or name-resolved call may resolve to a host
+    function).  The engine settles before every other tail."""
     mn = uop.mnemonic
-    if mn == "jmp" or mn in CONDITION_CODES:
-        return 1
-    if mn == "ret":
-        return 2
+    if mn == "jmp" or mn == "ret" or mn in CONDITION_CODES:
+        return True
     if mn == "call":
         ops = uop.instr.operands
         op = ops[0] if ops else None
-        if (isinstance(op, Label) and op.addr is not None
-                and op.addr != -1 and op.addr not in prog.host_functions):
-            return 1
-    return 0
+        return (isinstance(op, Label) and op.addr is not None
+                and op.addr != -1 and op.addr not in prog.host_functions)
+    return False
 
 
 # -------------------------------------------------------------- superblock
@@ -1173,20 +1154,16 @@ class Superblock:
     """A straight-line run of bound micro-ops plus an optional control
     tail, with prefix cost sums for batched retire accounting.
 
-    ``traceable`` marks tails that cannot run host code (see
-    :func:`_tail_trace_grade`): any ``jmp``/``jcc``, ``ret`` (with
-    ``halt_check`` set — a trace re-checks ``cpu.halted`` after it), or
-    a ``call`` statically known to target guest text.  Only blocks with
-    such tails enter compiled traces, and the engine loop needs to
-    settle its deferred accounting only before the other tails."""
+    ``pure_tail`` marks tails that cannot run host code (see
+    :func:`_pure_tail`); the engine loop needs to settle its deferred
+    accounting only before the other tails."""
 
     __slots__ = ("entry", "end", "body", "classes", "class_counts",
-                 "prefix_cost", "n_body", "tail", "tail_addr", "traceable",
-                 "halt_check", "prefix_fp", "prefix_touch", "fp_writes",
-                 "fp_touch")
+                 "prefix_cost", "n_body", "tail", "pure_tail",
+                 "prefix_fp", "prefix_touch", "fp_writes", "fp_touch")
 
-    def __init__(self, entry, body, classes, prefix_cost, tail, tail_addr,
-                 trace_grade=0, end=None, uops=()):
+    def __init__(self, entry, body, classes, prefix_cost, tail,
+                 pure_tail=False, end=None, uops=()):
         self.entry = entry
         #: exclusive end of the address range this block executes
         #: through (tail included).  Per-site invalidation drops a
@@ -1213,9 +1190,7 @@ class Superblock:
         self.fp_writes = pf[-1]
         self.fp_touch = pt[-1]
         self.tail = tail
-        self.tail_addr = tail_addr
-        self.traceable = trace_grade > 0
-        self.halt_check = trace_grade == 2
+        self.pure_tail = pure_tail
 
 
 #: process-wide allocator for SuperblockCache view keys (see
@@ -1236,9 +1211,8 @@ class SuperblockCache:
     honest): when the program's sequence moves, :meth:`sync` walks only
     the *new* suffix of patched addresses and drops exactly the cached
     artifacts whose address range covers a changed site — superblocks
-    via ``[entry, end)``, fused traces via their recorded block ranges,
-    and the sequence emulator's compiled traces by step membership.  Every
-    thread's (and, for a fleet worker's warm cache, every guest's)
+    via ``[entry, end)`` and the sequence emulator's compiled traces by
+    step membership.  Every thread's (and, for a fleet worker's warm cache, every guest's)
     unrelated blocks survive, turning a patch from a fleet-wide cache
     flush into a local event.  The per-site walk is still cross-thread
     sound: a patch made by thread A drops thread B's covering blocks
@@ -1248,8 +1222,7 @@ class SuperblockCache:
     __slots__ = ("views", "epoch", "capacity", "cached_blocks",
                  "invalidations", "evictions",
                  "invalidated_blocks", "survived_blocks",
-                 "trace_views", "seq_traces", "cached_traces",
-                 "dropped_traces")
+                 "seq_traces", "dropped_traces")
 
     def __init__(self, capacity: int = 4096) -> None:
         #: id(cpu) -> {entry: Superblock} — cleared in place, never
@@ -1269,17 +1242,12 @@ class SuperblockCache:
         #: superblocks that survived a per-site sync (summed per sync —
         #: under the old epoch scheme this was identically zero).
         self.survived_blocks = 0
-        #: id(cpu) -> {entry: ChainTrace} — the fused trace-JIT tier's
-        #: compiled closures; per-CPU like blocks (bound closures), but
-        #: evicted by the same epoch policy, in place.
-        self.trace_views: dict[int, dict] = {}
         #: entry -> CompiledTrace — the sequence emulator's compiled
         #: FP-trap traces (address lists, shareable across threads);
-        #: unified here so one patch-epoch bump kills every compiled
-        #: artifact of both tiers at once.
+        #: kept here so one patch-epoch sync drops blocks and traces
+        #: under the same per-site policy.
         self.seq_traces: dict = {}
-        self.cached_traces = 0
-        #: compiled traces (both tiers) killed by flushes/evictions.
+        #: compiled sequence traces killed by flushes/evictions.
         self.dropped_traces = 0
 
     @staticmethod
@@ -1297,14 +1265,9 @@ class SuperblockCache:
         """The per-thread entry->Superblock map for ``cpu``."""
         return self.views.setdefault(self._key(cpu), {})
 
-    def trace_view(self, cpu) -> dict:
-        """The per-thread entry->ChainTrace map for ``cpu``."""
-        return self.trace_views.setdefault(self._key(cpu), {})
-
     def release(self, cpu) -> None:
-        """Drop every view owned by ``cpu`` (blocks and compiled
-        traces).  Fleet workers call this after each guest
-        retires so a long-lived warm cache never accumulates the views
+        """Drop the block view owned by ``cpu``.  Fleet workers call
+        this after each guest retires so a long-lived warm cache never accumulates the views
         of dead guests; the shared ``seq_traces`` and the process-wide
         epoch mirror stay warm for the next guest."""
         key = getattr(cpu, "_sb_view_key", None)
@@ -1313,22 +1276,13 @@ class SuperblockCache:
         view = self.views.pop(key, None)
         if view:
             self.cached_blocks -= len(view)
-        tview = self.trace_views.pop(key, None)
-        if tview:
-            self.dropped_traces += len(tview)
-            self.cached_traces -= len(tview)
 
     def _drop_all(self) -> None:
         for view in self.views.values():
             view.clear()
         self.cached_blocks = 0
-        dropped = len(self.seq_traces)
-        for tview in self.trace_views.values():
-            dropped += len(tview)
-            tview.clear()
+        self.dropped_traces += len(self.seq_traces)
         self.seq_traces.clear()
-        self.dropped_traces += dropped
-        self.cached_traces = 0
 
     def sync(self, program) -> bool:
         """Advance the cursor over ``program.patch_events`` and drop
@@ -1358,13 +1312,6 @@ class SuperblockCache:
                     self.invalidated_blocks += 1
                     dropped_any = True
             self.survived_blocks += len(view)
-        for tview in self.trace_views.values():
-            for entry, trace in list(tview.items()):
-                if any(lo <= a < hi for a in sites for lo, hi in trace.ranges):
-                    del tview[entry]
-                    self.cached_traces -= 1
-                    self.dropped_traces += 1
-                    dropped_any = True
         # Sequence-emulator traces: a site strictly inside the step
         # list would be emulated through without its pre-hook; a site
         # at the entry already had its hook delivered before the trap.
@@ -1391,7 +1338,7 @@ class SuperblockCache:
             "evictions": self.evictions,
             "invalidated_blocks": self.invalidated_blocks,
             "survived_blocks": self.survived_blocks,
-            "cached_traces": self.cached_traces,
+            "cached_traces": len(self.seq_traces),
             "dropped_traces": self.dropped_traces,
         }
 
@@ -1415,10 +1362,6 @@ class UopStats:
     __slots__ = ("blocks_built", "block_runs", "partial_block_runs",
                  "uops_retired", "slow_fallbacks", "single_steps",
                  "quantum_dispatches", "quantum_exits",
-                 "trace_compiles", "trace_recompiles", "trace_runs",
-                 "trace_iters", "trace_steps", "trace_exits",
-                 "trace_lengths", "trace_demotions",
-                 "trace_code_hits", "trace_code_evictions",
                  "invalidated_blocks", "survived_blocks")
 
     def __init__(self) -> None:
@@ -1435,31 +1378,6 @@ class UopStats:
         self.quantum_dispatches = 0
         #: why each quantum ended: budget / halted / blocked.
         self.quantum_exits: Counter = Counter()
-        #: stable block cycles fused into compiled trace closures.
-        self.trace_compiles = 0
-        #: compiles of an entry that had been compiled before
-        #: (post-demotion re-stabilization or post-flush rebuild).
-        self.trace_recompiles = 0
-        #: compiled-trace dispatches (one closure call each).
-        self.trace_runs = 0
-        #: complete trace laps retired.
-        self.trace_iters = 0
-        #: total steps retired through compiled traces.
-        self.trace_steps = 0
-        #: why trace dispatches ended, by exit name (see
-        #: :data:`EXIT_NAMES`): exit / slow / side / halt / budget /
-        #: mxcsr.
-        self.trace_exits: Counter = Counter()
-        #: histogram: superblocks per compiled trace.
-        self.trace_lengths: Counter = Counter()
-        #: traces torn down after sustained early side exits.
-        self.trace_demotions = 0
-        #: compiles served from the shared source->code cache (the
-        #: warm-start path a fleet worker's later guests ride).
-        self.trace_code_hits = 0
-        #: LRU evictions this engine's compiles forced out of the
-        #: bounded code cache (``tracejit.CODE_CACHE_CAP``).
-        self.trace_code_evictions = 0
         #: snapshot of the shared cache's per-site invalidation
         #: counters as of this engine's last observed sync (process-
         #: wide totals: blocks dropped for covering a patched site /
@@ -1485,16 +1403,6 @@ class UopStats:
             "uop_hit_rate": self.uop_hit_rate,
             "quantum_dispatches": self.quantum_dispatches,
             "quantum_exits": dict(self.quantum_exits),
-            "trace_compiles": self.trace_compiles,
-            "trace_recompiles": self.trace_recompiles,
-            "trace_runs": self.trace_runs,
-            "trace_iters": self.trace_iters,
-            "trace_steps": self.trace_steps,
-            "trace_exits": dict(self.trace_exits),
-            "trace_lengths": dict(self.trace_lengths),
-            "trace_demotions": self.trace_demotions,
-            "trace_code_hits": self.trace_code_hits,
-            "trace_code_evictions": self.trace_code_evictions,
             "invalidated_blocks": self.invalidated_blocks,
             "survived_blocks": self.survived_blocks,
         }
@@ -1507,8 +1415,7 @@ class UopEngine:
 
     Block storage lives in the CPU's :class:`SuperblockCache` (shared
     by every thread of a process); the engine holds that cache's
-    per-thread view and, with the trace JIT on, this thread's compiled
-    traces."""
+    per-thread view."""
 
     def __init__(self, cpu) -> None:
         self.cpu = cpu
@@ -1518,20 +1425,6 @@ class UopEngine:
         #: The cache clears it *in place*, so this reference never
         #: goes stale across invalidations.
         self._blocks = cache.view(cpu)
-        #: the fused trace-JIT tier: the dispatch loop is both its
-        #: region recorder and its fallback.
-        self.trace_enabled = bool(getattr(cpu, "trace_enabled", False))
-        #: entry -> ChainTrace (same in-place-clear contract as blocks).
-        self._traces = cache.trace_view(cpu)
-        #: entry -> [cycle signature, accumulated laps] for cycles that
-        #: have not reached the stabilization threshold inside one
-        #: recorded path (checkpoint breaks and quantum edges cut paths
-        #: long before a loop finishes).
-        self._trace_heat: dict[int, list] = {}
-        #: entry -> exponential re-stabilization backoff after demotion.
-        self._trace_backoff: dict[int, int] = {}
-        #: entries ever compiled (recompile telemetry).
-        self._trace_compiled_once: set[int] = set()
         self.stats = UopStats()
 
     def _new_block(self, entry: int) -> Superblock:
@@ -1543,89 +1436,6 @@ class UopEngine:
         cache.cached_blocks += 1
         self.stats.blocks_built += 1
         return block
-
-    # ---------------------------------------------------- trace-JIT tier
-    def _trace_need(self, entry: int) -> int:
-        """Consecutive identical laps required before ``entry``'s cycle
-        is fused — the configured threshold, doubled per demotion."""
-        from repro.machine import tracejit
-        base = max(1, getattr(self.cpu, "trace_stabilize_threshold",
-                              None) or tracejit.STABILIZE_THRESHOLD)
-        return base << min(self._trace_backoff.get(entry, 0),
-                           tracejit.BACKOFF_CAP)
-
-    def _compile_trace(self, blocks) -> None:
-        """Fuse a recorded block cycle; on unsupported shapes the root
-        is backed off so the recorder stops re-proposing it."""
-        from repro.machine import tracejit
-        entry = blocks[0].entry
-        traces = self._traces
-        if entry in traces or len(traces) >= tracejit.MAX_TRACES:
-            return
-        hits0 = tracejit.CODE_CACHE_HITS
-        evict0 = tracejit.CODE_CACHE_EVICTIONS
-        tr = tracejit.compile_trace(self.cpu, blocks)
-        self.stats.trace_code_hits += tracejit.CODE_CACHE_HITS - hits0
-        self.stats.trace_code_evictions += tracejit.CODE_CACHE_EVICTIONS - evict0
-        self._trace_heat.pop(entry, None)
-        if tr is None:
-            self._trace_backoff[entry] = tracejit.BACKOFF_CAP
-            return
-        traces[entry] = tr
-        self.cache.cached_traces += 1
-        stats = self.stats
-        stats.trace_compiles += 1
-        if entry in self._trace_compiled_once:
-            stats.trace_recompiles += 1
-        else:
-            self._trace_compiled_once.add(entry)
-        stats.trace_lengths[len(blocks)] += 1
-
-    def _trace_note_cycle(self, cyc, reps: int) -> None:
-        """Cross-path stabilization: accumulate completed laps of a
-        detected cycle whose recorded path ended before the threshold."""
-        entry = cyc[0].entry
-        if entry in self._traces:
-            return
-        sig = tuple(b.entry for b in cyc)
-        heat = self._trace_heat
-        h = heat.get(entry)
-        if h is not None and h[0] == sig:
-            h[1] += reps
-            total = h[1]
-        else:
-            heat[entry] = [sig, reps]
-            total = reps
-        if total >= self._trace_need(entry):
-            self._compile_trace(cyc)
-
-    def _trace_dispatch(self, tr, avail: int) -> tuple[int, int]:
-        """Run a compiled trace for at most ``avail`` steps; returns
-        ``(steps retired, exit code)`` and applies the demotion policy
-        (sustained mispredictions tear the trace down; the next
-        stabilization pays a doubled threshold)."""
-        stats = self.stats
-        stats.trace_runs += 1
-        iters, pos, code = tr.run(avail)
-        steps = tr.settle(iters, pos)
-        stats.trace_iters += iters
-        stats.trace_steps += steps
-        stats.uops_retired += steps
-        stats.trace_exits[EXIT_NAMES[code]] += 1
-        tr.runs += 1
-        if code == 1 or code == 2 or code == 5:
-            tr.bad_exits += 1
-            from repro.machine import tracejit
-            if (tr.runs >= tracejit.DEMOTE_MIN_RUNS
-                    and tr.bad_exits * 2 >= tr.runs):
-                self._traces.pop(tr.entry, None)
-                self.cache.cached_traces -= 1
-                self._trace_heat.pop(tr.entry, None)
-                self._trace_backoff[tr.entry] = min(
-                    self._trace_backoff.get(tr.entry, 0) + 1,
-                    tracejit.BACKOFF_CAP)
-                stats.trace_demotions += 1
-        return steps, code
 
     # --------------------------------------------------------- main loop
     def run_quantum(self, budget: int) -> int:
@@ -1651,18 +1461,12 @@ class UopEngine:
         per block, and ``i`` micro-ops of the in-flight body ``cur``
         have retired.  :meth:`_settle` charges them before
         ``cpu.step()``, before a tail that may run host code (see
-        :func:`_tail_trace_grade`), at quantum exit, and in the
-        ``finally`` when an exception escapes, so every observer of the
-        counters sees single-stepping's values.  Between those points
-        only body closures and traceable tails run; they touch
-        architectural state alone (tails bump the counters themselves,
-        which is order-independent integer addition).
-
-        With the trace JIT on, the loop records the path of blocks since
-        the last checkpoint break — quantum start, ``cpu.step()``, a
-        patch site, a trace dispatch, or a block whose tail is missing
-        or not traceable — and fuses a block cycle once it repeats
-        :meth:`_trace_need` laps.
+        :func:`_pure_tail`), at quantum exit, and in the ``finally``
+        when an exception escapes, so every observer of the counters
+        sees single-stepping's values.  Between those points only body
+        closures and pure tails run; they touch architectural state
+        alone (tails bump the counters themselves, which is
+        order-independent integer addition).
         """
         cpu = self.cpu
         regs = cpu.regs
@@ -1670,7 +1474,6 @@ class UopEngine:
         patches = cpu._fetch_view.patches
         cache = self.cache
         blocks = self._blocks
-        traces = self._traces
         stats = self.stats
         step = cpu.step
         settle = self._settle
@@ -1681,14 +1484,6 @@ class UopEngine:
         runs: dict = {}
         cur: Superblock | None = None
         i = 0
-        trace_on = self.trace_enabled
-        # recorder: ``fresh`` restarts the path at the next block.
-        fresh = True
-        rec = False
-        path: list = []
-        seen: dict = {}
-        cyc = None
-        ncyc = ci = reps = need = 0
 
         try:
             while retired < budget:
@@ -1710,72 +1505,11 @@ class UopEngine:
                     step()
                     retired += 1
                     stats.single_steps += 1
-                    fresh = True
                     continue
-
-                if traces:
-                    tr = traces.get(rip)
-                    if tr is not None:
-                        fresh = True
-                        done, code = self._trace_dispatch(tr, budget - retired)
-                        retired += done
-                        if code == 1:
-                            # SLOW side exit: the faulting uop re-executes
-                            # through the seed path (full #XF protocol).
-                            stats.slow_fallbacks += 1
-                            if retired < budget:
-                                if runs:
-                                    settle(runs)
-                                step()
-                                retired += 1
-                            continue
-                        if code != 5 and not (code == 4 and done == 0):
-                            continue
-                        # entry guard failed / lap doesn't fit the rest of
-                        # the quantum: fall through to block dispatch.
 
                 block = blocks.get(rip)
                 if block is None:
                     block = self._new_block(rip)
-
-                if trace_on:
-                    if fresh:
-                        if cyc is not None:
-                            self._trace_note_cycle(cyc, reps)
-                            cyc = None
-                        path = [block]
-                        seen = {rip: 0}
-                        rec = True
-                        fresh = False
-                    elif rec:
-                        if cyc is None:
-                            j = seen.get(rip)
-                            if j is None:
-                                if len(path) < MAX_TRACE_BLOCKS:
-                                    seen[rip] = len(path)
-                                    path.append(block)
-                                else:
-                                    rec = False
-                            else:
-                                cyc = path[j:]
-                                ncyc = len(cyc)
-                                ci = 0
-                                reps = 1
-                                need = self._trace_need(rip)
-                        else:
-                            ci += 1
-                            if ci == ncyc:
-                                ci = 0
-                            if rip != cyc[ci].entry:
-                                rec = False
-                                cyc = None
-                            elif ci == 0:
-                                reps += 1
-                        if cyc is not None and ci == 0 and reps >= need:
-                            self._compile_trace(cyc)
-                            if rip in traces:
-                                continue          # dispatched at the top
-                            rec = False
 
                 n = block.n_body
                 tail = block.tail
@@ -1795,7 +1529,6 @@ class UopEngine:
                         stats.slow_fallbacks += 1
                         settle(runs, cur, i)
                         cur = None
-                        fresh = True
                         if retired < budget:
                             step()
                             retired += 1
@@ -1805,7 +1538,6 @@ class UopEngine:
                     cur = None
                     runs[block] = runs.get(block, 0) + 1
                     if tail is None:
-                        fresh = True
                         continue
                     if retired >= budget:
                         break
@@ -1818,19 +1550,15 @@ class UopEngine:
                     step()
                     retired += 1
                     stats.single_steps += 1
-                    fresh = True
                     continue
-                if not block.traceable:
+                if not block.pure_tail:
                     settle(runs)
-                    fresh = True
                 tail()
                 retired += 1
                 tails += 1
         finally:
             settle(runs, cur, i)
             stats.uops_retired += tails
-            if cyc is not None:
-                self._trace_note_cycle(cyc, reps)
 
         stats.quantum_exits[exit_reason] += 1
         return retired
@@ -1889,8 +1617,7 @@ class UopEngine:
         uops = []
         prefix = [0]
         tail = None
-        tail_addr = None
-        trace_grade = 0
+        pure_tail = False
         addr = entry
         end = entry
         while len(body) < MAX_BLOCK:
@@ -1904,8 +1631,7 @@ class UopEngine:
             if cls is OpClass.CONTROL:
                 tail = bind_control(uop, cpu)
                 if tail is not None:
-                    tail_addr = addr
-                    trace_grade = _tail_trace_grade(uop, prog)
+                    pure_tail = _pure_tail(uop, prog)
                     end = addr + uop.size
                 break
             if cls is OpClass.SYS:
@@ -1919,5 +1645,5 @@ class UopEngine:
             prefix.append(prefix[-1] + uop.cost)
             addr += uop.size
             end = addr
-        return Superblock(entry, body, classes, prefix, tail, tail_addr,
-                          trace_grade, end=end, uops=uops)
+        return Superblock(entry, body, classes, prefix, tail, pure_tail,
+                          end=end, uops=uops)

@@ -10,8 +10,8 @@ One :class:`FlowRecorder` hangs off an attached FPVM (``vm.flow``)
 when the ``FPVM_FLOW`` knob (or the ``flow`` config field) enables it.
 The recorder is fed from a single seam — the emulator's
 resolve/produce/demote value-flow helpers plus the VM's trap
-entry/exit — so the interpreter, chained, and traced execution tiers
-all produce the *same* flow graph for the same guest: every tier
+entry/exit — so the interpreter and chained execution tiers all
+produce the *same* flow graph for the same guest: every tier
 funnels FP trap handling through ``Emulator.emulate``, and the
 recorder never reads tier state.
 

@@ -40,7 +40,7 @@ def test_fleet_scaling_gate(tmp_path):
     bench = _load_bench_module()
     out = tmp_path / "BENCH_fleet.json"
     # bench.main raises AssertionError itself on divergence, zero COW
-    # faults, zero warm-cache hits, or a missed (enforceable) floor.
+    # faults, or a missed (enforceable) floor.
     assert bench.main(["--quick", "--out", str(out)]) == 0
 
     doc = json.loads(out.read_text())

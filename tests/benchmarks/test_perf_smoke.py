@@ -1,15 +1,14 @@
 """Host-throughput regression gate (``pytest -m perf_smoke``).
 
 Runs the pipeline benchmark at quick scales and compares each
-workload's *speedup ratios* (chained and traced vs. the interpreter,
-ratios of medians) against the committed baseline.  The ratios are
-machine-independent — all tiers slow down together on a loaded or
+workload's *speedup ratio* (chained vs. the interpreter, a ratio of
+medians) against the committed baseline.  The ratio is
+machine-independent — both tiers slow down together on a loaded or
 slower host — so the gate stays meaningful in CI, unlike absolute
-instructions/sec.  Two vacuity guards ride along: the chained tier
-must actually run superblocks (a lorenz row whose ``uop_hit_rate`` is
-under ``bench_pipeline.MIN_UOP_HIT_RATE`` fails) and the traced tier
-must actually fuse (zero trace compiles on a trace workload fails) — a
-silently disabled tier would otherwise sail through the ratio gate."""
+instructions/sec.  A vacuity guard rides along: the chained tier must
+actually run superblocks (a lorenz row whose ``uop_hit_rate`` is under
+``bench_pipeline.MIN_UOP_HIT_RATE`` fails) — a silently disabled tier
+would otherwise sail through the ratio gate."""
 
 import importlib.util
 import json
@@ -22,11 +21,6 @@ BASELINE = REPO / "benchmarks" / "baselines" / "BENCH_pipeline.json"
 
 #: A run below ``baseline_speedup * (1 - TOLERANCE)`` fails the gate.
 TOLERANCE = 0.30
-
-#: Absolute floor on the churn row's traced/interp ratio.  Quick scale
-#: reads about 3.2x: traced ~36 ms against an interpreter at ~110 ms,
-#: whose native FP runs through ``repro.fpu.fast``.
-CHURN_TRACE_FLOOR = 2.5
 
 
 def _load_bench_module():
@@ -53,13 +47,12 @@ def test_pipeline_speedup_no_regression(tmp_path):
     for workload, base in baseline.items():
         row = current[workload]
         assert row["identical_results"], f"{workload}: simulated results diverged"
-        for ratio in ("chain_speedup", "trace_speedup"):
-            floor = base[ratio] * (1 - TOLERANCE)
-            if row[ratio] < floor:
-                failures.append(
-                    f"{workload}: {ratio} {row[ratio]:.2f}x < floor "
-                    f"{floor:.2f}x (baseline {base[ratio]:.2f}x)"
-                )
+        floor = base["chain_speedup"] * (1 - TOLERANCE)
+        if row["chain_speedup"] < floor:
+            failures.append(
+                f"{workload}: chain_speedup {row['chain_speedup']:.2f}x < "
+                f"floor {floor:.2f}x (baseline {base['chain_speedup']:.2f}x)"
+            )
         if workload.startswith("lorenz"):
             # vacuity: the chained tier really ran superblocks.
             hit_rate = row["uop_stats"]["uop_hit_rate"]
@@ -67,19 +60,10 @@ def test_pipeline_speedup_no_regression(tmp_path):
                 failures.append(
                     f"{workload}: chained tier uop_hit_rate {hit_rate:.4f} "
                     f"< {bench.MIN_UOP_HIT_RATE}")
-        if workload in bench.TRACE_WORKLOADS:
-            compiles = (row.get("trace_stats") or {}).get("trace_compiles", 0)
-            if not compiles:
-                failures.append(f"{workload}: traced tier compiled zero traces")
         if workload == "patch_churn":
-            # the per-site invalidation gate: the traced tier must stay
-            # well ahead of the interpreter *under churn*, with warm
-            # blocks demonstrably surviving each patch event (a wholesale
-            # flush would zero survived_blocks and sink the ratio).
-            if row["trace_speedup"] < CHURN_TRACE_FLOOR:
-                failures.append(
-                    f"patch_churn: traced speedup {row['trace_speedup']:.2f}x "
-                    f"under churn < {CHURN_TRACE_FLOOR}x floor")
+            # the per-site invalidation gate: warm blocks must
+            # demonstrably survive each patch event (a wholesale flush
+            # would zero survived_blocks and sink the ratio).
             if not row["uop_stats"].get("survived_blocks"):
                 failures.append(
                     "patch_churn: zero superblocks survived a churn sync")
@@ -135,7 +119,7 @@ def test_flow_disabled_is_free():
         best = None
         for _ in range(reps):
             r = run_fpvm("lorenz", FPVMConfig.seq_short(flow=flow, uops=True),
-                         scale=150, trace=True)
+                         scale=150)
             if best is None or r.host.seconds < best.host.seconds:
                 best = r
         return best
@@ -154,7 +138,7 @@ def test_flow_disabled_is_free():
 
     # vacuity: the enabled path records real provenance on the storm.
     storm = run_fpvm("denorm_storm", FPVMConfig.seq_short(flow=True, uops=True),
-                     scale=40, trace=True)
+                     scale=40)
     flow = storm.flow.as_dict()
     assert flow["births"] > 0, "flow enabled but zero births recorded"
     assert storm.flow.traps_by_class.get("denormal", 0) > 0, (

@@ -1,8 +1,9 @@
 """Shadow-code-view conformance gates: the self-checksumming guest is
 bit-identical across patch configurations, a guest reading its own
-bytes mid-run never observes instrumentation while traces stay live,
-the DATA-view backing is demonstrably load-bearing, and the per-site invalidation tier replays bit-identically against the
-seed journal with live patches."""
+bytes mid-run never observes instrumentation while cached superblocks
+stay live, the DATA-view backing is demonstrably load-bearing, and the
+per-site invalidation tier replays bit-identically against the seed
+journal with live patches."""
 
 import hashlib
 
@@ -19,7 +20,7 @@ from repro.conformance.codeviews import (
 from repro.conformance.faults import run_scenario
 from repro.core.vm import FPVM, FPVMConfig
 from repro.kernel.kernel import LinuxKernel
-from repro.machine.cpu import CPU, ENGINE_TIERS, TIERS
+from repro.machine.cpu import CPU
 from repro.machine.memory import PAGE_SIZE, PROT_EXEC, PROT_READ, PROT_WRITE
 from repro.machine.program import TEXT_BASE
 
@@ -93,24 +94,20 @@ def test_shadow_view_off_is_observable(fetch_backed_run):
 def test_self_reading_guest_identical_across_tiers():
     report = self_reading_report()
     assert report["bit_identical"], report
-    assert report["traces_live"], report
+    assert report["blocks_live"], report
 
 
-def test_stale_trace_never_executes_through_patch():
-    outcome = run_scenario("stale_trace_patch")
+def test_stale_block_never_executes_through_patch():
+    outcome = run_scenario("stale_block_patch")
     assert outcome.detected and outcome.recovered, str(outcome)
 
 
-@pytest.mark.parametrize("trace", [TIERS[t][1] for t in ENGINE_TIERS])
-def test_per_site_tier_replays_with_live_patches(trace):
+def test_per_site_tier_replays_with_live_patches():
     """The replay oracle: record the checksum guest (live profiler
     patch firing every lap) under the seed interpreter, replay the
-    per-site engine tiers (traced and chained) against the journal —
-    zero divergence."""
+    per-site chained engine against the journal — zero divergence."""
     report = replay.differential_replay(
         lambda: build_checksum_program()[0],
         config=FPVMConfig.seq_short(uops=True),
-        trace=trace,
-        trace_threshold=2,
     )
     assert report.ok, report.describe()

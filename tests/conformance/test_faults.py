@@ -31,7 +31,7 @@ EXPECTED = {
     "device_entry_clobbered": (False, FPVMDeviceError),
     "scheduler_deadlock": (False, DeadlockError),
     "scheduler_step_limit": (False, StepLimitError),
-    "stale_trace_patch": (True, None),
+    "stale_block_patch": (True, None),
     "lazy_fp_leak": (True, None),
 }
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.conformance import replay
 from repro.conformance.generators import fuzz_program
 from repro.core.vm import FPVMConfig
-from repro.machine import tracejit, uops
+from repro.machine import uops
 from repro.machine.assembler import assemble
 from repro.machine.hostlib import install_host_library
 
@@ -83,23 +83,6 @@ class TestCleanReplay:
             _factory(LOOP_SRC), config=FPVMConfig.seq_short(uops=True))
         assert report.ok, report.describe()
 
-    def test_traced_tier_also_replays(self):
-        """Probes with the fused trace JIT pinned on must stay
-        bit-identical to the seed journal — and the big probes must
-        actually compile a trace, or this checks nothing."""
-        compiled = []
-        def spy(entry, source, ns):
-            compiled.append(entry)
-            return None
-        tracejit.CODEGEN_HOOK = spy
-        try:
-            report = replay.differential_replay(
-                _factory(LOOP_SRC), trace=True)
-        finally:
-            tracejit.CODEGEN_HOOK = None
-        assert report.ok, report.describe()
-        assert compiled, "no trace compiled: the traced tier never ran"
-
     def test_recorder_rejects_uops_cpu(self):
         from repro.machine.cpu import CPU
         with pytest.raises(ValueError):
@@ -155,60 +138,16 @@ class TestInjectedDivergence:
         assert any(name.startswith("xmm0") for name, _, _ in div.diffs)
         assert report.probes > 1                 # binary search ran
 
-    def test_trace_closure_corruption_localized_to_exact_step(self,
-                                                              monkeypatch):
-        """The ISSUE's end-to-end check: flip one bit of a constant
-        inside a *generated trace closure* (through the codegen seam)
-        and require the oracle to pin the divergence to the exact step
-        the corrupted trace first retires.
-
-        The corruption lives only in the fused closure — the chained
-        dispatcher, the bound block closures, and ``repro.fpu.fast`` are
-        all pristine — so any divergence the replayer finds is
-        attributable to the trace tier alone."""
-        compiled = []
-
-        def flip_mul_lsb(entry, source, ns):
-            compiled.append(entry)
-            bad = source.replace(
-                "x0f = x0f * x1f",
-                "x0f = ud(pq(uq(pd(x0f * x1f))[0] ^ 1))[0]", 1)
-            assert bad != source, f"inline mul not found in:\n{source}"
-            return bad
-
-        monkeypatch.setattr(tracejit, "CODEGEN_HOOK", flip_mul_lsb)
-
-        # the same corruption hook with traces off is invisible: the
-        # hook never fires and the run is clean.
-        report_off = replay.differential_replay(_factory(LOOP_SRC),
-                                                trace=False)
-        assert report_off.ok and not compiled
-
-        report = replay.differential_replay(_factory(LOOP_SRC), trace=True)
-        assert compiled, "no trace compiled: corruption never installed"
-        assert not report.ok, "corrupted trace closure went undetected"
-        div = report.divergence
-        # the trace only exists after the chain stabilizes, so the
-        # first corrupt mul retires strictly after the first laps; the
-        # boundary pair (step-1 clean, step divergent) is exact and the
-        # seed record of that step wrote the corrupted register.
-        assert 4 <= div.step <= report.steps, div.describe()
-        assert div.record is not None and div.record.index == div.step - 1
-        assert any(name.startswith("xmm0") for name, _, _ in div.diffs), (
-            div.describe())
-        assert report.probes > 1                 # binary search ran
-
     def test_divergence_in_chained_loop_is_localized(self, monkeypatch):
         """An LSB flip can wash out under later rounding (x and x^1 may
         round to the same sum), so divergence in the loop is not
         monotone and the first *visible* divergence need not be the
         first corrupted mul.  The replayer must still pin an adjacent
         clean/divergent step pair, on a step whose seed record wrote
-        the corrupted register.  Traces stay off: a fused trace opens
-        ``mulsd`` up inline, so only the chained tier runs the
-        corrupted closure every lap."""
+        the corrupted register: the chained tier runs the corrupted
+        closure every lap."""
         _corrupt_mul(monkeypatch)
-        report = replay.differential_replay(_factory(LOOP_SRC), trace=False)
+        report = replay.differential_replay(_factory(LOOP_SRC))
         assert not report.ok
         div = report.divergence
         assert 4 <= div.step <= report.steps
@@ -228,16 +167,6 @@ class TestReplaySweeps:
     @settings(max_examples=20, deadline=None)
     def test_random_programs_chained_bit_identical(self, seed):
         report = replay.differential_replay(lambda: fuzz_program(seed))
-        assert report.ok, report.describe()
-
-    @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=20, deadline=None)
-    def test_random_programs_traced_bit_identical(self, seed):
-        """The same sweep with the fused trace JIT pinned on at
-        threshold 1, so the short fuzz loops compile traces and every
-        probe replays through generated closures."""
-        report = replay.differential_replay(
-            lambda: fuzz_program(seed), trace=True, trace_threshold=1)
         assert report.ok, report.describe()
 
     @pytest.mark.parametrize("quantum", [1, 7, 64])

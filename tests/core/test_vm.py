@@ -4,6 +4,7 @@ short-circuiting, GC under load, and the bit-for-bit guarantee."""
 import pytest
 
 from repro.core.vm import FPVM, FPVMConfig
+from repro.errors import ConfigError
 from repro.fpu import bits as B
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.assembler import assemble
@@ -336,3 +337,26 @@ top:
             cpu, vm = run_fpvm(LOOP_SRC, FPVMConfig.seq_short(altmath=system))
             assert vm.telemetry.traps > 0
             assert len(cpu.output) == 1
+
+
+@pytest.mark.parametrize("field,value", [
+    ("patch_site_source", "bogus"),
+    ("altmath", "nope"),
+    ("decode_cache_capacity", 0),
+    ("decode_cache_capacity", -5),
+    ("box_capacity", -1),
+    ("gc_threshold", -1),
+    ("trace_compile_threshold", -1),
+])
+def test_bad_config_field_is_a_config_error(field, value):
+    """Every field value FPVM cannot run fails at ``FPVM(config)`` with
+    the typed :class:`ConfigError`, before any state is built."""
+    with pytest.raises(ConfigError, match=field if field != "altmath"
+                       else "unknown altmath"):
+        FPVM(FPVMConfig(**{field: value}))
+
+
+def test_zero_stays_a_valid_config_value():
+    vm = FPVM(FPVMConfig(trace_compile_threshold=0, gc_threshold=0,
+                         box_capacity=0))
+    assert vm.config.trace_compile_threshold == 0

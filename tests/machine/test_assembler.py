@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import errors
 from repro.machine.assembler import AssemblerError, assemble
 from repro.machine.decoder import decode_instruction
 from repro.machine.encoding import encode_instruction, encoded_length
@@ -52,6 +53,38 @@ class TestAssembleBasics:
     def test_undefined_data_symbol_rejected(self):
         with pytest.raises(AssemblerError, match="undefined"):
             assemble("main:\n  mov rax, nosuch\n")
+
+
+class TestRejectedOperands:
+    """Inputs the assembler used to accept and mis-assemble; each is now
+    a typed :class:`repro.errors.AssemblerError` (a ``ValueError``)."""
+
+    def test_error_is_typed_and_reexported(self):
+        assert AssemblerError is errors.AssemblerError
+        assert issubclass(AssemblerError, ValueError)
+
+    def test_immediate_destination_rejected(self):
+        with pytest.raises(AssemblerError, match="immediate destination"):
+            assemble("main:\n  mov 5, rax\n")
+
+    def test_two_memory_operands_rejected(self):
+        with pytest.raises(AssemblerError, match="one memory operand"):
+            assemble("main:\n  mov [rax], [rbx]\n")
+
+    def test_literal_wider_than_64_bits_rejected(self):
+        with pytest.raises(AssemblerError, match="exceeds 64 bits"):
+            assemble("main:\n  mov rax, 99999999999999999999999\n")
+
+    def test_empty_memory_term_rejected(self):
+        with pytest.raises(AssemblerError, match="empty term"):
+            assemble("main:\n  movsd xmm0, [rax + ]\n")
+
+    def test_edge_forms_still_accepted(self):
+        prog = assemble("main:\n  mov rax, 0xffffffffffffffff\n"
+                        "  mov rbx, -9223372036854775808\n"
+                        "  movsd xmm0, [rax + -8]\n  push 5\n  hlt\n")
+        assert prog.instructions[2].operands[1] == Mem(base="rax", disp=-8)
+        assert prog.instructions[3].operands == (Imm(5),)
 
 
 class TestOperandParsing:

@@ -2,7 +2,7 @@
 engine escapes with every retire counter, the lazy-FP dirty set and RIP
 exactly as the interpreter leaves them, whether the faulting store sits
 in the first block of the run, in a block entered through a control
-tail, or inside a compiled trace."""
+tail, or in a loop whose cached blocks have run many times."""
 
 import pytest
 
@@ -15,8 +15,8 @@ from repro.machine.memory import PAGE_SIZE, PROT_READ, PROT_WRITE, MemoryFault
 #: A loop whose FP store walks up through memory one slot per lap.  The
 #: first block runs from ``main`` through the ``call`` tail, so a fault
 #: on lap 0 lands in the run's first block; later laps enter ``top``
-#: through the ``jmp`` tail, and the three-block cycle (top, bump, the
-#: post-call ``jmp``) is what the traced tier fuses.
+#: through the ``jmp`` tail, and the chained tier re-runs the three
+#: cached blocks (top, bump, the post-call ``jmp``) every lap.
 STORE_WALK_SRC = """
 .data
 k: .double 1.5
@@ -41,14 +41,12 @@ _RW_PAGE = 0x700000
 _RO_PAGE = _RW_PAGE + PAGE_SIZE
 
 #: laps completed before the faulting store: 0 faults in the first
-#: block, 2 in a block entered after a control tail (before any trace
-#: stabilizes), 12 inside the compiled trace.
-FAULT_LAPS = {"first_block": 0, "after_tail": 2, "in_trace": 12}
+#: block, 2 in a block entered after a control tail, 12 in a hot loop.
+FAULT_LAPS = {"first_block": 0, "after_tail": 2, "hot_loop": 12}
 
 
 def _run_to_fault(tier: str, laps: int) -> CPU:
-    uops, trace = TIERS[tier]
-    cpu = CPU(assemble(STORE_WALK_SRC), uops=uops, trace=trace)
+    cpu = CPU(assemble(STORE_WALK_SRC), uops=TIERS[tier])
     cpu.kernel = LinuxKernel()
     cpu.mem.map_page(_RW_PAGE, PROT_READ | PROT_WRITE)
     cpu.mem.map_page(_RO_PAGE, PROT_READ)
@@ -81,7 +79,6 @@ def test_fault_accounting_matches_interpreter(tier, place):
     assert _observed(cpu) == _observed(oracle)
     assert cpu.regs.rip == cpu.program.symbols["top"] + \
         cpu.program.by_addr[cpu.program.symbols["top"]].size
-    if tier == "traced" and place == "in_trace":
+    if tier == "chained" and place == "hot_loop":
         stats = cpu.uop_stats
-        assert stats.trace_compiles >= 1
-        assert stats.trace_runs >= 1, "the fault never ran inside a trace"
+        assert stats.block_runs > stats.blocks_built, "no cached block re-ran"

@@ -17,9 +17,9 @@ from repro.workloads import build_program
 DEADBEEF = 0xDEAD_BEEF_DEAD_BEEF
 
 
-def _mixed_proc(lazy, *, uops=True, trace=None, scale=40):
+def _mixed_proc(lazy, *, uops=True, scale=40):
     proc = Process(build_program("mixed_mt", scale, threads=4, fp_threads=2),
-                   uops=uops, trace=trace, lazy_fp=lazy)
+                   uops=uops, lazy_fp=lazy)
     from repro.kernel.kernel import LinuxKernel
 
     proc.kernel = LinuxKernel()
@@ -125,14 +125,14 @@ def test_integer_only_code_never_touches():
     assert cpu.fp_quantum_touched is False
 
 
-@pytest.mark.parametrize("uops,trace", [TIERS[t] for t in ENGINE_TIERS])
-def test_batched_dirty_masks_match_stepwise(uops, trace):
+@pytest.mark.parametrize("tier", ENGINE_TIERS)
+def test_batched_dirty_masks_match_stepwise(tier):
     """The lowering-time per-superblock summaries must mark exactly the
     lanes the interpreter marks per instruction — per thread, at every
     quantum size."""
     for quantum in (1, 7, 64):
         ref = _mixed_proc(lazy=True, uops=False)
-        got = _mixed_proc(lazy=True, uops=uops, trace=trace)
+        got = _mixed_proc(lazy=True, uops=TIERS[tier])
         ref.run(quantum=quantum)
         got.run(quantum=quantum)
         assert ([(t.regs.fp_dirty, t.regs.fp_live) for t in ref.threads]

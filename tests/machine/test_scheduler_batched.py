@@ -84,13 +84,9 @@ lp:
 """
 
 
-def _loop_cpu(uops: bool, trace: bool = False) -> CPU:
-    cpu = CPU(assemble(_LOOP_SRC), uops=uops, trace=trace)
+def _loop_cpu(uops: bool) -> CPU:
+    cpu = CPU(assemble(_LOOP_SRC), uops=uops)
     cpu.kernel = LinuxKernel()
-    if trace:
-        # stabilize immediately so even small budgets exercise the
-        # fused-trace budget accounting, not just plain chaining.
-        cpu.trace_stabilize_threshold = 1
     return cpu
 
 
@@ -120,9 +116,9 @@ def _fingerprint(proc: Process) -> dict:
 
 
 # ------------------------------------------------------- run_quantum
-#: the interpreter's and the chained engine's ``uops`` flag (``_loop_cpu``
-#: leaves the trace JIT off); the test ids stay ``[False]``/``[True]``.
-_RUN_QUANTUM_UOPS = [TIERS[t][0] for t in ("interp", "chained")]
+#: the interpreter's and the chained engine's ``uops`` flag; the test
+#: ids stay ``[False]``/``[True]``.
+_RUN_QUANTUM_UOPS = list(TIERS.values())
 
 
 class TestRunQuantum:
@@ -152,12 +148,11 @@ class TestRunQuantum:
     @pytest.mark.parametrize("budget", [1, 2, 3, 7, 64])
     @pytest.mark.parametrize("tier", ENGINE_TIERS)
     def test_budget_never_exceeded(self, budget, tier):
-        """Superblock bodies — and fused trace closures — must not run
-        past the budget edge: the engine retires a partial body (or
-        side-exits the trace) instead.  The whole ledger must also
+        """Superblock bodies must not run past the budget edge: the
+        engine retires a partial body instead.  The whole ledger must also
         match the stepwise seed: exact budget accounting is worthless
         if the batched run books different cycles or traps."""
-        cpu = _loop_cpu(*TIERS[tier])
+        cpu = _loop_cpu(TIERS[tier])
         total = 0
         while not cpu.halted:
             taken = cpu.run_quantum(budget)

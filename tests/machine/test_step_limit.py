@@ -44,11 +44,8 @@ spin:
 
 
 def _cpu(src: str, tier: str) -> CPU:
-    uops, trace = TIERS[tier]
-    cpu = CPU(assemble(src), uops=uops, trace=trace)
+    cpu = CPU(assemble(src), uops=TIERS[tier])
     cpu.kernel = LinuxKernel()
-    if trace:
-        cpu.trace_stabilize_threshold = 2
     return cpu
 
 
@@ -93,8 +90,7 @@ def test_runaway_raises_with_the_interpreter_ledger(limit):
 @pytest.mark.parametrize("delta", [-1, 0, 1])
 def test_process_halt_on_the_last_allowed_step(tier, delta):
     steps = _halting_steps()
-    uops, trace = TIERS[tier]
-    proc = Process(assemble(HALTING_SRC), uops=uops, trace=trace)
+    proc = Process(assemble(HALTING_SRC), uops=TIERS[tier])
     proc.kernel = LinuxKernel()
     if delta < 0:
         with pytest.raises(StepLimitError):

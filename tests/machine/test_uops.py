@@ -57,8 +57,7 @@ _NEG_ZERO = 0x8000_0000_0000_0000
 
 class TestFastScalarBitExactness:
     """Every values-only form in ``repro.fpu.fast`` — the one binary64
-    fast path the interpreter, the micro-op closures and the trace JIT
-    share — must agree bit-for-bit with the ``repro.fpu.ieee`` oracle
+    fast path the interpreter and the micro-op closures share — must agree bit-for-bit with the ``repro.fpu.ieee`` oracle
     on every input class."""
 
     def test_binary_ops(self):
@@ -138,8 +137,8 @@ class TestFastScalarBitExactness:
         assert fast.evaluate("fma", a, b, c) == ieee_op("fma", a, b, c).bits
 
 
-#: two-NaN add/mul and a signed-zero fma, in a loop so the traced tier
-#: runs them inside a compiled trace.
+#: two-NaN add/mul and a signed-zero fma, in a loop so the chained tier
+#: re-runs them from a cached superblock.
 _NAN_ORDER_SRC = """
 .data
 nan_a: .quad 0x7ff8000000000001
@@ -167,15 +166,14 @@ top:
 
 @pytest.mark.parametrize("tier", list(TIERS))
 def test_guest_nan_order_and_signed_zero_fma(tier):
-    uops_on, trace = TIERS[tier]
-    cpu = CPU(assemble(_NAN_ORDER_SRC), uops=uops_on, trace=trace)
+    cpu = CPU(assemble(_NAN_ORDER_SRC), uops=TIERS[tier])
     cpu.kernel = LinuxKernel()
-    cpu.trace_stabilize_threshold = 2
     cpu.run()
     xmm = cpu.regs.xmm
     assert (xmm[0][0], xmm[2][0], xmm[3][0]) == (_NAN_A, _NAN_A, _NEG_ZERO)
-    if trace:
-        assert cpu.uop_stats.as_dict()["trace_steps"] > 0
+    if TIERS[tier]:
+        stats = cpu.uop_stats
+        assert stats.block_runs > stats.blocks_built
 
 
 class TestUopsOnOffDifferential:
@@ -234,7 +232,7 @@ class TestUopsOnOffDifferential:
 def test_engine_tiers_on_by_default():
     prog = fuzz_program(3)
     cpu = CPU(prog)
-    assert (cpu.uops_enabled, cpu.trace_enabled) == TIERS["traced"]
+    assert cpu.uops_enabled == TIERS["chained"]
     assert CPU(prog, uops=False).uops_enabled is False
 
 

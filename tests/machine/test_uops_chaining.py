@@ -1,6 +1,6 @@
 """The engine loop across control tails: block dispatch through the
-``chained`` tier, quantum budget parity, trace-eligibility grades of
-tails, patch invalidation, and the shared per-process block cache under
+``chained`` tier, quantum budget parity, which tails may skip the
+accounting settle, patch invalidation, and the shared per-process block cache under
 patching."""
 
 import pytest
@@ -35,7 +35,7 @@ top:
   hlt
 """
 
-#: call/ret ping-pong around a host call: two traceable tails (call f,
+#: call/ret ping-pong around a host call: two pure tails (call f,
 #: ret), then a host-call tail that settles the deferred accounting.
 CALLRET_SRC = """
 .data
@@ -66,11 +66,7 @@ def _program(src: str):
 
 
 def _cpu(program, uops_on=True, config=None):
-    # trace=False: this file asserts *chained-tier* internals (block
-    # runs, fallbacks, quantum exits); the trace JIT sitting above it
-    # would absorb the loops these numbers count.  The traced tier has
-    # its own suite in test_tracejit.py.
-    cpu = CPU(program, uops=uops_on, trace=False)
+    cpu = CPU(program, uops=uops_on)
     kernel = LinuxKernel()
     cpu.kernel = kernel
     if config is not None:
@@ -121,16 +117,16 @@ class TestTailChainGrades:
             uop = uops.lower(instr)
             if uop.opclass is uops.OpClass.CONTROL:
                 grades.setdefault(instr.mnemonic, set()).add(
-                    (uops._tail_trace_grade(uop, prog),
+                    (uops._pure_tail(uop, prog),
                      str(instr.operands[0]) if instr.operands else ""))
-        assert all(g == 1 for g, _ in grades["jne"])
-        assert all(g == 2 for g, _ in grades["ret"])
+        assert all(g for g, _ in grades["jne"])
+        assert all(g for g, _ in grades["ret"])
         call_grades = {target: g for g, target in grades["call"]}
-        assert call_grades["f"] == 1             # static guest target
-        assert call_grades["print_f64"] == 0     # host function: never
+        assert call_grades["f"] is True          # static guest target
+        assert call_grades["print_f64"] is False  # host function: never
 
     def test_ret_halt_guard(self):
-        """A grade-2 (ret) tail that halts the core ends the quantum:
+        """A pure ``ret`` tail that halts the core ends the quantum:
         the sentinel leaves RIP pointing *at* the ret, so dispatching
         on from there would re-execute it against a dead stack."""
         cpu = _cpu(_program(".text\nmain:\n  mov rax, 1\n  ret\n"))

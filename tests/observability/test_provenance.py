@@ -5,8 +5,8 @@ Three contracts under test:
 1. **Lifecycle** — boxes are born at the right (rip, class) sites,
    propagate along edges, and die for the right reasons (consumed,
    clamped, demoted, collected) on the trap-diverse storm workloads.
-2. **Tier independence** — the interpreter, chained, and traced tiers
-   produce the *same* flow graph for the same guest, because the
+2. **Tier independence** — the interpreter and chained tiers produce
+   the *same* flow graph for the same guest, because the
    recorder sits behind the one trap/emulate seam they all share.
 3. **Purity** — recording provenance never alters architectural state:
    with flow on vs off, stdout, the demoted memory digest, simulated
@@ -35,9 +35,8 @@ from repro.observability import (
 pytestmark = pytest.mark.flow
 
 def run_tier(workload: str, tier: str, scale: int, **config_kwargs):
-    uops, trace = TIERS[tier]
-    cfg = FPVMConfig.seq_short(flow=True, uops=uops, **config_kwargs)
-    return run_fpvm(workload, cfg, scale=scale, trace=trace)
+    cfg = FPVMConfig.seq_short(flow=True, uops=TIERS[tier], **config_kwargs)
+    return run_fpvm(workload, cfg, scale=scale)
 
 
 # ------------------------------------------------------------ classify
@@ -123,7 +122,7 @@ class TestRecorder:
 # ------------------------------------------------- lifecycle on storms
 class TestStormLifecycle:
     def test_denorm_storm_birth_classes(self):
-        result = run_tier("denorm_storm", "traced", scale=30)
+        result = run_tier("denorm_storm", "chained", scale=30)
         classes = result.flow.birth_classes()
         # under SEQ_SHORT the boxed-accumulator adds are emulated inside
         # the preceding trap's sequence window, so the rare classes show;
@@ -134,7 +133,7 @@ class TestStormLifecycle:
         assert none.flow.birth_classes().get("invalid", 0) >= 30
 
     def test_range_storm_covers_remaining_classes_and_kills(self):
-        result = run_tier("range_storm", "traced", scale=30)
+        result = run_tier("range_storm", "chained", scale=30)
         traps = result.flow.traps_by_class
         for cls in ("overflow", "divzero", "invalid", "inexact"):
             assert traps.get(cls, 0) >= 30, (cls, dict(traps))
@@ -145,11 +144,11 @@ class TestStormLifecycle:
     def test_storms_cover_every_trap_class(self):
         seen = set()
         for w in ("denorm_storm", "range_storm"):
-            seen |= set(run_tier(w, "traced", scale=20).flow.traps_by_class)
+            seen |= set(run_tier(w, "chained", scale=20).flow.traps_by_class)
         assert seen >= set(TRAP_CLASSES)
 
     def test_gc_sweep_records_collected_kills(self):
-        result = run_tier("denorm_storm", "traced", scale=40, gc_threshold=64)
+        result = run_tier("denorm_storm", "chained", scale=40, gc_threshold=64)
         kills = result.flow.kills_by_reason()
         assert result.gc_runs > 0
         assert kills.get("collected", 0) > 0

@@ -1,5 +1,5 @@
 """Environment reads under ``src/repro``: the execution tiers are
-chosen through ``CPU(uops=, trace=)``, ``Process(...)`` and
+chosen through ``CPU(uops=)``, ``Process(...)`` and
 ``repro.machine.cpu.TIERS``, never through the environment.  The only
 variables the package reads are the two observability/scheduling knobs
 below; a new ``FPVM_*`` variable must be a deliberate addition here."""
