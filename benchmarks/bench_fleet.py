@@ -110,11 +110,11 @@ def main(argv: list[str] | None = None) -> int:
             raise AssertionError(
                 f"fleet (workers={workers}) diverged from the serial "
                 f"oracle on jobs {bad}")
-        if fleet["cycles"] != serial_cycles:
+        if fleet["cpu.cycles"] != serial_cycles:
             raise AssertionError(
-                f"fleet (workers={workers}) cycle total {fleet['cycles']} "
+                f"fleet (workers={workers}) cycle total {fleet['cpu.cycles']} "
                 f"!= serial {serial_cycles}")
-        if fleet["cow_faults"] == 0:
+        if fleet["mem.cow_faults"] == 0:
             raise AssertionError(
                 f"fleet (workers={workers}) reported zero COW faults — "
                 "guests are not sharing the template image")
@@ -127,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
             "guests_per_sec": gps[workers],
             "p50_latency": fleet["p50_latency"],
             "p99_latency": fleet["p99_latency"],
-            "cow_faults": fleet["cow_faults"],
+            "cow_faults": fleet["mem.cow_faults"],
             "identical_results": True,
             "per_worker": fleet["per_worker"],
         })
@@ -135,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
               f"(wall IQR {wall_iqr * 1e3:.1f} ms) | "
               f"p50 {fleet['p50_latency'] * 1e3:6.2f} ms | "
               f"p99 {fleet['p99_latency'] * 1e3:6.2f} ms | "
-              f"cow faults {fleet['cow_faults']} | identical=True")
+              f"cow faults {fleet['mem.cow_faults']} | identical=True")
 
     scaling = {w: gps[w] / gps[1] for w in WORKER_COUNTS if w != 1}
     enforced = {}

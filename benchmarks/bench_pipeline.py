@@ -40,6 +40,7 @@ import sys
 import time
 
 import repro
+from repro.core.telemetry import rates, run_metrics
 from repro.harness.runner import run_native, run_native_process
 from repro.machine.cpu import ENGINE_TIERS, TIERS
 from repro.workloads import get_workload
@@ -81,10 +82,9 @@ def _thread_fingerprint(result) -> list | None:
     ledger parity check for Process runs."""
     if result.host.threads is None:
         return None
-    return [
-        (t["tid"], t["cycles"], t["instructions"], t["fp_traps"], t["bp_traps"])
-        for t in result.host.threads
-    ]
+    keys = ("cpu.cycles", "cpu.instructions", "cpu.fp_traps", "cpu.bp_traps")
+    return [(t["tid"], *(t["metrics"][k] for k in keys))
+            for t in result.host.threads]
 
 
 #: vacuity floor for the chained tier: the share of instructions it
@@ -121,7 +121,8 @@ def bench_one(workload: str, scale: int | None, reps: int = REPS) -> dict:
             )
 
     chained = runs["chained"]
-    hit_rate = (chained.host.uop_stats or {}).get("uop_hit_rate", 0.0)
+    chained_rates = rates(chained.host.metrics)
+    hit_rate = chained_rates.get("uop_hit_rate", 0.0)
     if workload.startswith("lorenz") and hit_rate < MIN_UOP_HIT_RATE:
         raise AssertionError(
             f"{workload}: chained tier retired {hit_rate:.4f} of its "
@@ -136,7 +137,8 @@ def bench_one(workload: str, scale: int | None, reps: int = REPS) -> dict:
         "simulated_cycles": chained.cycles,
         "identical_results": True,
         **_tier_fields(samples, n),
-        "uop_stats": chained.host.uop_stats,
+        "metrics": chained.host.metrics,
+        "rates": chained_rates,
     }
     if chained.host.sched is not None:
         row["sched"] = chained.host.sched
@@ -215,8 +217,8 @@ def churn_one(scale: int, reps: int = REPS, quantum: int = CHURN_QUANTUM,
             )
 
     chained_cpu = runs["chained"][0]
-    stats = chained_cpu.uop_stats.as_dict()
-    if not stats.get("survived_blocks"):
+    metrics = run_metrics([chained_cpu], (chained_cpu._sb_cache, "sbcache"))
+    if not metrics["sbcache.survived_blocks"]:
         raise AssertionError(
             "patch_churn: zero superblocks survived a sync — per-site "
             "invalidation is silently degraded to a wholesale flush")
@@ -229,7 +231,7 @@ def churn_one(scale: int, reps: int = REPS, quantum: int = CHURN_QUANTUM,
         "churn_events": churns,
         "identical_results": True,
         **_tier_fields(samples, n),
-        "uop_stats": stats,
+        "metrics": metrics,
     }
 
 
@@ -352,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
           f"chained {row['chained_ips']:>10,.0f} i/s "
           f"({row['chain_speedup']:.2f}x under {row['churn_events']} "
           f"churn events, "
-          f"{row['uop_stats']['survived_blocks']} blocks survived)")
+          f"{row['metrics']['sbcache.survived_blocks']} blocks survived)")
 
     ablation = []
     for workload, full, quick in ABLATION_WORKLOADS:

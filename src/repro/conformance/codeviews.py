@@ -25,6 +25,7 @@ checkable end to end:
 
 from __future__ import annotations
 
+from repro.core.telemetry import thread_metrics
 from repro.core.vm import FPVM, FPVMConfig
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.assembler import assemble
@@ -191,13 +192,13 @@ def self_reading_report(n: int = 400) -> dict:
         cpu = CPU(program, uops=uops)
         cpu.kernel = LinuxKernel()
         cpu.run(max_steps=MAX_STEPS)
-        stats = cpu.uop_stats.as_dict() if cpu.uop_stats else {}
+        m = thread_metrics(cpu)
         report["tiers"][name] = {
             "output": tuple(cpu.output),
             "instructions": cpu.instruction_count,
             "cycles": cpu.cycles,
-            "blocks_built": stats.get("blocks_built", 0),
-            "block_runs": stats.get("block_runs", 0),
+            "blocks_built": m.get("uop.blocks_built", 0),
+            "block_runs": m.get("uop.block_runs", 0),
         }
     outputs = {t["output"] for t in report["tiers"].values()}
     fingerprints = {(t["instructions"], t["cycles"])

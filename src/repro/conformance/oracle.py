@@ -172,26 +172,24 @@ def check_invariants(cpu, vm) -> list[str]:
             f"({tramp_calls}) + int3 traps ({cpu.bp_trap_count})"
         )
 
-    # 5. Foreign-call events match the wrapper counters.
-    wrapper_calls = ledger.counters["fcall_traps"] + ledger.counters["libm_calls"]
-    if t.fcall_events != wrapper_calls:
-        failures.append(
-            f"fcall events: {t.fcall_events} != wrapper invocations "
-            f"({wrapper_calls})"
-        )
+    # 5-7. Foreign calls and decode traffic price out to exactly their
+    #      ledger categories.
+    costs, cycles = vm.costs, ledger.by_category
+    for category, expect in (
+            ("fcall", (t.fcall_traps + t.libm_calls) * costs.fcall_wrapper),
+            ("decache", (t.decode_hits + t.decode_misses) * costs.decode_cache_hit),
+            ("decode", t.decode_misses * costs.decode_miss)):
+        if cycles[category] != expect:
+            failures.append(f"{category} cycles: ledger {cycles[category]} "
+                            f"!= {expect} priced from telemetry counts")
 
-    # 6. The emulation counters agree between telemetry and ledger.
-    if t.emulated_instructions != ledger.counters["emulated_instructions"]:
-        failures.append(
-            f"emulated: telemetry {t.emulated_instructions} != "
-            f"ledger {ledger.counters['emulated_instructions']}"
-        )
-
-    # 7. Decode traffic is conserved: hits + misses as seen by the
-    #    cache itself.
-    if (t.decode_hits, t.decode_misses) != (vm.decode_cache.hits, vm.decode_cache.misses):
-        failures.append(
-            f"decode counters: telemetry ({t.decode_hits}, {t.decode_misses}) "
-            f"!= cache ({vm.decode_cache.hits}, {vm.decode_cache.misses})"
-        )
+    # 8. The §6.3 trace statistics, when collected, account for every
+    #    emulated instruction and every sequence.
+    stats = vm.trace_stats
+    if stats is not None:
+        for name, want in (("emulated_instructions", stats.total_emulated()),
+                           ("sequences", stats.total_sequences())):
+            if getattr(t, name) != want:
+                failures.append(f"{name}: telemetry {getattr(t, name)} "
+                                f"!= trace statistics {want}")
     return failures

@@ -40,7 +40,6 @@ class BoxAllocator:
         self.gc_threshold = gc_threshold
         self.capacity = capacity
         self.allocs_since_gc = 0
-        self.total_allocations = 0
         #: sweep observer (the exception-flow recorder's ``collected``
         #: kill hook); called with the list of freed pointers.
         self.on_free = None
@@ -63,7 +62,6 @@ class BoxAllocator:
                 )
         self._boxes[ptr] = value
         self.allocs_since_gc += 1
-        self.total_allocations += 1
         return ptr
 
     def load(self, ptr: int):

@@ -27,8 +27,6 @@ class DecodeCache:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
         self._entries: "OrderedDict[int, MicroOp]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def lookup(self, addr: int) -> MicroOp | None:
         uop = self._entries.get(addr)
@@ -42,7 +40,6 @@ class DecodeCache:
                     f"decode cache entry at {addr:#x} decodes "
                     f"{uop.mnemonic} @ {uop.addr:#x}"
                 )
-            self.hits += 1
             self._entries.move_to_end(addr)
             return uop
         return None
@@ -59,7 +56,6 @@ class DecodeCache:
 
     def decode_miss(self, addr: int, raw: bytes) -> MicroOp:
         """Decode from bytes (the expensive path) and fill the cache."""
-        self.misses += 1
         uop = lower(decode_instruction(raw, addr=addr))
         self.insert(addr, uop)
         return uop
@@ -69,8 +65,3 @@ class DecodeCache:
 
     def __contains__(self, addr: int) -> bool:
         return addr in self._entries
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

@@ -101,9 +101,7 @@ class Emulator:
                 return False
             step = self._build(uop)
         step.run(context)
-        vm = self.vm
-        vm.telemetry.emulated_instructions += 1
-        vm.ledger.counters["emulated_instructions"] += 1
+        self.vm.telemetry.emulated_instructions += 1
         return True
 
     def _build(self, uop: MicroOp):

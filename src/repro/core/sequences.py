@@ -150,7 +150,6 @@ class CompiledTrace:
     steps: list[tuple[int, bool]]
     #: address of the recorded terminator (first non-emulated instr).
     end: int
-    hits: int = 0
 
 
 class SequenceEmulator:
@@ -265,7 +264,6 @@ class SequenceEmulator:
         vm = self.vm
         emulator = vm.emulator
         vm.telemetry.compiled_trace_hits += 1
-        trace.hits += 1
         emulated: list[int] = []
         for addr, probe in trace.steps:
             uop = self._fetch(addr)

@@ -1,9 +1,20 @@
-"""Cycle ledger and run telemetry.
+"""Cycle ledger and the one metrics model.
 
 The ledger accumulates cycles in exactly the categories of the paper's
 per-instruction breakdown figures (1, 6, 13): hw, kernel, decache,
 decode, bind, emul, altmath, gc, corr, fcall, ret.  Amortization is
 over *emulated instructions*, matching the figures' x-axes.
+
+Every other number is an event counted once, on a plain attribute of
+the object that owns it.  :func:`snapshot` names a holder's counts
+``namespace.field`` (``fpvm.*`` :class:`Telemetry`, ``uop.*`` a thread's
+``UopStats``, ``sched.*`` :class:`SchedulerStats`, ``sbcache.*`` the
+``SuperblockCache``, ``mem.*`` and ``cpu.*``); :func:`merge` adds
+snapshots exactly at every level, thread to fleet; :func:`rates`
+derives ratios from merged counts only.  Settings and gauges (a
+holder's ``UNMERGED``) are not counts and stay out.  A shared object's
+counters are reported once, by that object.  See the "Metrics model"
+section of ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -20,7 +31,6 @@ class CycleLedger:
 
     def __init__(self, cpu=None) -> None:
         self.by_category: dict[str, int] = {c: 0 for c in LEDGER_CATEGORIES}
-        self.counters: Counter = Counter()
         self._cpu = cpu
         self._chargers: dict = {}
 
@@ -68,24 +78,92 @@ class CycleLedger:
         self._chargers[charges] = charge
         return charge
 
-    def count(self, name: str, n: int = 1) -> None:
-        self.counters[name] += n
-
     def total(self) -> int:
         return sum(self.by_category.values())
 
-    def amortized(self, emulated_instructions: int | None = None) -> dict[str, float]:
-        """Cycles per emulated instruction, by category (Figure 1/6/13
-        bars)."""
-        n = emulated_instructions
-        if n is None:
-            n = self.counters.get("emulated_instructions", 0)
+    def amortized(self, n: int) -> dict[str, float]:
+        """Cycles per emulated instruction (``n`` of them), by category
+        (Figure 1/6/13 bars)."""
         if n == 0:
             return {c: 0.0 for c in self.by_category}
         return {c: v / n for c, v in self.by_category.items()}
 
     def snapshot(self) -> dict[str, int]:
         return dict(self.by_category)
+
+
+def snapshot(holder, ns: str = "") -> dict:
+    """``holder``'s counts as ``{"ns.field": value}``: every int field
+    and every :class:`Counter` histogram (as a plain dict), minus the
+    names in the holder's ``UNMERGED``.  An empty ``ns`` leaves the
+    field names bare."""
+    prefix = f"{ns}." if ns else ""
+    skip = getattr(holder, "UNMERGED", ())
+    out: dict = {}
+    for name in getattr(holder, "__slots__", None) or vars(holder):
+        if name[0] == "_" or name in skip:
+            continue
+        value = getattr(holder, name)
+        if isinstance(value, Counter):
+            out[prefix + name] = dict(value)
+        elif type(value) is int:
+            out[prefix + name] = value
+    return out
+
+
+def merge(*snapshots: dict) -> dict:
+    """The exact, associative and commutative sum of ``snapshots``:
+    ints add, histograms add key by key.  The inputs are not modified."""
+    out: dict = {}
+    for snap in snapshots:
+        for key, value in snap.items():
+            if isinstance(value, dict):
+                acc = out.setdefault(key, {})
+                for k, v in value.items():
+                    acc[k] = acc.get(k, 0) + v
+            else:
+                out[key] = out.get(key, 0) + value
+    return out
+
+
+def _ratio(num: float, den: float) -> float:
+    return num / den if den else 0.0
+
+
+def rates(m: dict) -> dict:
+    """The ratios a merged snapshot ``m`` supports, each computed from
+    its summed counts (never by averaging its parts' ratios)."""
+    out = {}
+    if "uop.uops_retired" in m:
+        retired = m["uop.uops_retired"]
+        out["uop_hit_rate"] = _ratio(
+            retired, retired + m["uop.single_steps"] + m["uop.slow_fallbacks"])
+        out["superblock_hit_rate"] = _ratio(
+            m["uop.block_runs"], m["uop.block_runs"] + m["uop.blocks_built"])
+    if "sched.dispatches" in m:
+        out["quantum_efficiency"] = _ratio(m["sched.steps"], m["sched.dispatches"])
+    if "fpvm.sequences" in m:
+        out["avg_sequence_length"] = _ratio(
+            m["fpvm.emulated_instructions"], m["fpvm.sequences"])
+    return out
+
+
+def thread_metrics(cpu) -> dict:
+    """One thread CPU's snapshot: its architectural counts and, once the
+    chained engine has run on it, that engine's ``uop.*`` counters."""
+    out = {"cpu.instructions": cpu.instruction_count, "cpu.cycles": cpu.cycles,
+           "cpu.fp_traps": cpu.fp_trap_count, "cpu.bp_traps": cpu.bp_trap_count}
+    if cpu.uop_stats is not None:
+        out.update(snapshot(cpu.uop_stats, "uop"))
+    return out
+
+
+def run_metrics(cpus, *owners: tuple) -> dict:
+    """A run's snapshot: the merge of its threads' snapshots and one
+    snapshot per shared owner, given as ``(holder, namespace)`` pairs
+    (a None holder is skipped)."""
+    return merge(*map(thread_metrics, cpus),
+                 *(snapshot(h, ns) for h, ns in owners if h is not None))
 
 
 class SchedulerStats:
@@ -102,6 +180,9 @@ class SchedulerStats:
     __slots__ = ("quantum", "dispatches", "steps", "per_thread",
                  "fp_switches", "fp_saves_elided", "fp_lanes_saved",
                  "fp_lanes_restored", "fp_eager_switches")
+
+    #: a setting, not a count.
+    UNMERGED = ("quantum",)
 
     def __init__(self) -> None:
         #: quantum size of the most recent run() driving this record.
@@ -133,43 +214,7 @@ class SchedulerStats:
     @property
     def quantum_efficiency(self) -> float:
         """Mean instructions retired per scheduler dispatch."""
-        return self.steps / self.dispatches if self.dispatches else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "quantum": self.quantum,
-            "dispatches": self.dispatches,
-            "steps": self.steps,
-            "quantum_efficiency": self.quantum_efficiency,
-            "fp_switches": self.fp_switches,
-            "fp_saves_elided": self.fp_saves_elided,
-            "fp_lanes_saved": self.fp_lanes_saved,
-            "fp_lanes_restored": self.fp_lanes_restored,
-            "fp_eager_switches": self.fp_eager_switches,
-            "per_thread": {
-                tid: {"dispatches": d, "steps": s}
-                for tid, (d, s) in sorted(self.per_thread.items())
-            },
-        }
-
-
-def aggregate_uop_stats(stats_dicts) -> dict:
-    """Sum per-thread ``UopStats.as_dict()`` records into one: scalar
-    counters add, dict counters (exit reasons, histograms) merge key by
-    key, and ``uop_hit_rate`` is recomputed from the summed counters."""
-    out: dict = {}
-    for stats in stats_dicts:
-        if not stats:
-            continue
-        for key, value in stats.items():
-            if isinstance(value, dict):
-                out.setdefault(key, Counter()).update(value)
-            else:
-                out[key] = out.get(key, 0) + value
-    total = (out.get("uops_retired", 0) + out.get("single_steps", 0)
-             + out.get("slow_fallbacks", 0))
-    out["uop_hit_rate"] = out.get("uops_retired", 0) / total if total else 0.0
-    return {k: dict(v) if isinstance(v, Counter) else v for k, v in out.items()}
+        return rates(snapshot(self, "sched"))["quantum_efficiency"]
 
 
 def percentile(values, q: float) -> float:
@@ -188,74 +233,9 @@ def percentile(values, q: float) -> float:
     return float(vals[lo]) + (float(vals[hi]) - float(vals[lo])) * frac
 
 
-def aggregate_fleet_stats(
-    rows,
-    wall_seconds: float,
-    workers: int,
-    retries: int = 0,
-    crashes: int = 0,
-    rejected: int = 0,
-    failed: int = 0,
-) -> dict:
-    """Merge per-guest result rows into the fleet-level summary.
-
-    ``rows`` is one dict per completed guest with at least ``seconds``
-    (guest latency), ``cycles``, ``instructions``, ``fp_traps``,
-    ``bp_traps``, ``cow_faults``, ``worker`` (worker id), and
-    optionally ``uop`` (the guest's merged ``UopStats.as_dict()``).
-    Aggregation is exact — every guest's ledger is summed, never
-    sampled — so fleet totals reconcile against serial execution to
-    the cycle (the Mhatre & Chandran exactness property).  The
-    per-worker section carries the warm-cache reuse rate: superblock
-    hit rate (block dispatches served from cache vs built).
-    """
-    latencies = [r["seconds"] for r in rows]
-    per_worker: dict = {}
-    for r in rows:
-        w = per_worker.setdefault(r["worker"], {
-            "guests": 0, "cycles": 0, "instructions": 0, "cow_faults": 0,
-            "fp_switches": 0, "fp_saves_elided": 0,
-            "block_runs": 0, "blocks_built": 0,
-        })
-        w["guests"] += 1
-        w["cycles"] += r["cycles"]
-        w["instructions"] += r["instructions"]
-        w["cow_faults"] += r.get("cow_faults", 0)
-        w["fp_switches"] += r.get("fp_switches", 0)
-        w["fp_saves_elided"] += r.get("fp_saves_elided", 0)
-        uop = r.get("uop") or {}
-        w["block_runs"] += uop.get("block_runs", 0)
-        w["blocks_built"] += uop.get("blocks_built", 0)
-    for w in per_worker.values():
-        dispatches = w["block_runs"] + w["blocks_built"]
-        w["superblock_hit_rate"] = (w["block_runs"] / dispatches
-                                    if dispatches else 0.0)
-    return {
-        "guests": len(rows),
-        "workers": workers,
-        "wall_seconds": wall_seconds,
-        "guests_per_sec": len(rows) / wall_seconds if wall_seconds > 0 else 0.0,
-        "p50_latency": percentile(latencies, 50),
-        "p99_latency": percentile(latencies, 99),
-        "max_latency": max(latencies) if latencies else 0.0,
-        "cycles": sum(r["cycles"] for r in rows),
-        "instructions": sum(r["instructions"] for r in rows),
-        "fp_traps": sum(r.get("fp_traps", 0) for r in rows),
-        "bp_traps": sum(r.get("bp_traps", 0) for r in rows),
-        "cow_faults": sum(r.get("cow_faults", 0) for r in rows),
-        "fp_switches": sum(r.get("fp_switches", 0) for r in rows),
-        "fp_saves_elided": sum(r.get("fp_saves_elided", 0) for r in rows),
-        "retries": retries,
-        "crashes": crashes,
-        "rejected": rejected,
-        "failed": failed,
-        "per_worker": {w: per_worker[w] for w in sorted(per_worker)},
-    }
-
-
 @dataclass
 class Telemetry:
-    """Everything a run reports besides the ledger."""
+    """Everything an FPVM counts besides the ledger's cycles."""
 
     traps: int = 0
     signal_traps: int = 0
@@ -280,11 +260,17 @@ class Telemetry:
     demotions: int = 0
     boxes_allocated: int = 0
     corr_events: int = 0
-    fcall_events: int = 0
+    #: foreign calls through a demoting wrapper / a libm forward wrapper.
+    fcall_traps: int = 0
+    libm_calls: int = 0
+    #: XMM lanes the handler's and the wrappers' state guards saved and
+    #: restored (§3.1's clobber-masked lazy save).
+    fp_handler_lanes_saved: int = 0
+    fp_handler_lanes_restored: int = 0
+    fp_wrapper_lanes_saved: int = 0
+    fp_wrapper_lanes_restored: int = 0
     altmath_ops: Counter = field(default_factory=Counter)
 
     @property
     def avg_sequence_length(self) -> float:
-        if self.sequences == 0:
-            return 0.0
-        return self.emulated_instructions / self.sequences
+        return rates(snapshot(self, "fpvm"))["avg_sequence_length"]

@@ -348,7 +348,7 @@ class FPVM:
             idx = bit.bit_length() - 1
             saved[idx] = context.read_xmm(idx >> 1, idx & 1)
             m ^= bit
-        self.ledger.count("fp_handler_lanes_saved", len(saved))
+        self.telemetry.fp_handler_lanes_saved += len(saved)
         if self.fp_scribble_mask:
             # Armed seam: the handler body trashes these lanes.
             m = self.fp_scribble_mask
@@ -370,7 +370,7 @@ class FPVM:
             if not (written >> idx) & 1:
                 context.raw_write_xmm(idx >> 1, value, idx & 1)
                 restored += 1
-        self.ledger.count("fp_handler_lanes_restored", restored)
+        self.telemetry.fp_handler_lanes_restored += restored
 
     def _on_sigtrap(self, signum, context, trap) -> None:
         """Baseline int3 correctness trap: demote then single-step."""

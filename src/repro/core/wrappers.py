@@ -54,7 +54,7 @@ def _guard_save(vm, cpu, clobber: int) -> dict[int, int]:
         idx = bit.bit_length() - 1
         saved[idx] = regs_xmm[idx >> 1][idx & 1]
         m ^= bit
-    vm.ledger.count("fp_wrapper_lanes_saved", len(saved))
+    vm.telemetry.fp_wrapper_lanes_saved += len(saved)
     return saved
 
 
@@ -68,7 +68,7 @@ def _guard_restore(vm, cpu, saved: dict[int, int], written: int) -> None:
         if not (written >> idx) & 1:
             cpu.regs.write_xmm_lane(idx >> 1, idx & 1, value)
             restored += 1
-    vm.ledger.count("fp_wrapper_lanes_restored", restored)
+    vm.telemetry.fp_wrapper_lanes_restored += restored
     if written:
         cpu.fp_quantum_touched = True
         cpu.regs.fp_dirty |= written
@@ -123,8 +123,7 @@ def _make_demoting_wrapper(vm, host: HostFunction):
 
     def wrapper(cpu) -> None:
         vm.charge("fcall", vm.costs.fcall_wrapper)
-        vm.telemetry.fcall_events += 1
-        vm.ledger.count("fcall_traps")
+        vm.telemetry.fcall_traps += 1
         saved = _guard_save(vm, cpu, clobber)
         written = 0
         for i in range(host.fp_args):
@@ -155,8 +154,7 @@ def _make_libm_forward_wrapper(vm, host: HostFunction):
 
     def wrapper(cpu) -> None:
         vm.charge("fcall", vm.costs.fcall_wrapper)
-        vm.telemetry.fcall_events += 1
-        vm.ledger.count("libm_calls")
+        vm.telemetry.libm_calls += 1
         saved = _guard_save(vm, cpu, clobber)
         flow = vm.flow
         if flow is not None:

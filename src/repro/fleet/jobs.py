@@ -3,9 +3,9 @@
 A :class:`GuestJob` is one guest process to execute — everything a
 worker needs to build (or look up) the program template and run the
 guest deterministically.  A :class:`GuestResult` is the per-guest
-ledger the scheduler aggregates: simulated cycles, instruction counts,
-trap counts, per-thread breakdowns, guest latency, and the COW /
-warm-cache counters.  Both must stay picklable (they cross the
+ledger: simulated cycles, instruction counts, trap counts, per-thread
+breakdowns, guest latency, and the guest's metrics snapshot that the
+scheduler merges.  Both must stay picklable (they cross the
 worker-process boundary).
 """
 
@@ -63,16 +63,10 @@ class GuestResult:
     #: per-thread (tid, cycles, instructions, fp_traps, bp_traps) for
     #: Process guests; None for single-CPU guests.
     threads: tuple | None = None
-    #: pages privately materialized by this guest's writes (0 when the
-    #: guest ran cold, without a template).
-    cow_faults: int = 0
-    #: lazy-FP scheduler telemetry (§3.1): modeled #NM ownership
-    #: switches and dispatches whose XMM spill was elided (0 for
-    #: single-CPU guests — no scheduler, no switches).
-    fp_switches: int = 0
-    fp_saves_elided: int = 0
-    #: merged UopStats.as_dict() subset across the guest's thread CPUs.
-    uop: dict = field(default_factory=dict)
+    #: the guest's snapshot (``cpu.*``, ``uop.*``, ``sched.*``,
+    #: ``mem.cow_faults``); ``sbcache.*`` only when it ran cold, on a
+    #: cache of its own rather than the worker's warm one.
+    metrics: dict = field(default_factory=dict)
     #: set when the guest itself raised (deterministic guest failure —
     #: never retried, unlike worker crashes).
     error: str | None = None
@@ -83,22 +77,6 @@ class GuestResult:
         they ran serially, cold, warm, or on any worker."""
         return (self.output, self.cycles, self.instructions,
                 self.fp_traps, self.bp_traps, self.threads, self.error)
-
-    def row(self) -> dict:
-        """The aggregation row ``telemetry.aggregate_fleet_stats``
-        consumes."""
-        return {
-            "seconds": self.seconds,
-            "cycles": self.cycles,
-            "instructions": self.instructions,
-            "fp_traps": self.fp_traps,
-            "bp_traps": self.bp_traps,
-            "cow_faults": self.cow_faults,
-            "fp_switches": self.fp_switches,
-            "fp_saves_elided": self.fp_saves_elided,
-            "worker": self.worker,
-            "uop": self.uop,
-        }
 
 
 def make_batch(

@@ -40,7 +40,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.core.telemetry import aggregate_fleet_stats
+from repro.core.telemetry import merge, percentile, rates
 from repro.errors import FleetQuotaError, FleetWorkerError
 from repro.fleet.jobs import GuestJob, GuestResult
 from repro.fleet.worker import get_template, run_guest, worker_main
@@ -76,13 +76,47 @@ class FleetReport:
     wall_seconds: float = 0.0
     retries: int = 0
     crashes: int = 0
-    #: aggregate_fleet_stats() output.
+    #: the fleet summary (:func:`fleet_summary`).
     fleet: dict = field(default_factory=dict)
     #: fleet-level HostPerf (filled by harness.runner.run_fleet).
     host: object = None
 
     def fingerprints(self) -> dict:
         return {r.job_id: r.fingerprint() for r in self.results}
+
+
+def _merged(results) -> dict:
+    """The exact merge of ``results``' snapshots, its ``guests`` count
+    and the ratios derived from the merged counts."""
+    metrics = merge(*(r.metrics for r in results))
+    return {"guests": len(results), **metrics, **rates(metrics)}
+
+
+def fleet_summary(report: FleetReport) -> dict:
+    """The accepted guests merged as a whole and per worker, with
+    latency percentiles, guests/sec and admission and crash counts.
+    Nothing is sampled: fleet totals reconcile against serial execution
+    to the cycle (the Mhatre & Chandran exactness property)."""
+    results = report.results
+    latencies = [r.seconds for r in results]
+    by_worker: dict = {}
+    for r in results:
+        by_worker.setdefault(r.worker, []).append(r)
+    wall = report.wall_seconds
+    return {
+        **_merged(results),
+        "workers": report.workers,
+        "wall_seconds": wall,
+        "guests_per_sec": len(results) / wall if wall > 0 else 0.0,
+        "p50_latency": percentile(latencies, 50),
+        "p99_latency": percentile(latencies, 99),
+        "max_latency": max(latencies, default=0.0),
+        "retries": report.retries,
+        "crashes": report.crashes,
+        "rejected": len(report.rejected),
+        "failed": len(report.failed),
+        "per_worker": {w: _merged(by_worker[w]) for w in sorted(by_worker)},
+    }
 
 
 class _Worker:
@@ -180,15 +214,7 @@ class FleetScheduler:
             self._run_pool(admitted, serialized, report)
         report.results.sort(key=lambda r: r.job_id)
         report.wall_seconds = time.perf_counter() - t0
-        report.fleet = aggregate_fleet_stats(
-            [r.row() for r in report.results],
-            report.wall_seconds,
-            workers=report.workers,
-            retries=report.retries,
-            crashes=report.crashes,
-            rejected=len(report.rejected),
-            failed=len(report.failed),
-        )
+        report.fleet = fleet_summary(report)
         return report
 
     def _run_inline(self, admitted, report: FleetReport) -> None:

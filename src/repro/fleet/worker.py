@@ -24,18 +24,13 @@ from __future__ import annotations
 import os
 import time
 
-from repro.core.telemetry import aggregate_uop_stats
+from repro.core.telemetry import run_metrics
 from repro.fleet.jobs import GuestJob, GuestResult
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.cpu import CPU
 from repro.machine.process import Process
 from repro.machine.uops import SuperblockCache, lower_program
 from repro.workloads import build_program, get_workload
-
-#: merged per-guest engine counters worth shipping across the process
-#: boundary (the fleet per-worker cache-reuse section reads these).
-_UOP_KEYS = ("blocks_built", "block_runs", "uops_retired")
-
 
 class WorkloadTemplate:
     """One program's shared, read-only substrate inside a worker."""
@@ -108,8 +103,7 @@ def run_guest(job: GuestJob, template: WorkloadTemplate | None = None) -> GuestR
                  t.fp_trap_count, t.bp_trap_count)
                 for t in cpus
             )
-            result.fp_switches = proc.sched.fp_switches
-            result.fp_saves_elided = proc.sched.fp_saves_elided
+            sched = proc.sched
             mem = proc.mem
         else:
             if image is not None:
@@ -122,6 +116,7 @@ def run_guest(job: GuestJob, template: WorkloadTemplate | None = None) -> GuestR
                           uops=job.uops)
             cpu.kernel = kernel
             cpus = [cpu]
+            sched = None
             t0 = time.perf_counter()
             cpu.run()
             result.seconds = time.perf_counter() - t0
@@ -131,10 +126,10 @@ def run_guest(job: GuestJob, template: WorkloadTemplate | None = None) -> GuestR
             mem = cpu.mem
         result.fp_traps = sum(t.fp_trap_count for t in cpus)
         result.bp_traps = sum(t.bp_trap_count for t in cpus)
-        result.cow_faults = mem.cow_faults
-        merged = aggregate_uop_stats(
-            [t.uop_stats.as_dict() for t in cpus if t.uop_stats is not None])
-        result.uop = {k: merged.get(k, 0) for k in _UOP_KEYS}
+        # A warm guest's cache is the worker's, not the guest's.
+        own_cache = None if template is not None else cpus[0]._sb_cache
+        result.metrics = run_metrics(cpus, (sched, "sched"), (mem, "mem"),
+                                     (own_cache, "sbcache"))
     except Exception as exc:  # deterministic guest failure: no retry
         result.error = f"{type(exc).__name__}: {exc}"
     finally:

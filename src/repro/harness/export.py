@@ -1,17 +1,22 @@
 """JSON export/import of run results.
 
-Reproduction runs should be archivable and diffable: `to_json` captures
-everything a run reports (outputs, cycle ledger, telemetry, trace
-statistics) in a stable schema; `compare_runs` diffs two archives the
-way EXPERIMENTS.md compares paper vs. measured.
+Reproduction runs should be archivable and diffable: `result_to_dict`
+captures everything a run reports (outputs, cycle ledger, the run's
+full metrics snapshot and the ratios derived from it, trace statistics)
+in a stable schema; `compare_runs` diffs two archives the way
+EXPERIMENTS.md compares paper vs. measured.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
-SCHEMA_VERSION = 1
+from repro.core.telemetry import rates
+
+#: 2: the hand-picked ``telemetry`` block and the scalar copies gave way
+#: to the full ``metrics`` snapshot and its ``rates``.
+SCHEMA_VERSION = 2
 
 
 def result_to_dict(result) -> dict:
@@ -29,7 +34,7 @@ def result_to_dict(result) -> dict:
             }
             for rec in stats.by_popularity()
         ]
-    t = result.telemetry
+    metrics = result.host.metrics
     return {
         "schema": SCHEMA_VERSION,
         "workload": result.workload,
@@ -37,22 +42,8 @@ def result_to_dict(result) -> dict:
         "cycles": result.cycles,
         "output": list(result.output),
         "ledger": dict(result.ledger),
-        "emulated_instructions": result.emulated_instructions,
-        "traps": result.traps,
-        "avg_sequence_length": result.avg_sequence_length,
-        "gc_runs": result.gc_runs,
-        "telemetry": {
-            "short_circuit_traps": t.short_circuit_traps,
-            "decode_hits": t.decode_hits,
-            "decode_misses": t.decode_misses,
-            "promotions": t.promotions,
-            "demotions": t.demotions,
-            "boxes_allocated": t.boxes_allocated,
-            "corr_events": t.corr_events,
-            "fcall_events": t.fcall_events,
-            "gc_objects_collected": t.gc_objects_collected,
-            "altmath_ops": dict(t.altmath_ops),
-        },
+        "metrics": metrics,
+        "rates": rates(metrics),
         "traces": traces,
     }
 
@@ -118,20 +109,27 @@ def compare_runs(before: dict, after: dict,
     between two `result_to_dict` archives of the same workload+config."""
     if (before["workload"], before["config"]) != (after["workload"], after["config"]):
         raise ValueError("archives are from different runs")
+    old, new = _numbers(before), _numbers(after)
     deltas = []
-    scalars = ["cycles", "emulated_instructions", "traps", "avg_sequence_length",
-               "gc_runs"]
-    for metric in scalars:
-        b, a = before[metric], after[metric]
+    for metric in dict.fromkeys([*old, *new]):
+        b, a = old.get(metric, 0), new.get(metric, 0)
         if b == a == 0:
             continue
         if b == 0 or abs(a - b) / max(abs(b), 1e-12) > threshold:
             deltas.append(RunDelta(metric, b, a))
-    for cat in before["ledger"]:
-        b = before["ledger"][cat]
-        a = after["ledger"].get(cat, 0)
-        if b == a == 0:
-            continue
-        if b == 0 or abs(a - b) / max(abs(b), 1e-12) > threshold:
-            deltas.append(RunDelta(f"ledger.{cat}", b, a))
     return deltas
+
+
+def _numbers(archive: dict) -> dict:
+    """Every number of an archive under one flat name: ``cycles``,
+    ``ledger.<cat>``, each metric (a histogram bucket as
+    ``<metric>.<key>``) and each rate."""
+    out = {"cycles": archive["cycles"]}
+    out.update({f"ledger.{k}": v for k, v in archive["ledger"].items()})
+    for name, value in archive["metrics"].items():
+        if isinstance(value, dict):
+            out.update({f"{name}.{k}": v for k, v in value.items()})
+        else:
+            out[name] = value
+    out.update(archive["rates"])
+    return out

@@ -220,13 +220,13 @@ def render_fleet(fleet: dict, title: str) -> str:
     lines.append(f"  guest latency p50:    {fleet['p50_latency'] * 1e3:>10.2f} ms")
     lines.append(f"  guest latency p99:    {fleet['p99_latency'] * 1e3:>10.2f} ms")
     lines.append(f"  guest latency max:    {fleet['max_latency'] * 1e3:>10.2f} ms")
-    lines.append(f"  simulated cycles:     {fleet['cycles']:>10}")
-    lines.append(f"  instructions:         {fleet['instructions']:>10}")
-    lines.append(f"  fp/bp traps:          {fleet['fp_traps']:>10} /"
-                 f" {fleet['bp_traps']}")
-    lines.append(f"  COW page faults:      {fleet['cow_faults']:>10}")
-    lines.append(f"  FP switches/elided:   {fleet.get('fp_switches', 0):>10} /"
-                 f" {fleet.get('fp_saves_elided', 0)}")
+    lines.append(f"  simulated cycles:     {fleet.get('cpu.cycles', 0):>10}")
+    lines.append(f"  instructions:         {fleet.get('cpu.instructions', 0):>10}")
+    lines.append(f"  fp/bp traps:          {fleet.get('cpu.fp_traps', 0):>10} /"
+                 f" {fleet.get('cpu.bp_traps', 0)}")
+    lines.append(f"  COW page faults:      {fleet.get('mem.cow_faults', 0):>10}")
+    lines.append(f"  FP switches/elided:   {fleet.get('sched.fp_switches', 0):>10} /"
+                 f" {fleet.get('sched.fp_saves_elided', 0)}")
     lines.append(f"  crashes/retries:      {fleet['crashes']:>10} /"
                  f" {fleet['retries']}")
     lines.append(f"  rejected/failed:      {fleet['rejected']:>10} /"
@@ -241,10 +241,10 @@ def render_fleet(fleet: dict, title: str) -> str:
         for wid, w in per_worker.items():
             label = "inline" if wid == -1 else str(wid)
             lines.append(
-                f"  {label:<8}{w['guests']:>8}{w['instructions']:>12}"
-                f"{w['cow_faults']:>8}{w.get('fp_switches', 0):>7}"
-                f"{w.get('fp_saves_elided', 0):>8}"
-                f"{w['superblock_hit_rate'] * 100:>8.1f}%"
+                f"  {label:<8}{w['guests']:>8}{w.get('cpu.instructions', 0):>12}"
+                f"{w.get('mem.cow_faults', 0):>8}{w.get('sched.fp_switches', 0):>7}"
+                f"{w.get('sched.fp_saves_elided', 0):>8}"
+                f"{w.get('superblock_hit_rate', 0.0) * 100:>8.1f}%"
             )
     return "\n".join(lines)
 

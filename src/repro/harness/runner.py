@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.profiler import profile_patch_sites
+from repro.core.telemetry import merge, run_metrics, snapshot, thread_metrics
 from repro.core.vm import FPVM, FPVMConfig
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.cpu import CPU
@@ -28,41 +29,28 @@ class HostPerf:
 
     seconds: float = 0.0
     #: natively retired guest instructions (every thread for Process
-    #: runs); emulated ones are counted separately below.
+    #: runs); the ones FPVM emulated are ``fpvm.emulated_instructions``.
     instructions: int = 0
-    #: guest instructions FPVM emulated instead (0 for native runs).
-    emulated_instructions: int = 0
-    #: micro-op engine counters (UopStats.as_dict()), if the pipeline
-    #: ran — summed over every thread for Process runs.
-    uop_stats: dict | None = None
-    #: compiled-trace tier counters, if an FPVM was attached.
-    compiled_traces: int = 0
-    compiled_trace_hits: int = 0
+    #: the run's merged snapshot (:func:`repro.core.telemetry.run_metrics`):
+    #: ``cpu.*`` and ``uop.*`` over every thread, plus ``sched.*``,
+    #: ``sbcache.*`` and ``fpvm.*`` from their one owner each.
+    metrics: dict = field(default_factory=dict)
     #: per-thread breakdown for Process runs: one dict per thread with
-    #: instructions/cycles/traps, host throughput share, scheduler
-    #: dispatches, and the thread's superblock quantum-exit reasons.
+    #: its ``tid``, scheduler ``dispatches``, host throughput share
+    #: (``ips``) and its own snapshot (``metrics``).
     threads: list | None = None
-    #: scheduler-level telemetry (SchedulerStats.as_dict()): dispatches,
-    #: steps, and quantum efficiency = instructions retired per dispatch.
+    #: the ``sched.*`` counters without their namespace, for Process runs.
     sched: dict | None = None
     #: always None: native code runs on the chained engine, which has
     #: no compiled-trace tier.  Kept so readers of ``host.trace`` (the
     #: bench_fpvm harness) still find the attribute.
     trace: dict | None = None
-    #: fleet summary (telemetry.aggregate_fleet_stats) when this perf
-    #: record describes a multiprocess fleet batch rather than one run:
-    #: guests/sec, p50/p99 guest latency, COW faults, retries/crashes,
-    #: and per-worker warm-cache hit rates.
-    fleet: dict | None = None
-    #: exception-flow summary (FlowRecorder.as_dict()) when the run had
-    #: the ``FPVM_FLOW`` knob / ``flow`` config field on, else None.
-    flow: dict | None = None
 
     @property
     def ips(self) -> float:
         """Host wall-clock guest-instructions per second, counting the
         instructions FPVM emulated as well as the native ones."""
-        guest = self.instructions + self.emulated_instructions
+        guest = self.instructions + self.metrics.get("fpvm.emulated_instructions", 0)
         return guest / self.seconds if self.seconds > 0 else 0.0
 
 
@@ -82,10 +70,6 @@ class FPVMResult:
     cycles: int
     output: list[str]
     ledger: dict[str, int]
-    emulated_instructions: int
-    traps: int
-    avg_sequence_length: float
-    gc_runs: int
     trace_stats: object  # TraceStatistics or None
     telemetry: object
     program: object
@@ -93,6 +77,22 @@ class FPVMResult:
     #: the run's FlowRecorder (full provenance graph) when exception-
     #: flow observability was enabled, else None.
     flow: object = None
+
+    @property
+    def emulated_instructions(self) -> int:
+        return self.telemetry.emulated_instructions
+
+    @property
+    def traps(self) -> int:
+        return self.telemetry.traps
+
+    @property
+    def avg_sequence_length(self) -> float:
+        return self.telemetry.avg_sequence_length
+
+    @property
+    def gc_runs(self) -> int:
+        return self.telemetry.gc_runs
 
     @property
     def altmath_cycles(self) -> int:
@@ -135,55 +135,41 @@ def run_native(
     t0 = time.perf_counter()
     cpu.run()
     seconds = time.perf_counter() - t0
-    stats = cpu.uop_stats
-    host = HostPerf(
-        seconds=seconds,
-        instructions=cpu.instruction_count,
-        uop_stats=stats.as_dict() if stats is not None else None,
-    )
+    host = HostPerf(seconds, cpu.instruction_count, _cpu_metrics(cpu))
     return NativeResult(workload, cpu.cycles, cpu.instruction_count,
                         list(cpu.output), host=host)
 
 
-def _process_host_perf(proc, seconds: float) -> HostPerf:
-    """Aggregate a finished Process run into a HostPerf with per-thread
-    breakdown and scheduler telemetry."""
+def _cpu_metrics(cpu, vm=None) -> dict:
+    """A standalone CPU's snapshot: the thread, its private cache and
+    the attached FPVM's telemetry, if any."""
+    return run_metrics([cpu], (cpu._sb_cache, "sbcache"),
+                       (vm.telemetry if vm else None, "fpvm"))
+
+
+def _process_host_perf(proc, seconds: float, vm=None) -> HostPerf:
+    """A finished Process run as a HostPerf: the process snapshot, one
+    snapshot per thread, and the scheduler counters."""
     sched = proc.sched
-    per_thread = {tid: s for tid, (d, s) in sched.per_thread.items()}
     total_sched_steps = sched.steps or 1
     threads = []
     for t in proc.threads:
-        stats = t.uop_stats
-        t_steps = per_thread.get(t.tid, 0)
+        dispatches, t_steps = sched.per_thread.get(t.tid, (0, 0))
         threads.append({
             "tid": t.tid,
-            "instructions": t.instruction_count,
-            "cycles": t.cycles,
-            "fp_traps": t.fp_trap_count,
-            "bp_traps": t.bp_trap_count,
+            "dispatches": dispatches,
             # wall clock is shared round-robin; attribute it by the
             # thread's share of scheduler steps.
             "ips": (t.instruction_count
                     / (seconds * t_steps / total_sched_steps)
                     if seconds > 0 and t_steps else 0.0),
-            "dispatches": sched.per_thread.get(t.tid, (0, 0))[0],
-            "quantum_exits": (dict(stats.quantum_exits)
-                              if stats is not None else None),
+            "metrics": thread_metrics(t),
         })
-    total_instructions = sum(t.instruction_count for t in proc.threads)
-    from repro.core.telemetry import aggregate_uop_stats
-
-    per_thread_stats = [t.uop_stats.as_dict() for t in proc.threads
-                        if t.uop_stats is not None]
-    uop_stats = (aggregate_uop_stats(per_thread_stats)
-                 if per_thread_stats else None)
-    return HostPerf(
-        seconds=seconds,
-        instructions=total_instructions,
-        uop_stats=uop_stats,
-        threads=threads,
-        sched=sched.as_dict(),
-    )
+    metrics = run_metrics(proc.threads, (sched, "sched"),
+                          (proc.sb_cache, "sbcache"),
+                          (vm.telemetry if vm else None, "fpvm"))
+    return HostPerf(seconds, metrics["cpu.instructions"], metrics, threads,
+                    sched=snapshot(sched))
 
 
 def run_native_process(
@@ -230,27 +216,16 @@ def run_fpvm_process(
     t0 = time.perf_counter()
     proc.run(quantum=quantum)
     seconds = time.perf_counter() - t0
-    t = vm.telemetry
-    host = _process_host_perf(proc, seconds)
-    host.emulated_instructions = t.emulated_instructions
-    host.compiled_traces = t.compiled_traces
-    host.compiled_trace_hits = t.compiled_trace_hits
-    if vm.flow is not None:
-        host.flow = vm.flow.as_dict()
     return FPVMResult(
         workload=workload,
         config_name=config_name or _config_label(config),
         cycles=proc.total_cycles,
         output=list(proc.main.output),
         ledger=vm.ledger.snapshot(),
-        emulated_instructions=t.emulated_instructions,
-        traps=t.traps,
-        avg_sequence_length=t.avg_sequence_length,
-        gc_runs=t.gc_runs,
         trace_stats=vm.trace_stats,
-        telemetry=t,
+        telemetry=vm.telemetry,
         program=program,
-        host=host,
+        host=_process_host_perf(proc, seconds, vm),
         flow=vm.flow,
     )
 
@@ -273,32 +248,16 @@ def run_fpvm(
     t0 = time.perf_counter()
     cpu.run()
     seconds = time.perf_counter() - t0
-    t = vm.telemetry
-    stats = cpu.uop_stats
-    host = HostPerf(
-        seconds=seconds,
-        instructions=cpu.instruction_count,
-        emulated_instructions=t.emulated_instructions,
-        uop_stats=stats.as_dict() if stats is not None else None,
-        compiled_traces=t.compiled_traces,
-        compiled_trace_hits=t.compiled_trace_hits,
-    )
-    if vm.flow is not None:
-        host.flow = vm.flow.as_dict()
     return FPVMResult(
         workload=workload,
         config_name=config_name or _config_label(config),
         cycles=cpu.cycles,
         output=list(cpu.output),
         ledger=vm.ledger.snapshot(),
-        emulated_instructions=t.emulated_instructions,
-        traps=t.traps,
-        avg_sequence_length=t.avg_sequence_length,
-        gc_runs=t.gc_runs,
         trace_stats=vm.trace_stats,
-        telemetry=t,
+        telemetry=vm.telemetry,
         program=program,
-        host=host,
+        host=HostPerf(seconds, cpu.instruction_count, _cpu_metrics(cpu, vm)),
         flow=vm.flow,
     )
 
@@ -314,18 +273,16 @@ def run_fleet(
 ):
     """Run a homogeneous fleet batch and return its FleetReport with
     ``report.host`` filled in: a fleet-level :class:`HostPerf` whose
-    ``seconds`` is batch wall-clock, ``instructions`` is the exact sum
-    of every guest's ledger, and ``fleet`` carries guests/sec, p50/p99
-    latency, and per-worker cache-reuse rates."""
+    ``seconds`` is batch wall-clock and whose ``metrics`` is the exact
+    merge of every guest's snapshot; ``report.fleet`` carries those
+    counts with guests/sec, p50/p99 latency and the per-worker merges."""
     from repro.fleet import FleetScheduler, make_batch
 
     jobs = make_batch(workload, guests, scale=scale, quantum=quantum, **kw)
     report = FleetScheduler(workers=workers, quotas=quotas).run(jobs)
-    report.host = HostPerf(
-        seconds=report.wall_seconds,
-        instructions=report.fleet["instructions"],
-        fleet=report.fleet,
-    )
+    metrics = merge(*(r.metrics for r in report.results))
+    report.host = HostPerf(report.wall_seconds,
+                           metrics.get("cpu.instructions", 0), metrics)
     return report
 
 

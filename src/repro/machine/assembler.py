@@ -39,7 +39,7 @@ from repro.machine.isa import (
     Reg,
     Xmm,
 )
-from repro.machine.program import DATA_BASE, TEXT_BASE, Program
+from repro.machine.program import DATA_BASE, HEAP_BASE, TEXT_BASE, Program
 
 
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):\s*(.*)$")
@@ -85,7 +85,7 @@ def assemble(source: str, text_base: int = TEXT_BASE, data_base: int = DATA_BASE
             line = rest
 
         if section == "data":
-            _assemble_data(line, data, line_no)
+            _assemble_data(line, data, HEAP_BASE - data_base, line_no)
             continue
 
         mnemonic, operand_strs = _split_instruction(line, line_no)
@@ -136,7 +136,9 @@ def _strip_comment(line: str) -> str:
     return "".join(out)
 
 
-def _assemble_data(line: str, data: bytearray, line_no: int) -> None:
+def _assemble_data(line: str, data: bytearray, limit: int, line_no: int) -> None:
+    """Append one data directive's bytes; ``.space``/``.align`` padding
+    must keep the segment within ``limit`` bytes."""
     parts = line.split(None, 1)
     directive = parts[0]
     arg = parts[1] if len(parts) > 1 else ""
@@ -152,7 +154,9 @@ def _assemble_data(line: str, data: bytearray, line_no: int) -> None:
             data.extend(struct.pack("<Q", value))
     elif directive == ".space":
         n = _parse_int(arg.strip(), line_no)
-        data.extend(b"\x00" * n)
+        if not 0 <= n <= limit - len(data):
+            raise AssemblerError(f".space {n} is out of range", line_no)
+        data.extend(bytes(n))
     elif directive == ".asciz":
         m = re.match(r'^\s*"(.*)"\s*$', arg)
         if not m:
@@ -161,8 +165,9 @@ def _assemble_data(line: str, data: bytearray, line_no: int) -> None:
         data.append(0)
     elif directive == ".align":
         n = _parse_int(arg.strip(), line_no)
-        while len(data) % n:
-            data.append(0)
+        if not 0 < n <= limit - len(data):
+            raise AssemblerError(f".align {n} is out of range", line_no)
+        data.extend(bytes(-len(data) % n))
     else:
         raise AssemblerError(f"unknown data directive {directive!r}", line_no)
 
@@ -200,7 +205,7 @@ def _instruction_size(mnemonic: str, operand_strs: list[str], line_no: int) -> i
     operand kinds are syntactically evident."""
     size = 2
     for s in operand_strs:
-        kind = _operand_kind(s, mnemonic)
+        kind = _operand_kind(s, line_no)
         if kind in ("reg", "xmm"):
             size += 2
         elif kind in ("imm", "label"):
@@ -212,17 +217,26 @@ def _instruction_size(mnemonic: str, operand_strs: list[str], line_no: int) -> i
     return size
 
 
-def _operand_kind(s: str, mnemonic: str) -> str:
-    tok = s.strip().lower()
-    for prefix in _SIZE_PREFIXES:
-        if tok.startswith(prefix + " "):
-            tok = tok[len(prefix) :].strip()
+def _strip_size_prefix(s: str) -> tuple[int, str]:
+    """``(access size, operand)`` for an operand with at most one size
+    prefix (``qword`` — 8 bytes — when it has none)."""
+    tok = s.strip()
+    head = tok.split(None, 1)
+    if len(head) == 2 and head[0].lower() in _SIZE_PREFIXES:
+        return _SIZE_PREFIXES[head[0].lower()], head[1].strip()
+    return 8, tok
+
+
+def _operand_kind(s: str, line_no: int) -> str:
+    tok = _strip_size_prefix(s)[1].lower()
     if tok in GPR_IDS:
         return "reg"
     if tok in XMM_IDS:
         return "xmm"
-    if tok.startswith("["):
+    if _MEM_RE.match(tok):
         return "mem"
+    if "[" in tok or "]" in tok:
+        raise AssemblerError(f"bad memory operand {s.strip()!r}", line_no)
     if re.match(r"^-?(0x[0-9a-f]+|\d+)$", tok):
         return "imm"
     return "label"
@@ -240,16 +254,8 @@ def _parse_int(tok: str, line_no: int) -> int:
 
 
 def _parse_operand(s: str, symbols: dict[str, int], mnemonic: str, line_no: int):
-    tok = s.strip()
-    size = 8
+    size, tok = _strip_size_prefix(s)
     lowered = tok.lower()
-    for prefix, psize in _SIZE_PREFIXES.items():
-        if lowered.startswith(prefix + " "):
-            size = psize
-            tok = tok[len(prefix) :].strip()
-            lowered = tok.lower()
-            break
-
     if lowered in GPR_IDS:
         return Reg(lowered)
     if lowered in XMM_IDS:

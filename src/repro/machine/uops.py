@@ -1224,6 +1224,9 @@ class SuperblockCache:
                  "invalidated_blocks", "survived_blocks",
                  "seq_traces", "dropped_traces")
 
+    #: the patch cursor, a setting and a gauge: not counts.
+    UNMERGED = ("epoch", "capacity", "cached_blocks")
+
     def __init__(self, capacity: int = 4096) -> None:
         #: id(cpu) -> {entry: Superblock} — cleared in place, never
         #: rebound, because engines hold direct references.
@@ -1330,18 +1333,6 @@ class SuperblockCache:
         self.evictions += 1
         self._drop_all()
 
-    def as_dict(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "cached_blocks": self.cached_blocks,
-            "invalidations": self.invalidations,
-            "evictions": self.evictions,
-            "invalidated_blocks": self.invalidated_blocks,
-            "survived_blocks": self.survived_blocks,
-            "cached_traces": len(self.seq_traces),
-            "dropped_traces": self.dropped_traces,
-        }
-
 
 def shared_cache(cpu) -> SuperblockCache:
     """The CPU's process-shared :class:`SuperblockCache`, created on
@@ -1361,8 +1352,7 @@ class UopStats:
 
     __slots__ = ("blocks_built", "block_runs", "partial_block_runs",
                  "uops_retired", "slow_fallbacks", "single_steps",
-                 "quantum_dispatches", "quantum_exits",
-                 "invalidated_blocks", "survived_blocks")
+                 "quantum_dispatches", "quantum_exits")
 
     def __init__(self) -> None:
         self.blocks_built = 0
@@ -1378,34 +1368,6 @@ class UopStats:
         self.quantum_dispatches = 0
         #: why each quantum ended: budget / halted / blocked.
         self.quantum_exits: Counter = Counter()
-        #: snapshot of the shared cache's per-site invalidation
-        #: counters as of this engine's last observed sync (process-
-        #: wide totals: blocks dropped for covering a patched site /
-        #: blocks that survived those syncs).
-        self.invalidated_blocks = 0
-        self.survived_blocks = 0
-
-    @property
-    def uop_hit_rate(self) -> float:
-        """Fraction of executed instructions retired through micro-op
-        closures (vs. single-step fallbacks)."""
-        total = self.uops_retired + self.single_steps + self.slow_fallbacks
-        return self.uops_retired / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "blocks_built": self.blocks_built,
-            "block_runs": self.block_runs,
-            "partial_block_runs": self.partial_block_runs,
-            "uops_retired": self.uops_retired,
-            "slow_fallbacks": self.slow_fallbacks,
-            "single_steps": self.single_steps,
-            "uop_hit_rate": self.uop_hit_rate,
-            "quantum_dispatches": self.quantum_dispatches,
-            "quantum_exits": dict(self.quantum_exits),
-            "invalidated_blocks": self.invalidated_blocks,
-            "survived_blocks": self.survived_blocks,
-        }
 
 
 class UopEngine:
@@ -1495,8 +1457,6 @@ class UopEngine:
                     break
                 if prog.patch_seq != cache.epoch:
                     cache.sync(prog)
-                    stats.invalidated_blocks = cache.invalidated_blocks
-                    stats.survived_blocks = cache.survived_blocks
 
                 rip = regs.rip
                 if cpu._suppress_patch_at is not None or rip in patches:

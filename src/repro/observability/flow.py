@@ -200,7 +200,7 @@ class FlowRecorder:
         return dict(out)
 
     def as_dict(self) -> dict:
-        """JSON-safe summary for :class:`~repro.harness.runner.HostPerf`."""
+        """JSON-safe summary of the provenance graph."""
         return {
             "births": sum(self.births.values()),
             "birth_sites": len(self.births),

@@ -55,7 +55,7 @@ def test_pipeline_speedup_no_regression(tmp_path):
             )
         if workload.startswith("lorenz"):
             # vacuity: the chained tier really ran superblocks.
-            hit_rate = row["uop_stats"]["uop_hit_rate"]
+            hit_rate = row["rates"]["uop_hit_rate"]
             if hit_rate < bench.MIN_UOP_HIT_RATE:
                 failures.append(
                     f"{workload}: chained tier uop_hit_rate {hit_rate:.4f} "
@@ -64,7 +64,7 @@ def test_pipeline_speedup_no_regression(tmp_path):
             # the per-site invalidation gate: warm blocks must
             # demonstrably survive each patch event (a wholesale flush
             # would zero survived_blocks and sink the ratio).
-            if not row["uop_stats"].get("survived_blocks"):
+            if not row["metrics"]["sbcache.survived_blocks"]:
                 failures.append(
                     "patch_churn: zero superblocks survived a churn sync")
             if not row.get("churn_events"):

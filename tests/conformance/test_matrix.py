@@ -98,3 +98,45 @@ def test_cli_smoke(capsys):
     out = capsys.readouterr().out
     assert "0 mismatches" in out
     assert "all checks passed" in out
+
+
+@pytest.fixture(scope="module")
+def clean_libm_run():
+    """double_pendulum calls libm and print wrappers, decodes, and
+    collects trace statistics: every counter identity has work to do."""
+    from repro.core.vm import FPVM
+    from repro.kernel.kernel import LinuxKernel
+    from repro.machine.cpu import CPU
+    from repro.workloads import build_program
+
+    cpu = CPU(build_program("double_pendulum", 10))
+    kernel = LinuxKernel()
+    cpu.kernel = kernel
+    vm = FPVM(FPVMConfig.seq_short()).attach(cpu, kernel)
+    cpu.run(max_steps=2_000_000)
+    return cpu, vm
+
+
+@pytest.mark.parametrize("counter,needle", [
+    ("fcall_traps", "fcall cycles"),
+    ("libm_calls", "fcall cycles"),
+    ("decode_hits", "decache cycles"),
+    ("decode_misses", "decode cycles"),
+    ("emulated_instructions", "emulated"),
+    ("sequences", "sequences"),
+])
+def test_counter_identities_catch_a_one_count_nudge(clean_libm_run, counter,
+                                                   needle):
+    """Each telemetry count is tied to something counted independently
+    (its ledger category's cycles, or the §6.3 trace statistics), so a
+    count that drifts by one is caught."""
+    cpu, vm = clean_libm_run
+    t = vm.telemetry
+    assert oracle.check_invariants(cpu, vm) == []
+    assert getattr(t, counter) > 0
+    setattr(t, counter, getattr(t, counter) + 1)
+    try:
+        failures = oracle.check_invariants(cpu, vm)
+    finally:
+        setattr(t, counter, getattr(t, counter) - 1)
+    assert any(f.startswith(needle) for f in failures), failures

@@ -198,7 +198,6 @@ class Case:
         vm = self.vm
         t = vm.telemetry
         out = {f"ledger.{k}": v for k, v in vm.ledger.by_category.items()}
-        out.update({f"counter.{k}": v for k, v in vm.ledger.counters.items()})
         for name, value in vars(t).items():
             if isinstance(value, int):
                 out[f"telemetry.{name}"] = value

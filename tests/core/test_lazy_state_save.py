@@ -76,11 +76,11 @@ def test_lazy_save_is_masked_not_cost_only():
     # (addsd — plain movsd data movement never traps) saves its 4
     # operand lanes lazily vs. the full 32-lane bank eagerly.
     assert lazy_vm.telemetry.traps == eager_vm.telemetry.traps == 1
-    lazy_saved = lazy_vm.ledger.counters["fp_handler_lanes_saved"]
-    eager_saved = eager_vm.ledger.counters["fp_handler_lanes_saved"]
+    lazy_saved = lazy_vm.telemetry.fp_handler_lanes_saved
+    eager_saved = eager_vm.telemetry.fp_handler_lanes_saved
     assert lazy_saved == 4
     assert eager_saved == 32
-    assert lazy_vm.ledger.counters["fp_handler_lanes_restored"] <= lazy_saved
+    assert lazy_vm.telemetry.fp_handler_lanes_restored <= lazy_saved
 
 
 def test_handler_entry_cost_still_differs():
@@ -120,6 +120,6 @@ def test_wrapper_guard_is_masked_too():
         vm.attach(cpu, kernel)
         cpu.run()
         outs[lazy] = cpu.output
-        saved[lazy] = vm.ledger.counters.get("fp_wrapper_lanes_saved", 0)
+        saved[lazy] = vm.telemetry.fp_wrapper_lanes_saved
     assert outs[True] == outs[False]
     assert 0 < saved[True] < saved[False]

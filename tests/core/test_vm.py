@@ -232,7 +232,7 @@ class TestForeignFunctions:
         cpu, vm = run_fpvm(LIBM_SRC, FPVMConfig.seq_short())
         native = run_native(LIBM_SRC)
         assert cpu.output == native.output
-        assert vm.ledger.counters["libm_calls"] >= 1
+        assert vm.telemetry.libm_calls >= 1
 
     def test_print_wrapper_demotes(self):
         src = """
@@ -248,7 +248,7 @@ main:
 """
         cpu, vm = run_fpvm(src, FPVMConfig.none())
         assert cpu.output == [repr(0.1 + 0.2)]
-        assert vm.telemetry.fcall_events >= 1
+        assert vm.telemetry.fcall_traps >= 1
         assert vm.telemetry.demotions >= 1
 
     def test_without_wrappers_prints_nan(self):

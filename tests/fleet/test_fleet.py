@@ -47,8 +47,8 @@ def test_inline_matches_serial(batch, serial_oracle):
         jid: r.fingerprint() for jid, r in serial_oracle.items()}
     # the warm path must actually share: every guest COW-faults at
     # least once (its first write to the shared image).
-    assert all(r.cow_faults > 0 for r in report.results)
-    assert report.fleet["cycles"] == sum(
+    assert all(r.metrics["mem.cow_faults"] > 0 for r in report.results)
+    assert report.fleet["cpu.cycles"] == sum(
         r.cycles for r in serial_oracle.values())
 
 
@@ -60,11 +60,11 @@ def test_two_workers_match_serial(batch, serial_oracle):
     assert report.fingerprints() == {
         jid: r.fingerprint() for jid, r in serial_oracle.items()}
     assert report.fleet["guests"] == GUESTS
-    assert report.fleet["cow_faults"] > 0
+    assert report.fleet["mem.cow_faults"] > 0
     # exact ledger reconciliation, not sampled
-    assert report.fleet["cycles"] == sum(
+    assert report.fleet["cpu.cycles"] == sum(
         r.cycles for r in serial_oracle.values())
-    assert report.fleet["instructions"] == sum(
+    assert report.fleet["cpu.instructions"] == sum(
         r.instructions for r in serial_oracle.values())
 
 
@@ -85,7 +85,7 @@ def test_crash_injection_retries_exactly_once(batch, serial_oracle):
     # crash + retry must not perturb results or double-count cycles
     assert report.fingerprints() == {
         jid: r.fingerprint() for jid, r in serial_oracle.items()}
-    assert report.fleet["cycles"] == sum(
+    assert report.fleet["cpu.cycles"] == sum(
         r.cycles for r in serial_oracle.values())
 
 
@@ -165,29 +165,25 @@ def test_lazy_fp_counters_reconcile_across_fleet():
     from repro.harness.report import render_fleet
 
     jobs = make_batch("mixed_mt", 3, scale=30)
+    keys = ("sched.fp_switches", "sched.fp_saves_elided")
     cold = {j.job_id: run_guest(j, None) for j in jobs}
-    assert all(r.fp_switches > 0 for r in cold.values())
-    assert all(r.fp_saves_elided > 0 for r in cold.values())
+    assert all(r.metrics[k] > 0 for r in cold.values() for k in keys)
 
     report = FleetScheduler(workers=0).run(jobs)
     by_id = {r.job_id: r for r in report.results}
     for jid, r in cold.items():
-        assert by_id[jid].fp_switches == r.fp_switches
-        assert by_id[jid].fp_saves_elided == r.fp_saves_elided
+        for k in keys:
+            assert by_id[jid].metrics[k] == r.metrics[k]
 
     fleet = report.fleet
-    assert fleet["fp_switches"] == sum(r.fp_switches for r in report.results)
-    assert fleet["fp_saves_elided"] == sum(
-        r.fp_saves_elided for r in report.results)
     per_worker = fleet["per_worker"]
-    assert sum(w["fp_switches"] for w in per_worker.values()) == (
-        fleet["fp_switches"])
-    assert sum(w["fp_saves_elided"] for w in per_worker.values()) == (
-        fleet["fp_saves_elided"])
+    for k in keys:
+        assert fleet[k] == sum(r.metrics[k] for r in report.results)
+        assert sum(w[k] for w in per_worker.values()) == fleet[k]
 
     text = render_fleet(fleet, "fleet")
     assert "FP switches/elided" in text
-    assert f"{fleet['fp_switches']:>10} / {fleet['fp_saves_elided']}" in text
+    assert f"{fleet[keys[0]]:>10} / {fleet[keys[1]]}" in text
 
 
 def test_warm_template_reuses_caches(batch):
@@ -199,8 +195,12 @@ def test_warm_template_reuses_caches(batch):
 
     template = WorkloadTemplate(batch[0])
     results = [run_guest(job, template) for job in batch[:3]]
-    assert all(r.error is None and r.cow_faults > 0 for r in results)
-    assert all(r.uop["block_runs"] > r.uop["blocks_built"] for r in results)
+    assert all(r.error is None and r.metrics["mem.cow_faults"] > 0
+               for r in results)
+    assert all(r.metrics["uop.block_runs"] > r.metrics["uop.blocks_built"]
+               for r in results)
+    # the shared cache's counters belong to the template, not a guest.
+    assert not any(k.startswith("sbcache.") for r in results for k in r.metrics)
     assert len({r.output for r in results}) == 1
     assert template.guests_run == 3
     assert template.sb_cache.views == {}

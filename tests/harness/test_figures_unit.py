@@ -3,6 +3,7 @@ exercising the aggregation logic without full workload runs."""
 
 import pytest
 
+from repro.core.telemetry import Telemetry
 from repro.harness import figures
 from repro.harness.runner import Comparison, FPVMResult, NativeResult
 from repro.core.sequences import TraceStatistics
@@ -20,12 +21,9 @@ def make_result(workload, config, cycles, ledger, emulated, traps,
         cycles=cycles,
         output=["1.0"],
         ledger=full_ledger,
-        emulated_instructions=emulated,
-        traps=traps,
-        avg_sequence_length=emulated / max(traps, 1),
-        gc_runs=0,
         trace_stats=stats,
-        telemetry=None,
+        telemetry=Telemetry(traps=traps, sequences=traps,
+                            emulated_instructions=emulated),
         program=None,
     )
 

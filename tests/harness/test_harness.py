@@ -61,7 +61,8 @@ class TestRunner:
 
 class TestHostPerf:
     def test_ips_counts_emulated_instructions(self):
-        host = HostPerf(seconds=2.0, instructions=300, emulated_instructions=500)
+        host = HostPerf(seconds=2.0, instructions=300,
+                        metrics={"fpvm.emulated_instructions": 500})
         assert host.ips == 400.0
         assert HostPerf(instructions=300).ips == 0.0
 
@@ -70,9 +71,10 @@ class TestHostPerf:
         instructions made it look slower than NONE."""
         none = run_fpvm("lorenz", FPVMConfig.none(), scale=150).host
         seq = run_fpvm("lorenz", FPVMConfig.seq_short(), scale=150).host
-        assert seq.emulated_instructions > seq.instructions
-        assert (none.instructions + none.emulated_instructions
-                == seq.instructions + seq.emulated_instructions)
+        emulated = "fpvm.emulated_instructions"
+        assert seq.metrics[emulated] > seq.instructions
+        assert (none.instructions + none.metrics[emulated]
+                == seq.instructions + seq.metrics[emulated])
         assert seq.ips > none.ips
 
 

@@ -4,6 +4,7 @@ multi-threaded processes — bare and FPVM-attached."""
 
 import pytest
 
+from repro.core.telemetry import snapshot
 from repro.core.vm import FPVM, FPVMConfig
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.assembler import assemble
@@ -201,9 +202,9 @@ class TestSchedulerStats:
         assert sched.steps == sum(s for _, s in sched.per_thread.values())
         assert set(sched.per_thread) == {0, 1, 2, 3}
         assert 0 < sched.quantum_efficiency <= 7
-        doc = sched.as_dict()
-        assert doc["dispatches"] == sched.dispatches
-        assert set(doc["per_thread"]) == {0, 1, 2, 3}
+        doc = snapshot(sched, "sched")
+        assert doc["sched.dispatches"] == sched.dispatches
+        assert "sched.quantum" not in doc       # a setting, not a count
 
     def test_efficiency_grows_with_quantum(self):
         """Larger quanta amortize more work per dispatch — the whole
@@ -217,7 +218,7 @@ class TestSchedulerStats:
         assert effs[64] > 2 * effs[1]
 
     def test_host_perf_uop_stats_sum_every_thread(self):
-        """``HostPerf.uop_stats`` of a Process run covers every thread,
+        """``HostPerf.metrics`` of a Process run covers every thread,
         not only main: its step counters equal the per-thread sum."""
         from repro.harness.runner import _process_host_perf
 
@@ -225,14 +226,14 @@ class TestSchedulerStats:
                        uops=True)
         proc.kernel = LinuxKernel()
         proc.run()
-        merged = _process_host_perf(proc, seconds=1.0).uop_stats
+        merged = _process_host_perf(proc, seconds=1.0).metrics
         keys = ("uops_retired", "single_steps", "slow_fallbacks")
         per_thread = sum(getattr(t.uop_stats, k)
                          for t in proc.threads for k in keys)
-        assert sum(merged[k] for k in keys) == per_thread
+        assert sum(merged[f"uop.{k}"] for k in keys) == per_thread
         main_only = sum(getattr(proc.main.uop_stats, k) for k in keys)
         assert per_thread > main_only          # the workers are counted
-        assert merged["quantum_dispatches"] == proc.sched.dispatches
+        assert merged["uop.quantum_dispatches"] == proc.sched.dispatches
 
 
 # ------------------------------------------------------ batched parity

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.telemetry import rates, snapshot
 from repro.fpu import fast
 from repro.fpu.ieee import ieee_op
 from repro.kernel.kernel import LinuxKernel
@@ -226,7 +227,7 @@ class TestUopsOnOffDifferential:
         assert stats is not None
         assert stats.uops_retired > 0
         assert stats.blocks_built > 0
-        assert 0.0 < stats.uop_hit_rate <= 1.0
+        assert 0.0 < rates(snapshot(stats, "uop"))["uop_hit_rate"] <= 1.0
 
 
 def test_engine_tiers_on_by_default():

@@ -5,6 +5,7 @@ patching."""
 
 import pytest
 
+from repro.core.telemetry import rates, snapshot
 from repro.core.vm import FPVM, FPVMConfig
 from repro.kernel.kernel import LinuxKernel
 from repro.machine import uops
@@ -95,10 +96,10 @@ class TestChainMechanics:
     def test_loop_chains_and_stats(self):
         cpu = _cpu(_program(LOOP_SRC))
         cpu.run()
-        st = cpu.uop_stats.as_dict()
+        st = snapshot(cpu.uop_stats)
         assert st["blocks_built"] <= 4           # built once, reused
         assert st["block_runs"] >= 150           # one per iteration
-        assert st["uop_hit_rate"] > 0.99
+        assert rates(snapshot(cpu.uop_stats, "uop"))["uop_hit_rate"] > 0.99
         assert st["quantum_exits"] == {"halted": 1}
 
     def test_chained_identical_to_stepwise(self):
@@ -131,7 +132,7 @@ class TestTailChainGrades:
         on from there would re-execute it against a dead stack."""
         cpu = _cpu(_program(".text\nmain:\n  mov rax, 1\n  ret\n"))
         cpu.run()
-        st = cpu.uop_stats.as_dict()
+        st = snapshot(cpu.uop_stats)
         assert cpu.halted
         assert cpu.instruction_count == 2
         assert st["block_runs"] == 1
@@ -171,7 +172,7 @@ class TestQuantumBudgetParity:
         chained = _cpu(_program(LOOP_SRC))
         while not chained.halted:
             chained.run_quantum(7)
-        st = chained.uop_stats.as_dict()
+        st = snapshot(chained.uop_stats)
         assert st["partial_block_runs"] > 0
         assert st["quantum_exits"].get("budget", 0) > 0
 
@@ -201,7 +202,7 @@ class TestChainInvalidation:
         chained.run()
         assert tramp.calls == 150                 # every loop iteration
 
-        st = chained.uop_stats.as_dict()
+        st = snapshot(chained.uop_stats)
         assert st["single_steps"] >= 150          # the hook, every lap
 
         # identical to the stepwise seed under the *same* patch (the
@@ -246,7 +247,7 @@ class TestChainInvalidation:
         chained = _cpu(_program(LOOP_SRC),
                        config=FPVMConfig.seq_short(uops=True))
         chained.run()
-        st = chained.uop_stats.as_dict()
+        st = snapshot(chained.uop_stats)
         assert chained.fp_trap_count > 0
 
         stepwise = _cpu(_program(LOOP_SRC), uops_on=False,

@@ -156,8 +156,7 @@ class TestStormLifecycle:
 
     def test_host_perf_carries_flow_summary(self):
         result = run_tier("range_storm", "chained", scale=10)
-        flow = result.host.flow
-        assert flow is not None
+        flow = result.flow.as_dict()
         assert flow["births"] > 0
         assert flow["birth_sites"] > 0
         assert set(flow["kills_by_reason"]) <= set(KILL_REASONS)
@@ -184,7 +183,6 @@ def test_flow_disabled_by_default(monkeypatch):
     assert flow_enabled_default() is False
     result = run_fpvm("denorm_storm", FPVMConfig.seq_short(), scale=5)
     assert result.flow is None
-    assert result.host.flow is None
 
 
 def test_env_knob_enables_flow(monkeypatch):
