@@ -12,13 +12,18 @@ Developers "patch their application for FPVM by simply profiling it
 with the same workload" — the harness does exactly that before an
 instrumented run.  The profiler finds a subset of the static
 analysis's sites because it observes one concrete execution.
+
+The pass runs on the chained engine in 32-step round-robin quanta; RIP
+moves only after an instruction's memory traffic, and a bind-time
+``CPU.probe`` unwinds the stack after exactly the closures that move
+``rsp`` (and the single-step fallback).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.machine.cpu import CPU
+from repro.machine.isa import Reg
 from repro.machine.program import Program
 
 
@@ -31,8 +36,13 @@ class ProfileResult:
     ever_marked: set[int] = field(default_factory=set)
 
 
+_RSP = Reg("rsp")
+#: instructions that move ``rsp`` without naming it as an operand.
+_STACK_MNEMONICS = frozenset({"push", "pop", "call", "ret"})
+
+
 class MemoryEscapeProfiler:
-    """Owns a profiling CPU run over an uninstrumented program."""
+    """Owns a profiling run over an uninstrumented program."""
 
     def __init__(self, program: Program):
         # Never instrument the caller's program object.
@@ -40,8 +50,9 @@ class MemoryEscapeProfiler:
         self.program.clear_patches()
         self.result = ProfileResult()
         self._marked: set[int] = set()
-        self._current_rip = 0
-        self._stack_floor = 0
+        self._regs = None   # registers of the thread now running
+        #: tid -> stack floor: ``rsp`` after the thread's last instruction.
+        self._floors: dict[int, int] = {}
 
     # ---------------------------------------------------------- observer
     def _observe(self, addr: int, size: int, kind: str, value: int) -> None:
@@ -56,17 +67,37 @@ class MemoryEscapeProfiler:
             self._marked.discard(block)
         elif kind == "int_load":
             if block in self._marked:
-                self.result.patch_sites.add(self._current_rip)
+                self.result.patch_sites.add(self._regs.rip)
                 self.result.int_loads_of_floats += 1
         # fp_load: no shadow change.
 
-    def _unwind_stack(self, rsp: int) -> None:
+    def _unwind_stack(self, tid: int, rsp: int) -> None:
         """Stack unwinding unmarks released slots (§5.1's unmark list)."""
-        if rsp > self._stack_floor:
-            dead = [b for b in self._marked if self._stack_floor <= b < rsp]
+        floor = self._floors[tid]
+        if rsp > floor:
+            dead = [b for b in self._marked if floor <= b < rsp]
             for b in dead:
                 self._marked.discard(b)
-        self._stack_floor = rsp
+        self._floors[tid] = rsp
+
+    def _attach(self, process, thread) -> None:
+        """Install the unwind probe on ``thread`` before it first runs."""
+        regs = thread.regs
+        tid = thread.tid
+        unwind = self._unwind_stack
+        self._floors[tid] = regs.gpr[7]
+
+        def probe(uop, fn):
+            if uop is not None and uop.mnemonic not in _STACK_MNEMONICS \
+                    and _RSP not in uop.operands:
+                return fn
+
+            def unwinding():
+                out = fn()
+                unwind(tid, regs.gpr[7])
+                return out
+            return unwinding
+        thread.probe = probe
 
     # --------------------------------------------------------------- run
     def run(self, max_steps: int = 50_000_000) -> ProfileResult:
@@ -78,26 +109,18 @@ class MemoryEscapeProfiler:
 
         process = Process(self.program)
         process.mem.observers.append(self._observe)
-        floors = {0: process.main.regs.gpr[7]}
+        self._attach(process, process.main)
+        process.on_thread_spawn.append(self._attach)
         steps = 0
         while steps < max_steps:
             runnable = process.alive()
             if not runnable:
                 break
             for thread in runnable:
-                for _ in range(32):
-                    if thread.halted or thread.blocked:
-                        break
-                    self._current_rip = thread.regs.rip
-                    self._stack_floor = floors.setdefault(
-                        thread.tid, thread.regs.gpr[7]
-                    )
-                    thread.step()
-                    rsp = thread.regs.gpr[7]
-                    if rsp != self._stack_floor:
-                        self._unwind_stack(rsp)
-                    floors[thread.tid] = self._stack_floor
-                    steps += 1
+                self._regs = thread.regs
+                steps += thread.run_quantum(32)
+        # Threads and engines form cycles: free the bound blocks now.
+        process.sb_cache.evict_all()
         return self.result
 
 

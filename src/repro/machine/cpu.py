@@ -160,6 +160,8 @@ class CPU:
         #: mirror for all threads) before the engine is created; left
         #: None, the engine creates a private one on first use.
         self._sb_cache = None
+        #: the §5.1 profiler's bind-time seam (see ``UopEngine``).
+        self.probe = None
         self._uop_engine = None
         self._dispatch = self._build_dispatch()
 

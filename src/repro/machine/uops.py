@@ -38,7 +38,8 @@ and settled before anything that can observe the counters: a
 end of the quantum, or an exception on its way out.  At a quantum's
 budget edge the engine retires a body's fitting *prefix* — every
 closure is one seed step and leaves RIP correct, so the next quantum
-resumes mid-block through a suffix block.  Block caches live in one
+resumes mid-block, in a block sliced out of the covering block's
+bound closures rather than bound again.  Block caches live in one
 per-process :class:`SuperblockCache` shared by every thread; when
 ``patch_seq`` moves the cache drops exactly the blocks and traces
 covering the changed sites — cross-thread and cross-guest — and
@@ -1158,21 +1159,19 @@ class Superblock:
     :func:`_pure_tail`); the engine loop needs to settle its deferred
     accounting only before the other tails."""
 
-    __slots__ = ("entry", "end", "body", "classes", "class_counts",
+    __slots__ = ("entry", "end", "body", "uops", "class_counts",
                  "prefix_cost", "n_body", "tail", "pure_tail",
                  "prefix_fp", "prefix_touch", "fp_writes", "fp_touch")
 
-    def __init__(self, entry, body, classes, prefix_cost, tail,
-                 pure_tail=False, end=None, uops=()):
+    def __init__(self, entry, body, uops, tail, pure_tail=False, end=None):
         self.entry = entry
         #: exclusive end of the address range this block executes
         #: through (tail included).  Per-site invalidation drops a
         #: block iff a patched address falls in ``[entry, end)``.
         self.end = entry if end is None else end
         self.body = body
-        self.classes = classes
-        self.class_counts = dict(Counter(classes))
-        self.prefix_cost = prefix_cost
+        self.uops = uops
+        self.class_counts = dict(Counter(uop.opclass for uop in uops))
         self.n_body = len(body)
         #: lazy-FP lowering-time summaries: ``prefix_fp[i]`` is the XMM
         #: lane union the first ``i`` body uops write and
@@ -1180,11 +1179,14 @@ class Superblock:
         #: (possibly partial) body run of ``i`` uops charges its dirty
         #: set with one index each — dirty tracking per block dispatch,
         #: not per instruction.
+        pc = [0]
         pf = [0]
         pt = [False]
         for uop in uops:
+            pc.append(pc[-1] + uop.cost)
             pf.append(pf[-1] | uop.xmm_writes)
             pt.append(pt[-1] or uop.fp_touch)
+        self.prefix_cost = pc
         self.prefix_fp = pf
         self.prefix_touch = pt
         self.fp_writes = pf[-1]
@@ -1279,6 +1281,7 @@ class SuperblockCache:
         view = self.views.pop(key, None)
         if view:
             self.cached_blocks -= len(view)
+            view.clear()   # the engine holds the dict: free its blocks
 
     def _drop_all(self) -> None:
         for view in self.views.values():
@@ -1350,12 +1353,14 @@ def shared_cache(cpu) -> SuperblockCache:
 class UopStats:
     """Host-side execution counters for the throughput layer."""
 
-    __slots__ = ("blocks_built", "block_runs", "partial_block_runs",
-                 "uops_retired", "slow_fallbacks", "single_steps",
-                 "quantum_dispatches", "quantum_exits")
+    __slots__ = ("blocks_built", "uops_bound", "block_runs",
+                 "partial_block_runs", "uops_retired", "slow_fallbacks",
+                 "single_steps", "quantum_dispatches", "quantum_exits")
 
     def __init__(self) -> None:
         self.blocks_built = 0
+        #: closures bound; stretches sliced from live blocks bind none.
+        self.uops_bound = 0
         self.block_runs = 0
         #: bodies whose fitting *prefix* was retired through the
         #: pipeline at a budget edge.
@@ -1387,6 +1392,11 @@ class UopEngine:
         #: The cache clears it *in place*, so this reference never
         #: goes stale across invalidations.
         self._blocks = cache.view(cpu)
+        #: address -> entry of the newest block covering it: retains no block.
+        self._inner: dict[int, int] = {}
+        #: wraps closures at bind time (``uop=None``: the step fallback).
+        self._probe = probe = cpu.probe
+        self._step = cpu.step if probe is None else probe(None, cpu.step)
         self.stats = UopStats()
 
     def _new_block(self, entry: int) -> Superblock:
@@ -1437,7 +1447,7 @@ class UopEngine:
         cache = self.cache
         blocks = self._blocks
         stats = self.stats
-        step = cpu.step
+        step = self._step
         settle = self._settle
         retired = 0
         tails = 0
@@ -1551,8 +1561,8 @@ class UopEngine:
             instrs += i
             fp_mask |= cur.prefix_fp[i]
             fp_touched = fp_touched or cur.prefix_touch[i]
-            for cls in cur.classes[:i]:
-                rbc[cls] += 1
+            for uop in cur.uops[:i]:
+                rbc[uop.opclass] += 1
         if fp_touched:
             cpu.fp_quantum_touched = True
             cpu.regs.fp_dirty |= fp_mask
@@ -1567,15 +1577,18 @@ class UopEngine:
 
     # ---------------------------------------------------------- builder
     def _build(self, entry: int) -> Superblock:
+        """A block at ``entry``, shaped as a fresh build, that slices
+        stretches a live block covers out of its bound closures."""
         cpu = self.cpu
         prog = cpu.program
         view = cpu._fetch_view
         by_addr = view.by_addr
         patches = view.patches
+        probe = self._probe
+        blocks = self._blocks
+        inner = self._inner
         body = []
-        classes = []
         uops = []
-        prefix = [0]
         tail = None
         pure_tail = False
         addr = entry
@@ -1583,6 +1596,22 @@ class UopEngine:
         while len(body) < MAX_BLOCK:
             if addr in patches:
                 break
+            # Slice a live block covering ``addr``: it has no patch site
+            # in range and fixed code from its entry, so its closures are
+            # a fresh build's, and an ``addr`` past its body is its tail.
+            cover = blocks.get(inner.get(addr))
+            if cover is not None:
+                n = cover.n_body
+                j = next((k for k, u in enumerate(cover.uops) if u.addr == addr), n)
+                if j < n or cover.tail is not None:
+                    k = min(n, j + MAX_BLOCK - len(body))
+                    body += cover.body[j:k]
+                    uops += cover.uops[j:k]
+                    if k == n and cover.tail is not None:
+                        tail, pure_tail, end = cover.tail, cover.pure_tail, cover.end
+                        break
+                    addr = end = uops[-1].end
+                    continue
             instr = by_addr.get(addr)
             if instr is None:
                 break
@@ -1591,19 +1620,24 @@ class UopEngine:
             if cls is OpClass.CONTROL:
                 tail = bind_control(uop, cpu)
                 if tail is not None:
+                    if probe is not None:
+                        tail = probe(uop, tail)
                     pure_tail = _pure_tail(uop, prog)
                     end = addr + uop.size
+                    self.stats.uops_bound += 1
                 break
             if cls is OpClass.SYS:
                 break
             fn = bind_exec(uop, cpu)
             if fn is None:
                 break
-            body.append(fn)
-            classes.append(cls)
+            body.append(fn if probe is None else probe(uop, fn))
             uops.append(uop)
-            prefix.append(prefix[-1] + uop.cost)
+            self.stats.uops_bound += 1
             addr += uop.size
             end = addr
-        return Superblock(entry, body, classes, prefix, tail, pure_tail,
-                          end=end, uops=uops)
+        for uop in uops:
+            inner[uop.addr] = entry
+        if tail is not None:
+            inner[uops[-1].end if uops else entry] = entry
+        return Superblock(entry, body, uops, tail, pure_tail, end=end)

@@ -46,6 +46,41 @@ main:
 """
 
 
+#: An integer store over a float clears the mark: no site.
+INT_STORE_SRC = """
+.data
+a: .double 1.5
+slot: .space 8
+.text
+main:
+  movsd xmm0, [rip + a]
+  movsd [rip + slot], xmm0
+  mov rbx, 42
+  mov [rip + slot], rbx   ; integer store clears the mark
+  mov rax, [rip + slot]   ; integer load of integer data: fine
+  hlt
+"""
+
+#: An indirect FP store taints the static analysis's whole summary
+#: bucket; the profiler sees the load never reads a float.
+INDIRECT_STORE_SRC = """
+.data
+a: .double 1.0
+arr: .space 64
+x: .quad 5
+.text
+main:
+  mov rbx, arr
+  movsd xmm0, [rip + a]
+  movsd [rbx], xmm0        ; indirect FP store: summary bucket tainted
+  mov rax, [rip + x]       ; even this direct int load is now suspect
+  hlt
+"""
+
+ESCAPE_PROGRAMS = {"escape": ESCAPE_SRC, "int_store": INT_STORE_SRC,
+                   "indirect_store": INDIRECT_STORE_SRC}
+
+
 def build(source: str):
     prog = assemble(source)
     install_host_library(prog)
@@ -79,20 +114,7 @@ class TestProfiler:
         assert profile_patch_sites(prog) == set()
 
     def test_int_store_unmarks(self):
-        src = """
-.data
-a: .double 1.5
-slot: .space 8
-.text
-main:
-  movsd xmm0, [rip + a]
-  movsd [rip + slot], xmm0
-  mov rbx, 42
-  mov [rip + slot], rbx   ; integer store clears the mark
-  mov rax, [rip + slot]   ; integer load of integer data: fine
-  hlt
-"""
-        assert profile_patch_sites(build(src)) == set()
+        assert profile_patch_sites(build(INT_STORE_SRC)) == set()
 
     def test_profile_result_counters(self):
         result = MemoryEscapeProfiler(build(ESCAPE_SRC)).run()
@@ -124,20 +146,7 @@ class TestStaticAnalysis:
         assert dynamic <= static
 
     def test_indirect_store_taints_everything(self):
-        src = """
-.data
-a: .double 1.0
-arr: .space 64
-x: .quad 5
-.text
-main:
-  mov rbx, arr
-  movsd xmm0, [rip + a]
-  movsd [rbx], xmm0        ; indirect FP store: summary bucket tainted
-  mov rax, [rip + x]       ; even this direct int load is now suspect
-  hlt
-"""
-        prog = build(src)
+        prog = build(INDIRECT_STORE_SRC)
         result = find_memory_escapes(prog)
         assert result.indirect_tainted
         load_addr = next(

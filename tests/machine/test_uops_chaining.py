@@ -345,3 +345,90 @@ class TestSharedCacheAcrossThreads:
             "patch site")
         assert proc.sb_cache.invalidated_blocks > 0
         assert proc.sb_cache.invalidations > 0
+
+
+class TestSlicing:
+    """A block missed inside a live block's range reuses that block's
+    bound closures instead of binding the instructions again."""
+
+    def test_each_address_bound_once_per_view(self, monkeypatch):
+        """Quantum 32 ends most dispatches mid-block on enzo; every
+        resume must slice, so a patch-free run binds each instruction
+        at most once per thread."""
+        from repro.workloads import get_workload
+
+        seen = []
+        for name in ("bind_exec", "bind_control"):
+            real = getattr(uops, name)
+
+            def spy(uop, cpu, real=real):
+                fn = real(uop, cpu)
+                if fn is not None:
+                    seen.append((cpu.tid, uop.addr))
+                return fn
+            monkeypatch.setattr(uops, name, spy)
+
+        w = get_workload("enzo")
+        program = w.build_program(w.fleet_default_scale)
+        proc = Process(program)
+        proc.run(quantum=32)
+        stats = proc.main.uop_stats
+        assert stats.partial_block_runs > 100
+        assert len(seen) == len(set(seen)) == stats.uops_bound
+        assert stats.uops_bound <= len(program.instructions)
+
+    def test_patch_drops_parent_and_suffixes_and_rebinds(self):
+        prog = _program(LOOP_SRC)
+        cpu = _cpu(prog)
+        engine = cpu._engine()
+        st = engine.stats
+        main, top = prog.symbols["main"], prog.symbols["top"]
+        cpu.run_quantum(2)                       # mid-block budget edge
+        resume = cpu.regs.rip
+        parent = engine._blocks[main]
+        bound = st.uops_bound
+        assert bound == parent.n_body + 1        # body + the jne tail
+        cpu.run_quantum(10)                      # resume, then jne -> top
+        suffixes = [engine._blocks[resume], engine._blocks[top]]
+        assert st.uops_bound == bound            # sliced, not rebound
+        for s in suffixes:
+            assert s.body == parent.body[-s.n_body:] and s.tail is parent.tail
+
+        subsd = next(u.addr for u in parent.uops if u.mnemonic == "subsd")
+        dec = next(u for u in parent.uops if u.mnemonic == "dec")
+        tramp = _Trampoline()
+        prog.patch_call(subsd, tramp)
+        cpu.run_quantum(12)
+        assert tramp.calls > 0
+        live = list(engine._blocks.values())
+        assert all(b is not parent and b not in suffixes for b in live)
+        assert engine.cache.invalidated_blocks >= 1 + len(suffixes)
+
+        # Past the site, the resume at ``dec`` binds fresh closures.
+        fresh = engine._blocks[dec.addr]
+        assert st.uops_bound > bound
+        assert fresh.body[0] is not parent.body[parent.uops.index(dec)]
+        assert fresh.tail is not parent.tail
+
+    @pytest.mark.parametrize("drop", ["evict_all", "release"])
+    def test_dropped_blocks_are_not_retained(self, drop):
+        import gc
+        import weakref
+
+        cpu = _cpu(_program(LOOP_SRC))
+        engine = cpu._engine()
+        while not cpu.halted:
+            cpu.run_quantum(3)                   # slices at every resume
+        # Blocks take no weakrefs; their closures do, and only blocks
+        # hold them.
+        refs = [weakref.ref(fn) for b in engine._blocks.values()
+                for fn in (*b.body, b.tail) if fn is not None]
+        assert len(refs) > 2 and engine._inner
+        if drop == "evict_all":
+            engine.cache.evict_all()
+        else:
+            engine.cache.release(cpu)
+        gc.collect()
+        assert all(r() is None for r in refs)
+        assert not any(isinstance(v, uops.Superblock)
+                       for v in engine._inner.values())
