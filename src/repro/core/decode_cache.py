@@ -44,6 +44,16 @@ class DecodeCache:
             return uop
         return None
 
+    def resident(self, addrs: tuple[int, ...]) -> tuple:
+        """The entries at ``addrs`` (None where absent), without an
+        LRU touch or the integrity check: the caller compares them."""
+        return tuple(map(self._entries.get, addrs))
+
+    def touch(self, addrs) -> None:
+        """The LRU effect of one hit per address, in order."""
+        for addr in addrs:
+            self._entries.move_to_end(addr)
+
     def insert(self, addr: int, instr) -> None:
         """Accepts a raw :class:`Instruction` (lowered on the way in) or
         an already-lowered :class:`MicroOp`."""

@@ -89,27 +89,27 @@ class Emulator:
     def any_source_boxed(self, uop: MicroOp, context) -> bool:
         """Termination rule (2) probe: does any FP source operand hold a
         NaN-boxed value owned by our allocator?"""
-        return (self.steps.get(uop) or self._build(uop)).probe(context)
+        return self.step(uop).probe(context)
 
     # --------------------------------------------------------- emulation
     def emulate(self, uop: MicroOp, context) -> bool:
         """Emulate one micro-op; returns False if unsupported.  Charges
         bind/emul/altmath and advances nothing — the caller owns RIP."""
-        step = self.steps.get(uop)
-        if step is None:
-            if uop.mnemonic not in self.supported_set:
-                return False
-            step = self._build(uop)
-        step.run(context)
+        if uop not in self.steps and uop.mnemonic not in self.supported_set:
+            return False
+        self.step(uop).run(context)
         self.vm.telemetry.emulated_instructions += 1
         return True
 
-    def _build(self, uop: MicroOp):
+    def step(self, uop: MicroOp):
+        """The pre-bound step for ``uop``, built on first use."""
         steps = self.steps
-        if len(steps) >= self.vm.decode_cache.capacity:
-            steps.clear()  # decode misses lower fresh micro-ops: drop dead steps
-        # A module-global lookup: a wrapper installed on ``bind`` sees builds.
-        step = steps[uop] = bind(uop, self.vm)
+        step = steps.get(uop)
+        if step is None:
+            if len(steps) >= self.vm.decode_cache.capacity:
+                steps.clear()  # decode misses lower fresh micro-ops: drop dead steps
+            # A module-global lookup: a wrapper installed on ``bind`` sees builds.
+            step = steps[uop] = bind(uop, self.vm)
         return step
 
     def demote_bits(self, bits: int) -> int:
@@ -273,7 +273,8 @@ class _Step:
     """One micro-op bound for one VM.  ``r0``-``r2`` read operands,
     ``w0`` writes the first one, ``m0``-``m2`` locate memory operands
     (None for the others) and ``arg`` is kind-specific.  ``run``
-    charges, computes the effective addresses and calls ``body``."""
+    charges, computes the effective addresses and calls ``body``; a
+    fused sequence trace calls ``body`` and settles ``charges`` itself."""
 
     __slots__ = ("charge", "lanes", "r0", "r1", "r2", "w0", "m0", "m1", "m2", "arg")
 
@@ -291,9 +292,12 @@ class _Step:
         self.charge = vm.ledger.charger(
             ("bind", costs.bind_per_operand * max(len(ops), 1)),
             ("emul", costs.emul_dispatch),
-            *self.charges(uop, vm.altmath.costs))
+            *self.op_charges(uop, vm.altmath.costs))
 
-    def charges(self, uop: MicroOp, costs) -> tuple:
+    #: the constant ``(category, cycles)`` charges of one emulation.
+    charges = property(lambda self: self.charge.charges)
+
+    def op_charges(self, uop: MicroOp, costs) -> tuple:
         """The op's constant ledger charges beyond bind and emul."""
         return ()
 
@@ -325,7 +329,7 @@ class _Arith(_Step):
         self.counts = vm.telemetry.altmath_ops
         self.arg = uop.ieee if uop.emu_kind == "bin" else uop.emu_arg
 
-    def charges(self, uop, costs):
+    def op_charges(self, uop, costs):
         unit = costs.op(uop.ieee) if self.COST is None else getattr(costs, self.COST)
         return (("altmath", unit * uop.lanes),)
 
@@ -506,17 +510,23 @@ _BY_KIND = {"bin": _Bin, "sqrt": _Sqrt, "fma": _Fma, "cvtsi2sd": _Cvtsi2sd,
 
 
 class _FlowStep:
-    """A step with the flow recorder's per-op window around it."""
+    """A step with the flow recorder's per-op window around its body.
+    It carries the wrapped step's charger and locators, so ``run`` and
+    a fused trace drive it like any other step."""
 
-    __slots__ = ("step", "begin_op", "end_op", "addr")
+    __slots__ = ("step", "begin_op", "end_op", "addr", "charge", "m0", "m1")
 
     def __init__(self, step, flow, addr: int) -> None:
         self.step, self.addr = step, addr
         self.begin_op, self.end_op = flow.begin_op, flow.end_op
+        self.charge, self.m0, self.m1 = step.charge, step.m0, step.m1
 
-    def run(self, ctx) -> None:
+    charges = _Step.charges
+    run = _Step.run
+
+    def body(self, ctx, ea0: int, ea1: int) -> None:
         self.begin_op(self.addr)
-        self.step.run(ctx)
+        self.step.body(ctx, ea0, ea1)
         self.end_op()
 
     def probe(self, ctx) -> bool:

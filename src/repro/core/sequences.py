@@ -23,9 +23,12 @@ powering Figures 7-10.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 
+from repro.core.emulator import _address
 from repro.machine.uops import MicroOp, lower, shared_cache
 
 
@@ -131,18 +134,16 @@ class TraceStatistics:
 
 @dataclass
 class CompiledTrace:
-    """A hot trace promoted into a pre-resolved closure (§4.2's trace
-    cache made literal).
+    """A hot trace promoted into the compiled tier (§4.2's trace cache
+    made literal).
 
-    ``steps`` caches per-address what the interpreted loop re-derives
-    on every trap: whether the boxed-source probe applies (static:
+    ``steps`` caches per address what the interpreted loop re-derives on
+    every trap: whether the boxed-source probe applies (static:
     FP-trap-capable and not ``cvtsi2sd``) and the instruction size.
-    Execution still fetches each instruction through the decode cache
-    (identical charging and hit accounting) and runs the data-dependent
-    probes — only the host-side re-decisions (patch lookups, supported
-    checks, loop control) are compiled away.  Built only for trace
-    shapes whose mid-trace stops are data probes; anything else stays
-    interpreted.
+    A trap at ``entry`` replays the trace without patch lookups,
+    supported checks or loop control; the data-dependent probes still
+    run.  Built only for trace shapes whose mid-trace stops are data
+    probes; anything else stays interpreted.
     """
 
     entry: int
@@ -150,6 +151,28 @@ class CompiledTrace:
     steps: list[tuple[int, bool]]
     #: address of the recorded terminator (first non-emulated instr).
     end: int
+    #: the emulated addresses, in trace order.
+    addrs: tuple[int, ...]
+
+
+class _Fused:
+    """A compiled trace bound for one VM: the decode-cache entries it
+    was fused with, ``(step, body, m0, m1, probe or None)`` per step
+    (class functions: no bound method is kept), and per ledger
+    category the prefix sums of the steps' constant charges."""
+
+    __slots__ = ("trace", "costs", "uops", "ops", "sums")
+
+    def __init__(self, trace: CompiledTrace, costs, uops: tuple, steps: list) -> None:
+        self.trace, self.costs, self.uops = trace, costs, uops
+        self.ops = tuple((step, type(step).body, step.m0, step.m1,
+                          type(step).probe if probe and i else None)
+                         for i, (step, (_, probe)) in enumerate(zip(steps, trace.steps)))
+        columns: dict[str, list[int]] = {}
+        for i, step in enumerate(steps, 1):
+            for category, cycles in step.charges:
+                columns.setdefault(category, [0] * (len(steps) + 1))[i] += cycles
+        self.sums = tuple((c, array("q", accumulate(col))) for c, col in columns.items())
 
 
 class SequenceEmulator:
@@ -157,24 +180,28 @@ class SequenceEmulator:
 
     Hot traces — the same emulated address sequence seen
     ``trace_compile_threshold`` times — are promoted into
-    :class:`CompiledTrace` closures keyed by entry address.  The
-    compiled tier lives in the attached CPU's shared
-    :class:`~repro.machine.uops.SuperblockCache` (``seq_traces``), so
-    sequence traces, superblocks, and fused block traces share one
-    eviction policy: per-site invalidation over ``Program.patch_events``
-    drops exactly the artifacts covering a changed patch site (a patch
-    appearing mid-trace must terminate emulation, and a stale compiled
-    trace would silently run through it — so any trace with the site
-    strictly inside its step list goes; unrelated traces stay warm).
-    The emulator keeps its own event cursor as well — stepwise runs
-    never drive the uop engine's cache sync, and stale ``_heat``
-    entries must prune with the traces.
+    :class:`CompiledTrace`\\ s keyed by entry address.  They live in the
+    attached CPU's shared :class:`~repro.machine.uops.SuperblockCache`
+    (``seq_traces``), so sequence traces and superblocks share one
+    eviction policy: per-site invalidation over
+    ``Program.patch_events`` drops exactly the artifacts covering a
+    changed patch site (a patch appearing mid-trace must terminate
+    emulation, and a stale compiled trace would silently run through
+    it — so any trace with the site strictly inside its step list goes;
+    unrelated traces stay warm).  The emulator keeps its own event
+    cursor as well — stepwise runs never drive the uop engine's cache
+    sync, and stale ``_heat`` entries must prune with the traces.
+
+    Each VM replays a trace fused from its own decode-cache entries
+    (:class:`_Fused`), settling the accounting once per trap; without
+    all of them resident and sound it replays step by step.
     """
 
     def __init__(self, vm) -> None:
         self.vm = vm
         self.stats = TraceStatistics() if vm.config.collect_trace_stats else None
         self._compiled: dict[int, CompiledTrace] = {}  # pre-attach fallback
+        self._fused: dict[int, _Fused] = {}
         self._heat: Counter = Counter()
         self._epoch: int | None = None
         self._threshold = getattr(vm.config, "trace_compile_threshold", 0)
@@ -200,26 +227,26 @@ class SequenceEmulator:
         compiled = self._trace_cache()
         seq = vm.program.patch_seq
         if seq != self._epoch:
-            if self._epoch is None or seq < self._epoch:
-                # first observation: adopt the cursor, nothing compiled
-                # under an unseen patch state.
-                pass
-            else:
+            # The first observation (or a shorter history) adopts the
+            # cursor: nothing was compiled under an unseen patch state.
+            if self._epoch is not None and seq > self._epoch:
                 sites = set(vm.program.patch_events[self._epoch:seq])
-                if sites:
-                    for entry in [
-                        e for e, t in compiled.items()
-                        if e in sites or any(a in sites for a, _ in t.steps[1:])
-                    ]:
-                        del compiled[entry]
-                    for key in [k for k in self._heat
-                                if any(a in sites for a in k)]:
-                        del self._heat[key]
+                for entry in [e for e, t in compiled.items()
+                              if e in sites or any(a in sites for a in t.addrs[1:])]:
+                    del compiled[entry]
+                for key in [k for k in self._heat if any(a in sites for a in k)]:
+                    del self._heat[key]
             self._epoch = seq
         trace = compiled.get(addr)
-        if trace is not None:
-            return self._run_compiled(trace, context)
-        return self._interpret(context, addr, [])
+        if trace is None:
+            return self._interpret(context, addr, [])
+        fused = self._fused.get(addr)
+        if (fused is None or fused.trace is not trace or fused.costs is not vm.costs
+                or vm.decode_cache.resident(trace.addrs) != fused.uops):
+            fused = self._fuse(trace)
+            if fused is None:
+                return self._run_stepwise(trace, context)
+        return self._replay(trace, fused, context)
 
     def _interpret(self, context, addr: int, emulated: list[int]) -> int:
         """The interpreted emulate-until-termination loop.  ``emulated``
@@ -256,11 +283,52 @@ class SequenceEmulator:
         return addr
 
     # ------------------------------------------------- compiled tier
-    def _run_compiled(self, trace: CompiledTrace, context) -> int:
-        """Replay a hot trace.  Charging, decode-cache traffic, and all
-        data-dependent decisions are identical to the interpreted loop;
-        divergence (an earlier probe stop, or a recorded terminator that
-        no longer stops) is handled exactly as a fresh walk would."""
+    def _fuse(self, trace: CompiledTrace) -> _Fused | None:
+        """Bind ``trace`` for this VM from the decode-cache entries, or
+        None if one is absent, corrupt or unsupported."""
+        vm, emulator = self.vm, self.vm.emulator
+        uops = vm.decode_cache.resident(trace.addrs)
+        for uop, addr in zip(uops, trace.addrs):
+            if uop is None or uop.addr != addr or not emulator.supported(uop):
+                return None
+        steps = [emulator.step(uop) for uop in uops]
+        fused = self._fused[trace.entry] = _Fused(trace, vm.costs, uops, steps)
+        return fused
+
+    def _replay(self, trace: CompiledTrace, fused: _Fused, context) -> int:
+        """The fused replay; every exit (early probe stop, full run, a
+        raising probe or body) settles what the step-wise loop charges."""
+        k = 0              # steps emulated
+        started = False    # step k's body has run, so its charges are due
+        try:
+            for step, body, m0, m1, probe in fused.ops:
+                if probe is not None and not probe(step, context):
+                    break
+                started = True
+                body(step, context, 0 if m0 is None else _address(context, m0),
+                     0 if m1 is None else _address(context, m1))
+                started = False
+                k += 1
+        finally:
+            # A decode-cache hit per fetched step (every step up to k),
+            # in trace order, and the charges of the steps that ran.
+            vm, fetched = self.vm, trace.addrs[:k + 1]
+            vm.decode_cache.touch(fetched)
+            vm.ledger.charge("decache", vm.costs.decode_cache_hit * len(fetched))
+            for category, sums in fused.sums:
+                vm.ledger.charge(category, sums[k + started])
+            telemetry = vm.telemetry
+            telemetry.compiled_trace_hits += 1
+            telemetry.decode_hits += len(fetched)
+            telemetry.emulated_instructions += k
+        if k < len(trace.addrs):  # data-dependent early stop
+            self._finish(trace.addrs[:k], fused.uops[k].mnemonic, "no_boxed_source")
+            return trace.addrs[k]
+        return self._terminate(trace, context)
+
+    def _run_stepwise(self, trace: CompiledTrace, context) -> int:
+        """The replay the fused one stands for, and its fallback: one
+        decode-cache fetch and emulation at a time."""
         vm = self.vm
         emulator = vm.emulator
         vm.telemetry.compiled_trace_hits += 1
@@ -273,14 +341,18 @@ class SequenceEmulator:
                 return addr
             emulator.emulate(uop, context)
             emulated.append(addr)
+        return self._terminate(trace, context)
+
+    def _terminate(self, trace: CompiledTrace, context) -> int:
+        """Every step ran: fetch and check the recorded terminator."""
         term = self._fetch(trace.end)
         stop, why = self._should_stop(term, context)
         if stop:
-            self._finish(tuple(emulated), term.mnemonic, why)
+            self._finish(trace.addrs, term.mnemonic, why)
             return trace.end
-        # The recorded terminator doesn't stop under this data (its
-        # sources became boxed): continue interpreting past it.
-        return self._interpret(context, trace.end, emulated)
+        # It no longer stops (its sources became boxed): interpret on,
+        # fetching it again — a known over-count (docs/architecture.md).
+        return self._interpret(context, trace.end, list(trace.addrs))
 
     def _finish(self, addrs: tuple[int, ...], terminator: str, reason: str) -> None:
         """Shared sequence epilogue: telemetry, statistics, and the
@@ -314,7 +386,7 @@ class SequenceEmulator:
             steps.append((addr, probe))
         last = by_addr[addrs[-1]]
         end = addrs[-1] + last.size
-        self._trace_cache()[addrs[0]] = CompiledTrace(addrs[0], steps, end)
+        self._trace_cache()[addrs[0]] = CompiledTrace(addrs[0], steps, end, addrs)
         vm.telemetry.compiled_traces += 1
         del self._heat[addrs]
 

@@ -54,8 +54,9 @@ class CycleLedger:
         """A zero-argument function that records one to three fixed
         ``(category, cycles)`` charges, for callers that repeat the same
         ones (the emulator's pre-bound steps).  Categories are checked
-        once, and equal sets share one function; the cycles go to
-        whichever CPU is bound when it runs."""
+        once, and equal sets share one function, which keeps them as
+        its ``charges``; the cycles go to whichever CPU is bound when
+        it runs."""
         charge = self._chargers.get(charges)
         if charge is not None:
             return charge
@@ -75,6 +76,7 @@ class CycleLedger:
             cpu = self._cpu
             if cpu is not None:
                 cpu.cycles += total
+        charge.charges = charges
         self._chargers[charges] = charge
         return charge
 

@@ -17,7 +17,6 @@ from repro.core import correctness
 from repro.core.alloc import BoxAllocator
 from repro.core.decode_cache import DecodeCache
 from repro.core.emulator import DEFAULT_SUPPORTED, Emulator
-from repro.core import nanbox
 from repro.core.sequences import SequenceEmulator
 from repro.core.telemetry import CycleLedger, Telemetry
 from repro.core.wrappers import install_wrappers
@@ -28,7 +27,7 @@ from repro.kernel.fpvm_dev import FPVM_IOCTL_REGISTER_ENTRY, FPVMDevice
 from repro.kernel.signals import SIGFPE, SIGTRAP
 from repro.machine.costs import DEFAULT_COSTS
 from repro.machine.program import PatchKind
-from repro.machine.registers import MXCSR_DEFAULT, MXCSR_FPVM
+from repro.machine.registers import MXCSR_DEFAULT, MXCSR_FPVM, restore_lanes
 from repro.machine.uops import UOPS_DEFAULT
 from repro.observability import FlowRecorder, classify_flags, flow_enabled_default
 
@@ -331,46 +330,35 @@ class FPVM:
         return True
 
     # ------------------------------------ clobber-masked state save (§3.1)
-    def _fp_entry_save(self, context, trap) -> dict[int, int]:
-        """Entry-stub XMM save.  Eager mode snapshots all 32 lanes; lazy
-        mode saves only the trapped instruction's declared clobber set
-        (its XMM operand lanes) — the registers the handler's host-side
-        emulation code actually touches.  Returns lane-index -> value."""
+    def _fp_entry_save(self, context, trap) -> tuple[int, list]:
+        """Entry-stub XMM save.  Eager mode saves all 32 lanes; lazy mode
+        only the trapped instruction's declared clobber set (its XMM
+        operand lanes) — the registers the handler's host-side
+        emulation code actually touches.  Returns that lane mask and a
+        snapshot of the 16 lane pairs, taken in one pass."""
         if self.config.lazy_state_save:
             instr = context.cpu.program.by_addr.get(trap.addr)
             mask = instr.xmm_operands() if instr is not None else 0xFFFF_FFFF
         else:
             mask = 0xFFFF_FFFF
-        saved: dict[int, int] = {}
-        m = mask
-        while m:
-            bit = m & -m
-            idx = bit.bit_length() - 1
-            saved[idx] = context.read_xmm(idx >> 1, idx & 1)
-            m ^= bit
-        self.telemetry.fp_handler_lanes_saved += len(saved)
-        if self.fp_scribble_mask:
-            # Armed seam: the handler body trashes these lanes.
-            m = self.fp_scribble_mask
-            while m:
-                bit = m & -m
-                idx = bit.bit_length() - 1
-                context.raw_write_xmm(idx >> 1, 0xDEAD_BEEF_DEAD_BEEF, idx & 1)
-                m ^= bit
-        return saved
+        bank = context.xmm_bank
+        saved = list(map(tuple, bank))
+        self.telemetry.fp_handler_lanes_saved += mask.bit_count()
+        if self.fp_scribble_mask:  # armed seam: the handler body trashes these lanes
+            for idx in range(32):
+                if self.fp_scribble_mask >> idx & 1:
+                    bank[idx >> 1][idx & 1] = 0xDEAD_BEEF_DEAD_BEEF
+        return mask, saved
 
-    def _fp_exit_restore(self, context, saved: dict[int, int]) -> None:
-        """Exit-stub restore: put back every saved lane the handler did
-        not write as a result.  In a clean run this is value-identical
-        to doing nothing; with the scribble seam armed it is what keeps
+    def _fp_exit_restore(self, context, saved: tuple[int, list]) -> None:
+        """Exit-stub restore: put back, pair by pair, every saved lane
+        the handler did not write as a result.  Value-identical to doing
+        nothing in a clean run; with the scribble seam armed it keeps
         handler host code from leaking into guest state."""
-        written = context.written_xmm
-        restored = 0
-        for idx, value in saved.items():
-            if not (written >> idx) & 1:
-                context.raw_write_xmm(idx >> 1, value, idx & 1)
-                restored += 1
-        self.telemetry.fp_handler_lanes_restored += restored
+        mask, pairs = saved
+        restore = mask & ~context.written_xmm
+        self.telemetry.fp_handler_lanes_restored += restore.bit_count()
+        restore_lanes(context.xmm_bank, pairs, restore)
 
     def _on_sigtrap(self, signum, context, trap) -> None:
         """Baseline int3 correctness trap: demote then single-step."""
@@ -439,30 +427,6 @@ class FPVM:
     # ------------------------------------------------------- accounting
     def charge(self, category: str, cycles: int) -> None:
         self.ledger.charge(category, cycles)
-
-    def charge_alt(self, op: str) -> None:
-        self.charge("altmath", self.altmath.costs.op(op))
-
-    def charge_alt_convert(self) -> None:
-        self.charge("altmath", self.altmath.costs.convert)
-
-    # ----------------------------------------------- wrapper-facing API
-    def resolve_bits_to_alt(self, bits: int):
-        """Unbox ours / promote everything else (used by libm wrappers)."""
-        if nanbox.is_boxed(bits):
-            ptr, negated = nanbox.unbox(bits)
-            if self.allocator.owns(ptr):
-                if self.flow is not None:
-                    self.flow.note_source(ptr)
-                self.charge("altmath", self.altmath.costs.load)
-                value = self.allocator.load(ptr)
-                if negated:
-                    self.charge_alt("neg")
-                    value = self.altmath.unary("neg", value)
-                return value
-        self.charge("altmath", self.altmath.costs.promote)
-        self.telemetry.promotions += 1
-        return self.altmath.promote(bits)
 
     # ------------------------------------------------------------ stats
     @property

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from repro.core import nanbox
 from repro.machine.hostlib import LIBM_FUNCTIONS
 from repro.machine.program import HostFunction, Program
+from repro.machine.registers import restore_lanes
 
 RAX = 0
 
@@ -42,33 +43,24 @@ def _wrapper_clobber_mask(host: HostFunction) -> int:
     return mask
 
 
-def _guard_save(vm, cpu, clobber: int) -> dict[int, int]:
-    """Entry half of the wrapper's state guard: snapshot the lanes the
-    wrapper is allowed to touch (all 32 when lazy save is off)."""
+def _guard_save(vm, cpu, clobber: int) -> tuple[int, list]:
+    """Entry half of the wrapper's state guard: the lanes the wrapper
+    is allowed to touch (all 32 when lazy save is off) and a snapshot
+    of the XMM bank."""
     mask = clobber if vm.config.lazy_state_save else 0xFFFF_FFFF
-    saved: dict[int, int] = {}
-    regs_xmm = cpu.regs.xmm
-    m = mask
-    while m:
-        bit = m & -m
-        idx = bit.bit_length() - 1
-        saved[idx] = regs_xmm[idx >> 1][idx & 1]
-        m ^= bit
-    vm.telemetry.fp_wrapper_lanes_saved += len(saved)
-    return saved
+    vm.telemetry.fp_wrapper_lanes_saved += mask.bit_count()
+    return mask, list(map(tuple, cpu.regs.xmm))
 
 
-def _guard_restore(vm, cpu, saved: dict[int, int], written: int) -> None:
+def _guard_restore(vm, cpu, saved: tuple[int, list], written: int) -> None:
     """Exit half: put back every saved lane the wrapper did not
     legitimately write (value-identical in a clean run), and push the
     written lanes into the lazy-FP dirty tracking — wrapper writes
     bypass the CPU's FP exec paths, so this is their funnel."""
-    restored = 0
-    for idx, value in saved.items():
-        if not (written >> idx) & 1:
-            cpu.regs.write_xmm_lane(idx >> 1, idx & 1, value)
-            restored += 1
-    vm.telemetry.fp_wrapper_lanes_restored += restored
+    mask, pairs = saved
+    restore = mask & ~written
+    vm.telemetry.fp_wrapper_lanes_restored += restore.bit_count()
+    restore_lanes(cpu.regs.xmm, pairs, restore)
     if written:
         cpu.fp_quantum_touched = True
         cpu.regs.fp_dirty |= written
@@ -164,7 +156,7 @@ def _make_libm_forward_wrapper(vm, host: HostFunction):
         args = []
         for i in range(host.fp_args):
             bits = cpu.regs.xmm[i][0]
-            args.append(vm.resolve_bits_to_alt(bits))
+            args.append(vm.emulator.resolve(bits))
         vm.charge("altmath", vm.altmath.costs.libm_fn(host.name))
         result = vm.altmath.libm(host.name, *args)
         if vm.altmath.is_nan_value(result):

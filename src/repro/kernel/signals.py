@@ -82,15 +82,12 @@ class SignalContext:
             self._snap["xmm"][xid][lane] = value & 0xFFFF_FFFF_FFFF_FFFF
             self._snap["fp_dirty"] |= 1 << (2 * xid + lane)
 
-    def raw_write_xmm(self, xid: int, value: int, lane: int = 0) -> None:
-        """Write a lane *without* dirty/result tracking.  Two users: the
-        handler exit stub restoring saved lanes (values the guest
-        already owned — not new dirt, not a result), and the test seam
-        that models the handler's host-side code trashing the bank."""
-        if self.live:
-            self.cpu.regs.write_xmm_lane(xid, lane, value)
-        else:
-            self._snap["xmm"][xid][lane] = value & 0xFFFF_FFFF_FFFF_FFFF
+    @property
+    def xmm_bank(self) -> list[list[int]]:
+        """The 16 ``[lane0, lane1]`` XMM pairs, live or in the frame,
+        for the handler's entry/exit stubs: writes here are neither
+        dirt nor results."""
+        return self.cpu.regs.xmm if self.live else self._snap["xmm"]
 
     @property
     def flags(self) -> Flags:

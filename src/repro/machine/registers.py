@@ -67,6 +67,21 @@ RC_NEAREST, RC_DOWN, RC_UP, RC_ZERO = 0, 1, 2, 3
 _RC_MODE_NAMES = {RC_NEAREST: "ne", RC_DOWN: "dn", RC_UP: "up", RC_ZERO: "zr"}
 
 
+def restore_lanes(bank: list[list[int]], pairs: list, mask: int) -> None:
+    """Write back into the XMM ``bank`` (16 ``[lane0, lane1]`` lists),
+    pair by pair, the lanes of its snapshot ``pairs`` that ``mask``
+    selects (bit ``2*xid + lane``)."""
+    xid = 0
+    while mask:
+        lanes = mask & 3
+        if lanes == 3:
+            bank[xid][:] = pairs[xid]
+        elif lanes:
+            bank[xid][lanes - 1] = pairs[xid][lanes - 1]
+        mask >>= 2
+        xid += 1
+
+
 def rounding_mode(mxcsr: int) -> str:
     """The :mod:`repro.fpu.bits` mode string selected by MXCSR.RC."""
     return _RC_MODE_NAMES[(mxcsr & MXCSR_RC_MASK) >> MXCSR_RC_SHIFT]
@@ -123,9 +138,6 @@ class RegisterFile:
 
     def write_gpr(self, rid: int, value: int) -> None:
         self.gpr[rid] = value & U64
-
-    def read_xmm_lane(self, xid: int, lane: int) -> int:
-        return self.xmm[xid][lane]
 
     def write_xmm_lane(self, xid: int, lane: int, value: int) -> None:
         self.xmm[xid][lane] = value & U64

@@ -1322,7 +1322,7 @@ class SuperblockCache:
         # list would be emulated through without its pre-hook; a site
         # at the entry already had its hook delivered before the trap.
         for entry, trace in list(self.seq_traces.items()):
-            if entry in sites or any(a in sites for a, _ in trace.steps[1:]):
+            if entry in sites or any(a in sites for a in trace.addrs[1:]):
                 del self.seq_traces[entry]
                 self.dropped_traces += 1
                 dropped_any = True

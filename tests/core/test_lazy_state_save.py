@@ -123,3 +123,66 @@ def test_wrapper_guard_is_masked_too():
         saved[lazy] = vm.telemetry.fp_wrapper_lanes_saved
     assert outs[True] == outs[False]
     assert 0 < saved[True] < saved[False]
+
+
+#: A loop that traps on scalar and packed arithmetic, so results land
+#: in one lane or both and the exit restore skips a varying set.
+LOOP_SRC = """
+.data
+a: .double 1.5
+b: .double 2.25
+n: .quad 6
+.text
+main:
+  mov rcx, [rip + n]
+  movsd xmm0, [rip + a]
+  movapd xmm1, xmm0
+  movsd xmm1, [rip + b]
+top:
+  addsd xmm0, xmm1
+  mulpd xmm1, xmm0
+  subsd xmm0, [rip + a]
+  dec rcx
+  jne top
+  call print_f64
+  hlt
+"""
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["signal", "short_circuit"])
+@pytest.mark.parametrize("lazy, seq, traps, saved, restored", [
+    (False, False, 7, 224, 214),
+    (True, False, 7, 24, 14),
+    (False, True, 3, 96, 88),
+    (True, True, 3, 12, 4),
+], ids=["eager", "lazy", "eager_seq", "lazy_seq"])
+def test_handler_lane_counters_pinned(short, lazy, seq, traps, saved, restored):
+    """The entry/exit stubs' lane counters, pinned for both save modes
+    and both delivery paths (frame-mode signal contexts and live
+    short-circuit contexts), with and without the scribble seam armed:
+    a lane is saved if it is in the mode's mask and restored if the
+    handler did not write it.  The ``print_f64`` wrapper's state guard
+    is pinned alongside."""
+    outputs = {}
+    for scribble in (0, SCRIBBLE):
+        prog = assemble(LOOP_SRC)
+        install_host_library(prog)
+        cpu = CPU(prog)
+        kernel = LinuxKernel()
+        cpu.kernel = kernel
+        vm = FPVM(FPVMConfig(sequence_emulation=seq, lazy_state_save=lazy,
+                             trap_short_circuit=short)).attach(cpu, kernel)
+        vm.fp_scribble_mask = scribble
+        cpu.run()
+        t = vm.telemetry
+        delivered = t.short_circuit_traps if short else t.signal_traps
+        assert (t.traps, delivered) == (traps, traps)
+        assert (t.fp_handler_lanes_saved, t.fp_handler_lanes_restored) == (saved, restored)
+        assert (t.fp_wrapper_lanes_saved, t.fp_wrapper_lanes_restored) == (
+            (2, 1) if lazy else (64, 63))
+        outputs[scribble] = cpu.output
+        # xmm15 is outside every clobber set: only the eager save
+        # protects it from the seam.
+        trashed = scribble and lazy
+        assert cpu.regs.xmm[15] == ([DEADBEEF, DEADBEEF] if trashed else [0, 0])
+    assert outputs[0] == outputs[SCRIBBLE] == ["6587902317075462.0"]
