@@ -136,6 +136,10 @@ class OpClass(enum.Enum):
     CONTROL = "control"        # jumps, call, ret
     SYS = "sys"                # int3, nop, hlt
 
+    # Members are singletons compared by identity; Enum's own __hash__
+    # hashes ``_name_`` in Python on every dict update.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class OpcodeInfo:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
+_PAGE_MASK = PAGE_SIZE - 1
 
 PROT_READ = 1
 PROT_WRITE = 2
@@ -40,10 +41,11 @@ class Memory:
 
     Cloned memories (:meth:`clone_pages`) share pages copy-on-write:
     shared frozen pages live in ``_cow`` (never in ``_pages``), so the
-    uop pipeline's inlined fast paths — which index ``_pages``
-    directly — miss on them and fall back to these methods, where the
-    first write materializes a private copy.  ``cow_faults`` counts
-    those materializations.
+    single-page fast paths — :meth:`observed_load`/:meth:`observed_store`
+    and the uop pipeline's inlined closures, which all index ``_pages``
+    directly — miss on them and fall back to the generic accessors,
+    where the first write materializes a private copy.  ``cow_faults``
+    counts those materializations.
     """
 
     def __init__(self, auto_map: bool = True) -> None:
@@ -54,8 +56,10 @@ class Memory:
         #: pages privately materialized by a write to a shared page.
         self.cow_faults = 0
         self.auto_map = auto_map
-        #: observers for the PIN-like profiler: fn(addr, size, kind)
-        #: with kind in {"fp_store", "int_store", "fp_load", "int_load"}.
+        #: observers for the PIN-like profiler, called after each
+        #: observed access as fn(addr, size, kind, value) with kind in
+        #: {"fp_store", "int_store", "fp_load", "int_load"}; ``value``
+        #: is the loaded value or the value passed to the store.
         self.observers: list = []
 
     # ------------------------------------------------------------- pages
@@ -243,8 +247,16 @@ class Memory:
         return out.decode("utf-8", errors="replace")
 
     # -------------------------------------------------- observed access
+    # An access inside one private page with the needed prot bit is
+    # served directly; everything else (COW, auto-map, unmapped pages,
+    # page-straddling accesses, faults) goes through read_uint/write_uint.
     def observed_load(self, addr: int, size: int, fp: bool) -> int:
-        value = self.read_uint(addr, size)
+        page = self._pages.get(addr >> PAGE_SHIFT)
+        off = addr & _PAGE_MASK
+        if page is not None and off + size <= PAGE_SIZE and page.prot & PROT_READ:
+            value = int.from_bytes(page.data[off:off + size], "little")
+        else:
+            value = self.read_uint(addr, size)
         if self.observers:
             kind = "fp_load" if fp else "int_load"
             for obs in self.observers:
@@ -252,7 +264,12 @@ class Memory:
         return value
 
     def observed_store(self, addr: int, value: int, size: int, fp: bool) -> None:
-        self.write_uint(addr, value, size)
+        page = self._pages.get(addr >> PAGE_SHIFT)
+        off = addr & _PAGE_MASK
+        if page is not None and off + size <= PAGE_SIZE and page.prot & PROT_WRITE:
+            page.data[off:off + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+        else:
+            self.write_uint(addr, value, size)
         if self.observers:
             kind = "fp_store" if fp else "int_store"
             for obs in self.observers:

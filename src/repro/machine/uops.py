@@ -218,9 +218,11 @@ def lower_program(program) -> int:
 
 # ---------------------------------------------------- fast memory closures
 # Inlined single-page 8-byte access for bound closures.  Anything off
-# the happy path (attached observers, unmapped page — auto-map and
-# faults included — page-straddling access, permission violations)
-# falls back to the Memory methods, so semantics are exactly theirs.
+# the happy path (unmapped page — auto-map and faults included — COW
+# page, page-straddling access, permission violations) falls back to
+# the Memory methods, so semantics are exactly theirs.  Observers
+# (read per call, so late attaches count) are notified inline, after
+# the access, with the same arguments the methods pass.
 _PAGE_SIZE = PAGE_SIZE
 _PAGE_SHIFT = PAGE_SHIFT
 _PAGE_MASK = PAGE_SIZE - 1
@@ -230,30 +232,35 @@ _FROM_LE = int.from_bytes
 def _load8_factory(mem, fp: bool):
     """Fast ``observed_load(ea, 8, fp)``."""
     pages = mem._pages
+    kind = "fp_load" if fp else "int_load"
 
     def load8(addr):
-        if mem.observers:
-            return mem.observed_load(addr, 8, fp)
         page = pages.get(addr >> _PAGE_SHIFT)
         off = addr & _PAGE_MASK
         if page is None or off > _PAGE_SIZE - 8 or not (page.prot & PROT_READ):
             return mem.observed_load(addr, 8, fp)
-        return _FROM_LE(page.data[off:off + 8], "little")
+        value = _FROM_LE(page.data[off:off + 8], "little")
+        if mem.observers:
+            for obs in mem.observers:
+                obs(addr, 8, kind, value)
+        return value
     return load8
 
 
 def _store8_factory(mem, fp: bool):
     """Fast ``observed_store(ea, v, 8, fp)``."""
     pages = mem._pages
+    kind = "fp_store" if fp else "int_store"
 
     def store8(addr, value):
-        if mem.observers:
-            return mem.observed_store(addr, value, 8, fp)
         page = pages.get(addr >> _PAGE_SHIFT)
         off = addr & _PAGE_MASK
         if page is None or off > _PAGE_SIZE - 8 or not (page.prot & PROT_WRITE):
             return mem.observed_store(addr, value, 8, fp)
         page.data[off:off + 8] = _PACK_Q(value & U64)
+        if mem.observers:
+            for obs in mem.observers:
+                obs(addr, 8, kind, value)
     return store8
 
 
@@ -1171,7 +1178,10 @@ class Superblock:
         self.end = entry if end is None else end
         self.body = body
         self.uops = uops
-        self.class_counts = dict(Counter(uop.opclass for uop in uops))
+        counts: dict = {}
+        for uop in uops:
+            counts[uop.opclass] = counts.get(uop.opclass, 0) + 1
+        self.class_counts = counts
         self.n_body = len(body)
         #: lazy-FP lowering-time summaries: ``prefix_fp[i]`` is the XMM
         #: lane union the first ``i`` body uops write and
@@ -1537,9 +1547,9 @@ class UopEngine:
         """Charge deferred retire accounting: ``runs`` (block -> full
         body runs, cleared in place) plus the first ``i`` micro-ops of
         the in-flight body ``cur``.  Counting per distinct block keeps
-        the ``retired_by_class`` updates (``OpClass`` hashing runs in
-        Python) to one pass per block, however often it ran.  A method
-        taking explicit state so the loop's variables stay locals."""
+        the ``retired_by_class`` updates to one pass per block, however
+        often it ran.  A method taking explicit state so the loop's
+        variables stay locals."""
         cpu = self.cpu
         rbc = cpu.retired_by_class
         cycles = 0
