@@ -19,11 +19,6 @@ flow WORKLOAD [--config NAME] [--tier NAME] [--scale N]
     Exception-flow observability: run one workload with NaN-provenance
     recording on and print the per-RIP trap heatmap plus the NaN-flow
     graph (birth sites, propagation edges, kill sites).
-fleet WORKLOAD [--guests N] [--workers N] [--scale N] [--verify]
-    Run a multiprocess guest fleet with shared program pages, COW
-    memory and warm caches; report guests/sec and p50/p99 latency.
-    ``--verify`` re-runs the batch cold+serial and asserts bit-identical
-    per-guest ledgers.
 """
 
 from __future__ import annotations
@@ -119,37 +114,6 @@ def _cmd_characterize(args) -> int:
             print(stats.format_trace(rec, result.program))
             print()
     return 0
-
-
-def _cmd_fleet(args) -> int:
-    from repro.fleet import run_guest
-    from repro.harness.runner import run_fleet
-
-    scale = args.scale or get_workload(args.workload).fleet_default_scale
-    rep = run_fleet(args.workload, args.guests, workers=args.workers,
-                    scale=scale, quantum=args.quantum)
-    title = (f"Fleet: {args.guests} x {args.workload} (scale {scale}, "
-             f"{args.workers} workers)")
-    print(report.render_fleet(rep.fleet, title))
-    for err in rep.failed:
-        print(f"  FAILED: {err}")
-    if not args.verify:
-        return 1 if rep.failed else 0
-    print()
-    print("verify: re-running the batch cold + serial ...")
-    from repro.fleet import make_batch
-
-    jobs = make_batch(args.workload, args.guests, scale=scale,
-                      quantum=args.quantum)
-    cold = {j.job_id: run_guest(j, None).fingerprint() for j in jobs}
-    mismatched = [jid for jid, fp in rep.fingerprints().items()
-                  if cold.get(jid) != fp]
-    if mismatched:
-        print(f"verify: MISMATCH for jobs {mismatched}")
-        return 1
-    print(f"verify: all {len(cold)} per-guest ledgers bit-identical "
-          "(output, cycles, instructions, traps)")
-    return 1 if rep.failed else 0
 
 
 def _cmd_flow(args) -> int:
@@ -254,18 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--tier", choices=list(TIERS), default="chained")
     p_flow.add_argument("--scale", type=int, default=None)
 
-    p_fleet = sub.add_parser(
-        "fleet", help="run a multiprocess guest fleet (COW + warm caches)")
-    p_fleet.add_argument("workload", choices=WORKLOAD_NAMES)
-    p_fleet.add_argument("--guests", type=int, default=16)
-    p_fleet.add_argument("--workers", type=int, default=2,
-                         help="worker processes (0 = in-process serial)")
-    p_fleet.add_argument("--scale", type=int, default=None,
-                         help="per-guest scale (default: workload fleet_scale)")
-    p_fleet.add_argument("--quantum", type=int, default=64)
-    p_fleet.add_argument("--verify", action="store_true",
-                         help="assert bit-identity vs cold serial execution")
-
     conformance_cli.add_subparser(sub)
     return parser
 
@@ -278,7 +230,6 @@ def main(argv=None) -> int:
         "characterize": _cmd_characterize,
         "figures": _cmd_figures,
         "flow": _cmd_flow,
-        "fleet": _cmd_fleet,
         "conformance": conformance_cli.cmd_conformance,
     }[args.command]
     return handler(args)

@@ -9,8 +9,8 @@ Every other number is an event counted once, on a plain attribute of
 the object that owns it.  :func:`snapshot` names a holder's counts
 ``namespace.field`` (``fpvm.*`` :class:`Telemetry`, ``uop.*`` a thread's
 ``UopStats``, ``sched.*`` :class:`SchedulerStats`, ``sbcache.*`` the
-``SuperblockCache``, ``mem.*`` and ``cpu.*``); :func:`merge` adds
-snapshots exactly at every level, thread to fleet; :func:`rates`
+``SuperblockCache`` and ``cpu.*``); :func:`merge` adds snapshots
+exactly at every level, thread to process; :func:`rates`
 derives ratios from merged counts only.  Settings and gauges (a
 holder's ``UNMERGED``) are not counts and stay out.  A shared object's
 counters are reported once, by that object.  See the "Metrics model"
@@ -221,8 +221,8 @@ class SchedulerStats:
 
 def percentile(values, q: float) -> float:
     """Linear-interpolated percentile (``q`` in [0, 100]) over an
-    unsorted sequence — the p50/p99 the fleet front-end reports.
-    Returns 0.0 for an empty sequence."""
+    unsorted sequence (the benchmark's run-time quartiles and trap
+    latency percentiles).  Returns 0.0 for an empty sequence."""
     vals = sorted(values)
     if not vals:
         return 0.0

@@ -105,39 +105,3 @@ class StepLimitError(FPVMFaultError):
     distinguish 'guest never terminates' from machinery faults."""
 
     fault = "step_limit"
-
-
-class FleetError(FPVMFaultError):
-    """Base class for faults in the multiprocess fleet harness
-    (:mod:`repro.fleet`) — the machinery that fans guest processes out
-    across host workers, as opposed to faults inside any one guest."""
-
-    fault = "fleet"
-
-
-class FleetWorkerError(FleetError):
-    """A host worker process died (non-zero exit, signal, or a broken
-    pipe) while it held in-flight guest jobs.  The scheduler retries
-    each such job exactly once on a fresh worker; a second crash for
-    the same job surfaces this error to the caller, carrying the job
-    ids so nothing is silently dropped or double-counted."""
-
-    fault = "fleet_worker"
-
-    def __init__(self, message: str, job_ids: tuple = ()):  # noqa: D107
-        super().__init__(message)
-        self.job_ids = tuple(job_ids)
-
-
-class FleetQuotaError(FleetError):
-    """A tenant's job was refused at admission: the tenant is already
-    at its ``max_guests`` concurrency/volume cap or has exhausted its
-    ``max_cycles`` simulated-cycle budget.  Typed so front-ends can
-    distinguish back-pressure from machinery failure."""
-
-    fault = "fleet_quota"
-
-    def __init__(self, message: str, tenant: str = "", job_id: int = -1):  # noqa: D107
-        super().__init__(message)
-        self.tenant = tenant
-        self.job_id = job_id

@@ -209,46 +209,6 @@ def render_magic_costs(costs, title: str) -> str:
     return "\n".join(lines)
 
 
-def render_fleet(fleet: dict, title: str) -> str:
-    """Fleet front-end summary: throughput, latency percentiles, COW
-    and failure counters, then per-worker warm-cache reuse rates."""
-    lines = [title, ""]
-    lines.append(f"  guests completed:     {fleet['guests']:>10}"
-                 f"   (workers: {fleet['workers']})")
-    lines.append(f"  wall seconds:         {fleet['wall_seconds']:>10.3f}")
-    lines.append(f"  guests/sec:           {fleet['guests_per_sec']:>10.1f}")
-    lines.append(f"  guest latency p50:    {fleet['p50_latency'] * 1e3:>10.2f} ms")
-    lines.append(f"  guest latency p99:    {fleet['p99_latency'] * 1e3:>10.2f} ms")
-    lines.append(f"  guest latency max:    {fleet['max_latency'] * 1e3:>10.2f} ms")
-    lines.append(f"  simulated cycles:     {fleet.get('cpu.cycles', 0):>10}")
-    lines.append(f"  instructions:         {fleet.get('cpu.instructions', 0):>10}")
-    lines.append(f"  fp/bp traps:          {fleet.get('cpu.fp_traps', 0):>10} /"
-                 f" {fleet.get('cpu.bp_traps', 0)}")
-    lines.append(f"  COW page faults:      {fleet.get('mem.cow_faults', 0):>10}")
-    lines.append(f"  FP switches/elided:   {fleet.get('sched.fp_switches', 0):>10} /"
-                 f" {fleet.get('sched.fp_saves_elided', 0)}")
-    lines.append(f"  crashes/retries:      {fleet['crashes']:>10} /"
-                 f" {fleet['retries']}")
-    lines.append(f"  rejected/failed:      {fleet['rejected']:>10} /"
-                 f" {fleet['failed']}")
-    per_worker = fleet.get("per_worker") or {}
-    if per_worker:
-        lines.append("")
-        header = (f"  {'worker':<8}{'guests':>8}{'instr':>12}{'cow':>8}"
-                  f"{'fpsw':>7}{'elided':>8}{'sb hit':>9}")
-        lines.append(header)
-        lines.append("  " + "-" * (len(header) - 2))
-        for wid, w in per_worker.items():
-            label = "inline" if wid == -1 else str(wid)
-            lines.append(
-                f"  {label:<8}{w['guests']:>8}{w.get('cpu.instructions', 0):>12}"
-                f"{w.get('mem.cow_faults', 0):>8}{w.get('sched.fp_switches', 0):>7}"
-                f"{w.get('sched.fp_saves_elided', 0):>8}"
-                f"{w.get('superblock_hit_rate', 0.0) * 100:>8.1f}%"
-            )
-    return "\n".join(lines)
-
-
 def render_patch_sites(rows, title: str) -> str:
     lines = [title, ""]
     header = f"{'workload':<14}{'static sites':>13}{'profiler':>10}{'subset?':>9}"

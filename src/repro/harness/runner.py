@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.profiler import profile_patch_sites
-from repro.core.telemetry import merge, run_metrics, snapshot, thread_metrics
+from repro.core.telemetry import run_metrics, snapshot, thread_metrics
 from repro.core.vm import FPVM, FPVMConfig
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.cpu import CPU
@@ -260,30 +260,6 @@ def run_fpvm(
         host=HostPerf(seconds, cpu.instruction_count, _cpu_metrics(cpu, vm)),
         flow=vm.flow,
     )
-
-
-def run_fleet(
-    workload: str,
-    guests: int,
-    workers: int = 2,
-    scale: int | None = None,
-    quantum: int = 64,
-    quotas: dict | None = None,
-    **kw,
-):
-    """Run a homogeneous fleet batch and return its FleetReport with
-    ``report.host`` filled in: a fleet-level :class:`HostPerf` whose
-    ``seconds`` is batch wall-clock and whose ``metrics`` is the exact
-    merge of every guest's snapshot; ``report.fleet`` carries those
-    counts with guests/sec, p50/p99 latency and the per-worker merges."""
-    from repro.fleet import FleetScheduler, make_batch
-
-    jobs = make_batch(workload, guests, scale=scale, quantum=quantum, **kw)
-    report = FleetScheduler(workers=workers, quotas=quotas).run(jobs)
-    metrics = merge(*(r.metrics for r in report.results))
-    report.host = HostPerf(report.wall_seconds,
-                           metrics.get("cpu.instructions", 0), metrics)
-    return report
 
 
 def run_comparison(

@@ -191,35 +191,6 @@ class CPU:
         self.regs.write_gpr(7, rsp)  # rsp
         self.mem.write_u64(rsp, RETURN_SENTINEL)
 
-    @classmethod
-    def from_image(
-        cls,
-        program: Program,
-        image: Memory,
-        costs: CostModel = DEFAULT_COSTS,
-        max_instructions: int = 100_000_000,
-        uops: bool | None = None,
-    ) -> "CPU":
-        """A CPU whose memory is a copy-on-write clone of ``image`` — a
-        pristine loaded address space built once per program (a fleet
-        worker's template) — instead of re-running :meth:`_load_image`.
-        Pages stay shared with the template until this guest's first
-        write to each (``mem.cow_faults`` counts the copies), so N
-        guests of one program share one set of read-only program pages.
-
-        ``image`` must be the post-load, pre-run memory of a CPU built
-        on the *same* ``program`` object; registers are re-derived from
-        the program (entry RIP, reset stack) exactly as the loader sets
-        them, so execution is bit-identical to a freshly loaded CPU.
-        """
-        cpu = cls.__new__(cls)
-        cpu._init_core(program, costs, max_instructions, uops=uops)
-        cpu.mem = Memory()
-        cpu.mem.clone_pages(image)
-        cpu.regs.rip = program.entry
-        cpu.regs.write_gpr(7, STACK_TOP - 64)  # sentinel already in image
-        return cpu
-
     # ------------------------------------------------------------- running
     def _engine(self):
         """The lazily-created micro-op engine for this core."""

@@ -130,19 +130,18 @@ class Memory:
         """Pages still shared with clone relatives (not yet written)."""
         return len(self._cow)
 
-    def clone_pages(self, source: "Memory", cow: bool = True) -> None:
-        """Replace this memory's contents with a copy of ``source``'s
-        pages (fork semantics: same addresses, same protections, and —
-        from the guest's point of view — fully independent storage).
+    def clone_pages(self, source: "Memory") -> None:
+        """Replace this memory's contents with a copy-on-write copy of
+        ``source``'s pages (fork semantics: same addresses, same
+        protections, and — from the guest's point of view — fully
+        independent storage).
 
-        With ``cow=True`` (the default) the copy is lazy: every page of
-        ``source`` is demoted to a frozen shared page referenced by both
-        memories, and either side's first *write* to a page materializes
-        a private copy (``cow_faults`` counts them).  Isolation is
-        symmetric — a store by the child is never visible to the parent
-        or to sibling clones, and vice versa — because nobody ever
-        writes a frozen page.  ``cow=False`` forces the old eager deep
-        copy.
+        Every page of ``source`` is demoted to a frozen shared page
+        referenced by both memories, and either side's first *write* to
+        a page materializes a private copy (``cow_faults`` counts them).
+        Isolation is symmetric — a store by the child is never visible
+        to the parent or to sibling clones, and vice versa — because
+        nobody ever writes a frozen page.
 
         Mutates ``self._pages`` in place rather than rebinding it —
         the uop pipeline's memory closures capture the page dict by
@@ -150,19 +149,13 @@ class Memory:
         """
         self._pages.clear()
         self._cow.clear()
-        if cow:
-            # Demote the source's private pages to the frozen pool so
-            # the source itself also faults before writing them (its
-            # fast-path closures miss on ``_pages`` and fall back here).
-            for pno, page in list(source._pages.items()):
-                source._cow[pno] = page
-            source._pages.clear()
-            self._cow.update(source._cow)
-        else:
-            for pno, page in source._pages.items():
-                self._pages[pno] = _Page(bytearray(page.data), page.prot)
-            for pno, page in source._cow.items():
-                self._pages[pno] = _Page(bytearray(page.data), page.prot)
+        # Demote the source's private pages to the frozen pool so the
+        # source itself also faults before writing them (its fast-path
+        # closures miss on ``_pages`` and fall back here).
+        for pno, page in list(source._pages.items()):
+            source._cow[pno] = page
+        source._pages.clear()
+        self._cow.update(source._cow)
         self.auto_map = source.auto_map
 
     def digest(self) -> str:

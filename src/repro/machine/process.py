@@ -54,8 +54,6 @@ class Process:
         costs=None,
         max_instructions: int = 100_000_000,
         uops: bool | None = None,
-        image=None,
-        sb_cache=None,
         lazy_fp: bool | None = None,
     ):
         from repro.machine.costs import DEFAULT_COSTS
@@ -65,14 +63,7 @@ class Process:
         self.program = program
         self.costs = costs or DEFAULT_COSTS
         self.max_instructions = max_instructions
-        if image is not None:
-            # fleet path: the main thread's memory is a copy-on-write
-            # clone of a pre-loaded template image (see CPU.from_image)
-            # instead of a fresh load of the same bytes.
-            main = CPU.from_image(program, image, self.costs,
-                                  max_instructions, uops=uops)
-        else:
-            main = CPU(program, self.costs, max_instructions, uops=uops)
+        main = CPU(program, self.costs, max_instructions, uops=uops)
         main.tid = 0
         main.process = self
         #: the process-wide superblock cache: one object — one cursor
@@ -81,9 +72,7 @@ class Process:
         #: blocks *covering that site* in one sync while
         #: unrelated warm state survives.  Installed on each CPU
         #: before its engine exists (engines capture it at creation).
-        #: A fleet worker passes its warm per-program cache in instead,
-        #: sharing invalidation state and bounds across its guests.
-        self.sb_cache = sb_cache if sb_cache is not None else SuperblockCache()
+        self.sb_cache = SuperblockCache()
         main._sb_cache = self.sb_cache
         self.threads: list[CPU] = [main]
         self.mem = main.mem
@@ -379,8 +368,9 @@ THREAD_API: tuple[ThreadHostFn, ...] = (
 
 
 def fork_process(parent: Process) -> Process:
-    """fork(): a new process with a copy-on-write-free deep copy of the
-    parent's memory image and a single thread cloned from the caller.
+    """fork(): a new process whose memory is a copy-on-write clone of
+    the parent's (``Memory.clone_pages``) and a single thread cloned
+    from the caller.
     FPVM's constructors re-run via the returned process's spawn hooks
     (the caller re-attaches, as the real LD_PRELOAD constructor does).
     """

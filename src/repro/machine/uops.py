@@ -49,7 +49,6 @@ remaining step limit.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 
 from repro.fpu import fast as F
@@ -1205,11 +1204,6 @@ class Superblock:
         self.pure_tail = pure_tail
 
 
-#: process-wide allocator for SuperblockCache view keys (see
-#: :meth:`SuperblockCache._key`).
-_VIEW_KEYS = itertools.count(1)
-
-
 class SuperblockCache:
     """The per-process superblock cache: one object shared by every
     thread CPU of a :class:`~repro.machine.process.Process` (a
@@ -1224,11 +1218,11 @@ class SuperblockCache:
     the *new* suffix of patched addresses and drops exactly the cached
     artifacts whose address range covers a changed site — superblocks
     via ``[entry, end)`` and the sequence emulator's compiled traces by
-    step membership.  Every thread's (and, for a fleet worker's warm cache, every guest's)
-    unrelated blocks survive, turning a patch from a fleet-wide cache
-    flush into a local event.  The per-site walk is still cross-thread
-    sound: a patch made by thread A drops thread B's covering blocks
-    in the same sync, exactly like the old wholesale flush.
+    step membership.  Every thread's unrelated blocks survive, turning
+    a patch from a process-wide cache flush into a local event.  The
+    per-site walk is still cross-thread sound: a patch made by thread A
+    drops thread B's covering blocks in the same sync, exactly like the
+    old wholesale flush.
     """
 
     __slots__ = ("views", "epoch", "capacity", "cached_blocks",
@@ -1265,33 +1259,12 @@ class SuperblockCache:
         #: compiled sequence traces killed by flushes/evictions.
         self.dropped_traces = 0
 
-    @staticmethod
-    def _key(cpu) -> int:
-        """A stable per-CPU view key.  ``id(cpu)`` is unsafe for caches
-        that outlive their CPUs (a fleet worker hosts many sequential
-        guests and CPython reuses object addresses); a monotonically
-        assigned token can never collide with a dead guest's view."""
-        key = getattr(cpu, "_sb_view_key", None)
-        if key is None:
-            key = cpu._sb_view_key = next(_VIEW_KEYS)
-        return key
-
     def view(self, cpu) -> dict[int, Superblock]:
-        """The per-thread entry->Superblock map for ``cpu``."""
-        return self.views.setdefault(self._key(cpu), {})
-
-    def release(self, cpu) -> None:
-        """Drop the block view owned by ``cpu``.  Fleet workers call
-        this after each guest retires so a long-lived warm cache never accumulates the views
-        of dead guests; the shared ``seq_traces`` and the process-wide
-        epoch mirror stay warm for the next guest."""
-        key = getattr(cpu, "_sb_view_key", None)
-        if key is None:
-            return
-        view = self.views.pop(key, None)
-        if view:
-            self.cached_blocks -= len(view)
-            view.clear()   # the engine holds the dict: free its blocks
+        """The per-thread entry->Superblock map for ``cpu``.  Keyed by
+        ``id(cpu)``: a cache's views belong to one standalone CPU or to
+        the threads of one Process, whose ``threads`` list keeps them
+        all alive, so no two of them can share an address."""
+        return self.views.setdefault(id(cpu), {})
 
     def _drop_all(self) -> None:
         for view in self.views.values():

@@ -31,14 +31,14 @@ class Workload:
     #: must run under a Process (multi-threaded: the thread_create /
     #: thread_join host API only exists there), not a bare CPU.
     requires_process: bool = False
-    #: per-guest scale for fleet batches: small enough that a batch of
-    #: dozens finishes interactively, large enough that per-guest work
-    #: amortizes the fleet's fork/dispatch overhead (0 = default_scale).
-    fleet_scale: int = 0
+    #: a small scale for quick tests: the profiler golden and oracle
+    #: and the chaining tests run every workload at it (0 =
+    #: default_scale).
+    quick_scale: int = 0
 
     @property
-    def fleet_default_scale(self) -> int:
-        return self.fleet_scale or self.default_scale
+    def quick_default_scale(self) -> int:
+        return self.quick_scale or self.default_scale
 
     def build_module(self, scale: int | None = None, **kwargs):
         merged = dict(self.extra)
@@ -58,47 +58,47 @@ _WORKLOADS = {
             "lorenz", "Lorenz", _lorenz.build, 400,
             "Lorenz attractor: one long straight-line FP loop "
             "(long-sequence best case, ~32/trap in the paper)",
-            fleet_scale=150,
+            quick_scale=150,
         ),
         Workload(
             "three_body", "3-body", _three_body.build, 40,
             "three-body gravity with heavy position logging "
             "(more fcall + corr events)",
-            fleet_scale=12,
+            quick_scale=12,
         ),
         Workload(
             "double_pendulum", "Double Pend.", _double_pendulum.build, 60,
             "chaotic double pendulum: trig-heavy ODE",
-            fleet_scale=20,
+            quick_scale=20,
         ),
         Workload(
             "fbench", "fbench", _fbench.build, 12,
             "Walker's optical ray trace: libm-call-dominated "
             "(short sequences, ~4/trap in the paper)",
-            fleet_scale=4,
+            quick_scale=4,
         ),
         Workload(
             "ffbench", "ffbench", _ffbench.build, 16,
             "Walker's FFT benchmark: butterflies + index arithmetic",
-            fleet_scale=8,
+            quick_scale=8,
         ),
         Workload(
             "enzo", "Enzo", _enzo.build, 24,
             "mini-Enzo hydro (Sod tube, HLL): many distinct short "
             "sequences, big arrays, more GC",
-            fleet_scale=8,
+            quick_scale=8,
         ),
         Workload(
             "denorm_storm", "Denorm Storm", _denorm_storm.build, 600,
             "denormal/underflow trap storm: constant-operand ops keep "
             "their true trap class every iteration (DE, UE, PE, IE)",
-            fleet_scale=200,
+            quick_scale=200,
         ),
         Workload(
             "range_storm", "Range Storm", _range_storm.build, 500,
             "overflow/div-by-zero/invalid storm with NaN clamping plus "
             "compare and int-convert consumption (OE, ZE, IE, PE)",
-            fleet_scale=150,
+            quick_scale=150,
         ),
         Workload(
             "lorenz_mt", "Lorenz MT", _lorenz_mt.build, 300,
@@ -106,7 +106,7 @@ _WORKLOADS = {
             "workers (requires a Process for the thread host API)",
             extra={"threads": 4},
             requires_process=True,
-            fleet_scale=100,
+            quick_scale=100,
         ),
         Workload(
             "mixed_mt", "Mixed MT", _mixed_mt.build, 400,
@@ -115,7 +115,7 @@ _WORKLOADS = {
             "Process for the thread host API)",
             extra={"threads": 6, "fp_threads": 2},
             requires_process=True,
-            fleet_scale=150,
+            quick_scale=150,
         ),
     ]
 }

@@ -1,7 +1,7 @@
 """Profiler golden: the §5.1 memory-escape pass on every workload.
 
 ``profiler_golden.json`` pins :class:`ProfileResult` for every
-registered workload at its quick (fleet) scale and its default scale:
+registered workload at its quick scale and its default scale:
 the sorted patch sites, the FP-store and integer-load-of-float counts,
 and how many memory blocks ever held a float.  The sites feed every
 instrumented run, so a profiler change that moves any of them moves
@@ -29,7 +29,7 @@ def cases() -> list[tuple[str, int]]:
     out = []
     for name in WORKLOAD_NAMES:
         w = get_workload(name)
-        out += [(name, w.fleet_default_scale), (name, w.default_scale)]
+        out += [(name, w.quick_default_scale), (name, w.default_scale)]
     return out
 
 

@@ -185,7 +185,7 @@ class TestPerSiteInvalidation:
 
     def test_unrelated_blocks_survive_patch(self):
         prog, cpu, cache = self._warm_cpu()
-        view = cache.views[cpu._sb_view_key]
+        view = cache.view(cpu)
         nblocks = len(view)
         assert nblocks >= 2
         target = next(b.entry for b in view.values() if b.end > b.entry)
@@ -203,7 +203,7 @@ class TestPerSiteInvalidation:
         cpu.kernel = LinuxKernel()
         cpu.run()
         cache = cpu._sb_cache
-        view = cache.views[cpu._sb_view_key]
+        view = cache.view(cpu)
         assert view
         site = prog.symbols["cold"]
         covered = [(b.entry, b.end) for b in view.values()]

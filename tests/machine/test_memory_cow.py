@@ -4,12 +4,15 @@ The LazyFP-flavored isolation property: once memories share pages
 copy-on-write, no store by any sharer may ever become visible to
 another — a leak here is exactly the stale-register leak LazyFP
 describes, transposed to guest memory.  Asserted via whole-address-
-space digests, plus accounting checks for the ``cow_faults`` counter
-the fleet telemetry exports.
+space digests, plus accounting checks for the ``cow_faults`` counter.
 """
+
+import struct
 
 import pytest
 
+from repro.machine.assembler import assemble
+from repro.machine.cpu import TIERS
 from repro.machine.memory import (
     Memory,
     MemoryFault,
@@ -17,6 +20,21 @@ from repro.machine.memory import (
     PROT_READ,
     PROT_WRITE,
 )
+
+#: both stores hit the one data page, which no earlier write touched.
+_STORE_SRC = """
+.data
+x: .double 1.5
+q: .quad 7
+.text
+main:
+  movsd xmm0, [rip + x]
+  addsd xmm0, xmm0
+  movsd [rip + x], xmm0
+  mov rax, 9
+  mov [rip + q], rax
+  hlt
+"""
 
 
 def _template() -> Memory:
@@ -82,15 +100,6 @@ class TestCowSharing:
         parent.write_u64(0x1000, 2)
         assert grandchild.digest() == g_before
         assert grandchild.read_bytes(0x1000, 8) == b"\xaa" * 8
-
-    def test_eager_clone_still_available(self):
-        parent = _template()
-        child = Memory()
-        child.clone_pages(parent, cow=False)
-        assert child.cow_page_count() == 0
-        child.write_u64(0x1000, 7)
-        assert child.cow_faults == 0
-        assert parent.read_bytes(0x1000, 8) == b"\xaa" * 8
 
 
 class TestCowEdges:
@@ -163,3 +172,22 @@ class TestForkProcessIsolation:
         parent.run()
         assert child.mem.digest() == child_digest
         assert parent.main.output == child.main.output
+
+    @pytest.mark.parametrize("tier", list(TIERS))
+    def test_observed_store_takes_the_cow_fault(self, tier):
+        """The child's first write to the shared data page is an
+        observed 8-byte store (``movsd``/``mov`` to memory) — the path
+        the interpreter and the engine's store closures serve in-page —
+        so that store itself must materialize a private copy."""
+        from repro.machine.process import Process, fork_process
+
+        parent = Process(assemble(_STORE_SRC), uops=TIERS[tier])
+        x = parent.program.symbols["x"]
+        child = fork_process(parent)
+        parent_digest = parent.mem.digest()
+
+        child.run()
+        assert child.mem.cow_faults == 1
+        assert parent.mem.digest() == parent_digest
+        assert parent.mem.read_bytes(x, 16) == struct.pack("<dq", 1.5, 7)
+        assert child.mem.read_bytes(x, 16) == struct.pack("<dq", 3.0, 9)
