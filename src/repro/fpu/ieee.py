@@ -71,8 +71,16 @@ class FPFlags:
             | (32 if self.inexact else 0)
         )
 
+    @staticmethod
+    def from_status(status: int) -> "FPFlags":
+        """The flags whose :meth:`as_mxcsr_status` is ``status`` (low 6
+        bits): one shared instance per value, as the class is frozen."""
+        return _BY_STATUS[status & 0x3F]
 
-NO_FLAGS = FPFlags()
+
+_BY_STATUS = tuple(FPFlags(*(bool(s >> k & 1) for k in range(6)))
+                   for s in range(64))
+NO_FLAGS = _BY_STATUS[0]
 
 
 @dataclass(frozen=True)

@@ -347,10 +347,6 @@ class Instruction:
     def opclass(self) -> OpClass:
         return self.info.opclass
 
-    def is_fp_trap_capable(self) -> bool:
-        """Could this instruction raise #XF?"""
-        return self.opclass in (OpClass.FP_ARITH, OpClass.FP_CVT)
-
     def xmm_writes(self) -> int:
         """Cached :func:`xmm_write_mask` — the interpreter's per-step
         dirty marking reads this once per instruction object."""

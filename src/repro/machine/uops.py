@@ -16,26 +16,32 @@ stale block while unrelated warm blocks survive patch churn.
 
 Semantics are bit-for-bit the seed interpreter's:
 
-- fast FP closures run only under the exact conditions of the seed's
-  native path (all six MXCSR exception masks set, round-to-nearest,
-  FP hardware enabled); anything else returns the :data:`SLOW`
+- FP closures take the seed's values-only native path when all six
+  MXCSR exception masks are set (round-to-nearest, FP hardware
+  enabled).  Under an unmasked MXCSR (an attached FPVM) they decide
+  #XF themselves from :func:`repro.fpu.fast.flagged`: they commit
+  result and status bits like ``cpu._exec_fp``, or return its #XF
+  ``Trap`` uncommitted for the engine to deliver.  With the FP unit
+  off or a directed rounding mode they return the :data:`SLOW`
   sentinel *without side effects* and the engine falls back to
-  ``cpu.step()``, which performs the full fault-style #XF protocol;
+  ``cpu.step()``;
 - block execution retires micro-ops with batched accounting that is
   flushed (``try/finally``) before any fallback, trap delivery, or
   exception propagation, so every observer of ``cycles`` /
   ``instruction_count`` sees the same values it would under
   single-stepping;
-- FP closures evaluate through :mod:`repro.fpu.fast`, the same
-  values-only binary64 path the interpreter's native branch uses.
+- FP closures evaluate through :mod:`repro.fpu.fast` (its values-only
+  and flag forms), the one binary64 fast path; the interpreter's
+  trapping branch keeps the :mod:`repro.fpu.ieee` oracle.
 
 One dispatch loop, :meth:`UopEngine.run_quantum`, runs every
 superblock the same way: a checkpoint (halt, block, patch-sequence
 sync, patch site), the block lookup or build, the body (or the
-prefix that fits the step budget), then the control tail.  Retire accounting is deferred into per-block run counts
-and settled before anything that can observe the counters: a
-``cpu.step()`` fallback, a control tail that may run host code, the
-end of the quantum, or an exception on its way out.  At a quantum's
+prefix that fits the step budget), then the control tail.  Retire
+accounting is deferred into per-block run counts and settled before
+anything that can observe the counters: a ``cpu.step()`` fallback, an
+#XF delivery, a control tail that may run host code, the end of the
+quantum, or an exception on its way out.  At a quantum's
 budget edge the engine retires a body's fitting *prefix* — every
 closure is one seed step and leaves RIP correct, so the next quantum
 resumes mid-block, in a block sliced out of the covering block's
@@ -53,6 +59,7 @@ from collections import Counter
 
 from repro.fpu import fast as F
 from repro.fpu.fast import _PACK_Q, _fsqrt, FAST_SCALAR
+from repro.fpu.ieee import FPFlags
 from repro.machine.isa import (
     CONDITION_CODES,
     FP_TOUCH_CLASSES,
@@ -71,10 +78,12 @@ from repro.machine.memory import PAGE_SHIFT, PAGE_SIZE, PROT_READ, PROT_WRITE
 
 U64 = 0xFFFF_FFFF_FFFF_FFFF
 
-#: Returned by an execute closure that could not take the fast path.
-#: The contract: a SLOW return performed *no* side effects — the engine
-#: flushes the retired prefix and re-executes the instruction through
-#: ``cpu.step()`` (full seed semantics, including #XF delivery).
+#: Returned by an FP closure that cannot run in its block: the FP unit
+#: is off or MXCSR.RC is directed.  The contract: a SLOW return
+#: performed *no* side effects (it is decided before any operand read)
+#: — the engine flushes the retired prefix and re-executes the
+#: instruction through ``cpu.step()`` (full seed semantics, including
+#: #XF delivery).
 SLOW = object()
 
 #: Superblocks stop growing here; the follow-on block starts at the cut.
@@ -85,6 +94,9 @@ MAX_BLOCK = 128
 #: (bits 13-14 clear).  One masked compare checks all of it.
 _FP_FAST_FIELD = 0x7F80
 _FP_FAST_VALUE = 0x1F80
+#: MXCSR.RC (bits 13-14): the flag path, like the fast path, is
+#: round-to-nearest only.
+_RC_FIELD = 0x6000
 
 _RETURN_SENTINEL = 0xDEAD_0000
 
@@ -183,9 +195,6 @@ class MicroOp:
     @property
     def operands(self):
         return self.instr.operands
-
-    def is_fp_trap_capable(self) -> bool:
-        return self.fp_trap_capable
 
     def __str__(self) -> str:
         return str(self.instr)
@@ -391,9 +400,11 @@ def bind_exec(uop: MicroOp, cpu):
 
     Closure contract: executes the instruction exactly like the seed
     handler (same reads, same write order, RIP set at the end) and
-    returns None on retire; FP-trappable closures return :data:`SLOW`
-    (no side effects) whenever the seed would leave its native path.
-    Retire accounting (cost/count/class) is the engine's job.
+    returns None on retire.  An FP-trappable closure may instead return
+    the #XF ``Trap`` the seed would deliver (operands read, nothing
+    committed; the engine delivers it) or :data:`SLOW` (no side
+    effects; the engine single-steps the instruction).  Retire
+    accounting (cost/count/class) is the engine's job.
     """
     cls = uop.opclass
     try:
@@ -412,11 +423,51 @@ def bind_exec(uop: MicroOp, cpu):
     return None
 
 
+def _flag_path(uop: MicroOp, cpu, evaluate, commit):
+    """An FP closure's path under an unmasked MXCSR (an attached FPVM).
+
+    ``SLOW`` while the FP unit is off or RC is directed, decided before
+    any operand read.  Otherwise ``evaluate()`` reads the operands once
+    and returns ``(result, status)`` from :func:`repro.fpu.fast.flagged`
+    (a packed op ORs its lanes' status).  An unmasked status bit returns
+    the #XF ``Trap`` ``cpu._exec_fp`` delivers, nothing committed; else
+    ``commit(result)``, the status ORed into MXCSR and RIP advanced, as
+    ``_exec_fp`` does.  Past the reads it never returns ``SLOW``:
+    ``step()`` would notify memory observers twice."""
+    from repro.machine.cpu import Trap, TrapKind  # cpu.py imports this module
+
+    regs = cpu.regs
+    end = uop.end
+    addr, instr, xf = uop.addr, uop.instr, TrapKind.XF
+    from_status = FPFlags.from_status
+
+    def flag_path():
+        mx = regs.mxcsr
+        if cpu.fp_disabled or mx & _RC_FIELD:
+            return SLOW
+        result, st = evaluate()
+        if st & ~mx >> 7:
+            return Trap(xf, addr, instr, from_status(st))
+        commit(result)
+        regs.mxcsr = mx | st
+        regs.rip = end
+    return flag_path
+
+
 def _bind_fp(uop: MicroOp, cpu):
+    """Each closure runs the seed's values-only native path when every
+    MXCSR mask is set and RC is nearest, and its :func:`_flag_path`
+    otherwise."""
     regs = cpu.regs
     mn = uop.mnemonic
     ops = uop.instr.operands
     end = uop.end
+    flag = F.flagged(uop.ieee)
+
+    def lane0(xid):
+        def write(bits):
+            regs.xmm[xid][0] = bits
+        return write
 
     if mn == "cvtsi2sd":
         rd = _reader_u64(cpu, ops[1], False)
@@ -424,10 +475,11 @@ def _bind_fp(uop: MicroOp, cpu):
         cvt = F.cvtsi2sd
         if rd is None or not isinstance(ops[0], Xmm):
             return None
+        flag_path = _flag_path(uop, cpu, lambda: flag(rd()), lane0(xid))
 
         def run_cvtsi2sd():
             if cpu.fp_disabled or (regs.mxcsr & _FP_FAST_FIELD) != _FP_FAST_VALUE:
-                return SLOW
+                return flag_path()
             regs.xmm[xid][0] = cvt(rd())
             regs.rip = end
         return run_cvtsi2sd
@@ -438,10 +490,11 @@ def _bind_fp(uop: MicroOp, cpu):
         cvt = F.cvttsd2si if mn == "cvttsd2si" else F.cvtsd2si
         if rd is None or wr is None:
             return None
+        flag_path = _flag_path(uop, cpu, lambda: flag(rd()), wr)
 
         def run_cvt2si():
             if cpu.fp_disabled or (regs.mxcsr & _FP_FAST_FIELD) != _FP_FAST_VALUE:
-                return SLOW
+                return flag_path()
             wr(cvt(rd()))
             regs.rip = end
         return run_cvt2si
@@ -455,9 +508,19 @@ def _bind_fp(uop: MicroOp, cpu):
         if rd_b is None:
             return None
 
+        def set_flags(packed):
+            f = regs.flags
+            f.zf = bool(packed & 1)
+            f.pf = bool(packed & 2)
+            f.cf = bool(packed & 4)
+            f.sf = False
+            f.of = False
+        flag_path = _flag_path(
+            uop, cpu, lambda: flag(regs.xmm[xid][0], rd_b()), set_flags)
+
         def run_ucomi():
             if cpu.fp_disabled or (regs.mxcsr & _FP_FAST_FIELD) != _FP_FAST_VALUE:
-                return SLOW
+                return flag_path()
             packed = ucomi(regs.xmm[xid][0], rd_b())
             f = regs.flags
             f.zf = bool(packed & 1)
@@ -476,10 +539,12 @@ def _bind_fp(uop: MicroOp, cpu):
         cmp = F.cmp_mask(CMP_PREDS[mn])
         if rd_b is None:
             return None
+        flag_path = _flag_path(
+            uop, cpu, lambda: flag(regs.xmm[xid][0], rd_b()), lane0(xid))
 
         def run_cmp():
             if cpu.fp_disabled or (regs.mxcsr & _FP_FAST_FIELD) != _FP_FAST_VALUE:
-                return SLOW
+                return flag_path()
             lanes = regs.xmm[xid]
             lanes[0] = cmp(lanes[0], rd_b())
             regs.rip = end
@@ -493,41 +558,53 @@ def _bind_fp(uop: MicroOp, cpu):
         fma = F.fma
         if rd_c is None:
             return None
+        flag_path = _flag_path(
+            uop, cpu, lambda: flag(regs.xmm[m_id][0], regs.xmm[d_id][0], rd_c()),
+            lane0(d_id))
 
         def run_fma():
             if cpu.fp_disabled or (regs.mxcsr & _FP_FAST_FIELD) != _FP_FAST_VALUE:
-                return SLOW
+                return flag_path()
             lanes = regs.xmm[d_id]
             lanes[0] = fma(regs.xmm[m_id][0], lanes[0], rd_c())
             regs.rip = end
         return run_fma
 
+    if not isinstance(ops[0], Xmm):
+        return None
+    xid = ops[0].id
+
+    def both_lanes(pair):
+        regs.xmm[xid][:] = pair
+
     if mn == "sqrtsd":
-        if not isinstance(ops[0], Xmm):
-            return None
-        xid = ops[0].id
         rd = _reader_u64(cpu, ops[1], True)
         if rd is None:
             return None
+        flag_path = _flag_path(uop, cpu, lambda: flag(rd()), lane0(xid))
 
         def run_sqrtsd():
             if cpu.fp_disabled or (regs.mxcsr & _FP_FAST_FIELD) != _FP_FAST_VALUE:
-                return SLOW
+                return flag_path()
             regs.xmm[xid][0] = _fsqrt(rd())
             regs.rip = end
         return run_sqrtsd
 
     if mn == "sqrtpd":
-        if not isinstance(ops[0], Xmm):
-            return None
-        xid = ops[0].id
         rd = _reader_128(cpu, ops[1])
         if rd is None:
             return None
 
+        def evaluate_sqrtpd():
+            slo, shi = rd()
+            lo, st = flag(slo)
+            hi, st_hi = flag(shi)
+            return (lo, hi), st | st_hi
+        flag_path = _flag_path(uop, cpu, evaluate_sqrtpd, both_lanes)
+
         def run_sqrtpd():
             if cpu.fp_disabled or (regs.mxcsr & _FP_FAST_FIELD) != _FP_FAST_VALUE:
-                return SLOW
+                return flag_path()
             slo, shi = rd()
             lanes = regs.xmm[xid]
             lanes[0] = _fsqrt(slo)
@@ -537,17 +614,24 @@ def _bind_fp(uop: MicroOp, cpu):
 
     # Binary arithmetic families.
     fast = FAST_SCALAR.get(uop.ieee)
-    if fast is None or not isinstance(ops[0], Xmm):
+    if fast is None:
         return None
-    xid = ops[0].id
     if uop.lanes == 2:
         rd = _reader_128(cpu, ops[1])
         if rd is None:
             return None
 
+        def evaluate_packed():
+            slo, shi = rd()
+            dlo, dhi = regs.xmm[xid]
+            lo, st = flag(dlo, slo)
+            hi, st_hi = flag(dhi, shi)
+            return (lo, hi), st | st_hi
+        flag_path = _flag_path(uop, cpu, evaluate_packed, both_lanes)
+
         def run_packed():
             if cpu.fp_disabled or (regs.mxcsr & _FP_FAST_FIELD) != _FP_FAST_VALUE:
-                return SLOW
+                return flag_path()
             slo, shi = rd()
             lanes = regs.xmm[xid]
             lanes[0] = fast(lanes[0], slo)
@@ -558,10 +642,12 @@ def _bind_fp(uop: MicroOp, cpu):
     rd = _reader_u64(cpu, ops[1], True)
     if rd is None:
         return None
+    flag_path = _flag_path(uop, cpu, lambda: flag(regs.xmm[xid][0], rd()),
+                           lane0(xid))
 
     def run_scalar():
         if cpu.fp_disabled or (regs.mxcsr & _FP_FAST_FIELD) != _FP_FAST_VALUE:
-            return SLOW
+            return flag_path()
         lanes = regs.xmm[xid]
         lanes[0] = fast(lanes[0], rd())
         regs.rip = end
@@ -1338,7 +1424,8 @@ class UopStats:
 
     __slots__ = ("blocks_built", "uops_bound", "block_runs",
                  "partial_block_runs", "uops_retired", "slow_fallbacks",
-                 "single_steps", "quantum_dispatches", "quantum_exits")
+                 "fp_trap_exits", "single_steps", "quantum_dispatches",
+                 "quantum_exits")
 
     def __init__(self) -> None:
         self.blocks_built = 0
@@ -1350,6 +1437,9 @@ class UopStats:
         self.partial_block_runs = 0
         self.uops_retired = 0
         self.slow_fallbacks = 0
+        #: body closures that returned a #XF ``Trap``, delivered by the
+        #: engine in place of a ``step()``.
+        self.fp_trap_exits = 0
         self.single_steps = 0
         #: budgeted dispatches through run_quantum() (scheduler quanta
         #: and CPU.run() calls alike).
@@ -1360,8 +1450,9 @@ class UopStats:
 
 class UopEngine:
     """Per-CPU fetch/dispatch/execute engine running cached superblocks
-    with single-step fallback at traps, patch sites, and anything a
-    closure cannot execute (the :data:`SLOW` protocol).
+    with single-step fallback at patch sites and anything a closure
+    cannot execute (the :data:`SLOW` protocol), and in-place delivery
+    of the #XF traps FP closures decide.
 
     Block storage lives in the CPU's :class:`SuperblockCache` (shared
     by every thread of a process); the engine holds that cache's
@@ -1404,8 +1495,9 @@ class UopEngine:
         counts one, so a batched quantum consumes the process's global
         step budget precisely like ``budget × step()`` would.  The
         quantum ends when the budget is spent or the core halts or
-        blocks (``thread_join``); a trap or SLOW sentinel inside the
-        quantum falls back to ``step()`` and the quantum continues.
+        blocks (``thread_join``); a SLOW sentinel inside the quantum
+        falls back to ``step()``, a closure's #XF ``Trap`` is delivered
+        as that step (:meth:`_deliver_xf`), and the quantum continues.
         Never exceeds ``budget``: a body that does not fit retires only
         its fitting prefix (every closure is one seed step and leaves
         RIP correct, so stopping after ``k`` of them is stopping between
@@ -1415,10 +1507,10 @@ class UopEngine:
         Retire accounting is deferred: ``runs`` counts full body runs
         per block, and ``i`` micro-ops of the in-flight body ``cur``
         have retired.  :meth:`_settle` charges them before
-        ``cpu.step()``, before a tail that may run host code (see
-        :func:`_pure_tail`), at quantum exit, and in the ``finally``
-        when an exception escapes, so every observer of the counters
-        sees single-stepping's values.  Between those points only body
+        ``cpu.step()`` or a trap delivery, before a tail that may run
+        host code (see :func:`_pure_tail`), at quantum exit, and in the
+        ``finally`` when an exception escapes, so every observer of the
+        counters sees single-stepping's values.  Between those points only body
         closures and pure tails run; they touch architectural state
         alone (tails bump the counters themselves, which is
         order-independent integer addition).
@@ -1474,17 +1566,23 @@ class UopEngine:
                     cur = block
                     i = 0
                     for fn in (block.body if k == n else block.body[:k]):
-                        if fn() is SLOW:
+                        out = fn()
+                        if out is not None:
                             break
                         i += 1
                     retired += i
                     if i < k:
-                        stats.slow_fallbacks += 1
                         settle(runs, cur, i)
                         cur = None
-                        if retired < budget:
-                            step()
+                        if out is SLOW:
+                            stats.slow_fallbacks += 1
+                            if retired < budget:
+                                step()
+                                retired += 1
+                        else:             # a #XF Trap; i < k <= avail
+                            stats.fp_trap_exits += 1
                             retired += 1
+                            self._deliver_xf(block.uops[i], out)
                         continue
                     if k < n:
                         break             # budget spent mid-body
@@ -1515,6 +1613,17 @@ class UopEngine:
 
         stats.quantum_exits[exit_reason] += 1
         return retired
+
+    def _deliver_xf(self, uop: MicroOp, trap) -> None:
+        """Deliver the #XF a body closure returned for ``uop``, after
+        what ``cpu._exec_fp`` does before its own delivery: the trapped
+        instruction's lanes are marked (the handler emulates into them)
+        and the trap is counted.  It does not retire."""
+        cpu = self.cpu
+        cpu.fp_quantum_touched = True
+        cpu.regs.fp_dirty |= uop.xmm_writes
+        cpu.fp_trap_count += 1
+        cpu._deliver(trap)
 
     def _settle(self, runs, cur=None, i: int = 0) -> None:
         """Charge deferred retire accounting: ``runs`` (block -> full

@@ -105,7 +105,7 @@ def _corrupt_mul(monkeypatch):
 
         def bad_mul():
             r = fn()
-            if r is not uops.SLOW:
+            if r is None:               # retired (not SLOW, not a Trap)
                 cpu.regs.xmm[xid][0] ^= 1
             return r
         return bad_mul

@@ -360,3 +360,22 @@ def test_zero_stays_a_valid_config_value():
     vm = FPVM(FPVMConfig(trace_compile_threshold=0, gc_threshold=0,
                          box_capacity=0))
     assert vm.config.trace_compile_threshold == 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "attach installs the foreign-call wrappers before the profiling pass, "
+    "whose program copy shares the rewritten symbol table and so runs the "
+    "live VM's libm wrappers"))
+def test_attach_profiling_leaves_vm_untouched():
+    """The §5.1 profiling pass is a separate, native execution: right
+    after ``attach`` the VM has counted nothing and charged nothing."""
+    from repro.core.telemetry import snapshot
+    from repro.workloads import build_program
+
+    cpu = CPU(build_program("fbench", scale=4))
+    kernel = LinuxKernel()
+    cpu.kernel = kernel
+    vm = FPVM(FPVMConfig.none()).attach(cpu, kernel)
+    assert {k: v for k, v in snapshot(vm.telemetry).items() if v} == {}
+    assert vm.ledger.total() == 0
+    assert cpu.cycles == 0

@@ -1,11 +1,16 @@
 """Exception-path accounting: a memory fault raised inside the micro-op
 engine escapes with every retire counter, the lazy-FP dirty set and RIP
-exactly as the interpreter leaves them, whether the faulting store sits
-in the first block of the run, in a block entered through a control
-tail, or in a loop whose cached blocks have run many times."""
+exactly as the interpreter leaves them, and a #XF an FP micro-op decides
+inside its block is delivered with the same counters, dirty set and
+flags as the interpreter's — whether the faulting instruction sits in
+the first block of the run, in a block entered through a control tail,
+or in a loop whose cached blocks have run many times."""
+
+import struct
 
 import pytest
 
+from repro.core.vm import FPVM, FPVMConfig
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.assembler import assemble
 from repro.machine.cpu import CPU, TIERS
@@ -82,3 +87,72 @@ def test_fault_accounting_matches_interpreter(tier, place):
     if tier == "chained" and place == "hot_loop":
         stats = cpu.uop_stats
         assert stats.block_runs > stats.blocks_built, "no cached block re-ran"
+
+
+#: The same three places for a #XF under FPVM.  ``addsd`` adds 1.0 to
+#: xmm0, which starts ``laps`` below 2^53: exact until lap ``laps``,
+#: whose 2^53 + 1 is a tie (PE, a trap).  From then on xmm0 holds a
+#: NaN box and every lap's ``addsd`` traps again.  The exact ``mulsd``
+#: before it makes the trapping micro-op's retired prefix nonempty.
+TRAP_WALK_SRC = """
+.data
+one: .double 1.0
+n: .quad 16
+.text
+main:
+  mov rcx, [rip + n]
+  movsd xmm1, [rip + one]
+top:
+  mulsd xmm2, xmm1
+  addsd xmm0, xmm1
+  movsd xmm3, xmm0
+  call bump
+  dec rcx
+  jne top
+  hlt
+bump:
+  inc rax
+  ret
+"""
+
+
+def _run_fpvm(tier: str, laps: int) -> tuple[CPU, list]:
+    cpu = CPU(assemble(TRAP_WALK_SRC), uops=TIERS[tier])
+    kernel = LinuxKernel()
+    cpu.kernel = kernel
+    FPVM(FPVMConfig.none(patch_site_source="none")).attach(cpu, kernel)
+    cpu.regs.xmm[0][0] = struct.unpack(
+        "<Q", struct.pack("<d", 2.0 ** 53 - laps))[0]
+    delivered = []
+    deliver = kernel.deliver_trap
+
+    def recording(cpu, trap):
+        # What the handler sees on entry: the whole retired prefix is
+        # charged, the trapped instruction's lanes are dirty.
+        delivered.append((trap.fp_flags, trap.addr, cpu.cycles,
+                          cpu.instruction_count, cpu.regs.fp_dirty,
+                          cpu.fp_trap_count))
+        deliver(cpu, trap)
+    kernel.deliver_trap = recording
+    cpu.run(max_steps=10_000)
+    return cpu, delivered
+
+
+@pytest.mark.parametrize("place", list(FAULT_LAPS))
+@pytest.mark.parametrize("tier", list(TIERS))
+def test_fp_trap_exit_accounting_matches_interpreter(tier, place):
+    laps = FAULT_LAPS[place]
+    cpu, delivered = _run_fpvm(tier, laps)
+    oracle, oracle_delivered = _run_fpvm("interp", laps)
+    assert delivered == oracle_delivered
+    assert delivered[0][1] == cpu.program.symbols["top"] + \
+        cpu.program.by_addr[cpu.program.symbols["top"]].size
+    assert len(delivered) == 16 - laps
+    assert _observed(cpu) == _observed(oracle)
+    assert cpu.fp_trap_count == oracle.fp_trap_count
+    if tier == "chained":
+        stats = cpu.uop_stats
+        assert stats.fp_trap_exits == len(delivered)
+        assert stats.slow_fallbacks == 0
+        if place == "hot_loop":
+            assert stats.block_runs > stats.blocks_built, "no cached block re-ran"

@@ -14,6 +14,7 @@ from repro.machine.cpu import CPU, MachineError
 from repro.machine.hostlib import install_host_library
 from repro.machine.process import Process
 from repro.machine.program import PatchKind
+from repro.machine.registers import MXCSR_FPVM, RC_DOWN, with_rounding
 
 #: FP loop whose body compiles to one superblock with a ``jne`` tail,
 #: dispatched again after every iteration's tail.
@@ -240,10 +241,11 @@ class TestChainInvalidation:
         assert engine.cache.invalidated_blocks > 0
         assert engine.cache.invalidations > 0
 
-    def test_slow_inside_chained_block(self):
+    def test_fp_trap_exit_inside_chained_block(self):
         """Under seq_short virtualization, FP micro-ops in a cached
-        block go SLOW at unpromoted sites; the engine must settle its
-        accounting, fall back to step(), and stay bit-identical."""
+        block decide #XF themselves: a trapping one hands the engine
+        its ``Trap``, which settles the block's accounting and delivers
+        it, and the run stays bit-identical to single-stepping."""
         chained = _cpu(_program(LOOP_SRC),
                        config=FPVMConfig.seq_short(uops=True))
         chained.run()
@@ -254,8 +256,31 @@ class TestChainInvalidation:
                         config=FPVMConfig.seq_short(uops=False))
         stepwise.run()
         assert _fingerprint(chained) == _fingerprint(stepwise)
-        # the SLOW fallbacks must be visible in telemetry, not silent.
-        assert st["slow_fallbacks"] > 0
+        # the trap exits must be visible in telemetry, not silent.
+        assert st["fp_trap_exits"] > 0
+        assert st["slow_fallbacks"] == 0
+
+    def test_slow_inside_chained_block(self):
+        """With the FP unit off (``trap_all_fp``) or a directed MXCSR.RC,
+        FP micro-ops in a cached block go SLOW before reading anything;
+        the engine must settle its accounting, fall back to step(), and
+        stay bit-identical."""
+        for config, mxcsr in ((FPVMConfig.seq_short(trap_all_fp=True), None),
+                              (FPVMConfig.seq_short(),
+                               with_rounding(MXCSR_FPVM, RC_DOWN))):
+            cpus = []
+            for uops_on in (True, False):
+                cpu = _cpu(_program(LOOP_SRC), uops_on=uops_on,
+                           config=config.with_(uops=uops_on))
+                if mxcsr is not None:
+                    cpu.regs.mxcsr = mxcsr
+                cpu.run()
+                cpus.append(cpu)
+            chained, stepwise = cpus
+            assert chained.fp_trap_count > 0
+            assert _fingerprint(chained) == _fingerprint(stepwise)
+            # the SLOW fallbacks must be visible in telemetry, not silent.
+            assert chained.uop_stats.slow_fallbacks > 0
 
     def test_step_limit_reached_inside_chain(self):
         cpu = _cpu(_program(".text\nmain:\n  nop\nspin:\n  jmp spin\n"))
