@@ -64,6 +64,13 @@ class BoxAllocator:
         self.allocs_since_gc += 1
         return ptr
 
+    @property
+    def boxes(self) -> dict:
+        """Pointer -> value of every live box, for hot paths that test
+        ownership and load inline (read-only: boxes change only through
+        :meth:`alloc` and :meth:`collect`)."""
+        return self._boxes
+
     def load(self, ptr: int):
         return self._boxes[ptr]
 

@@ -24,6 +24,7 @@ import weakref
 
 from repro.core import nanbox
 from repro.errors import MagicPageCorruptionError
+from repro.kernel.signals import SignalContext
 from repro.machine.isa import GPR_IDS, Mem, OpClass
 from repro.machine.memory import PROT_READ, PROT_WRITE
 from repro.machine.program import MAGIC_PAGE_ADDR
@@ -123,7 +124,7 @@ def demote_instruction_inputs(vm, context_or_cpu, addr: int) -> int:
     # movq r64, xmmN: the register-to-register porosity path.
     if instr.mnemonic == "movq" and instr.operands and _xmm_source(instr):
         xid = instr.operands[1].id
-        bits = regs.read_xmm(xid, 0)
+        bits = regs.xmm[xid][0]
         plain = vm.emulator.demote_bits(bits)
         if plain != bits:
             regs.write_xmm(xid, plain, 0)
@@ -152,9 +153,9 @@ def _reads_memory(instr, memop: Mem) -> bool:
 def _effective_address(memop: Mem, regs) -> int:
     ea = memop.disp
     if memop.base is not None:
-        ea += regs.read_gpr(GPR_IDS[memop.base])
+        ea += regs.gpr[GPR_IDS[memop.base]]
     if memop.index is not None:
-        ea += regs.read_gpr(GPR_IDS[memop.index]) * memop.scale
+        ea += regs.gpr[GPR_IDS[memop.index]] * memop.scale
     return ea & 0xFFFF_FFFF_FFFF_FFFF
 
 
@@ -163,21 +164,13 @@ class _CpuRegsView:
 
     def __init__(self, cpu):
         self._cpu = cpu
-
-    def read_gpr(self, rid):
-        return self._cpu.regs.gpr[rid]
-
-    def write_gpr(self, rid, value):
-        self._cpu.regs.write_gpr(rid, value)
-
-    def read_xmm(self, xid, lane=0):
-        return self._cpu.regs.xmm[xid][lane]
+        self.gpr, self.xmm = cpu.regs.gpr, cpu.regs.xmm
 
     def write_xmm(self, xid, value, lane=0):
         self._cpu.regs.write_xmm_lane(xid, lane, value)
 
 
 def _regs_view(context_or_cpu):
-    if hasattr(context_or_cpu, "read_gpr"):
+    if isinstance(context_or_cpu, SignalContext):
         return context_or_cpu
     return _CpuRegsView(context_or_cpu)

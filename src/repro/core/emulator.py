@@ -142,22 +142,25 @@ def _value_flow(vm):
     charge_promote = ledger.charger(("altmath", costs.promote))
     charge_box = ledger.charger(("altmath", costs.box))
     telemetry = vm.telemetry
-    owns, load = vm.allocator.owns, vm.allocator.load
+    boxes = vm.allocator.boxes
     altmath = vm.altmath
     promote, unary, is_nan_value = altmath.promote, altmath.unary, altmath.is_nan_value
     alloc_box = vm.alloc_box
-    is_boxed, box_bits = nanbox.is_boxed, nanbox.box_bits
+    box_bits = nanbox.box_bits
+    # The box signature (nanbox.is_boxed) and ownership (allocator.owns)
+    # tested inline: the per-operand path makes no calls for them.
+    sig_mask, sig = nanbox._PATTERN_MASK, nanbox._PATTERN
     ptr_mask, sign, qnan = nanbox.NANBOX_PTR_MASK, B.F64_SIGN_MASK, B.CANONICAL_QNAN
 
     def owned(bits):
-        return is_boxed(bits) and owns(bits & ptr_mask)
+        return bits & sig_mask == sig and bits & ptr_mask in boxes
 
     def resolve(bits):
-        if is_boxed(bits):
+        if bits & sig_mask == sig:
             ptr = bits & ptr_mask
-            if owns(ptr):
+            if ptr in boxes:
                 charge_load()
-                value = load(ptr)
+                value = boxes[ptr]
                 if bits & sign:
                     charge_neg()
                     value = unary("neg", value)
@@ -198,14 +201,18 @@ def _value_flow(vm):
 # ------------------------------------------------------------ operands
 # Accessors take ``(ctx, lane, ea)`` / ``(ctx, value, lane, ea)``; ``ea``
 # is computed per emulation before any write.  Steps share them.
+# Register accessors use the context's lists directly; XMM writers
+# leave the lazy-FP marking to the step (``_Step.writes``).
 def _xmm_access(xid: int):
-    return (lambda ctx, lane, ea: ctx.read_xmm(xid, lane),
-            lambda ctx, value, lane, ea: ctx.write_xmm(xid, value, lane))
+    def write(ctx, value, lane, ea):
+        ctx.xmm[xid][lane] = value & U64
+    return (lambda ctx, lane, ea: ctx.xmm[xid][lane]), write
 
 
 def _gpr_access(rid: int):
-    return (lambda ctx, lane, ea: ctx.read_gpr(rid),
-            lambda ctx, value, lane, ea: ctx.write_gpr(rid, value))
+    def write(ctx, value, lane, ea):
+        ctx.gpr[rid] = value & U64
+    return (lambda ctx, lane, ea: ctx.gpr[rid]), write
 
 
 def _mem_access(size: int, fp: bool):
@@ -248,10 +255,20 @@ def _address(ctx, loc) -> int:
         return 0
     base, index, scale, ea = loc
     if base is not None:
-        ea += ctx.read_gpr(base)
+        ea += ctx.gpr[base]
     if index is not None:
-        ea += ctx.read_gpr(index) * scale
+        ea += ctx.gpr[index] * scale
     return ea & U64
+
+
+def _lanes_mask(op, lanes) -> int:
+    """The lazy-FP mask (bit ``2*xid + lane``) of writing ``lanes`` of
+    destination ``op``: 0 unless it is an XMM register."""
+    mask = 0
+    if isinstance(op, Xmm):
+        for lane in lanes:
+            mask |= 1 << (2 * op.id + lane)
+    return mask
 
 
 # ------------------------------------------------------------- binding
@@ -272,11 +289,14 @@ def bind(uop: MicroOp, vm):
 class _Step:
     """One micro-op bound for one VM.  ``r0``-``r2`` read operands,
     ``w0`` writes the first one, ``m0``-``m2`` locate memory operands
-    (None for the others) and ``arg`` is kind-specific.  ``run``
-    charges, computes the effective addresses and calls ``body``; a
-    fused sequence trace calls ``body`` and settles ``charges`` itself."""
+    (None for the others) and ``arg`` is kind-specific.  ``writes`` is
+    the static lazy-FP mask of the XMM lanes a completed ``body``
+    wrote.  ``run`` charges, computes the effective addresses, calls
+    ``body`` and marks ``writes`` on the context; a fused sequence
+    trace calls ``body`` and settles ``charges`` and marks itself."""
 
-    __slots__ = ("charge", "lanes", "r0", "r1", "r2", "w0", "m0", "m1", "m2", "arg")
+    __slots__ = ("charge", "lanes", "writes", "r0", "r1", "r2", "w0", "m0", "m1", "m2",
+                 "arg")
 
     #: per-operand ``fp`` flag of memory accesses (observers see it).
     FP = (True, True, True)
@@ -288,6 +308,7 @@ class _Step:
         (self.r0, self.w0), (self.r1, _), (self.r2, _) = access
         self.m0, self.m1, self.m2 = [_locator(op) for op in ops] + [None] * pad
         self.lanes = range(uop.lanes)
+        self.writes = _lanes_mask(ops[0], self.written_lanes(uop)) if ops else 0
         costs = vm.costs
         self.charge = vm.ledger.charger(
             ("bind", costs.bind_per_operand * max(len(ops), 1)),
@@ -301,9 +322,16 @@ class _Step:
         """The op's constant ledger charges beyond bind and emul."""
         return ()
 
+    def written_lanes(self, uop: MicroOp):
+        """The lanes of operand 0 that ``body`` writes (``writes`` keeps
+        them only if it is an XMM register)."""
+        return ()
+
     def run(self, ctx) -> None:
         self.charge()
         self.body(ctx, _address(ctx, self.m0), _address(ctx, self.m1))
+        if self.writes:
+            ctx.mark(self.writes)
 
     def probe(self, ctx) -> bool:
         return False
@@ -315,7 +343,7 @@ class _Arith(_Step):
     is the altmath method ``ALTMATH``; each lane is charged
     ``costs.op(uop.ieee)``, or the ``COST`` field if set."""
 
-    __slots__ = ("resolve", "produce", "owned", "fn", "counts")
+    __slots__ = ("resolve", "produce", "owned", "fn", "counts", "probes")
     ALTMATH = "binary"
     COST = None
     #: operands the boxed-source probe reads, lane by lane.
@@ -328,16 +356,21 @@ class _Arith(_Step):
         self.fn = getattr(vm.altmath, self.ALTMATH)
         self.counts = vm.telemetry.altmath_ops
         self.arg = uop.ieee if uop.emu_kind == "bin" else uop.emu_arg
+        readers, locs = (self.r0, self.r1, self.r2), (self.m0, self.m1, self.m2)
+        self.probes = tuple((readers[i], locs[i]) for i in self.PROBE)
 
     def op_charges(self, uop, costs):
         unit = costs.op(uop.ieee) if self.COST is None else getattr(costs, self.COST)
         return (("altmath", unit * uop.lanes),)
 
+    def written_lanes(self, uop):
+        return self.lanes
+
     def probe(self, ctx) -> bool:
-        readers, locs, owned = (self.r0, self.r1, self.r2), (self.m0, self.m1, self.m2), self.owned
+        owned = self.owned
         for lane in self.lanes:
-            for i in self.PROBE:
-                if owned(readers[i](ctx, lane, _address(ctx, locs[i]))):
+            for read, loc in self.probes:
+                if owned(read(ctx, lane, _address(ctx, loc))):
                     return True
         return False
 
@@ -410,6 +443,9 @@ class _Compare(_Arith):
         if uop.emu_kind == "cmp":
             self.arg = CMP_TABLES[uop.emu_arg]
 
+    def written_lanes(self, uop):
+        return (0,) if uop.emu_kind == "cmp" else ()
+
     def body(self, ctx, ea0: int, ea1: int) -> None:
         a = self.resolve(self.r0(ctx, 0, ea0))
         b = self.resolve(self.r1(ctx, 0, ea1))
@@ -435,6 +471,9 @@ class _Xorpd(_Step):
         super().__init__(uop, vm)
         self.arg = vm.emulator.demote_bits
 
+    def written_lanes(self, uop):
+        return (0, 1)
+
     def body(self, ctx, ea0: int, ea1: int) -> None:
         demote, is_boxed = self.arg, nanbox.is_boxed
         for lane in (0, 1):
@@ -458,13 +497,19 @@ class _Move(_Step):
     movapd/movupd (``arg`` None) read both lanes, then write both."""
 
     def __init__(self, uop: MicroOp, vm) -> None:
-        super().__init__(uop, vm)
         mn = uop.mnemonic
         dst, src = uop.operands
         dst_xmm = isinstance(dst, Xmm)
         lanes = ((0, 1) if dst_xmm else (1, 0)) if mn == "movhpd" else (0, 0)
         zero = dst_xmm and (mn == "movq" or (mn == "movsd" and not isinstance(src, Xmm)))
         self.arg = None if mn in ("movapd", "movupd") else (*lanes, dst.id if zero else None)
+        super().__init__(uop, vm)
+
+    def written_lanes(self, uop):
+        if self.arg is None:
+            return (0, 1)
+        _, dst_lane, zero_high = self.arg
+        return (dst_lane,) if zero_high is None else (dst_lane, 1)
 
     def body(self, ctx, ea0: int, ea1: int) -> None:
         if self.arg is None:
@@ -476,7 +521,7 @@ class _Move(_Step):
         src_lane, dst_lane, zero_high = self.arg
         self.w0(ctx, self.r1(ctx, src_lane, ea1), dst_lane, ea0)
         if zero_high is not None:
-            ctx.write_xmm(zero_high, 0, 1)
+            ctx.xmm[zero_high][1] = 0
 
 
 class _IntMove(_Step):
@@ -488,6 +533,9 @@ class _IntMove(_Step):
         super().__init__(uop, vm)
         self.arg = uop.mnemonic
 
+    def written_lanes(self, uop):
+        return () if uop.mnemonic == "push" else (0,)
+
     def body(self, ctx, ea0: int, ea1: int) -> None:
         mn = self.arg
         if mn == "mov":
@@ -495,13 +543,14 @@ class _IntMove(_Step):
         elif mn == "lea":
             self.w0(ctx, ea1, 0, ea0)
         elif mn == "push":
-            rsp = (ctx.read_gpr(RSP) - 8) & U64
-            ctx.write_gpr(RSP, rsp)
+            gpr = ctx.gpr
+            rsp = gpr[RSP] = (gpr[RSP] - 8) & U64
             ctx.memory.write_u64(rsp, self.r0(ctx, 0, ea0))
         else:  # pop
-            rsp = ctx.read_gpr(RSP)
+            gpr = ctx.gpr
+            rsp = gpr[RSP]
             self.w0(ctx, ctx.memory.read_u64(rsp), 0, ea0)
-            ctx.write_gpr(RSP, (rsp + 8) & U64)
+            gpr[RSP] = (rsp + 8) & U64
 
 
 _BY_KIND = {"bin": _Bin, "sqrt": _Sqrt, "fma": _Fma, "cvtsi2sd": _Cvtsi2sd,
@@ -511,15 +560,15 @@ _BY_KIND = {"bin": _Bin, "sqrt": _Sqrt, "fma": _Fma, "cvtsi2sd": _Cvtsi2sd,
 
 class _FlowStep:
     """A step with the flow recorder's per-op window around its body.
-    It carries the wrapped step's charger and locators, so ``run`` and
-    a fused trace drive it like any other step."""
+    It carries the wrapped step's charger, lane mask and locators, so
+    ``run`` and a fused trace drive it like any other step."""
 
-    __slots__ = ("step", "begin_op", "end_op", "addr", "charge", "m0", "m1")
+    __slots__ = ("step", "begin_op", "end_op", "addr", "charge", "writes", "m0", "m1")
 
     def __init__(self, step, flow, addr: int) -> None:
         self.step, self.addr = step, addr
         self.begin_op, self.end_op = flow.begin_op, flow.end_op
-        self.charge, self.m0, self.m1 = step.charge, step.m0, step.m1
+        self.charge, self.writes, self.m0, self.m1 = step.charge, step.writes, step.m0, step.m1
 
     charges = _Step.charges
     run = _Step.run

@@ -27,6 +27,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import or_
 
 from repro.core.emulator import _address
 from repro.machine.uops import MicroOp, lower, shared_cache
@@ -158,10 +159,11 @@ class CompiledTrace:
 class _Fused:
     """A compiled trace bound for one VM: the decode-cache entries it
     was fused with, ``(step, body, m0, m1, probe or None)`` per step
-    (class functions: no bound method is kept), and per ledger
-    category the prefix sums of the steps' constant charges."""
+    (class functions: no bound method is kept), per ledger category
+    the prefix sums of the steps' constant charges, and ``marks``, the
+    prefix ORs of the steps' lazy-FP lane masks (``_Step.writes``)."""
 
-    __slots__ = ("trace", "costs", "uops", "ops", "sums")
+    __slots__ = ("trace", "costs", "uops", "ops", "sums", "marks")
 
     def __init__(self, trace: CompiledTrace, costs, uops: tuple, steps: list) -> None:
         self.trace, self.costs, self.uops = trace, costs, uops
@@ -173,6 +175,7 @@ class _Fused:
             for category, cycles in step.charges:
                 columns.setdefault(category, [0] * (len(steps) + 1))[i] += cycles
         self.sums = tuple((c, array("q", accumulate(col))) for c, col in columns.items())
+        self.marks = array("Q", accumulate((step.writes for step in steps), or_, initial=0))
 
 
 class SequenceEmulator:
@@ -311,7 +314,10 @@ class SequenceEmulator:
                 k += 1
         finally:
             # A decode-cache hit per fetched step (every step up to k),
-            # in trace order, and the charges of the steps that ran.
+            # in trace order, the charges of the steps that ran and the
+            # lanes of the k that completed.
+            if fused.marks[k]:
+                context.mark(fused.marks[k])
             vm, fetched = self.vm, trace.addrs[:k + 1]
             vm.decode_cache.touch(fetched)
             vm.ledger.charge("decache", vm.costs.decode_cache_hit * len(fetched))

@@ -53,10 +53,10 @@ class CycleLedger:
     def charger(self, *charges: tuple[str, int]):
         """A zero-argument function that records one to three fixed
         ``(category, cycles)`` charges, for callers that repeat the same
-        ones (the emulator's pre-bound steps).  Categories are checked
-        once, and equal sets share one function, which keeps them as
-        its ``charges``; the cycles go to whichever CPU is bound when
-        it runs."""
+        ones (the emulator's pre-bound steps and value flow).  Categories
+        are checked once, and equal sets share one function, which keeps
+        them as its ``charges``; the cycles go to whichever CPU is bound
+        when it runs."""
         charge = self._chargers.get(charges)
         if charge is not None:
             return charge
@@ -66,16 +66,27 @@ class CycleLedger:
                 raise KeyError(f"unknown ledger category {category!r}")
         by_category = self.by_category
         total = sum(cycles for _, cycles in charges)
-        # Unrolled over three, padded with empty charges.
-        (c1, n1), (c2, n2), (c3, n3) = (charges + ((charges[0][0], 0),) * 2)[:3]
+        if len(charges) == 1:
+            # One update: the value flow's load/promote/box charges.
+            (c1, n1), = charges
 
-        def charge() -> None:
-            by_category[c1] += n1
-            by_category[c2] += n2
-            by_category[c3] += n3
-            cpu = self._cpu
-            if cpu is not None:
-                cpu.cycles += total
+            def charge() -> None:
+                by_category[c1] += n1
+                cpu = self._cpu
+                if cpu is not None:
+                    cpu.cycles += total
+        else:
+            # Two or three (a step's bind, emul and its op's altmath
+            # cost): unrolled over three, padded with an empty charge.
+            (c1, n1), (c2, n2), (c3, n3) = (charges + ((charges[0][0], 0),))[:3]
+
+            def charge() -> None:
+                by_category[c1] += n1
+                by_category[c2] += n2
+                by_category[c3] += n3
+                cpu = self._cpu
+                if cpu is not None:
+                    cpu.cycles += total
         charge.charges = charges
         self._chargers[charges] = charge
         return charge

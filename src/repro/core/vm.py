@@ -24,7 +24,7 @@ from repro.core.analysis import find_memory_escapes
 from repro.core.profiler import profile_patch_sites
 from repro.errors import BoxHeapExhaustedError, ConfigError
 from repro.kernel.fpvm_dev import FPVM_IOCTL_REGISTER_ENTRY, FPVMDevice
-from repro.kernel.signals import SIGFPE, SIGTRAP
+from repro.kernel.signals import SIGFPE, SIGTRAP, SignalContext
 from repro.machine.costs import DEFAULT_COSTS
 from repro.machine.program import PatchKind
 from repro.machine.registers import MXCSR_DEFAULT, MXCSR_FPVM, restore_lanes
@@ -341,7 +341,7 @@ class FPVM:
             mask = instr.xmm_operands() if instr is not None else 0xFFFF_FFFF
         else:
             mask = 0xFFFF_FFFF
-        bank = context.xmm_bank
+        bank = context.xmm
         saved = list(map(tuple, bank))
         self.telemetry.fp_handler_lanes_saved += mask.bit_count()
         if self.fp_scribble_mask:  # armed seam: the handler body trashes these lanes
@@ -358,7 +358,7 @@ class FPVM:
         mask, pairs = saved
         restore = mask & ~context.written_xmm
         self.telemetry.fp_handler_lanes_restored += restore.bit_count()
-        restore_lanes(context.xmm_bank, pairs, restore)
+        restore_lanes(context.xmm, pairs, restore)
 
     def _on_sigtrap(self, signum, context, trap) -> None:
         """Baseline int3 correctness trap: demote then single-step."""
@@ -380,10 +380,9 @@ class FPVM:
         """Register roots as seen from a handler: the authoritative
         values live in the (possibly frame-mode) context, plus every
         other thread's live registers (§2.5's per-thread scan)."""
-        roots = [context.read_gpr(i) for i in range(16)]
-        for xid in range(16):
-            roots.append(context.read_xmm(xid, 0))
-            roots.append(context.read_xmm(xid, 1))
+        roots = list(context.gpr)
+        for lanes in context.xmm:
+            roots.extend(lanes)
         if self.process is not None:
             for thread in self.process.threads:
                 if thread is context.cpu:
@@ -416,7 +415,7 @@ class FPVM:
             return self.allocator.alloc(value)
         except BoxHeapExhaustedError:
             roots = None
-            if context is not None and hasattr(context, "read_gpr"):
+            if isinstance(context, SignalContext):
                 roots = self._gc_roots(context)
             self.telemetry.emergency_gc_runs += 1
             self._run_gc(roots)

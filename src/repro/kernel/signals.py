@@ -2,28 +2,44 @@
 
 A :class:`SignalContext` is the handler-visible ``ucontext_t``: it
 exposes the faulted thread's register state for inspection and
-mutation.  Two construction modes mirror the two delivery paths:
+mutation as plain lists, ``gpr`` (16 ints) and ``xmm`` (16
+``[lane0, lane1]`` pairs).  Two construction modes mirror the two
+delivery paths:
 
 - **frame mode** (general signals): the kernel snapshots the register
-  state into a signal frame; handler mutations are applied back at
-  ``sigreturn`` — faithfully modelling that a handler writes to the
-  *saved* context, not live registers.
+  state into a signal frame and the lists are the frame's; handler
+  mutations are applied back at ``sigreturn`` — faithfully modelling
+  that a handler writes to the *saved* context, not live registers.
 - **live mode** (trap short-circuiting): the entry stub saves "a
   sufficient amount of state in the format of a ucontext" (§3.1); we
-  model this as a view over live registers plus an eager snapshot of
-  what the exit stub restores.
+  model this as the live register file's own lists, written in place,
+  with FPVM's entry stub saving the lanes its exit stub restores.
+
+Either way a handler reports the XMM lanes it wrote as results with
+one :meth:`SignalContext.mark` per batch of writes: that sets the
+lazy-FP dirty marks (live or in the frame) and ``written_xmm``, which
+the exit restore must not undo.
 """
 
 from __future__ import annotations
 
-from repro.machine.registers import Flags
+from repro.machine.registers import U64, Flags
 
 SIGFPE = 8
 SIGTRAP = 5
 
 
 class SignalContext:
-    """The ucontext handed to FPVM's handlers."""
+    """The ucontext handed to FPVM's handlers.
+
+    ``gpr`` and ``xmm`` are the register lists the context stands for
+    (the live ``cpu.regs`` lists, or the frame snapshot's) and
+    ``memory`` is the CPU's memory; handlers read and write them
+    directly.  Nothing rebinds ``regs.gpr``/``regs.xmm`` while a
+    handler runs: ``RegisterFile.restore`` runs at sigreturn, after
+    it, and the scheduler's armed leak seam between quanta.  An XMM
+    write made as a handler *result* must be reported with
+    :meth:`mark` (or made through :meth:`write_xmm`)."""
 
     def __init__(self, cpu, live: bool):
         self.cpu = cpu
@@ -36,10 +52,14 @@ class SignalContext:
         #: handler's *results*, which the clobber-masked exit restore
         #: must not undo.
         self.written_xmm = 0
+        self.memory = cpu.mem
         if live:
             self._snap = None
+            regs = cpu.regs
+            self.gpr, self.xmm = regs.gpr, regs.xmm
         else:
-            self._snap = cpu.regs.snapshot()
+            self._snap = snap = cpu.regs.snapshot()
+            self.gpr, self.xmm = snap["gpr"], snap["xmm"]
 
     # ------------------------------------------------------------ registers
     @property
@@ -53,41 +73,23 @@ class SignalContext:
         else:
             self._snap["rip"] = value
 
-    def read_gpr(self, rid: int) -> int:
-        return self.cpu.regs.gpr[rid] if self.live else self._snap["gpr"][rid]
-
-    def write_gpr(self, rid: int, value: int) -> None:
+    def mark(self, mask: int) -> None:
+        """Record XMM lanes ``mask`` (bit ``2*xid + lane``) as handler
+        results.  Lazy-FP dirty marking: handler-emulated results
+        (sequence followers, altmath commits) never pass through the
+        CPU's FP exec paths, so this is their one funnel.  Frame mode
+        marks the snapshot — apply() pushes it into the live register
+        file with the rest of the mutations."""
+        self.cpu.fp_quantum_touched = True
+        self.written_xmm |= mask
         if self.live:
-            self.cpu.regs.write_gpr(rid, value)
+            self.cpu.regs.fp_dirty |= mask
         else:
-            self._snap["gpr"][rid] = value & 0xFFFF_FFFF_FFFF_FFFF
-
-    def read_xmm(self, xid: int, lane: int = 0) -> int:
-        return (
-            self.cpu.regs.xmm[xid][lane] if self.live else self._snap["xmm"][xid][lane]
-        )
+            self._snap["fp_dirty"] |= mask
 
     def write_xmm(self, xid: int, value: int, lane: int = 0) -> None:
-        # Lazy-FP dirty marking: handler-emulated results (sequence
-        # followers, altmath commits) never pass through the CPU's FP
-        # exec paths, so the context write is their one funnel.  Frame
-        # mode marks the snapshot — apply() pushes it into the live
-        # register file with the rest of the mutations.
-        self.cpu.fp_quantum_touched = True
-        self.written_xmm |= 1 << (2 * xid + lane)
-        if self.live:
-            self.cpu.regs.write_xmm_lane(xid, lane, value)
-            self.cpu.regs.fp_dirty |= 1 << (2 * xid + lane)
-        else:
-            self._snap["xmm"][xid][lane] = value & 0xFFFF_FFFF_FFFF_FFFF
-            self._snap["fp_dirty"] |= 1 << (2 * xid + lane)
-
-    @property
-    def xmm_bank(self) -> list[list[int]]:
-        """The 16 ``[lane0, lane1]`` XMM pairs, live or in the frame,
-        for the handler's entry/exit stubs: writes here are neither
-        dirt nor results."""
-        return self.cpu.regs.xmm if self.live else self._snap["xmm"]
+        self.xmm[xid][lane] = value & U64
+        self.mark(1 << (2 * xid + lane))
 
     @property
     def flags(self) -> Flags:
@@ -103,11 +105,6 @@ class SignalContext:
             self.cpu.regs.mxcsr = value
         else:
             self._snap["mxcsr"] = value
-
-    # ------------------------------------------------------------- memory
-    @property
-    def memory(self):
-        return self.cpu.mem
 
     # ------------------------------------------------------------ return
     def apply(self) -> None:

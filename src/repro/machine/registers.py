@@ -133,9 +133,6 @@ class RegisterFile:
     fp_dirty: int = 0
     fp_live: int = 0
 
-    def read_gpr(self, rid: int) -> int:
-        return self.gpr[rid]
-
     def write_gpr(self, rid: int, value: int) -> None:
         self.gpr[rid] = value & U64
 

@@ -203,22 +203,50 @@ top:
   call print_f64
   hlt
 """
+# As HEAP_SRC, but each step writes its own register, so the step whose
+# allocation fails writes a lane no earlier step of its trap wrote.
+HEAP_LANES_SRC = HEAP_SRC.replace("""
+  addsd xmm0, [rip + b]
+  mulsd xmm0, [rip + a]
+  subsd xmm0, [rip + b]
+  movsd [rbx], xmm0
+""", """
+  addsd xmm0, [rip + b]
+  mulsd xmm1, xmm0
+  subsd xmm2, xmm1
+  movsd [rbx], xmm2
+""")
+assert HEAP_LANES_SRC != HEAP_SRC
 
+_SMALL_HEAP = dict(box_capacity=6, gc_threshold=10**9)
 #: case -> (source, extra config, the fused exit it must take, error).
 EXIT_CASES = {
     "early_probe_stop": (EARLY_STOP_SRC, {}, "early", None),
     "terminator_runs_on": (TERMINATOR_SRC, {}, "past", None),
-    "box_heap_exhausted": (HEAP_SRC, dict(box_capacity=6, gc_threshold=10**9), "raise",
-                           BoxHeapExhaustedError),
+    "box_heap_exhausted": (HEAP_SRC, _SMALL_HEAP, "raise", BoxHeapExhaustedError),
+    "box_heap_exhausted_own_lanes": (HEAP_LANES_SRC, _SMALL_HEAP, "raise",
+                                     BoxHeapExhaustedError),
 }
 
 
 def _observe(source: str, config: FPVMConfig, error, *, stepwise: bool, monkeypatch):
     """Run ``source``; return everything the simulation accounts (cycles,
-    ledger, telemetry, decode-cache LRU order, flow digest) and the
-    fused exits taken.  ``stepwise`` forces the step-wise replay."""
+    ledger, telemetry, decode-cache LRU order, flow digest), the
+    lazy-FP state (dirty and live masks, each trap's ``written_xmm``)
+    and the final register banks, and the fused exits taken.
+    ``stepwise`` forces the step-wise replay."""
     exits = []
+    written = []
     replay = SequenceEmulator._replay
+    handle = SequenceEmulator.handle_fp_trap
+
+    def written_spy(self, context, trap):
+        # Read after the sequence, raising or not: a trap whose body
+        # raises never reaches FPVM's exit restore.
+        try:
+            return handle(self, context, trap)
+        finally:
+            written.append(context.written_xmm)
 
     def spy(self, trace, fused, context):
         exits.append("raise")
@@ -229,6 +257,7 @@ def _observe(source: str, config: FPVMConfig, error, *, stepwise: bool, monkeypa
 
     with monkeypatch.context() as m:
         m.setattr(SequenceEmulator, "_replay", spy)
+        m.setattr(SequenceEmulator, "handle_fp_trap", written_spy)
         if stepwise:
             m.setattr(SequenceEmulator, "_fuse", lambda self, trace: None)
         prog = assemble(source)
@@ -242,35 +271,53 @@ def _observe(source: str, config: FPVMConfig, error, *, stepwise: bool, monkeypa
         else:
             with pytest.raises(error):
                 cpu.run()
+    regs = cpu.regs
     state = (cpu.cycles, vm.ledger.snapshot(), snapshot(vm.telemetry),
              list(vm.decode_cache._entries), tuple(cpu.output),
-             vm.flow.fingerprint() if vm.flow is not None else None)
+             vm.flow.fingerprint() if vm.flow is not None else None,
+             regs.fp_dirty, regs.fp_live, written, list(regs.gpr),
+             [list(lanes) for lanes in regs.xmm])
     return state, exits
 
 
+def _check_fused(config: FPVMConfig, case: str, capacity: int, monkeypatch) -> None:
+    source, _, exit_kind, error = EXIT_CASES[case]
+    fused, exits = _observe(source, config, error, stepwise=False, monkeypatch=monkeypatch)
+    stepwise, none = _observe(source, config, error, stepwise=True,
+                              monkeypatch=monkeypatch)
+    assert none == []
+    assert fused == stepwise
+    if capacity == 2:
+        assert exits == []
+    else:
+        assert exit_kind in exits
+
+
 class TestFusedReplay:
-    """The fused replay settles exactly what the step-wise replay
-    charges, on every exit, with the flow recorder on or off, and with
-    the decode cache thrashing (capacity 2: nothing stays resident, so
-    every trap falls back) or roomy (64K: every trap runs fused)."""
+    """The fused replay settles and marks exactly what the step-wise
+    replay charges and marks, on every exit, with the flow recorder on
+    or off, and with the decode cache thrashing (capacity 2: nothing
+    stays resident, so every trap falls back) or roomy (64K: every trap
+    runs fused); in live contexts (short-circuited traps) and in
+    signal-frame contexts."""
 
     @pytest.mark.parametrize("capacity", [2, 65536])
     @pytest.mark.parametrize("flow", [False, True], ids=["flow_off", "flow_on"])
     @pytest.mark.parametrize("case", sorted(EXIT_CASES))
     def test_fused_matches_stepwise(self, case, flow, capacity, monkeypatch):
-        source, extra, exit_kind, error = EXIT_CASES[case]
         config = FPVMConfig.seq_short(trace_compile_threshold=2, flow=flow,
-                                      decode_cache_capacity=capacity, **extra)
-        fused, exits = _observe(source, config, error, stepwise=False,
-                                monkeypatch=monkeypatch)
-        stepwise, none = _observe(source, config, error, stepwise=True,
-                                  monkeypatch=monkeypatch)
-        assert none == []
-        assert fused == stepwise
-        if capacity == 2:
-            assert exits == []
-        else:
-            assert exit_kind in exits
+                                      decode_cache_capacity=capacity,
+                                      **EXIT_CASES[case][1])
+        _check_fused(config, case, capacity, monkeypatch)
+
+    @pytest.mark.parametrize("capacity", [2, 65536])
+    @pytest.mark.parametrize("case", sorted(EXIT_CASES))
+    def test_fused_matches_stepwise_frame_mode(self, case, capacity, monkeypatch):
+        """SIGFPE delivery without short-circuiting: steps write and
+        mark the signal frame's lists, applied at sigreturn."""
+        config = FPVMConfig.seq(trace_compile_threshold=2, decode_cache_capacity=capacity,
+                                **EXIT_CASES[case][1])
+        _check_fused(config, case, capacity, monkeypatch)
 
     def test_poisoned_entry_after_fusing_still_raises(self):
         """An entry cross-wired after its trace was fused fails the

@@ -23,10 +23,13 @@ on; flow-on runs also match the recorded flow-graph fingerprint.
 The fixture holds one digest of the records per ``"mnemonic shape"``
 (and one of the flow fingerprints).  Regenerate it only when emulator
 semantics change on purpose; ``--dump`` writes the full records, so a
-moved digest can be diffed between two checkouts:
+moved digest can be diffed between two checkouts, and ``--diff``
+prints every ``(case, input class, field)`` whose value differs
+between two dumps, with both values:
 
     PYTHONPATH=src python tests/core/test_emulator_golden.py --write
     PYTHONPATH=src python tests/core/test_emulator_golden.py --dump out.json
+    PYTHONPATH=src python tests/core/test_emulator_golden.py --diff old.json new.json
 """
 
 from __future__ import annotations
@@ -325,6 +328,27 @@ def record() -> dict:
     return out
 
 
+def diff(a: dict, b: dict) -> list[str]:
+    """One line per ``(case, input class, field)`` that differs between
+    the ``--dump`` outputs ``a`` and ``b``; a missing case, class or
+    field shows as ``None``."""
+    lines = []
+    for key in sorted(set(a) | set(b)):
+        if key not in a or key not in b:
+            lines.append(f"{key}: {'only in B' if key not in a else 'only in A'}")
+            continue
+        records_a, records_b = a[key]["records"], b[key]["records"]
+        for cls in sorted(set(records_a) | set(records_b)):
+            rec_a = dict(records_a.get(cls) or {}, flow=a[key]["flow"].get(cls))
+            rec_b = dict(records_b.get(cls) or {}, flow=b[key]["flow"].get(cls))
+            for name in sorted(set(rec_a) | set(rec_b)):
+                if rec_a.get(name) != rec_b.get(name):
+                    lines.append(f"{key} | {cls} | {name}: "
+                                 f"A={json.dumps(rec_a.get(name), sort_keys=True)} "
+                                 f"B={json.dumps(rec_b.get(name), sort_keys=True)}")
+    return lines
+
+
 _GOLDEN = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
 
 
@@ -347,9 +371,26 @@ def test_emulator_matches_golden(mnemonic):
                 assert digest(flows) == want_flow, (where, flows)
 
 
+def test_diff_names_each_moved_field():
+    """``--diff`` reports (case, input class, field) with both values."""
+    rec = {"probe": True, "written_xmm": 3}
+    a = {"addpd xmm,xmm": {"records": {"box": rec, "plain": rec}, "flow": {"box": None}}}
+    b = json.loads(json.dumps(a))
+    assert diff(a, b) == []
+    b["addpd xmm,xmm"]["records"]["box"]["written_xmm"] = 1
+    b["movsd xmm,mem"] = a["addpd xmm,xmm"]
+    assert diff(a, b) == ["addpd xmm,xmm | box | written_xmm: A=3 B=1",
+                          "movsd xmm,mem: only in B"]
+
+
 if __name__ == "__main__":
     # --write: re-record the digests.  --dump PATH: write the full
-    # records, for diffing two checkouts when a digest moves.
+    # records, for diffing two checkouts when a digest moves.  --diff A
+    # B: what differs between two dumps.
+    if len(sys.argv) == 4 and sys.argv[1] == "--diff":
+        found = diff(*(json.loads(Path(path).read_text()) for path in sys.argv[2:]))
+        print("\n".join(found) if found else "no differences")
+        sys.exit(1 if found else 0)
     full = record()
     if sys.argv[1:] == ["--write"]:
         rows = [f"{json.dumps(k)}: {json.dumps([digest(v['records']), digest(v['flow'])])}"
@@ -359,4 +400,4 @@ if __name__ == "__main__":
     elif len(sys.argv) == 3 and sys.argv[1] == "--dump":
         Path(sys.argv[2]).write_text(json.dumps(full, indent=1, sort_keys=True))
     else:
-        sys.exit("usage: test_emulator_golden.py --write | --dump PATH")
+        sys.exit("usage: test_emulator_golden.py --write | --dump PATH | --diff A B")

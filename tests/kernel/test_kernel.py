@@ -98,7 +98,7 @@ class TestSignalPath:
 
         def handler(signum, context, trap):
             # Mutate the frame: live registers unchanged until sigreturn.
-            context.write_gpr(0, 1234)
+            context.gpr[0] = 1234
             assert cpu.regs.gpr[0] != 1234
             context.rip = trap.addr + trap.instruction.size
 
@@ -200,7 +200,7 @@ class TestShortCircuit:
         handle = device.open(cpu)
 
         def entry(context, trap):
-            context.write_gpr(0, 777)
+            context.gpr[0] = 777
             assert cpu.regs.gpr[0] == 777  # live, not a frame
             context.rip = trap.addr + trap.instruction.size
 

@@ -162,7 +162,7 @@ class TestSignalContextModes:
     def test_frame_mode_defers(self):
         cpu = self._cpu()
         ctx = SignalContext(cpu, live=False)
-        ctx.write_gpr(3, 99)
+        ctx.gpr[3] = 99
         ctx.write_xmm(2, f2b(1.5))
         ctx.rip = 0x1234
         assert cpu.regs.gpr[3] != 99
@@ -174,7 +174,7 @@ class TestSignalContextModes:
     def test_live_mode_immediate(self):
         cpu = self._cpu()
         ctx = SignalContext(cpu, live=True)
-        ctx.write_gpr(3, 42)
+        ctx.gpr[3] = 42
         assert cpu.regs.gpr[3] == 42
 
     def test_mxcsr_round_trip(self):
