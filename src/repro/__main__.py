@@ -121,9 +121,9 @@ def _cmd_flow(args) -> int:
     # execution tier shares, so the graphs come out identical whichever
     # tier executed the guest.
     w = get_workload(args.workload)
-    cfg = _CONFIG_FACTORY[args.config](flow=True, uops=TIERS[args.tier])
+    cfg = _CONFIG_FACTORY[args.config](flow=True)
     runner = run_fpvm_process if w.requires_process else run_fpvm
-    result = runner(args.workload, cfg, scale=args.scale)
+    result = runner(args.workload, cfg, scale=args.scale, uops=TIERS[args.tier])
     label = f"{args.workload} ({args.config}, {args.tier} tier)"
     print(report.render_trap_heatmap(result.flow, result.program,
                                      title=f"Trap heatmap: {label}"))

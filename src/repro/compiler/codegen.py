@@ -82,10 +82,6 @@ class Module:
     def data_array(self, name: str, count: int) -> None:
         self._data_lines.append(f"{name}: .space {8 * count}")
 
-    def data_quad(self, name: str, values) -> None:
-        vals = ", ".join(str(int(v)) for v in values)
-        self._data_lines.append(f"{name}: .quad {vals}")
-
     # -------------------------------------------------------------- emit
     def compile(self) -> Program:
         return assemble(self.emit_asm())

@@ -365,9 +365,6 @@ def _make_cpu(program, config: FPVMConfig | None, uops: bool) -> CPU:
     cpu.kernel = kernel
     if config is not None:
         FPVM(config).attach(cpu, kernel)
-        # attach() applies the config's pipeline choice; the replay
-        # contract (seed recorder vs chained replayer) overrides it.
-        cpu.uops_enabled = uops
     return cpu
 
 

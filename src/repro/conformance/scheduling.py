@@ -130,11 +130,11 @@ PROGRAMS = {
     "denorm_storm": _denorm_storm_program,
 }
 
-#: label -> FPVMConfig factory taking the uop-pipeline switch, or None
-#: for a bare (unvirtualized) process.
+#: label -> FPVMConfig factory, or None for a bare (unvirtualized)
+#: process.  The tier is the Process's, so every mode runs on each.
 ATTACH_MODES = {
     "native": None,
-    "seq_short": lambda uops: FPVMConfig.seq_short(uops=uops),
+    "seq_short": FPVMConfig.seq_short,
 }
 
 
@@ -163,14 +163,13 @@ def run_schedule(
     """One run of ``factory()`` under the given quantum/tier/mode,
     returning its :func:`process_fingerprint`."""
     config_factory = ATTACH_MODES[mode]
-    uops = TIERS[tier]
-    proc = Process(factory(), uops=uops)
+    proc = Process(factory(), uops=TIERS[tier])
     kernel = LinuxKernel()
     vm = None
     if config_factory is None:
         proc.kernel = kernel
     else:
-        vm = FPVM(config_factory(uops)).attach_process(proc, kernel)
+        vm = FPVM(config_factory()).attach_process(proc, kernel)
     proc.run(quantum=quantum, max_steps=max_steps)
     return process_fingerprint(proc, vm)
 

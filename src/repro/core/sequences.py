@@ -16,9 +16,10 @@ The decode cache doubles as the software trace cache: the terminator
 is inserted into the cache too, so re-encounters hit on every
 instruction (§4.2).
 
-When statistics collection is on, every distinct trace (sequence of
-instruction addresses) is recorded with its hit count and terminator,
-powering Figures 7-10.
+Every distinct trace (sequence of instruction addresses) is recorded
+with its hit count and terminator, powering Figures 7-10.  Hot traces
+are also compiled (:class:`CompiledTrace`), and the
+:class:`SequenceEmulator` alone keeps and invalidates them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from itertools import accumulate
 from operator import or_
 
 from repro.core.emulator import _address
-from repro.machine.uops import MicroOp, lower, shared_cache
+from repro.machine.uops import MicroOp, lower
 
 
 @dataclass
@@ -50,7 +51,7 @@ class TraceRecord:
 
 
 class TraceStatistics:
-    """The optional detailed profile of §4.2/§6.3."""
+    """The detailed trace profile of §4.2/§6.3."""
 
     def __init__(self) -> None:
         self.traces: dict[tuple[int, ...], TraceRecord] = {}
@@ -133,49 +134,37 @@ class TraceStatistics:
         return "\n".join(lines)
 
 
-@dataclass
 class CompiledTrace:
     """A hot trace promoted into the compiled tier (§4.2's trace cache
-    made literal).
+    made literal), with its binding for the VM that compiled it.
 
-    ``steps`` caches per address what the interpreted loop re-derives on
+    ``probes`` caches per step what the interpreted loop re-derives on
     every trap: whether the boxed-source probe applies (static:
-    FP-trap-capable and not ``cvtsi2sd``) and the instruction size.
-    A trap at ``entry`` replays the trace without patch lookups,
-    supported checks or loop control; the data-dependent probes still
-    run.  Built only for trace shapes whose mid-trace stops are data
-    probes; anything else stays interpreted.
+    FP-trap-capable and not ``cvtsi2sd``).  A trap at ``entry`` replays
+    the trace without patch lookups, supported checks or loop control;
+    the data-dependent probes still run.  Built only for trace shapes
+    whose mid-trace stops are data probes; anything else stays
+    interpreted.
+
+    :meth:`SequenceEmulator._fuse` sets the binding from the VM's
+    decode-cache entries: ``uops``, the entries it was fused with (None
+    until fused); ``ops``, ``(step, body, m0, m1, probe or None)`` per
+    step (class functions: no bound method is kept); ``sums``, per
+    ledger category the prefix sums of the steps' constant charges; and
+    ``marks``, the prefix ORs of the steps' lazy-FP lane masks
+    (``_Step.writes``).
     """
 
-    entry: int
-    #: (addr, probe_needed) per emulated instruction of the hot trace.
-    steps: list[tuple[int, bool]]
-    #: address of the recorded terminator (first non-emulated instr).
-    end: int
-    #: the emulated addresses, in trace order.
-    addrs: tuple[int, ...]
+    __slots__ = ("entry", "addrs", "probes", "end", "uops", "ops", "sums", "marks")
 
-
-class _Fused:
-    """A compiled trace bound for one VM: the decode-cache entries it
-    was fused with, ``(step, body, m0, m1, probe or None)`` per step
-    (class functions: no bound method is kept), per ledger category
-    the prefix sums of the steps' constant charges, and ``marks``, the
-    prefix ORs of the steps' lazy-FP lane masks (``_Step.writes``)."""
-
-    __slots__ = ("trace", "costs", "uops", "ops", "sums", "marks")
-
-    def __init__(self, trace: CompiledTrace, costs, uops: tuple, steps: list) -> None:
-        self.trace, self.costs, self.uops = trace, costs, uops
-        self.ops = tuple((step, type(step).body, step.m0, step.m1,
-                          type(step).probe if probe and i else None)
-                         for i, (step, (_, probe)) in enumerate(zip(steps, trace.steps)))
-        columns: dict[str, list[int]] = {}
-        for i, step in enumerate(steps, 1):
-            for category, cycles in step.charges:
-                columns.setdefault(category, [0] * (len(steps) + 1))[i] += cycles
-        self.sums = tuple((c, array("q", accumulate(col))) for c, col in columns.items())
-        self.marks = array("Q", accumulate((step.writes for step in steps), or_, initial=0))
+    def __init__(self, addrs: tuple[int, ...], probes: tuple[bool, ...], end: int) -> None:
+        self.entry = addrs[0]
+        #: the emulated addresses, in trace order.
+        self.addrs = addrs
+        self.probes = probes
+        #: address of the recorded terminator (first non-emulated instr).
+        self.end = end
+        self.uops = self.ops = self.sums = self.marks = None
 
 
 class SequenceEmulator:
@@ -183,51 +172,42 @@ class SequenceEmulator:
 
     Hot traces — the same emulated address sequence seen
     ``trace_compile_threshold`` times — are promoted into
-    :class:`CompiledTrace`\\ s keyed by entry address.  They live in the
-    attached CPU's shared :class:`~repro.machine.uops.SuperblockCache`
-    (``seq_traces``), so sequence traces and superblocks share one
-    eviction policy: per-site invalidation over
-    ``Program.patch_events`` drops exactly the artifacts covering a
-    changed patch site (a patch appearing mid-trace must terminate
-    emulation, and a stale compiled trace would silently run through
-    it — so any trace with the site strictly inside its step list goes;
-    unrelated traces stay warm).  The emulator keeps its own event
-    cursor as well — stepwise runs never drive the uop engine's cache
-    sync, and stale ``_heat`` entries must prune with the traces.
+    :class:`CompiledTrace`\\ s keyed by entry address in ``compiled``,
+    which this emulator alone owns.  One cursor over
+    ``Program.patch_events``, advanced at each trap, drops exactly the
+    traces covering a changed patch site (a patch appearing mid-trace
+    must terminate emulation, and a stale compiled trace would silently
+    run through it — so any trace with the site at its entry or inside
+    its step list goes; unrelated traces stay warm) and prunes their
+    ``_heat`` with them.  :meth:`reset` (run by ``FPVM.attach``) starts
+    it cold.
 
-    Each VM replays a trace fused from its own decode-cache entries
-    (:class:`_Fused`), settling the accounting once per trap; without
-    all of them resident and sound it replays step by step.
+    A trace replays fused from the VM's own decode-cache entries,
+    settling the accounting once per trap; without all of them resident
+    and sound it replays step by step.
     """
 
     def __init__(self, vm) -> None:
         self.vm = vm
-        self.stats = TraceStatistics() if vm.config.collect_trace_stats else None
-        self._compiled: dict[int, CompiledTrace] = {}  # pre-attach fallback
-        self._fused: dict[int, _Fused] = {}
+        self.stats = TraceStatistics()
+        #: entry address -> :class:`CompiledTrace`.
+        self.compiled: dict[int, CompiledTrace] = {}
         self._heat: Counter = Counter()
         self._epoch: int | None = None
         self._threshold = getattr(vm.config, "trace_compile_threshold", 0)
 
-    def _trace_cache(self) -> dict:
-        """The unified per-process trace cache once a CPU is attached;
-        the private dict stands in before attach (bare unit tests)."""
-        cpu = self.vm.cpu
-        if cpu is None:
-            return self._compiled
-        return shared_cache(cpu).seq_traces
-
-    @property
-    def compiled(self) -> dict:
-        """Entry address -> :class:`CompiledTrace` (the unified cache)."""
-        return self._trace_cache()
+    def reset(self) -> None:
+        """Forget every compiled trace, its heat and the patch cursor."""
+        self.compiled.clear()
+        self._heat.clear()
+        self._epoch = None
 
     def handle_fp_trap(self, context, trap) -> int:
         """Emulate starting at the faulting instruction; returns the
         address execution should resume at."""
         vm = self.vm
         addr = trap.addr
-        compiled = self._trace_cache()
+        compiled = self.compiled
         seq = vm.program.patch_seq
         if seq != self._epoch:
             # The first observation (or a shorter history) adopts the
@@ -237,19 +217,16 @@ class SequenceEmulator:
                 for entry in [e for e, t in compiled.items()
                               if e in sites or any(a in sites for a in t.addrs[1:])]:
                     del compiled[entry]
+                    vm.telemetry.dropped_traces += 1
                 for key in [k for k in self._heat if any(a in sites for a in k)]:
                     del self._heat[key]
             self._epoch = seq
         trace = compiled.get(addr)
         if trace is None:
             return self._interpret(context, addr, [])
-        fused = self._fused.get(addr)
-        if (fused is None or fused.trace is not trace or fused.costs is not vm.costs
-                or vm.decode_cache.resident(trace.addrs) != fused.uops):
-            fused = self._fuse(trace)
-            if fused is None:
-                return self._run_stepwise(trace, context)
-        return self._replay(trace, fused, context)
+        if vm.decode_cache.resident(trace.addrs) != trace.uops and not self._fuse(trace):
+            return self._run_stepwise(trace, context)
+        return self._replay(trace, context)
 
     def _interpret(self, context, addr: int, emulated: list[int]) -> int:
         """The interpreted emulate-until-termination loop.  ``emulated``
@@ -286,25 +263,34 @@ class SequenceEmulator:
         return addr
 
     # ------------------------------------------------- compiled tier
-    def _fuse(self, trace: CompiledTrace) -> _Fused | None:
-        """Bind ``trace`` for this VM from the decode-cache entries, or
-        None if one is absent, corrupt or unsupported."""
-        vm, emulator = self.vm, self.vm.emulator
-        uops = vm.decode_cache.resident(trace.addrs)
+    def _fuse(self, trace: CompiledTrace) -> bool:
+        """Bind ``trace`` from the decode-cache entries; False, leaving
+        it as it was, if one is absent, corrupt or unsupported."""
+        emulator = self.vm.emulator
+        uops = self.vm.decode_cache.resident(trace.addrs)
         for uop, addr in zip(uops, trace.addrs):
             if uop is None or uop.addr != addr or not emulator.supported(uop):
-                return None
+                return False
         steps = [emulator.step(uop) for uop in uops]
-        fused = self._fused[trace.entry] = _Fused(trace, vm.costs, uops, steps)
-        return fused
+        trace.uops = uops
+        trace.ops = tuple((step, type(step).body, step.m0, step.m1,
+                           type(step).probe if probe and i else None)
+                          for i, (step, probe) in enumerate(zip(steps, trace.probes)))
+        columns: dict[str, list[int]] = {}
+        for i, step in enumerate(steps, 1):
+            for category, cycles in step.charges:
+                columns.setdefault(category, [0] * (len(steps) + 1))[i] += cycles
+        trace.sums = tuple((c, array("q", accumulate(col))) for c, col in columns.items())
+        trace.marks = array("Q", accumulate((step.writes for step in steps), or_, initial=0))
+        return True
 
-    def _replay(self, trace: CompiledTrace, fused: _Fused, context) -> int:
+    def _replay(self, trace: CompiledTrace, context) -> int:
         """The fused replay; every exit (early probe stop, full run, a
         raising probe or body) settles what the step-wise loop charges."""
         k = 0              # steps emulated
         started = False    # step k's body has run, so its charges are due
         try:
-            for step, body, m0, m1, probe in fused.ops:
+            for step, body, m0, m1, probe in trace.ops:
                 if probe is not None and not probe(step, context):
                     break
                 started = True
@@ -316,19 +302,19 @@ class SequenceEmulator:
             # A decode-cache hit per fetched step (every step up to k),
             # in trace order, the charges of the steps that ran and the
             # lanes of the k that completed.
-            if fused.marks[k]:
-                context.mark(fused.marks[k])
+            if trace.marks[k]:
+                context.mark(trace.marks[k])
             vm, fetched = self.vm, trace.addrs[:k + 1]
             vm.decode_cache.touch(fetched)
             vm.ledger.charge("decache", vm.costs.decode_cache_hit * len(fetched))
-            for category, sums in fused.sums:
+            for category, sums in trace.sums:
                 vm.ledger.charge(category, sums[k + started])
             telemetry = vm.telemetry
             telemetry.compiled_trace_hits += 1
             telemetry.decode_hits += len(fetched)
             telemetry.emulated_instructions += k
         if k < len(trace.addrs):  # data-dependent early stop
-            self._finish(trace.addrs[:k], fused.uops[k].mnemonic, "no_boxed_source")
+            self._finish(trace.addrs[:k], trace.uops[k].mnemonic, "no_boxed_source")
             return trace.addrs[k]
         return self._terminate(trace, context)
 
@@ -339,7 +325,7 @@ class SequenceEmulator:
         emulator = vm.emulator
         vm.telemetry.compiled_trace_hits += 1
         emulated: list[int] = []
-        for addr, probe in trace.steps:
+        for addr, probe in zip(trace.addrs, trace.probes):
             uop = self._fetch(addr)
             if emulated and probe and not emulator.any_source_boxed(uop, context):
                 # Data-dependent early stop, same as interpreted.
@@ -365,14 +351,13 @@ class SequenceEmulator:
         heat-based promotion into the compiled tier."""
         vm = self.vm
         vm.telemetry.sequences += 1
-        if self.stats is not None:
-            self.stats.record(addrs, terminator, reason)
+        self.stats.record(addrs, terminator, reason)
         if (
             self._threshold > 0
             and len(addrs) >= 2
             and vm.config.sequence_emulation
-            and getattr(vm, "uops_enabled", True)
-            and addrs[0] not in self._trace_cache()
+            and vm.cpu.uops_enabled
+            and addrs[0] not in self.compiled
         ):
             heat = self._heat
             heat[addrs] += 1
@@ -382,17 +367,15 @@ class SequenceEmulator:
     def _compile(self, addrs: tuple[int, ...]) -> None:
         vm = self.vm
         by_addr = vm.program.by_addr
-        steps: list[tuple[int, bool]] = []
+        probes = []
         for addr in addrs:
             instr = by_addr.get(addr)
             if instr is None:
                 return  # decoded off the static image: stay interpreted
             uop = lower(instr)
-            probe = uop.fp_trap_capable and uop.mnemonic != "cvtsi2sd"
-            steps.append((addr, probe))
-        last = by_addr[addrs[-1]]
-        end = addrs[-1] + last.size
-        self._trace_cache()[addrs[0]] = CompiledTrace(addrs[0], steps, end, addrs)
+            probes.append(uop.fp_trap_capable and uop.mnemonic != "cvtsi2sd")
+        end = addrs[-1] + by_addr[addrs[-1]].size
+        self.compiled[addrs[0]] = CompiledTrace(addrs, tuple(probes), end)
         vm.telemetry.compiled_traces += 1
         del self._heat[addrs]
 

@@ -265,9 +265,11 @@ class Telemetry:
     decode_hits: int = 0
     decode_misses: int = 0
     #: traces promoted into compiled closures (§4.2 trace cache made
-    #: literal) and the number of trap handlings served from them.
+    #: literal), the number of trap handlings served from them, and
+    #: the ones a patch at one of their sites dropped.
     compiled_traces: int = 0
     compiled_trace_hits: int = 0
+    dropped_traces: int = 0
     gc_runs: int = 0
     gc_objects_collected: int = 0
     promotions: int = 0

@@ -28,7 +28,6 @@ from repro.kernel.signals import SIGFPE, SIGTRAP, SignalContext
 from repro.machine.costs import DEFAULT_COSTS
 from repro.machine.program import PatchKind
 from repro.machine.registers import MXCSR_DEFAULT, MXCSR_FPVM, restore_lanes
-from repro.machine.uops import UOPS_DEFAULT
 from repro.observability import FlowRecorder, classify_flags, flow_enabled_default
 
 
@@ -47,14 +46,12 @@ class FPVMConfig:
     magic_traps: bool = True
     #: §5.3 foreign-function wrapping (libm + stdio).
     wrap_foreign: bool = True
-    magic_wraps: bool = True
     #: §5.1 patch-site discovery: one of :data:`PATCH_SITE_SOURCES`.
     patch_site_source: str = "profiler"
     #: precomputed patch sites (harness caches the profiling run).
     patch_sites: frozenset | None = None
     gc_threshold: int = 4096
     decode_cache_capacity: int = 65536
-    collect_trace_stats: bool = True
     supported_instructions: frozenset = DEFAULT_SUPPORTED
     #: §2.3 decreased-precision mode: disable the FP hardware so every
     #: FP instruction traps and is emulated (pair with altmath="lowprec").
@@ -66,10 +63,6 @@ class FPVMConfig:
     #: runs one emergency collection before failing with the typed
     #: :class:`~repro.errors.BoxHeapExhaustedError`.
     box_capacity: int | None = None
-    #: micro-op pipeline (host-side throughput; no simulated-semantics
-    #: effect).  None = inherit the CPU's setting (on unless the CPU
-    #: was built with ``uops=False``); True/False force it for this run.
-    uops: bool | None = None
     #: promote a trace into a compiled-trace closure once it has been
     #: emulated this many times (0 disables the compiled tier).
     trace_compile_threshold: int = 8
@@ -165,10 +158,6 @@ class FPVM:
         #: this — eager mode by saving all 32 lanes, lazy mode by
         #: declaring the emulated instruction's operand lanes.
         self.fp_scribble_mask = 0
-        self.uops_enabled = (
-            self.config.uops if self.config.uops is not None
-            else UOPS_DEFAULT
-        )
 
     # ------------------------------------------------------------ attach
     def attach(self, cpu, kernel) -> "FPVM":
@@ -177,7 +166,10 @@ class FPVM:
         self.kernel = kernel
         self.program = cpu.program
         self.costs = cpu.costs
-        self.emulator.steps.clear()  # steps pre-resolve the cost model
+        # Steps pre-resolve the cost model and compiled traces bind
+        # steps: both start cold on every attach.
+        self.emulator.steps.clear()
+        self.sequencer.reset()
         self.ledger.bind_cpu(cpu)
         kernel.ledger = self.ledger
 
@@ -198,15 +190,9 @@ class FPVM:
         cpu.regs.mxcsr = MXCSR_FPVM
         cpu.fp_disabled = self.config.trap_all_fp
 
-        # Micro-op pipeline: the config can force it either way; by
-        # default the CPU's own setting stands.
-        if self.config.uops is not None:
-            cpu.uops_enabled = self.config.uops
-        self.uops_enabled = cpu.uops_enabled
-
         # Foreign function wrapping (§5.3).
         if self.config.wrap_foreign:
-            install_wrappers(self, self.program, magic=self.config.magic_wraps)
+            install_wrappers(self, self.program)
 
         # Magic page + correctness patches (§5.1, §5.2).  Patching goes
         # through the program's per-site generation map: only caches
@@ -244,10 +230,6 @@ class FPVM:
         thread.regs.mxcsr = MXCSR_FPVM
         thread.fp_disabled = self.config.trap_all_fp
         thread.kernel = self.kernel
-        # Same uop-pipeline policy as attach(): a forced config wins
-        # over whatever the spawn path inherited.
-        if self.config.uops is not None:
-            thread.uops_enabled = self.config.uops
         if self.config.trap_short_circuit:
             handle = self.kernel.fpvm_module.open(thread)
             handle.ioctl(FPVM_IOCTL_REGISTER_ENTRY, self._entry_stub)
@@ -255,16 +237,18 @@ class FPVM:
 
     def detach(self) -> None:
         """Shutdown: close the device (revoking registration) and
-        restore the default FP environment."""
+        restore the default FP environment on every thread."""
         if self._device_handle is not None:
             self._device_handle.close()
             self._device_handle = None
         for handle in self._thread_handles:
             handle.close()
         self._thread_handles.clear()
-        if self.cpu is not None:
-            self.cpu.regs.mxcsr = MXCSR_DEFAULT
-            self.cpu.fp_disabled = False
+        threads = (self.process.threads if self.process is not None
+                   else [self.cpu] if self.cpu is not None else [])
+        for thread in threads:
+            thread.regs.mxcsr = MXCSR_DEFAULT
+            thread.fp_disabled = False
         self.attached = False
 
     def _discover_patch_sites(self):

@@ -68,14 +68,13 @@ def _guard_restore(vm, cpu, saved: tuple[int, list], written: int) -> None:
 
 @dataclass
 class WrapReport:
-    """What got wrapped and how (diagnostics + tests)."""
+    """What got wrapped (diagnostics + tests)."""
 
     demote_wrapped: list[str]
     libm_wrapped: list[str]
-    mechanism: str  # "magic" | "forward"
 
 
-def install_wrappers(vm, program: Program, magic: bool = True) -> WrapReport:
+def install_wrappers(vm, program: Program) -> WrapReport:
     """Generate and install wrappers for every host function that
     consumes or produces doubles."""
     demote_wrapped: list[str] = []
@@ -104,7 +103,7 @@ def install_wrappers(vm, program: Program, magic: bool = True) -> WrapReport:
         # link-order interposition.  The observable effect is the same
         # ("there is no performance difference", §5.3).
         program.rebind_symbol(host.name, waddr)
-    return WrapReport(demote_wrapped, libm_wrapped, "magic" if magic else "forward")
+    return WrapReport(demote_wrapped, libm_wrapped)
 
 
 def _make_demoting_wrapper(vm, host: HostFunction):

@@ -9,7 +9,6 @@ the whole simulator carries 64-bit *bit patterns* (Python ints in
 
 from __future__ import annotations
 
-import math
 import struct
 from fractions import Fraction
 
@@ -329,18 +328,3 @@ def make_snan(payload: int, negative: bool = False) -> int:
         raise ValueError("sNaN payload must be nonzero (all-zero frac is Inf)")
     bits = F64_EXP_MASK | payload
     return bits | (F64_SIGN_MASK if negative else 0)
-
-
-def total_order_key(bits: int) -> int:
-    """A key that orders bit patterns like the IEEE totalOrder predicate
-    for finite values (used by tests and by min/max tie-breaking)."""
-    if bits & F64_SIGN_MASK:
-        return -(bits & ~F64_SIGN_MASK)
-    return bits
-
-
-def float64_nextafter(bits: int, toward_bits: int) -> int:
-    """nextafter on bit patterns (finite inputs)."""
-    x = bits_to_float(bits)
-    y = bits_to_float(toward_bits)
-    return float_to_bits(math.nextafter(x, y))

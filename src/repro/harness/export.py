@@ -21,19 +21,16 @@ SCHEMA_VERSION = 2
 
 def result_to_dict(result) -> dict:
     """Serialize an :class:`~repro.harness.runner.FPVMResult`."""
-    stats = result.trace_stats
-    traces = None
-    if stats is not None:
-        traces = [
-            {
-                "addrs": list(rec.addrs),
-                "count": rec.count,
-                "length": rec.length,
-                "terminator": rec.terminator,
-                "reason": rec.reason,
-            }
-            for rec in stats.by_popularity()
-        ]
+    traces = [
+        {
+            "addrs": list(rec.addrs),
+            "count": rec.count,
+            "length": rec.length,
+            "terminator": rec.terminator,
+            "reason": rec.reason,
+        }
+        for rec in result.trace_stats.by_popularity()
+    ]
     metrics = result.host.metrics
     return {
         "schema": SCHEMA_VERSION,

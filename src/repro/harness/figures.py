@@ -89,8 +89,7 @@ def trap_microbenchmark() -> TrapCostTable:
 
     def one_trap(short: bool):
         cfg = (FPVMConfig.short() if short else FPVMConfig.none()).with_(
-            patch_site_source="none", wrap_foreign=False, collect_trace_stats=False
-        )
+            patch_site_source="none", wrap_foreign=False)
         result = run_fpvm("lorenz", cfg, scale=4)
         n = max(result.traps, 1)
         return {k: v / n for k, v in result.ledger.items()}
@@ -169,8 +168,7 @@ def trap_class_microbenchmark(scale: int = 40) -> list[TrapClassRow]:
 
     def one(op, a, b, short: bool):
         cfg = (FPVMConfig.short() if short else FPVMConfig.none()).with_(
-            patch_site_source="none", wrap_foreign=False, collect_trace_stats=False
-        )
+            patch_site_source="none", wrap_foreign=False)
         cpu = CPU(_class_pure_program(op, a, b, scale))
         kernel = LinuxKernel()
         cpu.kernel = kernel

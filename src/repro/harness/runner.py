@@ -70,7 +70,7 @@ class FPVMResult:
     cycles: int
     output: list[str]
     ledger: dict[str, int]
-    trace_stats: object  # TraceStatistics or None
+    trace_stats: object  # TraceStatistics
     telemetry: object
     program: object
     host: HostPerf | None = None
@@ -201,6 +201,7 @@ def run_fpvm_process(
     config: FPVMConfig,
     config_name: str = "",
     scale: int | None = None,
+    uops: bool | None = None,
     quantum: int = 64,
     lazy_fp: bool | None = None,
     **kw,
@@ -210,7 +211,7 @@ def run_fpvm_process(
     from repro.machine.process import Process
 
     program = build_program(workload, scale, **kw)
-    proc = Process(program, lazy_fp=lazy_fp)
+    proc = Process(program, uops=uops, lazy_fp=lazy_fp)
     kernel = LinuxKernel()
     vm = FPVM(config).attach_process(proc, kernel)
     t0 = time.perf_counter()
@@ -236,12 +237,13 @@ def run_fpvm(
     config_name: str = "",
     scale: int | None = None,
     patch_sites: frozenset | None = None,
+    uops: bool | None = None,
     **kw,
 ) -> FPVMResult:
     program = build_program(workload, scale, **kw)
     if patch_sites is not None and config.patch_sites is None:
         config = config.with_(patch_sites=patch_sites)
-    cpu = CPU(program)
+    cpu = CPU(program, uops=uops)
     kernel = LinuxKernel()
     cpu.kernel = kernel
     vm = FPVM(config).attach(cpu, kernel)

@@ -226,9 +226,6 @@ class Program:
         Capstone-analog decoder consumes on a cache miss)."""
         return self.instruction_at(addr).raw
 
-    def next_addr(self, addr: int) -> int:
-        return addr + self.instruction_at(addr).size
-
     def resolve(self, name: str) -> int:
         try:
             return self.symbols[name]

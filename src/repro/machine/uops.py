@@ -8,11 +8,11 @@ sequence engine) and binds, per CPU, opclass-specialized execute
 closures whose operand accessors were resolved at bind time.  Straight-
 line runs of micro-ops are strung into cached :class:`Superblock`\\ s
 keyed by entry address; the block cache tracks the program's
-``patch_events`` log and invalidates *per site* — only blocks (and
-the sequence emulator's compiled traces) whose address range covers a
-changed patch site are dropped (any patch added, removed or cleared at
-that address), so patched instructions can never execute through a
-stale block while unrelated warm blocks survive patch churn.
+``patch_events`` log and invalidates *per site* — only blocks whose
+address range covers a changed patch site are dropped (any patch
+added, removed or cleared at that address), so patched instructions
+can never execute through a stale block while unrelated warm blocks
+survive patch churn.
 
 Semantics are bit-for-bit the seed interpreter's:
 
@@ -47,9 +47,9 @@ closure is one seed step and leaves RIP correct, so the next quantum
 resumes mid-block, in a block sliced out of the covering block's
 bound closures rather than bound again.  Block caches live in one
 per-process :class:`SuperblockCache` shared by every thread; when
-``patch_seq`` moves the cache drops exactly the blocks and traces
-covering the changed sites — cross-thread and cross-guest — and
-everything else stays warm.  ``CPU.run`` is a loop over quanta of the
+``patch_seq`` moves the cache drops exactly the blocks covering the
+changed sites — cross-thread and cross-guest — and everything else
+stays warm.  ``CPU.run`` is a loop over quanta of the
 remaining step limit.
 """
 
@@ -212,16 +212,6 @@ def lower(instr: Instruction) -> MicroOp:
         uop = MicroOp(instr)
         instr._uop = uop
     return uop
-
-
-def lower_program(program) -> int:
-    """Lower every instruction of a program eagerly (load-time pass);
-    returns the number of micro-ops."""
-    n = 0
-    for instr in program.instructions:
-        lower(instr)
-        n += 1
-    return n
 
 
 # ---------------------------------------------------- fast memory closures
@@ -1301,20 +1291,20 @@ class SuperblockCache:
     the cache's cursor into ``Program.patch_events`` (numerically equal
     to the last ``patch_seq`` processed, which keeps the historic name
     honest): when the program's sequence moves, :meth:`sync` walks only
-    the *new* suffix of patched addresses and drops exactly the cached
-    artifacts whose address range covers a changed site — superblocks
-    via ``[entry, end)`` and the sequence emulator's compiled traces by
-    step membership.  Every thread's unrelated blocks survive, turning
-    a patch from a process-wide cache flush into a local event.  The
-    per-site walk is still cross-thread sound: a patch made by thread A
-    drops thread B's covering blocks in the same sync, exactly like the
-    old wholesale flush.
+    the *new* suffix of patched addresses and drops exactly the
+    superblocks whose ``[entry, end)`` covers a changed site.  Every
+    thread's unrelated blocks survive, turning a patch from a
+    process-wide cache flush into a local event.  The per-site walk is
+    still cross-thread sound: a patch made by thread A drops thread B's
+    covering blocks in the same sync, exactly like the old wholesale
+    flush.  The sequence emulator's compiled traces are not kept here:
+    :class:`~repro.core.sequences.SequenceEmulator` owns them and their
+    invalidation.
     """
 
     __slots__ = ("views", "epoch", "capacity", "cached_blocks",
                  "invalidations", "evictions",
-                 "invalidated_blocks", "survived_blocks",
-                 "seq_traces", "dropped_traces")
+                 "invalidated_blocks", "survived_blocks")
 
     #: the patch cursor, a setting and a gauge: not counts.
     UNMERGED = ("epoch", "capacity", "cached_blocks")
@@ -1326,8 +1316,8 @@ class SuperblockCache:
         self.epoch: int | None = None
         self.capacity = capacity
         self.cached_blocks = 0
-        #: syncs that actually dropped cached state (per-site now, so
-        #: a patch with no covering artifact does not count).
+        #: syncs that actually dropped blocks (per-site, so a patch
+        #: with no covering block does not count).
         self.invalidations = 0
         #: capacity evictions (wholesale, unlike the per-site sync).
         self.evictions = 0
@@ -1337,13 +1327,6 @@ class SuperblockCache:
         #: superblocks that survived a per-site sync (summed per sync —
         #: under the old epoch scheme this was identically zero).
         self.survived_blocks = 0
-        #: entry -> CompiledTrace — the sequence emulator's compiled
-        #: FP-trap traces (address lists, shareable across threads);
-        #: kept here so one patch-epoch sync drops blocks and traces
-        #: under the same per-site policy.
-        self.seq_traces: dict = {}
-        #: compiled sequence traces killed by flushes/evictions.
-        self.dropped_traces = 0
 
     def view(self, cpu) -> dict[int, Superblock]:
         """The per-thread entry->Superblock map for ``cpu``.  Keyed by
@@ -1356,13 +1339,11 @@ class SuperblockCache:
         for view in self.views.values():
             view.clear()
         self.cached_blocks = 0
-        self.dropped_traces += len(self.seq_traces)
-        self.seq_traces.clear()
 
     def sync(self, program) -> bool:
         """Advance the cursor over ``program.patch_events`` and drop
-        exactly the cached artifacts covering a changed site.  Returns
-        True when cached state was actually invalidated."""
+        exactly the blocks covering a changed site.  Returns True when
+        a block was actually invalidated."""
         seq = program.patch_seq
         if seq == self.epoch:
             return False
@@ -1387,14 +1368,6 @@ class SuperblockCache:
                     self.invalidated_blocks += 1
                     dropped_any = True
             self.survived_blocks += len(view)
-        # Sequence-emulator traces: a site strictly inside the step
-        # list would be emulated through without its pre-hook; a site
-        # at the entry already had its hook delivered before the trap.
-        for entry, trace in list(self.seq_traces.items()):
-            if entry in sites or any(a in sites for a in trace.addrs[1:]):
-                del self.seq_traces[entry]
-                self.dropped_traces += 1
-                dropped_any = True
         if dropped_any:
             self.invalidations += 1
         return dropped_any
@@ -1409,9 +1382,7 @@ class SuperblockCache:
 def shared_cache(cpu) -> SuperblockCache:
     """The CPU's process-shared :class:`SuperblockCache`, created on
     first use — one object per process (threads share it), one per
-    standalone CPU.  Both the superblock engine and the sequence
-    emulator go through here, so their compiled artifacts live under
-    one eviction policy."""
+    standalone CPU."""
     cache = getattr(cpu, "_sb_cache", None)
     if cache is None:
         cache = SuperblockCache()

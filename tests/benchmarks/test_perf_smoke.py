@@ -118,8 +118,8 @@ def test_flow_disabled_is_free():
     def best_of(flow: bool, reps: int = 3):
         best = None
         for _ in range(reps):
-            r = run_fpvm("lorenz", FPVMConfig.seq_short(flow=flow, uops=True),
-                         scale=150)
+            r = run_fpvm("lorenz", FPVMConfig.seq_short(flow=flow),
+                         scale=150, uops=True)
             if best is None or r.host.seconds < best.host.seconds:
                 best = r
         return best
@@ -137,8 +137,8 @@ def test_flow_disabled_is_free():
         f"{on.host.seconds:.3f}s beyond {TOLERANCE:.0%} noise")
 
     # vacuity: the enabled path records real provenance on the storm.
-    storm = run_fpvm("denorm_storm", FPVMConfig.seq_short(flow=True, uops=True),
-                     scale=40)
+    storm = run_fpvm("denorm_storm", FPVMConfig.seq_short(flow=True),
+                     scale=40, uops=True)
     flow = storm.flow.as_dict()
     assert flow["births"] > 0, "flow enabled but zero births recorded"
     assert storm.flow.traps_by_class.get("denormal", 0) > 0, (

@@ -108,6 +108,6 @@ def test_per_site_tier_replays_with_live_patches():
     per-site chained engine against the journal — zero divergence."""
     report = replay.differential_replay(
         lambda: build_checksum_program()[0],
-        config=FPVMConfig.seq_short(uops=True),
+        config=FPVMConfig.seq_short(),
     )
     assert report.ok, report.describe()

@@ -80,7 +80,7 @@ class TestCleanReplay:
 
     def test_loop_program_identical_under_vm(self):
         report = replay.differential_replay(
-            _factory(LOOP_SRC), config=FPVMConfig.seq_short(uops=True))
+            _factory(LOOP_SRC), config=FPVMConfig.seq_short())
         assert report.ok, report.describe()
 
     def test_recorder_rejects_uops_cpu(self):

@@ -82,13 +82,15 @@ def test_attached_differential(seed):
     interpreter."""
     base = oracle.run_cell(
         fuzz_program(seed),
-        FPVMConfig.seq_short(uops=False),
+        FPVMConfig.seq_short(),
         "interp",
+        uops=False,
     )
     fast = oracle.run_cell(
         fuzz_program(seed),
-        FPVMConfig.seq_short(uops=True, trace_compile_threshold=2),
+        FPVMConfig.seq_short(trace_compile_threshold=2),
         "chained",
+        uops=True,
     )
     assert base.invariant_failures == []
     assert fast.invariant_failures == []
@@ -102,8 +104,9 @@ def test_compiled_tier_exercised_somewhere():
     for seed in SEEDS:
         run = oracle.run_cell(
             fuzz_program(seed),
-            FPVMConfig.seq_short(uops=True, trace_compile_threshold=2),
+            FPVMConfig.seq_short(trace_compile_threshold=2),
             "chained",
+            uops=True,
         )
         total_hits += run.telemetry.compiled_trace_hits
     assert total_hits > 0

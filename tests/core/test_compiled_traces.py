@@ -1,7 +1,7 @@
 """The compiled-trace tier of the sequence emulator: promotion at the
 heat threshold, bit-identical replay, the fused replay against the
-step-wise one on every exit, the disable knobs, and eviction when the
-program's patch state changes."""
+step-wise one on every exit, the disable knobs, eviction when the
+program's patch state changes, and the cold start on every attach."""
 
 import pytest
 
@@ -38,13 +38,21 @@ top:
 """
 
 
-def run_fpvm(source: str, config: FPVMConfig):
+def attach(source: str, vm: FPVM, uops: bool | None = None) -> CPU:
+    """``vm`` attached to a fresh CPU of the ``uops`` tier running
+    ``source``."""
     prog = assemble(source)
     install_host_library(prog)
-    cpu = CPU(prog)
+    cpu = CPU(prog, uops=uops)
     kernel = LinuxKernel()
     cpu.kernel = kernel
-    vm = FPVM(config).attach(cpu, kernel)
+    vm.attach(cpu, kernel)
+    return cpu
+
+
+def run_fpvm(source: str, config: FPVMConfig, uops: bool | None = None):
+    vm = FPVM(config)
+    cpu = attach(source, vm, uops)
     cpu.run()
     return cpu, vm
 
@@ -68,7 +76,8 @@ class TestPromotion:
         assert t.compiled_trace_hits > 0
         assert vm.sequencer.compiled
         trace = next(iter(vm.sequencer.compiled.values()))
-        assert len(trace.steps) >= 2
+        assert len(trace.addrs) == len(trace.probes) >= 2
+        assert trace.uops is not None  # fused on replay
 
     def test_threshold_zero_disables_tier(self):
         _, vm = run_fpvm(LOOP_SRC, FPVMConfig.seq_short(trace_compile_threshold=0))
@@ -77,11 +86,9 @@ class TestPromotion:
         assert not vm.sequencer.compiled
 
     def test_uops_off_disables_promotion(self):
-        _, vm = run_fpvm(
-            LOOP_SRC,
-            FPVMConfig.seq_short(uops=False, trace_compile_threshold=2),
-        )
-        assert vm.uops_enabled is False
+        cpu, vm = run_fpvm(LOOP_SRC, FPVMConfig.seq_short(trace_compile_threshold=2),
+                           uops=False)
+        assert cpu.uops_enabled is False
         assert vm.telemetry.compiled_traces == 0
 
 
@@ -103,14 +110,18 @@ class TestEviction:
         """Regression: an int3 planted inside an already-compiled trace
         must fire on the next run.  A stale compiled trace would emulate
         straight through the patch site (replay skips patch lookups by
-        design), so the epoch flush is the only thing standing between
-        us and a silently skipped correctness hook."""
+        design), so the emulator's patch cursor dropping it is the only
+        thing standing between us and a silently skipped correctness
+        hook."""
         cpu, vm = run_fpvm(LOOP_SRC, FPVMConfig.seq_short(trace_compile_threshold=2))
-        assert vm.sequencer.compiled
-        trace = next(iter(vm.sequencer.compiled.values()))
-        mid_addr = trace.steps[1][0]  # strictly inside the trace body
-        fused_entry = trace.entry
-        assert vm.sequencer._fused[fused_entry].trace is trace
+        compiled = vm.sequencer.compiled
+        assert compiled
+        trace = next(iter(compiled.values()))
+        mid_addr = trace.addrs[1]  # strictly inside the trace body
+        assert trace.uops is not None
+        covering = [t for t in compiled.values()
+                    if mid_addr == t.entry or mid_addr in t.addrs[1:]]
+        assert vm.telemetry.dropped_traces == 0
 
         assert cpu.bp_trap_count == 0
         vm.program.patch_int3(mid_addr)
@@ -123,15 +134,107 @@ class TestEviction:
             "int3 never fired: a stale compiled trace ran through the "
             "patch site"
         )
-        # The sequencer saw the new epoch and dropped the old tier.  The
-        # patched address may legitimately re-appear as a trace *entry*
-        # (the CPU delivers the int3 before the FP trap there) but never
-        # again strictly inside a trace body.
-        assert fused_entry in vm.sequencer._fused
+        # The sequencer's cursor saw the new epoch and dropped exactly
+        # the traces covering the site.  The patched address may
+        # legitimately re-appear as a trace *entry* (the CPU delivers
+        # the int3 before the FP trap there) but never again strictly
+        # inside a trace body.
+        assert vm.telemetry.dropped_traces == len(covering)
+        assert not any(t in compiled.values() for t in covering)
         assert vm.sequencer._epoch == vm.program.patch_seq
-        assert mid_addr not in {
-            a for t in vm.sequencer.compiled.values() for a, _ in t.steps[1:]
-        }
+        assert mid_addr not in {a for t in compiled.values() for a in t.addrs[1:]}
+
+    def test_patch_outside_traces_keeps_them(self):
+        """A patch at an address no compiled trace covers drops none."""
+        cpu, vm = run_fpvm(LOOP_SRC, FPVMConfig.seq_short(trace_compile_threshold=2))
+        compiled = vm.sequencer.compiled
+        before = dict(compiled)
+        covered = {a for t in before.values() for a in t.addrs}
+        site = next(i.addr for i in vm.program.instructions
+                    if i.mnemonic == "dec")
+        assert before and site not in covered
+        vm.program.patch_int3(site)
+
+        cpu.halted = False
+        cpu.resume_at(vm.program.entry)
+        cpu.run()
+
+        assert cpu.bp_trap_count > 0
+        assert vm.telemetry.dropped_traces == 0
+        assert all(compiled.get(e) is t for e, t in before.items())
+
+
+def _delta(after: dict, before: dict) -> dict:
+    """``after - before`` for a snapshot or a ledger, histograms key by
+    key (zero entries dropped, as a fresh Counter has none)."""
+    out = {}
+    for key, value in after.items():
+        if isinstance(value, dict):
+            out[key] = {k: v - before[key].get(k, 0) for k, v in value.items()
+                        if v != before[key].get(k, 0)}
+        else:
+            out[key] = value - before[key]
+    return out
+
+
+#: LOOP_SRC with other constants, a shorter loop and a different
+#: trace, behind enough integer work to put its FP code past the end of
+#: LOOP_SRC's text.
+SHIFTED_SRC = """
+.data
+a: .double 0.3
+b: .double 1.1
+n: .quad 25
+.text
+main:
+  mov rcx, [rip + n]
+  movsd xmm0, [rip + a]
+""" + "  mov rax, rcx\n" * 40 + """
+top:
+  mulsd xmm0, [rip + b]
+  addsd xmm0, [rip + a]
+  dec rcx
+  jne top
+  call print_f64
+  hlt
+"""
+
+
+class TestAttach:
+    def test_reattach_to_another_program_starts_cold(self, monkeypatch):
+        """A VM re-attached to a fresh CPU running a different program
+        accounts for it exactly like a fresh VM, and replays none of the
+        first program's traces.  The second program's FP code lies past
+        all of the first program's text, so the VM's other state (its
+        decode cache) cannot make the two runs differ."""
+        config = FPVMConfig.seq_short(trace_compile_threshold=2, gc_threshold=10**9)
+        _, vm = run_fpvm(LOOP_SRC, config)
+        first = list(vm.sequencer.compiled.values())
+        first_text = {i.addr for i in assemble(LOOP_SRC).instructions}
+        assert first
+        ledger, telemetry = vm.ledger.snapshot(), snapshot(vm.telemetry)
+
+        replayed = []
+        replay, stepwise = SequenceEmulator._replay, SequenceEmulator._run_stepwise
+
+        def spy(method):
+            def run(self, trace, context):
+                replayed.append(trace)
+                return method(self, trace, context)
+            return run
+
+        monkeypatch.setattr(SequenceEmulator, "_replay", spy(replay))
+        monkeypatch.setattr(SequenceEmulator, "_run_stepwise", spy(stepwise))
+        cpu = attach(SHIFTED_SRC, vm)
+        assert not vm.sequencer.compiled
+        cpu.run()
+        fresh_cpu, fresh = run_fpvm(SHIFTED_SRC, config)
+
+        assert replayed and not any(t is f for t in replayed for f in first)
+        assert min(a for t in replayed for a in t.addrs) > max(first_text)
+        assert (cpu.cycles, tuple(cpu.output)) == (fresh_cpu.cycles, tuple(fresh_cpu.output))
+        assert _delta(vm.ledger.snapshot(), ledger) == fresh.ledger.snapshot()
+        assert _delta(snapshot(vm.telemetry), telemetry) == snapshot(fresh.telemetry)
 
 
 # Two loops whose compiled trace [addsd, mulsd, subsd] / [addsd, subsd]
@@ -248,9 +351,9 @@ def _observe(source: str, config: FPVMConfig, error, *, stepwise: bool, monkeypa
         finally:
             written.append(context.written_xmm)
 
-    def spy(self, trace, fused, context):
+    def spy(self, trace, context):
         exits.append("raise")
-        resume = replay(self, trace, fused, context)
+        resume = replay(self, trace, context)
         exits[-1] = ("term" if resume == trace.end
                      else "early" if resume in trace.addrs else "past")
         return resume
@@ -259,7 +362,7 @@ def _observe(source: str, config: FPVMConfig, error, *, stepwise: bool, monkeypa
         m.setattr(SequenceEmulator, "_replay", spy)
         m.setattr(SequenceEmulator, "handle_fp_trap", written_spy)
         if stepwise:
-            m.setattr(SequenceEmulator, "_fuse", lambda self, trace: None)
+            m.setattr(SequenceEmulator, "_fuse", lambda self, trace: False)
         prog = assemble(source)
         install_host_library(prog)
         cpu = CPU(prog)
@@ -325,7 +428,7 @@ class TestFusedReplay:
         raises on it."""
         cpu, vm = run_fpvm(LOOP_SRC, FPVMConfig.seq_short(trace_compile_threshold=2))
         trace = next(iter(vm.sequencer.compiled.values()))
-        assert vm.sequencer._fused[trace.entry].trace is trace
+        assert trace.uops is not None
         addr, other = trace.addrs[1], trace.addrs[0]
         vm.decode_cache.insert(addr, cpu.program.by_addr[other])
         cpu.halted = False

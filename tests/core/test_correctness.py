@@ -299,7 +299,7 @@ class TestWrappers:
         vm = FPVM(FPVMConfig.none(wrap_foreign=False))
         vm.cpu, vm.kernel, vm.program = cpu, kernel, prog
         vm.ledger.bind_cpu(cpu)
-        report = install_wrappers(vm, prog, magic=True)
+        report = install_wrappers(vm, prog)
         assert "print_f64" in report.demote_wrapped
         assert "sin" in report.libm_wrapped
         assert prog.symbols["print_f64"] == prog.symbols["print_f64$fpvm"]
@@ -311,7 +311,7 @@ class TestWrappers:
         vm = FPVM(FPVMConfig.none(wrap_foreign=False))
         vm.cpu, vm.kernel, vm.program = cpu, kernel, prog
         vm.ledger.bind_cpu(cpu)
-        report = install_wrappers(vm, prog, magic=True)
+        report = install_wrappers(vm, prog)
         assert "print_i64" not in report.demote_wrapped
         assert "print_str" not in report.demote_wrapped
 
@@ -322,9 +322,9 @@ class TestWrappers:
         vm = FPVM(FPVMConfig.none(wrap_foreign=False))
         vm.cpu, vm.kernel, vm.program = cpu, kernel, prog
         vm.ledger.bind_cpu(cpu)
-        install_wrappers(vm, prog, magic=True)
+        install_wrappers(vm, prog)
         n = len(prog.host_functions)
-        install_wrappers(vm, prog, magic=True)
+        install_wrappers(vm, prog)
         # wrappers are not re-wrapped
         assert sum(1 for h in prog.host_functions.values()
                    if h.name.endswith("$fpvm$fpvm")) == 0

@@ -75,7 +75,7 @@ class TestSequenceTermination:
         assert len(starts) >= 2
 
     def test_single_mode_has_length_one(self):
-        _, vm = run_fpvm(MOVHPD_SRC, FPVMConfig.short(collect_trace_stats=True))
+        _, vm = run_fpvm(MOVHPD_SRC, FPVMConfig.short())
         for rec in vm.trace_stats.traces.values():
             assert rec.length == 1
 

@@ -9,6 +9,7 @@ from repro.kernel.kernel import LinuxKernel
 from repro.machine.assembler import assemble
 from repro.machine.hostlib import install_host_library
 from repro.machine.process import Process, fork_process
+from repro.machine.registers import MXCSR_DEFAULT
 
 f2b = B.float_to_bits
 
@@ -171,13 +172,18 @@ class TestFPVMMultithreaded:
         assert vm.telemetry.gc_runs > 0
 
     def test_detach_revokes_all_threads(self):
+        """Detach closes every thread's registration and restores every
+        thread's FP environment, not just the main thread's."""
         proc = build_process()
         kernel = LinuxKernel()
-        vm = FPVM(FPVMConfig.seq_short()).attach_process(proc, kernel)
+        vm = FPVM(FPVMConfig.seq_short(trap_all_fp=True)).attach_process(proc, kernel)
         proc.run()
+        assert len(proc.threads) > 1
         vm.detach()
         for t in proc.threads:
             assert not kernel.fpvm_module.is_registered(t)
+            assert t.regs.mxcsr == MXCSR_DEFAULT
+            assert t.fp_disabled is False
 
     def test_signal_path_multithreaded(self):
         proc = build_process()

@@ -257,7 +257,7 @@ class TestBatchedParity:
         stepwise, per-thread ledgers and join order bit-identical."""
         runs = {}
         for uops in (False, True):
-            proc, vm = _mt_process(uops=uops, config=factory(uops=uops))
+            proc, vm = _mt_process(uops=uops, config=factory())
             proc.run(quantum=quantum)
             runs[uops] = _fingerprint(proc)
             assert vm.telemetry.traps > 0
@@ -280,12 +280,12 @@ class TestAttachedThreads:
     def test_on_thread_spawn_propagates_uops(self):
         for uops in (False, True):
             proc, _ = _mt_process(uops=uops,
-                                  config=FPVMConfig.seq_short(uops=uops))
+                                  config=FPVMConfig.seq_short())
             proc.run(quantum=7)
             assert all(t.uops_enabled == uops for t in proc.threads)
 
     def test_spawned_threads_run_superblocks(self):
-        proc, _ = _mt_process(uops=True, config=FPVMConfig.seq_short(uops=True))
+        proc, _ = _mt_process(uops=True, config=FPVMConfig.seq_short())
         proc.run(quantum=64)
         worker_stats = [t.uop_stats for t in proc.threads[1:]]
         assert all(s is not None for s in worker_stats)
@@ -295,7 +295,7 @@ class TestAttachedThreads:
         """Main parks in thread_join while the awaited worker is still
         mid-trap-storm; the batched scheduler must keep delivering the
         worker's traps and wake main with bit-identical state."""
-        proc, vm = _mt_process(uops=True, config=FPVMConfig.seq(uops=True))
+        proc, vm = _mt_process(uops=True, config=FPVMConfig.seq())
         proc.run(quantum=7)
         assert proc.join_log  # at least one join actually parked
         assert vm.telemetry.traps > 0

@@ -73,7 +73,6 @@ def _cpu(program, uops_on=True, config=None):
     cpu.kernel = kernel
     if config is not None:
         FPVM(config).attach(cpu, kernel)
-        cpu.uops_enabled = uops_on
     return cpu
 
 
@@ -247,13 +246,13 @@ class TestChainInvalidation:
         its ``Trap``, which settles the block's accounting and delivers
         it, and the run stays bit-identical to single-stepping."""
         chained = _cpu(_program(LOOP_SRC),
-                       config=FPVMConfig.seq_short(uops=True))
+                       config=FPVMConfig.seq_short())
         chained.run()
         st = snapshot(chained.uop_stats)
         assert chained.fp_trap_count > 0
 
         stepwise = _cpu(_program(LOOP_SRC), uops_on=False,
-                        config=FPVMConfig.seq_short(uops=False))
+                        config=FPVMConfig.seq_short())
         stepwise.run()
         assert _fingerprint(chained) == _fingerprint(stepwise)
         # the trap exits must be visible in telemetry, not silent.
@@ -271,7 +270,7 @@ class TestChainInvalidation:
             cpus = []
             for uops_on in (True, False):
                 cpu = _cpu(_program(LOOP_SRC), uops_on=uops_on,
-                           config=config.with_(uops=uops_on))
+                           config=config)
                 if mxcsr is not None:
                     cpu.regs.mxcsr = mxcsr
                 cpu.run()

@@ -35,8 +35,8 @@ from repro.observability import (
 pytestmark = pytest.mark.flow
 
 def run_tier(workload: str, tier: str, scale: int, **config_kwargs):
-    cfg = FPVMConfig.seq_short(flow=True, uops=TIERS[tier], **config_kwargs)
-    return run_fpvm(workload, cfg, scale=scale)
+    cfg = FPVMConfig.seq_short(flow=True, **config_kwargs)
+    return run_fpvm(workload, cfg, scale=scale, uops=TIERS[tier])
 
 
 # ------------------------------------------------------------ classify
