@@ -247,7 +247,7 @@ ABLATION_QUANTUM = 16
 
 
 def ablation_one(workload: str, scale: int | None, reps: int = REPS) -> dict:
-    """One ``FPVM_LAZY_FP`` on/off pair: same workload, same quantum,
+    """One ``lazy_fp`` on/off pair: same workload, same quantum,
     median-of-``reps`` host seconds each way, with guest-result equality
     and switch-machinery vacuity checks."""
     runs = {}
@@ -275,7 +275,7 @@ def ablation_one(workload: str, scale: int | None, reps: int = REPS) -> dict:
     if not eager_r.host.sched["fp_eager_switches"]:
         raise AssertionError(
             f"{workload}: eager run performed zero full-bank switches — "
-            f"FPVM_LAZY_FP=0 is silently ignored")
+            f"lazy_fp=False is silently ignored")
     return {
         "workload": workload,
         "scale": scale,
@@ -376,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "results": results,
         "min_chain_speedup": min(r["chain_speedup"] for r in results),
-        #: FPVM_LAZY_FP on/off pairs (separate from ``results`` so the
+        #: lazy_fp on/off pairs (separate from ``results`` so the
         #: tier-ratio minima above stay defined over tier rows only).
         "lazy_ablation": ablation,
     }

@@ -1,9 +1,10 @@
-"""Shadow-code-view conformance: the guest must never observe the host.
+"""Patch-invisibility conformance: the guest must never observe the host.
 
-FPVM's correctness patching plants pre-hooks in guest text.  With the
-split fetch/data views (``machine/program.py``) the patched stream is
-only ever seen by the front end; guest *loads* from text addresses go
-through memory pages backed by the pristine DATA view.  This module
+FPVM's correctness patching plants pre-hooks in front of guest
+instructions.  Patches are metadata in ``Program.patches`` that only
+the front end consults (``machine/program.py``); they never splice
+bytes, so guest *loads* from text addresses read the pristine
+``Program.text`` the CPU maps at load time.  This module
 holds the guest programs and reports that make that guarantee — the
 "LazyFP axis": *guest must never observe host instrumentation state* —
 checkable end to end:
@@ -14,9 +15,10 @@ checkable end to end:
   NONE / SEQ / SEQ_SHORT — with real profiler-discovered patches and
   live compiled traces — and must equal the host-computed checksum of
   the pristine text.  The negative control (text pages overwritten with
-  the FETCH view's image) lives in the conformance tests: there the
-  same guest *must* see the patch markers, proving the shadow view is
-  load-bearing rather than vacuously equal.
+  the ``int3``/``call`` marker bytes a binary patcher would splice in)
+  lives in the conformance tests: there the same guest *must* see the
+  markers, proving the check is load-bearing rather than vacuously
+  equal.
 - :func:`self_reading_report`: a guest that reads its own bytes every
   loop iteration while the chained tier holds live cached superblocks —
   every tier must agree bit-for-bit with the seed interpreter, with the
@@ -158,8 +160,7 @@ def self_checksum_report(trace_threshold: int = 2) -> dict:
     for name, preset in _CONFIGS.items():
         program, _ = build_checksum_program(words)
         if pristine is None:
-            pristine = hashlib.sha256(
-                program.data_view.text_bytes()).hexdigest()
+            pristine = hashlib.sha256(program.text).hexdigest()
             report["pristine_text_digest"] = pristine
         cpu = CPU(program)
         kernel = LinuxKernel()
@@ -171,7 +172,7 @@ def self_checksum_report(trace_threshold: int = 2) -> dict:
             "output": tuple(cpu.output),
             "checksum": cpu.output[0] if cpu.output else None,
             "patches": len(program.patches),
-            "patched_sites": dict(vm.patched_sites),
+            "patched_sites": list(vm.patched_sites),
             "compiled_traces": vm.telemetry.compiled_traces,
             "text_digest": _text_digest(cpu, program),
         }

@@ -529,13 +529,40 @@ def _lazyfp_source(secrets=None, vloops: int = 150, spin: int = 400) -> str:
     return "\n".join(lines) + "\n"
 
 
+def arm_skipped_switch(proc: Process) -> None:
+    """Plant the LazyFP bug class in ``proc``: the #NM-style switch
+    updates ownership but silently skips the state swap, so a
+    non-owner thread starts its quantum on the owner's XMM bank — the
+    stale physical registers a skipped switch would leak.  Covers the
+    threads ``proc`` has now and, through ``on_thread_spawn``, every
+    later spawn."""
+    def skipped_switch(thread) -> None:
+        proc.fp_owner = thread
+
+    def leak_into(thread) -> None:
+        run_quantum = thread.run_quantum
+
+        def on_owner_bank(budget: int) -> int:
+            owner = proc.fp_owner
+            if owner is not None and owner is not thread:
+                thread.regs.xmm = [lanes[:] for lanes in owner.regs.xmm]
+            return run_quantum(budget)
+
+        thread.run_quantum = on_owner_bank
+
+    proc._fp_nm_switch = skipped_switch
+    for thread in proc.threads:
+        leak_into(thread)
+    proc.on_thread_spawn.append(lambda _proc, thread: leak_into(thread))
+
+
 def _lazyfp_run(tier: str, lazy: bool, armed: bool = False) -> Process:
     program = assemble(_lazyfp_source())
     install_host_library(program)
     proc = Process(program, uops=TIERS[tier], lazy_fp=lazy)
     proc.kernel = LinuxKernel()
     if armed:
-        proc.fp_skip_switch = True
+        arm_skipped_switch(proc)
     proc.run(max_steps=MAX_STEPS)
     return proc
 
@@ -547,9 +574,9 @@ def lazy_fp_leak() -> FaultOutcome:
     LazyFP side channel, a silent secret leak.  Detection is
     differential: every lazy-on tier's probe output must be
     bit-identical to the eager reference (all init-state zeros), and
-    the armed ``fp_skip_switch`` seam must make the probe observably
-    capture the victim's secrets — proving the oracle has the power to
-    catch a switch that quietly stopped happening."""
+    a run armed with :func:`arm_skipped_switch` must make the probe
+    observably capture the victim's secrets — proving the oracle has
+    the power to catch a switch that quietly stopped happening."""
     name = "lazy_fp_leak"
     desc = "skipped FP ownership switch leaks stale XMM to a fresh thread"
 

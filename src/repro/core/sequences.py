@@ -210,10 +210,10 @@ class SequenceEmulator:
         compiled = self.compiled
         seq = vm.program.patch_seq
         if seq != self._epoch:
-            # The first observation (or a shorter history) adopts the
-            # cursor: nothing was compiled under an unseen patch state.
-            if self._epoch is not None and seq > self._epoch:
-                sites = set(vm.program.patch_events[self._epoch:seq])
+            # None on first observation: nothing was compiled under an
+            # unseen patch state, so the cursor just adopts ``seq``.
+            sites = vm.program.sites_since(self._epoch)
+            if sites:
                 for entry in [e for e, t in compiled.items()
                               if e in sites or any(a in sites for a in t.addrs[1:])]:
                     del compiled[entry]
@@ -391,15 +391,14 @@ class SequenceEmulator:
         vm.ledger.charge("decache", vm.costs.decode_cache_hit)  # the failed probe
         vm.ledger.charge("decode", vm.costs.decode_miss)
         vm.telemetry.decode_misses += 1
-        raw = vm.program.fetch_view.raw_bytes_at(addr)
+        raw = vm.program.raw_bytes_at(addr)
         return vm.decode_cache.decode_miss(addr, raw)
 
     def _should_stop(self, instr: MicroOp, context) -> tuple[bool, str]:
         vm = self.vm
         # Patched instructions carry correctness hooks that emulation
-        # would silently skip: always hand them back to the CPU.  The
-        # FETCH view is the authority on live patches.
-        if instr.addr in vm.program.fetch_view.patches:
+        # would silently skip: always hand them back to the CPU.
+        if instr.addr in vm.program.patches:
             return True, "unsupported"
         if not vm.emulator.supported(instr):
             return True, "unsupported"

@@ -28,7 +28,7 @@ from repro.kernel.signals import SIGFPE, SIGTRAP, SignalContext
 from repro.machine.costs import DEFAULT_COSTS
 from repro.machine.program import PatchKind
 from repro.machine.registers import MXCSR_DEFAULT, MXCSR_FPVM, restore_lanes
-from repro.observability import FlowRecorder, classify_flags, flow_enabled_default
+from repro.observability import FlowRecorder, classify_flags
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,9 @@ class FPVMConfig:
     trace_compile_threshold: int = 8
     #: exception-flow observability: record NaN-box provenance (birth
     #: RIP + trap class + generation), propagation edges, kill sites
-    #: and per-RIP trap heatmaps.  None = the ``FPVM_FLOW`` environment
-    #: knob (default off); True/False force it for this run.  Purely
-    #: observational: architectural state and cycle accounting are
-    #: identical either way.
-    flow: bool | None = None
+    #: and per-RIP trap heatmaps.  Purely observational: architectural
+    #: state and cycle accounting are identical either way.
+    flow: bool = False
 
     # ------------------------------------------------- §6 preset configs
     @classmethod
@@ -139,29 +137,28 @@ class FPVM:
         self.decode_cache = DecodeCache(self.config.decode_cache_capacity)
         #: exception-flow recorder, or None when disabled — every hook
         #: site guards on that, so the disabled path costs nothing.
-        flow_on = (self.config.flow if self.config.flow is not None
-                   else flow_enabled_default())
-        self.flow = FlowRecorder() if flow_on else None
+        self.flow = FlowRecorder() if self.config.flow else None
         if self.flow is not None:
             self.allocator.on_free = self.flow.on_free
         self.emulator = Emulator(self)
         self.sequencer = SequenceEmulator(self)
         self._device_handle = None
         self._thread_handles = []
-        #: addr -> patch generation at attach time (per-site map).
-        self.patched_sites: dict[int, int] = {}
+        #: the addresses this attach patched, in patch order.
+        self.patched_sites: list[int] = []
         self.process = None
         self.attached = False
-        #: test seam: lane mask the handler body "trashes" host-side
-        #: (models the handler's own FP code clobbering the bank).  The
-        #: entry save must protect every guest lane against exactly
-        #: this — eager mode by saving all 32 lanes, lazy mode by
-        #: declaring the emulated instruction's operand lanes.
-        self.fp_scribble_mask = 0
 
     # ------------------------------------------------------------ attach
     def attach(self, cpu, kernel) -> "FPVM":
         """The LD_PRELOAD constructor: runs before the program's main."""
+        sites = self.config.patch_sites
+        if sites is not None:
+            bad = [a for a in sites if a not in cpu.program.by_addr]
+            if bad:
+                raise ConfigError("patch_sites names no instruction at "
+                                  + ", ".join(f"{a:#x}" if isinstance(a, int)
+                                              else repr(a) for a in bad))
         self.cpu = cpu
         self.kernel = kernel
         self.program = cpu.program
@@ -194,20 +191,18 @@ class FPVM:
         if self.config.wrap_foreign:
             install_wrappers(self, self.program)
 
-        # Magic page + correctness patches (§5.1, §5.2).  Patching goes
-        # through the program's per-site generation map: only caches
-        # covering these addresses invalidate, and the guest-visible
-        # DATA view of text stays bit-identical throughout.
+        # Magic page + correctness patches (§5.1, §5.2).  Each patch is
+        # logged in ``program.patch_events``, so only caches covering
+        # these addresses invalidate, and the text the guest reads
+        # stays bit-identical throughout.
         handler_id = correctness.register_demotion_handler(self._magic_demote)
         correctness.map_magic_page(cpu, handler_id)
-        fetch_view = self.program.fetch_view
-        self.patched_sites = {}
-        for addr in self._discover_patch_sites():
+        self.patched_sites = self._discover_patch_sites()
+        for addr in self.patched_sites:
             if self.config.magic_traps:
                 self.program.patch_call(addr, correctness.MagicTrampoline())
             else:
                 self.program.patch_int3(addr)
-            self.patched_sites[addr] = fetch_view.generation_at(addr)
         self.attached = True
         return self
 
@@ -252,13 +247,11 @@ class FPVM:
         self.attached = False
 
     def _discover_patch_sites(self):
-        """Patch-site discovery runs over the pristine instruction
-        stream — the DATA view's semantics — and every discovered site
-        is validated against it before patching, so discovery can never
-        be perturbed by instrumentation already applied (the profiler
+        """Patch-site discovery runs over the program's instruction
+        stream, which patches never alter, and every discovered site
+        is validated against it before any is patched (the profiler
         copies the program, which resets patch state anyway)."""
         cfg = self.config
-        data_view = self.program.data_view
         if cfg.patch_sites is not None:
             sites = sorted(cfg.patch_sites)
         elif cfg.patch_site_source == "profiler":
@@ -268,7 +261,7 @@ class FPVM:
         else:  # "none"
             sites = []
         for addr in sites:
-            data_view.instruction_at(addr)  # validate against pristine text
+            self.program.instruction_at(addr)
         return sites
 
     # ---------------------------------------------------------- handlers
@@ -325,20 +318,16 @@ class FPVM:
             mask = instr.xmm_operands() if instr is not None else 0xFFFF_FFFF
         else:
             mask = 0xFFFF_FFFF
-        bank = context.xmm
-        saved = list(map(tuple, bank))
+        saved = list(map(tuple, context.xmm))
         self.telemetry.fp_handler_lanes_saved += mask.bit_count()
-        if self.fp_scribble_mask:  # armed seam: the handler body trashes these lanes
-            for idx in range(32):
-                if self.fp_scribble_mask >> idx & 1:
-                    bank[idx >> 1][idx & 1] = 0xDEAD_BEEF_DEAD_BEEF
         return mask, saved
 
     def _fp_exit_restore(self, context, saved: tuple[int, list]) -> None:
         """Exit-stub restore: put back, pair by pair, every saved lane
         the handler did not write as a result.  Value-identical to doing
-        nothing in a clean run; with the scribble seam armed it keeps
-        handler host code from leaking into guest state."""
+        nothing in a clean run; when handler host code trashes lanes
+        after the entry save, it keeps them from leaking into guest
+        state."""
         mask, pairs = saved
         restore = mask & ~context.written_xmm
         self.telemetry.fp_handler_lanes_restored += restore.bit_count()

@@ -177,7 +177,7 @@ def run_native_process(
     scale: int | None = None,
     uops: bool | None = None,
     quantum: int = 64,
-    lazy_fp: bool | None = None,
+    lazy_fp: bool = True,
     **kw,
 ) -> NativeResult:
     """Run a (typically multi-threaded) workload under the Process
@@ -203,7 +203,7 @@ def run_fpvm_process(
     scale: int | None = None,
     uops: bool | None = None,
     quantum: int = 64,
-    lazy_fp: bool | None = None,
+    lazy_fp: bool = True,
     **kw,
 ) -> FPVMResult:
     """FPVM-attached Process run: every spawned thread is intercepted

@@ -37,8 +37,7 @@ class SignalContext:
     ``memory`` is the CPU's memory; handlers read and write them
     directly.  Nothing rebinds ``regs.gpr``/``regs.xmm`` while a
     handler runs: ``RegisterFile.restore`` runs at sigreturn, after
-    it, and the scheduler's armed leak seam between quanta.  An XMM
-    write made as a handler *result* must be reported with
+    it.  An XMM write made as a handler *result* must be reported with
     :meth:`mark` (or made through :meth:`write_xmm`)."""
 
     def __init__(self, cpu, live: bool):

@@ -146,10 +146,6 @@ class CPU:
         #: the next fetch dispatch regardless of RIP — a lingering flag
         #: could silently skip a later pre-hook at that address.
         self._suppress_patch_at: int | None = None
-        #: the FETCH code view: patched instruction stream.  The front
-        #: end fetches exclusively through this — never through raw
-        #: text bytes, which belong to the DATA view backing memory.
-        self._fetch_view = program.fetch_view
         #: run() through the pre-decoded micro-op pipeline (uops.py)
         #: instead of the single-step interpreter loop (on by default);
         #: semantics are identical either way — the engine falls back
@@ -169,9 +165,9 @@ class CPU:
     def _load_image(self) -> None:
         prog = self.program
         # Text: read+exec, NOT writable => excluded from the GC page scan.
-        # The image is backed by the DATA view (pristine bytes) so guest
+        # Patches are pre-hook metadata, never byte splices, so guest
         # loads from TEXT_BASE never observe instrumentation.
-        text = prog.data_view.text_bytes()
+        text = prog.text
         addr = prog.text_base
         end = prog.text_base + len(text)
         while addr < end:
@@ -262,28 +258,28 @@ class CPU:
         pre-hooks run their trampoline in user space and fall through —
         the patched instruction executes natively in this same step.
 
-        Fetch goes exclusively through the FETCH code view; the raw
-        text bytes in memory belong to the DATA view and are never
+        Fetch reads ``program.patches`` and ``program.by_addr``; the
+        text bytes in guest memory are data only and are never
         decoded.  The one-shot suppress flag set by
         :meth:`resume_at` is consumed by this dispatch *regardless* of
         RIP — a re-delivered trap that resumes somewhere else must not
         leave a live skip for a later pre-hook at the original address.
         """
         rip = self.regs.rip
-        view = self._fetch_view
+        prog = self.program
         suppress = self._suppress_patch_at
         if suppress is not None:
             self._suppress_patch_at = None
-        patch = view.patches.get(rip)
+        patch = prog.patches.get(rip)
         if patch is not None and suppress != rip:
             if patch.kind is PatchKind.INT3:
                 self.bp_trap_count += 1
-                self._deliver(Trap(TrapKind.BP, rip, view.by_addr.get(rip)))
+                self._deliver(Trap(TrapKind.BP, rip, prog.by_addr.get(rip)))
                 return None
             self.cycles += self.costs.magic_call + self.costs.magic_save_restore
             patch.trampoline(self, rip)
 
-        instr = view.by_addr.get(rip)
+        instr = prog.by_addr.get(rip)
         if instr is None:
             raise MachineError(f"execution fell into unmapped code at {rip:#x}")
         return instr

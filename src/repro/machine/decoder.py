@@ -101,17 +101,4 @@ def decode_instruction(raw: bytes, addr: int = 0) -> Instruction:
     return instr
 
 
-def decode_at(view, addr: int) -> Instruction:
-    """Decode the instruction at ``addr`` through a
-    :class:`~repro.machine.program.CodeView`.
-
-    This is the only sanctioned fetch path: the front end decodes the
-    FETCH view's instruction stream, never the raw text bytes living
-    in guest memory — those back the DATA view and may legitimately be
-    read by the guest itself (self-checksumming, JIT-style workloads)
-    without ever observing instrumentation.
-    """
-    return decode_instruction(view.raw_bytes_at(addr), addr=addr)
-
-
-__all__ = ["decode_instruction", "decode_at"]
+__all__ = ["decode_instruction"]

@@ -16,7 +16,6 @@ unmasking, device registration).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.errors import DeadlockError, StepLimitError
@@ -26,19 +25,6 @@ from repro.machine.program import HostFunction, Program, STACK_TOP
 
 #: each thread gets a 64 KiB stack carved below the previous one.
 THREAD_STACK_STRIDE = 0x1_0000
-
-_FALSEY = ("0", "false", "off", "no")
-
-
-def lazy_fp_enabled_default() -> bool:
-    """The FPVM_LAZY_FP escape hatch (default on): schedule FP state
-    with the hardware lazy-FPU discipline — a per-process FP owner,
-    zero save/restore for quanta that touch no FP, and a modeled
-    #NM-style switch (dirty lanes only) at the first FP touch by a
-    non-owner thread.  Off = eager full-bank spill at every context
-    switch (the xsave-everything baseline the paper's §3.1 wants to
-    avoid)."""
-    return os.environ.get("FPVM_LAZY_FP", "1").strip().lower() not in _FALSEY
 
 RDI = GPR_IDS["rdi"]
 RSI = GPR_IDS["rsi"]
@@ -54,7 +40,7 @@ class Process:
         costs=None,
         max_instructions: int = 100_000_000,
         uops: bool | None = None,
-        lazy_fp: bool | None = None,
+        lazy_fp: bool = True,
     ):
         from repro.machine.costs import DEFAULT_COSTS
         from repro.core.telemetry import SchedulerStats
@@ -85,16 +71,15 @@ class Process:
         self.join_log: list[tuple[int, int]] = []
         #: batched-quantum telemetry, accumulated across run() calls.
         self.sched = SchedulerStats()
-        #: lazy-FP discipline (§3.1, FPVM_LAZY_FP): per-process FP
-        #: ownership; None = no thread has touched FP state yet.
-        self.lazy_fp = lazy_fp_enabled_default() if lazy_fp is None else lazy_fp
+        #: lazy-FP discipline (§3.1): a per-process FP owner, zero
+        #: save/restore for quanta that touch no FP, and a modeled
+        #: #NM-style switch (dirty lanes only) at the first FP touch by
+        #: a non-owner thread.  False = the eager full-bank spill at
+        #: every context switch (the xsave-everything baseline).
+        self.lazy_fp = lazy_fp
+        #: the thread owning the FP unit; None = no thread has touched
+        #: FP state yet.
         self.fp_owner: CPU | None = None
-        #: fault-injection seam for the LazyFP leak oracle: when armed,
-        #: a non-owner thread's quantum starts with the previous
-        #: owner's XMM bank visible — the stale physical registers a
-        #: *skipped* ownership switch would leak — and the switch
-        #: bookkeeping itself is skipped.
-        self.fp_skip_switch = False
         #: last thread a quantum was dispatched to (eager-spill and
         #: save-elision accounting both key on actual context switches).
         self._fp_prev_dispatch: CPU | None = None
@@ -191,14 +176,7 @@ class Process:
                 raise DeadlockError("deadlock: all live threads blocked in join")
             for thread in runnable:
                 switched_in = thread is not self._fp_prev_dispatch
-                if lazy:
-                    if (self.fp_skip_switch and self.fp_owner is not None
-                            and thread is not self.fp_owner):
-                        # Armed leak seam: the skipped switch leaves the
-                        # previous owner's state in the physical bank.
-                        thread.regs.xmm = [
-                            lanes[:] for lanes in self.fp_owner.regs.xmm]
-                elif switched_in:
+                if not lazy and switched_in:
                     self._fp_eager_switch(thread)
                 self._fp_prev_dispatch = thread
                 retired = thread.run_quantum(min(quantum, limit - steps))
@@ -207,13 +185,7 @@ class Process:
                     touched = thread.fp_quantum_touched
                     thread.fp_quantum_touched = False
                     if touched and thread is not self.fp_owner:
-                        if self.fp_skip_switch:
-                            # Armed seam: ownership bookkeeping happens
-                            # but the state swap silently doesn't — the
-                            # LazyFP bug class the leak oracle must catch.
-                            self.fp_owner = thread
-                        else:
-                            self._fp_nm_switch(thread)
+                        self._fp_nm_switch(thread)
                     elif switched_in:
                         sched.fp_saves_elided += 1
                 steps += retired
@@ -270,7 +242,7 @@ class Process:
         self.fp_owner = thread
 
     def _fp_eager_switch(self, thread: CPU) -> None:
-        """Eager baseline (FPVM_LAZY_FP=0): every context switch spills
+        """Eager baseline (``lazy_fp=False``): every context switch spills
         the outgoing thread's whole XMM bank and reloads the incoming
         one's, FP user or not — the host-side copy work lazy mode
         elides."""

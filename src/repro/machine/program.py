@@ -66,94 +66,6 @@ class HostFunction:
     fp_ret: bool = False
 
 
-class ViewKind(Enum):
-    """The two shadow views of guest text (virtual-breakpoint model)."""
-
-    #: what the front end executes: pristine encodings plus the patch
-    #: pre-hooks, with patch marker bytes in the guest-visible image.
-    FETCH = "fetch"
-    #: what guest loads from text addresses return: the original bytes,
-    #: bit-identical no matter how much instrumentation is live.
-    DATA = "data"
-
-
-#: guest-visible first byte at a patched site in the FETCH image
-#: (``int3`` / ``call rel32`` opcodes, the e9patch splice).
-_PATCH_MARKERS = {PatchKind.INT3: 0xCC, PatchKind.MAGIC_CALL: 0xE8}
-
-_NO_PATCHES: dict[int, Patch] = {}
-
-
-class CodeView:
-    """One face of the guest text: FETCH (patched) or DATA (pristine).
-
-    Both views decode to the same instruction stream — patches are
-    pre-hook metadata, not byte splices, so ``raw_bytes_at`` always
-    returns a decodable encoding.  They differ in two places:
-
-    - ``patch_at``/``patches``: the FETCH view exposes the live patch
-      table (the front end must deliver pre-hooks); the DATA view
-      reports no patches ever.
-    - ``text_bytes``/``bytes_at``: the guest-visible byte image.  The
-      FETCH image shows the marker byte a binary patcher would have
-      spliced at each patched site; the DATA image is the pristine
-      ``Program.text``.
-
-    The hot fetch path reads ``view.patches`` and ``view.by_addr``
-    directly — both are the program's own dicts (or a shared immutable
-    empty dict for DATA patches), so views add no per-step overhead.
-    """
-
-    __slots__ = ("program", "kind", "patches", "by_addr")
-
-    def __init__(self, program: "Program", kind: ViewKind) -> None:
-        self.program = program
-        self.kind = kind
-        self.patches = program.patches if kind is ViewKind.FETCH else _NO_PATCHES
-        self.by_addr = program.by_addr
-
-    def instruction_at(self, addr: int) -> Instruction:
-        return self.program.instruction_at(addr)
-
-    def raw_bytes_at(self, addr: int) -> bytes:
-        """Decodable encoding of the instruction at ``addr`` (decoder
-        feed on a decode-cache miss) — identical in both views."""
-        return self.program.instruction_at(addr).raw
-
-    def patch_at(self, addr: int) -> Patch | None:
-        return self.patches.get(addr)
-
-    def generation_at(self, addr: int) -> int:
-        """How many patch-state changes have touched ``addr`` as seen
-        through this view (always 0 for DATA)."""
-        if self.kind is ViewKind.DATA:
-            return 0
-        return self.program.patch_gen.get(addr, 0)
-
-    def text_bytes(self) -> bytes:
-        """The guest-visible byte image of the text section."""
-        prog = self.program
-        if self.kind is ViewKind.DATA or not self.patches:
-            return prog.text
-        image = bytearray(prog.text)
-        base = prog.text_base
-        for addr, patch in self.patches.items():
-            off = addr - base
-            if 0 <= off < len(image):
-                image[off] = _PATCH_MARKERS[patch.kind]
-        return bytes(image)
-
-    def bytes_at(self, addr: int, size: int) -> bytes:
-        """``size`` guest-visible bytes starting at ``addr``."""
-        off = addr - self.program.text_base
-        if off < 0:
-            raise ValueError(f"{addr:#x} below text base")
-        return self.text_bytes()[off : off + size]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<CodeView {self.kind.value} of {len(self.by_addr)} instrs>"
-
-
 class Program:
     """An assembled binary."""
 
@@ -169,11 +81,11 @@ class Program:
         self.entry: int = TEXT_BASE
         self.host_functions: dict[int, HostFunction] = {}
         self._next_host_addr = HOST_FUNC_BASE
+        #: live pre-hooks, addr -> patch.  Patches are metadata the
+        #: front end consults before executing an address; they never
+        #: splice bytes, so ``text`` stays the pristine image the guest
+        #: reads (§2.6, §5.2).
         self.patches: dict[int, Patch] = {}
-        #: per-address patch generation: addr -> number of patch-state
-        #: changes that have touched that site.  Caches compare
-        #: generations per site instead of flushing wholesale.
-        self.patch_gen: dict[int, int] = {}
         #: append-only log of patched addresses, one entry per
         #: patch-state change.  ``patch_seq`` (== len(patch_events)) is
         #: the global cursor; consumers remember the last sequence they
@@ -182,8 +94,6 @@ class Program:
         self.patch_seq: int = 0
         #: source line info for diagnostics: addr -> line number.
         self.lines: dict[int, int] = {}
-        self.fetch_view = CodeView(self, ViewKind.FETCH)
-        self.data_view = CodeView(self, ViewKind.DATA)
 
     # ------------------------------------------------------------ build
     def add_instruction(self, instr: Instruction) -> None:
@@ -237,9 +147,17 @@ class Program:
 
     # -------------------------------------------------------- patching
     def _note_patch_change(self, addr: int) -> None:
-        self.patch_gen[addr] = self.patch_gen.get(addr, 0) + 1
         self.patch_events.append(addr)
         self.patch_seq += 1
+
+    def sites_since(self, cursor: int | None) -> set[int] | None:
+        """Sites whose patch state changed after ``cursor`` (a
+        ``patch_seq`` a consumer recorded earlier).  ``None`` for an
+        unset cursor: the consumer has seen nothing yet and adopts
+        ``patch_seq`` as it stands."""
+        if cursor is None:
+            return None
+        return set(self.patch_events[cursor:])
 
     def patch_int3(self, addr: int) -> None:
         """Insert an ``int3``-style breakpoint in front of ``addr``."""
@@ -310,10 +228,7 @@ class Program:
         clone.host_functions = dict(self.host_functions)
         clone._next_host_addr = self._next_host_addr
         clone.patches = {a: _copy.copy(p) for a, p in self.patches.items()}
-        clone.patch_gen = dict(self.patch_gen)
         clone.patch_events = list(self.patch_events)
         clone.patch_seq = self.patch_seq
         clone.lines = self.lines
-        clone.fetch_view = CodeView(clone, ViewKind.FETCH)
-        clone.data_view = CodeView(clone, ViewKind.DATA)
         return clone

@@ -1347,15 +1347,11 @@ class SuperblockCache:
         seq = program.patch_seq
         if seq == self.epoch:
             return False
-        if self.epoch is None or seq < self.epoch:
-            # first observation (or a program with a shorter history,
-            # e.g. a fresh fork): adopt the cursor — nothing cached was
-            # built under an unseen patch state.
-            self.epoch = seq
-            return False
-        sites = set(program.patch_events[self.epoch:seq])
+        # None on first observation: nothing cached was built under an
+        # unseen patch state, so the cursor just adopts ``seq``.
+        sites = program.sites_since(self.epoch)
         self.epoch = seq
-        return self._invalidate_sites(sites)
+        return bool(sites) and self._invalidate_sites(sites)
 
     def _invalidate_sites(self, sites: set) -> bool:
         """Per-site invalidation across every thread/guest view."""
@@ -1489,7 +1485,7 @@ class UopEngine:
         cpu = self.cpu
         regs = cpu.regs
         prog = cpu.program
-        patches = cpu._fetch_view.patches
+        patches = prog.patches
         cache = self.cache
         blocks = self._blocks
         stats = self.stats
@@ -1644,9 +1640,8 @@ class UopEngine:
         stretches a live block covers out of its bound closures."""
         cpu = self.cpu
         prog = cpu.program
-        view = cpu._fetch_view
-        by_addr = view.by_addr
-        patches = view.patches
+        by_addr = prog.by_addr
+        patches = prog.patches
         probe = self._probe
         blocks = self._blocks
         inner = self._inner

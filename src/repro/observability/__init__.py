@@ -8,7 +8,6 @@ from repro.observability.flow import (
     TRAP_CLASSES,
     FlowRecorder,
     classify_flags,
-    flow_enabled_default,
 )
 from repro.observability.render import render_flow_graph, render_trap_heatmap
 
@@ -17,7 +16,6 @@ __all__ = [
     "TRAP_CLASSES",
     "FlowRecorder",
     "classify_flags",
-    "flow_enabled_default",
     "render_flow_graph",
     "render_trap_heatmap",
 ]

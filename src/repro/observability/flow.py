@@ -7,7 +7,8 @@ instructions propagated it, and where it left boxed space.  This
 module is that layer.
 
 One :class:`FlowRecorder` hangs off an attached FPVM (``vm.flow``)
-when the ``FPVM_FLOW`` knob (or the ``flow`` config field) enables it.
+when the ``flow`` config field enables it (default off: provenance
+is an observability feature, not part of the virtualization).
 The recorder is fed from a single seam — the emulator's
 resolve/produce/demote value-flow helpers plus the VM's trap
 entry/exit — so the interpreter and chained execution tiers all
@@ -41,7 +42,6 @@ the structures are deterministic and directly comparable across tiers
 
 from __future__ import annotations
 
-import os
 from collections import Counter, defaultdict
 
 #: every #XF class a delivered trap can carry, in classification
@@ -54,15 +54,6 @@ TRAP_CLASSES = ("invalid", "divzero", "denormal", "overflow",
 
 #: kill reasons, for reference/rendering.
 KILL_REASONS = ("consumed", "clamped", "demoted", "collected")
-
-_FALSEY = {"", "0", "off", "false", "no"}
-
-
-def flow_enabled_default() -> bool:
-    """The ``FPVM_FLOW`` environment knob (default *off*: provenance
-    is an observability feature, not part of the virtualization)."""
-    return os.environ.get("FPVM_FLOW", "0").strip().lower() not in _FALSEY
-
 
 def classify_flags(flags) -> str:
     """Map one delivered trap's :class:`~repro.fpu.ieee.FPFlags` to its

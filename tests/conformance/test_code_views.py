@@ -1,9 +1,9 @@
-"""Shadow-code-view conformance gates: the self-checksumming guest is
+"""Patch-invisibility conformance gates: the self-checksumming guest is
 bit-identical across patch configurations, a guest reading its own
 bytes mid-run never observes instrumentation while cached superblocks
-stay live, the DATA-view backing is demonstrably load-bearing, and the
-per-site invalidation tier replays bit-identically against the seed
-journal with live patches."""
+stay live, keeping patches out of the text image is demonstrably
+load-bearing, and the per-site invalidation tier replays
+bit-identically against the seed journal with live patches."""
 
 import hashlib
 
@@ -22,7 +22,7 @@ from repro.core.vm import FPVM, FPVMConfig
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.cpu import CPU
 from repro.machine.memory import PAGE_SIZE, PROT_EXEC, PROT_READ, PROT_WRITE
-from repro.machine.program import TEXT_BASE
+from repro.machine.program import TEXT_BASE, PatchKind
 
 
 @pytest.fixture(scope="module")
@@ -52,19 +52,32 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+#: first byte a binary patcher splices at a patched site (``int3`` /
+#: ``call rel32`` opcodes, the e9patch splice).
+_PATCH_MARKERS = {PatchKind.INT3: 0xCC, PatchKind.MAGIC_CALL: 0xE8}
+
+
+def _spliced_text(program) -> bytes:
+    """``program.text`` with each live patch's marker byte spliced in."""
+    image = bytearray(program.text)
+    for addr, patch in program.patches.items():
+        image[addr - TEXT_BASE] = _PATCH_MARKERS[patch.kind]
+    return bytes(image)
+
+
 @pytest.fixture
 def fetch_backed_run():
     """The negative control: the SEQ run of the checksum guest with the
-    FETCH view's image — patch markers included — written into the
-    guest's text pages after attach, as if text were backed by the
-    patched stream instead of the pristine DATA view."""
+    patch markers spliced into ``program.text`` and written into the
+    guest's text pages after attach, as if patches were byte splices
+    instead of pre-hook metadata."""
     _, words = build_checksum_program()
     program, _ = build_checksum_program(words)
     cpu = CPU(program)
     kernel = LinuxKernel()
     cpu.kernel = kernel
     FPVM(FPVMConfig.seq(trace_compile_threshold=2)).attach(cpu, kernel)
-    text = program.fetch_view.text_bytes()
+    text = _spliced_text(program)
     pages = range(TEXT_BASE, TEXT_BASE + len(text), PAGE_SIZE)
     for pg in pages:
         cpu.mem.protect(pg, PROT_READ | PROT_WRITE)
@@ -77,14 +90,14 @@ def fetch_backed_run():
         "reference_output": native_reference(words),
         "patches": len(program.patches),
         "text_digest": _sha(cpu.mem.read_bytes(TEXT_BASE, len(text))),
-        "pristine_text_digest": _sha(program.data_view.text_bytes()),
+        "pristine_text_digest": _sha(program.text),
     }
 
 
 def test_shadow_view_off_is_observable(fetch_backed_run):
-    """With the FETCH image in its text pages the same guest must *see*
-    the patch markers (checksum and digest diverge) — proof the
-    DATA-view backing is load-bearing, not vacuously equal."""
+    """With the markers in its text pages the same guest must *see*
+    them (checksum and digest diverge) — proof that keeping patches
+    out of the text image is load-bearing, not vacuously equal."""
     report = fetch_backed_run
     assert report["patches"] >= 1
     assert report["output"] != report["reference_output"], report

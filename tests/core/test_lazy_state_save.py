@@ -3,8 +3,8 @@
 ``lazy_state_save`` must remain a *behavioural* mode — saving only the
 trapped instruction's declared clobber set — not degrade back into a
 cost-only knob that merely charges a cheaper entry fee.  The
-``fp_scribble_mask`` seam models handler host code trashing XMM
-registers: lanes inside the save set must come back, lanes outside it
+:func:`_scribble_after_save` fixture models handler host code trashing
+XMM registers: lanes inside the save set must come back, lanes outside it
 must observably stay trashed under the lazy discipline (that asymmetry
 is exactly what a save-everything degradation would erase)."""
 
@@ -36,6 +36,26 @@ main:
 SCRIBBLE = (1 << 31) | (1 << 30) | (1 << 1)
 
 
+def _scribble_after_save(vm, mask: int) -> None:
+    """Model the handler body's own FP code clobbering the bank: every
+    entry save is followed by ``DEADBEEF`` in each lane of ``mask``.
+    The save must protect every guest lane against exactly this —
+    eager mode by saving all 32 lanes, lazy mode by declaring the
+    emulated instruction's operand lanes."""
+    if not mask:
+        return
+    save = vm._fp_entry_save
+
+    def entry_save(context, trap):
+        saved = save(context, trap)
+        for idx in range(32):
+            if mask >> idx & 1:
+                context.xmm[idx >> 1][idx & 1] = DEADBEEF
+        return saved
+
+    vm._fp_entry_save = entry_save
+
+
 def _run(lazy: bool, scribble: int = 0):
     prog = assemble(SRC)
     install_host_library(prog)
@@ -44,7 +64,7 @@ def _run(lazy: bool, scribble: int = 0):
     cpu.kernel = kernel
     vm = FPVM(FPVMConfig(trap_all_fp=True, lazy_state_save=lazy))
     vm.attach(cpu, kernel)
-    vm.fp_scribble_mask = scribble
+    _scribble_after_save(vm, scribble)
     cpu.run()
     return cpu, vm
 
@@ -159,7 +179,7 @@ top:
 def test_handler_lane_counters_pinned(short, lazy, seq, traps, saved, restored):
     """The entry/exit stubs' lane counters, pinned for both save modes
     and both delivery paths (frame-mode signal contexts and live
-    short-circuit contexts), with and without the scribble seam armed:
+    short-circuit contexts), with and without the scribble fixture armed:
     a lane is saved if it is in the mode's mask and restored if the
     handler did not write it.  The ``print_f64`` wrapper's state guard
     is pinned alongside."""
@@ -172,7 +192,7 @@ def test_handler_lane_counters_pinned(short, lazy, seq, traps, saved, restored):
         cpu.kernel = kernel
         vm = FPVM(FPVMConfig(sequence_emulation=seq, lazy_state_save=lazy,
                              trap_short_circuit=short)).attach(cpu, kernel)
-        vm.fp_scribble_mask = scribble
+        _scribble_after_save(vm, scribble)
         cpu.run()
         t = vm.telemetry
         delivered = t.short_circuit_traps if short else t.signal_traps
@@ -182,7 +202,7 @@ def test_handler_lane_counters_pinned(short, lazy, seq, traps, saved, restored):
             (2, 1) if lazy else (64, 63))
         outputs[scribble] = cpu.output
         # xmm15 is outside every clobber set: only the eager save
-        # protects it from the seam.
+        # protects it from the scribble.
         trashed = scribble and lazy
         assert cpu.regs.xmm[15] == ([DEADBEEF, DEADBEEF] if trashed else [0, 0])
     assert outputs[0] == outputs[SCRIBBLE] == ["6587902317075462.0"]

@@ -362,6 +362,31 @@ def test_zero_stays_a_valid_config_value():
     assert vm.config.trace_compile_threshold == 0
 
 
+def test_bad_patch_site_is_a_config_error():
+    """A ``patch_sites`` address with no instruction there fails
+    ``attach`` with :class:`ConfigError` naming it, before the VM, the
+    thread or the program changes."""
+    from repro.harness import runner
+    from repro.machine.registers import MXCSR_DEFAULT
+
+    with pytest.raises(ConfigError, match="0x123"):
+        runner.run_fpvm("lorenz", FPVMConfig.seq(patch_sites=frozenset({0x123})),
+                        scale=20)
+    prog = assemble(LOOP_SRC)
+    install_host_library(prog)
+    cpu = CPU(prog)
+    kernel = LinuxKernel()
+    cpu.kernel = kernel
+    good = prog.instructions[0].addr
+    vm = FPVM(FPVMConfig.seq(patch_sites=frozenset({good, 0x123})))
+    with pytest.raises(ConfigError, match="0x123"):
+        vm.attach(cpu, kernel)
+    assert vm.cpu is None and not vm.attached
+    assert cpu.regs.mxcsr == MXCSR_DEFAULT
+    assert prog.patches == {} and prog.patch_seq == 0
+    assert "print_f64$fpvm" not in prog.symbols
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "attach installs the foreign-call wrappers before the profiling pass, "
     "whose program copy shares the rewritten symbol table and so runs the "

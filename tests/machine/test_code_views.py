@@ -1,6 +1,6 @@
-"""Shadow code views: the split FETCH/DATA views of guest text, the
-DATA-backed text image that keeps patches invisible to guest loads, per-site
-cache invalidation, and the suppress-patch consumption fix."""
+"""Patch state: the patch log and its one reader, the pristine text
+image that keeps patches invisible to guest loads, per-site cache
+invalidation, and the suppress-patch consumption fix."""
 
 import pytest
 
@@ -8,12 +8,8 @@ from repro.conformance.generators import fuzz_program
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.assembler import assemble
 from repro.machine.cpu import CPU
-from repro.machine.decoder import decode_at
-from repro.machine.program import (
-    TEXT_BASE,
-    PatchKind,
-    ViewKind,
-)
+from repro.machine.decoder import decode_instruction
+from repro.machine.program import TEXT_BASE, PatchKind
 from repro.workloads import build_program
 
 
@@ -25,47 +21,45 @@ class _Tramp:
         self.calls += 1
 
 
-class TestCodeView:
-    def test_views_disagree_only_at_patched_sites(self):
+class TestPatchLog:
+    def test_patch_leaves_raw_bytes_and_decode(self):
+        """Patches are pre-hook metadata, not byte splices: the bytes
+        the decoder reads at a patched site, and their decode, do not
+        change."""
         prog = fuzz_program(9)
         addr = prog.instructions[0].addr
-        assert prog.fetch_view.kind is ViewKind.FETCH
-        assert prog.data_view.kind is ViewKind.DATA
-        assert prog.fetch_view.text_bytes() == prog.text
-        prog.patch_int3(addr)
-        fetch = prog.fetch_view.text_bytes()
-        data = prog.data_view.text_bytes()
-        assert data == prog.text
-        off = addr - TEXT_BASE
-        assert fetch[off] == 0xCC
-        assert fetch[:off] == prog.text[:off]
-        assert fetch[off + 1:] == prog.text[off + 1:]
-
-    def test_raw_bytes_identical_across_views(self):
-        """Patches are pre-hook metadata, not byte splices: decode
-        reads pristine raw bytes through either view."""
-        prog = fuzz_program(9)
-        addr = prog.instructions[0].addr
+        text = prog.text
+        raw = prog.raw_bytes_at(addr)
+        before = decode_instruction(raw, addr=addr)
         prog.patch_call(addr, _Tramp())
-        assert (prog.fetch_view.raw_bytes_at(addr)
-                == prog.data_view.raw_bytes_at(addr))
-        assert prog.fetch_view.patch_at(addr).kind is PatchKind.MAGIC_CALL
-        assert prog.data_view.patch_at(addr) is None
-        for view in (prog.fetch_view, prog.data_view):
-            assert decode_at(view, addr).raw == prog.by_addr[addr].raw
+        assert prog.patches[addr].kind is PatchKind.MAGIC_CALL
+        assert prog.raw_bytes_at(addr) == raw == prog.by_addr[addr].raw
+        assert prog.text == text
+        after = decode_instruction(prog.raw_bytes_at(addr), addr=addr)
+        assert after == before
+        assert (after.mnemonic, after.operands) == (
+            prog.by_addr[addr].mnemonic, prog.by_addr[addr].operands)
 
-    def test_generation_tracking(self):
+    def test_patch_unpatch_patch_logs_three_events(self):
         prog = fuzz_program(9)
         a0 = prog.instructions[0].addr
-        a1 = prog.instructions[1].addr
-        assert prog.fetch_view.generation_at(a0) == 0
         prog.patch_int3(a0)
         prog.unpatch(a0)
         prog.patch_int3(a0)
-        assert prog.fetch_view.generation_at(a0) == 3
-        assert prog.fetch_view.generation_at(a1) == 0
-        assert prog.data_view.generation_at(a0) == 0
+        assert prog.patch_events == [a0, a0, a0]
         assert prog.patch_seq == 3
+
+    def test_sites_since(self):
+        prog = fuzz_program(9)
+        a0, a1 = prog.instructions[0].addr, prog.instructions[1].addr
+        assert prog.sites_since(None) is None     # unset cursor adopts
+        prog.patch_int3(a0)
+        cursor = prog.patch_seq
+        prog.patch_int3(a1)
+        prog.unpatch(a1)
+        assert prog.sites_since(0) == {a0, a1}
+        assert prog.sites_since(cursor) == {a1}
+        assert prog.sites_since(prog.patch_seq) == set()
 
     def test_copy_gets_independent_patch_state(self):
         prog = fuzz_program(9)
@@ -75,7 +69,6 @@ class TestCodeView:
         clone.clear_patches()
         assert prog.patches                     # parent untouched
         assert clone.patch_seq == prog.patch_seq + 1
-        assert clone.fetch_view.patches is clone.patches
 
 
 class TestShadowViewMemory:

@@ -1,17 +1,14 @@
 """Lazy FP state management across quanta (§3.1): ownership tracking,
-dirty-summary elision, tier parity, the FPVM_LAZY_FP knob, and the
-skip-switch leak seam."""
+dirty-summary elision, tier parity, the lazy default, and the
+skipped-switch leak fixture."""
 
 import pytest
 
+from repro.conformance.faults import arm_skipped_switch
 from repro.conformance.scheduling import process_fingerprint
 from repro.machine.assembler import assemble
 from repro.machine.cpu import CPU, ENGINE_TIERS, TIERS
-from repro.machine.process import (
-    Process,
-    fork_process,
-    lazy_fp_enabled_default,
-)
+from repro.machine.process import Process, fork_process
 from repro.workloads import build_program
 
 DEADBEEF = 0xDEAD_BEEF_DEAD_BEEF
@@ -27,21 +24,9 @@ def _mixed_proc(lazy, *, uops=True, scale=40):
 
 
 # ------------------------------------------------------------- the knob
-def test_knob_defaults_on(monkeypatch):
-    monkeypatch.delenv("FPVM_LAZY_FP", raising=False)
-    assert lazy_fp_enabled_default() is True
+def test_knob_defaults_on():
     assert Process(assemble("main:\n  hlt\n")).lazy_fp is True
-
-
-@pytest.mark.parametrize("value,expected", [
-    ("0", False), ("false", False), ("off", False), ("no", False),
-    ("1", True), ("on", True),
-])
-def test_knob_env_values(monkeypatch, value, expected):
-    monkeypatch.setenv("FPVM_LAZY_FP", value)
-    assert lazy_fp_enabled_default() is expected
-    # an explicit constructor argument always wins over the environment
-    assert Process(assemble("main:\n  hlt\n"), lazy_fp=True).lazy_fp is True
+    assert Process(assemble("main:\n  hlt\n"), lazy_fp=False).lazy_fp is False
 
 
 # ------------------------------------------- ownership, elision, masks
@@ -154,7 +139,7 @@ def test_skip_switch_seam_leaks_owner_bank():
     clean = _mixed_proc(lazy=True)
     clean.run()
     armed = _mixed_proc(lazy=True)
-    armed.fp_skip_switch = True
+    arm_skipped_switch(armed)
     armed.run()
     # the seam must not change scheduling, so instruction counts agree;
     # whether output leaks depends on the program reading before writing

@@ -29,7 +29,6 @@ from repro.observability import (
     TRAP_CLASSES,
     FlowRecorder,
     classify_flags,
-    flow_enabled_default,
 )
 
 pytestmark = pytest.mark.flow
@@ -178,21 +177,10 @@ def test_all_tiers_produce_identical_flow_graphs(workload, scale):
 
 
 # ----------------------------------------------------------- purity
-def test_flow_disabled_by_default(monkeypatch):
-    monkeypatch.delenv("FPVM_FLOW", raising=False)
-    assert flow_enabled_default() is False
+def test_flow_disabled_by_default():
+    assert FPVMConfig().flow is False
     result = run_fpvm("denorm_storm", FPVMConfig.seq_short(), scale=5)
     assert result.flow is None
-
-
-def test_env_knob_enables_flow(monkeypatch):
-    monkeypatch.setenv("FPVM_FLOW", "1")
-    assert flow_enabled_default() is True
-    result = run_fpvm("denorm_storm", FPVMConfig.seq_short(), scale=5)
-    assert result.flow is not None
-    # the explicit config field wins over the environment.
-    off = run_fpvm("denorm_storm", FPVMConfig.seq_short(flow=False), scale=5)
-    assert off.flow is None
 
 
 @given(seed=st.integers(min_value=0, max_value=63))

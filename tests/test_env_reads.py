@@ -1,15 +1,16 @@
 """Environment reads under ``src/repro``: the execution tiers are
 chosen through ``CPU(uops=)``, ``Process(...)`` and
-``repro.machine.cpu.TIERS``, never through the environment.  The only
-variables the package reads are the two observability/scheduling knobs
-below; a new ``FPVM_*`` variable must be a deliberate addition here."""
+``repro.machine.cpu.TIERS``, lazy FP switching through
+``Process(lazy_fp=)`` and flow recording through ``FPVMConfig.flow``,
+never through the environment.  The package reads no variable at all;
+a new one must be a deliberate addition here."""
 
 import ast
 from pathlib import Path
 
 import repro
 
-ALLOWED = {"FPVM_FLOW", "FPVM_LAZY_FP"}
+ALLOWED: set[str] = set()
 
 SRC = Path(repro.__file__).resolve().parent
 
