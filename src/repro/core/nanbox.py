@@ -65,14 +65,3 @@ def unbox(bits: int) -> tuple[int, bool]:
         raise ValueError(f"{bits:#x} is not a boxed pattern")
     return bits & NANBOX_PTR_MASK, bool(bits & B.F64_SIGN_MASK)
 
-
-def classify_nan(bits: int, allocator) -> str:
-    """The paper's three-way NaN taxonomy: "ours", "theirs" (the
-    application's), or not a NaN at all."""
-    if not B.is_nan(bits):
-        return "not_nan"
-    if is_boxed(bits):
-        ptr, _ = unbox(bits)
-        if allocator.owns(ptr):
-            return "ours"
-    return "theirs"

@@ -233,10 +233,16 @@ class SequenceEmulator:
         carries the prefix already executed by a compiled trace whose
         recorded terminator turned out not to stop this time."""
         vm = self.vm
+        by_addr = vm.program.by_addr
         terminator = ""
         reason = "single"
 
         while True:
+            if addr not in by_addr:
+                # Ran off the end of text: nothing to fetch here, and
+                # the CPU faults on it when execution resumes.
+                reason = "no_instruction"
+                break
             instr = self._fetch(addr)
             if emulated:
                 stop, why = self._should_stop(instr, context)

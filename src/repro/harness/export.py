@@ -1,4 +1,4 @@
-"""JSON export/import of run results.
+"""Export of run results as JSON-ready dicts, and their comparison.
 
 Reproduction runs should be archivable and diffable: `result_to_dict`
 captures everything a run reports (outputs, cycle ledger, the run's
@@ -9,7 +9,6 @@ EXPERIMENTS.md compares paper vs. measured.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from repro.core.telemetry import rates
@@ -53,36 +52,6 @@ def native_to_dict(native) -> dict:
         "instructions": native.instructions,
         "output": list(native.output),
     }
-
-
-def comparison_to_dict(comparison) -> dict:
-    """Serialize a :class:`~repro.harness.runner.Comparison`."""
-    return {
-        "schema": SCHEMA_VERSION,
-        "workload": comparison.workload,
-        "native": native_to_dict(comparison.native),
-        "runs": {name: result_to_dict(r) for name, r in comparison.runs.items()},
-        "slowdowns": {name: comparison.slowdown(name) for name in comparison.runs},
-        "lower_bound_slowdowns": {
-            name: comparison.slowdown_from_lower_bound(name)
-            for name in comparison.runs
-        },
-    }
-
-
-def save_json(data: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-
-
-def load_json(path) -> dict:
-    with open(path) as fh:
-        data = json.load(fh)
-    if data.get("schema") != SCHEMA_VERSION:
-        raise ValueError(
-            f"archive schema {data.get('schema')!r} != {SCHEMA_VERSION}"
-        )
-    return data
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,3 @@ def install_host_library(program: Program) -> dict[str, int]:
         host = HostFunction(name=name, fn=fn, cost=cost, fp_args=fp_args, fp_ret=fp_ret)
         added[name] = program.register_host_function(host)
     return added
-
-
-def library_names() -> frozenset[str]:
-    return frozenset(_LIBRARY)

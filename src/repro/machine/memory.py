@@ -33,29 +33,18 @@ class _Page:
 
 
 class Memory:
-    """Lazily-populated sparse memory.
+    """Lazily-populated sparse memory: the first touch of an unmapped
+    address maps a fresh RW page (stacks, heap and BSS need no explicit
+    mapping).
 
-    ``auto_map`` controls whether first-touch allocates a fresh RW page
-    (convenient for stacks and BSS) or faults.  The simulator keeps
-    auto-mapping on; analyses that want strictness can disable it.
-
-    Cloned memories (:meth:`clone_pages`) share pages copy-on-write:
-    shared frozen pages live in ``_cow`` (never in ``_pages``), so the
-    single-page fast paths — :meth:`observed_load`/:meth:`observed_store`
-    and the uop pipeline's inlined closures, which all index ``_pages``
-    directly — miss on them and fall back to the generic accessors,
-    where the first write materializes a private copy.  ``cow_faults``
-    counts those materializations.
+    The single-page fast paths — :meth:`observed_load`/
+    :meth:`observed_store` and the uop pipeline's inlined closures —
+    index ``_pages`` directly and hand everything else to the generic
+    accessors.
     """
 
-    def __init__(self, auto_map: bool = True) -> None:
+    def __init__(self) -> None:
         self._pages: dict[int, _Page] = {}
-        #: pno -> frozen page shared with clone relatives.  Entries are
-        #: immutable by contract: every sharer copies before writing.
-        self._cow: dict[int, _Page] = {}
-        #: pages privately materialized by a write to a shared page.
-        self.cow_faults = 0
-        self.auto_map = auto_map
         #: observers for the PIN-like profiler, called after each
         #: observed access as fn(addr, size, kind, value) with kind in
         #: {"fp_store", "int_store", "fp_load", "int_load"}; ``value``
@@ -63,134 +52,42 @@ class Memory:
         self.observers: list = []
 
     # ------------------------------------------------------------- pages
-    def _materialize(self, pno: int) -> _Page:
-        """Replace the shared ``_cow`` page ``pno`` with a private deep
-        copy in ``_pages`` (the copy-on-write fault path).  The frozen
-        original stays behind for the other sharers."""
-        shared = self._cow.pop(pno)
-        page = _Page(bytearray(shared.data), shared.prot)
-        self._pages[pno] = page
-        return page
-
     def map_page(self, addr: int, prot: int = PROT_READ | PROT_WRITE) -> None:
         """Map the page containing ``addr`` (idempotent; updates prot)."""
         pno = addr >> PAGE_SHIFT
         page = self._pages.get(pno)
         if page is None:
-            if pno in self._cow:
-                page = self._materialize(pno)
-                page.prot = prot
-            else:
-                self._pages[pno] = _Page(bytearray(PAGE_SIZE), prot)
+            self._pages[pno] = _Page(bytearray(PAGE_SIZE), prot)
         else:
             page.prot = prot
 
     def protect(self, addr: int, prot: int) -> None:
         pno = addr >> PAGE_SHIFT
-        if pno in self._pages:
-            self._pages[pno].prot = prot
-        elif pno in self._cow:
-            # protection is per-sharer state; a shared frozen page must
-            # go private before its prot can diverge.
-            self._materialize(pno).prot = prot
-        else:
+        if pno not in self._pages:
             raise MemoryFault(f"mprotect of unmapped page {pno:#x}")
-
-    def is_mapped(self, addr: int) -> bool:
-        pno = addr >> PAGE_SHIFT
-        return pno in self._pages or pno in self._cow
+        self._pages[pno].prot = prot
 
     def writable_pages(self) -> list[int]:
-        """Base addresses of all writable pages (the GC root scan set).
-        Shared COW pages count: they are logically writable, the write
-        just materializes first."""
-        out = [
+        """Base addresses of all writable pages (the GC root scan set)."""
+        return sorted(
             pno << PAGE_SHIFT
             for pno, page in self._pages.items()
             if page.prot & PROT_WRITE
-        ]
-        out += [
-            pno << PAGE_SHIFT
-            for pno, page in self._cow.items()
-            if page.prot & PROT_WRITE
-        ]
-        return sorted(out)
+        )
 
     def page_bytes(self, page_addr: int) -> bytes:
-        pno = page_addr >> PAGE_SHIFT
-        page = self._pages.get(pno) or self._cow.get(pno)
+        page = self._pages.get(page_addr >> PAGE_SHIFT)
         if page is None:
             raise MemoryFault(f"unmapped page {page_addr:#x}")
         return bytes(page.data)
-
-    def mapped_page_count(self) -> int:
-        return len(self._pages) + len(self._cow)
-
-    def cow_page_count(self) -> int:
-        """Pages still shared with clone relatives (not yet written)."""
-        return len(self._cow)
-
-    def clone_pages(self, source: "Memory") -> None:
-        """Replace this memory's contents with a copy-on-write copy of
-        ``source``'s pages (fork semantics: same addresses, same
-        protections, and — from the guest's point of view — fully
-        independent storage).
-
-        Every page of ``source`` is demoted to a frozen shared page
-        referenced by both memories, and either side's first *write* to
-        a page materializes a private copy (``cow_faults`` counts them).
-        Isolation is symmetric — a store by the child is never visible
-        to the parent or to sibling clones, and vice versa — because
-        nobody ever writes a frozen page.
-
-        Mutates ``self._pages`` in place rather than rebinding it —
-        the uop pipeline's memory closures capture the page dict by
-        reference, so a rebind would silently detach them.
-        """
-        self._pages.clear()
-        self._cow.clear()
-        # Demote the source's private pages to the frozen pool so the
-        # source itself also faults before writing them (its fast-path
-        # closures miss on ``_pages`` and fall back here).
-        for pno, page in list(source._pages.items()):
-            source._cow[pno] = page
-        source._pages.clear()
-        self._cow.update(source._cow)
-        self.auto_map = source.auto_map
-
-    def digest(self) -> str:
-        """SHA-256 over every mapped page's (address, prot, contents) —
-        the whole-address-space fingerprint the COW isolation tests
-        compare.  Reads through shared pages without materializing."""
-        import hashlib
-
-        h = hashlib.sha256()
-        pages = {**self._cow, **self._pages}
-        for pno in sorted(pages):
-            page = pages[pno]
-            h.update(struct.pack("<QI", pno, page.prot))
-            h.update(page.data)
-        return h.hexdigest()
 
     # ------------------------------------------------------------ access
     def _page_for(self, addr: int, write: bool) -> _Page:
         pno = addr >> PAGE_SHIFT
         page = self._pages.get(pno)
         if page is None:
-            page = self._cow.get(pno)
-            if page is not None:
-                # reads are served from the shared frozen page; the
-                # first write takes a COW fault and goes private.
-                if write:
-                    if not (page.prot & PROT_WRITE):
-                        raise MemoryFault(f"write to read-only address {addr:#x}")
-                    page = self._materialize(pno)
-                    self.cow_faults += 1
-            else:
-                if not self.auto_map:
-                    raise MemoryFault(f"access to unmapped address {addr:#x}")
-                page = _Page(bytearray(PAGE_SIZE), PROT_READ | PROT_WRITE)
-                self._pages[pno] = page
+            page = _Page(bytearray(PAGE_SIZE), PROT_READ | PROT_WRITE)
+            self._pages[pno] = page
         if write and not (page.prot & PROT_WRITE):
             raise MemoryFault(f"write to read-only address {addr:#x}")
         if not write and not (page.prot & PROT_READ):
@@ -240,9 +137,10 @@ class Memory:
         return out.decode("utf-8", errors="replace")
 
     # -------------------------------------------------- observed access
-    # An access inside one private page with the needed prot bit is
-    # served directly; everything else (COW, auto-map, unmapped pages,
-    # page-straddling accesses, faults) goes through read_uint/write_uint.
+    # An access inside one mapped page with the needed prot bit is
+    # served directly; everything else (first touch of an unmapped
+    # page, page-straddling accesses, faults) goes through
+    # read_uint/write_uint.
     def observed_load(self, addr: int, size: int, fp: bool) -> int:
         page = self._pages.get(addr >> PAGE_SHIFT)
         off = addr & _PAGE_MASK

@@ -2,7 +2,8 @@
 
 FPVM "intercepts the startup of new threads using pthread or clone()
 so that FPVM can create an execution context for each thread", and its
-constructors re-run on fork so subprocesses stay virtualized.  This
+constructors re-run on fork so subprocesses stay virtualized (a forked
+child is one more :class:`Process` for FPVM to attach to).  This
 module provides the substrate: a :class:`Process` owns the address
 space and a set of :class:`~repro.machine.cpu.CPU` thread contexts
 scheduled round-robin on one simulated core, plus pthread-flavoured
@@ -337,31 +338,3 @@ THREAD_API: tuple[ThreadHostFn, ...] = (
         "caller and wakes it when the join is satisfied.",
     ),
 )
-
-
-def fork_process(parent: Process) -> Process:
-    """fork(): a new process whose memory is a copy-on-write clone of
-    the parent's (``Memory.clone_pages``) and a single thread cloned
-    from the caller.
-    FPVM's constructors re-run via the returned process's spawn hooks
-    (the caller re-attaches, as the real LD_PRELOAD constructor does).
-    """
-    # The child gets its *own* SuperblockCache: it executes a copied
-    # Program whose patch state diverges from the parent's.
-    child = Process(
-        parent.program.copy(),
-        parent.costs,
-        parent.max_instructions,
-        uops=parent.main.uops_enabled,
-        lazy_fp=parent.lazy_fp,
-    )
-    child.mem.clone_pages(parent.mem)
-    # Post-fork threads must not collide with stacks carved pre-fork.
-    child._next_stack = parent._next_stack
-    child.main.regs.restore(parent.main.regs.snapshot())
-    # FP ownership travels with the forking thread: if the caller owned
-    # the unit, its clone owns it in the child (dirty/live lane metadata
-    # already came across inside the register snapshot).
-    if parent.fp_owner is parent.main:
-        child.fp_owner = child.main
-    return child

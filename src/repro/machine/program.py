@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.machine.encoding import encode_instruction
-from repro.machine.isa import Instruction, Label, OpClass
+from repro.machine.isa import Instruction
 
 TEXT_BASE = 0x400000
 DATA_BASE = 0x600000
@@ -142,9 +142,6 @@ class Program:
         except KeyError:
             raise KeyError(f"undefined symbol {name!r}") from None
 
-    def is_host_addr(self, addr: int) -> bool:
-        return addr in self.host_functions
-
     # -------------------------------------------------------- patching
     def _note_patch_change(self, addr: int) -> None:
         self.patch_events.append(addr)
@@ -186,32 +183,6 @@ class Program:
         if name not in self.symbols:
             raise KeyError(f"cannot rebind undefined symbol {name!r}")
         self.symbols[name] = new_addr
-
-    # ------------------------------------------------------------- CFG
-    def basic_blocks(self) -> list[list[Instruction]]:
-        """Partition the text into basic blocks (leaders at branch
-        targets and after control transfers)."""
-        if not self.instructions:
-            return []
-        leaders = {self.instructions[0].addr}
-        for instr in self.instructions:
-            if instr.opclass is OpClass.CONTROL:
-                for op in instr.operands:
-                    if isinstance(op, Label) and op.addr is not None:
-                        leaders.add(op.addr)
-                nxt = instr.addr + instr.size
-                if nxt in self.by_addr:
-                    leaders.add(nxt)
-        blocks: list[list[Instruction]] = []
-        current: list[Instruction] = []
-        for instr in self.instructions:
-            if instr.addr in leaders and current:
-                blocks.append(current)
-                current = []
-            current.append(instr)
-        if current:
-            blocks.append(current)
-        return blocks
 
     def copy(self) -> "Program":
         """A deep-enough copy: fresh patches and symbol table so a run

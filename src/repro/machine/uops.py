@@ -216,9 +216,9 @@ def lower(instr: Instruction) -> MicroOp:
 
 # ---------------------------------------------------- fast memory closures
 # Inlined single-page 8-byte access for bound closures.  Anything off
-# the happy path (unmapped page — auto-map and faults included — COW
-# page, page-straddling access, permission violations) falls back to
-# the Memory methods, so semantics are exactly theirs.  Observers
+# the happy path (first touch of an unmapped page, page-straddling
+# access, permission violations) falls back to the Memory methods, so
+# semantics are exactly theirs.  Observers
 # (read per call, so late attaches count) are notified inline, after
 # the access, with the same arguments the methods pass.
 _PAGE_SIZE = PAGE_SIZE

@@ -9,20 +9,21 @@ import hashlib
 
 import pytest
 
-from repro.conformance import replay
-from repro.conformance.codeviews import (
-    MAX_STEPS,
-    build_checksum_program,
-    native_reference,
-    self_checksum_report,
-    self_reading_report,
-)
 from repro.conformance.faults import run_scenario
 from repro.core.vm import FPVM, FPVMConfig
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.cpu import CPU
 from repro.machine.memory import PAGE_SIZE, PROT_EXEC, PROT_READ, PROT_WRITE
 from repro.machine.program import TEXT_BASE, PatchKind
+
+from . import replay
+from .codeviews import (
+    MAX_STEPS,
+    build_checksum_program,
+    native_reference,
+    self_checksum_report,
+    self_reading_report,
+)
 
 
 @pytest.fixture(scope="module")

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.conformance import replay
 from repro.conformance.generators import fuzz_program
 from repro.core.vm import FPVMConfig
 from repro.machine import uops
 from repro.machine.assembler import assemble
 from repro.machine.hostlib import install_host_library
+
+from . import replay
 
 LOOP_SRC = """
 .data
@@ -173,7 +174,7 @@ class TestReplaySweeps:
     def test_quantum_driven_chained_run_matches_journal(self, quantum):
         """Drive the chained engine in fixed quanta to halt; the state
         after every quantum boundary must match the journal."""
-        from repro.conformance.replay import TraceRecorder, _make_cpu
+        from .replay import TraceRecorder, _make_cpu
 
         recorder = TraceRecorder(
             _make_cpu(_factory(LOOP_SRC)(), None, uops=False))

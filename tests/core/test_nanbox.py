@@ -49,17 +49,6 @@ class TestBoxing:
     def test_ordinary_doubles_never_boxed(self, x):
         assert not nanbox.is_boxed(B.float_to_bits(x))
 
-    def test_classify_ours_vs_theirs(self):
-        alloc = BoxAllocator()
-        ptr = alloc.alloc(object())
-        ours = nanbox.box_bits(ptr)
-        assert nanbox.classify_nan(ours, alloc) == "ours"
-        assert nanbox.classify_nan(B.CANONICAL_QNAN, alloc) == "theirs"
-        # Right signature, but a pointer the allocator never handed out.
-        fake = nanbox.box_bits(ptr + 0x9999)
-        assert nanbox.classify_nan(fake, alloc) == "theirs"
-        assert nanbox.classify_nan(B.float_to_bits(1.0), alloc) == "not_nan"
-
 
 class TestAllocator:
     def test_alloc_load(self):

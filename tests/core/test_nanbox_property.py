@@ -62,22 +62,6 @@ def test_ordinary_doubles_pass_through(value):
     assert not nanbox.is_boxed(bits)
 
 
-@given(bits64)
-def test_classify_nan_taxonomy_is_total(bits):
-    """Every 64-bit pattern lands in exactly one taxonomy bucket, with
-    an allocator that owns nothing ("ours" requires ownership)."""
-
-    class NoAllocator:
-        def owns(self, ptr):
-            return False
-
-    kind = nanbox.classify_nan(bits, NoAllocator())
-    if not B.is_nan(bits):
-        assert kind == "not_nan"
-    else:
-        assert kind == "theirs"  # never "ours" without a live allocation
-
-
 @given(pointers)
 def test_quiet_counterpart_is_not_boxed(ptr):
     """Quieting a boxed sNaN (what hardware does when one escapes into

@@ -6,7 +6,7 @@ from repro.core.decode_cache import DecodeCache
 from repro.core.vm import FPVM, FPVMConfig
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.assembler import assemble
-from repro.machine.cpu import CPU
+from repro.machine.cpu import CPU, TIERS
 from repro.machine.decoder import decode_instruction
 from repro.machine.hostlib import install_host_library
 
@@ -78,6 +78,52 @@ class TestSequenceTermination:
         _, vm = run_fpvm(MOVHPD_SRC, FPVMConfig.short())
         for rec in vm.trace_stats.traces.values():
             assert rec.length == 1
+
+
+#: Ends in an inexact ``addsd`` with no ``hlt``: execution (native or
+#: emulated) runs off the end of text right after the trap.
+RUN_OFF_TEXT_SRC = """
+.data
+a: .double 0.1
+b: .double 0.2
+.text
+main:
+  movsd xmm0, [rip + a]
+  movsd xmm1, [rip + b]
+  addsd xmm0, xmm1
+"""
+
+
+def _run_off_text(config, tier):
+    """The exception a run of RUN_OFF_TEXT_SRC ends in, and its VM."""
+    prog = assemble(RUN_OFF_TEXT_SRC)
+    install_host_library(prog)
+    cpu = CPU(prog, uops=TIERS[tier])
+    cpu.kernel = LinuxKernel()
+    vm = FPVM(config).attach(cpu, cpu.kernel) if config else None
+    with pytest.raises(Exception) as info:
+        cpu.run()
+    return info.value, vm
+
+
+@pytest.mark.parametrize("tier", list(TIERS))
+@pytest.mark.parametrize("config", [
+    FPVMConfig.none(patch_site_source="none"),
+    FPVMConfig.seq(patch_site_source="none"),
+    FPVMConfig.seq_short(patch_site_source="none"),
+], ids=["NONE", "SEQ", "SEQ_SHORT"])
+def test_running_off_text_faults_like_native(config, tier):
+    """A sequence that reaches an address with no instruction ends
+    there without fetching it, and the CPU raises the same fault as a
+    native run of the same guest."""
+    native, _ = _run_off_text(None, tier)
+    fault, vm = _run_off_text(config, tier)
+    assert (type(fault), str(fault)) == (type(native), str(native))
+    assert "unmapped code" in str(native)
+    assert vm.telemetry.traps == 1
+    if config.sequence_emulation:
+        (rec,) = vm.trace_stats.traces.values()
+        assert (rec.length, rec.reason) == (1, "no_instruction")
 
 
 class TestTraceStatistics:

@@ -210,17 +210,3 @@ class TestEncodeDecodeRoundTrip:
         decoded = decode_instruction(prog.instructions[0].raw)
         assert decoded.operands[0].addr == prog.symbols["target"]
 
-
-class TestBasicBlocks:
-    def test_straight_line_is_one_block(self):
-        prog = assemble("main:\n  mov rax, 1\n  mov rbx, 2\n  hlt\n")
-        assert len(prog.basic_blocks()) == 1
-
-    def test_branch_splits_blocks(self):
-        prog = assemble(
-            "main:\n  mov rcx, 3\ntop:\n  dec rcx\n  jne top\n  hlt\n"
-        )
-        blocks = prog.basic_blocks()
-        # main-prefix, loop body, exit
-        assert len(blocks) == 3
-        assert blocks[1][0].addr == prog.symbols["top"]

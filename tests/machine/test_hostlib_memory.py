@@ -9,7 +9,7 @@ from repro.kernel.kernel import LinuxKernel
 from repro.kernel.signals import SignalContext
 from repro.machine.assembler import assemble
 from repro.machine.cpu import CPU
-from repro.machine.hostlib import LIBM_FUNCTIONS, install_host_library, library_names
+from repro.machine.hostlib import LIBM_FUNCTIONS, install_host_library
 from repro.machine.memory import Memory, MemoryFault, PAGE_SIZE, PROT_READ, PROT_WRITE
 
 f2b = B.float_to_bits
@@ -26,13 +26,14 @@ def run(src: str) -> CPU:
 
 class TestHostLibrary:
     def test_every_libm_function_registered(self):
-        assert LIBM_FUNCTIONS <= library_names()
+        added = install_host_library(assemble("main:\n  hlt\n"))
+        assert LIBM_FUNCTIONS <= set(added)
 
     def test_install_idempotent_symbols(self):
         prog = assemble("main:\n  hlt\n")
         added = install_host_library(prog)
         assert added["sin"] == prog.symbols["sin"]
-        assert prog.is_host_addr(added["print_f64"])
+        assert added["print_f64"] in prog.host_functions
 
     @pytest.mark.parametrize("fn,x", [
         ("sin", 0.7), ("cos", 0.7), ("tan", 0.4), ("atan", 2.0),
@@ -119,11 +120,6 @@ class TestMemorySubstrate:
         with pytest.raises(MemoryFault, match="unreadable"):
             mem.read_u64(0x5000)
 
-    def test_strict_mode_faults_on_unmapped(self):
-        mem = Memory(auto_map=False)
-        with pytest.raises(MemoryFault, match="unmapped"):
-            mem.read_u64(0x9000)
-
     def test_writable_pages_excludes_readonly(self):
         mem = Memory()
         mem.map_page(0x1000, PROT_READ)
@@ -152,7 +148,7 @@ class TestMemorySubstrate:
         mem = Memory()
         mem.write_u64(0x1000, 1)
         mem.write_u64(0x1000 + PAGE_SIZE, 1)
-        assert mem.mapped_page_count() == 2
+        assert mem.writable_pages() == [0x1000, 0x1000 + PAGE_SIZE]
 
 
 class TestSignalContextModes:

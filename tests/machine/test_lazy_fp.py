@@ -8,8 +8,10 @@ from repro.conformance.faults import arm_skipped_switch
 from repro.conformance.scheduling import process_fingerprint
 from repro.machine.assembler import assemble
 from repro.machine.cpu import CPU, ENGINE_TIERS, TIERS
-from repro.machine.process import Process, fork_process
+from repro.machine.process import Process
 from repro.workloads import build_program
+
+from .forking import fork
 
 DEADBEEF = 0xDEAD_BEEF_DEAD_BEEF
 
@@ -162,7 +164,7 @@ def test_fork_propagates_fp_ownership_and_masks():
     parent.main.regs.fp_dirty = 0b1010
     parent.main.regs.fp_live = 0b0110
     parent.fp_owner = parent.main
-    child = fork_process(parent)
+    child = fork(parent)
     assert child.fp_owner is child.main
     assert child.main.regs.fp_dirty == 0b1010
     assert child.main.regs.fp_live == 0b0110
@@ -172,5 +174,5 @@ def test_fork_propagates_fp_ownership_and_masks():
 def test_fork_without_ownership_stays_unowned():
     parent = Process(assemble("main:\n  hlt\n"))
     assert parent.fp_owner is None
-    child = fork_process(parent)
+    child = fork(parent)
     assert child.fp_owner is None

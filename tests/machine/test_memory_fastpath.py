@@ -2,16 +2,17 @@
 
 ``Memory.observed_load``/``observed_store`` and the bound ``load8`` /
 ``store8`` closures of the uop pipeline serve an access that lies in
-one private page with the needed permission bit directly, and hand
+one mapped page with the needed permission bit directly, and hand
 everything else to the generic accessors.  These tests drive seeded
-random access sequences over every kind of page — private RW, COW
-shared, read-only, write-only, unmapped — at in-page and
+random access sequences over every kind of page — RW, read-only,
+write-only, unmapped until first touch or mapped up front — at in-page and
 page-straddling offsets, and hold each access to a reference built from
 ``read_bytes``/``write_bytes`` plus explicit observer notification:
-same value, same exception type, same memory digest, same
-``cow_faults``, same COW isolation and the same observer event stream.
+same value, same exception type, same memory digest and the same
+observer event stream.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -26,12 +27,10 @@ from repro.machine.memory import (
 from repro.machine.uops import _load8_factory, _store8_factory
 
 PRIVATE = 0x10000   # two adjacent RW pages, then an unmapped page
-COW = 0x20000       # two RW pages and one read-only page, shared COW
 READONLY = 0x30000  # read-only page followed by an RW page
 WRITEONLY = 0x40000
 UNMAPPED = 0x50000
-REGIONS = [PRIVATE, PRIVATE + PAGE_SIZE, COW, COW + PAGE_SIZE,
-           COW + 2 * PAGE_SIZE, READONLY, WRITEONLY, UNMAPPED]
+REGIONS = [PRIVATE, PRIVATE + PAGE_SIZE, READONLY, WRITEONLY, UNMAPPED]
 SIZES = (1, 2, 4, 8)
 
 
@@ -42,21 +41,30 @@ def _fill(mem: Memory, base: int, pages: int, seed: int) -> None:
         mem.write_bytes(base + i * PAGE_SIZE, rng.randbytes(PAGE_SIZE))
 
 
-def _build(auto_map: bool) -> tuple[Memory, Memory]:
-    """The memory under test and the clone source it shares COW pages
-    with.  Two calls build identical, independent pairs."""
-    template = Memory()
-    _fill(template, COW, 3, seed=1)
-    template.protect(COW + 2 * PAGE_SIZE, PROT_READ)
+def _build(premapped: bool) -> Memory:
+    """The memory under test; two calls build identical, independent
+    memories.  ``premapped`` maps and fills the ``UNMAPPED`` region and
+    the page after it up front, so accesses there take the in-page fast
+    path from the first one instead of the first-touch mapping."""
     mem = Memory()
-    mem.clone_pages(template)
-    mem.auto_map = auto_map
+    if premapped:
+        _fill(mem, UNMAPPED, 2, seed=5)
     _fill(mem, PRIVATE, 2, seed=2)
     _fill(mem, READONLY, 2, seed=3)
     mem.protect(READONLY, PROT_READ)
     _fill(mem, WRITEONLY, 1, seed=4)
     mem.protect(WRITEONLY, PROT_WRITE)
-    return mem, template
+    return mem
+
+
+def _digest(mem: Memory) -> str:
+    """SHA-256 over every mapped page's (address, prot, contents)."""
+    h = hashlib.sha256()
+    for pno in sorted(mem._pages):
+        page = mem._pages[pno]
+        h.update(pno.to_bytes(8, "little") + page.prot.to_bytes(4, "little"))
+        h.update(page.data)
+    return h.hexdigest()
 
 
 def _kind(fp: bool, store: bool) -> str:
@@ -110,13 +118,13 @@ def _outcome(fn, *args):
         return ("fault", type(exc))
 
 
-@pytest.mark.parametrize("auto_map", [False, True])
+@pytest.mark.parametrize("premapped", [False, True])
 @pytest.mark.parametrize("attach_at", [0, 150, None],
                          ids=["observed", "late-observer", "unobserved"])
 @pytest.mark.parametrize("seed", range(4))
-def test_fast_paths_match_reference(seed, attach_at, auto_map):
-    fast, fast_src = _build(auto_map)
-    ref, ref_src = _build(auto_map)
+def test_fast_paths_match_reference(seed, attach_at, premapped):
+    fast = _build(premapped)
+    ref = _build(premapped)
     # Bound before any observer is attached: a closure must pick up an
     # observer appended later.
     closures = {fp: (_load8_factory(fast, fp), _store8_factory(fast, fp))
@@ -130,12 +138,8 @@ def test_fast_paths_match_reference(seed, attach_at, auto_map):
         got = _outcome(_fast, fast, closures, op)
         want = _outcome(_reference, ref, expected, op)
         assert got == want, (i, op)
-        assert fast.cow_faults == ref.cow_faults, (i, op)
-        assert fast.digest() == ref.digest(), (i, op)
+        assert _digest(fast) == _digest(ref), (i, op)
         assert seen == (expected or []), (i, op)
-    # COW isolation: the clone sources never saw a store.
-    assert fast_src.digest() == ref_src.digest()
-    assert fast.cow_faults > 0
     if attach_at is not None:
         assert len(seen) > 50
 

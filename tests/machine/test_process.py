@@ -8,8 +8,10 @@ from repro.fpu import bits as B
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.assembler import assemble
 from repro.machine.hostlib import install_host_library
-from repro.machine.process import Process, fork_process
+from repro.machine.process import Process
 from repro.machine.registers import MXCSR_DEFAULT
+
+from .forking import fork
 
 f2b = B.float_to_bits
 
@@ -123,7 +125,7 @@ class TestProcessSubstrate:
     def test_fork_copies_memory(self):
         proc = build_process()
         proc.run()
-        child = fork_process(proc)
+        child = fork(proc)
         acc = proc.program.symbols["acc"]
         assert child.mem.read_u64(acc) == proc.mem.read_u64(acc)
         child.mem.write_u64(acc, 0)
@@ -196,7 +198,7 @@ class TestFPVMMultithreaded:
         """§2.1: FPVM's constructors run on every fork so subprocesses
         stay virtualized — the child re-attaches and still traps."""
         proc = build_process()
-        child = fork_process(proc)
+        child = fork(proc)
         kernel = LinuxKernel()
         vm = FPVM(FPVMConfig.seq_short()).attach_process(child, kernel)
         child.run()

@@ -213,16 +213,18 @@ class TestRegisterSnapshotProperty:
     @given(register_files(), st.booleans())
     @settings(max_examples=15, deadline=None)
     def test_fork_preserves_fp_metadata(self, regs, owned):
-        """fork_process clones the caller's registers through
+        """fork clones the caller's registers through
         snapshot()/restore(), so the lazy-FP dirty/live masks and the
         FP-unit ownership must come across bit-for-bit."""
-        from repro.machine.process import Process, fork_process
+        from repro.machine.process import Process
+
+        from .forking import fork
 
         parent = Process(assemble("main:\n  hlt\n"))
         parent.main.regs.restore(regs.snapshot())
         if owned:
             parent.fp_owner = parent.main
-        child = fork_process(parent)
+        child = fork(parent)
         assert child.main.regs.fp_dirty == regs.fp_dirty
         assert child.main.regs.fp_live == regs.fp_live
         assert child.main.regs.xmm == regs.xmm
