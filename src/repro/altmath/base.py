@@ -101,10 +101,6 @@ class AltMathSystem(abc.ABC):
             r = math.nan
         return self.promote(B.float_to_bits(r))
 
-    # ------------------------------------------------------------- misc
-    def describe(self) -> str:
-        return self.name
-
 
 _REGISTRY: dict[str, type] = {}
 

@@ -40,7 +40,8 @@ from repro.compiler.ast import (
     Var,
     While,
 )
-from repro.compiler.codegen import CompileError, Function, Module
+from repro.compiler.codegen import Function, Module
+from repro.errors import CompileError
 
 __all__ = [
     "Bin", "Call", "Cast", "FCmp", "For", "ICmp", "If", "ILet", "INum",

@@ -23,6 +23,7 @@ import struct
 from dataclasses import dataclass, field
 
 from repro.compiler import ast as A
+from repro.errors import CompileError
 from repro.machine.assembler import assemble
 from repro.machine.program import Program
 
@@ -35,10 +36,6 @@ LIBM = frozenset(
      "fabs", "pow", "fmod"}
 )
 _VOID_HOST = frozenset({"print_f64", "print_f64_pair", "print_i64", "print_str"})
-
-
-class CompileError(Exception):
-    pass
 
 
 @dataclass

@@ -33,6 +33,9 @@ from operator import or_
 from repro.core.emulator import _address
 from repro.machine.uops import MicroOp, lower
 
+#: A trace (emulated address sequence) seen this many times is compiled.
+TRACE_COMPILE_THRESHOLD = 8
+
 
 @dataclass
 class TraceRecord:
@@ -171,9 +174,9 @@ class SequenceEmulator:
     """Drives the emulate-until-termination loop for one trap.
 
     Hot traces — the same emulated address sequence seen
-    ``trace_compile_threshold`` times — are promoted into
-    :class:`CompiledTrace`\\ s keyed by entry address in ``compiled``,
-    which this emulator alone owns.  One cursor over
+    :data:`TRACE_COMPILE_THRESHOLD` times on the chained tier — are
+    promoted into :class:`CompiledTrace`\\ s keyed by entry address in
+    ``compiled``, which this emulator alone owns.  One cursor over
     ``Program.patch_events``, advanced at each trap, drops exactly the
     traces covering a changed patch site (a patch appearing mid-trace
     must terminate emulation, and a stale compiled trace would silently
@@ -184,7 +187,8 @@ class SequenceEmulator:
 
     A trace replays fused from the VM's own decode-cache entries,
     settling the accounting once per trap; without all of them resident
-    and sound it replays step by step.
+    and sound the trap is interpreted, which charges what a step-wise
+    replay of the trace would.
     """
 
     def __init__(self, vm) -> None:
@@ -194,7 +198,6 @@ class SequenceEmulator:
         self.compiled: dict[int, CompiledTrace] = {}
         self._heat: Counter = Counter()
         self._epoch: int | None = None
-        self._threshold = getattr(vm.config, "trace_compile_threshold", 0)
 
     def reset(self) -> None:
         """Forget every compiled trace, its heat and the patch cursor."""
@@ -225,7 +228,7 @@ class SequenceEmulator:
         if trace is None:
             return self._interpret(context, addr, [])
         if vm.decode_cache.resident(trace.addrs) != trace.uops and not self._fuse(trace):
-            return self._run_stepwise(trace, context)
+            return self._interpret(context, addr, [])
         return self._replay(trace, context)
 
     def _interpret(self, context, addr: int, emulated: list[int]) -> int:
@@ -292,7 +295,8 @@ class SequenceEmulator:
 
     def _replay(self, trace: CompiledTrace, context) -> int:
         """The fused replay; every exit (early probe stop, full run, a
-        raising probe or body) settles what the step-wise loop charges."""
+        raising probe or body) settles what fetching and emulating the
+        steps one at a time would charge."""
         k = 0              # steps emulated
         started = False    # step k's body has run, so its charges are due
         try:
@@ -324,23 +328,6 @@ class SequenceEmulator:
             return trace.addrs[k]
         return self._terminate(trace, context)
 
-    def _run_stepwise(self, trace: CompiledTrace, context) -> int:
-        """The replay the fused one stands for, and its fallback: one
-        decode-cache fetch and emulation at a time."""
-        vm = self.vm
-        emulator = vm.emulator
-        vm.telemetry.compiled_trace_hits += 1
-        emulated: list[int] = []
-        for addr, probe in zip(trace.addrs, trace.probes):
-            uop = self._fetch(addr)
-            if emulated and probe and not emulator.any_source_boxed(uop, context):
-                # Data-dependent early stop, same as interpreted.
-                self._finish(tuple(emulated), uop.mnemonic, "no_boxed_source")
-                return addr
-            emulator.emulate(uop, context)
-            emulated.append(addr)
-        return self._terminate(trace, context)
-
     def _terminate(self, trace: CompiledTrace, context) -> int:
         """Every step ran: fetch and check the recorded terminator."""
         term = self._fetch(trace.end)
@@ -358,16 +345,10 @@ class SequenceEmulator:
         vm = self.vm
         vm.telemetry.sequences += 1
         self.stats.record(addrs, terminator, reason)
-        if (
-            self._threshold > 0
-            and len(addrs) >= 2
-            and vm.config.sequence_emulation
-            and vm.cpu.uops_enabled
-            and addrs[0] not in self.compiled
-        ):
+        if len(addrs) >= 2 and vm.cpu.uops_enabled and addrs[0] not in self.compiled:
             heat = self._heat
             heat[addrs] += 1
-            if heat[addrs] >= self._threshold:
+            if heat[addrs] >= TRACE_COMPILE_THRESHOLD:
                 self._compile(addrs)
 
     def _compile(self, addrs: tuple[int, ...]) -> None:
@@ -375,10 +356,7 @@ class SequenceEmulator:
         by_addr = vm.program.by_addr
         probes = []
         for addr in addrs:
-            instr = by_addr.get(addr)
-            if instr is None:
-                return  # decoded off the static image: stay interpreted
-            uop = lower(instr)
+            uop = lower(by_addr[addr])
             probes.append(uop.fp_trap_capable and uop.mnemonic != "cvtsi2sd")
         end = addrs[-1] + by_addr[addrs[-1]].size
         self.compiled[addrs[0]] = CompiledTrace(addrs, tuple(probes), end)

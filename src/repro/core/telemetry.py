@@ -150,8 +150,7 @@ def rates(m: dict) -> dict:
     if "uop.uops_retired" in m:
         retired = m["uop.uops_retired"]
         out["uop_hit_rate"] = _ratio(
-            retired, retired + m["uop.single_steps"] + m["uop.slow_fallbacks"]
-            + m["uop.fp_trap_exits"])
+            retired, retired + m["uop.single_steps"] + m["uop.fp_trap_exits"])
         out["superblock_hit_rate"] = _ratio(
             m["uop.block_runs"], m["uop.block_runs"] + m["uop.blocks_built"])
     if "sched.dispatches" in m:

@@ -63,9 +63,6 @@ class FPVMConfig:
     #: runs one emergency collection before failing with the typed
     #: :class:`~repro.errors.BoxHeapExhaustedError`.
     box_capacity: int | None = None
-    #: promote a trace into a compiled-trace closure once it has been
-    #: emulated this many times (0 disables the compiled tier).
-    trace_compile_threshold: int = 8
     #: exception-flow observability: record NaN-box provenance (birth
     #: RIP + trap class + generation), propagation edges, kill sites
     #: and per-RIP trap heatmaps.  Purely observational: architectural
@@ -100,13 +97,11 @@ PATCH_SITE_SOURCES = ("profiler", "static", "none")
 def _check_config(cfg: FPVMConfig) -> None:
     """Reject field values FPVM cannot run with :class:`ConfigError`
     before any state is built.  Zero stays valid wherever it already
-    means something (``trace_compile_threshold=0`` disables the
-    compiled sequence tier)."""
+    means something (``gc_threshold=0`` collects at every check)."""
     if cfg.patch_site_source not in PATCH_SITE_SOURCES:
         raise ConfigError(f"patch_site_source {cfg.patch_site_source!r} is "
                           f"not one of {PATCH_SITE_SOURCES}")
-    for name, floor in (("decode_cache_capacity", 1), ("gc_threshold", 0),
-                        ("trace_compile_threshold", 0)):
+    for name, floor in (("decode_cache_capacity", 1), ("gc_threshold", 0)):
         if getattr(cfg, name) < floor:
             raise ConfigError(f"{name} must be >= {floor}, "
                               f"got {getattr(cfg, name)}")

@@ -10,7 +10,8 @@ box-heap exhaustion, device protocol misuse — maps to one subclass of
 a machine-classifiable error instead of silently producing wrong
 numbers.  Malformed *input* stands outside that hierarchy: bytes the
 decoder cannot parse raise :class:`EncodingError`, assembly source the
-assembler rejects raises :class:`AssemblerError`, and a configuration
+assembler rejects raises :class:`AssemblerError`, a mini-C module the
+compiler rejects raises :class:`CompileError`, and a configuration
 FPVM cannot run raises :class:`ConfigError`.
 
 The fault hierarchy derives from :class:`RuntimeError` so pre-existing
@@ -36,6 +37,12 @@ class AssemblerError(ValueError):
             message = f"line {line_no}: {message}"
         super().__init__(message)
         self.line_no = line_no
+
+
+class CompileError(ValueError):
+    """A mini-C module :mod:`repro.compiler` cannot compile (an unknown
+    name, an expression too deep for its registers).  Bad *input*,
+    like :class:`AssemblerError`."""
 
 
 class ConfigError(ValueError):

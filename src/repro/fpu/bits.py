@@ -298,33 +298,3 @@ def _round_to_quantum(mag: Fraction, qexp: int) -> tuple[int, bool]:
     if twice > d or (twice == d and (q & 1)):
         q += 1
     return q, True
-
-
-def ulp_bits(bits: int) -> Fraction:
-    """The ULP (unit in the last place) of a finite value, as a rational."""
-    if not is_finite(bits):
-        raise ValueError("ulp of non-finite")
-    e = exponent_field(bits)
-    if e == 0:
-        return MIN_SUBNORMAL
-    # Normal: ulp = 2^(e - bias - 52).
-    p = e - F64_EXP_BIAS - 52
-    return Fraction(2**p) if p >= 0 else Fraction(1, 2**-p)
-
-
-def make_qnan(payload: int, negative: bool = False) -> int:
-    """Build a quiet NaN with the given 51-bit payload."""
-    if payload >> 51:
-        raise ValueError("payload exceeds 51 bits")
-    bits = F64_EXP_MASK | F64_QNAN_BIT | payload
-    return bits | (F64_SIGN_MASK if negative else 0)
-
-
-def make_snan(payload: int, negative: bool = False) -> int:
-    """Build a signaling NaN with the given nonzero 51-bit payload."""
-    if payload >> 51:
-        raise ValueError("payload exceeds 51 bits")
-    if payload == 0:
-        raise ValueError("sNaN payload must be nonzero (all-zero frac is Inf)")
-    bits = F64_EXP_MASK | payload
-    return bits | (F64_SIGN_MASK if negative else 0)

@@ -7,6 +7,7 @@ renderers produce terminal equivalents of both, on top of the data the
 from __future__ import annotations
 
 from repro.harness.configs import CONFIG_ORDER
+from repro.harness.report import display_name
 from repro.machine.costs import LEDGER_CATEGORIES
 
 #: fill character per ledger category (legend printed under charts).
@@ -23,19 +24,6 @@ CATEGORY_FILL = {
     "fcall": "f",
     "ret": "r",
 }
-
-_DISPLAY = {
-    "lorenz": "Lorenz",
-    "three_body": "3-body",
-    "double_pendulum": "Double Pend.",
-    "fbench": "fbench",
-    "ffbench": "ffbench",
-    "enzo": "Enzo",
-}
-
-
-def _name(w: str) -> str:
-    return _DISPLAY.get(w, w)
 
 
 def stacked_bar(values: dict[str, float], scale: float, width: int) -> str:
@@ -65,7 +53,7 @@ def breakdown_chart(data: dict[str, dict[str, float]], title: str,
     lines = [title, ""]
     for w, am in data.items():
         total = sum(am.values())
-        lines.append(f"{_name(w):<14}|{stacked_bar(am, scale, width)}  {total:.0f}")
+        lines.append(f"{display_name(w):<14}|{stacked_bar(am, scale, width)}  {total:.0f}")
     lines.append("")
     lines.append(legend())
     lines.append(f"(amortized cycles per emulated instruction; full width = {peak:.0f})")
@@ -83,7 +71,7 @@ def breakdown_by_config_chart(data, title: str, width: int = 72) -> str:
     lines = [title, ""]
     for w, rows in data.items():
         for i, row in enumerate(rows):
-            label = _name(w) if i == 0 else ""
+            label = display_name(w) if i == 0 else ""
             bar = stacked_bar(row.amortized, scale, width)
             note = "" if row.config == "NONE" else f" ({row.speedup_vs_none:.1f}x)"
             lines.append(f"{label:<14}{row.config:<10}|{bar}{note}")
@@ -102,7 +90,7 @@ def slowdown_chart(data: dict[str, dict[str, float]], title: str,
     lines = [title, ""]
     for w, cfgs in data.items():
         for i, cfg in enumerate(CONFIG_ORDER):
-            label = _name(w) if i == 0 else ""
+            label = display_name(w) if i == 0 else ""
             v = cfgs[cfg]
             if log:
                 frac = math.log10(max(v, 1.0)) / math.log10(max(peak, 10.0))

@@ -44,16 +44,6 @@ def result_to_dict(result) -> dict:
     }
 
 
-def native_to_dict(native) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "workload": native.workload,
-        "cycles": native.cycles,
-        "instructions": native.instructions,
-        "output": list(native.output),
-    }
-
-
 @dataclass(frozen=True)
 class RunDelta:
     """One metric's movement between two archived runs."""

@@ -20,7 +20,8 @@ _DISPLAY = {
 }
 
 
-def _name(w: str) -> str:
+def display_name(w: str) -> str:
+    """A workload's name as the figures and tables print it."""
     return _DISPLAY.get(w, w)
 
 
@@ -32,7 +33,7 @@ def render_breakdown(data: dict[str, dict[str, float]], title: str) -> str:
     lines.append(header)
     lines.append("-" * len(header))
     for w, am in data.items():
-        row = f"{_name(w):<14}"
+        row = f"{display_name(w):<14}"
         for c in cats:
             row += f"{am.get(c, 0.0):>9.0f}"
         row += f"{sum(am.values()):>10.0f}"
@@ -55,7 +56,7 @@ def render_breakdown_by_config(data, title: str) -> str:
     lines.append("-" * len(header))
     for w, rows in data.items():
         for row in rows:
-            line = f"{_name(w):<14}{row.config:<11}"
+            line = f"{display_name(w):<14}{row.config:<11}"
             for c in cats:
                 line += f"{row.amortized.get(c, 0.0):>8.0f}"
             line += f"{sum(row.amortized.values()):>9.0f}"
@@ -73,7 +74,7 @@ def render_slowdown(data: dict[str, dict[str, float]], title: str,
     lines.append(header)
     lines.append("-" * len(header))
     for w, cfgs in data.items():
-        row = f"{_name(w):<14}"
+        row = f"{display_name(w):<14}"
         for c in CONFIG_ORDER:
             row += f"{cfgs[c]:>11.2f}x"
         lines.append(row)
@@ -90,7 +91,7 @@ def render_cdf(data: dict[str, list], title: str, xlabel: str,
     lines.append(header)
     lines.append("-" * len(header))
     for w, series in data.items():
-        row = f"{_name(w):<14}"
+        row = f"{display_name(w):<14}"
         for p in sample_points:
             if not series:
                 row += f"{'-':>7}"
@@ -111,7 +112,7 @@ def render_length_cdf(data: dict[str, list], title: str) -> str:
     lines.append(header)
     lines.append("-" * len(header))
     for w, series in data.items():
-        row = f"{_name(w):<14}"
+        row = f"{display_name(w):<14}"
         for p in probe:
             pct = 0.0
             for length, cum in series:
@@ -133,7 +134,7 @@ def render_cache_sizing(data, title: str) -> str:
     lines.append("-" * len(header))
     for w, sizing in data.items():
         lines.append(
-            f"{_name(w):<14}{sizing.average_length:>12.1f}"
+            f"{display_name(w):<14}{sizing.average_length:>12.1f}"
             f"{sizing.convergence_rank:>12}{sizing.cache_entries:>10}"
             f"{sizing.cache_bytes // 1024:>10}"
         )
@@ -194,10 +195,10 @@ def render_trap_flow(heatmap_data, title: str = "Trap heatmaps and NaN-flow grap
     for w, (recorder, program) in heatmap_data.items():
         lines.append("")
         lines.append(render_trap_heatmap(
-            recorder, program, title=f"Trap heatmap: {_name(w)}"))
+            recorder, program, title=f"Trap heatmap: {display_name(w)}"))
         lines.append("")
         lines.append(render_flow_graph(
-            recorder, program, title=f"NaN-flow graph: {_name(w)}"))
+            recorder, program, title=f"NaN-flow graph: {display_name(w)}"))
     return "\n".join(lines)
 
 
@@ -216,7 +217,7 @@ def render_patch_sites(rows, title: str) -> str:
     lines.append("-" * len(header))
     for r in rows:
         lines.append(
-            f"{_name(r.workload):<14}{r.static_sites:>13}{r.profiler_sites:>10}"
+            f"{display_name(r.workload):<14}{r.static_sites:>13}{r.profiler_sites:>10}"
             f"{'yes' if r.profiler_subset else 'NO':>9}"
         )
     return "\n".join(lines)

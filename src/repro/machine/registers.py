@@ -87,9 +87,6 @@ def rounding_mode(mxcsr: int) -> str:
     return _RC_MODE_NAMES[(mxcsr & MXCSR_RC_MASK) >> MXCSR_RC_SHIFT]
 
 
-def with_rounding(mxcsr: int, rc: int) -> int:
-    return (mxcsr & ~MXCSR_RC_MASK) | (rc << MXCSR_RC_SHIFT)
-
 #: Power-on MXCSR: all exceptions masked (the native configuration).
 MXCSR_DEFAULT = MXCSR_MASK_ALL
 

@@ -22,11 +22,11 @@ Semantics are bit-for-bit the seed interpreter's:
   #XF themselves from :func:`repro.fpu.fast.flagged`: they commit
   result and status bits like ``cpu._exec_fp``, or return its #XF
   ``Trap`` uncommitted for the engine to deliver.  With the FP unit
-  off or a directed rounding mode they return the :data:`SLOW`
-  sentinel *without side effects* and the engine falls back to
-  ``cpu.step()``;
+  off they return the operand-free #XF ``Trap`` ``cpu._exec_fp``
+  delivers.  Under a directed rounding mode the engine single-steps
+  (MXCSR.RC cannot change inside a block body);
 - block execution retires micro-ops with batched accounting that is
-  flushed (``try/finally``) before any fallback, trap delivery, or
+  flushed (``try/finally``) before any single step, trap delivery, or
   exception propagation, so every observer of ``cycles`` /
   ``instruction_count`` sees the same values it would under
   single-stepping;
@@ -36,10 +36,10 @@ Semantics are bit-for-bit the seed interpreter's:
 
 One dispatch loop, :meth:`UopEngine.run_quantum`, runs every
 superblock the same way: a checkpoint (halt, block, patch-sequence
-sync, patch site), the block lookup or build, the body (or the
-prefix that fits the step budget), then the control tail.  Retire
+sync, patch site, directed RC), the block lookup or build, the body
+(or the prefix that fits the step budget), then the control tail.  Retire
 accounting is deferred into per-block run counts and settled before
-anything that can observe the counters: a ``cpu.step()`` fallback, an
+anything that can observe the counters: a ``cpu.step()``, an
 #XF delivery, a control tail that may run host code, the end of the
 quantum, or an exception on its way out.  At a quantum's
 budget edge the engine retires a body's fitting *prefix* — every
@@ -78,14 +78,6 @@ from repro.machine.memory import PAGE_SHIFT, PAGE_SIZE, PROT_READ, PROT_WRITE
 
 U64 = 0xFFFF_FFFF_FFFF_FFFF
 
-#: Returned by an FP closure that cannot run in its block: the FP unit
-#: is off or MXCSR.RC is directed.  The contract: a SLOW return
-#: performed *no* side effects (it is decided before any operand read)
-#: — the engine flushes the retired prefix and re-executes the
-#: instruction through ``cpu.step()`` (full seed semantics, including
-#: #XF delivery).
-SLOW = object()
-
 #: Superblocks stop growing here; the follow-on block starts at the cut.
 MAX_BLOCK = 128
 
@@ -94,8 +86,9 @@ MAX_BLOCK = 128
 #: (bits 13-14 clear).  One masked compare checks all of it.
 _FP_FAST_FIELD = 0x7F80
 _FP_FAST_VALUE = 0x1F80
-#: MXCSR.RC (bits 13-14): the flag path, like the fast path, is
-#: round-to-nearest only.
+#: MXCSR.RC (bits 13-14): the closures, fast and flag path alike, are
+#: round-to-nearest only, so the engine single-steps while RC is
+#: directed.
 _RC_FIELD = 0x6000
 
 _RETURN_SENTINEL = 0xDEAD_0000
@@ -391,9 +384,9 @@ def bind_exec(uop: MicroOp, cpu):
     Closure contract: executes the instruction exactly like the seed
     handler (same reads, same write order, RIP set at the end) and
     returns None on retire.  An FP-trappable closure may instead return
-    the #XF ``Trap`` the seed would deliver (operands read, nothing
-    committed; the engine delivers it) or :data:`SLOW` (no side
-    effects; the engine single-steps the instruction).  Retire
+    the #XF ``Trap`` the seed would deliver (nothing committed; the
+    engine delivers it).  Closures assume round-to-nearest: the engine
+    does not enter a block while MXCSR.RC is directed.  Retire
     accounting (cost/count/class) is the engine's job.
     """
     cls = uop.opclass
@@ -414,16 +407,17 @@ def bind_exec(uop: MicroOp, cpu):
 
 
 def _flag_path(uop: MicroOp, cpu, evaluate, commit):
-    """An FP closure's path under an unmasked MXCSR (an attached FPVM).
+    """An FP closure's path under an unmasked MXCSR (an attached FPVM)
+    or with the FP unit off.
 
-    ``SLOW`` while the FP unit is off or RC is directed, decided before
-    any operand read.  Otherwise ``evaluate()`` reads the operands once
-    and returns ``(result, status)`` from :func:`repro.fpu.fast.flagged`
-    (a packed op ORs its lanes' status).  An unmasked status bit returns
-    the #XF ``Trap`` ``cpu._exec_fp`` delivers, nothing committed; else
+    With the FP unit off it returns the #XF ``Trap`` with no flags,
+    before any operand read, as ``cpu._exec_fp`` delivers it.
+    Otherwise ``evaluate()`` reads the operands once and returns
+    ``(result, status)`` from :func:`repro.fpu.fast.flagged` (a packed
+    op ORs its lanes' status).  An unmasked status bit returns the #XF
+    ``Trap`` ``_exec_fp`` delivers, nothing committed; else
     ``commit(result)``, the status ORed into MXCSR and RIP advanced, as
-    ``_exec_fp`` does.  Past the reads it never returns ``SLOW``:
-    ``step()`` would notify memory observers twice."""
+    ``_exec_fp`` does."""
     from repro.machine.cpu import Trap, TrapKind  # cpu.py imports this module
 
     regs = cpu.regs
@@ -432,9 +426,9 @@ def _flag_path(uop: MicroOp, cpu, evaluate, commit):
     from_status = FPFlags.from_status
 
     def flag_path():
+        if cpu.fp_disabled:
+            return Trap(xf, addr, instr, FPFlags())
         mx = regs.mxcsr
-        if cpu.fp_disabled or mx & _RC_FIELD:
-            return SLOW
         result, st = evaluate()
         if st & ~mx >> 7:
             return Trap(xf, addr, instr, from_status(st))
@@ -1390,7 +1384,7 @@ class UopStats:
     """Host-side execution counters for the throughput layer."""
 
     __slots__ = ("blocks_built", "uops_bound", "block_runs",
-                 "partial_block_runs", "uops_retired", "slow_fallbacks",
+                 "partial_block_runs", "uops_retired",
                  "fp_trap_exits", "single_steps", "quantum_dispatches",
                  "quantum_exits")
 
@@ -1403,7 +1397,6 @@ class UopStats:
         #: pipeline at a budget edge.
         self.partial_block_runs = 0
         self.uops_retired = 0
-        self.slow_fallbacks = 0
         #: body closures that returned a #XF ``Trap``, delivered by the
         #: engine in place of a ``step()``.
         self.fp_trap_exits = 0
@@ -1416,10 +1409,10 @@ class UopStats:
 
 
 class UopEngine:
-    """Per-CPU fetch/dispatch/execute engine running cached superblocks
-    with single-step fallback at patch sites and anything a closure
-    cannot execute (the :data:`SLOW` protocol), and in-place delivery
-    of the #XF traps FP closures decide.
+    """Per-CPU fetch/dispatch/execute engine running cached superblocks,
+    with single steps at patch sites, under a directed MXCSR.RC and
+    wherever no block can be built, and in-place delivery of the #XF
+    traps FP closures decide.
 
     Block storage lives in the CPU's :class:`SuperblockCache` (shared
     by every thread of a process); the engine holds that cache's
@@ -1435,7 +1428,7 @@ class UopEngine:
         self._blocks = cache.view(cpu)
         #: address -> entry of the newest block covering it: retains no block.
         self._inner: dict[int, int] = {}
-        #: wraps closures at bind time (``uop=None``: the step fallback).
+        #: wraps closures at bind time (``uop=None``: the single step).
         self._probe = probe = cpu.probe
         self._step = cpu.step if probe is None else probe(None, cpu.step)
         self.stats = UopStats()
@@ -1458,18 +1451,19 @@ class UopEngine:
         the remaining step limit) both come through here.
 
         A "step" is exactly one seed ``cpu.step()`` equivalent — each
-        body micro-op, each control tail, and each single-step fallback
-        counts one, so a batched quantum consumes the process's global
-        step budget precisely like ``budget × step()`` would.  The
-        quantum ends when the budget is spent or the core halts or
-        blocks (``thread_join``); a SLOW sentinel inside the quantum
-        falls back to ``step()``, a closure's #XF ``Trap`` is delivered
-        as that step (:meth:`_deliver_xf`), and the quantum continues.
-        Never exceeds ``budget``: a body that does not fit retires only
-        its fitting prefix (every closure is one seed step and leaves
-        RIP correct, so stopping after ``k`` of them is stopping between
-        steps), and the tail / SLOW-fallback step is skipped once the
-        budget is exhausted.
+        body micro-op, each control tail, and each single step counts
+        one, so a batched quantum consumes the process's global step
+        budget precisely like ``budget × step()`` would.  The quantum
+        ends when the budget is spent or the core halts or blocks
+        (``thread_join``); a closure's #XF ``Trap`` is delivered as that
+        step (:meth:`_deliver_xf`), and the quantum continues.  The
+        checkpoint single-steps at a patch site and while MXCSR.RC is
+        directed: no body closure writes MXCSR's RC field, and tails
+        that run host code return to the checkpoint.  Never exceeds
+        ``budget``: a body that does not fit retires only its fitting
+        prefix (every closure is one seed step and leaves RIP correct,
+        so stopping after ``k`` of them is stopping between steps), and
+        the tail is skipped once the budget is exhausted.
 
         Retire accounting is deferred: ``runs`` counts full body runs
         per block, and ``i`` micro-ops of the in-flight body ``cur``
@@ -1511,7 +1505,8 @@ class UopEngine:
                     cache.sync(prog)
 
                 rip = regs.rip
-                if cpu._suppress_patch_at is not None or rip in patches:
+                if (cpu._suppress_patch_at is not None or rip in patches
+                        or regs.mxcsr & _RC_FIELD):
                     if runs:
                         settle(runs)
                     step()
@@ -1538,18 +1533,12 @@ class UopEngine:
                             break
                         i += 1
                     retired += i
-                    if i < k:
+                    if i < k:             # a #XF Trap; i < k <= avail
                         settle(runs, cur, i)
                         cur = None
-                        if out is SLOW:
-                            stats.slow_fallbacks += 1
-                            if retired < budget:
-                                step()
-                                retired += 1
-                        else:             # a #XF Trap; i < k <= avail
-                            stats.fp_trap_exits += 1
-                            retired += 1
-                            self._deliver_xf(block.uops[i], out)
+                        stats.fp_trap_exits += 1
+                        retired += 1
+                        self._deliver_xf(block.uops[i], out)
                         continue
                     if k < n:
                         break             # budget spent mid-body

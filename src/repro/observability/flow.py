@@ -184,21 +184,3 @@ class FlowRecorder:
             out[reason] += n
         return dict(out)
 
-    def birth_classes(self) -> dict[str, int]:
-        out: Counter = Counter()
-        for (_rip, cls), n in self.births.items():
-            out[cls] += n
-        return dict(out)
-
-    def as_dict(self) -> dict:
-        """JSON-safe summary of the provenance graph."""
-        return {
-            "births": sum(self.births.values()),
-            "birth_sites": len(self.births),
-            "edges": sum(self.edges.values()),
-            "distinct_edges": len(self.edges),
-            "kills_by_reason": self.kills_by_reason(),
-            "traps_by_class": dict(self.traps_by_class),
-            "birth_classes": self.birth_classes(),
-            "live_boxes": len(self.live),
-        }

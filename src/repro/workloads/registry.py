@@ -36,10 +36,6 @@ class Workload:
     #: default_scale).
     quick_scale: int = 0
 
-    @property
-    def quick_default_scale(self) -> int:
-        return self.quick_scale or self.default_scale
-
     def build_module(self, scale: int | None = None, **kwargs):
         merged = dict(self.extra)
         merged.update(kwargs)

@@ -136,7 +136,7 @@ def test_flow_disabled_is_free():
     # vacuity: the enabled path records real provenance on the storm.
     storm = run_fpvm("denorm_storm", FPVMConfig.seq_short(flow=True),
                      scale=40, uops=True)
-    flow = storm.flow.as_dict()
-    assert flow["births"] > 0, "flow enabled but zero births recorded"
+    assert sum(storm.flow.births.values()) > 0, (
+        "flow enabled but zero births recorded")
     assert storm.flow.traps_by_class.get("denormal", 0) > 0, (
         "denorm_storm raised no denormal traps — the storm is vacuous")

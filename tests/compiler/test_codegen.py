@@ -107,6 +107,14 @@ class TestExpressions:
         with pytest.raises(CompileError, match="undefined variable"):
             simple_main(Print(Var("ghost"))).compile()
 
+    def test_compile_error_is_typed_bad_input(self):
+        """A rejected module is bad input, typed in :mod:`repro.errors`
+        next to :class:`AssemblerError`."""
+        from repro import errors
+        assert CompileError is errors.CompileError
+        with pytest.raises(ValueError, match="undefined variable"):
+            simple_main(Print(Var("ghost"))).compile()
+
 
 class TestStatements:
     def test_variables(self):

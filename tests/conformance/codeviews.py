@@ -27,6 +27,9 @@ checkable end to end:
 
 from __future__ import annotations
 
+from unittest import mock
+
+from repro.core import sequences
 from repro.core.telemetry import thread_metrics
 from repro.core.vm import FPVM, FPVMConfig
 from repro.kernel.kernel import LinuxKernel
@@ -149,6 +152,11 @@ def self_checksum_report(trace_threshold: int = 2) -> dict:
     """Run the self-checksumming guest under NONE / SEQ / SEQ_SHORT
     with live patching and a low compiled-trace threshold; returns per-
     config output, patch counts, text digests, and the ground truth."""
+    with mock.patch.object(sequences, "TRACE_COMPILE_THRESHOLD", trace_threshold):
+        return _self_checksum_report()
+
+
+def _self_checksum_report() -> dict:
     import hashlib
 
     report: dict = {"configs": {}}
@@ -165,8 +173,7 @@ def self_checksum_report(trace_threshold: int = 2) -> dict:
         cpu = CPU(program)
         kernel = LinuxKernel()
         cpu.kernel = kernel
-        vm = FPVM(preset(trace_compile_threshold=trace_threshold)).attach(
-            cpu, kernel)
+        vm = FPVM(preset()).attach(cpu, kernel)
         cpu.run(max_steps=MAX_STEPS)
         report["configs"][name] = {
             "output": tuple(cpu.output),

@@ -67,7 +67,7 @@ def _spliced_text(program) -> bytes:
 
 
 @pytest.fixture
-def fetch_backed_run():
+def fetch_backed_run(hot_traces):
     """The negative control: the SEQ run of the checksum guest with the
     patch markers spliced into ``program.text`` and written into the
     guest's text pages after attach, as if patches were byte splices
@@ -77,7 +77,7 @@ def fetch_backed_run():
     cpu = CPU(program)
     kernel = LinuxKernel()
     cpu.kernel = kernel
-    FPVM(FPVMConfig.seq(trace_compile_threshold=2)).attach(cpu, kernel)
+    FPVM(FPVMConfig.seq()).attach(cpu, kernel)
     text = _spliced_text(program)
     pages = range(TEXT_BASE, TEXT_BASE + len(text), PAGE_SIZE)
     for pg in pages:

@@ -76,7 +76,7 @@ def _cell_fingerprint(run: oracle.CellRun):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_attached_differential(seed):
+def test_attached_differential(seed, hot_traces):
     """Full FPVM attach: the uop pipeline *and* the compiled sequence
     tier (forced hot with a low threshold) against the seed
     interpreter."""
@@ -88,7 +88,7 @@ def test_attached_differential(seed):
     )
     fast = oracle.run_cell(
         fuzz_program(seed),
-        FPVMConfig.seq_short(trace_compile_threshold=2),
+        FPVMConfig.seq_short(),
         "chained",
         uops=True,
     )
@@ -97,14 +97,14 @@ def test_attached_differential(seed):
     assert _cell_fingerprint(base) == _cell_fingerprint(fast)
 
 
-def test_compiled_tier_exercised_somewhere():
+def test_compiled_tier_exercised_somewhere(hot_traces):
     """Guard against the attached differential silently testing nothing:
     at least one fuzz seed must actually promote and replay a trace."""
     total_hits = 0
     for seed in SEEDS:
         run = oracle.run_cell(
             fuzz_program(seed),
-            FPVMConfig.seq_short(trace_compile_threshold=2),
+            FPVMConfig.seq_short(),
             "chained",
             uops=True,
         )

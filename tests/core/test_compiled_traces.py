@@ -1,11 +1,16 @@
 """The compiled-trace tier of the sequence emulator: promotion at the
 heat threshold, bit-identical replay, the fused replay against the
-step-wise one on every exit, the disable knobs, eviction when the
-program's patch state changes, and the cold start on every attach."""
+step-wise reference (:func:`_run_stepwise`) on every exit, the
+interpreted walk of a trace that cannot fuse, promotion only on the
+chained tier, eviction when the program's patch state changes, and the
+cold start on every attach.
+
+Most tests use the ``hot_traces`` fixture (``tests/conftest.py``), which
+compiles a trace on its second sighting."""
 
 import pytest
 
-from repro.core.sequences import SequenceEmulator
+from repro.core.sequences import TRACE_COMPILE_THRESHOLD, SequenceEmulator
 from repro.core.telemetry import snapshot
 from repro.core.vm import FPVM, FPVMConfig
 from repro.errors import BoxHeapExhaustedError, DecodeCacheCorruptionError
@@ -17,7 +22,7 @@ from repro.machine.hostlib import install_host_library
 
 
 # A tight loop whose emulated trace is identical every iteration, so
-# the heat counter reaches any small threshold quickly.
+# the heat counter reaches the threshold quickly.
 LOOP_SRC = """
 .data
 a: .double 0.1
@@ -69,8 +74,8 @@ def _summary(cpu, vm):
 
 
 class TestPromotion:
-    def test_hot_trace_promoted_and_replayed(self):
-        cpu, vm = run_fpvm(LOOP_SRC, FPVMConfig.seq_short(trace_compile_threshold=2))
+    def test_hot_trace_promoted_and_replayed(self, hot_traces):
+        cpu, vm = run_fpvm(LOOP_SRC, FPVMConfig.seq_short())
         t = vm.telemetry
         assert t.compiled_traces >= 1
         assert t.compiled_trace_hits > 0
@@ -79,41 +84,47 @@ class TestPromotion:
         assert len(trace.addrs) == len(trace.probes) >= 2
         assert trace.uops is not None  # fused on replay
 
-    def test_threshold_zero_disables_tier(self):
-        _, vm = run_fpvm(LOOP_SRC, FPVMConfig.seq_short(trace_compile_threshold=0))
+    def test_trace_below_threshold_stays_interpreted(self):
+        """A trace seen fewer than ``TRACE_COMPILE_THRESHOLD`` times is
+        not compiled; one more sighting compiles it."""
+        loop = LOOP_SRC.replace("n: .quad 40", "n: .quad {n}")
+        below = TRACE_COMPILE_THRESHOLD - 1
+        _, vm = run_fpvm(loop.format(n=below), FPVMConfig.seq_short())
+        assert vm.telemetry.sequences >= below
         assert vm.telemetry.compiled_traces == 0
         assert vm.telemetry.compiled_trace_hits == 0
         assert not vm.sequencer.compiled
+        _, vm = run_fpvm(loop.format(n=below + 2), FPVMConfig.seq_short())
+        assert vm.telemetry.compiled_traces == 1
+        assert vm.telemetry.compiled_trace_hits == 1
 
-    def test_uops_off_disables_promotion(self):
-        cpu, vm = run_fpvm(LOOP_SRC, FPVMConfig.seq_short(trace_compile_threshold=2),
-                           uops=False)
+    def test_uops_off_disables_promotion(self, hot_traces):
+        cpu, vm = run_fpvm(LOOP_SRC, FPVMConfig.seq_short(), uops=False)
         assert cpu.uops_enabled is False
         assert vm.telemetry.compiled_traces == 0
 
 
 class TestReplayEquivalence:
-    def test_compiled_tier_bit_identical(self):
+    def test_compiled_tier_bit_identical(self, hot_traces):
         """Everything the simulation model observes — cycles, ledger,
         trap counts, decode-cache traffic, sequence records — must be
-        unchanged by which tier ran the traces."""
-        base_cpu, base_vm = run_fpvm(
-            LOOP_SRC, FPVMConfig.seq_short(trace_compile_threshold=0))
-        fast_cpu, fast_vm = run_fpvm(
-            LOOP_SRC, FPVMConfig.seq_short(trace_compile_threshold=2))
+        unchanged by which tier ran the traces (the ``interp`` tier
+        compiles none)."""
+        base_cpu, base_vm = run_fpvm(LOOP_SRC, FPVMConfig.seq_short(), uops=False)
+        fast_cpu, fast_vm = run_fpvm(LOOP_SRC, FPVMConfig.seq_short())
         assert fast_vm.telemetry.compiled_trace_hits > 0  # the tier ran
         assert _summary(base_cpu, base_vm) == _summary(fast_cpu, fast_vm)
 
 
 class TestEviction:
-    def test_patch_mid_trace_evicts_compiled_trace(self):
+    def test_patch_mid_trace_evicts_compiled_trace(self, hot_traces):
         """Regression: an int3 planted inside an already-compiled trace
         must fire on the next run.  A stale compiled trace would emulate
         straight through the patch site (replay skips patch lookups by
         design), so the emulator's patch cursor dropping it is the only
         thing standing between us and a silently skipped correctness
         hook."""
-        cpu, vm = run_fpvm(LOOP_SRC, FPVMConfig.seq_short(trace_compile_threshold=2))
+        cpu, vm = run_fpvm(LOOP_SRC, FPVMConfig.seq_short())
         compiled = vm.sequencer.compiled
         assert compiled
         trace = next(iter(compiled.values()))
@@ -144,9 +155,9 @@ class TestEviction:
         assert vm.sequencer._epoch == vm.program.patch_seq
         assert mid_addr not in {a for t in compiled.values() for a in t.addrs[1:]}
 
-    def test_patch_outside_traces_keeps_them(self):
+    def test_patch_outside_traces_keeps_them(self, hot_traces):
         """A patch at an address no compiled trace covers drops none."""
-        cpu, vm = run_fpvm(LOOP_SRC, FPVMConfig.seq_short(trace_compile_threshold=2))
+        cpu, vm = run_fpvm(LOOP_SRC, FPVMConfig.seq_short())
         compiled = vm.sequencer.compiled
         before = dict(compiled)
         covered = {a for t in before.values() for a in t.addrs}
@@ -201,13 +212,13 @@ top:
 
 
 class TestAttach:
-    def test_reattach_to_another_program_starts_cold(self, monkeypatch):
+    def test_reattach_to_another_program_starts_cold(self, hot_traces, monkeypatch):
         """A VM re-attached to a fresh CPU running a different program
         accounts for it exactly like a fresh VM, and replays none of the
         first program's traces.  The second program's FP code lies past
         all of the first program's text, so the VM's other state (its
         decode cache) cannot make the two runs differ."""
-        config = FPVMConfig.seq_short(trace_compile_threshold=2, gc_threshold=10**9)
+        config = FPVMConfig.seq_short(gc_threshold=10**9)
         _, vm = run_fpvm(LOOP_SRC, config)
         first = list(vm.sequencer.compiled.values())
         first_text = {i.addr for i in assemble(LOOP_SRC).instructions}
@@ -215,16 +226,13 @@ class TestAttach:
         ledger, telemetry = vm.ledger.snapshot(), snapshot(vm.telemetry)
 
         replayed = []
-        replay, stepwise = SequenceEmulator._replay, SequenceEmulator._run_stepwise
+        replay = SequenceEmulator._replay
 
-        def spy(method):
-            def run(self, trace, context):
-                replayed.append(trace)
-                return method(self, trace, context)
-            return run
+        def spy(self, trace, context):
+            replayed.append(trace)
+            return replay(self, trace, context)
 
-        monkeypatch.setattr(SequenceEmulator, "_replay", spy(replay))
-        monkeypatch.setattr(SequenceEmulator, "_run_stepwise", spy(stepwise))
+        monkeypatch.setattr(SequenceEmulator, "_replay", spy)
         cpu = attach(SHIFTED_SRC, vm)
         assert not vm.sequencer.compiled
         cpu.run()
@@ -332,12 +340,32 @@ EXIT_CASES = {
 }
 
 
-def _observe(source: str, config: FPVMConfig, error, *, stepwise: bool, monkeypatch):
-    """Run ``source``; return everything the simulation accounts (cycles,
-    ledger, telemetry, decode-cache LRU order, flow digest), the
-    lazy-FP state (dirty and live masks, each trap's ``written_xmm``)
-    and the final register banks, and the fused exits taken.
-    ``stepwise`` forces the step-wise replay."""
+def _run_stepwise(self, trace, context) -> int:
+    """The replay the fused one stands for (``SequenceEmulator._replay``
+    under test): one decode-cache fetch and emulation at a time."""
+    vm = self.vm
+    emulator = vm.emulator
+    vm.telemetry.compiled_trace_hits += 1
+    emulated: list[int] = []
+    for addr, probe in zip(trace.addrs, trace.probes):
+        uop = self._fetch(addr)
+        if emulated and probe and not emulator.any_source_boxed(uop, context):
+            # Data-dependent early stop, same as interpreted.
+            self._finish(tuple(emulated), uop.mnemonic, "no_boxed_source")
+            return addr
+        emulator.emulate(uop, context)
+        emulated.append(addr)
+    return self._terminate(trace, context)
+
+
+def _observe(source: str, config: FPVMConfig, error, *, stepwise: bool = False,
+             uops: bool | None = None, monkeypatch):
+    """Run ``source`` on the ``uops`` tier; return everything the
+    simulation accounts (cycles, ledger, telemetry, decode-cache LRU
+    order, flow digest), the lazy-FP state (dirty and live masks, each
+    trap's ``written_xmm``) and the final register banks, and the fused
+    exits taken.  ``stepwise`` replays every compiled trace through
+    :func:`_run_stepwise` instead."""
     exits = []
     written = []
     replay = SequenceEmulator._replay
@@ -359,13 +387,15 @@ def _observe(source: str, config: FPVMConfig, error, *, stepwise: bool, monkeypa
         return resume
 
     with monkeypatch.context() as m:
-        m.setattr(SequenceEmulator, "_replay", spy)
         m.setattr(SequenceEmulator, "handle_fp_trap", written_spy)
         if stepwise:
-            m.setattr(SequenceEmulator, "_fuse", lambda self, trace: False)
+            m.setattr(SequenceEmulator, "_fuse", lambda self, trace: True)
+            m.setattr(SequenceEmulator, "_replay", _run_stepwise)
+        else:
+            m.setattr(SequenceEmulator, "_replay", spy)
         prog = assemble(source)
         install_host_library(prog)
-        cpu = CPU(prog)
+        cpu = CPU(prog, uops=uops)
         kernel = LinuxKernel()
         cpu.kernel = kernel
         vm = FPVM(config).attach(cpu, kernel)
@@ -383,50 +413,41 @@ def _observe(source: str, config: FPVMConfig, error, *, stepwise: bool, monkeypa
     return state, exits
 
 
-def _check_fused(config: FPVMConfig, case: str, capacity: int, monkeypatch) -> None:
+def _check_fused(config: FPVMConfig, case: str, monkeypatch) -> None:
     source, _, exit_kind, error = EXIT_CASES[case]
-    fused, exits = _observe(source, config, error, stepwise=False, monkeypatch=monkeypatch)
+    fused, exits = _observe(source, config, error, monkeypatch=monkeypatch)
     stepwise, none = _observe(source, config, error, stepwise=True,
                               monkeypatch=monkeypatch)
     assert none == []
     assert fused == stepwise
-    if capacity == 2:
-        assert exits == []
-    else:
-        assert exit_kind in exits
+    assert exit_kind in exits
 
 
 class TestFusedReplay:
     """The fused replay settles and marks exactly what the step-wise
-    replay charges and marks, on every exit, with the flow recorder on
-    or off, and with the decode cache thrashing (capacity 2: nothing
-    stays resident, so every trap falls back) or roomy (64K: every trap
-    runs fused); in live contexts (short-circuited traps) and in
-    signal-frame contexts."""
+    reference charges and marks, on every exit, with the flow recorder
+    on or off, with every trace's entries resident (the default 64K
+    decode cache: every trap at a compiled entry runs fused); in live
+    contexts (short-circuited traps) and in signal-frame contexts."""
 
-    @pytest.mark.parametrize("capacity", [2, 65536])
     @pytest.mark.parametrize("flow", [False, True], ids=["flow_off", "flow_on"])
     @pytest.mark.parametrize("case", sorted(EXIT_CASES))
-    def test_fused_matches_stepwise(self, case, flow, capacity, monkeypatch):
-        config = FPVMConfig.seq_short(trace_compile_threshold=2, flow=flow,
-                                      decode_cache_capacity=capacity,
-                                      **EXIT_CASES[case][1])
-        _check_fused(config, case, capacity, monkeypatch)
+    def test_fused_matches_stepwise(self, case, flow, hot_traces, monkeypatch):
+        config = FPVMConfig.seq_short(flow=flow, **EXIT_CASES[case][1])
+        _check_fused(config, case, monkeypatch)
 
-    @pytest.mark.parametrize("capacity", [2, 65536])
     @pytest.mark.parametrize("case", sorted(EXIT_CASES))
-    def test_fused_matches_stepwise_frame_mode(self, case, capacity, monkeypatch):
+    def test_fused_matches_stepwise_frame_mode(self, case, hot_traces, monkeypatch):
         """SIGFPE delivery without short-circuiting: steps write and
         mark the signal frame's lists, applied at sigreturn."""
-        config = FPVMConfig.seq(trace_compile_threshold=2, decode_cache_capacity=capacity,
-                                **EXIT_CASES[case][1])
-        _check_fused(config, case, capacity, monkeypatch)
+        config = FPVMConfig.seq(**EXIT_CASES[case][1])
+        _check_fused(config, case, monkeypatch)
 
-    def test_poisoned_entry_after_fusing_still_raises(self):
+    def test_poisoned_entry_after_fusing_still_raises(self, hot_traces):
         """An entry cross-wired after its trace was fused fails the
-        entry check, and the step-wise fallback's integrity check
-        raises on it."""
-        cpu, vm = run_fpvm(LOOP_SRC, FPVMConfig.seq_short(trace_compile_threshold=2))
+        entry check, and the interpreted walk's decode-cache integrity
+        check raises on it."""
+        cpu, vm = run_fpvm(LOOP_SRC, FPVMConfig.seq_short())
         trace = next(iter(vm.sequencer.compiled.values()))
         assert trace.uops is not None
         addr, other = trace.addrs[1], trace.addrs[0]
@@ -437,6 +458,27 @@ class TestFusedReplay:
             cpu.run()
 
 
+class TestUnfusedTrace:
+    """With the decode cache thrashing (capacity 2) traces compile but
+    their entries are never all resident, so they never fuse: each trap
+    at a compiled entry is interpreted.  The chained run then accounts
+    exactly like the ``interp`` tier's, which compiles nothing."""
+
+    @pytest.mark.parametrize("flow", [False, True], ids=["flow_off", "flow_on"])
+    @pytest.mark.parametrize("case", sorted(EXIT_CASES))
+    def test_unfused_trace_accounts_like_interp_tier(self, case, flow, hot_traces,
+                                                     monkeypatch):
+        source, extra, _, error = EXIT_CASES[case]
+        config = FPVMConfig.seq_short(flow=flow, decode_cache_capacity=2, **extra)
+        chained, exits = _observe(source, config, error, monkeypatch=monkeypatch)
+        interp, _ = _observe(source, config, error, uops=False, monkeypatch=monkeypatch)
+        assert exits == []
+        compiled = chained[2].pop("compiled_traces")
+        assert compiled > 0 and interp[2].pop("compiled_traces") == 0
+        assert chained[2]["compiled_trace_hits"] == 0
+        assert chained == interp
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "known over-count: a compiled trace whose recorded terminator no "
     "longer stops fetches that terminator twice (once to check it, "
@@ -444,11 +486,12 @@ class TestFusedReplay:
     "bench_fpvm fingerprints"))
 def test_compiled_tier_accounts_like_interpreted_enzo():
     """The compiled tier must account exactly like the interpreted walk
-    (``trace_compile_threshold=0``) on enzo under SEQ_SHORT.  At scale 10
-    it makes 23 extra decode-cache hits (6,736 against 6,713)."""
-    runs = [run_workload("enzo", FPVMConfig.seq_short(
-        trace_compile_threshold=threshold, patch_sites=frozenset()), scale=10)
-        for threshold in (8, 0)]
+    (the ``interp`` tier, which compiles nothing) on enzo under
+    SEQ_SHORT.  At scale 10 it makes 23 extra decode-cache hits (6,736
+    against 6,713)."""
+    runs = [run_workload("enzo", FPVMConfig.seq_short(patch_sites=frozenset()),
+                         scale=10, uops=uops)
+            for uops in (None, False)]
     assert runs[0].telemetry.compiled_trace_hits > 0
     compiled, interpreted = ((r.cycles, r.ledger, r.telemetry.decode_hits) for r in runs)
     assert compiled == interpreted

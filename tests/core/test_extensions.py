@@ -18,6 +18,8 @@ from repro.kernel.kernel import LinuxKernel
 from repro.machine.cpu import CPU
 from repro.machine.hostlib import install_host_library
 
+from tests.fpu.builders import make_qnan
+
 f2b = B.float_to_bits
 
 finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False,
@@ -59,7 +61,7 @@ class TestFMAOracle:
         assert r.flags.invalid
 
     def test_nan_propagates(self):
-        r = ieee_op("fma", f2b(1.0), B.make_qnan(5), f2b(1.0))
+        r = ieee_op("fma", f2b(1.0), make_qnan(5), f2b(1.0))
         assert B.is_qnan(r.bits)
         assert not r.flags.invalid
 

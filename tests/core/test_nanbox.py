@@ -10,6 +10,8 @@ from repro.fpu import bits as B
 from repro.machine.assembler import assemble
 from repro.machine.cpu import CPU
 
+from tests.fpu.builders import make_snan
+
 
 class TestBoxing:
     def test_round_trip(self):
@@ -42,7 +44,7 @@ class TestBoxing:
 
     def test_application_snan_not_boxed(self):
         # Wrong magic signature.
-        assert not nanbox.is_boxed(B.make_snan(1))
+        assert not nanbox.is_boxed(make_snan(1))
 
     @given(st.floats(allow_nan=False, width=64))
     @settings(max_examples=100, deadline=None)

@@ -29,7 +29,7 @@ def cases() -> list[tuple[str, int]]:
     out = []
     for name in WORKLOAD_NAMES:
         w = get_workload(name)
-        out += [(name, w.quick_default_scale), (name, w.default_scale)]
+        out += [(name, w.quick_scale or w.default_scale), (name, w.default_scale)]
     return out
 
 

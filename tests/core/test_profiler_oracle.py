@@ -79,7 +79,7 @@ def test_stack_release_without_observed_access_unmarks(bound, monkeypatch):
 @pytest.mark.parametrize("name", ["lorenz_mt", "mixed_mt", "three_body"])
 def test_workloads_match_reference(name):
     w = get_workload(name)
-    chained, stepped = both(w.build_program(w.quick_default_scale))
+    chained, stepped = both(w.build_program(w.quick_scale or w.default_scale))
     assert chained == stepped
 
 
@@ -87,7 +87,7 @@ def test_workloads_match_reference(name):
     ("three_body", 1000), ("lorenz_mt", 700), ("lorenz_mt", 5000)])
 def test_max_steps_cutoff_matches_reference(name, max_steps):
     w = get_workload(name)
-    chained, stepped = both(w.build_program(w.quick_default_scale), max_steps)
+    chained, stepped = both(w.build_program(w.quick_scale or w.default_scale), max_steps)
     assert chained == stepped
     assert chained[0] != MemoryEscapeProfiler(
-        w.build_program(w.quick_default_scale)).run()
+        w.build_program(w.quick_scale or w.default_scale)).run()

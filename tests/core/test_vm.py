@@ -346,7 +346,6 @@ top:
     ("decode_cache_capacity", -5),
     ("box_capacity", -1),
     ("gc_threshold", -1),
-    ("trace_compile_threshold", -1),
 ])
 def test_bad_config_field_is_a_config_error(field, value):
     """Every field value FPVM cannot run fails at ``FPVM(config)`` with
@@ -357,9 +356,8 @@ def test_bad_config_field_is_a_config_error(field, value):
 
 
 def test_zero_stays_a_valid_config_value():
-    vm = FPVM(FPVMConfig(trace_compile_threshold=0, gc_threshold=0,
-                         box_capacity=0))
-    assert vm.config.trace_compile_threshold == 0
+    vm = FPVM(FPVMConfig(gc_threshold=0, box_capacity=0))
+    assert (vm.config.gc_threshold, vm.config.box_capacity) == (0, 0)
 
 
 def test_bad_patch_site_is_a_config_error():

@@ -7,6 +7,8 @@ import pytest
 
 from repro.fpu import bits as B
 
+from .builders import make_qnan, make_snan, ulp_bits
+
 
 class TestRoundTrip:
     def test_float_to_bits_one(self):
@@ -34,13 +36,13 @@ class TestClassify:
         assert not B.is_snan(B.CANONICAL_QNAN)
 
     def test_snan_detection(self):
-        snan = B.make_snan(0x1234)
+        snan = make_snan(0x1234)
         assert B.is_nan(snan)
         assert B.is_snan(snan)
         assert not B.is_qnan(snan)
 
     def test_quiet_converts_snan(self):
-        snan = B.make_snan(1)
+        snan = make_snan(1)
         assert B.is_qnan(B.quiet(snan))
 
     def test_inf_is_not_nan(self):
@@ -71,13 +73,13 @@ class TestClassify:
 
     def test_make_snan_rejects_zero_payload(self):
         with pytest.raises(ValueError):
-            B.make_snan(0)
+            make_snan(0)
 
     def test_make_nan_rejects_oversized_payload(self):
         with pytest.raises(ValueError):
-            B.make_qnan(1 << 51)
+            make_qnan(1 << 51)
         with pytest.raises(ValueError):
-            B.make_snan(1 << 51)
+            make_snan(1 << 51)
 
 
 class TestFractionConversion:
@@ -190,14 +192,14 @@ class TestIlog2:
 
 class TestUlp:
     def test_ulp_of_one(self):
-        assert B.ulp_bits(B.float_to_bits(1.0)) == Fraction(1, 2**52)
+        assert ulp_bits(B.float_to_bits(1.0)) == Fraction(1, 2**52)
 
     def test_ulp_of_subnormal(self):
-        assert B.ulp_bits(1) == Fraction(1, 2**1074)
+        assert ulp_bits(1) == Fraction(1, 2**1074)
 
     def test_ulp_of_large(self):
-        assert B.ulp_bits(B.float_to_bits(2.0**60)) == Fraction(2**8)
+        assert ulp_bits(B.float_to_bits(2.0**60)) == Fraction(2**8)
 
     def test_ulp_nonfinite_raises(self):
         with pytest.raises(ValueError):
-            B.ulp_bits(B.POS_INF_BITS)
+            ulp_bits(B.POS_INF_BITS)

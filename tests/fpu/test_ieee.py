@@ -33,6 +33,8 @@ from repro.fpu.ieee import (
     ieee_ucomi,
 )
 
+from .builders import make_qnan, make_snan
+
 f2b = B.float_to_bits
 b2f = B.bits_to_float
 
@@ -102,7 +104,7 @@ class TestAddValues:
         assert B.is_qnan(r.bits)
 
     def test_snan_operand_raises_invalid_and_quiets(self):
-        snan = B.make_snan(0x42)
+        snan = make_snan(0x42)
         r = ieee_add(snan, f2b(1.0))
         assert r.flags.invalid
         assert B.is_qnan(r.bits)
@@ -110,7 +112,7 @@ class TestAddValues:
         assert r.bits == B.quiet(snan)
 
     def test_qnan_operand_no_invalid(self):
-        qnan = B.make_qnan(0x42)
+        qnan = make_qnan(0x42)
         r = ieee_add(f2b(1.0), qnan)
         assert not r.flags.invalid
         assert r.bits == qnan
@@ -269,7 +271,7 @@ class TestMinMax:
 
     def test_min_returns_src2_on_nan(self):
         # SSE minsd: any NaN => src2 returned verbatim.
-        qnan = B.make_qnan(7)
+        qnan = make_qnan(7)
         assert ieee_min(qnan, f2b(3.0)).bits == f2b(3.0)
         assert ieee_min(f2b(3.0), qnan).bits == qnan
 
@@ -278,7 +280,7 @@ class TestMinMax:
         assert ieee_min(B.POS_ZERO_BITS, B.NEG_ZERO_BITS).bits == B.NEG_ZERO_BITS
 
     def test_snan_invalid(self):
-        assert ieee_min(B.make_snan(1), f2b(0.0)).flags.invalid
+        assert ieee_min(make_snan(1), f2b(0.0)).flags.invalid
 
 
 class TestCompares:
@@ -295,15 +297,15 @@ class TestCompares:
         assert ieee_ucomi(B.POS_ZERO_BITS, B.NEG_ZERO_BITS).bits == UCOMI_EQUAL
 
     def test_ucomi_unordered(self):
-        r = ieee_ucomi(B.make_qnan(1), f2b(2.0))
+        r = ieee_ucomi(make_qnan(1), f2b(2.0))
         assert r.bits == UCOMI_UNORDERED
         assert not r.flags.invalid  # qNaN does not signal for ucomisd
 
     def test_ucomi_snan_invalid(self):
-        assert ieee_ucomi(B.make_snan(1), f2b(2.0)).flags.invalid
+        assert ieee_ucomi(make_snan(1), f2b(2.0)).flags.invalid
 
     def test_comi_qnan_invalid(self):
-        assert ieee_op("comi", B.make_qnan(1), f2b(2.0)).flags.invalid
+        assert ieee_op("comi", make_qnan(1), f2b(2.0)).flags.invalid
 
     def test_cmp_lt_mask(self):
         assert ieee_cmp("lt", f2b(1.0), f2b(2.0)).bits == 0xFFFFFFFFFFFFFFFF
@@ -313,17 +315,17 @@ class TestCompares:
         assert ieee_cmp("eq", f2b(2.0), f2b(2.0)).bits == 0xFFFFFFFFFFFFFFFF
 
     def test_cmp_unord(self):
-        assert ieee_cmp("unord", B.make_qnan(1), f2b(1.0)).bits == 0xFFFFFFFFFFFFFFFF
+        assert ieee_cmp("unord", make_qnan(1), f2b(1.0)).bits == 0xFFFFFFFFFFFFFFFF
         assert ieee_cmp("unord", f2b(1.0), f2b(1.0)).bits == 0
 
     def test_cmp_neq_nan_true(self):
-        assert ieee_cmp("neq", B.make_qnan(1), f2b(1.0)).bits == 0xFFFFFFFFFFFFFFFF
+        assert ieee_cmp("neq", make_qnan(1), f2b(1.0)).bits == 0xFFFFFFFFFFFFFFFF
 
     def test_cmp_lt_signals_on_qnan(self):
-        assert ieee_cmp("lt", B.make_qnan(1), f2b(1.0)).flags.invalid
+        assert ieee_cmp("lt", make_qnan(1), f2b(1.0)).flags.invalid
 
     def test_cmp_eq_quiet_on_qnan(self):
-        assert not ieee_cmp("eq", B.make_qnan(1), f2b(1.0)).flags.invalid
+        assert not ieee_cmp("eq", make_qnan(1), f2b(1.0)).flags.invalid
 
 
 class TestConverts:
@@ -348,7 +350,7 @@ class TestConverts:
         assert not r.flags.inexact
 
     def test_cvttsd2si_nan_indefinite(self):
-        r = ieee_cvttsd2si(B.make_qnan(1))
+        r = ieee_cvttsd2si(make_qnan(1))
         assert r.bits == 0x8000000000000000
         assert r.flags.invalid
 

@@ -19,8 +19,9 @@ from repro.machine.registers import (
     RC_UP,
     RC_ZERO,
     rounding_mode,
-    with_rounding,
 )
+
+from .builders import with_rounding
 
 f2b = B.float_to_bits
 b2f = B.bits_to_float

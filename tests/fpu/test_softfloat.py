@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from repro.fpu import bits as B
 from repro.fpu.softfloat import BigFloat, BigFloatContext
 
+from .builders import make_qnan
+
 CTX53 = BigFloatContext(53)
 CTX200 = BigFloatContext(200)
 
@@ -65,7 +67,7 @@ class TestConstruction:
             assert BigFloat.from_float64_bits(pattern, CTX53).to_float64_bits() == pattern
 
     def test_nan_round_trip(self):
-        x = BigFloat.from_float64_bits(B.make_qnan(99), CTX53)
+        x = BigFloat.from_float64_bits(make_qnan(99), CTX53)
         assert x.is_nan()
         assert x.to_float64_bits() == B.CANONICAL_QNAN
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.vm import FPVMConfig
 from repro.harness import export
-from repro.harness.runner import run_fpvm, run_native
+from repro.harness.runner import run_fpvm
 
 
 @pytest.fixture(scope="module")
@@ -29,12 +29,6 @@ class TestSerialization:
         assert data["traces"][0]["count"] >= data["traces"][-1]["count"] or True
         lengths = [t["length"] for t in data["traces"]]
         assert all(isinstance(x, int) for x in lengths)
-
-    def test_native_dict(self):
-        native = run_native("lorenz", scale=20)
-        data = export.native_to_dict(native)
-        assert data["cycles"] == native.cycles
-        assert data["output"] == native.output
 
 
 

@@ -14,7 +14,9 @@ from repro.machine.cpu import CPU, MachineError
 from repro.machine.hostlib import install_host_library
 from repro.machine.process import Process
 from repro.machine.program import PatchKind
-from repro.machine.registers import MXCSR_FPVM, RC_DOWN, with_rounding
+from repro.machine.registers import MXCSR_FPVM, RC_DOWN
+
+from tests.fpu.builders import with_rounding
 
 #: FP loop whose body compiles to one superblock with a ``jne`` tail,
 #: dispatched again after every iteration's tail.
@@ -257,29 +259,39 @@ class TestChainInvalidation:
         assert _fingerprint(chained) == _fingerprint(stepwise)
         # the trap exits must be visible in telemetry, not silent.
         assert st["fp_trap_exits"] > 0
-        assert st["slow_fallbacks"] == 0
 
-    def test_slow_inside_chained_block(self):
-        """With the FP unit off (``trap_all_fp``) or a directed MXCSR.RC,
-        FP micro-ops in a cached block go SLOW before reading anything;
-        the engine must settle its accounting, fall back to step(), and
-        stay bit-identical."""
-        for config, mxcsr in ((FPVMConfig.seq_short(trap_all_fp=True), None),
-                              (FPVMConfig.seq_short(),
-                               with_rounding(MXCSR_FPVM, RC_DOWN))):
-            cpus = []
-            for uops_on in (True, False):
-                cpu = _cpu(_program(LOOP_SRC), uops_on=uops_on,
-                           config=config)
-                if mxcsr is not None:
-                    cpu.regs.mxcsr = mxcsr
-                cpu.run()
-                cpus.append(cpu)
-            chained, stepwise = cpus
-            assert chained.fp_trap_count > 0
-            assert _fingerprint(chained) == _fingerprint(stepwise)
-            # the SLOW fallbacks must be visible in telemetry, not silent.
-            assert chained.uop_stats.slow_fallbacks > 0
+    def _chained_and_interp(self, config, mxcsr=None, src=LOOP_SRC):
+        cpus = []
+        for uops_on in (True, False):
+            cpu = _cpu(_program(src), uops_on=uops_on, config=config)
+            if mxcsr is not None:
+                cpu.regs.mxcsr = mxcsr
+            cpu.run()
+            cpus.append(cpu)
+        chained, interp = cpus
+        assert chained.fp_trap_count > 0
+        assert _fingerprint(chained) == _fingerprint(interp)
+        return chained.uop_stats
+
+    def test_fp_off_traps_inside_chained_block(self):
+        """With the FP unit off (``trap_all_fp``) an FP micro-op in a
+        cached block returns its flagless #XF ``Trap`` before reading
+        anything, and the engine delivers it as ``_exec_fp`` would.
+        The loop's arithmetic is exact, so only the disabled unit traps
+        it."""
+        stats = self._chained_and_interp(FPVMConfig.seq_short(trap_all_fp=True),
+                                         src=LOOP_SRC.replace("1.0001", "1.0"))
+        assert stats.fp_trap_exits > 0
+        assert stats.block_runs > 0
+
+    def test_directed_rounding_single_steps(self):
+        """Under a directed MXCSR.RC the closures' round-to-nearest
+        arithmetic does not apply: the engine single-steps every
+        instruction, from the checkpoint, and enters no block."""
+        stats = self._chained_and_interp(FPVMConfig.seq_short(),
+                                         with_rounding(MXCSR_FPVM, RC_DOWN))
+        assert stats.single_steps > 0
+        assert stats.fp_trap_exits == stats.uops_retired == stats.block_runs == 0
 
     def test_step_limit_reached_inside_chain(self):
         cpu = _cpu(_program(".text\nmain:\n  nop\nspin:\n  jmp spin\n"))
@@ -393,7 +405,7 @@ class TestSlicing:
             monkeypatch.setattr(uops, name, spy)
 
         w = get_workload("enzo")
-        program = w.build_program(w.quick_default_scale)
+        program = w.build_program(w.quick_scale or w.default_scale)
         proc = Process(program)
         proc.run(quantum=32)
         stats = proc.main.uop_stats

@@ -24,7 +24,6 @@ FIELDS = {
     "trap_all_fp": "§2.3 decreased-precision mode (altmath lowprec, matrix trap_all_fp cell)",
     "lazy_state_save": "§3.1 lazy handler state save (bench_ablation_lazy_save.py)",
     "box_capacity": "bounded box heap (conformance/faults.py heap-exhaustion scenarios)",
-    "trace_compile_threshold": "§4.2 compiled-trace promotion (only test fixtures set it: tests/conformance/codeviews.py, tests/core)",
     "flow": "exception-flow observability (python -m repro flow, figures.py trap heatmap)",
 }
 
