@@ -13,8 +13,12 @@ with the same workload" — the harness does exactly that before an
 instrumented run.  The profiler finds a subset of the static
 analysis's sites because it observes one concrete execution.
 
-The pass runs on the chained engine in 32-step round-robin quanta; RIP
-moves only after an instruction's memory traffic, and a bind-time
+The pass runs on the chained engine.  A program that may spawn a
+thread runs in 32-step round-robin quanta, as the scheduler would; one
+that provably cannot (:func:`may_spawn`) runs its only thread in one
+dispatch of the same budget, rounded up to whole quanta, so the engine
+builds whole superblocks instead of slicing one at every quantum edge.
+RIP moves only after an instruction's memory traffic, and a bind-time
 ``CPU.probe`` unwinds the stack after exactly the closures that move
 ``rsp`` (and the single-step fallback).
 """
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.machine.isa import Reg
+from repro.machine.isa import Label, OpClass, Reg
 from repro.machine.program import Program
 
 
@@ -39,6 +43,31 @@ class ProfileResult:
 _RSP = Reg("rsp")
 #: instructions that move ``rsp`` without naming it as an operand.
 _STACK_MNEMONICS = frozenset({"push", "pop", "call", "ret"})
+#: steps per thread per round-robin turn.
+QUANTUM = 32
+
+
+def may_spawn(program: Program) -> bool:
+    """Whether a run of ``program`` might call ``thread_create``: some
+    control transfer has a register target, or its label resolves (as
+    ``CPU._branch_target`` resolves it) to that host function.  Read
+    the program only after ``Process`` has installed the thread API."""
+    spawners = {addr for addr, host in program.host_functions.items()
+                if host.name == "thread_create"}
+    symbols = program.symbols
+    for instr in program.instructions:
+        if instr.opclass is not OpClass.CONTROL:
+            continue
+        for op in instr.operands:
+            if isinstance(op, Reg):
+                return True
+            if isinstance(op, Label):
+                addr = op.addr
+                if addr is None or addr == -1:
+                    addr = symbols.get(op.name)
+                if addr in spawners:
+                    return True
+    return False
 
 
 class MemoryEscapeProfiler:
@@ -75,9 +104,16 @@ class MemoryEscapeProfiler:
         """Stack unwinding unmarks released slots (§5.1's unmark list)."""
         floor = self._floors[tid]
         if rsp > floor:
-            dead = [b for b in self._marked if floor <= b < rsp]
-            for b in dead:
-                self._marked.discard(b)
+            marked = self._marked
+            # Every marked block is 8-aligned: walk the released blocks
+            # when there are fewer of them than marked blocks.
+            start = (floor + 7) & ~7
+            if (rsp - start + 7) >> 3 < len(marked):
+                for b in range(start, rsp, 8):
+                    marked.discard(b)
+            else:
+                for b in [b for b in marked if floor <= b < rsp]:
+                    marked.discard(b)
         self._floors[tid] = rsp
 
     def _attach(self, process, thread) -> None:
@@ -104,21 +140,31 @@ class MemoryEscapeProfiler:
         """Drive a fresh, isolated process under instrumentation — PIN
         instruments the whole process, spawned threads included, and
         profiling must never have side effects on the process being
-        virtualized."""
+        virtualized.
+
+        A program that cannot spawn (:func:`may_spawn`) runs its one
+        thread in one dispatch.  Both drives retire the same
+        instructions in the same order: a lone thread's round-robin is
+        its quanta back to back, and both stop at the first whole
+        quantum at or past ``max_steps``."""
         from repro.machine.process import Process
 
         process = Process(self.program)
         process.mem.observers.append(self._observe)
         self._attach(process, process.main)
         process.on_thread_spawn.append(self._attach)
-        steps = 0
-        while steps < max_steps:
-            runnable = process.alive()
-            if not runnable:
-                break
-            for thread in runnable:
-                self._regs = thread.regs
-                steps += thread.run_quantum(32)
+        if may_spawn(self.program):
+            steps = 0
+            while steps < max_steps:
+                runnable = process.alive()
+                if not runnable:
+                    break
+                for thread in runnable:
+                    self._regs = thread.regs
+                    steps += thread.run_quantum(QUANTUM)
+        else:
+            self._regs = process.main.regs
+            process.main.run_quantum(-(-max_steps // QUANTUM) * QUANTUM)
         # Threads and engines form cycles: free the bound blocks now.
         process.sb_cache.evict_all()
         return self.result

@@ -12,9 +12,11 @@ numbers.  Malformed *input* stands outside that hierarchy: bytes the
 decoder cannot parse raise :class:`EncodingError`, assembly source the
 assembler rejects raises :class:`AssemblerError`, a mini-C module the
 compiler rejects raises :class:`CompileError`, and a configuration
-FPVM cannot run raises :class:`ConfigError`.
+FPVM cannot run raises :class:`ConfigError`.  A fault of the *guest*
+program itself — a bad jump, a runaway run, an access to memory it may
+not touch — is a :class:`GuestFault`, whatever FPVM is doing.
 
-The fault hierarchy derives from :class:`RuntimeError` so pre-existing
+The fault hierarchies derive from :class:`RuntimeError` so pre-existing
 callers that caught broad runtime failures keep working.
 """
 
@@ -48,6 +50,21 @@ class CompileError(ValueError):
 class ConfigError(ValueError):
     """An :class:`~repro.core.vm.FPVMConfig` FPVM cannot run (say, a
     ``supported_instructions`` mnemonic the emulator cannot emulate)."""
+
+
+class GuestFault(RuntimeError):
+    """Base class for faults of the guest program as the simulated
+    machine sees them (as opposed to faults in FPVM's machinery)."""
+
+
+class MachineError(GuestFault):
+    """Simulator-level fault (bad jump, unhandled trap, runaway run).
+    Importable from :mod:`repro.machine.cpu` as well."""
+
+
+class MemoryFault(GuestFault):
+    """Access to unmapped memory or a permission violation.  Importable
+    from :mod:`repro.machine.memory` as well."""
 
 
 class FPVMFaultError(RuntimeError):

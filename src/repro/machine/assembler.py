@@ -36,6 +36,8 @@ from repro.machine.isa import (
     Instruction,
     Label,
     Mem,
+    OpClass,
+    Operand,
     Reg,
     Xmm,
 )
@@ -44,6 +46,7 @@ from repro.machine.program import DATA_BASE, HEAP_BASE, TEXT_BASE, Program
 
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):\s*(.*)$")
 _MEM_RE = re.compile(r"^\[(.*)\]$")
+_COMMENT_RE = re.compile(r"[;#]")
 _SIZE_PREFIXES = {"byte": 1, "word": 2, "dword": 4, "qword": 8, "xmmword": 16}
 
 
@@ -61,6 +64,13 @@ def assemble(source: str, text_base: int = TEXT_BASE, data_base: int = DATA_BASE
     pending: list[tuple[str, list[str], int, int]] = []  # +addr
     addr = text_base
     symbols: dict[str, int] = {}
+    # Each distinct operand string is classified and parsed once per
+    # call.  Only successful results are kept, so every error still
+    # names its own line.  A bare name parses to a ``Label`` after a
+    # control mnemonic and to an ``Imm`` elsewhere, hence the flag in
+    # the parse key; operands are frozen, so instructions share them.
+    kinds: dict[str, str] = {}
+    parsed: dict[tuple[str, bool], Operand] = {}
 
     for line_no, raw_line in enumerate(source.splitlines(), start=1):
         line = _strip_comment(raw_line).strip()
@@ -89,17 +99,22 @@ def assemble(source: str, text_base: int = TEXT_BASE, data_base: int = DATA_BASE
             continue
 
         mnemonic, operand_strs = _split_instruction(line, line_no)
-        size = _instruction_size(mnemonic, operand_strs, line_no)
+        size = _instruction_size(operand_strs, line_no, kinds)
         pending.append((mnemonic, operand_strs, line_no, addr))
         addr += size
 
     # ------------------------------------------------------- resolve
     program.symbols.update(symbols)
     for mnemonic, operand_strs, line_no, iaddr in pending:
-        operands = [
-            _parse_operand(s, symbols, mnemonic, line_no) for s in operand_strs
-        ]
         info = OPCODES[mnemonic]
+        control = info.opclass is OpClass.CONTROL
+        operands = []
+        for s in operand_strs:
+            op = parsed.get((s, control))
+            if op is None:
+                op = parsed[s, control] = _parse_operand(
+                    s, symbols, control, line_no)
+            operands.append(op)
         if len(operands) != info.arity:
             raise AssemblerError(
                 f"{mnemonic} expects {info.arity} operands, got {len(operands)}",
@@ -125,6 +140,9 @@ def assemble(source: str, text_base: int = TEXT_BASE, data_base: int = DATA_BASE
 
 
 def _strip_comment(line: str) -> str:
+    if '"' not in line:
+        m = _COMMENT_RE.search(line)
+        return line[:m.start()] if m else line
     out = []
     in_str = False
     for ch in line:
@@ -183,6 +201,11 @@ def _split_instruction(line: str, line_no: int) -> tuple[str, list[str]]:
 
 def _split_args(arg: str) -> list[str]:
     """Split on commas not inside brackets."""
+    if "[" not in arg and "]" not in arg:
+        out = [part.strip() for part in arg.split(",")]
+        if not out[-1]:
+            out.pop()
+        return out
     out, depth, cur = [], 0, []
     for ch in arg:
         if ch == "[":
@@ -200,12 +223,15 @@ def _split_args(arg: str) -> list[str]:
     return out
 
 
-def _instruction_size(mnemonic: str, operand_strs: list[str], line_no: int) -> int:
+def _instruction_size(operand_strs: list[str], line_no: int,
+                      kinds: dict[str, str]) -> int:
     """Encoded size is computable without symbol resolution because
     operand kinds are syntactically evident."""
     size = 2
     for s in operand_strs:
-        kind = _operand_kind(s, line_no)
+        kind = kinds.get(s)
+        if kind is None:
+            kind = kinds[s] = _operand_kind(s, line_no)
         if kind in ("reg", "xmm"):
             size += 2
         elif kind in ("imm", "label"):
@@ -253,7 +279,7 @@ def _parse_int(tok: str, line_no: int) -> int:
     return value
 
 
-def _parse_operand(s: str, symbols: dict[str, int], mnemonic: str, line_no: int):
+def _parse_operand(s: str, symbols: dict[str, int], control: bool, line_no: int):
     size, tok = _strip_size_prefix(s)
     lowered = tok.lower()
     if lowered in GPR_IDS:
@@ -271,10 +297,10 @@ def _parse_operand(s: str, symbols: dict[str, int], mnemonic: str, line_no: int)
     # A bare symbol: a branch/call target, or an address-of immediate
     # for data symbols used with mov/lea.
     if tok in symbols:
-        if OPCODES[mnemonic].opclass.value == "control":
+        if control:
             return Label(tok, addr=symbols[tok])
         return Imm(symbols[tok])
-    if OPCODES[mnemonic].opclass.value == "control":
+    if control:
         # Host functions are bound at load time by the runner; emit an
         # unresolved label that Program linking fixes up.
         return Label(tok, addr=None)

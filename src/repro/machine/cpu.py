@@ -18,6 +18,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 
+from repro.errors import MachineError
 from repro.fpu import fast
 from repro.fpu.ieee import FPFlags, ieee_op
 from repro.machine.costs import DEFAULT_COSTS, CostModel
@@ -39,10 +40,6 @@ from repro.machine.uops import UOPS_DEFAULT
 U64 = 0xFFFF_FFFF_FFFF_FFFF
 #: Return address sentinel: a ``ret`` to this address halts the machine.
 RETURN_SENTINEL = 0xDEAD_0000
-
-
-class MachineError(Exception):
-    """Simulator-level fault (bad jump, unhandled trap, runaway run)."""
 
 
 class TrapKind(enum.Enum):

@@ -11,6 +11,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from repro.errors import MemoryFault
+
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
 _PAGE_MASK = PAGE_SIZE - 1
@@ -20,10 +22,6 @@ PROT_WRITE = 2
 PROT_EXEC = 4
 
 _U64 = struct.Struct("<Q")
-
-
-class MemoryFault(Exception):
-    """Access to unmapped memory or a permission violation."""
 
 
 @dataclass

@@ -11,11 +11,13 @@ from repro.errors import (
     DecodeCacheCorruptionError,
     DeviceProtocolError,
     FPVMFaultError,
+    GuestFault,
     MagicPageCorruptionError,
     StepLimitError,
     TrapStormError,
 )
 from repro.kernel.fpvm_dev import FPVMDeviceError
+from repro.machine import cpu, memory
 
 #: scenario -> (recovers bit-identically, raised error class or None).
 EXPECTED = {
@@ -68,3 +70,12 @@ def test_fault_error_hierarchy():
         assert issubclass(cls, FPVMFaultError)
         assert issubclass(cls, RuntimeError)
         assert cls.fault != FPVMFaultError.fault
+
+
+def test_guest_fault_hierarchy():
+    """Guest faults share one branch, apart from FPVM's own faults, and
+    keep their names in the modules that raise them."""
+    for cls in (cpu.MachineError, memory.MemoryFault):
+        assert issubclass(cls, GuestFault)
+        assert issubclass(cls, RuntimeError)
+        assert not issubclass(cls, FPVMFaultError)

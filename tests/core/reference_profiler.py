@@ -6,6 +6,9 @@ RIP and unwinding the stack only after instructions that move ``rsp``.
 This oracle is the pass it replaced: the same shadow memory, driven
 one ``CPU.step`` at a time in the same 32-step round-robin, recording
 the address before each step and checking ``rsp`` after every one.
+It always uses the round-robin, and its stack unwind scans the whole
+marked set, so it shares neither the one-dispatch drive nor the
+bounded unwind with the pass it checks.
 """
 
 from types import SimpleNamespace
@@ -15,6 +18,13 @@ from repro.machine.process import Process
 
 
 class SteppedProfiler(MemoryEscapeProfiler):
+    def _unwind_stack(self, tid: int, rsp: int) -> None:
+        floor = self._floors[tid]
+        if rsp > floor:
+            for b in {b for b in self._marked if floor <= b < rsp}:
+                self._marked.discard(b)
+        self._floors[tid] = rsp
+
     def run(self, max_steps: int = 50_000_000) -> ProfileResult:
         process = Process(self.program)
         process.mem.observers.append(self._observe)

@@ -131,6 +131,24 @@ class TestOperandParsing:
         assert isinstance(label, Label)
         assert label.addr == prog.symbols["end"]
 
+    def test_bare_name_parses_by_mnemonic_class(self):
+        """The same operand string is a branch target after ``call`` and
+        an address-of immediate after ``mov``, in one source."""
+        prog = assemble("main:\n  call foo\n  mov rax, foo\n  hlt\nfoo:\n  ret\n")
+        foo = prog.symbols["foo"]
+        assert prog.instructions[0].operands == (Label("foo", addr=foo),)
+        assert prog.instructions[1].operands == (Reg("rax"), Imm(foo))
+
+    @pytest.mark.parametrize("operand,match", [
+        ("[rax", "bad memory operand"),        # rejected while sizing
+        ("[rax + ]", "empty term"),            # rejected while parsing
+        ("nosuch", "undefined symbol")])
+    def test_repeated_bad_operand_reports_first_line(self, operand, match):
+        src = f"main:\n  nop\n  mov rax, {operand}\n  mov rbx, {operand}\n  hlt\n"
+        with pytest.raises(AssemblerError, match=match) as info:
+            assemble(src)
+        assert info.value.line_no == 3
+
     def test_call_external_symbol_unresolved(self):
         prog = assemble("main:\n  call print_f64\n  hlt\n")
         label = prog.instructions[0].operands[0]
