@@ -48,7 +48,7 @@ class BoxedIEEE(AltMathSystem):
         return fast.cvttsd2si(value) if truncate else fast.cvtsd2si(value)
 
     def binary(self, op: str, a, b):
-        return fast.evaluate(op, a, b)
+        return fast._EVALUATORS[op](a, b)
 
     def unary(self, op: str, a):
         if op == "sqrt":
@@ -71,7 +71,7 @@ class BoxedIEEE(AltMathSystem):
         return -1 if fa < fb else 1
 
     def is_nan_value(self, value) -> bool:
-        return B.is_nan(value)
+        return value & ~B.F64_SIGN_MASK > B.F64_EXP_MASK  # B.is_nan, inline
 
     def libm(self, fn: str, *args):
         import math

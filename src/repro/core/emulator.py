@@ -11,10 +11,11 @@ system:
   patterns — boxed values travel as bits;
 - everything else is unsupported and terminates emulation sequences.
 
-Binding (§2.4) happens once per micro-op and VM: :func:`bind` resolves
-operands, the dispatch, the altmath op and every constant charge into
-a pre-bound step, which per trap computes only effective addresses and
-the data-dependent value flow.  The simulated ``bind`` charge is still
+Binding (§2.4) happens once per micro-op and VM: :func:`bind` turns the
+micro-op into one function specialized to its operand shapes, with
+register ids, displacements, the altmath op and every constant charge
+resolved, so per trap it computes only effective addresses and the
+data-dependent value flow.  The simulated ``bind`` charge is still
 made on every emulation; only host work moves.
 
 The default supported-move set deliberately excludes ``movhpd`` /
@@ -26,8 +27,10 @@ terminator, and excludes ``andpd``/``orpd`` masks while *supporting*
 
 from __future__ import annotations
 
+import re
+
 from repro.core import nanbox
-from repro.errors import ConfigError
+from repro.errors import BoxHeapExhaustedError, ConfigError
 from repro.fpu import bits as B
 from repro.fpu.ieee import UCOMI_EQUAL, UCOMI_GREATER, UCOMI_LESS, UCOMI_UNORDERED
 from repro.machine.isa import GPR_IDS, Label, Mem, Reg, Xmm
@@ -65,9 +68,14 @@ DEFAULT_SUPPORTED = frozenset(
 #: asks for anything else is rejected with :class:`ConfigError`.
 EMULATABLE = DEFAULT_SUPPORTED | {"movhpd", "movlpd"}
 
+#: ``step.run(context, mode)``: RUN emulates; ENTER first applies
+#: sequence termination rule (2), returning False without a side effect
+#: when no source holds a box we own; PROBE only answers that check.
+RUN, ENTER, PROBE = 0, 1, 2
+
 
 class Emulator:
-    """Per-VM emulator: a cache of pre-bound steps, one per distinct
+    """Per-VM emulator: a cache of bound steps, one per distinct
     micro-op; all other state lives in the VM (allocator, altmath,
     ledger, telemetry)."""
 
@@ -80,7 +88,19 @@ class Emulator:
                               "which the emulator has no semantics for")
         #: MicroOp -> step, built by :func:`bind` on first use.
         self.steps: dict = {}
-        self.resolve, self.produce, self.owned = _value_flow(vm)
+        self.resolve, self.produce, self.settle = _value_flow(vm)
+        #: set by a step run with ENTER whose source read raised (its
+        #: charges are not due); the fused replay reads and clears it.
+        self.probe_raised = False
+        altmath, flow = vm.altmath, vm.flow
+        #: what every generated step of this VM may name (see ``_ENV``).
+        self.env = dict(
+            resolve=self.resolve, produce=self.produce, emu=self,
+            boxes=vm.allocator.boxes, counts=vm.telemetry.altmath_ops,
+            demote=self.demote_bits,
+            begin_op=flow.begin_op if flow is not None else None,
+            end_op=flow.end_op if flow is not None else None,
+            **{name: getattr(altmath, name) for name in _ALTMATH})
 
     # ----------------------------------------------------------- queries
     def supported(self, uop: MicroOp) -> bool:
@@ -88,8 +108,9 @@ class Emulator:
 
     def any_source_boxed(self, uop: MicroOp, context) -> bool:
         """Termination rule (2) probe: does any FP source operand hold a
-        NaN-boxed value owned by our allocator?"""
-        return self.step(uop).probe(context)
+        NaN-boxed value owned by our allocator?  False for micro-ops the
+        rule does not apply to (non-FP ops and ``cvtsi2sd``)."""
+        return uop.emu_kind in _PROBES and self.step(uop).run(context, PROBE)
 
     # --------------------------------------------------------- emulation
     def emulate(self, uop: MicroOp, context) -> bool:
@@ -97,12 +118,19 @@ class Emulator:
         bind/emul/altmath and advances nothing — the caller owns RIP."""
         if uop not in self.steps and uop.mnemonic not in self.supported_set:
             return False
-        self.step(uop).run(context)
+        step = self.step(uop)
+        step.charge()
+        try:
+            step.run(context, RUN)
+        finally:
+            self.settle()
+        if step.writes:
+            context.mark(step.writes)
         self.vm.telemetry.emulated_instructions += 1
         return True
 
     def step(self, uop: MicroOp):
-        """The pre-bound step for ``uop``, built on first use."""
+        """The bound step for ``uop``, built on first use."""
         steps = self.steps
         step = steps.get(uop)
         if step is None:
@@ -131,59 +159,69 @@ class Emulator:
 
 
 def _value_flow(vm):
-    """``(resolve, produce, owned)`` for one VM: bits -> alt value (unbox
-    ours, promote the rest); alt value -> canonical NaN or a fresh box
-    (``context`` gives GC roots for an emergency collection); is this a
-    box we own.  Flow hooks are compiled in only if the VM records."""
+    """``(resolve, produce, settle)`` for one VM: bits -> alt value
+    (unbox ours, promote the rest); alt value -> canonical NaN or a
+    fresh box (``context`` gives GC roots for an emergency collection).
+    The two add their altmath cycles (load, negation, promotion, box)
+    to one pending count, which ``settle()`` charges: every caller
+    settles before it returns, raising or not, while the ledger is
+    still bound to the same CPU.  Flow hooks are compiled in only if
+    the VM records."""
     ledger = vm.ledger
     costs = vm.altmath.costs
-    charge_load = ledger.charger(("altmath", costs.load))
-    charge_neg = ledger.charger(("altmath", costs.op("neg")))
-    charge_promote = ledger.charger(("altmath", costs.promote))
-    charge_box = ledger.charger(("altmath", costs.box))
+    load, load_neg = costs.load, costs.load + costs.op("neg")
+    promote_cost, box = costs.promote, costs.box
     telemetry = vm.telemetry
     boxes = vm.allocator.boxes
     altmath = vm.altmath
     promote, unary, is_nan_value = altmath.promote, altmath.unary, altmath.is_nan_value
-    alloc_box = vm.alloc_box
+    alloc, alloc_after_gc = vm.allocator.alloc, vm.alloc_box_after_gc
     box_bits = nanbox.box_bits
     # The box signature (nanbox.is_boxed) and ownership (allocator.owns)
     # tested inline: the per-operand path makes no calls for them.
     sig_mask, sig = nanbox._PATTERN_MASK, nanbox._PATTERN
     ptr_mask, sign, qnan = nanbox.NANBOX_PTR_MASK, B.F64_SIGN_MASK, B.CANONICAL_QNAN
-
-    def owned(bits):
-        return bits & sig_mask == sig and bits & ptr_mask in boxes
+    pending = 0
 
     def resolve(bits):
+        nonlocal pending
         if bits & sig_mask == sig:
             ptr = bits & ptr_mask
             if ptr in boxes:
-                charge_load()
-                value = boxes[ptr]
                 if bits & sign:
-                    charge_neg()
-                    value = unary("neg", value)
-                return value
-        charge_promote()
+                    pending += load_neg
+                    return unary("neg", boxes[ptr])
+                pending += load
+                return boxes[ptr]
+        pending += promote_cost
         telemetry.promotions += 1
         return promote(bits)
 
     def produce(value, context):
+        nonlocal pending
         if is_nan_value(value):
             return qnan
-        charge_box()
-        ptr = alloc_box(value, context)
+        pending += box
+        try:  # vm.alloc_box, inline
+            ptr = alloc(value)
+        except BoxHeapExhaustedError:
+            ptr = alloc_after_gc(value, context)
         telemetry.boxes_allocated += 1
-        return box_bits(ptr)
+        return sig | ptr if ptr <= ptr_mask else box_bits(ptr)  # box_bits raises
+
+    def settle():
+        nonlocal pending
+        if pending:
+            ledger.charge("altmath", pending)
+            pending = 0
 
     flow = vm.flow
     if flow is None:
-        return resolve, produce, owned
+        return resolve, produce, settle
     note_source, note_clamp, note_birth = flow.note_source, flow.note_clamp, flow.note_birth
 
     def resolve_noted(bits):
-        if owned(bits):
+        if bits & sig_mask == sig and bits & ptr_mask in boxes:
             note_source(bits & ptr_mask)
         return resolve(bits)
 
@@ -195,70 +233,47 @@ def _value_flow(vm):
             note_birth(bits & ptr_mask)
         return bits
 
-    return resolve_noted, produce_noted, owned
+    return resolve_noted, produce_noted, settle
 
 
-# ------------------------------------------------------------ operands
-# Accessors take ``(ctx, lane, ea)`` / ``(ctx, value, lane, ea)``; ``ea``
-# is computed per emulation before any write.  Steps share them.
-# Register accessors use the context's lists directly; XMM writers
-# leave the lazy-FP marking to the step (``_Step.writes``).
-def _xmm_access(xid: int):
-    def write(ctx, value, lane, ea):
-        ctx.xmm[xid][lane] = value & U64
-    return (lambda ctx, lane, ea: ctx.xmm[xid][lane]), write
+# ------------------------------------------------------------- binding
+class _Step:
+    """One micro-op bound for one VM.  ``run(context, mode)`` is its
+    generated function (modes RUN, ENTER, PROBE); ``charge`` records
+    its constant charges (``bind`` per operand, ``emul`` dispatch, the
+    op's fixed altmath cost), kept as ``charge.charges``; ``writes`` is
+    the static lazy-FP mask of the XMM lanes a completed run wrote.
+    :meth:`Emulator.emulate` charges, runs and marks; a fused sequence
+    trace runs and settles charges and marks once per trap."""
+
+    __slots__ = ("run", "charge", "writes")
+
+    def __init__(self, run, charge, writes: int) -> None:
+        self.run, self.charge, self.writes = run, charge, writes
 
 
-def _gpr_access(rid: int):
-    def write(ctx, value, lane, ea):
-        ctx.gpr[rid] = value & U64
-    return (lambda ctx, lane, ea: ctx.gpr[rid]), write
-
-
-def _mem_access(size: int, fp: bool):
-    return (lambda ctx, lane, ea: ctx.memory.observed_load(ea + 8 * lane, size, fp),
-            lambda ctx, value, lane, ea: ctx.memory.observed_store(
-                ea + 8 * lane, value, size, fp))
-
-
-_XMM = tuple(_xmm_access(i) for i in range(16))
-_GPR = tuple(_gpr_access(i) for i in range(16))
-_MEM = {(size, fp): _mem_access(size, fp) for size in (1, 2, 4, 8, 16) for fp in (False, True)}
-
-
-def _access(op, fp: bool):
-    """``(read, write)`` for one operand."""
-    if isinstance(op, Xmm):
-        return _XMM[op.id]
-    if isinstance(op, Reg):
-        return _GPR[op.id]
-    if isinstance(op, Mem):
-        return _MEM[op.size, fp]
-    value = ((op.addr or 0) if isinstance(op, Label) else op.value) & U64
-
-    def unwritable(ctx, v, lane, ea):
-        raise ValueError(f"cannot write operand {op}")
-    return (lambda ctx, lane, ea: value), unwritable
-
-
-def _locator(op):
-    """``(base, index, scale, disp)`` of a memory operand, else None."""
-    if not isinstance(op, Mem):
-        return None
-    return (GPR_IDS[op.base] if op.base is not None else None,
-            GPR_IDS[op.index] if op.index is not None else None,
-            op.scale, op.disp)
-
-
-def _address(ctx, loc) -> int:
-    if loc is None:
-        return 0
-    base, index, scale, ea = loc
-    if base is not None:
-        ea += ctx.gpr[base]
-    if index is not None:
-        ea += ctx.gpr[index] * scale
-    return ea & U64
+def bind(uop: MicroOp, vm):
+    """Bind one micro-op for one VM into a :class:`_Step`."""
+    build, fp, probe, cost = _KINDS[uop.emu_kind]
+    ops = uop.operands
+    gen = _Source(ops, fp)
+    lanes, body = build(uop, gen)
+    flow = vm.flow is not None
+    if flow:
+        gen.params["addr"] = uop.addr
+    key = (uop.mnemonic, flow, *gen.shape)
+    make = _MAKERS.get(key)
+    if make is None:
+        make = _MAKERS[key] = _compile(gen.source(body, probe, range(uop.lanes), flow))
+    costs = vm.costs
+    charges = [("bind", costs.bind_per_operand * max(len(ops), 1)),
+               ("emul", costs.emul_dispatch)]
+    if cost is not None:
+        altmath = vm.altmath.costs
+        unit = altmath.op(uop.ieee) if cost == "op" else getattr(altmath, cost)
+        charges.append(("altmath", unit * uop.lanes))
+    return _Step(make(vm.emulator.env, **gen.params), vm.ledger.charger(*charges),
+                 _lanes_mask(ops[0], lanes) if ops else 0)
 
 
 def _lanes_mask(op, lanes) -> int:
@@ -271,312 +286,321 @@ def _lanes_mask(op, lanes) -> int:
     return mask
 
 
-# ------------------------------------------------------------- binding
-def bind(uop: MicroOp, vm):
-    """Bind one micro-op for one VM into a step.
-
-    ``step.run(context)`` emulates the micro-op with every constant
-    charge (``bind`` per operand, ``emul`` dispatch, the op's fixed
-    altmath cost) pre-resolved; ``step.probe(context)`` is the
-    boxed-source check of sequence termination rule (2), False for
-    micro-ops it does not apply to (non-FP ops and ``cvtsi2sd``)."""
-    step = _BY_KIND[uop.emu_kind](uop, vm)
-    if vm.flow is None:
-        return step
-    return _FlowStep(step, vm.flow, uop.addr)
-
-
-class _Step:
-    """One micro-op bound for one VM.  ``r0``-``r2`` read operands,
-    ``w0`` writes the first one, ``m0``-``m2`` locate memory operands
-    (None for the others) and ``arg`` is kind-specific.  ``writes`` is
-    the static lazy-FP mask of the XMM lanes a completed ``body``
-    wrote.  ``run`` charges, computes the effective addresses, calls
-    ``body`` and marks ``writes`` on the context; a fused sequence
-    trace calls ``body`` and settles ``charges`` and marks itself."""
-
-    __slots__ = ("charge", "lanes", "writes", "r0", "r1", "r2", "w0", "m0", "m1", "m2",
-                 "arg")
-
-    #: per-operand ``fp`` flag of memory accesses (observers see it).
-    FP = (True, True, True)
-
-    def __init__(self, uop: MicroOp, vm) -> None:
-        ops = uop.operands
-        pad = 3 - len(ops)
-        access = [_access(op, fp) for op, fp in zip(ops, self.FP)] + [(None, None)] * pad
-        (self.r0, self.w0), (self.r1, _), (self.r2, _) = access
-        self.m0, self.m1, self.m2 = [_locator(op) for op in ops] + [None] * pad
-        self.lanes = range(uop.lanes)
-        self.writes = _lanes_mask(ops[0], self.written_lanes(uop)) if ops else 0
-        costs = vm.costs
-        self.charge = vm.ledger.charger(
-            ("bind", costs.bind_per_operand * max(len(ops), 1)),
-            ("emul", costs.emul_dispatch),
-            *self.op_charges(uop, vm.altmath.costs))
-
-    #: the constant ``(category, cycles)`` charges of one emulation.
-    charges = property(lambda self: self.charge.charges)
-
-    def op_charges(self, uop: MicroOp, costs) -> tuple:
-        """The op's constant ledger charges beyond bind and emul."""
-        return ()
-
-    def written_lanes(self, uop: MicroOp):
-        """The lanes of operand 0 that ``body`` writes (``writes`` keeps
-        them only if it is an XMM register)."""
-        return ()
-
-    def run(self, ctx) -> None:
-        self.charge()
-        self.body(ctx, _address(ctx, self.m0), _address(ctx, self.m1))
-        if self.writes:
-            ctx.mark(self.writes)
-
-    def probe(self, ctx) -> bool:
-        return False
+#: The altmath methods steps call, looked up on the VM's system when
+#: the emulator is built (so a wrapper installed on the class sees them).
+_ALTMATH = ("binary", "unary", "fma", "compare", "from_i64", "to_i64")
+#: Every name a step may take from ``Emulator.env``.
+_ENV = ("resolve", "produce", "emu", "boxes", "counts", "demote", "begin_op",
+        "end_op", *_ALTMATH)
+#: Module globals of the generated code.
+_GLOBALS = {
+    "U64": U64, "RSP": RSP, "SIGN": B.F64_SIGN_MASK,
+    "SIG_MASK": nanbox._PATTERN_MASK, "SIG": nanbox._PATTERN,
+    "PTR_MASK": nanbox.NANBOX_PTR_MASK,
+    "UCOMI_UNORDERED": UCOMI_UNORDERED, "UCOMI_EQUAL": UCOMI_EQUAL,
+    "UCOMI_LESS": UCOMI_LESS, "UCOMI_GREATER": UCOMI_GREATER,
+}
 
 
-class _Arith(_Step):
-    """FP arithmetic: sources resolve to alt values through the VM's
-    value flow, results produce boxes (or the canonical NaN).  ``fn``
-    is the altmath method ``ALTMATH``; each lane is charged
-    ``costs.op(uop.ieee)``, or the ``COST`` field if set."""
-
-    __slots__ = ("resolve", "produce", "owned", "fn", "counts", "probes")
-    ALTMATH = "binary"
-    COST = None
-    #: operands the boxed-source probe reads, lane by lane.
-    PROBE = (0, 1)
-
-    def __init__(self, uop: MicroOp, vm) -> None:
-        super().__init__(uop, vm)
-        emulator = vm.emulator
-        self.resolve, self.produce, self.owned = emulator.resolve, emulator.produce, emulator.owned
-        self.fn = getattr(vm.altmath, self.ALTMATH)
-        self.counts = vm.telemetry.altmath_ops
-        self.arg = uop.ieee if uop.emu_kind == "bin" else uop.emu_arg
-        readers, locs = (self.r0, self.r1, self.r2), (self.m0, self.m1, self.m2)
-        self.probes = tuple((readers[i], locs[i]) for i in self.PROBE)
-
-    def op_charges(self, uop, costs):
-        unit = costs.op(uop.ieee) if self.COST is None else getattr(costs, self.COST)
-        return (("altmath", unit * uop.lanes),)
-
-    def written_lanes(self, uop):
-        return self.lanes
-
-    def probe(self, ctx) -> bool:
-        owned = self.owned
-        for lane in self.lanes:
-            for read, loc in self.probes:
-                if owned(read(ctx, lane, _address(ctx, loc))):
-                    return True
-        return False
+#: (mnemonic, flow on, *operand shape) -> the ``make`` its source
+#: defines.  The source depends on the key alone (operand values are
+#: ``make``'s arguments), so one process-wide table serves every VM; it
+#: holds one entry per distinct key ever bound, a few dozen.
+_MAKERS: dict = {}
 
 
-class _Bin(_Arith):
-    def body(self, ctx, ea0: int, ea1: int) -> None:
-        r0, r1, w0, resolve, produce = self.r0, self.r1, self.w0, self.resolve, self.produce
-        binary, op, counts = self.fn, self.arg, self.counts
-        for lane in self.lanes:
-            a = resolve(r0(ctx, lane, ea0))
-            b = resolve(r1(ctx, lane, ea1))
-            counts[op] += 1
-            w0(ctx, produce(binary(op, a, b), ctx), lane, ea0)
+def _compile(source: str):
+    namespace = dict(_GLOBALS, _cannot_write=_cannot_write)
+    exec(compile(source, "<emulator step>", "exec"), namespace)
+    return namespace["make"]
 
 
-class _Sqrt(_Arith):
-    ALTMATH = "unary"
-    PROBE = (1,)
-
-    def body(self, ctx, ea0: int, ea1: int) -> None:
-        for lane in self.lanes:
-            value = self.resolve(self.r1(ctx, lane, ea1))
-            self.w0(ctx, self.produce(self.fn("sqrt", value), ctx), lane, ea0)
+def _cannot_write(message: str, value) -> None:
+    raise ValueError(message)
 
 
-class _Fma(_Arith):
+class _Source:
+    """The source of one micro-op's step: operand reads and writes as
+    text specialized to each operand's kind, and ``params``, the
+    per-step values (register ids, displacements, immediates) the text
+    names.  XMM and GPR operands index the context's lists; a memory
+    operand's effective address is computed once, first, from its
+    base, index, scale and displacement."""
+
+    def __init__(self, ops, fp) -> None:
+        self.ops, self.fp = ops, fp
+        self.params: dict = {}
+        #: the operand kinds the text depends on (with the mnemonic,
+        #: the key of the text).
+        self.shape: list = []
+        self.used: set[str] = set()
+        for pos, op in enumerate(ops):
+            if isinstance(op, Xmm):
+                self.params[f"x{pos}"] = op.id
+                self.shape.append("x")
+            elif isinstance(op, Reg):
+                self.params[f"r{pos}"] = op.id
+                self.shape.append("r")
+            elif isinstance(op, Mem):
+                if op.base is not None:
+                    self.params[f"b{pos}"] = GPR_IDS[op.base]
+                if op.index is not None:
+                    self.params[f"n{pos}"] = GPR_IDS[op.index]
+                    self.params[f"s{pos}"] = op.scale
+                if op.base is None and op.index is None:
+                    self.params[f"ea{pos}"] = op.disp & U64
+                else:
+                    self.params[f"d{pos}"] = op.disp
+                self.shape.append((op.base is not None, op.index is not None, op.size))
+            else:
+                value = (op.addr or 0) if isinstance(op, Label) else op.value
+                self.params[f"i{pos}"] = value & U64
+                if pos == 0:
+                    self.params["w0"] = f"cannot write operand {op}"
+                self.shape.append("i")
+
+    def _address(self, pos: int, op: Mem) -> list[str]:
+        """The line computing ``ea{pos}``, unless it is a constant."""
+        terms = []
+        if op.base is not None:
+            terms.append(f"{self.use('gpr')}[b{pos}]")
+        if op.index is not None:
+            terms.append(f"{self.use('gpr')}[n{pos}] * s{pos}")
+        return [f"ea{pos} = ({' + '.join(terms)} + d{pos}) & U64"] if terms else []
+
+    def use(self, name: str) -> str:
+        """``name`` (``xmm``, ``gpr`` or ``mem``), loaded from the
+        context at the top of the step."""
+        self.used.add(name)
+        return name
+
+    def read(self, pos: int, lane: int) -> str:
+        op = self.ops[pos]
+        if isinstance(op, Xmm):
+            return f"{self.use('xmm')}[x{pos}][{lane}]"
+        if isinstance(op, Reg):
+            return f"{self.use('gpr')}[r{pos}]"
+        if isinstance(op, Mem):
+            at = f"ea{pos} + {8 * lane}" if lane else f"ea{pos}"
+            return f"{self.use('mem')}.observed_load({at}, {op.size}, {self.fp[pos]})"
+        return f"i{pos}"
+
+    def write(self, pos: int, lane: int, value: str) -> str:
+        op = self.ops[pos]
+        if isinstance(op, Xmm):
+            return f"{self.use('xmm')}[x{pos}][{lane}] = ({value}) & U64"
+        if isinstance(op, Reg):
+            return f"{self.use('gpr')}[r{pos}] = ({value}) & U64"
+        if isinstance(op, Mem):
+            at = f"ea{pos} + {8 * lane}" if lane else f"ea{pos}"
+            return f"{self.use('mem')}.observed_store({at}, {value}, {op.size}, {self.fp[pos]})"
+        return f"_cannot_write(w{pos}, {value})"
+
+    def source(self, body, probe, lanes, flow: bool) -> str:
+        """Source of ``make(env, **params)``, which returns the step
+        function.  ``body(src)`` gives the emulation's lines,
+        ``src(pos, lane)`` the expression for a source lane's bits;
+        ``probe`` names the operands rule (2) checks in each of
+        ``lanes`` (None: the rule does not apply); with ``flow`` the
+        body runs inside the flow recorder's op window."""
+        window = (["begin_op(addr)"], ["end_op()"]) if flow else ([], [])
+        lines = [*window[0], *body(self.read), *window[1], "return True"]
+        if probe is not None:
+            slots = [(pos, lane) for lane in lanes for pos in probe]
+            lines = self._entry(body, slots, window) + lines
+        prologue = [line for pos, op in enumerate(self.ops) if isinstance(op, Mem)
+                    for line in self._address(pos, op)]
+        loads = [f"{name} = ctx.{attr}" for name, attr in
+                 (("xmm", "xmm"), ("gpr", "gpr"), ("mem", "memory")) if name in self.used]
+        code = loads + prologue + lines
+        text = "\n".join(code)
+        # Every name the step reads is a local bound as a default: no
+        # cell per value, and the fastest lookup.
+        names = [f"{name}=env[{name!r}]" for name in _ENV if re.search(rf"\b{name}\b", text)]
+        names += [f"{name}={name}" for name in self.params]
+        return "\n".join([f"def make({', '.join(['env', *self.params])}):",
+                          f"    def step(ctx, mode={RUN}, {', '.join(names)}):",
+                          *_indent(code, 8), "    return step", ""])
+
+    def _entry(self, body, slots, window) -> list[str]:
+        """The ENTER and PROBE branch.  It reads the probe ``slots`` in
+        order until one holds a box we own, and returns False if none
+        does.  PROBE then returns True; ENTER runs the body on the bits
+        read so far and reads the rest, so it reads each source once,
+        except that after the first lane a GPR or memory source is read
+        again where a write to a non-XMM destination could have changed
+        it.  A probe read that raises under ENTER sets
+        ``emu.probe_raised``: nothing ran, so the step's charges are not
+        due."""
+        reread = not isinstance(self.ops[0], Xmm)
+        lines = []
+        for i, (pos, lane) in enumerate(slots):
+            read = [f"v{pos}{lane} = {self.read(pos, lane)}"]
+            if isinstance(self.ops[pos], Mem):
+                read = ["try:", *_indent(read), "except BaseException:",
+                        f"    if mode == {ENTER}:", "        emu.probe_raised = True",
+                        "    raise"]
+            known = slots[:i + 1]
+
+            def entered(p, l, known=known):
+                if (p, l) not in known or (
+                        l and reread and not isinstance(self.ops[p], Xmm)):
+                    return self.read(p, l)
+                return f"v{p}{l}"
+            lines += [*read,
+                      f"if v{pos}{lane} & SIG_MASK == SIG and v{pos}{lane} & PTR_MASK in boxes:",
+                      *_indent([f"if mode == {PROBE}:", "    return True",
+                                *window[0], *body(entered), *window[1], "return True"])]
+        return ["if mode:", *_indent([*lines, "return False"])]
+
+
+def _indent(lines, n: int = 4) -> list[str]:
+    return [" " * n + line for line in lines]
+
+
+# ---------------------------------------------------------- step kinds
+# Each builds one emulation kind's body from ``(uop, gen)`` and returns
+# ``(lanes of operand 0 written, body)``; ``body(src)`` is the list of
+# source lines with ``src(pos, lane)`` standing for a source read.
+def _bin(uop, gen):
+    gen.params["op"] = uop.ieee
+    lanes = range(uop.lanes)
+
+    def body(src):
+        lines = []
+        for lane in lanes:
+            lines += [f"a = resolve({src(0, lane)})",
+                      f"b = resolve({src(1, lane)})",
+                      "counts[op] += 1",
+                      gen.write(0, lane, "produce(binary(op, a, b), ctx)")]
+        return lines
+    return lanes, body
+
+
+def _sqrt(uop, gen):
+    lanes = range(uop.lanes)
+
+    def body(src):
+        lines = []
+        for lane in lanes:
+            lines += [f"value = resolve({src(1, lane)})",
+                      gen.write(0, lane, 'produce(unary("sqrt", value), ctx)')]
+        return lines
+    return lanes, body
+
+
+def _fma(uop, gen):
     """dst = src2 * dst + src3 (the 213 operand order)."""
-
-    ALTMATH = "fma"
-    PROBE = (0, 1, 2)
-
-    def body(self, ctx, ea0: int, ea1: int) -> None:
-        resolve = self.resolve
-        mul2 = resolve(self.r1(ctx, 0, ea1))
-        mul1 = resolve(self.r0(ctx, 0, ea0))
-        addend = resolve(self.r2(ctx, 0, _address(ctx, self.m2)))
-        self.counts["fma"] += 1
-        self.w0(ctx, self.produce(self.fn(mul2, mul1, addend), ctx), 0, ea0)
+    return range(uop.lanes), lambda src: [
+        f"mul2 = resolve({src(1, 0)})",
+        f"mul1 = resolve({src(0, 0)})",
+        f"addend = resolve({src(2, 0)})",
+        'counts["fma"] += 1',
+        gen.write(0, 0, "produce(fma(mul2, mul1, addend), ctx)")]
 
 
-class _Cvtsi2sd(_Arith):
-    ALTMATH = "from_i64"
-    COST = "convert"
-    FP = (True, False)
-    PROBE = ()  # integer source; never boxed
-
-    def body(self, ctx, ea0: int, ea1: int) -> None:
-        self.w0(ctx, self.produce(self.fn(self.r1(ctx, 0, ea1)), ctx), 0, ea0)
+def _cvtsi2sd(uop, gen):
+    return range(uop.lanes), lambda src: [
+        gen.write(0, 0, f"produce(from_i64({src(1, 0)}), ctx)")]
 
 
-class _Cvt2si(_Arith):
-    ALTMATH = "to_i64"
-    COST = "convert"
-    FP = (False, True)
-    PROBE = (1,)
-
-    def body(self, ctx, ea0: int, ea1: int) -> None:
-        value = self.resolve(self.r1(ctx, 0, ea1))
-        self.w0(ctx, self.fn(value, truncate=self.arg), 0, ea0)
+def _cvt2si(uop, gen):
+    gen.params["truncate"] = uop.emu_arg
+    return range(uop.lanes), lambda src: [
+        f"value = resolve({src(1, 0)})",
+        gen.write(0, 0, "to_i64(value, truncate=truncate)")]
 
 
-class _Compare(_Arith):
+def _compare(uop, gen):
     """ucomisd/comisd set flags; cmpXXsd writes an all-ones or zero mask."""
-
-    ALTMATH = "compare"
-    COST = "compare"
-
-    def __init__(self, uop: MicroOp, vm) -> None:
-        super().__init__(uop, vm)
-        if uop.emu_kind == "cmp":
-            self.arg = CMP_TABLES[uop.emu_arg]
-
-    def written_lanes(self, uop):
-        return (0,) if uop.emu_kind == "cmp" else ()
-
-    def body(self, ctx, ea0: int, ea1: int) -> None:
-        a = self.resolve(self.r0(ctx, 0, ea0))
-        b = self.resolve(self.r1(ctx, 0, ea1))
-        c = self.fn(a, b)
-        if self.arg is not None:
-            if_unord, fn = self.arg
-            hit = if_unord if c is None else fn(c)
-            self.w0(ctx, U64 if hit else 0, 0, ea0)
-            return
-        packed = (
-            UCOMI_UNORDERED if c is None
-            else UCOMI_EQUAL if c == 0
-            else UCOMI_LESS if c < 0
-            else UCOMI_GREATER
-        )
-        flags = ctx.flags
-        flags.zf, flags.pf, flags.cf = bool(packed & 1), bool(packed & 2), bool(packed & 4)
-        flags.sf = flags.of = False
+    if uop.emu_kind == "cmp":
+        gen.params["if_unord"], gen.params["pred"] = CMP_TABLES[uop.emu_arg]
+        lanes = (0,)
+        tail = [gen.write(0, 0, "U64 if (if_unord if c is None else pred(c)) else 0")]
+    else:
+        lanes = ()
+        tail = ["packed = (UCOMI_UNORDERED if c is None else UCOMI_EQUAL if c == 0"
+                " else UCOMI_LESS if c < 0 else UCOMI_GREATER)",
+                "flags = ctx.flags",
+                "flags.zf, flags.pf, flags.cf = bool(packed & 1), bool(packed & 2),"
+                " bool(packed & 4)",
+                "flags.sf = flags.of = False"]
+    return lanes, lambda src: [f"a = resolve({src(0, 0)})", f"b = resolve({src(1, 0)})",
+                               "c = compare(a, b)", *tail]
 
 
-class _Xorpd(_Step):
-    def __init__(self, uop: MicroOp, vm) -> None:
-        super().__init__(uop, vm)
-        self.arg = vm.emulator.demote_bits
-
-    def written_lanes(self, uop):
-        return (0, 1)
-
-    def body(self, ctx, ea0: int, ea1: int) -> None:
-        demote, is_boxed = self.arg, nanbox.is_boxed
+def _xorpd(uop, gen):
+    # Raw xor: correct for plain doubles, and correct for boxed values
+    # when the mask only touches the sign bit (the compiler idiom)
+    # thanks to the negation convention.  A non-sign mask over a boxed
+    # value demotes it first.
+    def body(src):
+        lines = []
         for lane in (0, 1):
-            a = self.r0(ctx, lane, ea0)
-            b = self.r1(ctx, lane, ea1)
-            # Raw xor: correct for plain doubles, and correct for boxed
-            # values when the mask only touches the sign bit (the
-            # compiler idiom) thanks to the negation convention.
-            if is_boxed(a) and (b & ~B.F64_SIGN_MASK):
-                # A non-sign mask over a boxed value: demote first.
-                a = demote(a)
-            if is_boxed(b) and (a & ~B.F64_SIGN_MASK) and not is_boxed(a):
-                b = demote(b)
-            self.w0(ctx, (a ^ b) & U64, lane, ea0)
+            lines += [f"a = {src(0, lane)}", f"b = {src(1, lane)}",
+                      "if a & SIG_MASK == SIG and b & ~SIGN:",
+                      "    a = demote(a)",
+                      "if b & SIG_MASK == SIG and a & ~SIGN and not a & SIG_MASK == SIG:",
+                      "    b = demote(b)",
+                      gen.write(0, lane, "a ^ b")]
+        return lines
+    return (0, 1), body
 
 
-class _Move(_Step):
-    """FP moves.  movsd/movq/movhpd/movlpd copy one raw lane, ``arg``
-    being ``(src_lane, dst_lane, xmm whose high lane to zero or None)``
-    (a movsd load and a movq into an XMM register zero it);
-    movapd/movupd (``arg`` None) read both lanes, then write both."""
+def _move(uop, gen):
+    """FP moves.  movapd/movupd read both lanes, then write both;
+    movsd/movq/movhpd/movlpd copy one raw lane, and a movsd load or a
+    movq into an XMM register zeroes its high lane."""
+    mn = uop.mnemonic
+    dst, src_op = uop.operands
+    if mn in ("movapd", "movupd"):
+        return (0, 1), lambda src: [f"lo = {src(1, 0)}", f"hi = {src(1, 1)}",
+                                    gen.write(0, 0, "lo"), gen.write(0, 1, "hi")]
+    dst_xmm = isinstance(dst, Xmm)
+    src_lane, dst_lane = ((0, 1) if dst_xmm else (1, 0)) if mn == "movhpd" else (0, 0)
+    zero = dst_xmm and (mn == "movq" or (mn == "movsd" and not isinstance(src_op, Xmm)))
 
-    def __init__(self, uop: MicroOp, vm) -> None:
-        mn = uop.mnemonic
-        dst, src = uop.operands
-        dst_xmm = isinstance(dst, Xmm)
-        lanes = ((0, 1) if dst_xmm else (1, 0)) if mn == "movhpd" else (0, 0)
-        zero = dst_xmm and (mn == "movq" or (mn == "movsd" and not isinstance(src, Xmm)))
-        self.arg = None if mn in ("movapd", "movupd") else (*lanes, dst.id if zero else None)
-        super().__init__(uop, vm)
-
-    def written_lanes(self, uop):
-        if self.arg is None:
-            return (0, 1)
-        _, dst_lane, zero_high = self.arg
-        return (dst_lane,) if zero_high is None else (dst_lane, 1)
-
-    def body(self, ctx, ea0: int, ea1: int) -> None:
-        if self.arg is None:
-            lo = self.r1(ctx, 0, ea1)
-            hi = self.r1(ctx, 1, ea1)
-            self.w0(ctx, lo, 0, ea0)
-            self.w0(ctx, hi, 1, ea0)
-            return
-        src_lane, dst_lane, zero_high = self.arg
-        self.w0(ctx, self.r1(ctx, src_lane, ea1), dst_lane, ea0)
-        if zero_high is not None:
-            ctx.xmm[zero_high][1] = 0
+    def body(src):
+        lines = [gen.write(0, dst_lane, src(1, src_lane))]
+        if zero:
+            lines.append(f"{gen.use('xmm')}[x0][1] = 0")
+        return lines
+    return ((dst_lane, 1) if zero else (dst_lane,)), body
 
 
-class _IntMove(_Step):
+def _intmov(uop, gen):
     """mov, lea, push and pop."""
-
-    FP = (False, False)
-
-    def __init__(self, uop: MicroOp, vm) -> None:
-        super().__init__(uop, vm)
-        self.arg = uop.mnemonic
-
-    def written_lanes(self, uop):
-        return () if uop.mnemonic == "push" else (0,)
-
-    def body(self, ctx, ea0: int, ea1: int) -> None:
-        mn = self.arg
-        if mn == "mov":
-            self.w0(ctx, self.r1(ctx, 0, ea1), 0, ea0)
-        elif mn == "lea":
-            self.w0(ctx, ea1, 0, ea0)
-        elif mn == "push":
-            gpr = ctx.gpr
-            rsp = gpr[RSP] = (gpr[RSP] - 8) & U64
-            ctx.memory.write_u64(rsp, self.r0(ctx, 0, ea0))
-        else:  # pop
-            gpr = ctx.gpr
-            rsp = gpr[RSP]
-            self.w0(ctx, ctx.memory.read_u64(rsp), 0, ea0)
-            gpr[RSP] = (rsp + 8) & U64
+    mn = uop.mnemonic
+    if mn == "mov":
+        return (0,), lambda src: [gen.write(0, 0, src(1, 0))]
+    if mn == "lea":
+        ea = "ea1" if isinstance(uop.operands[1], Mem) else "0"
+        return (0,), lambda src: [gen.write(0, 0, ea)]
+    gpr, mem = gen.use("gpr"), gen.use("mem")
+    if mn == "push":
+        return (), lambda src: [f"rsp = {gpr}[RSP] = ({gpr}[RSP] - 8) & U64",
+                                f"{mem}.write_u64(rsp, {src(0, 0)})"]
+    return (0,), lambda src: [f"rsp = {gpr}[RSP]",  # pop
+                              gen.write(0, 0, f"{mem}.read_u64(rsp)"),
+                              f"{gpr}[RSP] = (rsp + 8) & U64"]
 
 
-_BY_KIND = {"bin": _Bin, "sqrt": _Sqrt, "fma": _Fma, "cvtsi2sd": _Cvtsi2sd,
-            "cvt2si": _Cvt2si, "ucomi": _Compare, "cmp": _Compare, "xorpd": _Xorpd,
-            "fpmov": _Move, "intmov": _IntMove}
-
-
-class _FlowStep:
-    """A step with the flow recorder's per-op window around its body.
-    It carries the wrapped step's charger, lane mask and locators, so
-    ``run`` and a fused trace drive it like any other step."""
-
-    __slots__ = ("step", "begin_op", "end_op", "addr", "charge", "writes", "m0", "m1")
-
-    def __init__(self, step, flow, addr: int) -> None:
-        self.step, self.addr = step, addr
-        self.begin_op, self.end_op = flow.begin_op, flow.end_op
-        self.charge, self.writes, self.m0, self.m1 = step.charge, step.writes, step.m0, step.m1
-
-    charges = _Step.charges
-    run = _Step.run
-
-    def body(self, ctx, ea0: int, ea1: int) -> None:
-        self.begin_op(self.addr)
-        self.step.body(ctx, ea0, ea1)
-        self.end_op()
-
-    def probe(self, ctx) -> bool:
-        return self.step.probe(ctx)
+_FP = (True, True, True)
+#: emu_kind -> (builder, per-operand ``fp`` flag of memory accesses
+#: (observers see it), operands rule (2) probes or None, the altmath
+#: cost field charged per lane: "op" for ``costs.op(uop.ieee)``, None
+#: for no altmath charge).
+_KINDS = {
+    "bin": (_bin, _FP, (0, 1), "op"),
+    "sqrt": (_sqrt, _FP, (1,), "op"),
+    "fma": (_fma, _FP, (0, 1, 2), "op"),
+    "cvtsi2sd": (_cvtsi2sd, (True, False), None, "convert"),
+    "cvt2si": (_cvt2si, (False, True), (1,), "convert"),
+    "ucomi": (_compare, _FP, (0, 1), "compare"),
+    "cmp": (_compare, _FP, (0, 1), "compare"),
+    "xorpd": (_xorpd, _FP, None, None),
+    "fpmov": (_move, _FP, None, None),
+    "intmov": (_intmov, (False, False), None, None),
+}
+#: the kinds sequence termination rule (2) applies to.
+_PROBES = frozenset(kind for kind, spec in _KINDS.items() if spec[2] is not None)

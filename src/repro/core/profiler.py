@@ -165,8 +165,7 @@ class MemoryEscapeProfiler:
         else:
             self._regs = process.main.regs
             process.main.run_quantum(-(-max_steps // QUANTUM) * QUANTUM)
-        # Threads and engines form cycles: free the bound blocks now.
-        process.sb_cache.evict_all()
+        process.close()
         return self.result
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
 
-from repro.core.emulator import _address
+from repro.core.emulator import ENTER, RUN
 from repro.machine.uops import MicroOp, lower
 
 #: A trace (emulated address sequence) seen this many times is compiled.
@@ -151,10 +151,10 @@ class CompiledTrace:
 
     :meth:`SequenceEmulator._fuse` sets the binding from the VM's
     decode-cache entries: ``uops``, the entries it was fused with (None
-    until fused); ``ops``, ``(step, body, m0, m1, probe or None)`` per
-    step (class functions: no bound method is kept); ``sums``, per
-    ledger category the prefix sums of the steps' constant charges; and
-    ``marks``, the prefix ORs of the steps' lazy-FP lane masks
+    until fused); ``ops``, ``(run, mode)`` per step, the step's bound
+    function and ENTER where its probe runs (RUN elsewhere); ``sums``,
+    per ledger category the prefix sums of the steps' constant charges;
+    and ``marks``, the prefix ORs of the steps' lazy-FP lane masks
     (``_Step.writes``).
     """
 
@@ -282,12 +282,11 @@ class SequenceEmulator:
                 return False
         steps = [emulator.step(uop) for uop in uops]
         trace.uops = uops
-        trace.ops = tuple((step, type(step).body, step.m0, step.m1,
-                           type(step).probe if probe and i else None)
+        trace.ops = tuple((step.run, ENTER if probe and i else RUN)
                           for i, (step, probe) in enumerate(zip(steps, trace.probes)))
         columns: dict[str, list[int]] = {}
         for i, step in enumerate(steps, 1):
-            for category, cycles in step.charges:
+            for category, cycles in step.charge.charges:
                 columns.setdefault(category, [0] * (len(steps) + 1))[i] += cycles
         trace.sums = tuple((c, array("q", accumulate(col))) for c, col in columns.items())
         trace.marks = array("Q", accumulate((step.writes for step in steps), or_, initial=0))
@@ -297,21 +296,24 @@ class SequenceEmulator:
         """The fused replay; every exit (early probe stop, full run, a
         raising probe or body) settles what fetching and emulating the
         steps one at a time would charge."""
+        emulator = self.vm.emulator
         k = 0              # steps emulated
-        started = False    # step k's body has run, so its charges are due
+        started = False    # step k raised past its probe: its charges are due
         try:
-            for step, body, m0, m1, probe in trace.ops:
-                if probe is not None and not probe(step, context):
+            for run, mode in trace.ops:
+                if not run(context, mode):
                     break
-                started = True
-                body(step, context, 0 if m0 is None else _address(context, m0),
-                     0 if m1 is None else _address(context, m1))
-                started = False
                 k += 1
+        except BaseException:
+            started = not emulator.probe_raised
+            emulator.probe_raised = False
+            raise
         finally:
-            # A decode-cache hit per fetched step (every step up to k),
-            # in trace order, the charges of the steps that ran and the
-            # lanes of the k that completed.
+            # The steps' value-flow cycles, a decode-cache hit per
+            # fetched step (every step up to k), in trace order, the
+            # charges of the steps that ran and the lanes of the k that
+            # completed.
+            emulator.settle()
             if trace.marks[k]:
                 context.mark(trace.marks[k])
             vm, fetched = self.vm, trace.addrs[:k + 1]

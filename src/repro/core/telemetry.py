@@ -51,42 +51,31 @@ class CycleLedger:
             self._cpu.cycles += cycles
 
     def charger(self, *charges: tuple[str, int]):
-        """A zero-argument function that records one to three fixed
+        """A zero-argument function that records two or three fixed
         ``(category, cycles)`` charges, for callers that repeat the same
-        ones (the emulator's pre-bound steps and value flow).  Categories
-        are checked once, and equal sets share one function, which keeps
-        them as its ``charges``; the cycles go to whichever CPU is bound
-        when it runs."""
+        ones (the emulator's bound steps: bind, emul and the op's
+        altmath cost).  Categories are checked once, and equal sets
+        share one function, which keeps them as its ``charges``; the
+        cycles go to whichever CPU is bound when it runs."""
         charge = self._chargers.get(charges)
         if charge is not None:
             return charge
-        assert 1 <= len(charges) <= 3, charges
+        assert 2 <= len(charges) <= 3, charges
         for category, _ in charges:
             if category not in self.by_category:
                 raise KeyError(f"unknown ledger category {category!r}")
         by_category = self.by_category
         total = sum(cycles for _, cycles in charges)
-        if len(charges) == 1:
-            # One update: the value flow's load/promote/box charges.
-            (c1, n1), = charges
+        # Unrolled over three, padded with an empty charge.
+        (c1, n1), (c2, n2), (c3, n3) = (charges + ((charges[0][0], 0),))[:3]
 
-            def charge() -> None:
-                by_category[c1] += n1
-                cpu = self._cpu
-                if cpu is not None:
-                    cpu.cycles += total
-        else:
-            # Two or three (a step's bind, emul and its op's altmath
-            # cost): unrolled over three, padded with an empty charge.
-            (c1, n1), (c2, n2), (c3, n3) = (charges + ((charges[0][0], 0),))[:3]
-
-            def charge() -> None:
-                by_category[c1] += n1
-                by_category[c2] += n2
-                by_category[c3] += n3
-                cpu = self._cpu
-                if cpu is not None:
-                    cpu.cycles += total
+        def charge() -> None:
+            by_category[c1] += n1
+            by_category[c2] += n2
+            by_category[c3] += n3
+            cpu = self._cpu
+            if cpu is not None:
+                cpu.cycles += total
         charge.charges = charges
         self._chargers[charges] = charge
         return charge

@@ -382,14 +382,19 @@ class FPVM:
         try:
             return self.allocator.alloc(value)
         except BoxHeapExhaustedError:
-            roots = None
-            if isinstance(context, SignalContext):
-                roots = self._gc_roots(context)
-            self.telemetry.emergency_gc_runs += 1
-            self._run_gc(roots)
-            # Still-full heap raises the typed error to the caller: the
-            # live set genuinely exceeds the configured capacity.
-            return self.allocator.alloc(value)
+            return self.alloc_box_after_gc(value, context)
+
+    def alloc_box_after_gc(self, value, context=None) -> int:
+        """:meth:`alloc_box` once the heap was found full: one emergency
+        collection, then one more allocation."""
+        roots = None
+        if isinstance(context, SignalContext):
+            roots = self._gc_roots(context)
+        self.telemetry.emergency_gc_runs += 1
+        self._run_gc(roots)
+        # Still-full heap raises the typed error to the caller: the
+        # live set genuinely exceeds the configured capacity.
+        return self.allocator.alloc(value)
 
     # ------------------------------------------------------- accounting
     def charge(self, category: str, cycles: int) -> None:

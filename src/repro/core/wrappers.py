@@ -153,9 +153,11 @@ def _make_libm_forward_wrapper(vm, host: HostFunction):
             # (birth class "fcall").
             flow.begin_op(getattr(cpu, "rip", 0))
         args = []
-        for i in range(host.fp_args):
-            bits = cpu.regs.xmm[i][0]
-            args.append(vm.emulator.resolve(bits))
+        try:
+            for i in range(host.fp_args):
+                args.append(vm.emulator.resolve(cpu.regs.xmm[i][0]))
+        finally:
+            vm.emulator.settle()
         vm.charge("altmath", vm.altmath.costs.libm_fn(host.name))
         result = vm.altmath.libm(host.name, *args)
         if vm.altmath.is_nan_value(result):

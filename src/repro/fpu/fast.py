@@ -5,10 +5,12 @@
 nearest, an SSE instruction needs only its bit-exact result, not its
 flags.  Host ``float`` arithmetic is IEEE binary64 under
 round-to-nearest-even, so each helper computes the ordinary cases on
-host floats and defers everything else to
-:func:`repro.fpu.ieee.ieee_op`: NaN results (which NaN an SSE op
-returns depends on operand order), zero divisors, negative square
-roots and ``fma``.  Every function maps operand bit patterns to a
+host floats.  A NaN operand is decided by class, as SSE propagates it:
+the result is the first NaN operand, quieted (the host's choice of NaN
+depends on operand order).  Everything else goes to
+:func:`repro.fpu.ieee.ieee_op`: NaN results with no NaN operand
+(``inf - inf``, ``0 * inf``, ...), zero divisors, negative square roots
+and ``fma``.  Every function maps operand bit patterns to a
 result bit pattern and agrees with ``ieee_op(...).bits`` on every
 input.  The interpreter's native path calls :func:`evaluate`; the
 micro-op closures call the per-op helpers directly.
@@ -61,24 +63,34 @@ def _oracle(op: str, *operands: int) -> int:
     return ieee_op(op, *operands).bits
 
 
+def _nan_result(op: str, a: int, b: int) -> int:
+    """A binary op whose host result is NaN: the first NaN operand,
+    quieted, or, with no NaN operand, the oracle's default NaN."""
+    if a & _ABS > _INF:
+        return a | _QUIET
+    if b & _ABS > _INF:
+        return b | _QUIET
+    return _oracle(op, a, b)
+
+
 def _fadd(a: int, b: int) -> int:
     r = _UNPACK_D(_PACK_Q(a))[0] + _UNPACK_D(_PACK_Q(b))[0]
     if r != r:  # NaN operand or inf - inf
-        return _oracle("add", a, b)
+        return _nan_result("add", a, b)
     return _UNPACK_Q(_PACK_D(r))[0]
 
 
 def _fsub(a: int, b: int) -> int:
     r = _UNPACK_D(_PACK_Q(a))[0] - _UNPACK_D(_PACK_Q(b))[0]
     if r != r:
-        return _oracle("sub", a, b)
+        return _nan_result("sub", a, b)
     return _UNPACK_Q(_PACK_D(r))[0]
 
 
 def _fmul(a: int, b: int) -> int:
     r = _UNPACK_D(_PACK_Q(a))[0] * _UNPACK_D(_PACK_Q(b))[0]
     if r != r:  # NaN operand or 0 * inf
-        return _oracle("mul", a, b)
+        return _nan_result("mul", a, b)
     return _UNPACK_Q(_PACK_D(r))[0]
 
 
@@ -88,7 +100,7 @@ def _fdiv(a: int, b: int) -> int:
         return _oracle("div", a, b)
     r = _UNPACK_D(_PACK_Q(a))[0] / fb
     if r != r:  # NaN operand or inf / inf
-        return _oracle("div", a, b)
+        return _nan_result("div", a, b)
     return _UNPACK_Q(_PACK_D(r))[0]
 
 
@@ -109,6 +121,8 @@ def _fsqrt(a: int) -> int:
     fa = _UNPACK_D(_PACK_Q(a))[0]
     if fa >= 0.0:  # includes -0.0 (sqrt(-0.0) == -0.0); False for NaN
         return _UNPACK_Q(_PACK_D(_SQRT(fa)))[0]
+    if a & _ABS > _INF:
+        return a | _QUIET
     return _oracle("sqrt", a)
 
 

@@ -28,6 +28,7 @@ from repro.machine.isa import (
     Instruction,
     Label,
     Mem,
+    OPCODES,
     OpClass,
     Reg,
     Xmm,
@@ -156,7 +157,6 @@ class CPU:
         #: the §5.1 profiler's bind-time seam (see ``UopEngine``).
         self.probe = None
         self._uop_engine = None
-        self._dispatch = self._build_dispatch()
 
     # --------------------------------------------------------------- setup
     def _load_image(self) -> None:
@@ -243,8 +243,8 @@ class CPU:
         instr = self._fetch_stage()
         if instr is None:
             return  # int3 pre-hook delivered a #BP; nothing fetched
-        handler = self._dispatch[instr.mnemonic]   # dispatch stage
-        if handler(instr) is not False:            # execute stage
+        handler = _DISPATCH[instr.mnemonic]        # dispatch stage
+        if handler(self, instr) is not False:      # execute stage
             self._retire(instr)
 
     def _fetch_stage(self) -> Instruction | None:
@@ -355,28 +355,6 @@ class CPU:
         value = self.mem.read_u64(rsp)
         self.regs.write_gpr(7, (rsp + 8) & U64)
         return value
-
-    # ------------------------------------------------------------ dispatch
-    def _build_dispatch(self):
-        d = {}
-        from repro.machine.isa import OPCODES
-
-        for mn, info in OPCODES.items():
-            if info.opclass in (OpClass.FP_ARITH, OpClass.FP_CVT):
-                d[mn] = self._exec_fp
-            elif info.opclass is OpClass.FP_BITWISE:
-                d[mn] = self._exec_fp_bitwise
-            elif info.opclass is OpClass.FP_MOV:
-                d[mn] = self._exec_fp_mov
-            elif info.opclass is OpClass.INT_MOV:
-                d[mn] = self._exec_int_mov
-            elif info.opclass is OpClass.INT_ALU:
-                d[mn] = self._exec_int_alu
-            elif info.opclass is OpClass.CONTROL:
-                d[mn] = self._exec_control
-            else:
-                d[mn] = self._exec_sys
-        return d
 
     # ------------------------------------------------- FP arith (trappable)
     def _exec_fp(self, instr: Instruction):
@@ -753,3 +731,14 @@ def _gpr_id(name: str) -> int:
 
 
 _PARITY = [bin(i).count("1") % 2 == 0 for i in range(256)]
+
+
+#: Mnemonic -> the ``CPU`` method that executes it, unbound: a table of
+#: bound methods per CPU would tie each CPU into a reference cycle.
+_BY_CLASS = {
+    OpClass.FP_ARITH: CPU._exec_fp, OpClass.FP_CVT: CPU._exec_fp,
+    OpClass.FP_BITWISE: CPU._exec_fp_bitwise, OpClass.FP_MOV: CPU._exec_fp_mov,
+    OpClass.INT_MOV: CPU._exec_int_mov, OpClass.INT_ALU: CPU._exec_int_alu,
+    OpClass.CONTROL: CPU._exec_control,
+}
+_DISPATCH = {mn: _BY_CLASS.get(info.opclass, CPU._exec_sys) for mn, info in OPCODES.items()}

@@ -257,6 +257,19 @@ class Process:
         thread.work_cycles += cost
         self.sched.fp_eager_switches += 1
 
+    def close(self) -> None:
+        """Free what a run left bound (the superblock cache) and break
+        the reference cycles each thread keeps (its engine's references
+        back to it, its link back to this process), so the process and
+        its threads are freed as soon as the caller drops them, with no
+        cyclic collection.  Counters stay readable; the process is not
+        run again."""
+        self.sb_cache.evict_all()
+        for thread in self.threads:
+            thread.process = None
+            if thread._uop_engine is not None:
+                thread._uop_engine.close()
+
     @property
     def total_cycles(self) -> int:
         """Aggregate CPU time across threads (one simulated core)."""

@@ -1433,6 +1433,11 @@ class UopEngine:
         self._step = cpu.step if probe is None else probe(None, cpu.step)
         self.stats = UopStats()
 
+    def close(self) -> None:
+        """Drop the references back to the CPU (``Process.close``);
+        ``stats`` stays readable and the engine does not run again."""
+        self.cpu = self._step = self._probe = None
+
     def _new_block(self, entry: int) -> Superblock:
         cache = self.cache
         if cache.cached_blocks >= cache.capacity:

@@ -13,12 +13,13 @@ import pytest
 from repro.core.sequences import TRACE_COMPILE_THRESHOLD, SequenceEmulator
 from repro.core.telemetry import snapshot
 from repro.core.vm import FPVM, FPVMConfig
-from repro.errors import BoxHeapExhaustedError, DecodeCacheCorruptionError
+from repro.errors import BoxHeapExhaustedError, DecodeCacheCorruptionError, MemoryFault
 from repro.harness.runner import run_fpvm as run_workload
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.assembler import assemble
 from repro.machine.cpu import CPU
 from repro.machine.hostlib import install_host_library
+from repro.machine.memory import PAGE_SIZE, PROT_WRITE
 
 
 # A tight loop whose emulated trace is identical every iteration, so
@@ -329,6 +330,40 @@ HEAP_LANES_SRC = HEAP_SRC.replace("""
 """)
 assert HEAP_LANES_SRC != HEAP_SRC
 
+# Each lap parks a box where the next lap's mulsd reads it; xmm1 is
+# plain, so the mulsd's probe reads that memory.  The lap whose slot
+# lies in the write-only page (``_unreadable_slot``) faults in the
+# probe's read, before the step starts.
+PROBE_FAULT_SRC = """
+.data
+a: .double 0.1
+b: .double 0.7
+n: .quad 60
+buf: .space 8192
+.text
+main:
+  mov rcx, [rip + n]
+  lea rbx, [rip + buf]
+  movsd xmm0, [rip + a]
+top:
+  addsd xmm0, [rip + b]
+  movsd [rbx + 128], xmm0
+  movsd xmm1, [rip + a]
+  mulsd xmm1, [rbx]
+  add rbx, 128
+  dec rcx
+  jne top
+  call print_f64
+  hlt
+"""
+
+
+def _unreadable_slot(cpu) -> None:
+    """Make the first page boundary past ``buf + 256`` write-only."""
+    page = (cpu.program.symbols["buf"] + 256 + PAGE_SIZE - 1) & -PAGE_SIZE
+    cpu.mem.protect(page, PROT_WRITE)
+
+
 _SMALL_HEAP = dict(box_capacity=6, gc_threshold=10**9)
 #: case -> (source, extra config, the fused exit it must take, error).
 EXIT_CASES = {
@@ -337,7 +372,10 @@ EXIT_CASES = {
     "box_heap_exhausted": (HEAP_SRC, _SMALL_HEAP, "raise", BoxHeapExhaustedError),
     "box_heap_exhausted_own_lanes": (HEAP_LANES_SRC, _SMALL_HEAP, "raise",
                                      BoxHeapExhaustedError),
+    "probe_read_faults": (PROBE_FAULT_SRC, {}, "raise", MemoryFault),
 }
+#: case -> what to do to the CPU before it runs.
+PREPARE = {"probe_read_faults": _unreadable_slot}
 
 
 def _run_stepwise(self, trace, context) -> int:
@@ -359,13 +397,14 @@ def _run_stepwise(self, trace, context) -> int:
 
 
 def _observe(source: str, config: FPVMConfig, error, *, stepwise: bool = False,
-             uops: bool | None = None, monkeypatch):
+             uops: bool | None = None, prepare=None, monkeypatch):
     """Run ``source`` on the ``uops`` tier; return everything the
     simulation accounts (cycles, ledger, telemetry, decode-cache LRU
     order, flow digest), the lazy-FP state (dirty and live masks, each
     trap's ``written_xmm``) and the final register banks, and the fused
     exits taken.  ``stepwise`` replays every compiled trace through
-    :func:`_run_stepwise` instead."""
+    :func:`_run_stepwise` instead; ``prepare(cpu)`` runs before the
+    guest."""
     exits = []
     written = []
     replay = SequenceEmulator._replay
@@ -399,6 +438,8 @@ def _observe(source: str, config: FPVMConfig, error, *, stepwise: bool = False,
         kernel = LinuxKernel()
         cpu.kernel = kernel
         vm = FPVM(config).attach(cpu, kernel)
+        if prepare is not None:
+            prepare(cpu)
         if error is None:
             cpu.run()
         else:
@@ -415,8 +456,10 @@ def _observe(source: str, config: FPVMConfig, error, *, stepwise: bool = False,
 
 def _check_fused(config: FPVMConfig, case: str, monkeypatch) -> None:
     source, _, exit_kind, error = EXIT_CASES[case]
-    fused, exits = _observe(source, config, error, monkeypatch=monkeypatch)
-    stepwise, none = _observe(source, config, error, stepwise=True,
+    prepare = PREPARE.get(case)
+    fused, exits = _observe(source, config, error, prepare=prepare,
+                            monkeypatch=monkeypatch)
+    stepwise, none = _observe(source, config, error, stepwise=True, prepare=prepare,
                               monkeypatch=monkeypatch)
     assert none == []
     assert fused == stepwise
@@ -470,8 +513,11 @@ class TestUnfusedTrace:
                                                      monkeypatch):
         source, extra, _, error = EXIT_CASES[case]
         config = FPVMConfig.seq_short(flow=flow, decode_cache_capacity=2, **extra)
-        chained, exits = _observe(source, config, error, monkeypatch=monkeypatch)
-        interp, _ = _observe(source, config, error, uops=False, monkeypatch=monkeypatch)
+        prepare = PREPARE.get(case)
+        chained, exits = _observe(source, config, error, prepare=prepare,
+                                  monkeypatch=monkeypatch)
+        interp, _ = _observe(source, config, error, uops=False, prepare=prepare,
+                             monkeypatch=monkeypatch)
         assert exits == []
         compiled = chained[2].pop("compiled_traces")
         assert compiled > 0 and interp[2].pop("compiled_traces") == 0

@@ -13,6 +13,7 @@ purpose:
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from pathlib import Path
@@ -53,6 +54,21 @@ def test_fixture_covers_every_workload_at_both_scales():
 @pytest.mark.parametrize("name,scale", cases())
 def test_profile_matches_golden(name, scale):
     assert profile(name, scale) == _GOLDEN[f"{name}@{scale}"]
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_pass_leaves_no_cyclic_garbage(name):
+    """A finished pass is freed by reference counting alone, so the
+    pass's peak memory does not depend on when the collector runs."""
+    w = get_workload(name)
+    program = w.build_program(w.quick_scale or w.default_scale)
+    gc.collect()
+    gc.disable()
+    try:
+        MemoryEscapeProfiler(program).run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 if __name__ == "__main__":

@@ -123,6 +123,39 @@ class TestFastScalarBitExactness:
             assert fast.evaluate(op, _NAN_B, _NAN_A) == _NAN_B, op
         assert fast.evaluate("fma", _NAN_A, _NAN_B, _NAN_B) == _NAN_A
 
+    def test_nan_operand_in_either_position(self, monkeypatch):
+        """A NaN operand (signaling or quiet, any sign and payload, in
+        either position, against every operand class) is decided by
+        class: the oracle's bits, without calling the oracle.  NaN
+        results with no NaN operand still go to the oracle."""
+        rng = random.Random(0x4A)
+        nans = [0x7FF0_0000_0000_0001, 0xFFF0_0000_0000_0001, 0x7FF8_0000_0000_0000,
+                0xFFF8_0000_0000_0000, 0x7FF7_FFFF_FFFF_FFFF, 0xFFFF_FFFF_FFFF_FFFF,
+                _NAN_A, _NAN_B]
+        nans += [rng.getrandbits(1) << 63 | 0x7FF0 << 48 | (rng.getrandbits(52) or 1)
+                 for _ in range(40)]
+        others = _interesting_bits(rng, 40) + nans[:8]
+        cases = [(op, x, y) for op in ("add", "sub", "mul", "div")
+                 for n in nans for o in others for x, y in ((n, o), (o, n))]
+        want = [ieee_op(op, x, y).bits for op, x, y in cases]
+        sqrt_want = [ieee_op("sqrt", n).bits for n in nans]
+        oracle_calls = []
+        real = fast.ieee_op
+        monkeypatch.setattr(fast, "ieee_op",
+                            lambda *args: oracle_calls.append(args) or real(*args))
+        for (op, x, y), bits in zip(cases, want):
+            if op == "div" and y & ~_NEG_ZERO == 0:
+                continue  # a zero divisor is the oracle's
+            assert fast.evaluate(op, x, y) == bits, f"{op}({x:#x}, {y:#x})"
+        for n, bits in zip(nans, sqrt_want):
+            assert fast.FAST_SCALAR["sqrt"](n) == bits, f"sqrt({n:#x})"
+        assert oracle_calls == []
+        inf, ninf = 0x7FF0_0000_0000_0000, 0xFFF0_0000_0000_0000
+        for op, x, y in (("add", inf, ninf), ("sub", inf, inf), ("mul", 0, inf),
+                         ("div", inf, ninf)):
+            assert fast.evaluate(op, x, y) == real(op, x, y).bits
+        assert len(oracle_calls) == 4
+
     def test_signed_zero_fma(self):
         """(+0 x -0) + -0 is -0: both addends are negative zeros."""
         assert fast.evaluate("fma", _NEG_ZERO, 0, _NEG_ZERO) == _NEG_ZERO
