@@ -27,13 +27,12 @@ terminator, and excludes ``andpd``/``orpd`` masks while *supporting*
 
 from __future__ import annotations
 
-import re
-
 from repro.core import nanbox
 from repro.errors import BoxHeapExhaustedError, ConfigError
 from repro.fpu import bits as B
 from repro.fpu.ieee import UCOMI_EQUAL, UCOMI_GREATER, UCOMI_LESS, UCOMI_UNORDERED
-from repro.machine.isa import GPR_IDS, Label, Mem, Reg, Xmm
+from repro.machine import codegen
+from repro.machine.isa import Mem, Reg, Xmm
 from repro.machine.uops import CMP_TABLES, MicroOp
 
 U64 = 0xFFFF_FFFF_FFFF_FFFF
@@ -113,17 +112,28 @@ class Emulator:
         return uop.emu_kind in _PROBES and self.step(uop).run(context, PROBE)
 
     # --------------------------------------------------------- emulation
-    def emulate(self, uop: MicroOp, context) -> bool:
-        """Emulate one micro-op; returns False if unsupported.  Charges
-        bind/emul/altmath and advances nothing — the caller owns RIP."""
+    def emulate(self, uop: MicroOp, context, mode: int = RUN) -> bool:
+        """Emulate one micro-op; returns False if unsupported.  With
+        ``mode`` ENTER, sequence termination rule (2) applies where it
+        applies to the kind: False too when no source holds a box we
+        own, with nothing charged, marked or counted.  Charges
+        bind/emul/altmath (not for a probe read that raises) and
+        advances nothing — the caller owns RIP."""
         if uop not in self.steps and uop.mnemonic not in self.supported_set:
             return False
         step = self.step(uop)
-        step.charge()
         try:
-            step.run(context, RUN)
+            if not step.run(context, mode if uop.emu_kind in _PROBES else RUN):
+                return False
+        except BaseException:
+            if self.probe_raised:
+                self.probe_raised = False
+            else:
+                step.charge()
+            raise
         finally:
             self.settle()
+        step.charge()
         if step.writes:
             context.mark(step.writes)
         self.vm.telemetry.emulated_instructions += 1
@@ -262,9 +272,8 @@ def bind(uop: MicroOp, vm):
     if flow:
         gen.params["addr"] = uop.addr
     key = (uop.mnemonic, flow, *gen.shape)
-    make = _MAKERS.get(key)
-    if make is None:
-        make = _MAKERS[key] = _compile(gen.source(body, probe, range(uop.lanes), flow))
+    make = codegen.maker(_MAKERS, key, lambda: gen.source(body, probe, range(uop.lanes), flow),
+                         _GLOBALS, "<emulator step>")
     costs = vm.costs
     charges = [("bind", costs.bind_per_operand * max(len(ops), 1)),
                ("emul", costs.emul_dispatch)]
@@ -292,9 +301,15 @@ _ALTMATH = ("binary", "unary", "fma", "compare", "from_i64", "to_i64")
 #: Every name a step may take from ``Emulator.env``.
 _ENV = ("resolve", "produce", "emu", "boxes", "counts", "demote", "begin_op",
         "end_op", *_ALTMATH)
+
+
+def _cannot_write(message: str, value) -> None:
+    raise ValueError(message)
+
+
 #: Module globals of the generated code.
 _GLOBALS = {
-    "U64": U64, "RSP": RSP, "SIGN": B.F64_SIGN_MASK,
+    "U64": U64, "RSP": RSP, "SIGN": B.F64_SIGN_MASK, "_cannot_write": _cannot_write,
     "SIG_MASK": nanbox._PATTERN_MASK, "SIG": nanbox._PATTERN,
     "PTR_MASK": nanbox.NANBOX_PTR_MASK,
     "UCOMI_UNORDERED": UCOMI_UNORDERED, "UCOMI_EQUAL": UCOMI_EQUAL,
@@ -309,16 +324,6 @@ _GLOBALS = {
 _MAKERS: dict = {}
 
 
-def _compile(source: str):
-    namespace = dict(_GLOBALS, _cannot_write=_cannot_write)
-    exec(compile(source, "<emulator step>", "exec"), namespace)
-    return namespace["make"]
-
-
-def _cannot_write(message: str, value) -> None:
-    raise ValueError(message)
-
-
 class _Source:
     """The source of one micro-op's step: operand reads and writes as
     text specialized to each operand's kind, and ``params``, the
@@ -329,44 +334,12 @@ class _Source:
 
     def __init__(self, ops, fp) -> None:
         self.ops, self.fp = ops, fp
-        self.params: dict = {}
         #: the operand kinds the text depends on (with the mnemonic,
-        #: the key of the text).
-        self.shape: list = []
+        #: the key of the text) and the values it names.
+        self.shape, self.params = codegen.scan(ops)
+        if ops and self.shape[0] in ("i", "l", "L"):
+            self.params["w0"] = f"cannot write operand {ops[0]}"
         self.used: set[str] = set()
-        for pos, op in enumerate(ops):
-            if isinstance(op, Xmm):
-                self.params[f"x{pos}"] = op.id
-                self.shape.append("x")
-            elif isinstance(op, Reg):
-                self.params[f"r{pos}"] = op.id
-                self.shape.append("r")
-            elif isinstance(op, Mem):
-                if op.base is not None:
-                    self.params[f"b{pos}"] = GPR_IDS[op.base]
-                if op.index is not None:
-                    self.params[f"n{pos}"] = GPR_IDS[op.index]
-                    self.params[f"s{pos}"] = op.scale
-                if op.base is None and op.index is None:
-                    self.params[f"ea{pos}"] = op.disp & U64
-                else:
-                    self.params[f"d{pos}"] = op.disp
-                self.shape.append((op.base is not None, op.index is not None, op.size))
-            else:
-                value = (op.addr or 0) if isinstance(op, Label) else op.value
-                self.params[f"i{pos}"] = value & U64
-                if pos == 0:
-                    self.params["w0"] = f"cannot write operand {op}"
-                self.shape.append("i")
-
-    def _address(self, pos: int, op: Mem) -> list[str]:
-        """The line computing ``ea{pos}``, unless it is a constant."""
-        terms = []
-        if op.base is not None:
-            terms.append(f"{self.use('gpr')}[b{pos}]")
-        if op.index is not None:
-            terms.append(f"{self.use('gpr')}[n{pos}] * s{pos}")
-        return [f"ea{pos} = ({' + '.join(terms)} + d{pos}) & U64"] if terms else []
 
     def use(self, name: str) -> str:
         """``name`` (``xmm``, ``gpr`` or ``mem``), loaded from the
@@ -409,14 +382,14 @@ class _Source:
             slots = [(pos, lane) for lane in lanes for pos in probe]
             lines = self._entry(body, slots, window) + lines
         prologue = [line for pos, op in enumerate(self.ops) if isinstance(op, Mem)
-                    for line in self._address(pos, op)]
+                    for line in codegen.address(pos, op, self.use("gpr"))]
         loads = [f"{name} = ctx.{attr}" for name, attr in
                  (("xmm", "xmm"), ("gpr", "gpr"), ("mem", "memory")) if name in self.used]
         code = loads + prologue + lines
         text = "\n".join(code)
         # Every name the step reads is a local bound as a default: no
         # cell per value, and the fastest lookup.
-        names = [f"{name}=env[{name!r}]" for name in _ENV if re.search(rf"\b{name}\b", text)]
+        names = [f"{name}=env[{name!r}]" for name in codegen.used(text, _ENV)]
         names += [f"{name}={name}" for name in self.params]
         return "\n".join([f"def make({', '.join(['env', *self.params])}):",
                           f"    def step(ctx, mode={RUN}, {', '.join(names)}):",

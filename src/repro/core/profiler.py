@@ -19,8 +19,8 @@ that provably cannot (:func:`may_spawn`) runs its only thread in one
 dispatch of the same budget, rounded up to whole quanta, so the engine
 builds whole superblocks instead of slicing one at every quantum edge.
 RIP moves only after an instruction's memory traffic, and a bind-time
-``CPU.probe`` unwinds the stack after exactly the closures that move
-``rsp`` (and the single-step fallback).
+``CPU.probe`` unwinds the stack after exactly the micro-op functions
+that move ``rsp`` (and the single-step fallback).
 """
 
 from __future__ import annotations

@@ -247,18 +247,14 @@ class SequenceEmulator:
                 reason = "no_instruction"
                 break
             instr = self._fetch(addr)
-            if emulated:
-                stop, why = self._should_stop(instr, context)
-                if stop:
-                    terminator, reason = instr.mnemonic, why
-                    break
-            ok = vm.emulator.emulate(instr, context)
-            if not ok:
-                if not emulated:
-                    raise RuntimeError(
-                        f"faulting instruction {instr} is not emulatable"
-                    )
+            if emulated and self._unsupported(instr):
                 terminator, reason = instr.mnemonic, "unsupported"
+                break
+            # Past the first, one ENTER run applies rule (2) and emulates.
+            if not vm.emulator.emulate(instr, context, ENTER if emulated else RUN):
+                if not emulated:
+                    raise RuntimeError(f"faulting instruction {instr} is not emulatable")
+                terminator, reason = instr.mnemonic, "no_boxed_source"
                 break
             emulated.append(addr)
             addr += instr.size
@@ -381,14 +377,16 @@ class SequenceEmulator:
         return vm.decode_cache.decode_miss(addr, raw)
 
     def _should_stop(self, instr: MicroOp, context) -> tuple[bool, str]:
-        vm = self.vm
-        # Patched instructions carry correctness hooks that emulation
-        # would silently skip: always hand them back to the CPU.
-        if instr.addr in vm.program.patches:
+        if self._unsupported(instr):
             return True, "unsupported"
-        if not vm.emulator.supported(instr):
-            return True, "unsupported"
-        if instr.fp_trap_capable and instr.mnemonic != "cvtsi2sd":
-            if not vm.emulator.any_source_boxed(instr, context):
-                return True, "no_boxed_source"
+        if (instr.fp_trap_capable and instr.mnemonic != "cvtsi2sd"
+                and not self.vm.emulator.any_source_boxed(instr, context)):
+            return True, "no_boxed_source"
         return False, ""
+
+    def _unsupported(self, instr: MicroOp) -> bool:
+        """Termination rule (1).  Patched instructions carry correctness
+        hooks that emulation would silently skip: always hand them back
+        to the CPU."""
+        vm = self.vm
+        return instr.addr in vm.program.patches or not vm.emulator.supported(instr)

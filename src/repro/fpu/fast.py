@@ -13,7 +13,7 @@ depends on operand order).  Everything else goes to
 and ``fma``.  Every function maps operand bit patterns to a
 result bit pattern and agrees with ``ieee_op(...).bits`` on every
 input.  The interpreter's native path calls :func:`evaluate`; the
-micro-op closures call the per-op helpers directly.
+micro-op functions call the per-op helpers directly.
 
 *With flags.*  Under an unmasked MXCSR (FPVM's) an instruction also
 needs the exact status bits: an unmasked one faults, the others are

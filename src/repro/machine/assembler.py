@@ -201,8 +201,10 @@ def _split_instruction(line: str, line_no: int) -> tuple[str, list[str]]:
 
 def _split_args(arg: str) -> list[str]:
     """Split on commas not inside brackets."""
-    if "[" not in arg and "]" not in arg:
-        out = [part.strip() for part in arg.split(",")]
+    out = [part.strip() for part in arg.split(",")]
+    if all(part.count("[") == part.count("]") for part in out):
+        # Every comma then sits at bracket depth 0: the walk below
+        # would split at each one.
         if not out[-1]:
             out.pop()
         return out

@@ -22,6 +22,9 @@ PROT_WRITE = 2
 PROT_EXEC = 4
 
 _U64 = struct.Struct("<Q")
+_LOAD_Q = _U64.unpack_from
+_STORE_Q = _U64.pack_into
+_MASK_Q = 0xFFFF_FFFF_FFFF_FFFF
 
 
 @dataclass
@@ -36,9 +39,9 @@ class Memory:
     mapping).
 
     The single-page fast paths — :meth:`observed_load`/
-    :meth:`observed_store` and the uop pipeline's inlined closures —
-    index ``_pages`` directly and hand everything else to the generic
-    accessors.
+    :meth:`observed_store`, :meth:`read_u64`/:meth:`write_u64` and the
+    micro-op functions' inlined 8-byte accesses — index ``_pages``
+    directly and hand everything else to the generic accessors.
     """
 
     def __init__(self) -> None:
@@ -114,10 +117,19 @@ class Memory:
             offset += chunk
 
     def read_u64(self, addr: int) -> int:
+        page = self._pages.get(addr >> PAGE_SHIFT)
+        off = addr & _PAGE_MASK
+        if page is not None and off <= PAGE_SIZE - 8 and page.prot & PROT_READ:
+            return _LOAD_Q(page.data, off)[0]
         return _U64.unpack(self.read_bytes(addr, 8))[0]
 
     def write_u64(self, addr: int, value: int) -> None:
-        self.write_bytes(addr, _U64.pack(value & 0xFFFF_FFFF_FFFF_FFFF))
+        page = self._pages.get(addr >> PAGE_SHIFT)
+        off = addr & _PAGE_MASK
+        if page is not None and off <= PAGE_SIZE - 8 and page.prot & PROT_WRITE:
+            _STORE_Q(page.data, off, value & _MASK_Q)
+        else:
+            self.write_bytes(addr, _U64.pack(value & _MASK_Q))
 
     def read_uint(self, addr: int, size: int) -> int:
         return int.from_bytes(self.read_bytes(addr, size), "little")
@@ -136,14 +148,17 @@ class Memory:
 
     # -------------------------------------------------- observed access
     # An access inside one mapped page with the needed prot bit is
-    # served directly; everything else (first touch of an unmapped
-    # page, page-straddling accesses, faults) goes through
-    # read_uint/write_uint.
+    # served directly, 8 bytes through ``struct``; everything else
+    # (first touch of an unmapped page, page-straddling accesses,
+    # faults) goes through read_uint/write_uint.
     def observed_load(self, addr: int, size: int, fp: bool) -> int:
         page = self._pages.get(addr >> PAGE_SHIFT)
         off = addr & _PAGE_MASK
         if page is not None and off + size <= PAGE_SIZE and page.prot & PROT_READ:
-            value = int.from_bytes(page.data[off:off + size], "little")
+            if size == 8:
+                value = _LOAD_Q(page.data, off)[0]
+            else:
+                value = int.from_bytes(page.data[off:off + size], "little")
         else:
             value = self.read_uint(addr, size)
         if self.observers:
@@ -156,7 +171,11 @@ class Memory:
         page = self._pages.get(addr >> PAGE_SHIFT)
         off = addr & _PAGE_MASK
         if page is not None and off + size <= PAGE_SIZE and page.prot & PROT_WRITE:
-            page.data[off:off + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+            if size == 8:
+                _STORE_Q(page.data, off, value & _MASK_Q)
+            else:
+                mask = (1 << (8 * size)) - 1
+                page.data[off:off + size] = (value & mask).to_bytes(size, "little")
         else:
             self.write_uint(addr, value, size)
         if self.observers:

@@ -4,8 +4,8 @@ The seed interpreter re-resolves operands and re-dispatches through
 instance methods on every simulated step.  This module lowers each
 :class:`~repro.machine.isa.Instruction` once into a :class:`MicroOp`
 (static metadata shared by every consumer: CPU, decode cache, emulator,
-sequence engine) and binds, per CPU, opclass-specialized execute
-closures whose operand accessors were resolved at bind time.  Straight-
+sequence engine) and binds, per CPU, one execute function per micro-op,
+generated from text keyed by its operand shape.  Straight-
 line runs of micro-ops are strung into cached :class:`Superblock`\\ s
 keyed by entry address; the block cache tracks the program's
 ``patch_events`` log and invalidates *per site* — only blocks whose
@@ -16,7 +16,7 @@ survive patch churn.
 
 Semantics are bit-for-bit the seed interpreter's:
 
-- FP closures take the seed's values-only native path when all six
+- FP functions take the seed's values-only native path when all six
   MXCSR exception masks are set (round-to-nearest, FP hardware
   enabled).  Under an unmasked MXCSR (an attached FPVM) they decide
   #XF themselves from :func:`repro.fpu.fast.flagged`: they commit
@@ -30,7 +30,7 @@ Semantics are bit-for-bit the seed interpreter's:
   exception propagation, so every observer of ``cycles`` /
   ``instruction_count`` sees the same values it would under
   single-stepping;
-- FP closures evaluate through :mod:`repro.fpu.fast` (its values-only
+- FP functions evaluate through :mod:`repro.fpu.fast` (its values-only
   and flag forms), the one binary64 fast path; the interpreter's
   trapping branch keeps the :mod:`repro.fpu.ieee` oracle.
 
@@ -43,9 +43,9 @@ anything that can observe the counters: a ``cpu.step()``, an
 #XF delivery, a control tail that may run host code, the end of the
 quantum, or an exception on its way out.  At a quantum's
 budget edge the engine retires a body's fitting *prefix* — every
-closure is one seed step and leaves RIP correct, so the next quantum
+function is one seed step and leaves RIP correct, so the next quantum
 resumes mid-block, in a block sliced out of the covering block's
-bound closures rather than bound again.  Block caches live in one
+bound functions rather than bound again.  Block caches live in one
 per-process :class:`SuperblockCache` shared by every thread; when
 ``patch_seq`` moves the cache drops exactly the blocks covering the
 changed sites — cross-thread and cross-guest — and everything else
@@ -55,15 +55,16 @@ remaining step limit.
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 
 from repro.fpu import fast as F
-from repro.fpu.fast import _PACK_Q, _fsqrt, FAST_SCALAR
+from repro.fpu.fast import FAST_SCALAR
 from repro.fpu.ieee import FPFlags
+from repro.machine import codegen
 from repro.machine.isa import (
     CONDITION_CODES,
     FP_TOUCH_CLASSES,
-    GPR_IDS,
     Imm,
     Instruction,
     Label,
@@ -86,7 +87,7 @@ MAX_BLOCK = 128
 #: (bits 13-14 clear).  One masked compare checks all of it.
 _FP_FAST_FIELD = 0x7F80
 _FP_FAST_VALUE = 0x1F80
-#: MXCSR.RC (bits 13-14): the closures, fast and flag path alike, are
+#: MXCSR.RC (bits 13-14): the functions, fast and flag path alike, are
 #: round-to-nearest only, so the engine single-steps while RC is
 #: directed.
 _RC_FIELD = 0x6000
@@ -151,7 +152,7 @@ class MicroOp:
     """One lowered instruction: all static metadata pre-resolved.
 
     A MicroOp is CPU-independent (shared across ``Program.copy()``
-    images); per-CPU execute closures are bound by the engine via
+    images); per-CPU execute functions are bound by the engine via
     :func:`bind_exec` / :func:`bind_control`.
     """
 
@@ -207,1003 +208,509 @@ def lower(instr: Instruction) -> MicroOp:
     return uop
 
 
-# ---------------------------------------------------- fast memory closures
-# Inlined single-page 8-byte access for bound closures.  Anything off
-# the happy path (first touch of an unmapped page, page-straddling
-# access, permission violations) falls back to the Memory methods, so
-# semantics are exactly theirs.  Observers
-# (read per call, so late attaches count) are notified inline, after
-# the access, with the same arguments the methods pass.
-_PAGE_SIZE = PAGE_SIZE
-_PAGE_SHIFT = PAGE_SHIFT
-_PAGE_MASK = PAGE_SIZE - 1
-_FROM_LE = int.from_bytes
-
-
-def _load8_factory(mem, fp: bool):
-    """Fast ``observed_load(ea, 8, fp)``."""
-    pages = mem._pages
-    kind = "fp_load" if fp else "int_load"
-
-    def load8(addr):
-        page = pages.get(addr >> _PAGE_SHIFT)
-        off = addr & _PAGE_MASK
-        if page is None or off > _PAGE_SIZE - 8 or not (page.prot & PROT_READ):
-            return mem.observed_load(addr, 8, fp)
-        value = _FROM_LE(page.data[off:off + 8], "little")
-        if mem.observers:
-            for obs in mem.observers:
-                obs(addr, 8, kind, value)
-        return value
-    return load8
-
-
-def _store8_factory(mem, fp: bool):
-    """Fast ``observed_store(ea, v, 8, fp)``."""
-    pages = mem._pages
-    kind = "fp_store" if fp else "int_store"
-
-    def store8(addr, value):
-        page = pages.get(addr >> _PAGE_SHIFT)
-        off = addr & _PAGE_MASK
-        if page is None or off > _PAGE_SIZE - 8 or not (page.prot & PROT_WRITE):
-            return mem.observed_store(addr, value, 8, fp)
-        page.data[off:off + 8] = _PACK_Q(value & U64)
-        if mem.observers:
-            for obs in mem.observers:
-                obs(addr, 8, kind, value)
-    return store8
-
-
-def _raw_load8_factory(mem):
-    """Fast ``read_u64`` (stack pops / returns — never observed)."""
-    pages = mem._pages
-
-    def load8(addr):
-        page = pages.get(addr >> _PAGE_SHIFT)
-        off = addr & _PAGE_MASK
-        if page is None or off > _PAGE_SIZE - 8 or not (page.prot & PROT_READ):
-            return mem.read_u64(addr)
-        return _FROM_LE(page.data[off:off + 8], "little")
-    return load8
-
-
-def _raw_store8_factory(mem):
-    """Fast ``write_u64`` (stack pushes — never observed)."""
-    pages = mem._pages
-
-    def store8(addr, value):
-        page = pages.get(addr >> _PAGE_SHIFT)
-        off = addr & _PAGE_MASK
-        if page is None or off > _PAGE_SIZE - 8 or not (page.prot & PROT_WRITE):
-            return mem.write_u64(addr, value)
-        page.data[off:off + 8] = _PACK_Q(value & U64)
-    return store8
-
-
-# ------------------------------------------------------- operand accessors
-def _ea_factory(regs, m: Mem):
-    """Zero-arg effective-address closure; register operands are read
-    through ``regs`` at call time (restore() replaces the inner lists)."""
-    disp = m.disp
-    bid = GPR_IDS[m.base] if m.base is not None else None
-    iid = GPR_IDS[m.index] if m.index is not None else None
-    scale = m.scale
-    if bid is None and iid is None:
-        ea = disp & U64
-        return lambda: ea
-    if iid is None:
-        return lambda: (regs.gpr[bid] + disp) & U64
-    if bid is None:
-        return lambda: (regs.gpr[iid] * scale + disp) & U64
-    return lambda: (regs.gpr[bid] + regs.gpr[iid] * scale + disp) & U64
-
-
-def _reader_u64(cpu, op, fp: bool):
-    """Seed ``read_u64_operand`` semantics: Mem is always an 8-byte
-    observed load regardless of the operand's declared size."""
-    regs = cpu.regs
-    if isinstance(op, Reg):
-        rid = op.id
-        return lambda: regs.gpr[rid]
-    if isinstance(op, Xmm):
-        xid = op.id
-        return lambda: regs.xmm[xid][0]
-    if isinstance(op, Imm):
-        v = op.value & U64
-        return lambda: v
-    if isinstance(op, Mem):
-        ea = _ea_factory(regs, op)
-        load8 = _load8_factory(cpu.mem, fp)
-        return lambda: load8(ea())
-    return None
-
-
-def _reader_sized(cpu, op, fp: bool):
-    """Seed ``read_sized_operand``: Mem honours its declared size."""
-    if isinstance(op, Mem) and op.size != 8:
-        ea = _ea_factory(cpu.regs, op)
-        mem = cpu.mem
-        size = op.size
-        return lambda: mem.observed_load(ea(), size, fp)
-    return _reader_u64(cpu, op, fp)
-
-
-def _writer_u64(cpu, op, fp: bool):
-    """Seed ``write_u64_operand``: Mem stores honour the operand size."""
-    regs = cpu.regs
-    if isinstance(op, Reg):
-        rid = op.id
-
-        def wr(v):
-            regs.gpr[rid] = v & U64
-        return wr
-    if isinstance(op, Xmm):
-        xid = op.id
-
-        def wx(v):
-            regs.xmm[xid][0] = v & U64
-        return wx
-    if isinstance(op, Mem):
-        ea = _ea_factory(regs, op)
-        if op.size == 8:
-            store8 = _store8_factory(cpu.mem, fp)
-            return lambda v: store8(ea(), v)
-        mem = cpu.mem
-        size = op.size
-        return lambda v: mem.observed_store(ea(), v, size, fp)
-    return None
-
-
-def _reader_128(cpu, op):
-    """Seed ``read_xmm_or_mem128``."""
-    regs = cpu.regs
-    if isinstance(op, Xmm):
-        xid = op.id
-
-        def rx():
-            lanes = regs.xmm[xid]
-            return lanes[0], lanes[1]
-        return rx
-    if isinstance(op, Mem):
-        ea = _ea_factory(regs, op)
-        load8 = _load8_factory(cpu.mem, True)
-
-        def rm():
-            a = ea()
-            return load8(a), load8(a + 8)
-        return rm
-    return None
-
-
-# -------------------------------------------------------- closure binding
-def bind_exec(uop: MicroOp, cpu):
-    """Bind a body-execute closure for this CPU, or None if the micro-op
-    cannot run inside a superblock body (control/sys/odd shapes).
-
-    Closure contract: executes the instruction exactly like the seed
-    handler (same reads, same write order, RIP set at the end) and
-    returns None on retire.  An FP-trappable closure may instead return
-    the #XF ``Trap`` the seed would deliver (nothing committed; the
-    engine delivers it).  Closures assume round-to-nearest: the engine
-    does not enter a block while MXCSR.RC is directed.  Retire
-    accounting (cost/count/class) is the engine's job.
-    """
-    cls = uop.opclass
-    try:
-        if cls in (OpClass.FP_ARITH, OpClass.FP_CVT):
-            return _bind_fp(uop, cpu)
-        if cls is OpClass.FP_BITWISE:
-            return _bind_fp_bitwise(uop, cpu)
-        if cls is OpClass.FP_MOV:
-            return _bind_fp_mov(uop, cpu)
-        if cls is OpClass.INT_MOV:
-            return _bind_int_mov(uop, cpu)
-        if cls is OpClass.INT_ALU:
-            return _bind_int_alu(uop, cpu)
-    except (KeyError, AttributeError, TypeError):
-        return None  # malformed operands: let cpu.step() raise its way
-    return None
-
-
-def _flag_path(uop: MicroOp, cpu, evaluate, commit):
-    """An FP closure's path under an unmasked MXCSR (an attached FPVM)
-    or with the FP unit off.
-
-    With the FP unit off it returns the #XF ``Trap`` with no flags,
-    before any operand read, as ``cpu._exec_fp`` delivers it.
-    Otherwise ``evaluate()`` reads the operands once and returns
-    ``(result, status)`` from :func:`repro.fpu.fast.flagged` (a packed
-    op ORs its lanes' status).  An unmasked status bit returns the #XF
-    ``Trap`` ``_exec_fp`` delivers, nothing committed; else
-    ``commit(result)``, the status ORed into MXCSR and RIP advanced, as
-    ``_exec_fp`` does."""
-    from repro.machine.cpu import Trap, TrapKind  # cpu.py imports this module
-
-    regs = cpu.regs
-    end = uop.end
-    addr, instr, xf = uop.addr, uop.instr, TrapKind.XF
-    from_status = FPFlags.from_status
-
-    def flag_path():
-        if cpu.fp_disabled:
-            return Trap(xf, addr, instr, FPFlags())
-        mx = regs.mxcsr
-        result, st = evaluate()
-        if st & ~mx >> 7:
-            return Trap(xf, addr, instr, from_status(st))
-        commit(result)
-        regs.mxcsr = mx | st
-        regs.rip = end
-    return flag_path
-
-
-def _bind_fp(uop: MicroOp, cpu):
-    """Each closure runs the seed's values-only native path when every
-    MXCSR mask is set and RC is nearest, and its :func:`_flag_path`
-    otherwise."""
-    regs = cpu.regs
-    mn = uop.mnemonic
-    ops = uop.instr.operands
-    end = uop.end
-    flag = F.flagged(uop.ieee)
-
-    def lane0(xid):
-        def write(bits):
-            regs.xmm[xid][0] = bits
-        return write
-
-    if mn == "cvtsi2sd":
-        rd = _reader_u64(cpu, ops[1], False)
-        xid = ops[0].id
-        cvt = F.cvtsi2sd
-        if rd is None or not isinstance(ops[0], Xmm):
-            return None
-        flag_path = _flag_path(uop, cpu, lambda: flag(rd()), lane0(xid))
-
-        def run_cvtsi2sd():
-            if cpu.fp_disabled or (regs.mxcsr & _FP_FAST_FIELD) != _FP_FAST_VALUE:
-                return flag_path()
-            regs.xmm[xid][0] = cvt(rd())
-            regs.rip = end
-        return run_cvtsi2sd
-
-    if mn in ("cvttsd2si", "cvtsd2si"):
-        rd = _reader_u64(cpu, ops[1], True)
-        wr = _writer_u64(cpu, ops[0], False)
-        cvt = F.cvttsd2si if mn == "cvttsd2si" else F.cvtsd2si
-        if rd is None or wr is None:
-            return None
-        flag_path = _flag_path(uop, cpu, lambda: flag(rd()), wr)
-
-        def run_cvt2si():
-            if cpu.fp_disabled or (regs.mxcsr & _FP_FAST_FIELD) != _FP_FAST_VALUE:
-                return flag_path()
-            wr(cvt(rd()))
-            regs.rip = end
-        return run_cvt2si
-
-    if mn in ("ucomisd", "comisd"):
-        if not isinstance(ops[0], Xmm):
-            return None
-        xid = ops[0].id
-        rd_b = _reader_u64(cpu, ops[1], True)
-        ucomi = F.ucomi
-        if rd_b is None:
-            return None
-
-        def set_flags(packed):
-            f = regs.flags
-            f.zf = bool(packed & 1)
-            f.pf = bool(packed & 2)
-            f.cf = bool(packed & 4)
-            f.sf = False
-            f.of = False
-        flag_path = _flag_path(
-            uop, cpu, lambda: flag(regs.xmm[xid][0], rd_b()), set_flags)
-
-        def run_ucomi():
-            if cpu.fp_disabled or (regs.mxcsr & _FP_FAST_FIELD) != _FP_FAST_VALUE:
-                return flag_path()
-            packed = ucomi(regs.xmm[xid][0], rd_b())
-            f = regs.flags
-            f.zf = bool(packed & 1)
-            f.pf = bool(packed & 2)
-            f.cf = bool(packed & 4)
-            f.sf = False
-            f.of = False
-            regs.rip = end
-        return run_ucomi
-
-    if mn in CMP_PREDS:
-        if not isinstance(ops[0], Xmm):
-            return None
-        xid = ops[0].id
-        rd_b = _reader_u64(cpu, ops[1], True)
-        cmp = F.cmp_mask(CMP_PREDS[mn])
-        if rd_b is None:
-            return None
-        flag_path = _flag_path(
-            uop, cpu, lambda: flag(regs.xmm[xid][0], rd_b()), lane0(xid))
-
-        def run_cmp():
-            if cpu.fp_disabled or (regs.mxcsr & _FP_FAST_FIELD) != _FP_FAST_VALUE:
-                return flag_path()
-            lanes = regs.xmm[xid]
-            lanes[0] = cmp(lanes[0], rd_b())
-            regs.rip = end
-        return run_cmp
-
-    if mn == "vfmadd213sd":
-        if not (isinstance(ops[0], Xmm) and isinstance(ops[1], Xmm)):
-            return None
-        d_id, m_id = ops[0].id, ops[1].id
-        rd_c = _reader_u64(cpu, ops[2], True)
-        fma = F.fma
-        if rd_c is None:
-            return None
-        flag_path = _flag_path(
-            uop, cpu, lambda: flag(regs.xmm[m_id][0], regs.xmm[d_id][0], rd_c()),
-            lane0(d_id))
-
-        def run_fma():
-            if cpu.fp_disabled or (regs.mxcsr & _FP_FAST_FIELD) != _FP_FAST_VALUE:
-                return flag_path()
-            lanes = regs.xmm[d_id]
-            lanes[0] = fma(regs.xmm[m_id][0], lanes[0], rd_c())
-            regs.rip = end
-        return run_fma
-
-    if not isinstance(ops[0], Xmm):
-        return None
-    xid = ops[0].id
-
-    def both_lanes(pair):
-        regs.xmm[xid][:] = pair
-
-    if mn == "sqrtsd":
-        rd = _reader_u64(cpu, ops[1], True)
-        if rd is None:
-            return None
-        flag_path = _flag_path(uop, cpu, lambda: flag(rd()), lane0(xid))
-
-        def run_sqrtsd():
-            if cpu.fp_disabled or (regs.mxcsr & _FP_FAST_FIELD) != _FP_FAST_VALUE:
-                return flag_path()
-            regs.xmm[xid][0] = _fsqrt(rd())
-            regs.rip = end
-        return run_sqrtsd
-
-    if mn == "sqrtpd":
-        rd = _reader_128(cpu, ops[1])
-        if rd is None:
-            return None
-
-        def evaluate_sqrtpd():
-            slo, shi = rd()
-            lo, st = flag(slo)
-            hi, st_hi = flag(shi)
-            return (lo, hi), st | st_hi
-        flag_path = _flag_path(uop, cpu, evaluate_sqrtpd, both_lanes)
-
-        def run_sqrtpd():
-            if cpu.fp_disabled or (regs.mxcsr & _FP_FAST_FIELD) != _FP_FAST_VALUE:
-                return flag_path()
-            slo, shi = rd()
-            lanes = regs.xmm[xid]
-            lanes[0] = _fsqrt(slo)
-            lanes[1] = _fsqrt(shi)
-            regs.rip = end
-        return run_sqrtpd
-
-    # Binary arithmetic families.
-    fast = FAST_SCALAR.get(uop.ieee)
-    if fast is None:
-        return None
-    if uop.lanes == 2:
-        rd = _reader_128(cpu, ops[1])
-        if rd is None:
-            return None
-
-        def evaluate_packed():
-            slo, shi = rd()
-            dlo, dhi = regs.xmm[xid]
-            lo, st = flag(dlo, slo)
-            hi, st_hi = flag(dhi, shi)
-            return (lo, hi), st | st_hi
-        flag_path = _flag_path(uop, cpu, evaluate_packed, both_lanes)
-
-        def run_packed():
-            if cpu.fp_disabled or (regs.mxcsr & _FP_FAST_FIELD) != _FP_FAST_VALUE:
-                return flag_path()
-            slo, shi = rd()
-            lanes = regs.xmm[xid]
-            lanes[0] = fast(lanes[0], slo)
-            lanes[1] = fast(lanes[1], shi)
-            regs.rip = end
-        return run_packed
-
-    rd = _reader_u64(cpu, ops[1], True)
-    if rd is None:
-        return None
-    flag_path = _flag_path(uop, cpu, lambda: flag(regs.xmm[xid][0], rd()),
-                           lane0(xid))
-
-    def run_scalar():
-        if cpu.fp_disabled or (regs.mxcsr & _FP_FAST_FIELD) != _FP_FAST_VALUE:
-            return flag_path()
-        lanes = regs.xmm[xid]
-        lanes[0] = fast(lanes[0], rd())
-        regs.rip = end
-    return run_scalar
-
-
-def _bind_fp_bitwise(uop: MicroOp, cpu):
-    regs = cpu.regs
-    mn = uop.mnemonic
-    ops = uop.instr.operands
-    end = uop.end
-    if not isinstance(ops[0], Xmm):
-        return None
-    xid = ops[0].id
-    rd = _reader_128(cpu, ops[1])
-    if rd is None:
-        return None
-
-    if mn == "xorpd":
-        def run_xorpd():
-            slo, shi = rd()
-            lanes = regs.xmm[xid]
-            lanes[0] ^= slo
-            lanes[1] ^= shi
-            regs.rip = end
-        return run_xorpd
-    if mn == "andpd":
-        def run_andpd():
-            slo, shi = rd()
-            lanes = regs.xmm[xid]
-            lanes[0] &= slo
-            lanes[1] &= shi
-            regs.rip = end
-        return run_andpd
-    if mn == "orpd":
-        def run_orpd():
-            slo, shi = rd()
-            lanes = regs.xmm[xid]
-            lanes[0] |= slo
-            lanes[1] |= shi
-            regs.rip = end
-        return run_orpd
-
-    def run_andnpd():
-        slo, shi = rd()
-        lanes = regs.xmm[xid]
-        lanes[0] = (~lanes[0] & U64) & slo
-        lanes[1] = (~lanes[1] & U64) & shi
-        regs.rip = end
-    return run_andnpd
-
-
-def _bind_fp_mov(uop: MicroOp, cpu):
-    regs = cpu.regs
-    mem = cpu.mem
-    mn = uop.mnemonic
-    ops = uop.instr.operands
-    end = uop.end
-
-    if mn == "shufpd":
-        dst, src, imm = ops
-        if not isinstance(dst, Xmm) or not isinstance(imm, Imm):
-            return None
-        did = dst.id
-        rd = _reader_128(cpu, src)
-        ctrl = imm.value
-        if rd is None:
-            return None
-
-        def run_shufpd():
-            lanes = regs.xmm[did]
-            dlo, dhi = lanes[0], lanes[1]
-            slo, shi = rd()
-            lanes[0] = dhi if ctrl & 1 else dlo
-            lanes[1] = shi if ctrl & 2 else slo
-            regs.rip = end
-        return run_shufpd
-
-    dst, src = ops
-    if mn == "movsd":
-        if isinstance(dst, Xmm) and isinstance(src, Xmm):
-            did, sid = dst.id, src.id
-
-            def run_movsd_rr():
-                regs.xmm[did][0] = regs.xmm[sid][0]
-                regs.rip = end
-            return run_movsd_rr
-        if isinstance(dst, Xmm):
-            did = dst.id
-            rd = _reader_u64(cpu, src, True)
-            if rd is None:
-                return None
-
-            def run_movsd_load():
-                lanes = regs.xmm[did]
-                lanes[0] = rd()
-                lanes[1] = 0
-                regs.rip = end
-            return run_movsd_load
-        if isinstance(src, Xmm):
-            sid = src.id
-            wr = _writer_u64(cpu, dst, True)
-            if wr is None:
-                return None
-
-            def run_movsd_store():
-                wr(regs.xmm[sid][0])
-                regs.rip = end
-            return run_movsd_store
-        return None
-
-    if mn in ("movapd", "movupd"):
-        if isinstance(dst, Xmm):
-            did = dst.id
-            rd = _reader_128(cpu, src)
-            if rd is None:
-                return None
-
-            def run_movapd_load():
-                lo, hi = rd()
-                lanes = regs.xmm[did]
-                lanes[0] = lo
-                lanes[1] = hi
-                regs.rip = end
-            return run_movapd_load
-        if isinstance(src, Xmm) and isinstance(dst, Mem):
-            sid = src.id
-            ea = _ea_factory(regs, dst)
-            store8 = _store8_factory(mem, True)
-
-            def run_movapd_store():
-                lanes = regs.xmm[sid]
-                a = ea()
-                store8(a, lanes[0])
-                store8(a + 8, lanes[1])
-                regs.rip = end
-            return run_movapd_store
-        return None
-
-    if mn in ("movhpd", "movlpd"):
-        lane = 1 if mn == "movhpd" else 0
-        if isinstance(dst, Xmm):
-            did = dst.id
-            rd = _reader_u64(cpu, src, True)
-            if rd is None:
-                return None
-
-            def run_movxpd_load():
-                regs.xmm[did][lane] = rd()
-                regs.rip = end
-            return run_movxpd_load
-        if isinstance(src, Xmm):
-            sid = src.id
-            wr = _writer_u64(cpu, dst, True)
-            if wr is None:
-                return None
-
-            def run_movxpd_store():
-                wr(regs.xmm[sid][lane])
-                regs.rip = end
-            return run_movxpd_store
-        return None
-
-    if mn == "movq":
-        if isinstance(dst, Xmm):
-            did = dst.id
-            rd = _reader_u64(cpu, src, isinstance(src, Mem))
-            if rd is None:
-                return None
-
-            def run_movq_load():
-                lanes = regs.xmm[did]
-                lanes[0] = rd()
-                lanes[1] = 0
-                regs.rip = end
-            return run_movq_load
-        if isinstance(src, Xmm):
-            sid = src.id
-            wr = _writer_u64(cpu, dst, isinstance(dst, Mem))
-            if wr is None:
-                return None
-
-            def run_movq_store():
-                wr(regs.xmm[sid][0])
-                regs.rip = end
-            return run_movq_store
-        return None
-
-    if mn == "movddup":
-        if not isinstance(dst, Xmm):
-            return None
-        did = dst.id
-        rd = _reader_u64(cpu, src, True)
-        if rd is None:
-            return None
-
-        def run_movddup():
-            lo = rd()
-            lanes = regs.xmm[did]
-            lanes[0] = lo
-            lanes[1] = lo
-            regs.rip = end
-        return run_movddup
-
-    if mn == "unpcklpd":
-        if not isinstance(dst, Xmm):
-            return None
-        did = dst.id
-        rd = _reader_128(cpu, src)
-        if rd is None:
-            return None
-
-        def run_unpcklpd():
-            slo, _ = rd()
-            regs.xmm[did][1] = slo
-            regs.rip = end
-        return run_unpcklpd
-
-    if mn == "unpckhpd":
-        if not isinstance(dst, Xmm):
-            return None
-        did = dst.id
-        rd = _reader_128(cpu, src)
-        if rd is None:
-            return None
-
-        def run_unpckhpd():
-            _, shi = rd()
-            lanes = regs.xmm[did]
-            lanes[0] = lanes[1]
-            lanes[1] = shi
-            regs.rip = end
-        return run_unpckhpd
-
-    return None
-
-
-def _bind_int_mov(uop: MicroOp, cpu):
-    regs = cpu.regs
-    mem = cpu.mem
-    mn = uop.mnemonic
-    ops = uop.instr.operands
-    end = uop.end
-
-    if mn == "mov":
-        dst, src = ops
-        rd = _reader_sized(cpu, src, False)
-        if rd is None:
-            return None
-        if isinstance(dst, Mem) and dst.size != 8:
-            ea = _ea_factory(regs, dst)
-            size = dst.size
-
-            def run_mov_sized():
-                mem.observed_store(ea(), rd(), size, False)
-                regs.rip = end
-            return run_mov_sized
-        wr = _writer_u64(cpu, dst, False)
-        if wr is None:
-            return None
-
-        def run_mov():
-            wr(rd())
-            regs.rip = end
-        return run_mov
-
-    if mn == "lea":
-        dst, src = ops
-        if not isinstance(dst, Reg) or not isinstance(src, Mem):
-            return None
-        rid = dst.id
-        ea = _ea_factory(regs, src)
-
-        def run_lea():
-            regs.gpr[rid] = ea()
-            regs.rip = end
-        return run_lea
-
-    if mn == "push":
-        rd = _reader_u64(cpu, ops[0], False)
-        if rd is None:
-            return None
-        store8 = _raw_store8_factory(mem)
-
-        def run_push():
-            v = rd()
-            rsp = (regs.gpr[7] - 8) & U64
-            regs.gpr[7] = rsp
-            store8(rsp, v)
-            regs.rip = end
-        return run_push
-
-    if mn == "pop":
-        wr = _writer_u64(cpu, ops[0], False)
-        if wr is None:
-            return None
-        load8 = _raw_load8_factory(mem)
-
-        def run_pop():
-            rsp = regs.gpr[7]
-            v = load8(rsp)
-            regs.gpr[7] = (rsp + 8) & U64
-            wr(v)
-            regs.rip = end
-        return run_pop
-
-    if mn == "xchg":
-        a, b = ops
-        rd_a = _reader_u64(cpu, a, False)
-        rd_b = _reader_u64(cpu, b, False)
-        wr_a = _writer_u64(cpu, a, False)
-        wr_b = _writer_u64(cpu, b, False)
-        if None in (rd_a, rd_b, wr_a, wr_b):
-            return None
-
-        def run_xchg():
-            va = rd_a()
-            vb = rd_b()
-            wr_a(vb)
-            wr_b(va)
-            regs.rip = end
-        return run_xchg
-
-    return None
-
-
 def _s64(v: int) -> int:
     v &= U64
     return v - (1 << 64) if v >= (1 << 63) else v
 
 
-def _bind_int_alu(uop: MicroOp, cpu):
-    regs = cpu.regs
-    mn = uop.mnemonic
-    ops = uop.instr.operands
-    end = uop.end
-    parity = _PARITY
+# ------------------------------------------------------ generated binding
+# A micro-op binds into one function generated from text keyed by its
+# mnemonic and operand shape (``codegen.scan``): register ids,
+# displacements, immediates, ``uop.end`` and the FP evaluators are its
+# defaults, with the CPU, its registers, its memory and the page dict.
+# The text loads ``regs.gpr``/``regs.xmm`` per call (``restore()``
+# replaces the lists) and serves an 8-byte access inside one mapped
+# page with the needed prot bit through ``struct`` on the page; every
+# other access (first touch of an unmapped page, a page straddle, a
+# protection fault, another size) goes to the ``Memory`` method, and
+# the stack accesses of push, pop, call and ret to ``read_u64``/
+# ``write_u64``.  Observers (read per call, so late attaches count) are
+# notified after the access, with the arguments the methods pass.
+_Q = struct.Struct("<Q")
 
-    rd0 = _reader_u64(cpu, ops[0], False)
-    if rd0 is None:
+#: names every micro-op function may take from its CPU.
+_CPU_NAMES = ("cpu", "regs", "mem", "pages", "rbc")
+
+#: module globals of the generated code; ``Trap``/``XF`` join on the
+#: first compile (cpu.py imports this module).
+_GLOBALS = {
+    "U64": U64, "s64": _s64, "PARITY": _PARITY,
+    "UNPACK": _Q.unpack_from, "PACK_INTO": _Q.pack_into,
+    "FPFlags": FPFlags, "from_status": FPFlags.from_status,
+    "CONTROL": OpClass.CONTROL, "SENTINEL": _RETURN_SENTINEL,
+}
+
+#: (mnemonic, *operand shape) -> the ``make`` its text defines, or None
+#: for a refused shape.
+_MAKERS: dict = {}
+
+_EXEC_CLASSES = frozenset({OpClass.FP_ARITH, OpClass.FP_CVT, OpClass.FP_BITWISE,
+                           OpClass.FP_MOV, OpClass.INT_MOV, OpClass.INT_ALU})
+
+
+def _fast_form(mn: str, ieee):
+    """The values-only evaluator of an FP mnemonic (None: not bound)."""
+    if mn in ("cvtsi2sd", "cvttsd2si", "cvtsd2si"):
+        return getattr(F, mn)
+    if mn in ("ucomisd", "comisd"):
+        return F.ucomi
+    if mn in CMP_PREDS:
+        return F.cmp_mask(CMP_PREDS[mn])
+    if mn == "vfmadd213sd":
+        return F.fma
+    return FAST_SCALAR.get(ieee)
+
+
+#: FP mnemonic -> its ``(fast, flag)`` evaluators.
+_FP_FORMS = {mn: (_fast_form(mn, info.ieee), F.flagged(info.ieee))
+             for mn, info in OPCODES.items()
+             if info.opclass in (OpClass.FP_ARITH, OpClass.FP_CVT)}
+
+
+class _Refused(Exception):
+    """The micro-op's shape has no function: its step runs ``cpu.step()``."""
+
+
+def bind_exec(uop: MicroOp, cpu):
+    """Bind a body-execute function for this CPU, or None if the
+    micro-op cannot run inside a superblock body (control/sys/odd
+    shapes).
+
+    Contract: executes the instruction exactly like the seed handler
+    (same reads, same write order, RIP set at the end) and returns None
+    on retire.  An FP-trappable function may instead return the #XF
+    ``Trap`` the seed would deliver (nothing committed; the engine
+    delivers it).  Functions assume round-to-nearest: the engine does
+    not enter a block while MXCSR.RC is directed.  Retire accounting
+    (cost/count/class) is the engine's job.
+    """
+    if uop.opclass not in _EXEC_CLASSES:
         return None
-    writes = mn not in ("cmp", "test")
-    wr0 = _writer_u64(cpu, ops[0], False) if writes else None
-    if writes and wr0 is None:
+    try:
+        shape, params = codegen.scan(uop.instr.operands)
+    except (KeyError, AttributeError, TypeError):
+        return None  # malformed operands: let cpu.step() raise its way
+    params["end"] = uop.end
+    if uop.fp_trap_capable:
+        params["fast"], params["flag"] = _FP_FORMS[uop.mnemonic]
+        params["addr"], params["instr"] = uop.addr, uop.instr
+    make = codegen.maker(_MAKERS, (uop.mnemonic, *shape),
+                         lambda: _source(_exec_text, uop, params), _GLOBALS, "<micro-op>")
+    if make is None:
         return None
-
-    if mn in ("add", "sub", "cmp"):
-        rd1 = _reader_u64(cpu, ops[1], False)
-        if rd1 is None:
-            return None
-        adding = mn == "add"
-
-        def run_addsub():
-            a = rd0()
-            b = rd1()
-            f = regs.flags
-            if adding:
-                r = (a + b) & U64
-                f.cf = (a + b) > U64
-                f.of = (_s64(a) + _s64(b)) != _s64(r)
-            else:
-                r = (a - b) & U64
-                f.cf = a < b
-                f.of = (_s64(a) - _s64(b)) != _s64(r)
-            f.zf = r == 0
-            f.sf = bool(r >> 63)
-            f.pf = parity[r & 0xFF]
-            if wr0 is not None:
-                wr0(r)
-            regs.rip = end
-        return run_addsub
-
-    if mn in ("and", "or", "xor", "test"):
-        rd1 = _reader_u64(cpu, ops[1], False)
-        if rd1 is None:
-            return None
-        kind = "and" if mn in ("and", "test") else mn
-
-        def run_logic():
-            a = rd0()
-            b = rd1()
-            r = a & b if kind == "and" else (a | b if kind == "or" else a ^ b)
-            f = regs.flags
-            f.cf = f.of = False
-            f.zf = r == 0
-            f.sf = bool(r >> 63)
-            f.pf = parity[r & 0xFF]
-            if wr0 is not None:
-                wr0(r)
-            regs.rip = end
-        return run_logic
-
-    if mn == "imul":
-        rd1 = _reader_u64(cpu, ops[1], False)
-        if rd1 is None:
-            return None
-
-        def run_imul():
-            a = _s64(rd0())
-            b = _s64(rd1())
-            full = a * b
-            r = full & U64
-            f = regs.flags
-            f.cf = f.of = _s64(r) != full
-            f.zf = r == 0
-            f.sf = bool(r >> 63)
-            f.pf = parity[r & 0xFF]
-            wr0(r)
-            regs.rip = end
-        return run_imul
-
-    if mn in ("shl", "shr", "sar"):
-        rd1 = _reader_u64(cpu, ops[1], False)
-        if rd1 is None:
-            return None
-
-        def run_shift():
-            a = rd0()
-            count = rd1() & 63
-            if count:
-                f = regs.flags
-                if mn == "shl":
-                    f.cf = bool((a >> (64 - count)) & 1)
-                    r = (a << count) & U64
-                elif mn == "shr":
-                    f.cf = bool((a >> (count - 1)) & 1)
-                    r = a >> count
-                else:
-                    f.cf = bool((a >> (count - 1)) & 1)
-                    r = (_s64(a) >> count) & U64
-                f.zf = r == 0
-                f.sf = bool(r >> 63)
-                f.pf = parity[r & 0xFF]
-                wr0(r)
-            regs.rip = end
-        return run_shift
-
-    if mn in ("inc", "dec"):
-        delta = 1 if mn == "inc" else -1
-
-        def run_incdec():
-            a = rd0()
-            r = (a + delta) & U64
-            f = regs.flags
-            f.of = _s64(a) + delta != _s64(r)
-            f.zf = r == 0
-            f.sf = bool(r >> 63)
-            f.pf = parity[r & 0xFF]
-            wr0(r)
-            regs.rip = end
-        return run_incdec
-
-    if mn == "neg":
-        def run_neg():
-            a = rd0()
-            r = (-a) & U64
-            f = regs.flags
-            f.cf = a != 0
-            f.of = a == (1 << 63)
-            f.zf = r == 0
-            f.sf = bool(r >> 63)
-            f.pf = parity[r & 0xFF]
-            wr0(r)
-            regs.rip = end
-        return run_neg
-
-    if mn == "not":
-        def run_not():
-            wr0((~rd0()) & U64)
-            regs.rip = end
-        return run_not
-
-    return None
+    mem = cpu.mem
+    return make(cpu, cpu.regs, mem, mem._pages, cpu.retired_by_class, **params)
 
 
 def bind_control(uop: MicroOp, cpu):
-    """Bind a tail closure for a control-flow micro-op.  Tail closures
-    perform their own retire accounting (cost/count/class), mirroring
-    the seed's handler-then-retire order exactly — in particular a host
-    function body runs *before* the call instruction retires."""
-    regs = cpu.regs
-    mn = uop.mnemonic
+    """Bind a tail function for a control-flow micro-op.  Tails perform
+    their own retire accounting (cost/count/class), mirroring the seed's
+    handler-then-retire order exactly — in particular a host function
+    body runs *before* the call instruction retires."""
     ops = uop.instr.operands
-    next_rip = uop.end
-    cost = uop.cost
-    rbc = cpu.retired_by_class
-    ctrl = OpClass.CONTROL
-    prog = cpu.program
-    mem = cpu.mem
-
-    def _target(op):
-        if isinstance(op, Label):
-            if op.addr is not None and op.addr != -1:
-                t = op.addr
-                return lambda: t
-            name = op.name
-            return lambda: prog.resolve(name)
-        if isinstance(op, Reg):
-            rid = op.id
-            return lambda: regs.gpr[rid]
+    try:
+        shape, params = codegen.scan(ops)
+    except (KeyError, AttributeError, TypeError):
         return None
-
-    if mn == "jmp":
-        tgt = _target(ops[0])
-        if tgt is None:
-            return None
-
-        def run_jmp():
-            regs.rip = tgt()
-            cpu.cycles += cost
-            cpu.work_cycles += cost
-            cpu.instruction_count += 1
-            rbc[ctrl] += 1
-        return run_jmp
-
+    mn = uop.mnemonic
+    params.update(end=uop.end, cost=uop.cost)
+    if shape and shape[0] == "L":
+        params.update(prog=cpu.program, name=ops[0].name)
     if mn == "call":
-        tgt = _target(ops[0])
-        if tgt is None:
-            return None
-        hosts = prog.host_functions
-        store8 = _raw_store8_factory(mem)
+        params["hosts"] = cpu.program.host_functions
+    elif mn in CONDITION_CODES:
+        params["cond"] = CONDITION_CODES[mn]
+    make = codegen.maker(_MAKERS, (mn, *shape),
+                         lambda: _source(_control_text, uop, params), _GLOBALS, "<micro-op>")
+    if make is None:
+        return None
+    mem = cpu.mem
+    return make(cpu, cpu.regs, mem, mem._pages, cpu.retired_by_class, **params)
 
-        def run_call():
-            target = tgt()
-            host = hosts.get(target)
-            if host is not None:
-                cpu.cycles += host.cost
-                cpu.work_cycles += host.cost
-                regs.rip = next_rip
-                host.fn(cpu)
+
+def _source(build, uop: MicroOp, params: dict) -> str | None:
+    """Text of ``make(cpu, regs, mem, pages, rbc, **params)``, which
+    returns the micro-op's function; None when ``build`` refuses the
+    shape.  The text depends only on the key: ``build`` reads operand
+    kinds and memory forms, never their values."""
+    if "Trap" not in _GLOBALS:
+        from repro.machine.cpu import Trap, TrapKind
+        _GLOBALS.update(Trap=Trap, XF=TrapKind.XF)
+    text = _Text(uop.instr.operands)
+    try:
+        build(text, uop)
+    except _Refused:
+        return None
+    body = "\n".join(text.lines)
+    code = [f"{name} = regs.{name}" for name in codegen.used(body, ("gpr", "xmm"))]
+    code += text.lines
+    # Only the names the text reads are defaults: no cell per value,
+    # and the fastest lookup.
+    names = codegen.used("\n".join(code), (*_CPU_NAMES, *params))
+    return "\n".join([f"def make({', '.join((*_CPU_NAMES, *params))}):",
+                      f"    def run({', '.join(f'{n}={n}' for n in names)}):",
+                      *("        " + line for line in code), "    return run", ""])
+
+
+class _Text:
+    """The statements of one micro-op's function, in execution order.
+    A read returns the expression for its value: a register lane, an
+    immediate, or the local a memory read was loaded into.  A memory
+    operand's address ``ea{pos}`` is computed at each access, unless a
+    write reuses (``fresh=False``) the one its operand's read computed
+    with no GPR written between."""
+
+    def __init__(self, ops) -> None:
+        self.ops = ops
+        self.lines: list[str] = []
+        self.pad = ""
+
+    def emit(self, *lines: str) -> None:
+        self.lines += [self.pad + line for line in lines]
+
+    def kind(self, pos: int):
+        op = self.ops[pos]
+        for cls, name in ((Xmm, "x"), (Reg, "r"), (Mem, "m"), (Imm, "i")):
+            if isinstance(op, cls):
+                return name
+        return None
+
+    def need(self, pos: int, *kinds: str) -> None:
+        if self.kind(pos) not in kinds:
+            raise _Refused
+
+    def ea(self, pos: int) -> None:
+        self.emit(*codegen.address(pos, self.ops[pos], "gpr"))
+
+    def read(self, pos: int, fp: bool, sized: bool = False) -> str:
+        """The seed's ``read_u64_operand`` (``read_sized_operand`` when
+        ``sized``): a memory operand is an 8-byte load whatever its
+        declared size, unless ``sized``."""
+        kind = self.kind(pos)
+        if kind == "x":
+            return f"xmm[x{pos}][0]"
+        if kind == "r":
+            return f"gpr[r{pos}]"
+        if kind == "i":
+            return f"i{pos}"
+        if kind != "m":
+            raise _Refused
+        self.ea(pos)
+        size = self.ops[pos].size
+        if sized and size != 8:
+            self.emit(f"v{pos} = mem.observed_load(ea{pos}, {size}, {fp})")
+        else:
+            self.load8(f"v{pos}", f"ea{pos}", fp)
+        return f"v{pos}"
+
+    def read128(self, pos: int) -> tuple[str, str]:
+        """The seed's ``read_xmm_or_mem128``: both lanes, low first."""
+        kind = self.kind(pos)
+        if kind == "x":
+            self.emit(f"lo{pos}, hi{pos} = xmm[x{pos}]")
+        elif kind == "m":
+            self.ea(pos)
+            self.load8(f"lo{pos}", f"ea{pos}", True)
+            self.emit(f"at{pos} = ea{pos} + 8")
+            self.load8(f"hi{pos}", f"at{pos}", True)
+        else:
+            raise _Refused
+        return f"lo{pos}", f"hi{pos}"
+
+    def write(self, pos: int, value: str, fp: bool, fresh: bool = True) -> None:
+        """The seed's ``write_u64_operand``: a memory store honours the
+        operand's size."""
+        kind = self.kind(pos)
+        if kind == "x":
+            self.emit(f"xmm[x{pos}][0] = ({value}) & U64")
+        elif kind == "r":
+            self.emit(f"gpr[r{pos}] = ({value}) & U64")
+        elif kind == "m":
+            if fresh:
+                self.ea(pos)
+            size = self.ops[pos].size
+            if size != 8:
+                self.emit(f"mem.observed_store(ea{pos}, {value}, {size}, {fp})")
             else:
-                rsp = (regs.gpr[7] - 8) & U64
-                regs.gpr[7] = rsp
-                store8(rsp, next_rip)
-                regs.rip = target
-            cpu.cycles += cost
-            cpu.work_cycles += cost
-            cpu.instruction_count += 1
-            rbc[ctrl] += 1
-        return run_call
+                self.store8(f"ea{pos}", value, fp)
+        else:
+            raise _Refused
 
+    def load8(self, var: str, at: str, fp: bool) -> None:
+        kind = "fp_load" if fp else "int_load"
+        self.emit(f"page = pages.get({at} >> {PAGE_SHIFT})",
+                  f"off = {at} & {PAGE_SIZE - 1}",
+                  f"if page is not None and off <= {PAGE_SIZE - 8} and page.prot & {PROT_READ}:",
+                  f"    {var} = UNPACK(page.data, off)[0]",
+                  "    if mem.observers:",
+                  "        for obs in mem.observers:",
+                  f"            obs({at}, 8, {kind!r}, {var})",
+                  "else:",
+                  f"    {var} = mem.observed_load({at}, 8, {fp})")
+
+    def store8(self, at: str, value: str, fp: bool) -> None:
+        kind = "fp_store" if fp else "int_store"
+        self.emit(f"out = {value}",
+                  f"page = pages.get({at} >> {PAGE_SHIFT})",
+                  f"off = {at} & {PAGE_SIZE - 1}",
+                  f"if page is not None and off <= {PAGE_SIZE - 8} and page.prot & {PROT_WRITE}:",
+                  "    PACK_INTO(page.data, off, out & U64)",
+                  "    if mem.observers:",
+                  "        for obs in mem.observers:",
+                  f"            obs({at}, 8, {kind!r}, out)",
+                  "else:",
+                  f"    mem.observed_store({at}, out, 8, {fp})")
+
+
+def _exec_text(t: _Text, uop: MicroOp) -> None:
+    cls = uop.opclass
+    if cls in (OpClass.FP_ARITH, OpClass.FP_CVT):
+        _fp_text(t, uop)
+    elif cls is OpClass.FP_BITWISE:
+        _bitwise_text(t, uop.mnemonic)
+    elif cls is OpClass.FP_MOV:
+        _fp_mov_text(t, uop.mnemonic)
+    elif cls is OpClass.INT_MOV:
+        _int_mov_text(t, uop.mnemonic)
+    else:
+        _int_alu_text(t, uop.mnemonic)
+    t.pad = ""
+    t.emit("regs.rip = end")
+
+
+def _fp_text(t: _Text, uop: MicroOp) -> None:
+    """One function, both paths.  FP unit off: the flagless #XF ``Trap``
+    ``cpu._exec_fp`` delivers, before any operand read.  All masks set
+    and RC nearest: the values-only ``fast`` form.  Otherwise the
+    operands are read once and ``flag`` gives ``(result, status)`` (a
+    packed op ORs both lanes'); an unmasked status bit returns the #XF
+    ``Trap`` with nothing committed, else the result is committed, the
+    status ORed into MXCSR and RIP advanced, as ``_exec_fp`` does."""
+    mn = uop.mnemonic
+    if _FP_FORMS[mn][0] is None:
+        raise _Refused
+    t.emit("if cpu.fp_disabled:", "    return Trap(XF, addr, instr, FPFlags())",
+           "mx = regs.mxcsr")
+    lane0 = ["xmm[x0][0] = res"]
+    if mn == "cvtsi2sd":
+        t.need(0, "x")
+        t.emit(f"val = {t.read(1, False)}")
+        fast, flag, commit = ["xmm[x0][0] = fast(val)"], ["res, st = flag(val)"], lane0
+    elif mn in ("cvttsd2si", "cvtsd2si"):
+        t.need(0, "x", "r", "m")
+        t.emit(f"val = {t.read(1, True)}")
+        fast, flag, commit = None, ["res, st = flag(val)"], None  # written by ``t.write``
+    elif mn in ("ucomisd", "comisd"):
+        t.need(0, "x")
+        t.emit(f"val = {t.read(1, True)}")
+        commit = ["f = regs.flags", "f.zf = bool(res & 1)", "f.pf = bool(res & 2)",
+                  "f.cf = bool(res & 4)", "f.sf = False", "f.of = False"]
+        fast = ["res = fast(xmm[x0][0], val)", *commit]
+        flag = ["res, st = flag(xmm[x0][0], val)"]
+    elif mn == "vfmadd213sd":
+        t.need(0, "x")
+        t.need(1, "x")
+        t.emit(f"val = {t.read(2, True)}")
+        fast = ["lanes = xmm[x0]", "lanes[0] = fast(xmm[x1][0], lanes[0], val)"]
+        flag, commit = ["res, st = flag(xmm[x1][0], xmm[x0][0], val)"], lane0
+    elif mn == "sqrtsd":
+        t.need(0, "x")
+        t.emit(f"val = {t.read(1, True)}")
+        fast, flag, commit = ["xmm[x0][0] = fast(val)"], ["res, st = flag(val)"], lane0
+    elif uop.lanes == 1:  # cmpXXsd and the scalar binary ops
+        t.need(0, "x")
+        t.emit(f"val = {t.read(1, True)}")
+        fast = ["lanes = xmm[x0]", "lanes[0] = fast(lanes[0], val)"]
+        flag, commit = ["res, st = flag(xmm[x0][0], val)"], lane0
+    else:  # sqrtpd and the packed binary ops
+        t.need(0, "x")
+        lo, hi = t.read128(1)
+        if mn == "sqrtpd":
+            fast = ["lanes = xmm[x0]", f"lanes[0] = fast({lo})", f"lanes[1] = fast({hi})"]
+            flag = [f"res0, st = flag({lo})", f"res1, st1 = flag({hi})"]
+        else:
+            fast = ["lanes = xmm[x0]", f"lanes[0] = fast(lanes[0], {lo})",
+                    f"lanes[1] = fast(lanes[1], {hi})"]
+            flag = ["dlo, dhi = xmm[x0]", f"res0, st = flag(dlo, {lo})",
+                    f"res1, st1 = flag(dhi, {hi})"]
+        flag.append("st |= st1")
+        commit = ["lanes = xmm[x0]", "lanes[0] = res0", "lanes[1] = res1"]
+    t.emit(f"if mx & {_FP_FAST_FIELD} == {_FP_FAST_VALUE}:")
+    t.pad = "    "
+    if fast is None:
+        t.write(0, "fast(val)", False)
+    else:
+        t.emit(*fast)
+    t.pad = ""
+    t.emit("else:")
+    t.pad = "    "
+    t.emit(*flag, "if st & ~mx >> 7:", "    return Trap(XF, addr, instr, from_status(st))")
+    if commit is None:
+        t.write(0, "res", False)
+    else:
+        t.emit(*commit)
+    t.emit("regs.mxcsr = mx | st")
+
+
+def _bitwise_text(t: _Text, mn: str) -> None:
+    t.need(0, "x")
+    lo, hi = t.read128(1)
+    t.emit("lanes = xmm[x0]")
+    if mn in _BITWISE:
+        op = _BITWISE[mn]
+        t.emit(f"lanes[0] {op}= {lo}", f"lanes[1] {op}= {hi}")
+    else:  # andnpd
+        t.emit(f"lanes[0] = (~lanes[0] & U64) & {lo}", f"lanes[1] = (~lanes[1] & U64) & {hi}")
+
+
+_BITWISE = {"xorpd": "^", "andpd": "&", "orpd": "|"}
+
+
+def _fp_mov_text(t: _Text, mn: str) -> None:
+    dst, src = t.kind(0), t.kind(1)
+    if mn == "shufpd":
+        t.need(0, "x")
+        t.need(2, "i")
+        lo, hi = t.read128(1)
+        t.emit("lanes = xmm[x0]", "dlo, dhi = lanes",
+               "lanes[0] = dhi if i2 & 1 else dlo", f"lanes[1] = {hi} if i2 & 2 else {lo}")
+    elif mn == "movsd" and dst == src == "x":
+        t.emit("xmm[x0][0] = xmm[x1][0]")
+    elif mn in ("movsd", "movq") and dst == "x":
+        val = t.read(1, mn == "movsd" or src == "m")
+        t.emit("lanes = xmm[x0]", f"lanes[0] = {val}", "lanes[1] = 0")
+    elif mn in ("movsd", "movq") and src == "x":
+        t.write(0, "xmm[x1][0]", mn == "movsd" or dst == "m")
+    elif mn in ("movapd", "movupd") and dst == "x":
+        lo, hi = t.read128(1)
+        t.emit("lanes = xmm[x0]", f"lanes[0] = {lo}", f"lanes[1] = {hi}")
+    elif mn in ("movapd", "movupd") and dst == "m" and src == "x":
+        t.ea(0)
+        t.emit("lanes = xmm[x1]")
+        t.store8("ea0", "lanes[0]", True)
+        t.emit("at0 = ea0 + 8")
+        t.store8("at0", "lanes[1]", True)
+    elif mn in ("movhpd", "movlpd") and dst == "x":
+        t.emit(f"xmm[x0][{int(mn == 'movhpd')}] = {t.read(1, True)}")
+    elif mn in ("movhpd", "movlpd") and src == "x":
+        t.write(0, f"xmm[x1][{int(mn == 'movhpd')}]", True)
+    elif mn == "movddup" and dst == "x":
+        t.emit(f"val = {t.read(1, True)}", "lanes = xmm[x0]", "lanes[0] = val",
+               "lanes[1] = val")
+    elif mn == "unpcklpd" and dst == "x":
+        lo, _ = t.read128(1)
+        t.emit(f"xmm[x0][1] = {lo}")
+    elif mn == "unpckhpd" and dst == "x":
+        _, hi = t.read128(1)
+        t.emit("lanes = xmm[x0]", "lanes[0] = lanes[1]", f"lanes[1] = {hi}")
+    else:
+        raise _Refused
+
+
+def _int_mov_text(t: _Text, mn: str) -> None:
+    if mn == "mov":
+        val = t.read(1, False, sized=True)
+        if t.kind(0) == "m" and t.ops[0].size != 8:
+            t.emit(f"val = {val}")
+            t.ea(0)
+            t.emit(f"mem.observed_store(ea0, val, {t.ops[0].size}, False)")
+        else:
+            t.write(0, val, False)
+    elif mn == "lea":
+        t.need(0, "r")
+        t.need(1, "m")
+        t.ea(1)
+        t.emit("gpr[r0] = ea1")
+    elif mn == "push":
+        t.emit(f"val = {t.read(0, False)}", "rsp = (gpr[7] - 8) & U64",
+               "gpr[7] = rsp", "mem.write_u64(rsp, val)")
+    elif mn == "pop":
+        t.need(0, "x", "r", "m")
+        t.emit("rsp = gpr[7]", "val = mem.read_u64(rsp)", "gpr[7] = (rsp + 8) & U64")
+        t.write(0, "val", False)
+    elif mn == "xchg":
+        t.need(0, "x", "r", "m")
+        t.need(1, "x", "r", "m")
+        t.emit(f"va = {t.read(0, False)}")
+        t.emit(f"vb = {t.read(1, False)}")
+        t.write(0, "vb", False)
+        t.write(1, "va", False)
+    else:
+        raise _Refused
+
+
+def _int_alu_text(t: _Text, mn: str) -> None:
+    flags = ["f.zf = r == 0", "f.sf = bool(r >> 63)", "f.pf = PARITY[r & 0xFF]"]
+    writes = mn not in ("cmp", "test")
+    if writes:
+        t.need(0, "x", "r", "m")
+    t.emit(f"a = {t.read(0, False)}")
+    if mn in ("add", "sub", "cmp", "and", "or", "xor", "test", "imul", "shl", "shr", "sar"):
+        t.emit(f"b = {t.read(1, False)}")
+    if mn in ("add", "sub", "cmp"):
+        sign = "+" if mn == "add" else "-"
+        carry = "(a + b) > U64" if mn == "add" else "a < b"
+        t.emit(f"r = (a {sign} b) & U64", "f = regs.flags", f"f.cf = {carry}",
+               f"f.of = (s64(a) {sign} s64(b)) != s64(r)", *flags)
+    elif mn in ("and", "or", "xor", "test"):
+        op = {"and": "&", "test": "&", "or": "|", "xor": "^"}[mn]
+        t.emit(f"r = a {op} b", "f = regs.flags", "f.cf = f.of = False", *flags)
+    elif mn == "imul":
+        t.emit("full = s64(a) * s64(b)", "r = full & U64", "f = regs.flags",
+               "f.cf = f.of = s64(r) != full", *flags)
+    elif mn in ("shl", "shr", "sar"):
+        t.emit("count = b & 63", "if count:")
+        t.pad = "    "
+        t.emit("f = regs.flags")
+        if mn == "shl":
+            t.emit("f.cf = bool((a >> (64 - count)) & 1)", "r = (a << count) & U64")
+        elif mn == "shr":
+            t.emit("f.cf = bool((a >> (count - 1)) & 1)", "r = a >> count")
+        else:
+            t.emit("f.cf = bool((a >> (count - 1)) & 1)", "r = (s64(a) >> count) & U64")
+        t.emit(*flags)
+    elif mn in ("inc", "dec"):
+        sign = "+" if mn == "inc" else "-"
+        t.emit(f"r = (a {sign} 1) & U64", "f = regs.flags",
+               f"f.of = s64(a) {sign} 1 != s64(r)", *flags)
+    elif mn == "neg":
+        t.emit("r = (-a) & U64", "f = regs.flags", "f.cf = a != 0", "f.of = a == (1 << 63)",
+               *flags)
+    elif mn == "not":
+        t.emit("r = (~a) & U64")
+    else:
+        raise _Refused
+    if writes:
+        t.write(0, "r", False, fresh=False)
+
+
+def _control_text(t: _Text, uop: MicroOp) -> None:
+    mn = uop.mnemonic
     if mn == "ret":
-        load8 = _raw_load8_factory(mem)
-
-        def run_ret():
-            rsp = regs.gpr[7]
-            addr = load8(rsp)
-            regs.gpr[7] = (rsp + 8) & U64
-            if addr == _RETURN_SENTINEL:
-                cpu.halted = True
-            else:
-                regs.rip = addr
-            cpu.cycles += cost
-            cpu.work_cycles += cost
-            cpu.instruction_count += 1
-            rbc[ctrl] += 1
-        return run_ret
-
-    cond = CONDITION_CODES.get(mn)
-    if cond is None:
-        return None
-    tgt = _target(ops[0])
-    if tgt is None:
-        return None
-
-    def run_jcc():
-        regs.rip = tgt() if cond(regs.flags) else next_rip
-        cpu.cycles += cost
-        cpu.work_cycles += cost
-        cpu.instruction_count += 1
-        rbc[ctrl] += 1
-    return run_jcc
+        t.emit("rsp = gpr[7]", "ra = mem.read_u64(rsp)", "gpr[7] = (rsp + 8) & U64",
+               "if ra == SENTINEL:", "    cpu.halted = True", "else:", "    regs.rip = ra")
+    else:
+        kind = uop.instr.operands[0]
+        if isinstance(kind, Label):
+            target = "i0" if kind.addr is not None and kind.addr != -1 else "prog.resolve(name)"
+        elif isinstance(kind, Reg):
+            target = "regs.gpr[r0]"
+        else:
+            raise _Refused
+        if mn == "jmp":
+            t.emit(f"regs.rip = {target}")
+        elif mn == "call":
+                t.emit(f"target = {target}", "host = hosts.get(target)", "if host is not None:",
+                   "    cpu.cycles += host.cost", "    cpu.work_cycles += host.cost",
+                   "    regs.rip = end", "    host.fn(cpu)", "else:",
+                   "    rsp = (gpr[7] - 8) & U64", "    gpr[7] = rsp",
+                   "    mem.write_u64(rsp, end)", "    regs.rip = target")
+        elif mn in CONDITION_CODES:
+            t.emit(f"regs.rip = {target} if cond(regs.flags) else end")
+        else:
+            raise _Refused
+    t.emit("cpu.cycles += cost", "cpu.work_cycles += cost", "cpu.instruction_count += 1",
+           "rbc[CONTROL] += 1")
 
 
 def _pure_tail(uop: MicroOp, prog) -> bool:
@@ -1279,8 +786,8 @@ class SuperblockCache:
     thread CPU of a :class:`~repro.machine.process.Process` (a
     standalone CPU owns a private one).
 
-    Superblock bodies are closures bound over one CPU's registers and
-    memory accessors, so the blocks themselves cannot be shared across
+    Superblock bodies are functions bound over one CPU's registers and
+    memory, so the blocks themselves cannot be shared across
     threads; what *is* shared is the invalidation state.  ``epoch`` is
     the cache's cursor into ``Program.patch_events`` (numerically equal
     to the last ``patch_seq`` processed, which keeps the historic name
@@ -1390,14 +897,14 @@ class UopStats:
 
     def __init__(self) -> None:
         self.blocks_built = 0
-        #: closures bound; stretches sliced from live blocks bind none.
+        #: functions bound; stretches sliced from live blocks bind none.
         self.uops_bound = 0
         self.block_runs = 0
         #: bodies whose fitting *prefix* was retired through the
         #: pipeline at a budget edge.
         self.partial_block_runs = 0
         self.uops_retired = 0
-        #: body closures that returned a #XF ``Trap``, delivered by the
+        #: body functions that returned a #XF ``Trap``, delivered by the
         #: engine in place of a ``step()``.
         self.fp_trap_exits = 0
         self.single_steps = 0
@@ -1412,7 +919,7 @@ class UopEngine:
     """Per-CPU fetch/dispatch/execute engine running cached superblocks,
     with single steps at patch sites, under a directed MXCSR.RC and
     wherever no block can be built, and in-place delivery of the #XF
-    traps FP closures decide.
+    traps FP functions decide.
 
     Block storage lives in the CPU's :class:`SuperblockCache` (shared
     by every thread of a process); the engine holds that cache's
@@ -1428,7 +935,7 @@ class UopEngine:
         self._blocks = cache.view(cpu)
         #: address -> entry of the newest block covering it: retains no block.
         self._inner: dict[int, int] = {}
-        #: wraps closures at bind time (``uop=None``: the single step).
+        #: wraps functions at bind time (``uop=None``: the single step).
         self._probe = probe = cpu.probe
         self._step = cpu.step if probe is None else probe(None, cpu.step)
         self.stats = UopStats()
@@ -1460,13 +967,13 @@ class UopEngine:
         one, so a batched quantum consumes the process's global step
         budget precisely like ``budget × step()`` would.  The quantum
         ends when the budget is spent or the core halts or blocks
-        (``thread_join``); a closure's #XF ``Trap`` is delivered as that
+        (``thread_join``); a function's #XF ``Trap`` is delivered as that
         step (:meth:`_deliver_xf`), and the quantum continues.  The
         checkpoint single-steps at a patch site and while MXCSR.RC is
-        directed: no body closure writes MXCSR's RC field, and tails
+        directed: no body function writes MXCSR's RC field, and tails
         that run host code return to the checkpoint.  Never exceeds
         ``budget``: a body that does not fit retires only its fitting
-        prefix (every closure is one seed step and leaves RIP correct,
+        prefix (every function is one seed step and leaves RIP correct,
         so stopping after ``k`` of them is stopping between steps), and
         the tail is skipped once the budget is exhausted.
 
@@ -1477,7 +984,7 @@ class UopEngine:
         host code (see :func:`_pure_tail`), at quantum exit, and in the
         ``finally`` when an exception escapes, so every observer of the
         counters sees single-stepping's values.  Between those points only body
-        closures and pure tails run; they touch architectural state
+        functions and pure tails run; they touch architectural state
         alone (tails bump the counters themselves, which is
         order-independent integer addition).
         """
@@ -1576,7 +1083,7 @@ class UopEngine:
         return retired
 
     def _deliver_xf(self, uop: MicroOp, trap) -> None:
-        """Deliver the #XF a body closure returned for ``uop``, after
+        """Deliver the #XF a body function returned for ``uop``, after
         what ``cpu._exec_fp`` does before its own delivery: the trapped
         instruction's lanes are marked (the handler emulates into them)
         and the trap is counted.  It does not retire."""
@@ -1631,7 +1138,7 @@ class UopEngine:
     # ---------------------------------------------------------- builder
     def _build(self, entry: int) -> Superblock:
         """A block at ``entry``, shaped as a fresh build, that slices
-        stretches a live block covers out of its bound closures."""
+        stretches a live block covers out of its bound functions."""
         cpu = self.cpu
         prog = cpu.program
         by_addr = prog.by_addr
@@ -1649,7 +1156,7 @@ class UopEngine:
             if addr in patches:
                 break
             # Slice a live block covering ``addr``: it has no patch site
-            # in range and fixed code from its entry, so its closures are
+            # in range and fixed code from its entry, so its functions are
             # a fresh build's, and an ``addr`` past its body is its tail.
             cover = blocks.get(inner.get(addr))
             if cover is not None:

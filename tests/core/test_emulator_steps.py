@@ -34,8 +34,8 @@ def test_bind_runs_at_most_once_per_emulated_micro_op(monkeypatch):
         calls.append(uop)
         return bind(uop, vm)
 
-    def recording_emulate(self, uop, context):
-        ok = emulate(self, uop, context)
+    def recording_emulate(self, uop, context, *mode):
+        ok = emulate(self, uop, context, *mode)
         if ok:
             emulated.add(uop)
         return ok

@@ -9,16 +9,21 @@ every trap and wrapper call (a fused replay that raises mid-trace, an
 early probe stop, a libm wrapper, single-instruction NONE traps) the
 CPU's cycles and the ledger must equal the reference's."""
 
+import sys
+
 import pytest
 
 import repro.core.emulator as emulator_mod
 import repro.core.wrappers as wrappers_mod
 from repro.core import nanbox
+from repro.core.emulator import Emulator
 from repro.core.sequences import SequenceEmulator
+from repro.core.telemetry import snapshot
 from repro.core.vm import FPVMConfig
 from repro.errors import BoxHeapExhaustedError
 from repro.fpu import bits as B
-from repro.harness.runner import run_fpvm as run_workload
+from repro.harness.configs import named_configs
+from repro.harness.runner import run_fpvm as run_workload, run_fpvm_process
 from tests.core.test_compiled_traces import EARLY_STOP_SRC, HEAP_LANES_SRC
 from tests.core.test_compiled_traces import run_fpvm as run_source
 
@@ -131,3 +136,81 @@ def test_libm_wrapper(monkeypatch):
 
 def test_single_instruction_traps(monkeypatch):
     _check(lambda: run_workload("fbench", FPVMConfig.none(), scale=2), monkeypatch, "trap")
+
+
+def _probe_then_emulate(self, context, addr, emulated):
+    """The interpreted walk reading each rule-(2) step's sources twice:
+    the boxed-source probe inside ``_should_stop``, then ``emulate``."""
+    vm = self.vm
+    by_addr = vm.program.by_addr
+    terminator, reason = "", "single"
+    while True:
+        if addr not in by_addr:
+            reason = "no_instruction"
+            break
+        instr = self._fetch(addr)
+        if emulated:
+            stop, why = self._should_stop(instr, context)
+            if stop:
+                terminator, reason = instr.mnemonic, why
+                break
+        if not vm.emulator.emulate(instr, context):
+            raise RuntimeError(f"faulting instruction {instr} is not emulatable")
+        emulated.append(addr)
+        addr += instr.size
+        if not vm.config.sequence_emulation:
+            nxt = by_addr.get(addr)
+            terminator = nxt.mnemonic if nxt is not None else ""
+            break
+    self._finish(tuple(emulated), terminator, reason)
+    return addr
+
+
+def _trap_trail(run, monkeypatch, *, reference: bool) -> list:
+    """``(cycles, ledger, telemetry, trace record)`` after every trap."""
+    trail = []
+    handle = SequenceEmulator.handle_fp_trap
+
+    def handle_spy(self, context, trap):
+        try:
+            return handle(self, context, trap)
+        finally:
+            vm = self.vm
+            trail.append((context.cpu.cycles, vm.ledger.snapshot(), snapshot(vm.telemetry),
+                          {k: (r.count, r.terminator, r.reason)
+                           for k, r in self.stats.traces.items()}))
+
+    with monkeypatch.context() as m:
+        if reference:
+            m.setattr(SequenceEmulator, "_interpret", _probe_then_emulate)
+        m.setattr(SequenceEmulator, "handle_fp_trap", handle_spy)
+        run()
+    return trail
+
+
+@pytest.mark.parametrize("name,run", [
+    ("lorenz", lambda: run_workload("lorenz", FPVMConfig.seq_short(), scale=40)),
+    ("enzo-mpfr", lambda: run_workload("enzo", named_configs("mpfr")["SEQ_SHORT"], scale=6)),
+    ("mixed_mt", lambda: run_fpvm_process("mixed_mt", FPVMConfig.seq_short(), scale=40)),
+    ("early-stop", lambda: run_source(EARLY_STOP_SRC, FPVMConfig.seq_short())),
+    ("raising", lambda: pytest.raises(BoxHeapExhaustedError, run_source, HEAP_LANES_SRC,
+                                      FPVMConfig.seq_short(box_capacity=6, gc_threshold=10**9))),
+])
+def test_interpreted_walk_enters_once(name, run, monkeypatch):
+    """The interpreted walk runs each step past the first as one ENTER
+    run: no boxed-source probe comes from it, and after every trap the
+    cycles, ledger, telemetry and trace statistics equal the walk that
+    probes and then emulates."""
+    callers = []
+    probe = Emulator.any_source_boxed
+
+    def spy(self, uop, context):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return probe(self, uop, context)
+    monkeypatch.setattr(Emulator, "any_source_boxed", spy)
+    entered = _trap_trail(run, monkeypatch, reference=False)
+    assert "_interpret" not in callers
+    reference = _trap_trail(run, monkeypatch, reference=True)
+    assert "_should_stop" in callers
+    assert len(entered) > 3
+    assert entered == reference

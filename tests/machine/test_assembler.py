@@ -1,9 +1,11 @@
 """Assembler, encoding and decoder tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import errors
-from repro.machine.assembler import AssemblerError, assemble
+from repro.machine.assembler import AssemblerError, _split_args, assemble
 from repro.machine.decoder import decode_instruction
 from repro.machine.encoding import encode_instruction, encoded_length
 from repro.machine.isa import Imm, Instruction, Label, Mem, Reg, Xmm
@@ -85,6 +87,41 @@ class TestRejectedOperands:
                         "  movsd xmm0, [rax + -8]\n  push 5\n  hlt\n")
         assert prog.instructions[2].operands[1] == Mem(base="rax", disp=-8)
         assert prog.instructions[3].operands == (Imm(5),)
+
+
+def _split_by_walk(arg: str) -> list[str]:
+    """Split on commas at bracket depth 0, one character at a time (the
+    reference ``_split_args`` short-cuts when every part is balanced)."""
+    out, depth, cur = [], 0, []
+    for ch in arg:
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+        if ch == "," and depth == 0:
+            out.append("".join(cur).strip())
+            cur = []
+        else:
+            cur.append(ch)
+    tail = "".join(cur).strip()
+    if tail:
+        out.append(tail)
+    return out
+
+
+class TestSplitArgs:
+    """The comma split gives the character walk's result on every
+    string, balanced brackets or not."""
+
+    @given(st.text(alphabet="[], a+*8x", max_size=24))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_walk(self, arg):
+        assert _split_args(arg) == _split_by_walk(arg)
+
+    @pytest.mark.parametrize("arg", ["[", "[a, b", "a], [b", "]a, b[", "[a], [b, c]",
+                                     "xmm0, [rax + rcx*8]", "a,, b,", " , "])
+    def test_malformed_and_edge_cases(self, arg):
+        assert _split_args(arg) == _split_by_walk(arg)
 
 
 class TestOperandParsing:
