@@ -96,7 +96,7 @@ class FaultInjectingKernel(LinuxKernel):
             # moved RIP past the faulting instruction, so the handler's
             # fault-style sanity check must flag the copy as spurious.
             self.duplicated += 1
-            handler = self.sigactions.lookup(signum)
+            handler = self.sigactions.get(signum)
             self._charge(cpu, "kernel",
                          self.costs.kernel_internal + self.costs.signal_deliver)
             context = SignalContext(cpu, live=False)

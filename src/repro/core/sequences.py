@@ -31,6 +31,7 @@ from itertools import accumulate
 from operator import or_
 
 from repro.core.emulator import ENTER, RUN
+from repro.errors import UnemulatableTrapError
 from repro.machine.uops import MicroOp, lower
 
 #: A trace (emulated address sequence) seen this many times is compiled.
@@ -253,7 +254,8 @@ class SequenceEmulator:
             # Past the first, one ENTER run applies rule (2) and emulates.
             if not vm.emulator.emulate(instr, context, ENTER if emulated else RUN):
                 if not emulated:
-                    raise RuntimeError(f"faulting instruction {instr} is not emulatable")
+                    raise UnemulatableTrapError(
+                        f"faulting instruction {instr} at {addr:#x} is not emulatable")
                 terminator, reason = instr.mnemonic, "no_boxed_source"
                 break
             emulated.append(addr)

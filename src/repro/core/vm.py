@@ -27,7 +27,7 @@ from repro.kernel.fpvm_dev import FPVM_IOCTL_REGISTER_ENTRY, FPVMDevice
 from repro.kernel.signals import SIGFPE, SIGTRAP, SignalContext
 from repro.machine.costs import DEFAULT_COSTS
 from repro.machine.program import PatchKind
-from repro.machine.registers import MXCSR_DEFAULT, MXCSR_FPVM, restore_lanes
+from repro.machine.registers import ALL_LANES, MXCSR_DEFAULT, MXCSR_FPVM, restore_lanes
 from repro.observability import FlowRecorder, classify_flags
 
 
@@ -158,6 +158,10 @@ class FPVM:
         self.kernel = kernel
         self.program = cpu.program
         self.costs = cpu.costs
+        #: the handler-entry cost every delivery charges to ``emul``.
+        self._entry_cost = (self.costs.handler_entry_lazy
+                            if self.config.lazy_state_save
+                            else self.costs.handler_entry)
         # Steps pre-resolve the cost model and compiled traces bind
         # steps: both start cold on every attach.
         self.emulator.steps.clear()
@@ -175,7 +179,7 @@ class FPVM:
         if self.config.trap_short_circuit:
             device = kernel.fpvm_module or FPVMDevice(kernel)
             self._device_handle = device.open(cpu)
-            self._device_handle.ioctl(FPVM_IOCTL_REGISTER_ENTRY, self._entry_stub)
+            self._device_handle.ioctl(FPVM_IOCTL_REGISTER_ENTRY, self._handle_fp)
         kernel.sigaction(SIGTRAP, self._on_sigtrap)
 
         # Configure the thread's mxcsr to trap (§2.3).
@@ -222,7 +226,7 @@ class FPVM:
         thread.kernel = self.kernel
         if self.config.trap_short_circuit:
             handle = self.kernel.fpvm_module.open(thread)
-            handle.ioctl(FPVM_IOCTL_REGISTER_ENTRY, self._entry_stub)
+            handle.ioctl(FPVM_IOCTL_REGISTER_ENTRY, self._handle_fp)
             self._thread_handles.append(handle)
 
     def detach(self) -> None:
@@ -261,72 +265,65 @@ class FPVM:
 
     # ---------------------------------------------------------- handlers
     def _on_sigfpe(self, signum, context, trap) -> None:
-        if self._handle_fp(context, trap):
-            self.telemetry.signal_traps += 1
+        self._handle_fp(context, trap)
 
-    def _entry_stub(self, context, trap) -> None:
-        """Landing pad for short-circuited delivery: the entry stub has
-        already built the live ucontext (§3.1)."""
-        if self._handle_fp(context, trap):
-            self.telemetry.short_circuit_traps += 1
-
-    def _handle_fp(self, context, trap) -> bool:
-        """Handle one FP trap delivery; returns False if the delivery
-        was spurious (sanity-checked and ignored)."""
+    def _handle_fp(self, context, trap) -> None:
+        """Handle one FP trap delivery: the SIGFPE handler's body, and
+        the landing pad the short-circuit entry stub jumps to with the
+        live ucontext it built (§3.1)."""
         # Charge the thread that trapped (matters under multithreading).
-        self.ledger.bind_cpu(context.cpu)
-        entry_cost = (
-            self.costs.handler_entry_lazy
-            if self.config.lazy_state_save
-            else self.costs.handler_entry
-        )
-        self.charge("emul", entry_cost)
+        cpu = context.cpu
+        ledger = self.ledger
+        ledger.bind_cpu(cpu)
+        ledger.by_category["emul"] += self._entry_cost
+        cpu.cycles += self._entry_cost
+        telemetry = self.telemetry
         # Delivery sanity check: x64 #XF is fault-style, so a genuine
         # delivery always lands with RIP at the faulting instruction.
         # Anything else (e.g. a duplicated signal whose first copy was
         # already handled) is spurious — emulating from a stale trap
         # address would corrupt state, so recover by ignoring it.
         if context.rip != trap.addr:
-            self.telemetry.spurious_traps += 1
-            return False
-        self.telemetry.traps += 1
-        if self.flow is not None:
-            self.flow.begin_trap(trap.addr, classify_flags(trap.fp_flags))
-        saved = self._fp_entry_save(context, trap)
+            telemetry.spurious_traps += 1
+            return
+        telemetry.traps += 1
+        flow = self.flow
+        if flow is not None:
+            flow.begin_trap(trap.addr, classify_flags(trap.fp_flags))
+        mask, saved = self._fp_entry_save(context, trap)
         resume = self.sequencer.handle_fp_trap(context, trap)
-        if self.flow is not None:
-            self.flow.end_trap()
-        self._fp_exit_restore(context, saved)
+        if flow is not None:
+            flow.end_trap()
+        # Exit-stub restore of the saved lanes the handler did not write
+        # as results: host code that trashed them must not leak them.
+        restore = mask & ~context.written_xmm
+        telemetry.fp_handler_lanes_restored += restore.bit_count()
+        restore_lanes(context.xmm, saved, restore)
         context.rip = resume
-        self._maybe_gc(context)
-        return True
+        if self.allocator.needs_gc():
+            self._run_gc(self._gc_roots(context))
+        if context.live:
+            telemetry.short_circuit_traps += 1
+        else:
+            telemetry.signal_traps += 1
 
     # ------------------------------------ clobber-masked state save (§3.1)
     def _fp_entry_save(self, context, trap) -> tuple[int, list]:
-        """Entry-stub XMM save.  Eager mode saves all 32 lanes; lazy mode
-        only the trapped instruction's declared clobber set (its XMM
-        operand lanes) — the registers the handler's host-side
-        emulation code actually touches.  Returns that lane mask and a
-        snapshot of the 16 lane pairs, taken in one pass."""
+        """Entry-stub XMM save: the lane mask (all 32 lanes, or under lazy
+        save the trapped instruction's XMM operand lanes, which the
+        handler's host-side emulation touches) and the saved bank.  A
+        live context's bank is copied; a frame's is the thread's own,
+        the frame's source, which nothing writes before sigreturn."""
         if self.config.lazy_state_save:
             instr = context.cpu.program.by_addr.get(trap.addr)
-            mask = instr.xmm_operands() if instr is not None else 0xFFFF_FFFF
+            mask = instr.xmm_operands() if instr is not None else ALL_LANES
+            self.telemetry.fp_handler_lanes_saved += mask.bit_count()
         else:
-            mask = 0xFFFF_FFFF
-        saved = list(map(tuple, context.xmm))
-        self.telemetry.fp_handler_lanes_saved += mask.bit_count()
-        return mask, saved
-
-    def _fp_exit_restore(self, context, saved: tuple[int, list]) -> None:
-        """Exit-stub restore: put back, pair by pair, every saved lane
-        the handler did not write as a result.  Value-identical to doing
-        nothing in a clean run; when handler host code trashes lanes
-        after the entry save, it keeps them from leaking into guest
-        state."""
-        mask, pairs = saved
-        restore = mask & ~context.written_xmm
-        self.telemetry.fp_handler_lanes_restored += restore.bit_count()
-        restore_lanes(context.xmm, pairs, restore)
+            mask = ALL_LANES
+            self.telemetry.fp_handler_lanes_saved += 32
+        if context.live:
+            return mask, list(map(list.copy, context.xmm))
+        return mask, context.cpu.regs.xmm
 
     def _on_sigtrap(self, signum, context, trap) -> None:
         """Baseline int3 correctness trap: demote then single-step."""
@@ -368,11 +365,6 @@ class FPVM:
         self.telemetry.gc_runs += 1
         self.telemetry.gc_objects_collected += collected
         return collected
-
-    def _maybe_gc(self, context) -> None:
-        if not self.allocator.needs_gc():
-            return
-        self._run_gc(self._gc_roots(context))
 
     def alloc_box(self, value, context=None) -> int:
         """Allocate a box, falling back to one emergency collection if

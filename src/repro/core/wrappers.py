@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from repro.core import nanbox
 from repro.machine.hostlib import LIBM_FUNCTIONS
 from repro.machine.program import HostFunction, Program
-from repro.machine.registers import restore_lanes
+from repro.machine.registers import ALL_LANES, restore_lanes
 
 RAX = 0
 
@@ -45,18 +45,19 @@ def _wrapper_clobber_mask(host: HostFunction) -> int:
 
 def _guard_save(vm, cpu, clobber: int) -> tuple[int, list]:
     """Entry half of the wrapper's state guard: the lanes the wrapper
-    is allowed to touch (all 32 when lazy save is off) and a snapshot
-    of the XMM bank."""
-    mask = clobber if vm.config.lazy_state_save else 0xFFFF_FFFF
+    is allowed to touch (all 32 when lazy save is off) and one copy of
+    the XMM bank."""
+    mask = clobber if vm.config.lazy_state_save else ALL_LANES
     vm.telemetry.fp_wrapper_lanes_saved += mask.bit_count()
-    return mask, list(map(tuple, cpu.regs.xmm))
+    return mask, list(map(list.copy, cpu.regs.xmm))
 
 
 def _guard_restore(vm, cpu, saved: tuple[int, list], written: int) -> None:
     """Exit half: put back every saved lane the wrapper did not
-    legitimately write (value-identical in a clean run), and push the
-    written lanes into the lazy-FP dirty tracking — wrapper writes
-    bypass the CPU's FP exec paths, so this is their funnel."""
+    legitimately write (value-identical in a clean run; only changed
+    pairs are visited), and push the written lanes into the lazy-FP
+    dirty tracking — wrapper writes bypass the CPU's FP exec paths, so
+    this is their funnel."""
     mask, pairs = saved
     restore = mask & ~written
     vm.telemetry.fp_wrapper_lanes_restored += restore.bit_count()

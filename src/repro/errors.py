@@ -113,6 +113,13 @@ class DeviceProtocolError(FPVMFaultError):
     fault = "device"
 
 
+class UnemulatableTrapError(FPVMFaultError):
+    """An FP trap landed on a mnemonic outside ``supported_instructions``:
+    FPVM can neither emulate it nor resume past it (it would fault again)."""
+
+    fault = "unemulatable"
+
+
 class DeadlockError(FPVMFaultError):
     """The process scheduler found live threads but none runnable —
     every surviving thread is parked in ``thread_join`` waiting on a

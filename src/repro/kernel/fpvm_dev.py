@@ -17,11 +17,10 @@ registration.
 from __future__ import annotations
 
 from repro.errors import DeviceProtocolError
+from repro.kernel.signals import SignalContext
 
 FPVM_IOCTL_REGISTER_ENTRY = 0xF9_01
 FPVM_IOCTL_UNREGISTER = 0xF9_02
-
-DEVICE_PATH = "/dev/fpvm_dev"
 
 
 class FPVMDeviceError(DeviceProtocolError):
@@ -96,8 +95,6 @@ class FPVMDevice:
         self.delivery_count += 1
         # Bare-minimum kernel processing + iret to the landing pad.
         kernel._charge(cpu, "kernel", kernel.costs.short_deliver)
-        from repro.kernel.signals import SignalContext
-
         # Entry stub: saves GPR/FPR/mxcsr/rflags state "in the format of
         # a ucontext" — live mode models the stub operating in-process.
         context = SignalContext(cpu, live=True)

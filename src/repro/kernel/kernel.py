@@ -14,7 +14,7 @@ from collections import Counter
 from repro.errors import TrapStormError
 from repro.machine.costs import DEFAULT_COSTS, CostModel
 from repro.machine.cpu import MachineError, Trap, TrapKind
-from repro.kernel.signals import SIGFPE, SIGTRAP, SigactionTable, SignalContext
+from repro.kernel.signals import SIGFPE, SIGTRAP, SignalContext
 
 #: consecutive same-address trap deliveries with zero retired
 #: instructions in between before the kernel declares a livelock.  A
@@ -30,16 +30,14 @@ class _NullLedger:
     def charge(self, category: str, cycles: int, **kwargs) -> None:
         pass
 
-    def count(self, name: str, n: int = 1) -> None:
-        pass
-
 
 class LinuxKernel:
     """One simulated kernel instance (one process's view of it)."""
 
     def __init__(self, costs: CostModel = DEFAULT_COSTS):
         self.costs = costs
-        self.sigactions = SigactionTable()
+        #: per-process handler registrations: signum -> handler(signum, context, trap).
+        self.sigactions: dict = {}
         #: installed kernel module (None until FPVM loads it).
         self.fpvm_module = None
         self.ledger = _NullLedger()
@@ -52,34 +50,49 @@ class LinuxKernel:
 
     # ----------------------------------------------------------- syscalls
     def sigaction(self, signum: int, handler) -> None:
-        self.sigactions.sigaction(signum, handler)
+        self.sigactions[signum] = handler
 
     # ----------------------------------------------------- trap dispatch
     def deliver_trap(self, cpu, trap: Trap) -> None:
-        """Entry point invoked by the CPU on a hardware trap."""
-        self.trap_counts[trap.kind] += 1
-        self._check_storm(cpu, trap)
-        if trap.kind is TrapKind.XF:
+        """Entry point invoked by the CPU on a hardware trap: count it,
+        check for the livelock of a lost delivery (the same address
+        faulting while the CPU retires nothing, as an unhandled faulting
+        instruction re-executes) and charge the hardware dispatch."""
+        kind = trap.kind
+        self.trap_counts[kind] += 1
+        key = (trap.addr, cpu.instruction_count)
+        if key == self._storm_key:
+            self._storm_count += 1
+            if self._storm_count >= TRAP_STORM_LIMIT:
+                raise TrapStormError(
+                    f"trap storm: {kind.value} at {trap.addr:#x} "
+                    f"delivered {self._storm_count} times with no retired "
+                    "instructions (lost delivery?)"
+                )
+        else:
+            self._storm_key = key
+            self._storm_count = 1
+
+        if kind is TrapKind.XF:
             # #XF dispatch pays a trap-class-dependent hardware cost
             # (denormal microcode assists etc. — the Wittmann note).
-            self._charge(cpu, "hw", self.costs.xf_trap_cost(trap.fp_flags))
-        else:
-            self._charge(cpu, "hw", self.costs.hw_trap)
-
-        if trap.kind is TrapKind.XF:
+            cost = self.costs.xf_trap_cost(trap.fp_flags)
+            cpu.cycles += cost
+            self.ledger.charge("hw", cost, cpu_time=False)
             module = self.fpvm_module
             if module is not None and module.is_registered(cpu):
                 # Trap short-circuiting: bypass signal infrastructure.
                 module.short_circuit(self, cpu, trap)
-                return
-            self._signal_path(cpu, SIGFPE, trap)
-        elif trap.kind is TrapKind.BP:
+            else:
+                self._signal_path(cpu, SIGFPE, trap)
+        elif kind is TrapKind.BP:
+            self._charge(cpu, "hw", self.costs.hw_trap)
             self._signal_path(cpu, SIGTRAP, trap)
         else:  # pragma: no cover - only two trap kinds exist
-            raise MachineError(f"unknown trap kind {trap.kind}")
+            raise MachineError(f"unknown trap kind {kind}")
 
     def _signal_path(self, cpu, signum: int, trap: Trap) -> None:
-        handler = self.sigactions.lookup(signum)
+        handler = self.sigactions.get(signum)
         if handler is None:
             name = "SIGFPE" if signum == SIGFPE else "SIGTRAP"
             raise MachineError(
@@ -87,30 +100,15 @@ class LinuxKernel:
             )
         self.signal_counts[signum] += 1
         # General-purpose delivery: build the signal frame, run handler,
-        # then sigreturn restores the (possibly mutated) frame.
-        self._charge(cpu, "kernel", self.costs.kernel_internal + self.costs.signal_deliver)
+        # then sigreturn hands the (possibly mutated) frame back.
+        costs, ledger = self.costs, self.ledger
+        cpu.cycles += costs.kernel_internal + costs.signal_deliver
+        ledger.charge("kernel", costs.kernel_internal + costs.signal_deliver, cpu_time=False)
         context = SignalContext(cpu, live=False)
         handler(signum, context, trap)
-        self._charge(cpu, "ret", self.costs.sigreturn)
+        cpu.cycles += costs.sigreturn
+        ledger.charge("ret", costs.sigreturn, cpu_time=False)
         context.apply()
-
-    def _check_storm(self, cpu, trap: Trap) -> None:
-        """Detect the no-forward-progress trap livelock: the same
-        address faulting over and over while the CPU retires nothing
-        (the observable signature of a lost/dropped delivery, since the
-        unhandled faulting instruction just re-executes)."""
-        key = (trap.addr, cpu.instruction_count)
-        if key == self._storm_key:
-            self._storm_count += 1
-            if self._storm_count >= TRAP_STORM_LIMIT:
-                raise TrapStormError(
-                    f"trap storm: {trap.kind.value} at {trap.addr:#x} "
-                    f"delivered {self._storm_count} times with no retired "
-                    "instructions (lost delivery?)"
-                )
-        else:
-            self._storm_key = key
-            self._storm_count = 1
 
     # -------------------------------------------------------- accounting
     def _charge(self, cpu, category: str, cycles: int) -> None:

@@ -29,6 +29,7 @@ import struct
 
 from repro.errors import AssemblerError
 from repro.machine.isa import (
+    FP_TOUCH_CLASSES,
     GPR_IDS,
     OPCODES,
     XMM_IDS,
@@ -48,6 +49,14 @@ _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):\s*(.*)$")
 _MEM_RE = re.compile(r"^\[(.*)\]$")
 _COMMENT_RE = re.compile(r"[;#]")
 _SIZE_PREFIXES = {"byte": 1, "word": 2, "dword": 4, "qword": 8, "xmmword": 16}
+
+#: The first-operand kinds an SSE mnemonic's x86 forms allow: an XMM
+#: register, but a GPR for cvt(t)sd2si, and also memory for the moves'
+#: store forms (and a GPR for movq).
+_SSE_DST = {mn: (Xmm,) for mn, info in OPCODES.items() if info.opclass in FP_TOUCH_CLASSES}
+_SSE_DST.update(cvttsd2si=(Reg,), cvtsd2si=(Reg,), movq=(Xmm, Reg, Mem), **dict.fromkeys(
+    ("movsd", "movapd", "movupd", "movhpd", "movlpd"), (Xmm, Mem)))
+_KIND_NAMES = {Xmm: "an XMM register", Reg: "a general register", Mem: "memory"}
 
 
 def assemble(source: str, text_base: int = TEXT_BASE, data_base: int = DATA_BASE) -> Program:
@@ -123,6 +132,11 @@ def assemble(source: str, text_base: int = TEXT_BASE, data_base: int = DATA_BASE
         if info.writes_dst and operands and isinstance(operands[0], Imm):
             raise AssemblerError(
                 f"{mnemonic} cannot write an immediate destination", line_no)
+        allowed = _SSE_DST.get(mnemonic)
+        if allowed and type(operands[0]) not in allowed:
+            kinds = " or ".join(map(_KIND_NAMES.get, allowed))
+            raise AssemblerError(f"{mnemonic} first operand must be {kinds}, "
+                                 f"got {operand_strs[0]!r}", line_no)
         if sum(isinstance(op, Mem) for op in operands) > 1:
             raise AssemblerError(
                 f"{mnemonic} takes at most one memory operand", line_no)

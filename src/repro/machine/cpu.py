@@ -47,6 +47,8 @@ class TrapKind(enum.Enum):
     XF = "#XF"  # SIMD floating point exception
     BP = "#BP"  # breakpoint (int3)
 
+    __hash__ = object.__hash__  # identity, as OpClass: counted per delivery
+
 
 @dataclass
 class Trap:

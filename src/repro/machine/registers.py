@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import ne
 
 from repro.machine.isa import GPR_NAMES, XMM_NAMES
 
@@ -67,19 +69,21 @@ RC_NEAREST, RC_DOWN, RC_UP, RC_ZERO = 0, 1, 2, 3
 _RC_MODE_NAMES = {RC_NEAREST: "ne", RC_DOWN: "dn", RC_UP: "up", RC_ZERO: "zr"}
 
 
-def restore_lanes(bank: list[list[int]], pairs: list, mask: int) -> None:
-    """Write back into the XMM ``bank`` (16 ``[lane0, lane1]`` lists),
-    pair by pair, the lanes of its snapshot ``pairs`` that ``mask``
-    selects (bit ``2*xid + lane``)."""
-    xid = 0
-    while mask:
-        lanes = mask & 3
-        if lanes == 3:
-            bank[xid][:] = pairs[xid]
-        elif lanes:
-            bank[xid][lanes - 1] = pairs[xid][lanes - 1]
-        mask >>= 2
-        xid += 1
+#: every XMM lane as a mask (bit ``2*xid + lane``): 32 of them.
+ALL_LANES = 0xFFFF_FFFF
+
+
+def restore_lanes(bank: list[list[int]], pairs: list[list[int]], mask: int) -> None:
+    """Write back into the XMM ``bank`` (16 ``[lane0, lane1]`` lists)
+    the lanes of its saved copy ``pairs`` that ``mask`` selects (bit
+    ``2*xid + lane``), visiting only the pairs that differ from it."""
+    if mask:
+        for xid in compress(range(16), map(ne, bank, pairs)):
+            lanes = mask >> 2 * xid & 3
+            if lanes == 3:
+                bank[xid][:] = pairs[xid]
+            elif lanes:
+                bank[xid][lanes - 1] = pairs[xid][lanes - 1]
 
 
 def rounding_mode(mxcsr: int) -> str:
@@ -145,8 +149,8 @@ class RegisterFile:
         self.xmm[xid][1] = hi & U64
 
     def snapshot(self) -> dict:
-        """A ucontext-style snapshot (used by signal frames and the
-        short-circuit entry stub)."""
+        """A ucontext-style snapshot that :meth:`restore` copies back
+        (re-attach after fork and the round-trip tests)."""
         return {
             "gpr": list(self.gpr),
             "xmm": [list(lanes) for lanes in self.xmm],
@@ -163,7 +167,5 @@ class RegisterFile:
         self.rip = snap["rip"]
         self.flags = snap["flags"].copy()
         self.mxcsr = snap["mxcsr"]
-        # Hand-built ucontext dicts (signal-frame tests) may predate the
-        # lazy-FP metadata; missing keys restore to the pristine masks.
-        self.fp_dirty = snap.get("fp_dirty", 0)
-        self.fp_live = snap.get("fp_live", 0)
+        self.fp_dirty = snap["fp_dirty"]
+        self.fp_live = snap["fp_live"]

@@ -108,9 +108,14 @@ def test_handler_entry_cost_still_differs():
     a lazy trap charges the cheap entry stub."""
     _, lazy_vm = _run(lazy=True)
     _, eager_vm = _run(lazy=False)
-    assert lazy_vm.costs.handler_entry_lazy < eager_vm.costs.handler_entry
-    assert (lazy_vm.ledger.by_category["emul"]
-            < eager_vm.ledger.by_category["emul"])
+    costs = lazy_vm.costs
+    assert costs.handler_entry_lazy < costs.handler_entry
+    # Every delivery pays its mode's entry stub, and nothing else in
+    # the emul column differs between the modes.
+    traps = lazy_vm.telemetry.traps
+    assert traps == eager_vm.telemetry.traps == 1
+    assert (eager_vm.ledger.by_category["emul"] - lazy_vm.ledger.by_category["emul"]
+            == traps * (costs.handler_entry - costs.handler_entry_lazy))
 
 
 LIBM_SRC = """

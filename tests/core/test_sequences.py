@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.decode_cache import DecodeCache
 from repro.core.vm import FPVM, FPVMConfig
+from repro.errors import FPVMFaultError, UnemulatableTrapError
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.assembler import assemble
 from repro.machine.cpu import CPU, TIERS
@@ -124,6 +125,30 @@ def test_running_off_text_faults_like_native(config, tier):
     if config.sequence_emulation:
         (rec,) = vm.trace_stats.traces.values()
         assert (rec.length, rec.reason) == (1, "no_instruction")
+
+
+@pytest.mark.parametrize("tier", list(TIERS))
+@pytest.mark.parametrize("config", [
+    FPVMConfig.none(patch_site_source="none"),
+    FPVMConfig.seq_short(patch_site_source="none"),
+], ids=["NONE", "SEQ_SHORT"])
+def test_trap_on_unsupported_mnemonic_is_typed(config, tier):
+    """A trap on a mnemonic outside ``supported_instructions`` raises
+    the typed :class:`UnemulatableTrapError`, an ``FPVMFaultError`` (so
+    still a ``RuntimeError``), naming the instruction and its address,
+    with nothing emulated."""
+    prog = assemble(RUN_OFF_TEXT_SRC + "  hlt\n")
+    install_host_library(prog)
+    cpu = CPU(prog, uops=TIERS[tier])
+    cpu.kernel = LinuxKernel()
+    supported = config.supported_instructions - {"addsd"}
+    vm = FPVM(config.with_(supported_instructions=supported)).attach(cpu, cpu.kernel)
+    with pytest.raises(UnemulatableTrapError, match="addsd xmm0, xmm1 at 0x") as info:
+        cpu.run()
+    assert isinstance(info.value, FPVMFaultError)
+    assert isinstance(info.value, RuntimeError)
+    assert info.value.fault == "unemulatable"
+    assert (vm.telemetry.traps, vm.telemetry.emulated_instructions) == (1, 0)
 
 
 class TestTraceStatistics:

@@ -20,7 +20,7 @@ from repro.core.emulator import Emulator
 from repro.core.sequences import SequenceEmulator
 from repro.core.telemetry import snapshot
 from repro.core.vm import FPVMConfig
-from repro.errors import BoxHeapExhaustedError
+from repro.errors import BoxHeapExhaustedError, UnemulatableTrapError
 from repro.fpu import bits as B
 from repro.harness.configs import named_configs
 from repro.harness.runner import run_fpvm as run_workload, run_fpvm_process
@@ -155,7 +155,8 @@ def _probe_then_emulate(self, context, addr, emulated):
                 terminator, reason = instr.mnemonic, why
                 break
         if not vm.emulator.emulate(instr, context):
-            raise RuntimeError(f"faulting instruction {instr} is not emulatable")
+            raise UnemulatableTrapError(
+                f"faulting instruction {instr} at {addr:#x} is not emulatable")
         emulated.append(addr)
         addr += instr.size
         if not vm.config.sequence_emulation:

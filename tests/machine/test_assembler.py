@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import errors
+from repro.fpu import bits as B
 from repro.machine.assembler import AssemblerError, _split_args, assemble
+from repro.machine.cpu import CPU, TIERS
 from repro.machine.decoder import decode_instruction
 from repro.machine.encoding import encode_instruction, encoded_length
 from repro.machine.isa import Imm, Instruction, Label, Mem, Reg, Xmm
@@ -87,6 +89,49 @@ class TestRejectedOperands:
                         "  movsd xmm0, [rax + -8]\n  push 5\n  hlt\n")
         assert prog.instructions[2].operands[1] == Mem(base="rax", disp=-8)
         assert prog.instructions[3].operands == (Imm(5),)
+
+
+class TestSseDestinations:
+    """An SSE instruction whose first operand is a kind its x86 forms do
+    not allow is an ``AssemblerError``.  Accepted, these wrote the XMM
+    register numbered like the GPR, or raised a bare ``AttributeError``
+    on both execution tiers."""
+
+    @pytest.mark.parametrize("line, kind", [
+        ("sqrtsd rax, xmm1", "an XMM register"),
+        ("addsd rcx, xmm1", "an XMM register"),
+        ("addsd [rbx + 8], xmm1", "an XMM register"),
+        ("xorpd [rbx], xmm0", "an XMM register"),
+        ("movapd rax, xmm1", "an XMM register or memory"),
+        ("ucomisd [rbx], xmm0", "an XMM register"),
+        ("cvttsd2si xmm1, xmm0", "a general register"),
+        ("movddup [rbx], xmm0", "an XMM register"),
+    ])
+    def test_illegal_destination_rejected(self, line, kind):
+        with pytest.raises(AssemblerError,
+                           match=f"first operand must be {kind}, got") as info:
+            assemble(f"main:\n  {line}\n  hlt\n")
+        assert info.value.line_no == 2
+
+    @pytest.mark.parametrize("tier", sorted(TIERS))
+    @pytest.mark.parametrize("line", [
+        "cvttsd2si rax, xmm0", "movq rax, xmm0", "movsd [rbx], xmm0",
+        "movapd [rbx], xmm0", "movhpd [rbx], xmm0",
+    ])
+    def test_legal_forms_assemble_and_run(self, line, tier):
+        prog = assemble(".data\na: .double 2.5, -7.25\nbuf: .space 16\n.text\n"
+                        "main:\n  mov rbx, buf\n  movupd xmm0, [rip + a]\n"
+                        f"  {line}\n  hlt\n")
+        cpu = CPU(prog, uops=TIERS[tier])
+        cpu.run()
+        lo, hi = B.float_to_bits(2.5), B.float_to_bits(-7.25)
+        buf = prog.symbols["buf"]
+        rax, stored = {"cvttsd2si": (2, (0, 0)), "movq": (lo, (0, 0)),
+                       "movsd": (0, (lo, 0)), "movapd": (0, (lo, hi)),
+                       "movhpd": (0, (hi, 0))}[line.split()[0]]
+        assert cpu.regs.xmm[0] == [lo, hi]
+        assert cpu.regs.gpr[0] == rax
+        assert (cpu.mem.read_u64(buf), cpu.mem.read_u64(buf + 8)) == stored
 
 
 def _split_by_walk(arg: str) -> list[str]:
