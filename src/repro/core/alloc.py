@@ -4,22 +4,37 @@ Boxes hold alternative-arithmetic values.  They are immutable by
 contract ("despite being heap objects, they must operate as if they
 were values") — the allocator never exposes mutation, only allocation.
 
+The heap is one list of slots: box ``base + 16*i`` lives in
+``slots[i]``, and :data:`FREE` marks a slot whose box a sweep freed.
+A pointer is ours when its offset from ``base`` is non-negative,
+16-aligned and below the top slot, and that slot is not ``FREE``
+(:meth:`BoxAllocator.owns`; the emulator's hot paths test the same
+inline).  Beside the slots, two ``array``s of slot indices: the boxes
+that survived the last sweep, in allocation order, and the free list
+that sweep left, reused last-freed-first.  A box costs one list cell
+and, once it survives a sweep, one order entry: at most about 17 bytes.
+
 The collector is exactly the paper's: a conservative mark phase that
 scans every *writable* page of the process plus the register file for
 bit patterns that (a) match the NaN-box signature and (b) decode to a
-pointer the allocator remembers; then a sweep frees everything
-unmarked.  Boxed values never contain pointers to other boxes, so
-there is no transitive marking.
+pointer the allocator owns; then a sweep frees everything unmarked, in
+allocation order.  Boxed values never contain pointers to other boxes,
+so there is no transitive marking.
 """
 
 from __future__ import annotations
+
+from array import array
+from itertools import chain
 
 import numpy as np
 
 from repro.core import nanbox
 from repro.errors import BoxHeapExhaustedError
-from repro.machine.memory import PAGE_SIZE
 from repro.machine.program import HEAP_BASE
+
+#: the value of an empty slot.
+FREE = object()
 
 
 class BoxAllocator:
@@ -33,13 +48,20 @@ class BoxAllocator:
 
     def __init__(self, base: int = HEAP_BASE, gc_threshold: int = 4096,
                  capacity: int | None = None):
-        self._base = base
-        self._next = base
-        self._free: list[int] = []
-        self._boxes: dict[int, object] = {}
+        self.base = base
+        #: box ``base + 16*i`` -> ``slots[i]`` (read-only outside this
+        #: class: slots change only through :meth:`alloc` and
+        #: :meth:`collect`).
+        self.slots: list = []
+        # Allocation order without a write per allocation: the boxes
+        # allocated since the last sweep took ``_free[_nfree:]`` from
+        # the end down, then the slots from ``_top`` up, in that order.
+        self._order = array("q")  # the last sweep's survivors, in allocation order
+        self._free = array("q")   # the free list the last sweep left
+        self._nfree = 0           # its entries not reused yet
+        self._top = 0             # len(slots) at the last sweep
         self.gc_threshold = gc_threshold
         self.capacity = capacity
-        self.allocs_since_gc = 0
         #: sweep observer (the exception-flow recorder's ``collected``
         #: kill hook); called with the list of freed pointers.
         self.on_free = None
@@ -47,43 +69,51 @@ class BoxAllocator:
     # ---------------------------------------------------------- allocate
     def alloc(self, value) -> int:
         """Store ``value`` in a fresh box; returns the box pointer."""
-        if self.capacity is not None and len(self._boxes) >= self.capacity:
+        if self.capacity is not None and self.live_count >= self.capacity:
             raise BoxHeapExhaustedError(
                 f"box heap at capacity ({self.capacity} live boxes)"
             )
-        if self._free:
-            ptr = self._free.pop()
+        n = self._nfree
+        if n:
+            self._nfree = n = n - 1
+            i = self._free[n]
+            self.slots[i] = value
         else:
-            ptr = self._next
-            self._next += 16
-            if (ptr - self._base) >> nanbox.NANBOX_PTR_BITS:
+            i = len(self.slots)
+            if (i << 4) >> nanbox.NANBOX_PTR_BITS:
                 raise BoxHeapExhaustedError(
                     "box heap exhausted 48-bit pointer space"
                 )
-        self._boxes[ptr] = value
-        self.allocs_since_gc += 1
-        return ptr
-
-    @property
-    def boxes(self) -> dict:
-        """Pointer -> value of every live box, for hot paths that test
-        ownership and load inline (read-only: boxes change only through
-        :meth:`alloc` and :meth:`collect`)."""
-        return self._boxes
+            self.slots.append(value)
+        return self.base + (i << 4)
 
     def load(self, ptr: int):
-        return self._boxes[ptr]
+        if not self.owns(ptr):
+            raise KeyError(ptr)
+        return self.slots[(ptr - self.base) >> 4]
 
     def owns(self, ptr: int) -> bool:
         """The allocator-remembers-it check from §2.2."""
-        return ptr in self._boxes
+        at = ptr - self.base
+        if at < 0 or at & 15:
+            return False
+        try:
+            return self.slots[at >> 4] is not FREE
+        except IndexError:
+            return False
+
+    @property
+    def allocs_since_gc(self) -> int:
+        return len(self._free) - self._nfree + len(self.slots) - self._top
 
     @property
     def live_count(self) -> int:
-        return len(self._boxes)
+        return len(self._order) + self.allocs_since_gc
 
     def needs_gc(self) -> bool:
-        return self.allocs_since_gc >= self.gc_threshold
+        # allocs_since_gc, inline: the VM asks once per trap.
+        since = len(self._free) - self._nfree + len(self.slots) - self._top
+        return since >= self.gc_threshold
 
     # --------------------------------------------------------------- GC
     def collect(self, cpu, reg_roots=None) -> tuple[int, int]:
@@ -96,7 +126,12 @@ class BoxAllocator:
         Returns ``(objects_collected, pages_scanned)`` so the caller
         can charge the gc cost category.
         """
-        marked: set[int] = set()
+        slots, base, owns = self.slots, self.base, self.owns
+        marked = bytearray(len(slots))
+
+        def mark(bits: int) -> None:
+            if nanbox.is_boxed(bits) and owns(ptr := bits & nanbox.NANBOX_PTR_MASK):
+                marked[(ptr - base) >> 4] = 1
 
         # Roots: every XMM lane and every GPR (a boxed pattern could sit
         # in a GPR via movq) ...
@@ -104,7 +139,7 @@ class BoxAllocator:
             reg_roots = [b for lanes in cpu.regs.xmm for b in lanes]
             reg_roots += cpu.regs.gpr
         for bits in reg_roots:
-            self._mark_candidate(bits, marked)
+            mark(bits)
 
         # ... plus a conservative scan of every writable page.
         pages = cpu.mem.writable_pages()
@@ -114,23 +149,25 @@ class BoxAllocator:
             # on survivors (normally a handful per page).
             candidates = words[(words & _MASK) == _PATTERN]
             for bits in candidates:
-                self._mark_candidate(int(bits), marked)
+                mark(int(bits))
 
-        # Sweep.
-        dead = [ptr for ptr in self._boxes if ptr not in marked]
-        for ptr in dead:
-            del self._boxes[ptr]
-            self._free.append(ptr)
+        # Sweep, in allocation order.  The dead go on the free list
+        # after its entries not reused yet.
+        live, dead, start = array("q"), array("q"), self._nfree
+        keep, drop, free = live.append, dead.append, FREE
+        reused = reversed(self._free[start:])
+        for i in chain(self._order, reused, range(self._top, len(slots))):
+            if marked[i]:
+                keep(i)
+            else:
+                drop(i)
+                slots[i] = free
+        del self._free[start:]
+        self._free.extend(dead)
+        self._order, self._nfree, self._top = live, len(self._free), len(slots)
         if dead and self.on_free is not None:
-            self.on_free(dead)
-        self.allocs_since_gc = 0
+            self.on_free([base + (i << 4) for i in dead])
         return len(dead), len(pages)
-
-    def _mark_candidate(self, bits: int, marked: set[int]) -> None:
-        if nanbox.is_boxed(bits):
-            ptr = bits & nanbox.NANBOX_PTR_MASK
-            if ptr in self._boxes:
-                marked.add(ptr)
 
 
 _MASK = np.uint64(nanbox._PATTERN_MASK | 0)  # sign bit excluded by design

@@ -28,6 +28,7 @@ terminator, and excludes ``andpd``/``orpd`` masks while *supporting*
 from __future__ import annotations
 
 from repro.core import nanbox
+from repro.core.alloc import FREE
 from repro.errors import BoxHeapExhaustedError, ConfigError
 from repro.fpu import bits as B
 from repro.fpu.ieee import UCOMI_EQUAL, UCOMI_GREATER, UCOMI_LESS, UCOMI_UNORDERED
@@ -95,7 +96,8 @@ class Emulator:
         #: what every generated step of this VM may name (see ``_ENV``).
         self.env = dict(
             resolve=self.resolve, produce=self.produce, emu=self,
-            boxes=vm.allocator.boxes, counts=vm.telemetry.altmath_ops,
+            slots=vm.allocator.slots, box0=nanbox.box_bits(vm.allocator.base),
+            counts=vm.telemetry.altmath_ops,
             demote=self.demote_bits,
             begin_op=flow.begin_op if flow is not None else None,
             end_op=flow.end_op if flow is not None else None,
@@ -168,6 +170,12 @@ class Emulator:
         return bits
 
 
+#: Sign aside, a box's bits lie below ``_TOP`` and those of ours at or
+#: above the bits of the box at ``base`` (see :func:`_value_flow`).
+_UNSIGNED = ~B.F64_SIGN_MASK & U64
+_TOP = nanbox._PATTERN + (1 << nanbox.NANBOX_PTR_BITS)
+
+
 def _value_flow(vm):
     """``(resolve, produce, settle)`` for one VM: bits -> alt value
     (unbox ours, promote the rest); alt value -> canonical NaN or a
@@ -182,27 +190,38 @@ def _value_flow(vm):
     load, load_neg = costs.load, costs.load + costs.op("neg")
     promote_cost, box = costs.promote, costs.box
     telemetry = vm.telemetry
-    boxes = vm.allocator.boxes
+    owns, slots = vm.allocator.owns, vm.allocator.slots
+    box0 = nanbox.box_bits(vm.allocator.base)
     altmath = vm.altmath
     promote, unary, is_nan_value = altmath.promote, altmath.unary, altmath.is_nan_value
     alloc, alloc_after_gc = vm.allocator.alloc, vm.alloc_box_after_gc
     box_bits = nanbox.box_bits
     # The box signature (nanbox.is_boxed) and ownership (allocator.owns)
-    # tested inline: the per-operand path makes no calls for them.
-    sig_mask, sig = nanbox._PATTERN_MASK, nanbox._PATTERN
-    ptr_mask, sign, qnan = nanbox.NANBOX_PTR_MASK, B.F64_SIGN_MASK, B.CANONICAL_QNAN
+    # tested inline, so the per-operand path makes no calls for them: one
+    # range test of the unsigned bits checks the signature and that the
+    # pointer is not below ``base``; their offset from ``box0`` is the
+    # pointer's from ``base``, 16-aligned for a slot that is not FREE.
+    sig, top, free = nanbox._PATTERN, _TOP, FREE
+    ptr_mask, unsigned_mask = nanbox.NANBOX_PTR_MASK, _UNSIGNED
+    sign, qnan = B.F64_SIGN_MASK, B.CANONICAL_QNAN
     pending = 0
 
     def resolve(bits):
         nonlocal pending
-        if bits & sig_mask == sig:
-            ptr = bits & ptr_mask
-            if ptr in boxes:
-                if bits & sign:
-                    pending += load_neg
-                    return unary("neg", boxes[ptr])
-                pending += load
-                return boxes[ptr]
+        unsigned = bits & unsigned_mask
+        if box0 <= unsigned < top:
+            at = unsigned - box0
+            if not at & 15:
+                try:
+                    value = slots[at >> 4]
+                except IndexError:
+                    value = free
+                if value is not free:
+                    if bits & sign:
+                        pending += load_neg
+                        return unary("neg", value)
+                    pending += load
+                    return value
         pending += promote_cost
         telemetry.promotions += 1
         return promote(bits)
@@ -231,7 +250,7 @@ def _value_flow(vm):
     note_source, note_clamp, note_birth = flow.note_source, flow.note_clamp, flow.note_birth
 
     def resolve_noted(bits):
-        if bits & sig_mask == sig and bits & ptr_mask in boxes:
+        if nanbox.is_boxed(bits) and owns(bits & ptr_mask):
             note_source(bits & ptr_mask)
         return resolve(bits)
 
@@ -299,8 +318,8 @@ def _lanes_mask(op, lanes) -> int:
 #: the emulator is built (so a wrapper installed on the class sees them).
 _ALTMATH = ("binary", "unary", "fma", "compare", "from_i64", "to_i64")
 #: Every name a step may take from ``Emulator.env``.
-_ENV = ("resolve", "produce", "emu", "boxes", "counts", "demote", "begin_op",
-        "end_op", *_ALTMATH)
+_ENV = ("resolve", "produce", "emu", "slots", "box0", "counts", "demote",
+        "begin_op", "end_op", *_ALTMATH)
 
 
 def _cannot_write(message: str, value) -> None:
@@ -311,7 +330,7 @@ def _cannot_write(message: str, value) -> None:
 _GLOBALS = {
     "U64": U64, "RSP": RSP, "SIGN": B.F64_SIGN_MASK, "_cannot_write": _cannot_write,
     "SIG_MASK": nanbox._PATTERN_MASK, "SIG": nanbox._PATTERN,
-    "PTR_MASK": nanbox.NANBOX_PTR_MASK,
+    "UNSIGNED": _UNSIGNED, "TOP": _TOP, "FREE": FREE,
     "UCOMI_UNORDERED": UCOMI_UNORDERED, "UCOMI_EQUAL": UCOMI_EQUAL,
     "UCOMI_LESS": UCOMI_LESS, "UCOMI_GREATER": UCOMI_GREATER,
 }
@@ -379,8 +398,8 @@ class _Source:
         window = (["begin_op(addr)"], ["end_op()"]) if flow else ([], [])
         lines = [*window[0], *body(self.read), *window[1], "return True"]
         if probe is not None:
-            slots = [(pos, lane) for lane in lanes for pos in probe]
-            lines = self._entry(body, slots, window) + lines
+            probed = [(pos, lane) for lane in lanes for pos in probe]
+            lines = self._entry(body, probed, window) + lines
         prologue = [line for pos, op in enumerate(self.ops) if isinstance(op, Mem)
                     for line in codegen.address(pos, op, self.use("gpr"))]
         loads = [f"{name} = ctx.{attr}" for name, attr in
@@ -395,9 +414,10 @@ class _Source:
                           f"    def step(ctx, mode={RUN}, {', '.join(names)}):",
                           *_indent(code, 8), "    return step", ""])
 
-    def _entry(self, body, slots, window) -> list[str]:
-        """The ENTER and PROBE branch.  It reads the probe ``slots`` in
-        order until one holds a box we own, and returns False if none
+    def _entry(self, body, probed, window) -> list[str]:
+        """The ENTER and PROBE branch.  It reads the ``probed`` source
+        lanes in order until one holds a box we own (the inline
+        :meth:`BoxAllocator.owns`), and returns False if none
         does.  PROBE then returns True; ENTER runs the body on the bits
         read so far and reads the rest, so it reads each source once,
         except that after the first lane a GPR or memory source is read
@@ -407,23 +427,27 @@ class _Source:
         due."""
         reread = not isinstance(self.ops[0], Xmm)
         lines = []
-        for i, (pos, lane) in enumerate(slots):
+        for i, (pos, lane) in enumerate(probed):
             read = [f"v{pos}{lane} = {self.read(pos, lane)}"]
             if isinstance(self.ops[pos], Mem):
                 read = ["try:", *_indent(read), "except BaseException:",
                         f"    if mode == {ENTER}:", "        emu.probe_raised = True",
                         "    raise"]
-            known = slots[:i + 1]
+            known = probed[:i + 1]
 
             def entered(p, l, known=known):
                 if (p, l) not in known or (
                         l and reread and not isinstance(self.ops[p], Xmm)):
                     return self.read(p, l)
                 return f"v{p}{l}"
+            v = f"v{pos}{lane}"
             lines += [*read,
-                      f"if v{pos}{lane} & SIG_MASK == SIG and v{pos}{lane} & PTR_MASK in boxes:",
+                      f"if box0 <= (u := {v} & UNSIGNED) < TOP and not (at := u - box0) & 15:",
+                      "    try:", "        owned = slots[at >> 4] is not FREE",
+                      "    except IndexError:", "        owned = False",
+                      "    if owned:",
                       *_indent([f"if mode == {PROBE}:", "    return True",
-                                *window[0], *body(entered), *window[1], "return True"])]
+                                *window[0], *body(entered), *window[1], "return True"], 8)]
         return ["if mode:", *_indent([*lines, "return False"])]
 
 

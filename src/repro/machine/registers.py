@@ -24,25 +24,6 @@ class Flags:
     def copy(self) -> "Flags":
         return Flags(self.zf, self.sf, self.cf, self.of, self.pf)
 
-    def pack(self) -> int:
-        return (
-            (1 if self.cf else 0)
-            | (4 if self.pf else 0)
-            | (64 if self.zf else 0)
-            | (128 if self.sf else 0)
-            | (2048 if self.of else 0)
-        )
-
-    @classmethod
-    def unpack(cls, value: int) -> "Flags":
-        return cls(
-            zf=bool(value & 64),
-            sf=bool(value & 128),
-            cf=bool(value & 1),
-            of=bool(value & 2048),
-            pf=bool(value & 4),
-        )
-
 
 # MXCSR layout (subset): status flags in bits 0-5, mask bits in 7-12.
 MXCSR_IE = 1 << 0   # invalid

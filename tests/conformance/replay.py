@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from repro.core.vm import FPVM, FPVMConfig
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.cpu import CPU
+from tests.machine.flags import pack_flags
 
 #: replay journals hold every per-step delta in memory; test programs
 #: must finish well under this.
@@ -141,7 +142,7 @@ class TraceRecorder:
             "gpr": list(regs.gpr),
             "xmm": [list(lanes) for lanes in regs.xmm],
             "rip": regs.rip,
-            "flags": regs.flags.pack(),
+            "flags": pack_flags(regs.flags),
             "mxcsr": regs.mxcsr,
         }
         records: list[StepRecord] = []
@@ -173,7 +174,7 @@ class TraceRecorder:
                     for lane in (0, 1)
                     if lanes[lane] != prev_xmm[xid][lane]
                 )
-                flags = regs.flags.pack()
+                flags = pack_flags(regs.flags)
                 mxcsr = regs.mxcsr
                 records.append(StepRecord(
                     index=len(records),
@@ -294,8 +295,8 @@ class Replayer:
                 if regs.xmm[xid][lane] != lanes[lane]:
                     diffs.append((f"xmm{xid}[{lane}]", hex(lanes[lane]),
                                   hex(regs.xmm[xid][lane])))
-        if regs.flags.pack() != state["flags"]:
-            diffs.append(("flags", state["flags"], regs.flags.pack()))
+        if pack_flags(regs.flags) != state["flags"]:
+            diffs.append(("flags", state["flags"], pack_flags(regs.flags)))
         if regs.mxcsr != state["mxcsr"]:
             diffs.append(("mxcsr", hex(state["mxcsr"]), hex(regs.mxcsr)))
         actual_counters = (cpu.cycles, cpu.instruction_count,

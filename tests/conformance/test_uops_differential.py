@@ -16,6 +16,7 @@ from repro.conformance.generators import fuzz_program
 from repro.core.vm import FPVMConfig
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.cpu import CPU
+from tests.machine.flags import pack_flags
 
 SEEDS = [0, 1, 3, 5, 9, 11, 17, 23, 31, 47]
 #: the native differential also covers seeds whose loops re-run the
@@ -32,7 +33,7 @@ def _native_fingerprint(seed: int, uops: bool):
         "rip": regs.rip,
         "gpr": tuple(regs.gpr),
         "xmm": tuple(tuple(lanes) for lanes in regs.xmm),
-        "flags": regs.flags.pack(),
+        "flags": pack_flags(regs.flags),
         "mxcsr": regs.mxcsr,
         "halted": cpu.halted,
         "output": tuple(cpu.output),

@@ -33,16 +33,16 @@ def _per_event_value_flow(vm):
     ``settle`` that has nothing left to do (flow recording off)."""
     assert vm.flow is None
     costs = vm.altmath.costs
-    boxes = vm.allocator.boxes
+    allocator = vm.allocator
     altmath = vm.altmath
 
     def charge(cycles):
         vm.ledger.charge("altmath", cycles)
 
     def resolve(bits):
-        if nanbox.is_boxed(bits) and bits & nanbox.NANBOX_PTR_MASK in boxes:
+        if nanbox.is_boxed(bits) and allocator.owns(bits & nanbox.NANBOX_PTR_MASK):
             charge(costs.load)
-            value = boxes[bits & nanbox.NANBOX_PTR_MASK]
+            value = allocator.load(bits & nanbox.NANBOX_PTR_MASK)
             if bits & B.F64_SIGN_MASK:
                 charge(costs.op("neg"))
                 value = altmath.unary("neg", value)

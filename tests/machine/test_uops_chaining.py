@@ -17,6 +17,7 @@ from repro.machine.program import PatchKind
 from repro.machine.registers import MXCSR_FPVM, RC_DOWN
 
 from tests.fpu.builders import with_rounding
+from tests.machine.flags import pack_flags
 
 #: FP loop whose body compiles to one superblock with a ``jne`` tail,
 #: dispatched again after every iteration's tail.
@@ -84,7 +85,7 @@ def _fingerprint(cpu):
         "rip": regs.rip,
         "gpr": tuple(regs.gpr),
         "xmm": tuple(tuple(lanes) for lanes in regs.xmm),
-        "flags": regs.flags.pack(),
+        "flags": pack_flags(regs.flags),
         "mxcsr": regs.mxcsr,
         "cycles": cpu.cycles,
         "instructions": cpu.instruction_count,

@@ -29,9 +29,10 @@ from repro.machine.cpu import CPU, TIERS, RETURN_SENTINEL
 from repro.machine.isa import GPR_IDS, OPCODES, OpClass
 from repro.machine.memory import PAGE_SIZE, PROT_READ, MemoryFault
 from repro.machine.program import HostFunction
-from repro.machine.registers import MXCSR_DEFAULT, MXCSR_FPVM, Flags
+from repro.machine.registers import MXCSR_DEFAULT, MXCSR_FPVM
 from repro.machine.process import Process
 from repro.workloads import get_workload
+from tests.machine.flags import pack_flags, unpack_flags
 
 #: mapped RW data, the read-only page after it, the stack page and the
 #: page the absolute operand names.
@@ -141,7 +142,7 @@ def _state(prog, edge: bool, mxcsr, seed: int, tier: str) -> CPU:
     mem.write_u64(gpr[GPR_IDS["rsp"]] & ~7, top)
     for lanes in regs.xmm:
         lanes[0], lanes[1] = rng.choice(_FP), rng.choice(_FP)
-    regs.flags = Flags.unpack(rng.getrandbits(12))
+    regs.flags = unpack_flags(rng.getrandbits(12))
     if mxcsr is None:
         cpu.fp_disabled = True
     else:
@@ -160,7 +161,7 @@ def _digest(mem) -> str:
 def _observed(cpu, events, outcome, control: bool) -> dict:
     regs = cpu.regs
     out = {"outcome": outcome, "gpr": list(regs.gpr), "xmm": [list(x) for x in regs.xmm],
-           "flags": regs.flags.pack(), "mxcsr": regs.mxcsr, "rip": regs.rip,
+           "flags": pack_flags(regs.flags), "mxcsr": regs.mxcsr, "rip": regs.rip,
            "halted": cpu.halted, "memory": _digest(cpu.mem), "events": events}
     if control:
         out.update(cycles=cpu.cycles, work=cpu.work_cycles, count=cpu.instruction_count,
