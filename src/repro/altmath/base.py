@@ -37,9 +37,12 @@ class AltMathSystem(abc.ABC):
     """What FPVM requires of an arithmetic system.
 
     Values are opaque to FPVM; it only moves them between NaN boxes and
-    feeds them back into this interface.  All entry points that accept
-    binary64 data take *bit patterns* (ints), never Python floats, so
-    NaN payloads survive.
+    feeds them back into this interface.  :meth:`promote` and
+    :meth:`demote` are the only bit-pattern boundary: binary64 data
+    enters as a *bit pattern* (an int, never a Python float, so NaN
+    payloads survive the crossing) and leaves as one.  Every other
+    entry point takes and returns the system's own values (the integer
+    conversions aside).
     """
 
     #: registry key, e.g. "boxed_ieee"

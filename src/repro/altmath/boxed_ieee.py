@@ -6,13 +6,23 @@ execution (§6: "we expect to get bit-for-bit equal results to the
 baseline, and we have validated this to be true").  Its only purpose is
 to exercise the full NaN-boxing machinery at the lowest possible
 altmath cost, making virtualization overhead maximally visible.
+
+A value is a host ``float``, and the ops are the float forms of
+:mod:`repro.fpu.fast`.  :meth:`BoxedIEEE.promote` and
+:meth:`BoxedIEEE.demote` are the only bit-pattern conversions.  NaN
+payloads need not survive: FPVM stores every NaN result as the
+canonical quiet NaN, so a box never holds one.
 """
 
 from __future__ import annotations
 
+import math
+
 from repro.altmath.base import AltMathCosts, AltMathSystem, register_altmath
 from repro.fpu import bits as B
 from repro.fpu import fast
+
+_U64 = 0xFFFF_FFFF_FFFF_FFFF
 
 
 @register_altmath
@@ -33,58 +43,41 @@ class BoxedIEEE(AltMathSystem):
                   "fabs": 20, "atan2": 120, "pow": 150, "fmod": 90},
     )
 
-    # Values ARE binary64 bit patterns (stored in a heap box by the
-    # allocator; the box is the allocator's concern, not ours).
-    def promote(self, bits: int):
-        return bits
+    def promote(self, bits: int) -> float:
+        return B.bits_to_float(bits)
 
-    def demote(self, value) -> int:
-        return value
+    def demote(self, value: float) -> int:
+        return B.float_to_bits(value)
 
-    def from_i64(self, value: int):
-        return fast.cvtsi2sd(value & 0xFFFF_FFFF_FFFF_FFFF)
+    def from_i64(self, value: int) -> float:
+        return B.bits_to_float(fast.cvtsi2sd(value & _U64))
 
-    def to_i64(self, value, truncate: bool = True) -> int:
-        return fast.cvttsd2si(value) if truncate else fast.cvtsd2si(value)
+    def to_i64(self, value: float, truncate: bool = True) -> int:
+        bits = B.float_to_bits(value)
+        return fast.cvttsd2si(bits) if truncate else fast.cvtsd2si(bits)
 
-    def binary(self, op: str, a, b):
-        return fast._EVALUATORS[op](a, b)
+    def binary(self, op: str, a: float, b: float) -> float:
+        return fast.FLOAT_BINARY[op](a, b)
 
-    def unary(self, op: str, a):
-        if op == "sqrt":
-            return fast.FAST_SCALAR["sqrt"](a)
-        if op == "neg":
-            return a ^ B.F64_SIGN_MASK
-        if op == "abs":
-            return a & ~B.F64_SIGN_MASK
-        raise KeyError(op)
+    def unary(self, op: str, a: float) -> float:
+        return fast.FLOAT_UNARY[op](a)
 
-    def fma(self, a, b, c):
-        return fast.fma(a, b, c)
+    def fma(self, a: float, b: float, c: float) -> float:
+        return fast.fma_float(a, b, c)
 
-    def compare(self, a, b) -> int | None:
-        if B.is_nan(a) or B.is_nan(b):
-            return None
-        fa, fb = B.bits_to_float(a), B.bits_to_float(b)
-        if fa == fb:
-            return 0
-        return -1 if fa < fb else 1
+    def compare(self, a: float, b: float) -> int | None:
+        return fast.compare_float(a, b)
 
-    def is_nan_value(self, value) -> bool:
-        return value & ~B.F64_SIGN_MASK > B.F64_EXP_MASK  # B.is_nan, inline
+    def is_nan_value(self, value: float) -> bool:
+        return value != value
 
-    def libm(self, fn: str, *args):
-        import math
-
-        floats = [B.bits_to_float(a) for a in args]
+    def libm(self, fn: str, *args: float) -> float:
         try:
             if fn == "log":
-                x = floats[0]
-                r = math.log(x) if x > 0 else (-math.inf if x == 0 else math.nan)
-            elif fn == "fabs":
-                r = abs(floats[0])
-            else:
-                r = getattr(math, fn)(*floats)
+                x = args[0]
+                return math.log(x) if x > 0 else (-math.inf if x == 0 else math.nan)
+            if fn == "fabs":
+                return abs(args[0])
+            return getattr(math, fn)(*args)
         except (ValueError, OverflowError, ZeroDivisionError):
-            r = math.nan
-        return B.float_to_bits(r)
+            return math.nan

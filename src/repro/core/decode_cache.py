@@ -10,15 +10,23 @@ Entries are stored as lowered :class:`~repro.machine.uops.MicroOp`\\ s
 — the same pre-decoded IR the CPU's superblock engine executes — so a
 hit hands the emulator an instruction whose operand metadata and
 dispatch decision were resolved exactly once.
+
+``stamp`` changes on every :meth:`DecodeCache.insert`, and evictions
+happen only there: a reader that checked entries under a stamp knows
+they are unchanged while the stamp still matches.  Stamps come from one
+process-wide counter, so two caches never share one.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from itertools import count
 
 from repro.errors import DecodeCacheCorruptionError
 from repro.machine.decoder import decode_instruction
 from repro.machine.uops import MicroOp, lower
+
+_STAMPS = count()
 
 
 class DecodeCache:
@@ -27,6 +35,7 @@ class DecodeCache:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
         self._entries: "OrderedDict[int, MicroOp]" = OrderedDict()
+        self.stamp = next(_STAMPS)
 
     def lookup(self, addr: int) -> MicroOp | None:
         uop = self._entries.get(addr)
@@ -51,8 +60,7 @@ class DecodeCache:
 
     def touch(self, addrs) -> None:
         """The LRU effect of one hit per address, in order."""
-        for addr in addrs:
-            self._entries.move_to_end(addr)
+        deque(map(self._entries.move_to_end, addrs), 0)
 
     def insert(self, addr: int, instr) -> None:
         """Accepts a raw :class:`Instruction` (lowered on the way in) or
@@ -61,6 +69,7 @@ class DecodeCache:
             instr = lower(instr)
         self._entries[addr] = instr
         self._entries.move_to_end(addr)
+        self.stamp = next(_STAMPS)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)  # evict LRU
 

@@ -88,14 +88,14 @@ class Emulator:
                               "which the emulator has no semantics for")
         #: MicroOp -> step, built by :func:`bind` on first use.
         self.steps: dict = {}
-        self.resolve, self.produce, self.settle = _value_flow(vm)
+        self.resolve, self.owned, self.produce, self.settle = _value_flow(vm)
         #: set by a step run with ENTER whose source read raised (its
         #: charges are not due); the fused replay reads and clears it.
         self.probe_raised = False
         altmath, flow = vm.altmath, vm.flow
         #: what every generated step of this VM may name (see ``_ENV``).
         self.env = dict(
-            resolve=self.resolve, produce=self.produce, emu=self,
+            resolve=self.resolve, owned=self.owned, produce=self.produce, emu=self,
             slots=vm.allocator.slots, box0=nanbox.box_bits(vm.allocator.base),
             counts=vm.telemetry.altmath_ops,
             demote=self.demote_bits,
@@ -177,14 +177,16 @@ _TOP = nanbox._PATTERN + (1 << nanbox.NANBOX_PTR_BITS)
 
 
 def _value_flow(vm):
-    """``(resolve, produce, settle)`` for one VM: bits -> alt value
-    (unbox ours, promote the rest); alt value -> canonical NaN or a
-    fresh box (``context`` gives GC roots for an emergency collection).
-    The two add their altmath cycles (load, negation, promotion, box)
-    to one pending count, which ``settle()`` charges: every caller
-    settles before it returns, raising or not, while the ledger is
-    still bound to the same CPU.  Flow hooks are compiled in only if
-    the VM records."""
+    """``(resolve, owned, produce, settle)`` for one VM: bits -> alt
+    value (unbox ours, promote the rest); ``owned(value, bits)``, what
+    ``resolve(bits)`` gives for bits already found to box ``value``, one
+    of ours (the generated probe fetched it); alt value -> canonical NaN
+    or a fresh box (``context`` gives GC roots for an emergency
+    collection).  They add their altmath cycles (load, negation,
+    promotion, box) to one pending count, which ``settle()`` charges:
+    every caller settles before it returns, raising or not, while the
+    ledger is still bound to the same CPU.  Flow hooks are compiled in
+    only if the VM records."""
     ledger = vm.ledger
     costs = vm.altmath.costs
     load, load_neg = costs.load, costs.load + costs.op("neg")
@@ -226,6 +228,14 @@ def _value_flow(vm):
         telemetry.promotions += 1
         return promote(bits)
 
+    def owned(value, bits):
+        nonlocal pending
+        if bits & sign:
+            pending += load_neg
+            return unary("neg", value)
+        pending += load
+        return value
+
     def produce(value, context):
         nonlocal pending
         if is_nan_value(value):
@@ -246,13 +256,17 @@ def _value_flow(vm):
 
     flow = vm.flow
     if flow is None:
-        return resolve, produce, settle
+        return resolve, owned, produce, settle
     note_source, note_clamp, note_birth = flow.note_source, flow.note_clamp, flow.note_birth
 
     def resolve_noted(bits):
         if nanbox.is_boxed(bits) and owns(bits & ptr_mask):
             note_source(bits & ptr_mask)
         return resolve(bits)
+
+    def owned_noted(value, bits):
+        note_source(bits & ptr_mask)
+        return owned(value, bits)
 
     def produce_noted(value, context):
         bits = produce(value, context)
@@ -262,7 +276,7 @@ def _value_flow(vm):
             note_birth(bits & ptr_mask)
         return bits
 
-    return resolve_noted, produce_noted, settle
+    return resolve_noted, owned_noted, produce_noted, settle
 
 
 # ------------------------------------------------------------- binding
@@ -318,7 +332,7 @@ def _lanes_mask(op, lanes) -> int:
 #: the emulator is built (so a wrapper installed on the class sees them).
 _ALTMATH = ("binary", "unary", "fma", "compare", "from_i64", "to_i64")
 #: Every name a step may take from ``Emulator.env``.
-_ENV = ("resolve", "produce", "emu", "slots", "box0", "counts", "demote",
+_ENV = ("resolve", "owned", "produce", "emu", "slots", "box0", "counts", "demote",
         "begin_op", "end_op", *_ALTMATH)
 
 
@@ -391,12 +405,16 @@ class _Source:
     def source(self, body, probe, lanes, flow: bool) -> str:
         """Source of ``make(env, **params)``, which returns the step
         function.  ``body(src)`` gives the emulation's lines,
-        ``src(pos, lane)`` the expression for a source lane's bits;
-        ``probe`` names the operands rule (2) checks in each of
-        ``lanes`` (None: the rule does not apply); with ``flow`` the
-        body runs inside the flow recorder's op window."""
+        ``src(pos, lane)`` the expression for a source lane's bits and
+        ``src(pos, lane, True)`` for its alt value; ``probe`` names the
+        operands rule (2) checks in each of ``lanes`` (None: the rule
+        does not apply); with ``flow`` the body runs inside the flow
+        recorder's op window."""
         window = (["begin_op(addr)"], ["end_op()"]) if flow else ([], [])
-        lines = [*window[0], *body(self.read), *window[1], "return True"]
+
+        def src(pos, lane, value=False):
+            return _resolved(self.read(pos, lane), value)
+        lines = [*window[0], *body(src), *window[1], "return True"]
         if probe is not None:
             probed = [(pos, lane) for lane in lanes for pos in probe]
             lines = self._entry(body, probed, window) + lines
@@ -417,14 +435,15 @@ class _Source:
     def _entry(self, body, probed, window) -> list[str]:
         """The ENTER and PROBE branch.  It reads the ``probed`` source
         lanes in order until one holds a box we own (the inline
-        :meth:`BoxAllocator.owns`), and returns False if none
-        does.  PROBE then returns True; ENTER runs the body on the bits
-        read so far and reads the rest, so it reads each source once,
-        except that after the first lane a GPR or memory source is read
-        again where a write to a non-XMM destination could have changed
-        it.  A probe read that raises under ENTER sets
-        ``emu.probe_raised``: nothing ran, so the step's charges are not
-        due."""
+        :meth:`BoxAllocator.owns`, which fetches its value), and returns
+        False if none does.  PROBE then returns True; ENTER runs the body
+        on the bits read so far and reads the rest, so it reads each
+        source once, except that after the first lane a GPR or memory
+        source is read again where a write to a non-XMM destination
+        could have changed it.  The owned lane's value is the fetched
+        one (``owned``), unless it is read again.  A probe read that
+        raises under ENTER sets ``emu.probe_raised``: nothing ran, so the
+        step's charges are not due."""
         reread = not isinstance(self.ops[0], Xmm)
         lines = []
         for i, (pos, lane) in enumerate(probed):
@@ -435,17 +454,19 @@ class _Source:
                         "    raise"]
             known = probed[:i + 1]
 
-            def entered(p, l, known=known):
+            def entered(p, l, value=False, known=known, found=(pos, lane)):
                 if (p, l) not in known or (
                         l and reread and not isinstance(self.ops[p], Xmm)):
-                    return self.read(p, l)
-                return f"v{p}{l}"
+                    return _resolved(self.read(p, l), value)
+                if value and (p, l) == found:
+                    return f"owned(box, v{p}{l})"
+                return _resolved(f"v{p}{l}", value)
             v = f"v{pos}{lane}"
             lines += [*read,
                       f"if box0 <= (u := {v} & UNSIGNED) < TOP and not (at := u - box0) & 15:",
-                      "    try:", "        owned = slots[at >> 4] is not FREE",
-                      "    except IndexError:", "        owned = False",
-                      "    if owned:",
+                      "    try:", "        box = slots[at >> 4]",
+                      "    except IndexError:", "        box = FREE",
+                      "    if box is not FREE:",
                       *_indent([f"if mode == {PROBE}:", "    return True",
                                 *window[0], *body(entered), *window[1], "return True"], 8)]
         return ["if mode:", *_indent([*lines, "return False"])]
@@ -455,10 +476,15 @@ def _indent(lines, n: int = 4) -> list[str]:
     return [" " * n + line for line in lines]
 
 
+def _resolved(bits: str, value: bool) -> str:
+    return f"resolve({bits})" if value else bits
+
+
 # ---------------------------------------------------------- step kinds
 # Each builds one emulation kind's body from ``(uop, gen)`` and returns
 # ``(lanes of operand 0 written, body)``; ``body(src)`` is the list of
-# source lines with ``src(pos, lane)`` standing for a source read.
+# source lines with ``src(pos, lane)`` standing for a source read and
+# ``src(pos, lane, True)`` for its alt value.
 def _bin(uop, gen):
     gen.params["op"] = uop.ieee
     lanes = range(uop.lanes)
@@ -466,8 +492,8 @@ def _bin(uop, gen):
     def body(src):
         lines = []
         for lane in lanes:
-            lines += [f"a = resolve({src(0, lane)})",
-                      f"b = resolve({src(1, lane)})",
+            lines += [f"a = {src(0, lane, True)}",
+                      f"b = {src(1, lane, True)}",
                       "counts[op] += 1",
                       gen.write(0, lane, "produce(binary(op, a, b), ctx)")]
         return lines
@@ -480,7 +506,7 @@ def _sqrt(uop, gen):
     def body(src):
         lines = []
         for lane in lanes:
-            lines += [f"value = resolve({src(1, lane)})",
+            lines += [f"value = {src(1, lane, True)}",
                       gen.write(0, lane, 'produce(unary("sqrt", value), ctx)')]
         return lines
     return lanes, body
@@ -489,9 +515,9 @@ def _sqrt(uop, gen):
 def _fma(uop, gen):
     """dst = src2 * dst + src3 (the 213 operand order)."""
     return range(uop.lanes), lambda src: [
-        f"mul2 = resolve({src(1, 0)})",
-        f"mul1 = resolve({src(0, 0)})",
-        f"addend = resolve({src(2, 0)})",
+        f"mul2 = {src(1, 0, True)}",
+        f"mul1 = {src(0, 0, True)}",
+        f"addend = {src(2, 0, True)}",
         'counts["fma"] += 1',
         gen.write(0, 0, "produce(fma(mul2, mul1, addend), ctx)")]
 
@@ -504,7 +530,7 @@ def _cvtsi2sd(uop, gen):
 def _cvt2si(uop, gen):
     gen.params["truncate"] = uop.emu_arg
     return range(uop.lanes), lambda src: [
-        f"value = resolve({src(1, 0)})",
+        f"value = {src(1, 0, True)}",
         gen.write(0, 0, "to_i64(value, truncate=truncate)")]
 
 
@@ -522,7 +548,7 @@ def _compare(uop, gen):
                 "flags.zf, flags.pf, flags.cf = bool(packed & 1), bool(packed & 2),"
                 " bool(packed & 4)",
                 "flags.sf = flags.of = False"]
-    return lanes, lambda src: [f"a = resolve({src(0, 0)})", f"b = resolve({src(1, 0)})",
+    return lanes, lambda src: [f"a = {src(0, 0, True)}", f"b = {src(1, 0, True)}",
                                "c = compare(a, b)", *tail]
 
 

@@ -156,10 +156,13 @@ class CompiledTrace:
     function and ENTER where its probe runs (RUN elsewhere); ``sums``,
     per ledger category the prefix sums of the steps' constant charges;
     and ``marks``, the prefix ORs of the steps' lazy-FP lane masks
-    (``_Step.writes``).
+    (``_Step.writes``).  ``stamp`` is the decode cache's
+    :attr:`~repro.core.decode_cache.DecodeCache.stamp` when the binding
+    was last found current; while it matches, no entry changed.
     """
 
-    __slots__ = ("entry", "addrs", "probes", "end", "uops", "ops", "sums", "marks")
+    __slots__ = ("entry", "addrs", "probes", "end", "uops", "ops", "sums", "marks",
+                 "stamp")
 
     def __init__(self, addrs: tuple[int, ...], probes: tuple[bool, ...], end: int) -> None:
         self.entry = addrs[0]
@@ -168,7 +171,7 @@ class CompiledTrace:
         self.probes = probes
         #: address of the recorded terminator (first non-emulated instr).
         self.end = end
-        self.uops = self.ops = self.sums = self.marks = None
+        self.uops = self.ops = self.sums = self.marks = self.stamp = None
 
 
 class SequenceEmulator:
@@ -189,7 +192,8 @@ class SequenceEmulator:
     A trace replays fused from the VM's own decode-cache entries,
     settling the accounting once per trap; without all of them resident
     and sound the trap is interpreted, which charges what a step-wise
-    replay of the trace would.
+    replay of the trace would.  The entries are checked again only
+    after the cache changed (its ``stamp`` moved).
     """
 
     def __init__(self, vm) -> None:
@@ -228,8 +232,11 @@ class SequenceEmulator:
         trace = compiled.get(addr)
         if trace is None:
             return self._interpret(context, addr, [])
-        if vm.decode_cache.resident(trace.addrs) != trace.uops and not self._fuse(trace):
-            return self._interpret(context, addr, [])
+        cache = vm.decode_cache
+        if trace.stamp != cache.stamp:
+            if cache.resident(trace.addrs) != trace.uops and not self._fuse(trace):
+                return self._interpret(context, addr, [])
+            trace.stamp = cache.stamp
         return self._replay(trace, context)
 
     def _interpret(self, context, addr: int, emulated: list[int]) -> int:

@@ -1,5 +1,5 @@
 """Binary64 on host floats: the one fast path beside the
-:mod:`repro.fpu.ieee` oracle, in two forms.
+:mod:`repro.fpu.ieee` oracle, in three forms.
 
 *Values only.*  When every MXCSR exception is masked and rounding is to
 nearest, an SSE instruction needs only its bit-exact result, not its
@@ -34,13 +34,21 @@ ORed into MXCSR.  :func:`flagged` gives, per op, ``fn(*operands) ->
 Everything else (infinities, subnormal operands, results near the
 subnormal or overflow boundary, zero divisors, negative square roots,
 ``fma`` on numbers) is ``ieee_op`` itself.
+
+*On floats.*  Values that live as host floats (Boxed IEEE's) take
+:data:`FLOAT_BINARY`, :data:`FLOAT_UNARY`, :func:`fma_float` and
+:func:`compare_float`: floats in, a float out, equal to the values-only
+result except that a NaN result carries no particular payload.  Only a
+±0 divisor (the host raises) and ``fma`` go to the oracle, on bits.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import struct
 
+from repro.fpu import bits as B
 from repro.fpu.ieee import (
     ALL_ONES,
     UCOMI_EQUAL,
@@ -215,6 +223,49 @@ def evaluate(op: str, *operands: int) -> int:
     except KeyError:
         raise KeyError(f"unknown FP op {op!r}") from None
     return fn(*operands)
+
+
+# ----------------------------------------------------------- float form
+def _div_float(a: float, b: float) -> float:
+    if b == 0.0:  # the host raises on a ±0 divisor: the oracle decides
+        return B.bits_to_float(_oracle("div", B.float_to_bits(a), B.float_to_bits(b)))
+    return a / b
+
+
+def _min_float(a: float, b: float) -> float:
+    return a if a < b else b  # minsd: the second operand on a tie or a NaN
+
+
+def _max_float(a: float, b: float) -> float:
+    return a if a > b else b
+
+
+def _sqrt_float(a: float) -> float:
+    # True for -0.0 (sqrt(-0.0) == -0.0); a negative number or a NaN
+    # has a NaN root.
+    return _SQRT(a) if a >= 0.0 else math.nan
+
+
+def fma_float(a: float, b: float, c: float) -> float:
+    """a * b + c, one rounding: the oracle, on bits."""
+    return B.bits_to_float(fma(*map(B.float_to_bits, (a, b, c))))
+
+
+def compare_float(a: float, b: float) -> int | None:
+    """-1, 0 or +1, or None when unordered (a NaN operand)."""
+    if a < b:
+        return -1
+    if a > b:
+        return 1
+    return 0 if a == b else None
+
+
+#: op -> float form, for the binary ops and the unary ops.
+FLOAT_BINARY = {
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+    "div": _div_float, "min": _min_float, "max": _max_float,
+}
+FLOAT_UNARY = {"sqrt": _sqrt_float, "neg": operator.neg, "abs": abs}
 
 
 # ------------------------------------------------------------ flag form

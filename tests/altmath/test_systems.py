@@ -116,6 +116,26 @@ class TestInterfaceContract:
         r = system.libm("sin", v)
         assert b2f(system.demote(r)) == pytest.approx(math.sin(0.5), rel=1e-9)
 
+    def test_class_level_wrappers_see_the_instance(self, system, monkeypatch):
+        """Every entry point is a method: a plain function installed
+        over one on the class (a profiler's span wrapper) is called with
+        the instance, as the method was."""
+        cls = type(system)
+        calls = []
+        for name in ("promote", "demote", "from_i64", "to_i64", "binary", "unary",
+                     "compare", "fma", "is_nan_value", "libm"):
+            def wrapper(*args, fn=getattr(cls, name), name=name):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(cls, name, wrapper)
+        one = system.promote(f2b(1.0))
+        two = system.binary("add", one, one)
+        assert b2f(system.demote(system.unary("neg", two))) == -2.0
+        assert system.compare(one, two) == -1
+        assert system.to_i64(system.fma(one, two, system.from_i64(1))) == 3
+        assert not system.is_nan_value(system.libm("fabs", one))
+        assert len(set(calls)) == 10
+
     def test_costs_defined_for_core_ops(self, system):
         for op in ("add", "sub", "mul", "div", "sqrt"):
             assert system.costs.op(op) > 0

@@ -1,7 +1,8 @@
 """The compiled-trace tier of the sequence emulator: promotion at the
 heat threshold, bit-identical replay, the fused replay against the
 step-wise reference (:func:`_run_stepwise`) on every exit, the
-interpreted walk of a trace that cannot fuse, promotion only on the
+interpreted walk of a trace that cannot fuse, the residency stamp that
+skips re-checking a fused trace's entries, promotion only on the
 chained tier, eviction when the program's patch state changes, and the
 cold start on every attach.
 
@@ -10,6 +11,7 @@ compiles a trace on its second sighting."""
 
 import pytest
 
+from repro.core.decode_cache import DecodeCache
 from repro.core.sequences import TRACE_COMPILE_THRESHOLD, SequenceEmulator
 from repro.core.telemetry import snapshot
 from repro.core.vm import FPVM, FPVMConfig
@@ -499,6 +501,82 @@ class TestFusedReplay:
         cpu.resume_at(cpu.program.entry)
         with pytest.raises(DecodeCacheCorruptionError):
             cpu.run()
+
+
+class TestResidencyStamp:
+    """A fused trace checks its decode-cache entries again only after
+    the cache changed: every insert, an evicting one included, moves the
+    cache's stamp, and the next trap at the trace's entry re-verifies."""
+
+    def test_every_insert_moves_the_stamp(self):
+        program = assemble(LOOP_SRC)
+        (a, ia), (b, ib), (c, ic) = list(program.by_addr.items())[:3]
+        cache, other = DecodeCache(capacity=2), DecodeCache()
+        stamps = [cache.stamp, other.stamp]
+        for addr, instr in ((a, ia), (b, ib), (c, ic), (c, ic)):  # evicts a; re-decodes c
+            cache.insert(addr, instr)
+            stamps.append(cache.stamp)
+        assert len(set(stamps)) == len(stamps)
+        assert a not in cache
+        cache.lookup(b)
+        cache.touch((c, b))
+        cache.resident((a, b, c))
+        assert cache.stamp == stamps[-1]
+
+    @staticmethod
+    def _verifications(monkeypatch) -> list:
+        """The first address of every entry check from now on."""
+        checks = []
+        resident = DecodeCache.resident
+
+        def spy(self, addrs):
+            checks.append(addrs[0])
+            return resident(self, addrs)
+        monkeypatch.setattr(DecodeCache, "resident", spy)
+        return checks
+
+    @staticmethod
+    def _rerun(cpu) -> None:
+        cpu.halted = False
+        cpu.resume_at(cpu.program.entry)
+        cpu.run()
+
+    def test_redecode_mid_trace_reverifies(self, hot_traces, monkeypatch):
+        cpu, vm = run_fpvm(LOOP_SRC, FPVMConfig.seq_short())
+        trace = next(iter(vm.sequencer.compiled.values()))
+        cache = vm.decode_cache
+        assert trace.uops is not None and trace.stamp == cache.stamp
+        checks = self._verifications(monkeypatch)
+        hits = vm.telemetry.compiled_trace_hits
+        self._rerun(cpu)
+        assert checks == []  # nothing inserted: no trap re-checks
+        assert vm.telemetry.compiled_trace_hits > hits
+        addr = trace.addrs[1]
+        stale = trace.uops[1]
+        cache.decode_miss(addr, vm.program.raw_bytes_at(addr))
+        self._rerun(cpu)
+        assert checks and set(checks) == {trace.entry}
+        fresh = cache.resident((addr,))[0]
+        assert fresh is not stale and trace.uops[1] is fresh  # fused again
+        assert trace.stamp == cache.stamp
+
+    def test_eviction_reverifies(self, hot_traces, monkeypatch):
+        cpu, vm = run_fpvm(LOOP_SRC, FPVMConfig.seq_short())
+        output = list(cpu.output)
+        trace = next(iter(vm.sequencer.compiled.values()))
+        cache = vm.decode_cache
+        assert trace.uops is not None
+        checks = self._verifications(monkeypatch)
+        cache.capacity = 2
+        new = next(a for a in vm.program.by_addr if a not in cache)
+        cache.insert(new, vm.program.by_addr[new])
+        assert not any(a in cache for a in trace.addrs)
+        hits = vm.telemetry.compiled_trace_hits
+        cpu.output.clear()
+        self._rerun(cpu)
+        assert checks and set(checks) == {trace.entry}
+        assert vm.telemetry.compiled_trace_hits == hits  # never all resident again
+        assert cpu.output == output
 
 
 class TestUnfusedTrace:

@@ -18,7 +18,9 @@ memory word it changed, the observed memory traffic in order,
 ``written_xmm``, the lazy-FP dirty marks, the ledger and telemetry
 deltas, and the values of the boxes it allocated.  The test replays
 every case in live and frame contexts, with flow provenance off and
-on; flow-on runs also match the recorded flow-graph fingerprint.
+on; flow-on runs also match the recorded flow-graph fingerprint.  Every
+case whose probe finds a box of ours also runs with ENTER, which must
+leave what the RUN record holds.
 
 The fixture holds one digest of the records per ``"mnemonic shape"``
 (and one of the flow fingerprints).  Regenerate it only when emulator
@@ -40,12 +42,13 @@ import itertools
 import json
 import struct
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.core import nanbox
-from repro.core.emulator import DEFAULT_SUPPORTED
+from repro.core.emulator import DEFAULT_SUPPORTED, ENTER, RUN
 from repro.core.vm import FPVM, FPVMConfig
 from repro.fpu import bits as B
 from repro.kernel.signals import SignalContext
@@ -125,7 +128,8 @@ def shapes(mnemonic: str):
 class Case:
     """One (mnemonic, shape, input class) cell, built fresh per run."""
 
-    def __init__(self, mnemonic: str, shape, cls: str, live: bool, flow: bool):
+    def __init__(self, mnemonic: str, shape, cls: str, live: bool, flow: bool,
+                 mode: int = RUN):
         supported = DEFAULT_SUPPORTED | {"movhpd", "movlpd"}
         self.vm = vm = FPVM(FPVMConfig.seq_short(supported_instructions=supported,
                                                  flow=flow))
@@ -147,8 +151,8 @@ class Case:
 
         boxes = []
 
-        def alloc_box(value):
-            ptr = vm.allocator.alloc(value)
+        def alloc_box(bits):
+            ptr = vm.allocator.alloc(vm.altmath.promote(bits))
             if vm.flow is not None:
                 vm.flow.begin_op(SEED_RIP)
                 vm.flow.note_birth(ptr)
@@ -182,6 +186,7 @@ class Case:
                 [addr - self.buf, size, kind, f"{value:x}"]))
         self.context = SignalContext(cpu, live=live)
         self.live = live
+        self.mode = mode
 
     # ------------------------------------------------------------ snapshots
     def _state(self) -> dict:
@@ -225,7 +230,7 @@ class Case:
         assert self._accounting() == acct0, "the probe charged or counted"
         if vm.flow is not None:
             vm.flow.begin_trap(TEXT_ADDR, "invalid")
-        ret = vm.emulator.emulate(self.uop, ctx)
+        ret = vm.emulator.emulate(self.uop, ctx, self.mode)
         if vm.flow is not None:
             vm.flow.end_trap()
         if not self.live:
@@ -271,15 +276,15 @@ class Case:
             if nanbox.is_boxed(bits):
                 ptr, _ = nanbox.unbox(bits)
                 if vm.allocator.owns(ptr) and ptr not in self.input_boxes:
-                    boxes[f"{bits:x}"] = f"{vm.allocator.load(ptr):x}"
+                    boxes[f"{bits:x}"] = f"{vm.altmath.demote(vm.allocator.load(ptr)):x}"
         out["boxes"] = boxes
         if vm.flow is not None:
             out["flow"] = json.loads(json.dumps(vm.flow.fingerprint()))
         return out
 
 
-def run_case(mnemonic, shape, cls, live=True, flow=False) -> dict:
-    return Case(mnemonic, shape, cls, live, flow).run()
+def run_case(mnemonic, shape, cls, live=True, flow=False, mode=RUN) -> dict:
+    return Case(mnemonic, shape, cls, live, flow, mode).run()
 
 
 def run_shape(mnemonic, shape, live=True, flow=False) -> tuple[dict, dict]:
@@ -369,6 +374,28 @@ def test_emulator_matches_golden(mnemonic):
             assert digest(records) == want_records, (where, records)
             if flow:
                 assert digest(flows) == want_flow, (where, flows)
+
+
+@pytest.mark.parametrize("mnemonic", MNEMONICS)
+def test_entered_run_matches_run(mnemonic):
+    """Where the probe finds a box of ours, ``emulate`` with ENTER (the
+    fused replay's merged probe and step, which hands the probed box's
+    value to the body) leaves all that the pinned RUN record holds.
+    Its memory traffic holds RUN's, perhaps in another order: a memory
+    source that the probe read may be read again (``_Source._entry``)."""
+    for key in [k for k in _GOLDEN if k.split()[0] == mnemonic]:
+        shape = tuple(key.split()[1].split(","))
+        for live, flow in VARIANTS:
+            for cls in CLASSES:
+                want = run_case(mnemonic, shape, cls, live, flow)
+                if not want["probe"]:
+                    continue
+                got = run_case(mnemonic, shape, cls, live, flow, ENTER)
+                where = (key, cls, live, flow)
+                missing = (Counter(map(str, want.pop("events")))
+                           - Counter(map(str, got.pop("events"))))
+                assert not missing, where
+                assert got == want, where
 
 
 def test_diff_names_each_moved_field():

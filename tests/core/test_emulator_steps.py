@@ -105,7 +105,7 @@ def test_memory_operand_forms_address_like_the_cpu(form, live):
     vm = FPVM(FPVMConfig.seq_short())
     vm.ledger.bind_cpu(cpu)
     emulator = vm.emulator
-    box = nanbox.box_bits(vm.allocator.alloc(B.float_to_bits(2.5)))
+    box = nanbox.box_bits(vm.allocator.alloc(vm.altmath.promote(B.float_to_bits(2.5))))
     cpu.mem.write_u64(want, box)
     cpu.regs.xmm[1][0] = B.float_to_bits(1.5)
     seen = []
@@ -119,7 +119,8 @@ def test_memory_operand_forms_address_like_the_cpu(form, live):
     assert emulator.any_source_boxed(add, ctx)
     assert emulator.step(add).run(ctx, ENTER)
     assert seen == [(want, "fp_load")] * 2
-    assert B.bits_to_float(vm.allocator.load(nanbox.unbox(ctx.xmm[1][0])[0])) == 4.0
+    assert B.bits_to_float(vm.altmath.demote(
+        vm.allocator.load(nanbox.unbox(ctx.xmm[1][0])[0]))) == 4.0
     cpu.mem.write_u64(want, B.float_to_bits(0.5))
     cpu.mem.write_u64(want + 8, B.float_to_bits(0.25))
     cpu.regs.xmm[1][0] = ctx.xmm[1][0] = B.float_to_bits(1.5)

@@ -1,8 +1,9 @@
 """Value-flow charges are pooled and settled once per trap, and once per
 libm wrapper call, yet land where charging each event did.
 
-The emulator's ``resolve``/``produce`` add their altmath cycles (load,
-negation, promotion, box) to one pending count that every exit settles.
+The emulator's ``resolve``/``owned``/``produce`` add their altmath
+cycles (load, negation, promotion, box) to one pending count that every
+exit settles.
 :func:`_per_event_value_flow` is the reference: the same value flow
 charging each event through the ledger as it happens.  On every exit of
 every trap and wrapper call (a fused replay that raises mid-trace, an
@@ -51,6 +52,10 @@ def _per_event_value_flow(vm):
         vm.telemetry.promotions += 1
         return altmath.promote(bits)
 
+    def owned(value, bits):
+        assert value is allocator.load(bits & nanbox.NANBOX_PTR_MASK)
+        return resolve(bits)
+
     def produce(value, context):
         if altmath.is_nan_value(value):
             return B.CANONICAL_QNAN
@@ -59,7 +64,7 @@ def _per_event_value_flow(vm):
         vm.telemetry.boxes_allocated += 1
         return nanbox.box_bits(ptr)
 
-    return resolve, produce, lambda: None
+    return resolve, owned, produce, lambda: None
 
 
 def _exits(run, monkeypatch, *, reference: bool) -> list:
