@@ -56,24 +56,9 @@ class MPFRSystem(AltMathSystem):
         return BigFloat.from_int(value, self.ctx)
 
     def to_i64(self, value: BigFloat, truncate: bool = True) -> int:
-        indefinite = 0x8000_0000_0000_0000
-        if value.is_nan() or value.is_inf():
-            return indefinite
-        frac = value.to_fraction()
-        if truncate:
-            t = int(frac)  # int() truncates toward zero for Fraction
-        else:
-            # round half to even
-            from fractions import Fraction
-
-            floor = frac.numerator // frac.denominator
-            rem = frac - floor
-            if rem > Fraction(1, 2) or (rem == Fraction(1, 2) and floor % 2):
-                t = floor + 1
-            else:
-                t = floor
-        if not (-(2**63) <= t <= 2**63 - 1):
-            return indefinite
+        t = value.to_int(truncate, 64)
+        if t is None or not -(1 << 63) <= t < 1 << 63:
+            return 0x8000_0000_0000_0000  # integer indefinite
         return t & 0xFFFF_FFFF_FFFF_FFFF
 
     def binary(self, op: str, a: BigFloat, b: BigFloat) -> BigFloat:

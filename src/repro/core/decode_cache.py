@@ -11,6 +11,11 @@ Entries are stored as lowered :class:`~repro.machine.uops.MicroOp`\\ s
 hit hands the emulator an instruction whose operand metadata and
 dispatch decision were resolved exactly once.
 
+``entries`` maps address to micro-op in LRU order (oldest first).  The
+sequence emulator's interpreted walk reads it to serve hits inline, as
+:meth:`DecodeCache.lookup` would; only :meth:`DecodeCache.insert` adds
+or evicts entries.
+
 ``stamp`` changes on every :meth:`DecodeCache.insert`, and evictions
 happen only there: a reader that checked entries under a stamp knows
 they are unchanged while the stamp still matches.  Stamps come from one
@@ -34,11 +39,11 @@ class DecodeCache:
         if capacity < 1:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
-        self._entries: "OrderedDict[int, MicroOp]" = OrderedDict()
+        self.entries: "OrderedDict[int, MicroOp]" = OrderedDict()
         self.stamp = next(_STAMPS)
 
     def lookup(self, addr: int) -> MicroOp | None:
-        uop = self._entries.get(addr)
+        uop = self.entries.get(addr)
         if uop is not None:
             if uop.addr != addr:
                 # A hit must describe the instruction *at this address*;
@@ -49,29 +54,29 @@ class DecodeCache:
                     f"decode cache entry at {addr:#x} decodes "
                     f"{uop.mnemonic} @ {uop.addr:#x}"
                 )
-            self._entries.move_to_end(addr)
+            self.entries.move_to_end(addr)
             return uop
         return None
 
     def resident(self, addrs: tuple[int, ...]) -> tuple:
         """The entries at ``addrs`` (None where absent), without an
         LRU touch or the integrity check: the caller compares them."""
-        return tuple(map(self._entries.get, addrs))
+        return tuple(map(self.entries.get, addrs))
 
     def touch(self, addrs) -> None:
         """The LRU effect of one hit per address, in order."""
-        deque(map(self._entries.move_to_end, addrs), 0)
+        deque(map(self.entries.move_to_end, addrs), 0)
 
     def insert(self, addr: int, instr) -> None:
         """Accepts a raw :class:`Instruction` (lowered on the way in) or
         an already-lowered :class:`MicroOp`."""
         if not isinstance(instr, MicroOp):
             instr = lower(instr)
-        self._entries[addr] = instr
-        self._entries.move_to_end(addr)
+        self.entries[addr] = instr
+        self.entries.move_to_end(addr)
         self.stamp = next(_STAMPS)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)  # evict LRU
+        while len(self.entries) > self.capacity:
+            self.entries.popitem(last=False)  # evict LRU
 
     def decode_miss(self, addr: int, raw: bytes) -> MicroOp:
         """Decode from bytes (the expensive path) and fill the cache."""
@@ -80,7 +85,7 @@ class DecodeCache:
         return uop
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __contains__(self, addr: int) -> bool:
-        return addr in self._entries
+        return addr in self.entries

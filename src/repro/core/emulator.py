@@ -90,7 +90,8 @@ class Emulator:
         self.steps: dict = {}
         self.resolve, self.owned, self.produce, self.settle = _value_flow(vm)
         #: set by a step run with ENTER whose source read raised (its
-        #: charges are not due); the fused replay reads and clears it.
+        #: charges are not due); the sequence walk and the fused replay
+        #: read and clear it.
         self.probe_raised = False
         altmath, flow = vm.altmath, vm.flow
         #: what every generated step of this VM may name (see ``_ENV``).
@@ -286,8 +287,9 @@ class _Step:
     its constant charges (``bind`` per operand, ``emul`` dispatch, the
     op's fixed altmath cost), kept as ``charge.charges``; ``writes`` is
     the static lazy-FP mask of the XMM lanes a completed run wrote.
-    :meth:`Emulator.emulate` charges, runs and marks; a fused sequence
-    trace runs and settles charges and marks once per trap."""
+    :meth:`Emulator.emulate` charges, runs and marks one instruction;
+    the sequence emulator's walk and fused traces run steps directly and
+    settle value flow, marks and counts once per trap."""
 
     __slots__ = ("run", "charge", "writes")
 

@@ -242,36 +242,76 @@ class SequenceEmulator:
     def _interpret(self, context, addr: int, emulated: list[int]) -> int:
         """The interpreted emulate-until-termination loop.  ``emulated``
         carries the prefix already executed by a compiled trace whose
-        recorded terminator turned out not to stop this time."""
+        recorded terminator turned out not to stop this time.
+
+        Each instruction's bound step runs directly, as in the fused
+        replay, and every exit (a stop, a raising fetch or step) settles
+        what fetching and emulating one at a time
+        (:meth:`_fetch`, :meth:`Emulator.emulate`) would: decode-cache
+        hits are served inline and charged together, the steps' value
+        flow settles and their lane marks and count land once, and a
+        raising step still owes its constant charges unless its probe
+        read raised."""
         vm = self.vm
-        by_addr = vm.program.by_addr
+        by_addr, patches = vm.program.by_addr, vm.program.patches
+        emulator = vm.emulator
+        steps, supported = emulator.steps, emulator.supported_set
+        entries = vm.decode_cache.entries
+        single = not vm.config.sequence_emulation
         terminator = ""
         reason = "single"
-
-        while True:
-            if addr not in by_addr:
-                # Ran off the end of text: nothing to fetch here, and
-                # the CPU faults on it when execution resumes.
-                reason = "no_instruction"
-                break
-            instr = self._fetch(addr)
-            if emulated and self._unsupported(instr):
-                terminator, reason = instr.mnemonic, "unsupported"
-                break
-            # Past the first, one ENTER run applies rule (2) and emulates.
-            if not vm.emulator.emulate(instr, context, ENTER if emulated else RUN):
-                if not emulated:
-                    raise UnemulatableTrapError(
-                        f"faulting instruction {instr} at {addr:#x} is not emulatable")
-                terminator, reason = instr.mnemonic, "no_boxed_source"
-                break
-            emulated.append(addr)
-            addr += instr.size
-            if not vm.config.sequence_emulation:
-                nxt = vm.program.by_addr.get(addr)
-                terminator = nxt.mnemonic if nxt is not None else ""
-                reason = "single"
-                break
+        hits = marks = done = 0
+        step = None  # the step running, while it runs
+        try:
+            while True:
+                if addr not in by_addr:
+                    # Ran off the end of text: nothing to fetch here, and
+                    # the CPU faults on it when execution resumes.
+                    reason = "no_instruction"
+                    break
+                instr = entries.get(addr)
+                if instr is not None and instr.addr == addr:
+                    entries.move_to_end(addr)
+                    hits += 1
+                else:  # a miss, or a corrupt entry for the lookup to refuse
+                    instr = self._fetch(addr)
+                if instr.mnemonic not in supported or emulated and addr in patches:
+                    if not emulated:
+                        raise UnemulatableTrapError(
+                            f"faulting instruction {instr} at {addr:#x} is not emulatable")
+                    terminator, reason = instr.mnemonic, "unsupported"
+                    break
+                step = steps.get(instr) or emulator.step(instr)
+                # Past the first, one ENTER run applies rule (2) and emulates.
+                if not step.run(context, ENTER if emulated else RUN):
+                    terminator, reason = instr.mnemonic, "no_boxed_source"
+                    break
+                step.charge()
+                marks |= step.writes
+                step = None
+                done += 1
+                emulated.append(addr)
+                addr += instr.size
+                if single:
+                    nxt = by_addr.get(addr)
+                    terminator = nxt.mnemonic if nxt is not None else ""
+                    break
+        except BaseException:
+            if step is not None:
+                if emulator.probe_raised:
+                    emulator.probe_raised = False
+                else:
+                    step.charge()
+            raise
+        finally:
+            emulator.settle()
+            if marks:
+                context.mark(marks)
+            telemetry = vm.telemetry
+            if hits:
+                vm.ledger.charge("decache", vm.costs.decode_cache_hit * hits)
+                telemetry.decode_hits += hits
+            telemetry.emulated_instructions += done
 
         self._finish(tuple(emulated), terminator, reason)
         return addr

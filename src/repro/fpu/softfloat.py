@@ -11,10 +11,16 @@ MPFR provides.  Special values (NaN, +/-Inf, +/-0) are carried
 explicitly.
 
 Only what the FPVM emulator needs is implemented: add, sub, mul, div,
-sqrt, neg, abs, comparisons, and conversions to/from binary64 bit
-patterns.  Transcendentals (sin/cos/atan/...) are provided to ~2 ulp by
-computing through argument-reduced Taylor/Newton schemes at extended
-working precision; they back the libm forward wrappers (§5.3).
+sqrt, fma, neg, abs, comparisons, and conversions to/from binary64 bit
+patterns and integers.  The arithmetic works on the integer mantissas:
+a sum aligns the signed mantissas to the smaller exponent and adds them
+exactly, a product multiplies them, a quotient or root carries its
+remainder as a sticky bit, and each result is rounded once
+(:func:`_round_mant`).  A comparison orders sign and kind first, then
+the magnitudes' top bits, then the aligned mantissas.
+Transcendentals (sin/cos/atan/...) are provided to ~2 ulp by
+computing through argument-reduced Taylor/Newton schemes on rationals at
+extended working precision; they back the libm forward wrappers (§5.3).
 """
 
 from __future__ import annotations
@@ -93,15 +99,16 @@ class BigFloat:
     def from_float64_bits(
         cls, bits: int, ctx: BigFloatContext = DEFAULT_CONTEXT
     ) -> "BigFloat":
-        if B.is_nan(bits):
-            return cls.nan(ctx)
-        if B.is_inf(bits):
-            return cls.inf(B.sign_bit(bits), ctx)
-        if B.is_zero(bits):
-            return cls.zero(B.sign_bit(bits), ctx)
-        frac = B.bits_to_fraction(bits)
-        sign = 1 if frac < 0 else 0
-        return _round_ratio(sign, abs(frac.numerator), frac.denominator, ctx)
+        sign = (bits >> 63) & 1
+        biased = (bits >> 52) & 0x7FF
+        mant = bits & B.F64_FRAC_MASK
+        if biased == 0x7FF:
+            return cls.nan(ctx) if mant else cls.inf(sign, ctx)
+        if biased:
+            return _round_mant(sign, mant | (1 << 52), biased - 1075, ctx)
+        if mant:  # subnormal
+            return _round_mant(sign, mant, -1074, ctx)
+        return cls.zero(sign, ctx)
 
     @classmethod
     def from_float(cls, x: float, ctx: BigFloatContext = DEFAULT_CONTEXT) -> "BigFloat":
@@ -139,6 +146,27 @@ class BigFloat:
         )
         return -mag if self._sign else mag
 
+    def to_int(self, truncate: bool, bits: int) -> int | None:
+        """The integer nearest this value (ties to even), or with
+        ``truncate`` the one toward zero; None for NaN, ±inf and a
+        magnitude of 2^``bits`` or more."""
+        if self._kind == _KIND_ZERO:
+            return 0
+        mant, exp = self._mant, self._exp
+        if self._kind != _KIND_FINITE or exp + mant.bit_length() > bits:
+            return None
+        if exp >= 0:
+            mag = mant << exp
+        elif -exp > mant.bit_length():  # below 1/2
+            mag = 0
+        else:
+            mag = mant >> -exp
+            if not truncate:
+                rem, half = mant & ((1 << -exp) - 1), 1 << (-exp - 1)
+                if rem > half or (rem == half and mag & 1):
+                    mag += 1
+        return -mag if self._sign else mag
+
     def to_float64_bits(self) -> int:
         """Round to binary64 (nearest-even), preserving signed zero."""
         if self._kind == _KIND_NAN:
@@ -155,45 +183,45 @@ class BigFloat:
 
     # ---------------------------------------------------------- arithmetic
     def add(self, other: "BigFloat", ctx: BigFloatContext | None = None) -> "BigFloat":
-        ctx = ctx or BigFloatContext(self._prec)
-        if self.is_nan() or other.is_nan():
-            return BigFloat.nan(ctx)
-        if self.is_inf() or other.is_inf():
-            if self.is_inf() and other.is_inf():
-                if self._sign != other._sign:
-                    return BigFloat.nan(ctx)
-                return BigFloat.inf(self._sign, ctx)
-            return BigFloat.inf(self._sign if self.is_inf() else other._sign, ctx)
-        if self.is_zero() and other.is_zero():
-            # RNDN: -0 + -0 = -0; mixed signs give +0.
-            return BigFloat.zero(self._sign & other._sign, ctx)
-        if self.is_zero():
-            return _round_existing(other, ctx)
-        if other.is_zero():
-            return _round_existing(self, ctx)
-        exact = self.to_fraction() + other.to_fraction()
-        if exact == 0:
-            return BigFloat.zero(0, ctx)
-        return BigFloat.from_fraction(exact, ctx)
+        return self._add(other, other._sign, ctx)
 
     def sub(self, other: "BigFloat", ctx: BigFloatContext | None = None) -> "BigFloat":
-        return self.add(other.neg(), ctx)
+        return self._add(other, other._sign ^ 1, ctx)
+
+    def _add(self, other: "BigFloat", sign: int, ctx: BigFloatContext | None) -> "BigFloat":
+        """``self`` plus ``other`` with its sign replaced by ``sign``."""
+        ctx = ctx or BigFloatContext(self._prec)
+        kind, other_kind = self._kind, other._kind
+        if kind == _KIND_FINITE and other_kind == _KIND_FINITE:
+            return _sum(self._sign, self._mant, self._exp, sign, other._mant, other._exp, ctx)
+        if kind == _KIND_NAN or other_kind == _KIND_NAN:
+            return BigFloat.nan(ctx)
+        if kind == _KIND_INF:
+            if other_kind == _KIND_INF and self._sign != sign:
+                return BigFloat.nan(ctx)
+            return BigFloat.inf(self._sign, ctx)
+        if other_kind == _KIND_INF:
+            return BigFloat.inf(sign, ctx)
+        if other_kind == _KIND_ZERO:
+            if kind == _KIND_ZERO:
+                # RNDN: -0 + -0 = -0; mixed signs give +0.
+                return BigFloat.zero(self._sign & sign, ctx)
+            return _round_mant(self._sign, self._mant, self._exp, ctx)
+        return _round_mant(sign, other._mant, other._exp, ctx)
 
     def mul(self, other: "BigFloat", ctx: BigFloatContext | None = None) -> "BigFloat":
         ctx = ctx or BigFloatContext(self._prec)
+        sign = self._sign ^ other._sign
+        if self._kind == _KIND_FINITE and other._kind == _KIND_FINITE:
+            # Exact product of mantissas; a single rounding at the end.
+            return _round_mant(sign, self._mant * other._mant, self._exp + other._exp, ctx)
         if self.is_nan() or other.is_nan():
             return BigFloat.nan(ctx)
-        sign = self._sign ^ other._sign
         if self.is_inf() or other.is_inf():
             if self.is_zero() or other.is_zero():
                 return BigFloat.nan(ctx)
             return BigFloat.inf(sign, ctx)
-        if self.is_zero() or other.is_zero():
-            return BigFloat.zero(sign, ctx)
-        # Exact product of mantissas; a single rounding at the end.
-        mant = self._mant * other._mant
-        exp = self._exp + other._exp
-        return _round_mant(sign, mant, exp, ctx)
+        return BigFloat.zero(sign, ctx)
 
     def div(self, other: "BigFloat", ctx: BigFloatContext | None = None) -> "BigFloat":
         ctx = ctx or BigFloatContext(self._prec)
@@ -266,26 +294,44 @@ class BigFloat:
             # Fall back to two-step for the (rare) non-finite cases; the
             # special-value outcomes are identical.
             return self.mul(y, ctx).add(z, ctx)
-        exact = self.to_fraction() * y.to_fraction() + z.to_fraction()
-        if exact == 0:
-            return BigFloat.zero(0, ctx)
-        return BigFloat.from_fraction(exact, ctx)
+        sign = self._sign ^ y._sign
+        if self._kind == _KIND_ZERO or y._kind == _KIND_ZERO:
+            # A zero product adds as a signed zero: -0 + -0 = -0.
+            if z._kind == _KIND_ZERO:
+                return BigFloat.zero(sign & z._sign, ctx)
+            return _round_mant(z._sign, z._mant, z._exp, ctx)
+        mant, exp = self._mant * y._mant, self._exp + y._exp
+        if z._kind == _KIND_ZERO:
+            return _round_mant(sign, mant, exp, ctx)
+        return _sum(sign, mant, exp, z._sign, z._mant, z._exp, ctx)
 
     # ---------------------------------------------------------- comparison
     def cmp(self, other: "BigFloat") -> int | None:
-        """-1/0/+1, or None if unordered (either side NaN)."""
-        if self.is_nan() or other.is_nan():
+        """-1/0/+1, or None if unordered (either side NaN).  ±inf lies
+        beyond every finite value, however large its exponent."""
+        kind, other_kind = self._kind, other._kind
+        if kind == _KIND_NAN or other_kind == _KIND_NAN:
             return None
-        a = self._cmp_key()
-        b = other._cmp_key()
-        return -1 if a < b else (0 if a == b else 1)
-
-    def _cmp_key(self):
-        if self._kind == _KIND_ZERO:
-            return Fraction(0)
-        if self._kind == _KIND_INF:
-            return Fraction((-1) ** self._sign * (1 << 40000))  # beyond any finite
-        return self.to_fraction()
+        a, b = _RANK[kind][self._sign], _RANK[other_kind][other._sign]
+        if a != b:
+            return -1 if a < b else 1
+        if kind != _KIND_FINITE:  # equal zeros or equal infinities
+            return 0
+        # Same sign, both finite: the magnitudes' top bits, then the
+        # mantissas aligned to the smaller exponent.
+        ma, mb, ea, eb = self._mant, other._mant, self._exp, other._exp
+        top = ea + ma.bit_length() - eb - mb.bit_length()
+        if not top:
+            if ea > eb:
+                ma <<= ea - eb
+            else:
+                mb <<= eb - ea
+            top = (ma > mb) - (ma < mb)
+            if not top:
+                return 0
+        if self._sign:
+            top = -top
+        return 1 if top > 0 else -1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BigFloat):
@@ -340,11 +386,26 @@ def _isqrt(n: int) -> int:
     return math.isqrt(n)
 
 
-def _round_existing(x: BigFloat, ctx: BigFloatContext) -> BigFloat:
-    """Re-round a finite/zero BigFloat into a (possibly different) context."""
-    if x._kind != _KIND_FINITE:
-        return BigFloat(x._kind, x._sign, 0, 0, ctx.precision)
-    return _round_mant(x._sign, x._mant, x._exp, ctx)
+#: kind -> sign -> rank: -inf < negative < ±0 < positive < +inf.
+_RANK = {_KIND_FINITE: (1, -1), _KIND_ZERO: (0, 0), _KIND_INF: (2, -2)}
+
+
+def _sum(sa: int, ma: int, ea: int, sb: int, mb: int, eb: int,
+         ctx: BigFloatContext) -> BigFloat:
+    """``(-1)^sa * ma * 2^ea + (-1)^sb * mb * 2^eb`` (both nonzero),
+    rounded once: the signed mantissas aligned to the smaller exponent
+    add exactly.  An exact zero is +0 (RNDN)."""
+    if ea > eb:
+        ma <<= ea - eb
+        ea = eb
+    else:
+        mb <<= eb - ea
+    total = (-ma if sa else ma) + (-mb if sb else mb)
+    if total > 0:
+        return _round_mant(0, total, ea, ctx)
+    if total:
+        return _round_mant(1, -total, ea, ctx)
+    return BigFloat.zero(0, ctx)
 
 
 def _round_mant(

@@ -20,6 +20,8 @@ from repro.fpu import bits as B
 
 f2b = B.float_to_bits
 b2f = B.bits_to_float
+U64 = 0xFFFF_FFFF_FFFF_FFFF
+INDEFINITE = 0x8000_0000_0000_0000
 
 ALL_SYSTEMS = [
     BoxedIEEE(),
@@ -191,6 +193,20 @@ class TestMPFRPrecision:
 
     def test_costs_scale_with_precision(self):
         assert MPFRSystem(500).costs.op("mul") > MPFRSystem(100).costs.op("mul")
+
+    @pytest.mark.parametrize("x,truncated,rounded", [
+        (0.5, 0, 0), (-0.5, 0, 0), (1.5, 1, 2), (-1.5, -1, -2), (2.5, 2, 2),
+        (-2.5, -2, -2), (-2.0 ** 63, -2 ** 63, -2 ** 63),
+        (2.0 ** 63, INDEFINITE, INDEFINITE), (math.nan, INDEFINITE, INDEFINITE),
+        (math.inf, INDEFINITE, INDEFINITE), (-math.inf, INDEFINITE, INDEFINITE),
+    ])
+    def test_to_i64_ties_and_range(self, x, truncated, rounded):
+        """cvttsd2si truncates, cvtsd2si rounds half to even; NaN, ±inf
+        and anything out of the i64 range give the integer indefinite."""
+        sys_ = MPFRSystem()
+        v = sys_.promote(f2b(x))
+        assert sys_.to_i64(v, truncate=True) == truncated & U64
+        assert sys_.to_i64(v, truncate=False) == rounded & U64
 
 
 class TestPosit:

@@ -449,7 +449,7 @@ def _observe(source: str, config: FPVMConfig, error, *, stepwise: bool = False,
                 cpu.run()
     regs = cpu.regs
     state = (cpu.cycles, vm.ledger.snapshot(), snapshot(vm.telemetry),
-             list(vm.decode_cache._entries), tuple(cpu.output),
+             list(vm.decode_cache.entries), tuple(cpu.output),
              vm.flow.fingerprint() if vm.flow is not None else None,
              regs.fp_dirty, regs.fp_live, written, list(regs.gpr),
              [list(lanes) for lanes in regs.xmm])

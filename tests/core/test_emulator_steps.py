@@ -9,7 +9,7 @@ import pytest
 
 import repro.core.emulator as emulator_mod
 from repro.core import nanbox
-from repro.core.emulator import DEFAULT_SUPPORTED, EMULATABLE, ENTER
+from repro.core.emulator import DEFAULT_SUPPORTED, EMULATABLE, ENTER, PROBE, RUN
 from repro.core.vm import FPVM, FPVMConfig
 from repro.errors import ConfigError
 from repro.fpu import bits as B
@@ -25,23 +25,26 @@ from repro.workloads import build_program
 
 
 def test_bind_runs_at_most_once_per_emulated_micro_op(monkeypatch):
+    """Every emulation, interpreted or fused, runs a bound step's
+    ``run``; the wrapped steps record which micro-ops emulated."""
     calls = []
     emulated = set()
     bind = emulator_mod.bind
-    emulate = emulator_mod.Emulator.emulate
 
     def counting_bind(uop, vm):
         calls.append(uop)
-        return bind(uop, vm)
+        step = bind(uop, vm)
+        run = step.run
 
-    def recording_emulate(self, uop, context, *mode):
-        ok = emulate(self, uop, context, *mode)
-        if ok:
-            emulated.add(uop)
-        return ok
+        def recording_run(context, mode=RUN):
+            ok = run(context, mode)
+            if ok and mode != PROBE:
+                emulated.add(uop)
+            return ok
+        step.run = recording_run
+        return step
 
     monkeypatch.setattr(emulator_mod, "bind", counting_bind)
-    monkeypatch.setattr(emulator_mod.Emulator, "emulate", recording_emulate)
     result = run_fpvm("lorenz", FPVMConfig.seq_short(), scale=150)
     assert result.emulated_instructions > len(emulated)
     assert 1 <= len(calls) <= len(emulated)
