@@ -2,16 +2,14 @@
 acceleration).  Paper shape: hw+kernel+ret dominate every bar at
 ~6000+ cycles/instruction; altmath is a small slice."""
 
-from conftest import publish
-from repro.harness import charts, figures, report
+from conftest import publish_table
+from repro.harness.figures import TABLES
 
 
 def test_figure1(benchmark, boxed_suite, results_dir):
-    data = benchmark.pedantic(figures.figure1, args=(boxed_suite,), rounds=1, iterations=1)
-    publish(results_dir, "fig01",
-            report.render_breakdown(data, "Figure 1: baseline cost breakdown (Boxed IEEE, NONE)"))
-    publish(results_dir, "fig01_chart",
-            charts.breakdown_chart(data, "Figure 1 (stacked bars)"))
+    data = benchmark.pedantic(TABLES["fig01"].data, args=(boxed_suite,), rounds=1, iterations=1)
+    publish_table(results_dir, "fig01", data)
+    publish_table(results_dir, "fig01_chart", data)
     for w, am in data.items():
         total = sum(am.values())
         assert total > 4000, (w, total)  # thousands of cycles/instr

@@ -4,18 +4,11 @@ The figure is a mechanism diagram; its quantitative content is the
 delivery-path comparison: regular signal delivery + sigreturn
 (~5600 cycles) vs custom delivery + iretq (~350+100 cycles)."""
 
-from conftest import publish
-from repro.harness import figures, report
+from conftest import publish_table
+from repro.harness.figures import TABLES
 
 
 def test_figure2_short_circuit_reduction(benchmark, results_dir):
-    table = benchmark.pedantic(figures.figure2, rounds=1, iterations=1)
-    lines = [
-        "Figure 2: trap delivery path comparison",
-        "",
-        f"  regular signal delivery + return: {table.signal_delivery + table.sigreturn:7.0f} cycles",
-        f"  short-circuit delivery + return:  {table.short_delivery + table.short_return:7.0f} cycles",
-        f"  reduction: {table.delegation_reduction:.1f}x (paper: ~8x)",
-    ]
-    publish(results_dir, "fig02", "\n".join(lines))
+    table = benchmark.pedantic(TABLES["fig02"].data, rounds=1, iterations=1)
+    publish_table(results_dir, "fig02", table)
     assert table.delegation_reduction > 6

@@ -4,12 +4,11 @@ Paper: the int3 path costs a hardware trap + SIGTRAP delivery +
 sigreturn (~5980 cycles); the magic path is a double-indirect call
 (~100 cycles incl. the trampoline's register save): 14-120x cheaper."""
 
-from conftest import publish
-from repro.harness import figures, report
+from conftest import publish_table
+from repro.harness.figures import TABLES
 
 
 def test_figure3(benchmark, results_dir):
-    costs = benchmark.pedantic(figures.figure3, rounds=1, iterations=1)
-    publish(results_dir, "fig03",
-            report.render_magic_costs(costs, "Figure 3: magic traps vs int3 correctness traps"))
+    costs = benchmark.pedantic(TABLES["fig03"].data, rounds=1, iterations=1)
+    publish_table(results_dir, "fig03", costs)
     assert costs.reduction > 10

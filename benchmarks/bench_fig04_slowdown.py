@@ -5,16 +5,14 @@ Paper shape: NONE in the hundreds-to-thousands; each technique cuts
 it; combining both gives an average ~7.2x reduction (best ~11.5x,
 Lorenz)."""
 
-from conftest import publish
-from repro.harness import charts, figures, report
+from conftest import publish_table
+from repro.harness.figures import TABLES
 
 
 def test_figure4(benchmark, boxed_suite, results_dir):
-    data = benchmark.pedantic(figures.figure4, args=(boxed_suite,), rounds=1, iterations=1)
-    publish(results_dir, "fig04",
-            report.render_slowdown(data, "Figure 4: application slowdown (Boxed IEEE)"))
-    publish(results_dir, "fig04_chart",
-            charts.slowdown_chart(data, "Figure 4 (bars, log scale)"))
+    data = benchmark.pedantic(TABLES["fig04"].data, args=(boxed_suite,), rounds=1, iterations=1)
+    publish_table(results_dir, "fig04", data)
+    publish_table(results_dir, "fig04_chart", data)
     reductions = []
     for w, cfgs in data.items():
         assert cfgs["NONE"] > 100, w

@@ -4,15 +4,13 @@
 arithmetic itself.  Paper: NONE sits ~10-25x above the bound;
 SEQ_SHORT approaches it (Lorenz: 1.65x)."""
 
-from conftest import publish
-from repro.harness import figures, report
+from conftest import publish_table
+from repro.harness.figures import TABLES
 
 
 def test_figure5(benchmark, boxed_suite, results_dir):
-    data = benchmark.pedantic(figures.figure5, args=(boxed_suite,), rounds=1, iterations=1)
-    publish(results_dir, "fig05",
-            report.render_slowdown(data, "Figure 5: slowdown from lower bound (Boxed IEEE)",
-                                   "vs native+altmath"))
+    data = benchmark.pedantic(TABLES["fig05"].data, args=(boxed_suite,), rounds=1, iterations=1)
+    publish_table(results_dir, "fig05", data)
     for w, cfgs in data.items():
         assert cfgs["NONE"] > 10, w
         assert cfgs["SEQ_SHORT"] < 4.5, (w, cfgs["SEQ_SHORT"])

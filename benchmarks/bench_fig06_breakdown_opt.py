@@ -5,18 +5,15 @@ Paper shape: SHORT collapses kernel+ret; SEQ amortizes hw+kernel+ret
 by the average sequence length; combined, altmath becomes the largest
 component (the Amdahl limit)."""
 
-from conftest import publish
-from repro.harness import charts, figures, report
+from conftest import publish_table
+from repro.harness.figures import TABLES
 from repro.machine.costs import LEDGER_CATEGORIES
 
 
 def test_figure6(benchmark, boxed_suite, results_dir):
-    data = benchmark.pedantic(figures.figure6, args=(boxed_suite,), rounds=1, iterations=1)
-    publish(results_dir, "fig06",
-            report.render_breakdown_by_config(
-                data, "Figure 6: cost breakdown with accelerations (Boxed IEEE)"))
-    publish(results_dir, "fig06_chart",
-            charts.breakdown_by_config_chart(data, "Figure 6 (stacked bars)"))
+    data = benchmark.pedantic(TABLES["fig06"].data, args=(boxed_suite,), rounds=1, iterations=1)
+    publish_table(results_dir, "fig06", data)
+    publish_table(results_dir, "fig06_chart", data)
     for w, rows in data.items():
         by = {r.config: r for r in rows}
         # SHORT cuts the kernel category by ~an order of magnitude.

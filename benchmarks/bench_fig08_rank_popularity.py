@@ -4,14 +4,13 @@ instructions covered by the top-k traces).
 Paper shape: the benchmarks' CDFs are far left (fewer than 100
 sequences cover them); Enzo needs ~350 ranks for 90%."""
 
-from conftest import publish
-from repro.harness import figures, report
+from conftest import publish_table
+from repro.harness.figures import TABLES
 
 
 def test_figure8(benchmark, boxed_suite, results_dir):
-    data = benchmark.pedantic(figures.figure8, args=(boxed_suite,), rounds=1, iterations=1)
-    publish(results_dir, "fig08",
-            report.render_cdf(data, "Figure 8: sequence rank popularity CDF", "rank"))
+    data = benchmark.pedantic(TABLES["fig08"].data, args=(boxed_suite,), rounds=1, iterations=1)
+    publish_table(results_dir, "fig08", data)
     for w, series in data.items():
         # A handful of traces covers most of the action...
         k = min(len(series), 100)

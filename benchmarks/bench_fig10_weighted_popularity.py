@@ -6,15 +6,13 @@ Paper: Lorenz converges by rank ~18 to avg ~32 (=> ~576 entries);
 Enzo needs ~600 ranks at avg ~3 (~1800 entries, ~1.8MB); every run
 fits comfortably in the 64K-entry decode cache."""
 
-from conftest import publish
-from repro.harness import figures, report
+from conftest import publish_table
+from repro.harness.figures import TABLES
 
 
 def test_figure10(benchmark, boxed_suite, results_dir):
-    data = benchmark.pedantic(figures.figure10, args=(boxed_suite,), rounds=1, iterations=1)
-    text = report.render_cache_sizing(
-        data, "Figure 10: weighted rank popularity / trace cache sizing")
-    publish(results_dir, "fig10", text)
+    data = benchmark.pedantic(TABLES["fig10"].data, args=(boxed_suite,), rounds=1, iterations=1)
+    publish_table(results_dir, "fig10", data)
     for w, sizing in data.items():
         assert sizing.cache_entries < 65536, w  # fits the default cache
         assert sizing.weighted_by_rank[-1] > 0

@@ -4,13 +4,12 @@ Paper shape: absolute slowdowns comparable to or above Boxed IEEE
 (MPFR itself is expensive), and all four configurations still order
 NONE > SEQ/SHORT > SEQ_SHORT."""
 
-from conftest import publish
-from repro.harness import figures, report
+from conftest import publish_table
+from repro.harness.figures import TABLES
 
 
 def test_figure11(benchmark, mpfr_suite, results_dir):
-    data = benchmark.pedantic(figures.figure4, args=(mpfr_suite,), rounds=1, iterations=1)
-    publish(results_dir, "fig11",
-            report.render_slowdown(data, "Figure 11: application slowdown (MPFR, 200 bits)"))
+    data = benchmark.pedantic(TABLES["fig11"].data, args=(mpfr_suite,), rounds=1, iterations=1)
+    publish_table(results_dir, "fig11", data)
     for w, cfgs in data.items():
         assert cfgs["SEQ_SHORT"] < cfgs["NONE"], w

@@ -3,16 +3,14 @@
 Paper shape: altmath (MPFR itself) dominates every bar, and MPFR shows
 slightly higher gc than Boxed IEEE (it allocates more temporaries)."""
 
-from conftest import publish
-from repro.harness import figures, report
+from conftest import publish_table
+from repro.harness.figures import TABLES
 from repro.machine.costs import LEDGER_CATEGORIES
 
 
 def test_figure13(benchmark, mpfr_suite, results_dir):
-    data = benchmark.pedantic(figures.figure6, args=(mpfr_suite,), rounds=1, iterations=1)
-    publish(results_dir, "fig13",
-            report.render_breakdown_by_config(
-                data, "Figure 13: cost breakdown with accelerations (MPFR)"))
+    data = benchmark.pedantic(TABLES["fig13"].data, args=(mpfr_suite,), rounds=1, iterations=1)
+    publish_table(results_dir, "fig13", data)
     for w, rows in data.items():
         by = {r.config: r for r in rows}
         opt = by["SEQ_SHORT"].amortized

@@ -3,14 +3,14 @@ static analysis.  The profiler must find a subset of the static sites
 (it observes one concrete run), and correctness overhead with the
 profiler is near-eliminated in the breakdowns."""
 
-from conftest import publish
-from repro.harness import figures, report
+from conftest import publish, publish_table
+from repro.harness import figures
+from repro.harness.figures import TABLES
 
 
 def test_profiler_vs_static(benchmark, results_dir):
-    rows = benchmark.pedantic(figures.profiler_vs_static, rounds=1, iterations=1)
-    publish(results_dir, "profiler_vs_static",
-            report.render_patch_sites(rows, "Patch sites: static analysis vs profiler (§5.1)"))
+    rows = benchmark.pedantic(TABLES["profiler_vs_static"].data, rounds=1, iterations=1)
+    publish_table(results_dir, "profiler_vs_static", rows)
     for r in rows:
         assert r.profiler_subset, r.workload
         assert r.profiler_sites <= r.static_sites

@@ -10,16 +10,14 @@ underflow dispatch carries the Wittmann et al. microcode-assist
 surcharge the invalid/inexact-dominated §6 workloads never pay.
 """
 
-from conftest import publish
-from repro.harness import figures, report
+from conftest import publish_table
+from repro.harness.figures import TABLES
 from repro.observability import TRAP_CLASSES
 
 
 def test_trap_costs(benchmark, results_dir):
-    table = benchmark.pedantic(figures.trap_microbenchmark, rounds=1, iterations=1)
-    rows = figures.trap_class_microbenchmark()
-    publish(results_dir, "trap_microbench",
-            report.render_trap_microbench(table, rows))
+    table, rows = benchmark.pedantic(TABLES["trap_microbench"].data, rounds=1, iterations=1)
+    publish_table(results_dir, "trap_microbench", (table, rows))
     assert abs(table.hw_trap - 380) < 25
     assert 6 < table.delegation_reduction < 20
     by_class = {r.trap_class: r for r in rows}

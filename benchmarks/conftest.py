@@ -1,9 +1,10 @@
 """Shared fixtures for the benchmark harness.
 
 Each ``bench_figNN`` module regenerates one of the paper's figures:
-the timed body produces the figure's data, and the rendered
-paper-style table is written to ``results/figNN.txt`` (and echoed to
-stdout when running with ``-s``).
+the timed body runs the data function of the figure's entry in
+``figures.TABLES``, and the entry's rendered paper-style table is
+written to ``results/figNN.txt`` (and echoed to stdout when running
+with ``-s``).
 
 Full-size suites are session-scoped so the 6-workload x 4-config run
 matrix is executed once per arithmetic system per session.
@@ -19,26 +20,15 @@ from repro.harness import figures
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: MPFR runs the same workloads at reduced scale: BigFloat arithmetic
-#: is orders of magnitude slower to *simulate* (not just to model).
-MPFR_SCALES = {
-    "lorenz": 150,
-    "three_body": 16,
-    "double_pendulum": 24,
-    "fbench": 6,
-    "ffbench": 16,
-    "enzo": 16,
-}
-
 
 @pytest.fixture(scope="session")
 def boxed_suite() -> figures.Suite:
-    return figures.Suite("boxed_ieee")
+    return figures.suite_for("boxed_ieee")
 
 
 @pytest.fixture(scope="session")
 def mpfr_suite() -> figures.Suite:
-    return figures.Suite("mpfr", scale_overrides=MPFR_SCALES)
+    return figures.suite_for("mpfr")
 
 
 @pytest.fixture(scope="session")
@@ -52,3 +42,8 @@ def publish(results_dir: pathlib.Path, name: str, text: str) -> None:
     (results_dir / f"{name}.txt").write_text(text + "\n")
     print()
     print(text)
+
+
+def publish_table(results_dir: pathlib.Path, stem: str, data) -> None:
+    """Write the registry's render of ``data`` as table ``stem``."""
+    publish(results_dir, stem, figures.TABLES[stem].render(data))

@@ -11,7 +11,7 @@ characterize WORKLOAD [--scale N]
     The §6.3 sequence-emulation profile: top traces, average length,
     trace-cache sizing.
 figures [--skip-mpfr] [--out DIR]
-    Regenerate every paper figure (same as benchmarks/run_all_figures).
+    Regenerate every published paper table (``figures.TABLES``).
 conformance [--full] [--matrix-only | --faults-only] [--scenario NAME]
     Differential conformance sweep (NONE/SEQ/SHORT/SEQ_SHORT × altmath
     × patch source × magic traps) plus fault-injection scenarios.
@@ -138,48 +138,14 @@ def _cmd_figures(args) -> int:
 
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    def publish(name: str, text: str) -> None:
-        (out / f"{name}.txt").write_text(text + "\n")
+    suites: dict = {}
+    for stem, table in F.TABLES.items():
+        if args.skip_mpfr and table.suite == "mpfr":
+            continue
+        text = table.render(table.compute(suites))
+        (out / f"{stem}.txt").write_text(text + "\n")
         print(text)
         print()
-
-    publish("trap_microbench", report.render_trap_microbench(
-        F.trap_microbenchmark(), F.trap_class_microbenchmark()))
-    publish("trap_heatmap", report.render_trap_flow(F.trap_heatmap()))
-    publish("fig03", report.render_magic_costs(
-        F.figure3(), "Figure 3: magic traps vs int3 correctness traps"))
-    boxed = F.Suite("boxed_ieee")
-    publish("fig01", report.render_breakdown(
-        F.figure1(boxed), "Figure 1: baseline cost breakdown (Boxed IEEE, NONE)"))
-    publish("fig04", report.render_slowdown(
-        F.figure4(boxed), "Figure 4: application slowdown (Boxed IEEE)"))
-    publish("fig05", report.render_slowdown(
-        F.figure5(boxed), "Figure 5: slowdown from lower bound (Boxed IEEE)",
-        "vs native+altmath"))
-    publish("fig06", report.render_breakdown_by_config(
-        F.figure6(boxed), "Figure 6: cost breakdown with accelerations"))
-    publish("fig07", "Figure 7: example instruction trace\n\n" + F.figure7(boxed))
-    publish("fig08", report.render_cdf(
-        F.figure8(boxed), "Figure 8: sequence rank popularity CDF", "rank"))
-    publish("fig09", report.render_length_cdf(
-        F.figure9(boxed), "Figure 9: sequence length CDF"))
-    publish("fig10", report.render_cache_sizing(
-        F.figure10(boxed), "Figure 10: trace cache sizing"))
-    publish("profiler_vs_static", report.render_patch_sites(
-        F.profiler_vs_static(), "Patch sites: static analysis vs profiler"))
-    if not args.skip_mpfr:
-        mpfr = F.Suite("mpfr", scale_overrides={
-            "lorenz": 150, "three_body": 16, "double_pendulum": 24,
-            "fbench": 6, "ffbench": 16, "enzo": 16,
-        })
-        publish("fig11", report.render_slowdown(
-            F.figure4(mpfr), "Figure 11: application slowdown (MPFR)"))
-        publish("fig12", report.render_slowdown(
-            F.figure5(mpfr), "Figure 12: slowdown from lower bound (MPFR)",
-            "vs native+altmath"))
-        publish("fig13", report.render_breakdown_by_config(
-            F.figure6(mpfr), "Figure 13: cost breakdown (MPFR)"))
     return 0
 
 

@@ -1,23 +1,38 @@
 """Per-figure data generators for every figure in the paper's §6 (plus
-the §2.3/§3/§5.2 cost microbenchmarks).
+the §2.3/§3/§5.2 cost microbenchmarks), and :data:`TABLES`, the one
+registry of the tables published under ``benchmarks/results/``.
 
 Each ``figureN`` function returns plain data structures; rendering to
-the paper-style ASCII lives in :mod:`repro.harness.report`.  A
-:class:`Suite` instance caches the 6-workload x 4-config run matrix so
-Figures 1/4/5/6 (and the MPFR 11/12/13) share executions.
+the paper-style ASCII lives in :mod:`repro.harness.report` and
+:mod:`repro.harness.charts`.  A :class:`Suite` instance caches the
+6-workload x 4-config run matrix so Figures 1/4/5/6 (and the MPFR
+11/12/13) share executions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable
 
+from repro.harness import charts, report
 from repro.harness.configs import CONFIG_ORDER, named_configs
-from repro.harness.runner import Comparison, run_comparison, run_fpvm, run_native
-from repro.machine.costs import DEFAULT_COSTS, LEDGER_CATEGORIES
-from repro.workloads import WORKLOAD_NAMES
+from repro.harness.runner import Comparison, run_comparison, run_fpvm
+from repro.machine.costs import DEFAULT_COSTS
 
 #: figure order used in the paper's bar groups.
 FIGURE_WORKLOADS = ("double_pendulum", "enzo", "fbench", "ffbench", "lorenz", "three_body")
+
+#: MPFR runs the same workloads at reduced scale: BigFloat arithmetic
+#: is orders of magnitude slower to *simulate* (not just to model).
+MPFR_SCALES = {
+    "lorenz": 150,
+    "three_body": 16,
+    "double_pendulum": 24,
+    "fbench": 6,
+    "ffbench": 16,
+    "enzo": 16,
+}
 
 
 class Suite:
@@ -41,8 +56,11 @@ class Suite:
             self._comparisons[workload] = comp
         return comp
 
-    def all(self, workloads=FIGURE_WORKLOADS) -> dict[str, Comparison]:
-        return {w: self.comparison(w) for w in workloads}
+
+def suite_for(altmath: str) -> Suite:
+    """The Suite the published tables of ``altmath`` run on (MPFR at
+    :data:`MPFR_SCALES`, every other system at default scale)."""
+    return Suite(altmath, scale_overrides=MPFR_SCALES if altmath == "mpfr" else None)
 
 
 # ---------------------------------------------------------------- Figure 1
@@ -96,7 +114,6 @@ def trap_microbenchmark() -> TrapCostTable:
 
     signal = one_trap(short=False)
     short = one_trap(short=True)
-    c = DEFAULT_COSTS
     return TrapCostTable(
         hw_trap=signal["hw"],
         signal_delivery=signal["kernel"],
@@ -106,12 +123,6 @@ def trap_microbenchmark() -> TrapCostTable:
         signal_total=signal["hw"] + signal["kernel"] + signal["ret"],
         short_total=short["hw"] + short["kernel"] + short["ret"],
     )
-
-
-def figure2(suite: Suite | None = None) -> TrapCostTable:
-    """Figure 2 is the short-circuit delivery diagram; its quantitative
-    content is the microbenchmark table."""
-    return trap_microbenchmark()
 
 
 # ------------------------------------------- per-class trap microbenchmark
@@ -391,3 +402,76 @@ def profiler_vs_static(workloads=FIGURE_WORKLOADS) -> list[PatchSiteComparison]:
             PatchSiteComparison(w, len(static), len(dynamic), dynamic <= static)
         )
     return out
+
+
+# ------------------------------------------------------ published tables
+@dataclass(frozen=True)
+class Table:
+    """One published table: ``benchmarks/results/<stem>.txt`` holds
+    ``render(data(suite))``, or ``render(data())`` when ``suite`` is None."""
+
+    data: Callable[..., Any]
+    suite: str | None  # altmath of the Suite ``data`` takes
+    render: Callable[[Any], str]
+
+    def compute(self, suites: dict[str, Suite]) -> Any:
+        """``data`` on this table's Suite, made once per altmath in ``suites``."""
+        if self.suite is None:
+            return self.data()
+        if self.suite not in suites:
+            suites[self.suite] = suite_for(self.suite)
+        return self.data(suites[self.suite])
+
+
+def _trap_tables() -> tuple[TrapCostTable, list[TrapClassRow]]:
+    return trap_microbenchmark(), trap_class_microbenchmark()
+
+
+#: every table ``python -m repro figures`` and the ``bench_fig*`` modules
+#: publish, by file stem, in publication order; its title is the one
+#: the committed file carries.
+TABLES: dict[str, Table] = {
+    "trap_microbench": Table(
+        _trap_tables, None, lambda tables: report.render_trap_microbench(*tables)),
+    "trap_heatmap": Table(trap_heatmap, None, report.render_trap_flow),
+    "fig01": Table(figure1, "boxed_ieee", partial(
+        report.render_breakdown,
+        title="Figure 1: baseline cost breakdown (Boxed IEEE, NONE)")),
+    "fig01_chart": Table(figure1, "boxed_ieee", partial(
+        charts.breakdown_chart, title="Figure 1 (stacked bars)")),
+    "fig02": Table(trap_microbenchmark, None, partial(
+        report.render_delivery_paths, title="Figure 2: trap delivery path comparison")),
+    "fig03": Table(figure3, None, partial(
+        report.render_magic_costs, title="Figure 3: magic traps vs int3 correctness traps")),
+    "fig04": Table(figure4, "boxed_ieee", partial(
+        report.render_slowdown, title="Figure 4: application slowdown (Boxed IEEE)")),
+    "fig04_chart": Table(figure4, "boxed_ieee", partial(
+        charts.slowdown_chart, title="Figure 4 (bars, log scale)")),
+    "fig05": Table(figure5, "boxed_ieee", partial(
+        report.render_slowdown, title="Figure 5: slowdown from lower bound (Boxed IEEE)",
+        baseline_note="vs native+altmath")),
+    "fig06": Table(figure6, "boxed_ieee", partial(
+        report.render_breakdown_by_config,
+        title="Figure 6: cost breakdown with accelerations (Boxed IEEE)")),
+    "fig06_chart": Table(figure6, "boxed_ieee", partial(
+        charts.breakdown_by_config_chart, title="Figure 6 (stacked bars)")),
+    "fig07": Table(figure7, "boxed_ieee",
+                   lambda trace: "Figure 7: example instruction trace\n\n" + trace),
+    "fig08": Table(figure8, "boxed_ieee", partial(
+        report.render_cdf, title="Figure 8: sequence rank popularity CDF", xlabel="rank")),
+    "fig09": Table(figure9, "boxed_ieee", partial(
+        report.render_length_cdf, title="Figure 9: sequence length CDF")),
+    "fig10": Table(figure10, "boxed_ieee", partial(
+        report.render_cache_sizing,
+        title="Figure 10: weighted rank popularity / trace cache sizing")),
+    "profiler_vs_static": Table(profiler_vs_static, None, partial(
+        report.render_patch_sites, title="Patch sites: static analysis vs profiler (§5.1)")),
+    "fig11": Table(figure4, "mpfr", partial(
+        report.render_slowdown, title="Figure 11: application slowdown (MPFR, 200 bits)")),
+    "fig12": Table(figure5, "mpfr", partial(
+        report.render_slowdown, title="Figure 12: slowdown from lower bound (MPFR)",
+        baseline_note="vs native+altmath")),
+    "fig13": Table(figure6, "mpfr", partial(
+        report.render_breakdown_by_config,
+        title="Figure 13: cost breakdown with accelerations (MPFR)")),
+}

@@ -158,6 +158,18 @@ def render_trap_costs(table, title: str) -> str:
     return "\n".join(lines)
 
 
+def render_delivery_paths(table, title: str) -> str:
+    """Figure 2's quantitative content: the kern+ret cost of a regular
+    signal delivery against the short circuit's."""
+    return "\n".join([
+        title,
+        "",
+        f"  regular signal delivery + return: {table.signal_delivery + table.sigreturn:7.0f} cycles",
+        f"  short-circuit delivery + return:  {table.short_delivery + table.short_return:7.0f} cycles",
+        f"  reduction: {table.delegation_reduction:.1f}x (paper: ~8x)",
+    ])
+
+
 def render_trap_class_costs(rows, title: str) -> str:
     """Per-#XF-class delivery cost table: every trap class gets its own
     measured hw/signal/short column (the Wittmann et al. surcharge note:

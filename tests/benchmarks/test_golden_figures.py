@@ -1,16 +1,16 @@
 """Golden-file tests for the figure pipeline.
 
-Each test regenerates a figure exactly the way ``python -m repro
-figures`` / the bench suite does and diffs it against the committed
-text under ``benchmarks/results/``.  The diff is tolerance-aware:
-numbers may drift within a small relative tolerance (cost-model
-tweaks legitimately move cycle counts a little), but the surrounding
-prose, table structure, and row order must match exactly — so a
-formatting regression or a renamed workload fails loudly while a
-0.1% cycle wiggle does not.
+Each case regenerates one table of the ``figures.TABLES`` registry,
+exactly as ``python -m repro figures`` and the bench suite do, and
+diffs it against the committed text under ``benchmarks/results/``.
+The diff is tolerance-aware: numbers may drift within a small
+relative tolerance (cost-model tweaks legitimately move cycle counts
+a little), but the surrounding prose, table structure, and row order
+must match exactly — so a formatting regression or a renamed workload
+fails loudly while a 0.1% cycle wiggle does not.
 
-The microbenchmark-backed figures are fast and run in tier-1; the
-full-suite figures (a 6-workload × 4-config matrix each) are marked
+The tables that need no Suite are fast and run in tier-1; the
+Suite-backed ones (a 6-workload × 4-config matrix each) are marked
 ``slow``.
 """
 
@@ -20,7 +20,7 @@ import re
 
 import pytest
 
-from repro.harness import figures, report
+from repro.harness import figures
 
 RESULTS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
@@ -57,73 +57,26 @@ def assert_matches_golden(name: str, fresh: str, rtol: float = 0.05) -> None:
     assert not problems, f"{name}.txt: " + "\n".join(problems)
 
 
-# ----------------------------------------------- fast (microbench-backed)
-def test_trap_microbench_matches_golden():
-    fresh = report.render_trap_microbench(
-        figures.trap_microbenchmark(), figures.trap_class_microbenchmark())
-    assert_matches_golden("trap_microbench", fresh)
+#: count-exact tables: RIPs and trap tallies are deterministic, so any
+#: drift means the flow seam moved.
+EXACT = {"trap_heatmap"}
 
 
-@pytest.mark.flow
-def test_trap_heatmap_matches_golden():
-    """The heatmap figure is count-exact (RIPs and trap tallies are
-    deterministic), so any drift means the flow seam moved."""
-    fresh = report.render_trap_flow(figures.trap_heatmap())
-    assert_matches_golden("trap_heatmap", fresh, rtol=0.0)
+def _cases():
+    for stem, table in figures.TABLES.items():
+        marks = [pytest.mark.slow] if table.suite else []
+        if stem == "trap_heatmap":
+            marks.append(pytest.mark.flow)
+        yield pytest.param(stem, marks=marks, id=stem)
 
 
-def test_fig02_matches_golden():
-    table = figures.figure2()
-    fresh = "\n".join([
-        "Figure 2: trap delivery path comparison",
-        "",
-        f"  regular signal delivery + return: {table.signal_delivery + table.sigreturn:7.0f} cycles",
-        f"  short-circuit delivery + return:  {table.short_delivery + table.short_return:7.0f} cycles",
-        f"  reduction: {table.delegation_reduction:.1f}x (paper: ~8x)",
-    ])
-    assert_matches_golden("fig02", fresh)
-
-
-def test_fig03_matches_golden():
-    fresh = report.render_magic_costs(
-        figures.figure3(), "Figure 3: magic traps vs int3 correctness traps")
-    assert_matches_golden("fig03", fresh)
-
-
-# -------------------------------------------------- slow (full suites)
 @pytest.fixture(scope="module")
-def boxed_suite():
-    return figures.Suite("boxed_ieee")
+def suites():
+    return {}
 
 
-@pytest.mark.slow
-def test_fig01_matches_golden(boxed_suite):
-    fresh = report.render_breakdown(
-        figures.figure1(boxed_suite),
-        "Figure 1: baseline cost breakdown (Boxed IEEE, NONE)")
-    assert_matches_golden("fig01", fresh)
-
-
-@pytest.mark.slow
-def test_fig04_matches_golden(boxed_suite):
-    fresh = report.render_slowdown(
-        figures.figure4(boxed_suite),
-        "Figure 4: application slowdown (Boxed IEEE)")
-    assert_matches_golden("fig04", fresh)
-
-
-@pytest.mark.slow
-def test_fig05_matches_golden(boxed_suite):
-    fresh = report.render_slowdown(
-        figures.figure5(boxed_suite),
-        "Figure 5: slowdown from lower bound (Boxed IEEE)",
-        "vs native+altmath")
-    assert_matches_golden("fig05", fresh)
-
-
-@pytest.mark.slow
-def test_fig06_matches_golden(boxed_suite):
-    fresh = report.render_breakdown_by_config(
-        figures.figure6(boxed_suite),
-        "Figure 6: cost breakdown with accelerations (Boxed IEEE)")
-    assert_matches_golden("fig06", fresh)
+@pytest.mark.parametrize("stem", _cases())
+def test_table_matches_golden(stem, suites):
+    table = figures.TABLES[stem]
+    fresh = table.render(table.compute(suites))
+    assert_matches_golden(stem, fresh, rtol=0.0 if stem in EXACT else 0.05)

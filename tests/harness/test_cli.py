@@ -1,8 +1,12 @@
 """CLI tests (python -m repro)."""
 
+import dataclasses
+
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.harness import figures
+from tests.harness.test_figures_unit import WORKLOADS, synthetic_suite
 
 
 class TestParser:
@@ -60,12 +64,28 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "terminator" in out
 
-    def test_figures_writes_files(self, tmp_path, capsys):
-        # The figure suite at full scale is a benchmark; here only check
-        # the plumbing with the cheap microbench by monkeypatching scale
-        # would be invasive — run the real thing is too slow for a unit
-        # test, so only verify the parser wiring.
-        args = build_parser().parse_args(
-            ["figures", "--skip-mpfr", "--out", str(tmp_path)]
-        )
-        assert args.skip_mpfr and args.out == str(tmp_path)
+    def test_figures_writes_files(self, tmp_path, monkeypatch, capsys):
+        # Every registry data function returns canned data (the Suite
+        # figures computed on the synthetic suite), so this runs the
+        # CLI's loop, not the experiments.
+        suite = synthetic_suite()
+        trap = figures.TrapCostTable(380, 3800, 1800, 350, 100, 5980, 830)
+        canned = {
+            "trap_microbench": (trap, [figures.TrapClassRow("invalid", 10, 380, 5980, 830)]),
+            "trap_heatmap": {},
+            "fig02": trap,
+            "fig03": figures.MagicTrapCosts(6000.0, 100.0),
+            "fig07": "# lorenz trace rank 3\n* inc rax    ; terminator (unsupported)",
+            "profiler_vs_static": [figures.PatchSiteComparison("lorenz", 3, 2, True)],
+        }
+        expected = {}
+        for stem, table in figures.TABLES.items():
+            data = canned[stem] if stem in canned else table.data(suite, WORKLOADS)
+            monkeypatch.setitem(figures.TABLES, stem,
+                                dataclasses.replace(table, data=lambda *_, d=data: d))
+            if table.suite != "mpfr":
+                expected[f"{stem}.txt"] = table.render(data) + "\n"
+
+        assert main(["figures", "--skip-mpfr", "--out", str(tmp_path)]) == 0
+        written = {p.name: p.read_text() for p in tmp_path.iterdir()}
+        assert written == expected

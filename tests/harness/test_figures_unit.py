@@ -47,8 +47,8 @@ class SyntheticSuite:
         return self._comparisons[workload]
 
 
-@pytest.fixture
-def suite():
+def synthetic_suite() -> SyntheticSuite:
+    """One Lorenz comparison with hand-made ledgers and trace stats."""
     stats = make_stats([
         ((0x100, 0x108, 0x110), 50, "inc", "unsupported"),   # len 3, hot
         ((0x200,), 10, "mulsd", "no_boxed_source"),          # len 1
@@ -75,6 +75,11 @@ def suite():
         {"hw": 10_000, "kernel": 7_000, "ret": 2_500, "altmath": 20_000},
         emulated=170, traps=65, stats=stats)
     return SyntheticSuite({"lorenz": comp})
+
+
+@pytest.fixture
+def suite():
+    return synthetic_suite()
 
 
 WORKLOADS = ("lorenz",)
