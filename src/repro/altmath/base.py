@@ -48,6 +48,10 @@ class AltMathSystem(abc.ABC):
     #: registry key, e.g. "boxed_ieee"
     name: str = "abstract"
     costs: AltMathCosts = AltMathCosts()
+    #: the box heap's store for this system's values (a key of
+    #: ``repro.core.alloc.STORES``): "list" holds any Python value,
+    #: "flat" holds binary64 floats at 8 bytes a box.
+    box_store: str = "list"
 
     # ------------------------------------------------------- conversions
     @abc.abstractmethod

@@ -11,7 +11,9 @@ A value is a host ``float``, and the ops are the float forms of
 :mod:`repro.fpu.fast`.  :meth:`BoxedIEEE.promote` and
 :meth:`BoxedIEEE.demote` are the only bit-pattern conversions.  NaN
 payloads need not survive: FPVM stores every NaN result as the
-canonical quiet NaN, so a box never holds one.
+canonical quiet NaN, so a box never holds one.  Its boxes therefore
+live in the flat store, one ``array('d')`` that marks an empty slot
+with NaN.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ _U64 = 0xFFFF_FFFF_FFFF_FFFF
 @register_altmath
 class BoxedIEEE(AltMathSystem):
     name = "boxed_ieee"
+    box_store = "flat"
     costs = AltMathCosts(
         promote=55,
         demote=25,

@@ -26,10 +26,6 @@ class Interval:
     def undefined(self) -> bool:
         return math.isnan(self.lo) or math.isnan(self.hi)
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def midpoint(self) -> float:
         if self.undefined:
             return math.nan

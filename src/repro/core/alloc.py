@@ -4,15 +4,21 @@ Boxes hold alternative-arithmetic values.  They are immutable by
 contract ("despite being heap objects, they must operate as if they
 were values") — the allocator never exposes mutation, only allocation.
 
-The heap is one list of slots: box ``base + 16*i`` lives in
-``slots[i]``, and :data:`FREE` marks a slot whose box a sweep freed.
-A pointer is ours when its offset from ``base`` is non-negative,
-16-aligned and below the top slot, and that slot is not ``FREE``
+The heap is one sequence of slots: box ``base + 16*i`` lives in
+``slots[i]``.  Its :class:`Store`, chosen from the altmath system's
+value type, says what the sequence is and how an empty slot reads:
+:data:`LIST`, a list of any Python values where :data:`FREE` marks a
+slot whose box a sweep freed, or :data:`FLAT`, one ``array('d')`` of
+binary64 values where NaN marks it (no box holds a NaN: FPVM stores a
+NaN result as the canonical quiet NaN, and :meth:`BoxAllocator.alloc`
+refuses one).  A pointer is ours when its offset from ``base`` is
+non-negative, 16-aligned and below the top slot, and that slot is live
 (:meth:`BoxAllocator.owns`; the emulator's hot paths test the same
-inline).  Beside the slots, two ``array``s of slot indices: the boxes
-that survived the last sweep, in allocation order, and the free list
-that sweep left, reused last-freed-first.  A box costs one list cell
-and, once it survives a sweep, one order entry: at most about 17 bytes.
+inline, from the same :attr:`Store.live` text).  Beside the slots, two
+``array``s of slot indices: the boxes that survived the last sweep, in
+allocation order, and the free list that sweep left, reused
+last-freed-first.  A box costs its slot (a list cell and its value, or
+8 bytes flat) and, once it survives a sweep, one order entry.
 
 The collector is exactly the paper's: a conservative mark phase that
 scans every *writable* page of the process plus the register file for
@@ -24,17 +30,44 @@ so there is no transitive marking.
 
 from __future__ import annotations
 
+import math
 from array import array
+from functools import partial
 from itertools import chain
 
 import numpy as np
 
 from repro.core import nanbox
-from repro.errors import BoxHeapExhaustedError
+from repro.errors import BoxHeapExhaustedError, BoxValueError
 from repro.machine.program import HEAP_BASE
 
-#: the value of an empty slot.
+#: the value of an empty slot of the list store.
 FREE = object()
+
+
+class Store:
+    """How a heap holds its box values: ``new()`` makes the empty slot
+    sequence, ``empty`` is a freed slot's value and ``live`` the source
+    text, over a slot value ``{v}``, that is true when the slot holds a
+    box.  ``kind`` names the store in the keys of generated code."""
+
+    def __init__(self, kind: str, new, empty, live: str) -> None:
+        self.kind, self.new, self.empty, self.live = kind, new, empty, live
+        #: ``live`` compiled: does this slot value belong to a box?
+        self.holds = eval(f"lambda v: {self.test('v')}", {"FREE": FREE})
+
+    def test(self, v: str) -> str:
+        """The liveness test of the slot value ``v``, as source text."""
+        return self.live.format(v=v)
+
+
+#: Any Python value, one list cell a box; an empty slot is ``FREE``.
+LIST = Store("list", list, FREE, "{v} is not FREE")
+#: Binary64 ``float`` values, 8 bytes a box in one ``array('d')``; an
+#: empty slot is NaN, the one value that is not equal to itself.
+FLAT = Store("flat", partial(array, "d"), math.nan, "{v} == {v}")
+#: store kind -> store; an altmath system names its ``box_store``.
+STORES = {store.kind: store for store in (LIST, FLAT)}
 
 
 class BoxAllocator:
@@ -47,12 +80,14 @@ class BoxAllocator:
     """
 
     def __init__(self, base: int = HEAP_BASE, gc_threshold: int = 4096,
-                 capacity: int | None = None):
+                 capacity: int | None = None, store: Store = LIST):
         self.base = base
+        self.store = store
+        self._holds = store.holds
         #: box ``base + 16*i`` -> ``slots[i]`` (read-only outside this
         #: class: slots change only through :meth:`alloc` and
         #: :meth:`collect`).
-        self.slots: list = []
+        self.slots = store.new()
         # Allocation order without a write per allocation: the boxes
         # allocated since the last sweep took ``_free[_nfree:]`` from
         # the end down, then the slots from ``_top`` up, in that order.
@@ -68,7 +103,12 @@ class BoxAllocator:
 
     # ---------------------------------------------------------- allocate
     def alloc(self, value) -> int:
-        """Store ``value`` in a fresh box; returns the box pointer."""
+        """Store ``value`` in a fresh box; returns the box pointer.  A
+        value the store reads as an empty slot (NaN on the flat store)
+        raises :class:`BoxValueError`."""
+        if not self._holds(value):
+            raise BoxValueError(f"a box cannot hold {value!r}: the {self.store.kind} "
+                                "store marks an empty slot with it")
         if self.capacity is not None and self.live_count >= self.capacity:
             raise BoxHeapExhaustedError(
                 f"box heap at capacity ({self.capacity} live boxes)"
@@ -98,9 +138,10 @@ class BoxAllocator:
         if at < 0 or at & 15:
             return False
         try:
-            return self.slots[at >> 4] is not FREE
+            value = self.slots[at >> 4]
         except IndexError:
             return False
+        return self._holds(value)
 
     @property
     def allocs_since_gc(self) -> int:
@@ -151,23 +192,25 @@ class BoxAllocator:
             for bits in candidates:
                 mark(int(bits))
 
-        # Sweep, in allocation order.  The dead go on the free list
-        # after its entries not reused yet.
-        live, dead, start = array("q"), array("q"), self._nfree
-        keep, drop, free = live.append, dead.append, FREE
-        reused = reversed(self._free[start:])
+        # Sweep, in allocation order, the dead straight onto the free
+        # list after its entries not reused yet.
+        free, start = self._free, self._nfree
+        reused = free[start:]
+        reused.reverse()
+        del free[start:]
+        live = array("q")
+        keep, drop, empty = live.append, free.append, self.store.empty
         for i in chain(self._order, reused, range(self._top, len(slots))):
             if marked[i]:
                 keep(i)
             else:
                 drop(i)
-                slots[i] = free
-        del self._free[start:]
-        self._free.extend(dead)
-        self._order, self._nfree, self._top = live, len(self._free), len(slots)
+                slots[i] = empty
+        self._order, self._nfree, self._top = live, len(free), len(slots)
+        dead = len(free) - start
         if dead and self.on_free is not None:
-            self.on_free([base + (i << 4) for i in dead])
-        return len(dead), len(pages)
+            self.on_free([base + (i << 4) for i in free[start:]])
+        return dead, len(pages)
 
 
 _MASK = np.uint64(nanbox._PATTERN_MASK | 0)  # sign bit excluded by design

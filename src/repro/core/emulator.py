@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from repro.core import nanbox
 from repro.core.alloc import FREE
-from repro.errors import BoxHeapExhaustedError, ConfigError
+from repro.errors import BoxHeapExhaustedError, ConfigError, MachineError
 from repro.fpu import bits as B
 from repro.fpu.ieee import UCOMI_EQUAL, UCOMI_GREATER, UCOMI_LESS, UCOMI_UNORDERED
 from repro.machine import codegen
@@ -186,74 +186,21 @@ def _value_flow(vm):
     collection).  They add their altmath cycles (load, negation,
     promotion, box) to one pending count, which ``settle()`` charges:
     every caller settles before it returns, raising or not, while the
-    ledger is still bound to the same CPU.  Flow hooks are compiled in
-    only if the VM records."""
-    ledger = vm.ledger
+    ledger is still bound to the same CPU.  They are generated from
+    :data:`_FLOW` once per box store, so ``resolve`` tests ownership
+    inline (:func:`_if_owned`) and makes no calls for it.  Flow hooks
+    are wrapped around them only if the VM records."""
     costs = vm.altmath.costs
-    load, load_neg = costs.load, costs.load + costs.op("neg")
-    promote_cost, box = costs.promote, costs.box
-    telemetry = vm.telemetry
-    owns, slots = vm.allocator.owns, vm.allocator.slots
-    box0 = nanbox.box_bits(vm.allocator.base)
-    altmath = vm.altmath
-    promote, unary, is_nan_value = altmath.promote, altmath.unary, altmath.is_nan_value
-    alloc, alloc_after_gc = vm.allocator.alloc, vm.alloc_box_after_gc
-    box_bits = nanbox.box_bits
-    # The box signature (nanbox.is_boxed) and ownership (allocator.owns)
-    # tested inline, so the per-operand path makes no calls for them: one
-    # range test of the unsigned bits checks the signature and that the
-    # pointer is not below ``base``; their offset from ``box0`` is the
-    # pointer's from ``base``, 16-aligned for a slot that is not FREE.
-    sig, top, free = nanbox._PATTERN, _TOP, FREE
-    ptr_mask, unsigned_mask = nanbox.NANBOX_PTR_MASK, _UNSIGNED
-    sign, qnan = B.F64_SIGN_MASK, B.CANONICAL_QNAN
-    pending = 0
-
-    def resolve(bits):
-        nonlocal pending
-        unsigned = bits & unsigned_mask
-        if box0 <= unsigned < top:
-            at = unsigned - box0
-            if not at & 15:
-                try:
-                    value = slots[at >> 4]
-                except IndexError:
-                    value = free
-                if value is not free:
-                    if bits & sign:
-                        pending += load_neg
-                        return unary("neg", value)
-                    pending += load
-                    return value
-        pending += promote_cost
-        telemetry.promotions += 1
-        return promote(bits)
-
-    def owned(value, bits):
-        nonlocal pending
-        if bits & sign:
-            pending += load_neg
-            return unary("neg", value)
-        pending += load
-        return value
-
-    def produce(value, context):
-        nonlocal pending
-        if is_nan_value(value):
-            return qnan
-        pending += box
-        try:  # vm.alloc_box, inline
-            ptr = alloc(value)
-        except BoxHeapExhaustedError:
-            ptr = alloc_after_gc(value, context)
-        telemetry.boxes_allocated += 1
-        return sig | ptr if ptr <= ptr_mask else box_bits(ptr)  # box_bits raises
-
-    def settle():
-        nonlocal pending
-        if pending:
-            ledger.charge("altmath", pending)
-            pending = 0
+    allocator, altmath = vm.allocator, vm.altmath
+    live = allocator.store.test("box")
+    make = codegen.maker(_FLOWS, allocator.store.kind, lambda: _FLOW.format(owned="\n".join(
+        _indent(_if_owned("bits", live, _UNBOX), 8))), _GLOBALS, "<value flow>")
+    resolve, owned, produce, settle = make(
+        vm.ledger, vm.telemetry, allocator.slots, nanbox.box_bits(allocator.base),
+        altmath.promote, altmath.unary, altmath.is_nan_value, allocator.alloc,
+        vm.alloc_box_after_gc, nanbox.box_bits, costs.load, costs.load + costs.op("neg"),
+        costs.promote, costs.box)
+    ptr_mask, qnan, owns = nanbox.NANBOX_PTR_MASK, B.CANONICAL_QNAN, allocator.owns
 
     flow = vm.flow
     if flow is None:
@@ -278,6 +225,71 @@ def _value_flow(vm):
         return bits
 
     return resolve_noted, owned_noted, produce_noted, settle
+
+
+#: Source of the ``make`` that builds one VM's value flow (see
+#: :func:`_value_flow`); ``{owned}`` stands for the lines of ``resolve``
+#: that return the value of a box we own.
+_FLOW = """\
+def make(ledger, telemetry, slots, box0, promote, unary, is_nan_value, alloc,
+         alloc_after_gc, box_bits, load, load_neg, promote_cost, box_cost):
+    pending = 0
+
+    def resolve(bits):
+        nonlocal pending
+{owned}
+        pending += promote_cost
+        telemetry.promotions += 1
+        return promote(bits)
+
+    def owned(value, bits):
+        nonlocal pending
+        if bits & SIGN:
+            pending += load_neg
+            return unary("neg", value)
+        pending += load
+        return value
+
+    def produce(value, context):
+        nonlocal pending
+        if is_nan_value(value):
+            return QNAN
+        pending += box_cost
+        try:  # vm.alloc_box, inline
+            ptr = alloc(value)
+        except BoxHeapExhaustedError:
+            ptr = alloc_after_gc(value, context)
+        telemetry.boxes_allocated += 1
+        return SIG | ptr if ptr <= PTR_MASK else box_bits(ptr)  # box_bits raises
+
+    def settle():
+        nonlocal pending
+        if pending:
+            ledger.charge("altmath", pending)
+            pending = 0
+
+    return resolve, owned, produce, settle
+"""
+
+#: ``resolve``'s lines for the value ``box`` of the box ``bits`` owns.
+_UNBOX = ["if bits & SIGN:", "    pending += load_neg", '    return unary("neg", box)',
+          "pending += load", "return box"]
+
+#: box store kind -> the ``make`` of :data:`_FLOW` for it.
+_FLOWS: dict = {}
+
+
+def _if_owned(bits: str, live: str, then: list[str]) -> list[str]:
+    """Lines that run ``then`` when ``bits`` box a pointer our allocator
+    owns, with ``box`` bound to its value: :meth:`BoxAllocator.owns`,
+    inline.  One range test of the sign-cleared bits checks the box
+    signature and that the pointer is not below ``base``; their offset
+    from ``box0`` is the pointer's from ``base``, 16-aligned for a slot;
+    past the top slot the index raises; and ``live``, the store's
+    liveness test of ``box``, tells a box from an emptied slot."""
+    return [f"if box0 <= (u := {bits} & UNSIGNED) < TOP and not (at := u - box0) & 15:",
+            "    try:", "        box = slots[at >> 4]", "    except IndexError:", "        pass",
+            "    else:", f"        if {live}:", *_indent(then, 12)]
 
 
 # ------------------------------------------------------------- binding
@@ -306,8 +318,10 @@ def bind(uop: MicroOp, vm):
     flow = vm.flow is not None
     if flow:
         gen.params["addr"] = uop.addr
-    key = (uop.mnemonic, flow, *gen.shape)
-    make = codegen.maker(_MAKERS, key, lambda: gen.source(body, probe, range(uop.lanes), flow),
+    store = vm.allocator.store
+    key = (uop.mnemonic, flow, store.kind, *gen.shape)
+    make = codegen.maker(_MAKERS, key, lambda: gen.source(body, probe, range(uop.lanes), flow,
+                                                          store.test("box")),
                          _GLOBALS, "<emulator step>")
     costs = vm.costs
     charges = [("bind", costs.bind_per_operand * max(len(ops), 1)),
@@ -339,20 +353,21 @@ _ENV = ("resolve", "owned", "produce", "emu", "slots", "box0", "counts", "demote
 
 
 def _cannot_write(message: str, value) -> None:
-    raise ValueError(message)
+    raise MachineError(message)
 
 
 #: Module globals of the generated code.
 _GLOBALS = {
     "U64": U64, "RSP": RSP, "SIGN": B.F64_SIGN_MASK, "_cannot_write": _cannot_write,
     "SIG_MASK": nanbox._PATTERN_MASK, "SIG": nanbox._PATTERN,
-    "UNSIGNED": _UNSIGNED, "TOP": _TOP, "FREE": FREE,
+    "UNSIGNED": _UNSIGNED, "TOP": _TOP, "FREE": FREE, "PTR_MASK": nanbox.NANBOX_PTR_MASK,
+    "QNAN": B.CANONICAL_QNAN, "BoxHeapExhaustedError": BoxHeapExhaustedError,
     "UCOMI_UNORDERED": UCOMI_UNORDERED, "UCOMI_EQUAL": UCOMI_EQUAL,
     "UCOMI_LESS": UCOMI_LESS, "UCOMI_GREATER": UCOMI_GREATER,
 }
 
 
-#: (mnemonic, flow on, *operand shape) -> the ``make`` its source
+#: (mnemonic, flow on, box store kind, *operand shape) -> the ``make`` its source
 #: defines.  The source depends on the key alone (operand values are
 #: ``make``'s arguments), so one process-wide table serves every VM; it
 #: holds one entry per distinct key ever bound, a few dozen.
@@ -373,7 +388,7 @@ class _Source:
         #: the key of the text) and the values it names.
         self.shape, self.params = codegen.scan(ops)
         if ops and self.shape[0] in ("i", "l", "L"):
-            self.params["w0"] = f"cannot write operand {ops[0]}"
+            self.params["w0"] = f"cannot write operand {ops[0]!r}"
         self.used: set[str] = set()
 
     def use(self, name: str) -> str:
@@ -404,14 +419,15 @@ class _Source:
             return f"{self.use('mem')}.observed_store({at}, {value}, {op.size}, {self.fp[pos]})"
         return f"_cannot_write(w{pos}, {value})"
 
-    def source(self, body, probe, lanes, flow: bool) -> str:
+    def source(self, body, probe, lanes, flow: bool, live: str) -> str:
         """Source of ``make(env, **params)``, which returns the step
         function.  ``body(src)`` gives the emulation's lines,
         ``src(pos, lane)`` the expression for a source lane's bits and
         ``src(pos, lane, True)`` for its alt value; ``probe`` names the
         operands rule (2) checks in each of ``lanes`` (None: the rule
         does not apply); with ``flow`` the body runs inside the flow
-        recorder's op window."""
+        recorder's op window; ``live`` is the box store's liveness test
+        of ``box``."""
         window = (["begin_op(addr)"], ["end_op()"]) if flow else ([], [])
 
         def src(pos, lane, value=False):
@@ -419,7 +435,7 @@ class _Source:
         lines = [*window[0], *body(src), *window[1], "return True"]
         if probe is not None:
             probed = [(pos, lane) for lane in lanes for pos in probe]
-            lines = self._entry(body, probed, window) + lines
+            lines = self._entry(body, probed, window, live) + lines
         prologue = [line for pos, op in enumerate(self.ops) if isinstance(op, Mem)
                     for line in codegen.address(pos, op, self.use("gpr"))]
         loads = [f"{name} = ctx.{attr}" for name, attr in
@@ -434,11 +450,11 @@ class _Source:
                           f"    def step(ctx, mode={RUN}, {', '.join(names)}):",
                           *_indent(code, 8), "    return step", ""])
 
-    def _entry(self, body, probed, window) -> list[str]:
+    def _entry(self, body, probed, window, live: str) -> list[str]:
         """The ENTER and PROBE branch.  It reads the ``probed`` source
-        lanes in order until one holds a box we own (the inline
-        :meth:`BoxAllocator.owns`, which fetches its value), and returns
-        False if none does.  PROBE then returns True; ENTER runs the body
+        lanes in order until one holds a box we own (:func:`_if_owned`,
+        which fetches its value), and returns False if none does.
+        PROBE then returns True; ENTER runs the body
         on the bits read so far and reads the rest, so it reads each
         source once, except that after the first lane a GPR or memory
         source is read again where a write to a non-XMM destination
@@ -464,13 +480,9 @@ class _Source:
                     return f"owned(box, v{p}{l})"
                 return _resolved(f"v{p}{l}", value)
             v = f"v{pos}{lane}"
-            lines += [*read,
-                      f"if box0 <= (u := {v} & UNSIGNED) < TOP and not (at := u - box0) & 15:",
-                      "    try:", "        box = slots[at >> 4]",
-                      "    except IndexError:", "        box = FREE",
-                      "    if box is not FREE:",
-                      *_indent([f"if mode == {PROBE}:", "    return True",
-                                *window[0], *body(entered), *window[1], "return True"], 8)]
+            lines += [*read, *_if_owned(v, live, [
+                f"if mode == {PROBE}:", "    return True",
+                *window[0], *body(entered), *window[1], "return True"])]
         return ["if mode:", *_indent([*lines, "return False"])]
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.altmath import get_altmath
 from repro.core import correctness
-from repro.core.alloc import BoxAllocator
+from repro.core.alloc import STORES, BoxAllocator
 from repro.core.decode_cache import DecodeCache
 from repro.core.emulator import DEFAULT_SUPPORTED, Emulator
 from repro.core.sequences import SequenceEmulator
@@ -128,7 +128,8 @@ class FPVM:
         except KeyError as err:
             raise ConfigError(err.args[0]) from None
         self.allocator = BoxAllocator(gc_threshold=self.config.gc_threshold,
-                                      capacity=self.config.box_capacity)
+                                      capacity=self.config.box_capacity,
+                                      store=STORES[self.altmath.box_store])
         self.decode_cache = DecodeCache(self.config.decode_cache_capacity)
         #: exception-flow recorder, or None when disabled — every hook
         #: site guards on that, so the disabled path costs nothing.

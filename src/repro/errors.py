@@ -106,6 +106,14 @@ class BoxHeapExhaustedError(FPVMFaultError):
     fault = "box_heap"
 
 
+class BoxValueError(FPVMFaultError):
+    """A value offered to the box heap that its store reads as an empty
+    slot: a NaN on the flat store of Boxed IEEE, whose results FPVM
+    stores as the canonical quiet NaN instead of boxing them."""
+
+    fault = "box_value"
+
+
 class DeviceProtocolError(FPVMFaultError):
     """Misuse of the /dev/fpvm_dev protocol: bad ioctl, operation on a
     closed fd, or a short-circuit delivery for an unregistered thread."""

@@ -4,12 +4,15 @@ import pytest
 
 from repro.core.decode_cache import DecodeCache
 from repro.core.vm import FPVM, FPVMConfig
-from repro.errors import FPVMFaultError, UnemulatableTrapError
+from repro.errors import FPVMFaultError, MachineError, UnemulatableTrapError
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.assembler import assemble
 from repro.machine.cpu import CPU, TIERS
 from repro.machine.decoder import decode_instruction
+from repro.machine.encoding import encode_instruction
 from repro.machine.hostlib import install_host_library
+from repro.machine.isa import Imm, Instruction, Xmm
+from repro.machine.program import Program
 
 
 def run_fpvm(source: str, config: FPVMConfig):
@@ -125,6 +128,44 @@ def test_running_off_text_faults_like_native(config, tier):
     if config.sequence_emulation:
         (rec,) = vm.trace_stats.traces.values()
         assert (rec.length, rec.reason) == (1, "no_instruction")
+
+
+def _immediate_destination_program():
+    """RUN_OFF_TEXT_SRC ending in ``cvttsd2si 7, xmm0; hlt``, built as
+    IR: the assembler refuses an immediate destination.  The conversion
+    of 0.1 is inexact, so it traps under FPVM."""
+    asm = assemble(RUN_OFF_TEXT_SRC.replace("addsd xmm0, xmm1", "hlt"))
+    *head, hlt = asm.instructions
+    convert = Instruction("cvttsd2si", (Imm(7), Xmm("xmm0")), addr=hlt.addr)
+    prog = Program()
+    prog.data, prog.symbols, prog.entry = asm.data, asm.symbols, asm.entry
+    for instr in (*head, convert,
+                  Instruction("hlt", addr=convert.addr + len(encode_instruction(convert)))):
+        prog.add_instruction(instr)
+    prog.finalize_text()
+    install_host_library(prog)
+    return prog
+
+
+@pytest.mark.parametrize("tier", list(TIERS))
+@pytest.mark.parametrize("config", [
+    FPVMConfig.none(patch_site_source="none"),
+    FPVMConfig.seq_short(patch_site_source="none"),
+], ids=["NONE", "SEQ_SHORT"])
+def test_immediate_destination_faults_like_native(config, tier):
+    """A write to an immediate destination is the CPU's
+    ``MachineError("cannot write operand ...")`` whether the CPU runs
+    the instruction or FPVM emulates it after its trap."""
+    faults = []
+    for cfg in (None, config):
+        cpu = CPU(_immediate_destination_program(), uops=TIERS[tier])
+        cpu.kernel = LinuxKernel()
+        vm = FPVM(cfg).attach(cpu, cpu.kernel) if cfg else None
+        with pytest.raises(MachineError) as info:
+            cpu.run()
+        faults.append((type(info.value), str(info.value)))
+    assert faults[0] == faults[1] == (MachineError, "cannot write operand Imm(value=7)")
+    assert vm.telemetry.traps == 1
 
 
 @pytest.mark.parametrize("tier", list(TIERS))

@@ -53,7 +53,13 @@ def _per_event_value_flow(vm):
         return altmath.promote(bits)
 
     def owned(value, bits):
-        assert value is allocator.load(bits & nanbox.NANBOX_PTR_MASK)
+        # The flat store of Boxed IEEE reads a new float each time, so
+        # floats compare by bit pattern (which tells -0.0 from +0.0).
+        stored = allocator.load(bits & nanbox.NANBOX_PTR_MASK)
+        if isinstance(stored, float):
+            assert B.float_to_bits(value) == B.float_to_bits(stored)
+        else:
+            assert value is stored
         return resolve(bits)
 
     def produce(value, context):

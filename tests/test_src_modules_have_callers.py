@@ -1,11 +1,12 @@
 """Every module under ``src/repro`` has a caller outside the tests: some
 module in ``src/``, ``benchmarks/``, ``bench_fpvm/`` or ``examples/``
 imports it.  So does every public function and method: code in those
-directories names it.  Code that only tests reach (a harness, an
-oracle, a fixture, a helper) lives beside its tests in ``tests/``.  A
-module that is an entry point rather than a library, or a public
-function kept for library users, must be a deliberate addition to an
-allowlist below."""
+directories names it, a method as an attribute (``x.name``) or an
+identifier string, since a bare name is some other function.  Code
+that only tests reach (a harness, an oracle, a fixture, a helper)
+lives beside its tests in ``tests/``.  A module that is an entry point
+rather than a library, or a public function kept for library users,
+must be a deliberate addition to an allowlist below."""
 
 import ast
 from pathlib import Path
@@ -28,6 +29,11 @@ ALLOWED = {
 ALLOWED_FUNCTIONS = {
     "repro.core.vm.FPVM.detach": "the shutdown half of attach: closes the "
                                  "kernel-module handles, restores every thread's MXCSR",
+    "repro.machine.registers.RegisterFile.restore": "the copy-back half of the "
+                                                    "ucontext-style snapshot pair",
+    "repro.observability.flow.FlowRecorder.fingerprint": "the flow graph's order-independent "
+                                                         "digest for comparing runs across "
+                                                         "tiers (docs/architecture.md)",
 }
 
 
@@ -55,35 +61,44 @@ def _imports(tree: ast.AST, package: str) -> set[str]:
     return out
 
 
-def _used_names(tree: ast.AST):
-    """Every name ``tree`` uses: variables, attributes, imported names
-    and identifier-shaped strings (``getattr`` dispatch, dict keys).
-    Names inside f-strings count; comments and definitions do not."""
+def _used_names(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """``(names, attributes)`` that ``tree`` uses.  Names are variables
+    and imported names; attributes are ``x.name`` and identifier-shaped
+    strings (``getattr`` dispatch, dict keys).  Uses inside f-strings
+    count; comments and definitions do not."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
+            names.add(node.id)
         elif isinstance(node, ast.alias):
-            yield node.name.rpartition(".")[2]
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Attribute):
+            attributes.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
-            yield node.value
+            attributes.add(node.value)
+    return names, attributes
+
+
+def _has_caller(name: str, method: bool, names: set[str], attributes: set[str]) -> bool:
+    """Is the function (or, with ``method``, the method) ``name`` used?
+    A method is only ever reached through an attribute or a string."""
+    return name in attributes or (not method and name in names)
 
 
 def _public_functions(path: Path):
-    """``(qualified name, bare name)`` of each public module-level
-    function and class method in ``path``."""
+    """``(qualified name, bare name, is a method)`` of each public
+    module-level function and class method in ``path``."""
     module = _module_name(path)
     tree = ast.parse(path.read_text(), str(path))
-    scopes = [(module, tree.body)] + [
-        (f"{module}.{node.name}", node.body)
+    scopes = [(module, tree.body, False)] + [
+        (f"{module}.{node.name}", node.body, True)
         for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
-    for scope, body in scopes:
+    for scope, body, method in scopes:
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                     and not node.name.startswith("_"):
-                yield f"{scope}.{node.name}", node.name
+                yield f"{scope}.{node.name}", node.name, method
 
 
 def _caller_files():
@@ -120,13 +135,16 @@ def test_every_src_module_has_a_caller():
 
 
 def test_every_public_src_function_has_a_caller():
-    used = set()
+    names, attributes = set(), set()
     for _, path in _caller_files():
-        used.update(_used_names(ast.parse(path.read_text(), str(path))))
+        file_names, file_attributes = _used_names(ast.parse(path.read_text(), str(path)))
+        names |= file_names
+        attributes |= file_attributes
     orphans = [qualified for path in sorted(SRC.rglob("*.py"))
                if _module_name(path) not in ALLOWED
-               for qualified, name in _public_functions(path)
-               if name not in used and qualified not in ALLOWED_FUNCTIONS]
+               for qualified, name, method in _public_functions(path)
+               if not _has_caller(name, method, names, attributes)
+               and qualified not in ALLOWED_FUNCTIONS]
     assert orphans == [], (
         f"public functions only tests name (move them into tests/): {orphans}")
 
@@ -137,7 +155,7 @@ def test_allowlist_names_real_modules():
 
 
 def test_function_allowlist_names_real_functions():
-    names = {q for p in SRC.rglob("*.py") for q, _ in _public_functions(p)}
+    names = {q for p in SRC.rglob("*.py") for q, _, _ in _public_functions(p)}
     assert set(ALLOWED_FUNCTIONS) <= names
 
 
@@ -161,5 +179,13 @@ def test_guard_sees_each_use_form():
         "f'{obj.e}'\n"
         "# f\n"
         "def g(): pass\n"
-        "'not a name'\n")
-    assert set(_used_names(tree)) == {"a", "b", "obj", "c", "getattr", "d", "e"}
+        "'not a name'\n"
+        "all(obj)\n")
+    names, attributes = _used_names(tree)
+    assert names == {"a", "b", "obj", "getattr", "all"}
+    assert attributes == {"c", "d", "e"}
+    # A bare name calls a function of that name, never a method: the
+    # builtin ``all`` is no caller of a method ``all``.
+    assert _has_caller("all", False, names, attributes)
+    assert not _has_caller("all", True, names, attributes)
+    assert _has_caller("c", True, names, attributes)
