@@ -69,9 +69,9 @@ DEFAULT_SUPPORTED = frozenset(
 EMULATABLE = DEFAULT_SUPPORTED | {"movhpd", "movlpd"}
 
 #: ``step.run(context, mode)``: RUN emulates; ENTER first applies
-#: sequence termination rule (2), returning False without a side effect
-#: when no source holds a box we own; PROBE only answers that check.
-RUN, ENTER, PROBE = 0, 1, 2
+#: sequence termination rule (2) where it applies to the kind, returning
+#: False without a side effect when no source holds a box we own.
+RUN, ENTER = 0, 1
 
 
 class Emulator:
@@ -108,12 +108,6 @@ class Emulator:
     def supported(self, uop: MicroOp) -> bool:
         return uop.mnemonic in self.supported_set
 
-    def any_source_boxed(self, uop: MicroOp, context) -> bool:
-        """Termination rule (2) probe: does any FP source operand hold a
-        NaN-boxed value owned by our allocator?  False for micro-ops the
-        rule does not apply to (non-FP ops and ``cvtsi2sd``)."""
-        return uop.emu_kind in _PROBES and self.step(uop).run(context, PROBE)
-
     # --------------------------------------------------------- emulation
     def emulate(self, uop: MicroOp, context, mode: int = RUN) -> bool:
         """Emulate one micro-op; returns False if unsupported.  With
@@ -126,7 +120,7 @@ class Emulator:
             return False
         step = self.step(uop)
         try:
-            if not step.run(context, mode if uop.emu_kind in _PROBES else RUN):
+            if not step.run(context, mode):
                 return False
         except BaseException:
             if self.probe_raised:
@@ -295,7 +289,7 @@ def _if_owned(bits: str, live: str, then: list[str]) -> list[str]:
 # ------------------------------------------------------------- binding
 class _Step:
     """One micro-op bound for one VM.  ``run(context, mode)`` is its
-    generated function (modes RUN, ENTER, PROBE); ``charge`` records
+    generated function (modes RUN and ENTER); ``charge`` records
     its constant charges (``bind`` per operand, ``emul`` dispatch, the
     op's fixed altmath cost), kept as ``charge.charges``; ``writes`` is
     the static lazy-FP mask of the XMM lanes a completed run wrote.
@@ -451,14 +445,13 @@ class _Source:
                           *_indent(code, 8), "    return step", ""])
 
     def _entry(self, body, probed, window, live: str) -> list[str]:
-        """The ENTER and PROBE branch.  It reads the ``probed`` source
-        lanes in order until one holds a box we own (:func:`_if_owned`,
-        which fetches its value), and returns False if none does.
-        PROBE then returns True; ENTER runs the body
-        on the bits read so far and reads the rest, so it reads each
-        source once, except that after the first lane a GPR or memory
-        source is read again where a write to a non-XMM destination
-        could have changed it.  The owned lane's value is the fetched
+        """The ENTER branch.  It reads the ``probed`` source lanes in
+        order until one holds a box we own (:func:`_if_owned`, which
+        fetches its value), and returns False if none does; then it
+        runs the body on the bits read so far and reads the rest, so it
+        reads each source once, except that after the first lane a GPR
+        or memory source is read again where a write to a non-XMM
+        destination could have changed it.  The owned lane's value is the fetched
         one (``owned``), unless it is read again.  A probe read that
         raises under ENTER sets ``emu.probe_raised``: nothing ran, so the
         step's charges are not due."""
@@ -468,8 +461,7 @@ class _Source:
             read = [f"v{pos}{lane} = {self.read(pos, lane)}"]
             if isinstance(self.ops[pos], Mem):
                 read = ["try:", *_indent(read), "except BaseException:",
-                        f"    if mode == {ENTER}:", "        emu.probe_raised = True",
-                        "    raise"]
+                        "    emu.probe_raised = True", "    raise"]
             known = probed[:i + 1]
 
             def entered(p, l, value=False, known=known, found=(pos, lane)):
@@ -481,7 +473,6 @@ class _Source:
                 return _resolved(f"v{p}{l}", value)
             v = f"v{pos}{lane}"
             lines += [*read, *_if_owned(v, live, [
-                f"if mode == {PROBE}:", "    return True",
                 *window[0], *body(entered), *window[1], "return True"])]
         return ["if mode:", *_indent([*lines, "return False"])]
 
@@ -639,5 +630,3 @@ _KINDS = {
     "fpmov": (_move, _FP, None, None),
     "intmov": (_intmov, (False, False), None, None),
 }
-#: the kinds sequence termination rule (2) applies to.
-_PROBES = frozenset(kind for kind, spec in _KINDS.items() if spec[2] is not None)

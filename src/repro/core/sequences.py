@@ -32,7 +32,7 @@ from operator import or_
 
 from repro.core.emulator import ENTER, RUN
 from repro.errors import UnemulatableTrapError
-from repro.machine.uops import MicroOp, lower
+from repro.machine.uops import MicroOp
 
 #: A trace (emulated address sequence) seen this many times is compiled.
 TRACE_COMPILE_THRESHOLD = 8
@@ -142,33 +142,28 @@ class CompiledTrace:
     """A hot trace promoted into the compiled tier (§4.2's trace cache
     made literal), with its binding for the VM that compiled it.
 
-    ``probes`` caches per step what the interpreted loop re-derives on
-    every trap: whether the boxed-source probe applies (static:
-    FP-trap-capable and not ``cvtsi2sd``).  A trap at ``entry`` replays
-    the trace without patch lookups, supported checks or loop control;
-    the data-dependent probes still run.  Built only for trace shapes
-    whose mid-trace stops are data probes; anything else stays
-    interpreted.
+    A trap at ``entry`` replays the trace without patch lookups,
+    supported checks or loop control; the data-dependent probes of rule
+    (2) still run, inside the steps.  After a full replay the
+    interpreted walk goes on from ``end``, the recorded terminator.
 
     :meth:`SequenceEmulator._fuse` sets the binding from the VM's
     decode-cache entries: ``uops``, the entries it was fused with (None
     until fused); ``ops``, ``(run, mode)`` per step, the step's bound
-    function and ENTER where its probe runs (RUN elsewhere); ``sums``,
-    per ledger category the prefix sums of the steps' constant charges;
-    and ``marks``, the prefix ORs of the steps' lazy-FP lane masks
-    (``_Step.writes``).  ``stamp`` is the decode cache's
+    function and ENTER past the first step (a step with no probe ignores
+    the mode); ``sums``, per ledger category the prefix sums of the
+    steps' constant charges; and ``marks``, the prefix ORs of the steps'
+    lazy-FP lane masks (``_Step.writes``).  ``stamp`` is the decode cache's
     :attr:`~repro.core.decode_cache.DecodeCache.stamp` when the binding
     was last found current; while it matches, no entry changed.
     """
 
-    __slots__ = ("entry", "addrs", "probes", "end", "uops", "ops", "sums", "marks",
-                 "stamp")
+    __slots__ = ("entry", "addrs", "end", "uops", "ops", "sums", "marks", "stamp")
 
-    def __init__(self, addrs: tuple[int, ...], probes: tuple[bool, ...], end: int) -> None:
+    def __init__(self, addrs: tuple[int, ...], end: int) -> None:
         self.entry = addrs[0]
         #: the emulated addresses, in trace order.
         self.addrs = addrs
-        self.probes = probes
         #: address of the recorded terminator (first non-emulated instr).
         self.end = end
         self.uops = self.ops = self.sums = self.marks = self.stamp = None
@@ -231,18 +226,19 @@ class SequenceEmulator:
             self._epoch = seq
         trace = compiled.get(addr)
         if trace is None:
-            return self._interpret(context, addr, [])
+            return self._interpret(context, addr)
         cache = vm.decode_cache
         if trace.stamp != cache.stamp:
             if cache.resident(trace.addrs) != trace.uops and not self._fuse(trace):
-                return self._interpret(context, addr, [])
+                return self._interpret(context, addr)
             trace.stamp = cache.stamp
         return self._replay(trace, context)
 
-    def _interpret(self, context, addr: int, emulated: list[int]) -> int:
-        """The interpreted emulate-until-termination loop.  ``emulated``
-        carries the prefix already executed by a compiled trace whose
-        recorded terminator turned out not to stop this time.
+    def _interpret(self, context, addr: int, prefix: tuple[int, ...] = ()) -> int:
+        """The interpreted emulate-until-termination loop.  ``prefix``
+        holds the addresses a fully replayed compiled trace emulated;
+        ``addr`` is then its recorded terminator, which the walk checks
+        against both rules like any instruction past the first.
 
         Each instruction's bound step runs directly, as in the fused
         replay, and every exit (a stop, a raising fetch or step) settles
@@ -251,7 +247,10 @@ class SequenceEmulator:
         hits are served inline and charged together, the steps' value
         flow settles and their lane marks and count land once, and a
         raising step still owes its constant charges unless its probe
-        read raised."""
+        read raised.  Entered at a trace's end, it charges one more
+        decode-cache hit once the terminator's step is charged: a second
+        fetch of the terminator, the compiled tier's known over-count
+        (docs/architecture.md)."""
         vm = self.vm
         by_addr, patches = vm.program.by_addr, vm.program.patches
         emulator = vm.emulator
@@ -261,7 +260,9 @@ class SequenceEmulator:
         terminator = ""
         reason = "single"
         hits = marks = done = 0
-        step = None  # the step running, while it runs
+        emulated = []
+        mode = ENTER if prefix else RUN  # rule (2) applies past the trap's first instruction
+        step = None  # the step running; once raised, one that ran past its probe
         try:
             while True:
                 if addr not in by_addr:
@@ -275,22 +276,26 @@ class SequenceEmulator:
                     hits += 1
                 else:  # a miss, or a corrupt entry for the lookup to refuse
                     instr = self._fetch(addr)
-                if instr.mnemonic not in supported or emulated and addr in patches:
-                    if not emulated:
+                # Rule (1).  A patched instruction carries a correctness
+                # hook that emulation would skip: hand it back to the CPU.
+                if instr.mnemonic not in supported or mode and addr in patches:
+                    if not mode:
                         raise UnemulatableTrapError(
                             f"faulting instruction {instr} at {addr:#x} is not emulatable")
                     terminator, reason = instr.mnemonic, "unsupported"
                     break
                 step = steps.get(instr) or emulator.step(instr)
-                # Past the first, one ENTER run applies rule (2) and emulates.
-                if not step.run(context, ENTER if emulated else RUN):
+                # With ENTER, one run applies rule (2) and emulates.
+                if not step.run(context, mode):
                     terminator, reason = instr.mnemonic, "no_boxed_source"
+                    step = None
                     break
                 step.charge()
                 marks |= step.writes
                 step = None
                 done += 1
                 emulated.append(addr)
+                mode = ENTER
                 addr += instr.size
                 if single:
                     nxt = by_addr.get(addr)
@@ -300,6 +305,7 @@ class SequenceEmulator:
             if step is not None:
                 if emulator.probe_raised:
                     emulator.probe_raised = False
+                    step = None
                 else:
                     step.charge()
             raise
@@ -308,12 +314,14 @@ class SequenceEmulator:
             if marks:
                 context.mark(marks)
             telemetry = vm.telemetry
+            if prefix and (done or step is not None):
+                hits += 1  # ROADMAP 1(c): the terminator's second fetch, kept
             if hits:
                 vm.ledger.charge("decache", vm.costs.decode_cache_hit * hits)
                 telemetry.decode_hits += hits
             telemetry.emulated_instructions += done
 
-        self._finish(tuple(emulated), terminator, reason)
+        self._finish(prefix + tuple(emulated), terminator, reason)
         return addr
 
     # ------------------------------------------------- compiled tier
@@ -327,8 +335,7 @@ class SequenceEmulator:
                 return False
         steps = [emulator.step(uop) for uop in uops]
         trace.uops = uops
-        trace.ops = tuple((step.run, ENTER if probe and i else RUN)
-                          for i, (step, probe) in enumerate(zip(steps, trace.probes)))
+        trace.ops = tuple((step.run, ENTER if i else RUN) for i, step in enumerate(steps))
         columns: dict[str, list[int]] = {}
         for i, step in enumerate(steps, 1):
             for category, cycles in step.charge.charges:
@@ -340,7 +347,8 @@ class SequenceEmulator:
     def _replay(self, trace: CompiledTrace, context) -> int:
         """The fused replay; every exit (early probe stop, full run, a
         raising probe or body) settles what fetching and emulating the
-        steps one at a time would charge."""
+        steps one at a time would charge.  After a full run the
+        interpreted walk goes on from the recorded terminator."""
         emulator = self.vm.emulator
         k = 0              # steps emulated
         started = False    # step k raised past its probe: its charges are due
@@ -373,18 +381,7 @@ class SequenceEmulator:
         if k < len(trace.addrs):  # data-dependent early stop
             self._finish(trace.addrs[:k], trace.uops[k].mnemonic, "no_boxed_source")
             return trace.addrs[k]
-        return self._terminate(trace, context)
-
-    def _terminate(self, trace: CompiledTrace, context) -> int:
-        """Every step ran: fetch and check the recorded terminator."""
-        term = self._fetch(trace.end)
-        stop, why = self._should_stop(term, context)
-        if stop:
-            self._finish(trace.addrs, term.mnemonic, why)
-            return trace.end
-        # It no longer stops (its sources became boxed): interpret on,
-        # fetching it again — a known over-count (docs/architecture.md).
-        return self._interpret(context, trace.end, list(trace.addrs))
+        return self._interpret(context, trace.end, trace.addrs)
 
     def _finish(self, addrs: tuple[int, ...], terminator: str, reason: str) -> None:
         """Shared sequence epilogue: telemetry, statistics, and the
@@ -400,13 +397,8 @@ class SequenceEmulator:
 
     def _compile(self, addrs: tuple[int, ...]) -> None:
         vm = self.vm
-        by_addr = vm.program.by_addr
-        probes = []
-        for addr in addrs:
-            uop = lower(by_addr[addr])
-            probes.append(uop.fp_trap_capable and uop.mnemonic != "cvtsi2sd")
-        end = addrs[-1] + by_addr[addrs[-1]].size
-        self.compiled[addrs[0]] = CompiledTrace(addrs, tuple(probes), end)
+        last = vm.program.by_addr[addrs[-1]]
+        self.compiled[addrs[0]] = CompiledTrace(addrs, last.addr + last.size)
         vm.telemetry.compiled_traces += 1
         del self._heat[addrs]
 
@@ -424,18 +416,3 @@ class SequenceEmulator:
         vm.telemetry.decode_misses += 1
         raw = vm.program.raw_bytes_at(addr)
         return vm.decode_cache.decode_miss(addr, raw)
-
-    def _should_stop(self, instr: MicroOp, context) -> tuple[bool, str]:
-        if self._unsupported(instr):
-            return True, "unsupported"
-        if (instr.fp_trap_capable and instr.mnemonic != "cvtsi2sd"
-                and not self.vm.emulator.any_source_boxed(instr, context)):
-            return True, "no_boxed_source"
-        return False, ""
-
-    def _unsupported(self, instr: MicroOp) -> bool:
-        """Termination rule (1).  Patched instructions carry correctness
-        hooks that emulation would silently skip: always hand them back
-        to the CPU."""
-        vm = self.vm
-        return instr.addr in vm.program.patches or not vm.emulator.supported(instr)

@@ -128,25 +128,3 @@ class RegisterFile:
     def write_xmm128(self, xid: int, lo: int, hi: int) -> None:
         self.xmm[xid][0] = lo & U64
         self.xmm[xid][1] = hi & U64
-
-    def snapshot(self) -> dict:
-        """A ucontext-style snapshot that :meth:`restore` copies back
-        (re-attach after fork and the round-trip tests)."""
-        return {
-            "gpr": list(self.gpr),
-            "xmm": [list(lanes) for lanes in self.xmm],
-            "rip": self.rip,
-            "flags": self.flags.copy(),
-            "mxcsr": self.mxcsr,
-            "fp_dirty": self.fp_dirty,
-            "fp_live": self.fp_live,
-        }
-
-    def restore(self, snap: dict) -> None:
-        self.gpr = list(snap["gpr"])
-        self.xmm = [list(lanes) for lanes in snap["xmm"]]
-        self.rip = snap["rip"]
-        self.flags = snap["flags"].copy()
-        self.mxcsr = snap["mxcsr"]
-        self.fp_dirty = snap["fp_dirty"]
-        self.fp_live = snap["fp_live"]

@@ -980,11 +980,11 @@ class UopEngine:
         Retire accounting is deferred: ``runs`` counts full body runs
         per block, and ``i`` micro-ops of the in-flight body ``cur``
         have retired.  :meth:`_settle` charges them before
-        ``cpu.step()`` or a trap delivery (whose in-flight prefix
-        :meth:`_deliver_xf` retires), before a tail that may run
-        host code (see :func:`_pure_tail`), at quantum exit, and in the
-        ``finally`` when an exception escapes, so every observer of the
-        counters sees single-stepping's values.  Between those points only body
+        ``cpu.step()`` or a trap delivery (the trapping body's prefix
+        included), before a tail that may run host code (see
+        :func:`_pure_tail`), at quantum exit, and in the ``finally``
+        when an exception escapes, so every observer of the counters
+        sees single-stepping's values.  Between those points only body
         functions and pure tails run; they touch architectural state
         alone (tails bump the counters themselves, which is
         order-independent integer addition).
@@ -1047,8 +1047,8 @@ class UopEngine:
                         i += 1
                     retired += i
                     if i < k:             # a #XF Trap; i < k <= avail
-                        if runs:
-                            settle(runs)
+                        if runs or i:
+                            settle(runs, block, i)
                         cur = None
                         retired += 1
                         self._deliver_xf(block, i, out)
@@ -1084,25 +1084,16 @@ class UopEngine:
         return retired
 
     def _deliver_xf(self, block: Superblock, i: int, trap) -> None:
-        """Deliver the #XF body function ``i`` of ``block`` returned after
-        retiring the ``i`` before it and doing what ``cpu._exec_fp`` does
-        before its own delivery: mark the trapped instruction's lanes
-        (the handler emulates into them) and count the trap."""
+        """Deliver the #XF body function ``i`` of ``block`` returned, the
+        ``i`` before it retired (:meth:`_settle`), doing what
+        ``cpu._exec_fp`` does before its own delivery: mark the trapped
+        instruction's lanes (the handler emulates into them) and count
+        the trap."""
         cpu = self.cpu
-        stats = self.stats
-        stats.fp_trap_exits += 1
-        if i:
-            cycles = block.prefix_cost[i]
-            cpu.cycles += cycles
-            cpu.work_cycles += cycles
-            cpu.instruction_count += i
-            stats.uops_retired += i
-            rbc = cpu.retired_by_class
-            for uop in block.uops[:i]:
-                rbc[uop.opclass] += 1
-        # Lanes written imply an FP touch, and the trap touches FP anyway.
+        self.stats.fp_trap_exits += 1
+        # The trap touches FP state.
         cpu.fp_quantum_touched = True
-        cpu.regs.fp_dirty |= block.prefix_fp[i] | block.uops[i].xmm_writes
+        cpu.regs.fp_dirty |= block.uops[i].xmm_writes
         cpu.fp_trap_count += 1
         cpu._deliver(trap)
 

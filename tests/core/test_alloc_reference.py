@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core import nanbox
 from repro.core.alloc import FLAT, LIST, BoxAllocator
+from repro.core.emulator import ENTER
 from repro.core.vm import FPVM, FPVMConfig
 from repro.errors import BoxHeapExhaustedError, BoxValueError
 from repro.fpu import bits as B
@@ -238,9 +239,11 @@ def test_flat_store_refuses_a_nan():
     ("boxed_ieee", False), ("boxed_ieee", True), ("mpfr", False), ("mpfr", True)],
     ids=["plain", "flow", "list-plain", "list-flow"])
 def test_inline_ownership_matches_owns(altmath, flow, monkeypatch):
-    """``resolve`` unboxes, and the rule-(2) probe stops on, exactly the
-    patterns ``owns`` accepts: live boxes, sign-flipped or not, but no
-    freed, misaligned, below-``base`` or past-the-top pointer."""
+    """``resolve`` unboxes, and the rule-(2) probe of a step entered
+    through it (a ``ucomisd``, which allocates nothing) lets through,
+    exactly the patterns ``owns`` accepts: live boxes, sign-flipped or
+    not, but no freed, misaligned, below-``base`` or past-the-top
+    pointer."""
     noted = []
     monkeypatch.setattr(FlowRecorder, "note_source", lambda self, ptr: noted.append(ptr))
     cpu = CPU(assemble("main:\n  hlt\n"))
@@ -251,7 +254,8 @@ def test_inline_ownership_matches_owns(altmath, flow, monkeypatch):
     # ±0, ±inf, a subnormal and a normal; the odd ones survive.
     ptrs = [heap.alloc(vm.altmath.promote(B.float_to_bits(x))) for x in FLOATS[:6]]
     heap.collect(cpu, reg_roots=[nanbox.box_bits(p) for p in ptrs[1::2]])
-    add = lower(Instruction("addsd", (Xmm("xmm0"), Xmm("xmm1")), addr=0x40_1000, size=4))
+    compare = lower(Instruction("ucomisd", (Xmm("xmm0"), Xmm("xmm1")), addr=0x40_1000,
+                                size=4))
     ctx = SignalContext(cpu, live=True)
     emulator = vm.emulator
     top = HEAP_BASE + 16 * len(ptrs)
@@ -269,7 +273,8 @@ def test_inline_ownership_matches_owns(altmath, flow, monkeypatch):
             assert vm.telemetry.promotions - promotions == (not owned), hex(ptr)
             assert noted == ([ptr] if owned and flow else [])
             ctx.xmm[0][0], ctx.xmm[1][0] = B.float_to_bits(1.0), bits
-            assert emulator.any_source_boxed(add, ctx) == owned, hex(ptr)
+            assert emulator.step(compare).run(ctx, ENTER) == owned, hex(ptr)
+            emulator.settle()
 
 
 def test_box_footprint():

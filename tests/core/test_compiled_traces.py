@@ -22,6 +22,7 @@ from repro.machine.assembler import assemble
 from repro.machine.cpu import CPU
 from repro.machine.hostlib import install_host_library
 from repro.machine.memory import PAGE_SIZE, PROT_WRITE
+from tests.core.reference_sequences import any_source_boxed, rule2_applies, stepwise_interpret
 
 
 # A tight loop whose emulated trace is identical every iteration, so
@@ -84,7 +85,7 @@ class TestPromotion:
         assert t.compiled_trace_hits > 0
         assert vm.sequencer.compiled
         trace = next(iter(vm.sequencer.compiled.values()))
-        assert len(trace.addrs) == len(trace.probes) >= 2
+        assert len(trace.addrs) >= 2
         assert trace.uops is not None  # fused on replay
 
     def test_trace_below_threshold_stays_interpreted(self):
@@ -332,6 +333,45 @@ HEAP_LANES_SRC = HEAP_SRC.replace("""
 """)
 assert HEAP_LANES_SRC != HEAP_SRC
 
+# The compiled trace [ucomisd, movsd] allocates nothing; its recorded
+# terminator, the mulsd, finds a box in ``slot`` on every other lap,
+# runs on and parks its product in ``buf``.  With a small box heap the
+# terminator's allocation fails once the parked boxes fill it.
+TERMINATOR_HEAP_SRC = """
+.data
+a: .double 0.1
+c: .double 0.5
+two: .double 2.0
+n: .quad 40
+slot: .double 2.0
+buf: .space 512
+.text
+main:
+  mov rcx, [rip + n]
+  lea rbx, [rip + buf]
+  movsd xmm0, [rip + a]
+  addsd xmm0, [rip + c]
+top:
+  ucomisd xmm0, [rip + a]
+  movsd xmm2, [rip + c]
+  mulsd xmm2, [rip + slot]
+  movsd [rbx], xmm2
+  add rbx, 8
+  dec rcx
+  test rcx, 1
+  je even
+  movsd xmm5, [rip + two]
+  movsd [rip + slot], xmm5
+  jmp next
+even:
+  movsd [rip + slot], xmm0
+next:
+  test rcx, rcx
+  jne top
+  call print_f64
+  hlt
+"""
+
 # Each lap parks a box where the next lap's mulsd reads it; xmm1 is
 # plain, so the mulsd's probe reads that memory.  The lap whose slot
 # lies in the write-only page (``_unreadable_slot``) faults in the
@@ -375,6 +415,8 @@ EXIT_CASES = {
     "box_heap_exhausted_own_lanes": (HEAP_LANES_SRC, _SMALL_HEAP, "raise",
                                      BoxHeapExhaustedError),
     "probe_read_faults": (PROBE_FAULT_SRC, {}, "raise", MemoryFault),
+    "terminator_raises": (TERMINATOR_HEAP_SRC, _SMALL_HEAP, "terminator_raises",
+                          BoxHeapExhaustedError),
 }
 #: case -> what to do to the CPU before it runs.
 PREPARE = {"probe_read_faults": _unreadable_slot}
@@ -382,20 +424,21 @@ PREPARE = {"probe_read_faults": _unreadable_slot}
 
 def _run_stepwise(self, trace, context) -> int:
     """The replay the fused one stands for (``SequenceEmulator._replay``
-    under test): one decode-cache fetch and emulation at a time."""
+    under test): one decode-cache fetch and emulation at a time, rule
+    (2) checked apart from the step, and after a full run the step-wise
+    walk from the recorded terminator."""
     vm = self.vm
-    emulator = vm.emulator
     vm.telemetry.compiled_trace_hits += 1
     emulated: list[int] = []
-    for addr, probe in zip(trace.addrs, trace.probes):
+    for addr in trace.addrs:
         uop = self._fetch(addr)
-        if emulated and probe and not emulator.any_source_boxed(uop, context):
+        if emulated and rule2_applies(uop) and not any_source_boxed(vm, uop, context):
             # Data-dependent early stop, same as interpreted.
             self._finish(tuple(emulated), uop.mnemonic, "no_boxed_source")
             return addr
-        emulator.emulate(uop, context)
+        vm.emulator.emulate(uop, context)
         emulated.append(addr)
-    return self._terminate(trace, context)
+    return stepwise_interpret(self, context, trace.end, trace.addrs)
 
 
 def _observe(source: str, config: FPVMConfig, error, *, stepwise: bool = False,
@@ -404,13 +447,16 @@ def _observe(source: str, config: FPVMConfig, error, *, stepwise: bool = False,
     simulation accounts (cycles, ledger, telemetry, decode-cache LRU
     order, flow digest), the lazy-FP state (dirty and live masks, each
     trap's ``written_xmm``) and the final register banks, and the fused
-    exits taken.  ``stepwise`` replays every compiled trace through
-    :func:`_run_stepwise` instead; ``prepare(cpu)`` runs before the
-    guest."""
+    exits taken: an early stop, a stop at the recorded terminator, a
+    walk past it, a raise in the trace, or a raise at the terminator
+    the walk entered (no instruction done).  ``stepwise`` replays every
+    compiled trace through :func:`_run_stepwise` instead;
+    ``prepare(cpu)`` runs before the guest."""
     exits = []
     written = []
     replay = SequenceEmulator._replay
     handle = SequenceEmulator.handle_fp_trap
+    interpret = SequenceEmulator._interpret
 
     def written_spy(self, context, trap):
         # Read after the sequence, raising or not: a trap whose body
@@ -427,6 +473,15 @@ def _observe(source: str, config: FPVMConfig, error, *, stepwise: bool = False,
                      else "early" if resume in trace.addrs else "past")
         return resume
 
+    def walk_spy(self, context, addr, prefix=()):
+        done = self.vm.telemetry.emulated_instructions
+        try:
+            return interpret(self, context, addr, prefix)
+        except BaseException:
+            if prefix and self.vm.telemetry.emulated_instructions == done:
+                exits[-1] = "terminator_raises"
+            raise
+
     with monkeypatch.context() as m:
         m.setattr(SequenceEmulator, "handle_fp_trap", written_spy)
         if stepwise:
@@ -434,6 +489,7 @@ def _observe(source: str, config: FPVMConfig, error, *, stepwise: bool = False,
             m.setattr(SequenceEmulator, "_replay", _run_stepwise)
         else:
             m.setattr(SequenceEmulator, "_replay", spy)
+            m.setattr(SequenceEmulator, "_interpret", walk_spy)
         prog = assemble(source)
         install_host_library(prog)
         cpu = CPU(prog, uops=uops)

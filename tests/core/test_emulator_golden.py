@@ -13,14 +13,15 @@ instruction at a time, against ``emulator_golden.json``:
   subnormals, and two mixes of a box with plain operands.
 
 Each case records the boxed-source probe (result and the memory reads
-it makes), then ``emulate``'s return value, every register, flag and
-memory word it changed, the observed memory traffic in order,
-``written_xmm``, the lazy-FP dirty marks, the ledger and telemetry
-deltas, and the values of the boxes it allocated.  The test replays
-every case in live and frame contexts, with flow provenance off and
-on; flow-on runs also match the recorded flow-graph fingerprint.  Every
-case whose probe finds a box of ours also runs with ENTER, which must
-leave what the RUN record holds.
+it makes; the generated ENTER branch, run on a twin of the case up to
+where it would enter the body), then ``emulate``'s return value,
+every register, flag and memory word it changed, the observed memory
+traffic in order, ``written_xmm``, the lazy-FP dirty marks, the ledger
+and telemetry deltas, and the values of the boxes it allocated.  The
+test replays every case in live and frame contexts, with flow
+provenance off and on; flow-on runs also match the recorded flow-graph
+fingerprint.  Every case whose probe finds a box of ours also runs
+with ENTER, which must leave what the RUN record holds.
 
 The fixture holds one digest of the records per ``"mnemonic shape"``
 (and one of the flow fingerprints).  Regenerate it only when emulator
@@ -56,6 +57,7 @@ from repro.machine.assembler import assemble
 from repro.machine.cpu import CPU
 from repro.machine.isa import GPR_IDS, OPCODES, RSP, Imm, Instruction, Mem, Reg, Xmm
 from repro.machine.uops import lower
+from tests.core.reference_sequences import rule2_applies
 
 FIXTURE = Path(__file__).with_name("emulator_golden.json")
 
@@ -187,6 +189,26 @@ class Case:
         self.context = SignalContext(cpu, live=live)
         self.live = live
         self.mode = mode
+        self.cell = (mnemonic, shape, cls, live)
+
+    def probe(self) -> tuple[bool, list]:
+        """Rule (2)'s probe: does it find a box of ours, and the memory
+        reads it makes.  The generated ENTER branch runs on a twin of
+        this case that records flow, whose step opens the op window
+        (``begin_op``) where the body starts; that call raises."""
+        if not rule2_applies(self.uop):
+            return False, []
+        twin = Case(*self.cell, flow=True)
+        emulator = twin.vm.emulator
+        emulator.env["begin_op"] = _enter_body
+        before = twin._accounting()
+        try:
+            found = emulator.step(twin.uop).run(twin.context, ENTER)
+            assert not found
+        except _BodyEntered:
+            found = True
+        assert twin._accounting() == before, "the probe charged or counted"
+        return found, twin.events
 
     # ------------------------------------------------------------ snapshots
     def _state(self) -> dict:
@@ -224,10 +246,7 @@ class Case:
         vm, ctx = self.vm, self.context
         state0 = self._state()
         acct0 = self._accounting()
-        probe = vm.emulator.any_source_boxed(self.uop, ctx)
-        probe_events = list(self.events)
-        self.events.clear()
-        assert self._accounting() == acct0, "the probe charged or counted"
+        probe, probe_events = self.probe()
         if vm.flow is not None:
             vm.flow.begin_trap(TEXT_ADDR, "invalid")
         ret = vm.emulator.emulate(self.uop, ctx, self.mode)
@@ -281,6 +300,14 @@ class Case:
         if vm.flow is not None:
             out["flow"] = json.loads(json.dumps(vm.flow.fingerprint()))
         return out
+
+
+class _BodyEntered(Exception):
+    pass
+
+
+def _enter_body(addr: int) -> None:
+    raise _BodyEntered
 
 
 def run_case(mnemonic, shape, cls, live=True, flow=False, mode=RUN) -> dict:

@@ -1,5 +1,6 @@
 """The interpreted walk (``SequenceEmulator._interpret``) against the
-step-wise reference :func:`_stepwise_interpret`, the walk that fetches
+step-wise reference ``stepwise_interpret`` in
+``tests/core/reference_sequences.py``, the walk that fetches
 (``_fetch``) and emulates (``Emulator.emulate``) one instruction at a
 time and so charges, settles, marks and counts each one as it goes.
 
@@ -12,14 +13,13 @@ cover each way a walk ends: a rule-(2) stop, an unsupported terminator,
 running off the end of text, an unemulatable first instruction,
 sequence emulation off, a step that raises mid-walk (a memory fault, a
 full box heap), a probe read that faults under ENTER, decode misses
-mid-walk, a corrupt decode-cache entry mid-walk, and the walk a compiled trace hands over to when its recorded
-terminator no longer stops."""
+mid-walk, a corrupt decode-cache entry mid-walk, and the walk a
+compiled trace hands its recorded terminator to."""
 
 import hashlib
 
 import pytest
 
-from repro.core.emulator import ENTER, RUN
 from repro.core.sequences import SequenceEmulator
 from repro.core.telemetry import snapshot
 from repro.core.vm import FPVM, FPVMConfig
@@ -36,6 +36,7 @@ from repro.machine.cpu import CPU
 from repro.machine.hostlib import install_host_library
 from repro.machine.memory import PAGE_SHIFT, PAGE_SIZE, PROT_READ
 from repro.machine.program import MAGIC_PAGE_ADDR
+from tests.core.reference_sequences import stepwise_interpret
 from tests.core.test_compiled_traces import (
     EARLY_STOP_SRC,
     HEAP_LANES_SRC,
@@ -45,40 +46,6 @@ from tests.core.test_compiled_traces import (
     _unreadable_slot,
 )
 from tests.core.test_sequences import RUN_OFF_TEXT_SRC
-
-
-def _stepwise_interpret(self, context, addr: int, emulated: list[int]) -> int:
-    """The interpreted emulate-until-termination loop, one fetch and
-    one ``emulate`` per instruction."""
-    vm = self.vm
-    by_addr = vm.program.by_addr
-    terminator = ""
-    reason = "single"
-
-    while True:
-        if addr not in by_addr:
-            reason = "no_instruction"
-            break
-        instr = self._fetch(addr)
-        if emulated and self._unsupported(instr):
-            terminator, reason = instr.mnemonic, "unsupported"
-            break
-        if not vm.emulator.emulate(instr, context, ENTER if emulated else RUN):
-            if not emulated:
-                raise UnemulatableTrapError(
-                    f"faulting instruction {instr} at {addr:#x} is not emulatable")
-            terminator, reason = instr.mnemonic, "no_boxed_source"
-            break
-        emulated.append(addr)
-        addr += instr.size
-        if not vm.config.sequence_emulation:
-            nxt = vm.program.by_addr.get(addr)
-            terminator = nxt.mnemonic if nxt is not None else ""
-            reason = "single"
-            break
-
-    self._finish(tuple(emulated), terminator, reason)
-    return addr
 
 
 # Each lap stores a box 128 bytes further into ``buf``; the lap whose
@@ -188,7 +155,7 @@ def _observe(source, config, error, prepare, *, reference, uops, monkeypatch):
 
     with monkeypatch.context() as m:
         if reference:
-            m.setattr(SequenceEmulator, "_interpret", _stepwise_interpret)
+            m.setattr(SequenceEmulator, "_interpret", stepwise_interpret)
         m.setattr(SequenceEmulator, "handle_fp_trap", spy)
         prog = assemble(source)
         install_host_library(prog)
@@ -235,14 +202,16 @@ def test_walk_matches_stepwise(case, monkeypatch):
 
 
 def test_walk_after_a_compiled_trace_matches_stepwise(hot_traces, monkeypatch):
-    """A compiled trace whose recorded terminator no longer stops hands
-    its emulated prefix to the walk, which goes on from the terminator."""
+    """A fully replayed compiled trace hands its emulated prefix to the
+    walk, which starts at the recorded terminator: it stops there or
+    goes on.  The reference fetches and checks the terminator itself,
+    then walks on from it step by step."""
     handed = []
     interpret = SequenceEmulator._interpret
 
-    def spy(self, context, addr, emulated):
-        handed.append(bool(emulated))
-        return interpret(self, context, addr, emulated)
+    def spy(self, context, addr, prefix=()):
+        handed.append(bool(prefix))
+        return interpret(self, context, addr, prefix)
     monkeypatch.setattr(SequenceEmulator, "_interpret", spy)
     source = TERMINATOR_SRC
     walk = _observe(source, FPVMConfig.seq_short(), None, None, reference=False, uops=None,

@@ -10,14 +10,14 @@ every trap and wrapper call (a fused replay that raises mid-trace, an
 early probe stop, a libm wrapper, single-instruction NONE traps) the
 CPU's cycles and the ledger must equal the reference's."""
 
-import sys
+from collections import Counter
 
 import pytest
 
 import repro.core.emulator as emulator_mod
 import repro.core.wrappers as wrappers_mod
 from repro.core import nanbox
-from repro.core.emulator import Emulator
+from repro.core.emulator import RUN
 from repro.core.sequences import SequenceEmulator
 from repro.core.telemetry import snapshot
 from repro.core.vm import FPVMConfig
@@ -25,6 +25,7 @@ from repro.errors import BoxHeapExhaustedError, UnemulatableTrapError
 from repro.fpu import bits as B
 from repro.harness.configs import named_configs
 from repro.harness.runner import run_fpvm as run_workload, run_fpvm_process
+from tests.core import reference_sequences as reference
 from tests.core.test_compiled_traces import EARLY_STOP_SRC, HEAP_LANES_SRC
 from tests.core.test_compiled_traces import run_fpvm as run_source
 
@@ -149,11 +150,16 @@ def test_single_instruction_traps(monkeypatch):
     _check(lambda: run_workload("fbench", FPVMConfig.none(), scale=2), monkeypatch, "trap")
 
 
-def _probe_then_emulate(self, context, addr, emulated):
+def _probe_then_emulate(self, context, addr, prefix=()):
     """The interpreted walk reading each rule-(2) step's sources twice:
-    the boxed-source probe inside ``_should_stop``, then ``emulate``."""
+    the reference's own boxed-source check inside ``should_stop``, then
+    ``emulate``.  Entered at a compiled trace's end, it fetches and
+    checks the terminator first, then walks on from it."""
     vm = self.vm
     by_addr = vm.program.by_addr
+    if prefix and reference.terminator_stops(self, context, addr, prefix):
+        return addr
+    emulated = list(prefix)
     terminator, reason = "", "single"
     while True:
         if addr not in by_addr:
@@ -161,7 +167,7 @@ def _probe_then_emulate(self, context, addr, emulated):
             break
         instr = self._fetch(addr)
         if emulated:
-            stop, why = self._should_stop(instr, context)
+            stop, why = reference.should_stop(vm, instr, context)
             if stop:
                 terminator, reason = instr.mnemonic, why
                 break
@@ -210,19 +216,44 @@ def _trap_trail(run, monkeypatch, *, reference: bool) -> list:
 ])
 def test_interpreted_walk_enters_once(name, run, monkeypatch):
     """The interpreted walk runs each step past the first as one ENTER
-    run: no boxed-source probe comes from it, and after every trap the
+    run: no bound step runs twice in one trap, and after every trap the
     cycles, ledger, telemetry and trace statistics equal the walk that
-    probes and then emulates."""
-    callers = []
-    probe = Emulator.any_source_boxed
+    probes (the reference's own rule-(2) check) and then emulates."""
+    runs = Counter()
+    most = []
+    bind = emulator_mod.bind
 
-    def spy(self, uop, context):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return probe(self, uop, context)
-    monkeypatch.setattr(Emulator, "any_source_boxed", spy)
+    def counting_bind(uop, vm):
+        step = bind(uop, vm)
+        run_step = step.run
+
+        def counted(context, mode=RUN):
+            runs[uop] += 1
+            return run_step(context, mode)
+        step.run = counted
+        return step
+
+    handle = SequenceEmulator.handle_fp_trap
+
+    def per_trap(self, context, trap):
+        runs.clear()
+        try:
+            return handle(self, context, trap)
+        finally:
+            most.append(max(runs.values(), default=0))
+
+    probes = []
+    check = reference.any_source_boxed
+
+    def probe_spy(vm, uop, context):
+        probes.append(uop)
+        return check(vm, uop, context)
+    monkeypatch.setattr(emulator_mod, "bind", counting_bind)
+    monkeypatch.setattr(SequenceEmulator, "handle_fp_trap", per_trap)
+    monkeypatch.setattr(reference, "any_source_boxed", probe_spy)
     entered = _trap_trail(run, monkeypatch, reference=False)
-    assert "_interpret" not in callers
-    reference = _trap_trail(run, monkeypatch, reference=True)
-    assert "_should_stop" in callers
+    assert not probes and max(most) == 1
+    checked = _trap_trail(run, monkeypatch, reference=True)
+    assert probes
     assert len(entered) > 3
-    assert entered == reference
+    assert entered == checked

@@ -7,6 +7,7 @@ build it here."""
 
 from repro.machine.memory import _Page
 from repro.machine.process import Process
+from tests.machine.snapshots import restore, snapshot
 
 
 def fork(parent: Process) -> Process:
@@ -24,7 +25,7 @@ def fork(parent: Process) -> Process:
                  for pno, page in parent.mem._pages.items())
     # Post-fork threads must not collide with stacks carved pre-fork.
     child._next_stack = parent._next_stack
-    child.main.regs.restore(parent.main.regs.snapshot())
+    restore(child.main.regs, snapshot(parent.main.regs))
     # FP ownership travels with the forking thread; the dirty/live lane
     # masks come across inside the register snapshot.
     if parent.fp_owner is parent.main:

@@ -22,6 +22,7 @@ from repro.machine.isa import (
     Reg,
     Xmm,
 )
+from tests.machine.snapshots import restore, snapshot
 
 U64 = 0xFFFF_FFFF_FFFF_FFFF
 
@@ -184,9 +185,9 @@ class TestRegisterSnapshotProperty:
         live lane masks — survives snapshot() -> restore() intact."""
         from repro.machine.registers import RegisterFile
 
-        snap = regs.snapshot()
+        snap = snapshot(regs)
         other = RegisterFile()
-        other.restore(snap)
+        restore(other, snap)
         assert other.gpr == regs.gpr
         assert other.xmm == regs.xmm
         assert other.rip == regs.rip
@@ -200,7 +201,7 @@ class TestRegisterSnapshotProperty:
     def test_snapshot_is_isolated(self, regs):
         """Mutating the restored file must not write through into the
         snapshot (the frame-mode handler contract)."""
-        snap = regs.snapshot()
+        snap = snapshot(regs)
         regs.write_gpr(0, (regs.gpr[0] + 1) & U64)
         regs.write_xmm_lane(5, 1, regs.xmm[5][1] ^ U64)
         regs.flags.zf = not regs.flags.zf
@@ -221,7 +222,7 @@ class TestRegisterSnapshotProperty:
         from .forking import fork
 
         parent = Process(assemble("main:\n  hlt\n"))
-        parent.main.regs.restore(regs.snapshot())
+        restore(parent.main.regs, snapshot(regs))
         if owned:
             parent.fp_owner = parent.main
         child = fork(parent)

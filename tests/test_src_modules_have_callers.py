@@ -29,8 +29,6 @@ ALLOWED = {
 ALLOWED_FUNCTIONS = {
     "repro.core.vm.FPVM.detach": "the shutdown half of attach: closes the "
                                  "kernel-module handles, restores every thread's MXCSR",
-    "repro.machine.registers.RegisterFile.restore": "the copy-back half of the "
-                                                    "ucontext-style snapshot pair",
     "repro.observability.flow.FlowRecorder.fingerprint": "the flow graph's order-independent "
                                                          "digest for comparing runs across "
                                                          "tiers (docs/architecture.md)",
