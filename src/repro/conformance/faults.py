@@ -417,7 +417,7 @@ def stale_block_patch() -> FaultOutcome:
     scout.kernel = LinuxKernel()
     scout.run(max_steps=MAX_STEPS)
     k = scout.instruction_count // 2
-    inside = {a for blk in scout._sb_cache.view(scout).values()
+    inside = {a for blk in scout._sb_cache.blocks.values()
               for a in range(blk.entry + 1, blk.end)
               if a in scout.program.by_addr}
     counter = CPU(build_program("lorenz", 60), uops=False)

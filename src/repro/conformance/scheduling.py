@@ -132,9 +132,13 @@ PROGRAMS = {
 
 #: label -> FPVMConfig factory, or None for a bare (unvirtualized)
 #: process.  The tier is the Process's, so every mode runs on each.
+#: ``none`` delivers every trap as a signal, whose sigreturn hands the
+#: frame's register lists to the thread, so a micro-op function must
+#: read the running thread's lists at each call.
 ATTACH_MODES = {
     "native": None,
     "seq_short": FPVMConfig.seq_short,
+    "none": FPVMConfig.none,
 }
 
 

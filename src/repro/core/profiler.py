@@ -18,9 +18,11 @@ thread runs in 32-step round-robin quanta, as the scheduler would; one
 that provably cannot (:func:`may_spawn`) runs its only thread in one
 dispatch of the same budget, rounded up to whole quanta, so the engine
 builds whole superblocks instead of slicing one at every quantum edge.
-RIP moves only after an instruction's memory traffic, and a bind-time
-``CPU.probe`` unwinds the stack after exactly the micro-op functions
-that move ``rsp`` (and the single-step fallback).
+RIP moves only after an instruction's memory traffic.  One bind-time
+probe per process (``SuperblockCache.probe``) wraps exactly the
+micro-op functions that move ``rsp`` (and the single-step fallback);
+every thread runs the same blocks, so a wrapper unwinds the stack of
+the thread it is called with.
 """
 
 from __future__ import annotations
@@ -117,23 +119,22 @@ class MemoryEscapeProfiler:
         self._floors[tid] = rsp
 
     def _attach(self, process, thread) -> None:
-        """Install the unwind probe on ``thread`` before it first runs."""
-        regs = thread.regs
-        tid = thread.tid
+        """Start ``thread``'s stack floor before it first runs."""
+        self._floors[thread.tid] = thread.regs.gpr[7]
+
+    def _probe(self, uop, fn):
+        """The unwinding wrapper of ``fn(cpu)``, or ``fn`` itself when
+        ``uop`` cannot move ``rsp``."""
+        if uop is not None and uop.mnemonic not in _STACK_MNEMONICS \
+                and _RSP not in uop.operands:
+            return fn
         unwind = self._unwind_stack
-        self._floors[tid] = regs.gpr[7]
 
-        def probe(uop, fn):
-            if uop is not None and uop.mnemonic not in _STACK_MNEMONICS \
-                    and _RSP not in uop.operands:
-                return fn
-
-            def unwinding():
-                out = fn()
-                unwind(tid, regs.gpr[7])
-                return out
-            return unwinding
-        thread.probe = probe
+        def unwinding(cpu):
+            out = fn(cpu)
+            unwind(cpu.tid, cpu.regs.gpr[7])
+            return out
+        return unwinding
 
     # --------------------------------------------------------------- run
     def run(self, max_steps: int = 50_000_000) -> ProfileResult:
@@ -151,6 +152,7 @@ class MemoryEscapeProfiler:
 
         process = Process(self.program)
         process.mem.observers.append(self._observe)
+        process.sb_cache.probe = self._probe
         self._attach(process, process.main)
         process.on_thread_spawn.append(self._attach)
         if may_spawn(self.program):

@@ -156,8 +156,6 @@ class CPU:
         #: mirror for all threads) before the engine is created; left
         #: None, the engine creates a private one on first use.
         self._sb_cache = None
-        #: the §5.1 profiler's bind-time seam (see ``UopEngine``).
-        self.probe = None
         self._uop_engine = None
 
     # --------------------------------------------------------------- setup

@@ -53,12 +53,12 @@ class Process:
         main = CPU(program, self.costs, max_instructions, uops=uops)
         main.tid = 0
         main.process = self
-        #: the process-wide superblock cache: one object — one cursor
-        #: into ``Program.patch_events`` — shared by every thread CPU,
-        #: so a patch made by any thread invalidates every thread's
-        #: blocks *covering that site* in one sync while
-        #: unrelated warm state survives.  Installed on each CPU
-        #: before its engine exists (engines capture it at creation).
+        #: the process-wide superblock cache: one set of blocks and one
+        #: cursor into ``Program.patch_events``, shared by every thread
+        #: CPU, so a patch made by any thread drops the blocks *covering
+        #: that site* in one sync while unrelated warm state survives.
+        #: Installed on each CPU before its engine exists (engines
+        #: capture it at creation).
         self.sb_cache = SuperblockCache()
         main._sb_cache = self.sb_cache
         self.threads: list[CPU] = [main]

@@ -4,8 +4,9 @@ The seed interpreter re-resolves operands and re-dispatches through
 instance methods on every simulated step.  This module lowers each
 :class:`~repro.machine.isa.Instruction` once into a :class:`MicroOp`
 (static metadata shared by every consumer: CPU, decode cache, emulator,
-sequence engine) and binds, per CPU, one execute function per micro-op,
-generated from text keyed by its operand shape.  Straight-
+sequence engine) and binds, once per process, one execute function per
+micro-op, generated from text keyed by its operand shape; the function
+takes the running thread's CPU at call time.  Straight-
 line runs of micro-ops are strung into cached :class:`Superblock`\\ s
 keyed by entry address; the block cache tracks the program's
 ``patch_events`` log and invalidates *per site* — only blocks whose
@@ -45,12 +46,11 @@ quantum, or an exception on its way out.  At a quantum's
 budget edge the engine retires a body's fitting *prefix* — every
 function is one seed step and leaves RIP correct, so the next quantum
 resumes mid-block, in a block sliced out of the covering block's
-bound functions rather than bound again.  Block caches live in one
-per-process :class:`SuperblockCache` shared by every thread; when
+bound functions rather than bound again.  Blocks live in one
+per-process :class:`SuperblockCache` and every thread runs them; when
 ``patch_seq`` moves the cache drops exactly the blocks covering the
-changed sites — cross-thread and cross-guest — and everything else
-stays warm.  ``CPU.run`` is a loop over quanta of the
-remaining step limit.
+changed sites and everything else stays warm.  ``CPU.run`` is a loop
+over quanta of the remaining step limit.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ class MicroOp:
     """One lowered instruction: all static metadata pre-resolved.
 
     A MicroOp is CPU-independent (shared across ``Program.copy()``
-    images); per-CPU execute functions are bound by the engine via
+    images); per-process execute functions are bound by the engine via
     :func:`bind_exec` / :func:`bind_control`.
     """
 
@@ -217,10 +217,12 @@ def _s64(v: int) -> int:
 # A micro-op binds into one function generated from text keyed by its
 # mnemonic and operand shape (``codegen.scan``): register ids,
 # displacements, immediates, ``uop.end`` and the FP evaluators are its
-# defaults, with the CPU, its registers, its memory and the page dict.
-# The text loads ``regs.gpr``/``regs.xmm`` per call (``restore()``
-# replaces the lists) and serves an 8-byte access inside one mapped
-# page with the needed prot bit through ``struct`` on the page; every
+# defaults, with the process's memory and page dict.  It is called with
+# the running thread's CPU and loads ``cpu.regs`` and ``regs.gpr``/
+# ``regs.xmm`` per call (sigreturn replaces the lists), so every thread
+# of the process runs the same function.  The text serves an 8-byte
+# access inside one mapped page with the needed prot bit through
+# ``struct`` on the page; every
 # other access (first touch of an unmapped page, a page straddle, a
 # protection fault, another size) goes to the ``Memory`` method, and
 # the stack accesses of push, pop, call and ret to ``read_u64``/
@@ -228,8 +230,8 @@ def _s64(v: int) -> int:
 # notified after the access, with the arguments the methods pass.
 _Q = struct.Struct("<Q")
 
-#: names every micro-op function may take from its CPU.
-_CPU_NAMES = ("cpu", "regs", "mem", "pages", "rbc")
+#: the process state every micro-op function may take as defaults.
+_SHARED_NAMES = ("mem", "pages")
 
 #: module globals of the generated code; ``Trap``/``XF`` join on the
 #: first compile (cpu.py imports this module).
@@ -271,10 +273,10 @@ class _Refused(Exception):
     """The micro-op's shape has no function: its step runs ``cpu.step()``."""
 
 
-def bind_exec(uop: MicroOp, cpu):
-    """Bind a body-execute function for this CPU, or None if the
-    micro-op cannot run inside a superblock body (control/sys/odd
-    shapes).
+def bind_exec(uop: MicroOp, mem):
+    """Bind a body-execute function ``fn(cpu)`` over the process memory
+    ``mem``, or None if the micro-op cannot run inside a superblock body
+    (control/sys/odd shapes).  Any thread of the process may call it.
 
     Contract: executes the instruction exactly like the seed handler
     (same reads, same write order, RIP set at the end) and returns None
@@ -298,12 +300,12 @@ def bind_exec(uop: MicroOp, cpu):
                          lambda: _source(_exec_text, uop, params), _GLOBALS, "<micro-op>")
     if make is None:
         return None
-    mem = cpu.mem
-    return make(cpu, cpu.regs, mem, mem._pages, cpu.retired_by_class, **params)
+    return make(mem, mem._pages, **params)
 
 
-def bind_control(uop: MicroOp, cpu):
-    """Bind a tail function for a control-flow micro-op.  Tails perform
+def bind_control(uop: MicroOp, mem, program):
+    """Bind a tail function ``tail(cpu)`` for a control-flow micro-op of
+    ``program`` over the process memory ``mem``.  Tails perform
     their own retire accounting (cost/count/class), mirroring the seed's
     handler-then-retire order exactly — in particular a host function
     body runs *before* the call instruction retires."""
@@ -315,22 +317,21 @@ def bind_control(uop: MicroOp, cpu):
     mn = uop.mnemonic
     params.update(end=uop.end, cost=uop.cost)
     if shape and shape[0] == "L":
-        params.update(prog=cpu.program, name=ops[0].name)
+        params.update(prog=program, name=ops[0].name)
     if mn == "call":
-        params["hosts"] = cpu.program.host_functions
+        params["hosts"] = program.host_functions
     elif mn in CONDITION_CODES:
         params["cond"] = CONDITION_CODES[mn]
     make = codegen.maker(_MAKERS, (mn, *shape),
                          lambda: _source(_control_text, uop, params), _GLOBALS, "<micro-op>")
     if make is None:
         return None
-    mem = cpu.mem
-    return make(cpu, cpu.regs, mem, mem._pages, cpu.retired_by_class, **params)
+    return make(mem, mem._pages, **params)
 
 
 def _source(build, uop: MicroOp, params: dict) -> str | None:
-    """Text of ``make(cpu, regs, mem, pages, rbc, **params)``, which
-    returns the micro-op's function; None when ``build`` refuses the
+    """Text of ``make(mem, pages, **params)``, which returns the
+    micro-op's function ``run(cpu)``; None when ``build`` refuses the
     shape.  The text depends only on the key: ``build`` reads operand
     kinds and memory forms, never their values."""
     if "Trap" not in _GLOBALS:
@@ -342,13 +343,14 @@ def _source(build, uop: MicroOp, params: dict) -> str | None:
     except _Refused:
         return None
     body = "\n".join(text.lines)
-    code = [f"{name} = regs.{name}" for name in codegen.used(body, ("gpr", "xmm"))]
-    code += text.lines
+    code = ["regs = cpu.regs",
+            *(f"{name} = regs.{name}" for name in codegen.used(body, ("gpr", "xmm"))),
+            *text.lines]
     # Only the names the text reads are defaults: no cell per value,
     # and the fastest lookup.
-    names = codegen.used("\n".join(code), (*_CPU_NAMES, *params))
-    return "\n".join([f"def make({', '.join((*_CPU_NAMES, *params))}):",
-                      f"    def run({', '.join(f'{n}={n}' for n in names)}):",
+    names = codegen.used(body, (*_SHARED_NAMES, *params))
+    return "\n".join([f"def make({', '.join((*_SHARED_NAMES, *params))}):",
+                      f"    def run({', '.join(('cpu', *(f'{n}={n}' for n in names)))}):",
                       *("        " + line for line in code), "    return run", ""])
 
 
@@ -710,7 +712,7 @@ def _control_text(t: _Text, uop: MicroOp) -> None:
         else:
             raise _Refused
     t.emit("cpu.cycles += cost", "cpu.work_cycles += cost", "cpu.instruction_count += 1",
-           "rbc[CONTROL] += 1")
+           "cpu.retired_by_class[CONTROL] += 1")
 
 
 def _pure_tail(uop: MicroOp, prog) -> bool:
@@ -786,37 +788,40 @@ class SuperblockCache:
     thread CPU of a :class:`~repro.machine.process.Process` (a
     standalone CPU owns a private one).
 
-    Superblock bodies are functions bound over one CPU's registers and
-    memory, so the blocks themselves cannot be shared across
-    threads; what *is* shared is the invalidation state.  ``epoch`` is
-    the cache's cursor into ``Program.patch_events`` (numerically equal
-    to the last ``patch_seq`` processed, which keeps the historic name
-    honest): when the program's sequence moves, :meth:`sync` walks only
-    the *new* suffix of patched addresses and drops exactly the
-    superblocks whose ``[entry, end)`` covers a changed site.  Every
-    thread's unrelated blocks survive, turning a patch from a
-    process-wide cache flush into a local event.  The per-site walk is
-    still cross-thread sound: a patch made by thread A drops thread B's
-    covering blocks in the same sync, exactly like the old wholesale
-    flush.  The sequence emulator's compiled traces are not kept here:
+    Superblock functions are bound over the process's memory and take
+    the running thread's CPU as their argument, so one block serves
+    every thread: a block one thread built, another runs unchanged,
+    entering it or resuming in its middle.  ``epoch`` is the cache's
+    cursor into ``Program.patch_events`` (numerically equal to the last
+    ``patch_seq`` processed, which keeps the historic name honest):
+    when the program's sequence moves, :meth:`sync` walks only the
+    *new* suffix of patched addresses and drops exactly the
+    superblocks whose ``[entry, end)`` covers a changed site, whichever
+    thread patched it; the unrelated blocks survive, turning a patch
+    from a process-wide cache flush into a local event.  The sequence
+    emulator's compiled traces are not kept here:
     :class:`~repro.core.sequences.SequenceEmulator` owns them and their
     invalidation.
     """
 
-    __slots__ = ("views", "epoch", "capacity", "cached_blocks",
+    __slots__ = ("blocks", "inner", "probe", "epoch", "capacity",
                  "invalidations", "evictions",
                  "invalidated_blocks", "survived_blocks")
 
-    #: the patch cursor, a setting and a gauge: not counts.
-    UNMERGED = ("epoch", "capacity", "cached_blocks")
+    #: the patch cursor and a setting: not counts.
+    UNMERGED = ("epoch", "capacity")
 
     def __init__(self, capacity: int = 4096) -> None:
-        #: id(cpu) -> {entry: Superblock} — cleared in place, never
-        #: rebound, because engines hold direct references.
-        self.views: dict[int, dict[int, Superblock]] = {}
+        #: entry -> Superblock, cleared in place.
+        self.blocks: dict[int, Superblock] = {}
+        #: address -> entry of the newest block covering it: retains no block.
+        self.inner: dict[int, int] = {}
+        #: ``probe(uop, fn)`` wraps each function at bind time
+        #: (``uop=None``: the single step); the §5.1 profiler's seam,
+        #: set before any thread runs.
+        self.probe = None
         self.epoch: int | None = None
         self.capacity = capacity
-        self.cached_blocks = 0
         #: syncs that actually dropped blocks (per-site, so a patch
         #: with no covering block does not count).
         self.invalidations = 0
@@ -825,21 +830,10 @@ class SuperblockCache:
         #: superblocks dropped because their range covered a patched
         #: site (cumulative across syncs).
         self.invalidated_blocks = 0
-        #: superblocks that survived a per-site sync (summed per sync —
-        #: under the old epoch scheme this was identically zero).
+        #: the process's superblocks left after each per-site sync,
+        #: summed over syncs (under the old epoch scheme this was
+        #: identically zero).
         self.survived_blocks = 0
-
-    def view(self, cpu) -> dict[int, Superblock]:
-        """The per-thread entry->Superblock map for ``cpu``.  Keyed by
-        ``id(cpu)``: a cache's views belong to one standalone CPU or to
-        the threads of one Process, whose ``threads`` list keeps them
-        all alive, so no two of them can share an address."""
-        return self.views.setdefault(id(cpu), {})
-
-    def _drop_all(self) -> None:
-        for view in self.views.values():
-            view.clear()
-        self.cached_blocks = 0
 
     def sync(self, program) -> bool:
         """Advance the cursor over ``program.patch_events`` and drop
@@ -855,25 +849,23 @@ class SuperblockCache:
         return bool(sites) and self._invalidate_sites(sites)
 
     def _invalidate_sites(self, sites: set) -> bool:
-        """Per-site invalidation across every thread/guest view."""
-        dropped_any = False
-        for view in self.views.values():
-            for blk in list(view.values()):
-                if any(blk.entry <= a < blk.end for a in sites):
-                    del view[blk.entry]
-                    self.cached_blocks -= 1
-                    self.invalidated_blocks += 1
-                    dropped_any = True
-            self.survived_blocks += len(view)
-        if dropped_any:
+        """Drop the blocks covering a site in ``sites``."""
+        blocks = self.blocks
+        dropped = [e for e, blk in blocks.items()
+                   if any(blk.entry <= a < blk.end for a in sites)]
+        for entry in dropped:
+            del blocks[entry]
+        self.invalidated_blocks += len(dropped)
+        self.survived_blocks += len(blocks)
+        if dropped:
             self.invalidations += 1
-        return dropped_any
+        return bool(dropped)
 
     def evict_all(self) -> None:
         """Drop everything to bound the cache (counts as an eviction,
         not an invalidation)."""
         self.evictions += 1
-        self._drop_all()
+        self.blocks.clear()
 
 
 def shared_cache(cpu) -> SuperblockCache:
@@ -921,37 +913,29 @@ class UopEngine:
     wherever no block can be built, and in-place delivery of the #XF
     traps FP functions decide.
 
-    Block storage lives in the CPU's :class:`SuperblockCache` (shared
-    by every thread of a process); the engine holds that cache's
-    per-thread view."""
+    Blocks live in the CPU's :class:`SuperblockCache`, shared by every
+    thread of a process: the engine runs them with its CPU and counts
+    the blocks and functions it builds into it."""
 
     def __init__(self, cpu) -> None:
         self.cpu = cpu
-        cache = shared_cache(cpu)
-        self.cache = cache
-        #: this CPU's entry -> Superblock view of the shared cache.
-        #: The cache clears it *in place*, so this reference never
-        #: goes stale across invalidations.
-        self._blocks = cache.view(cpu)
-        #: address -> entry of the newest block covering it: retains no block.
-        self._inner: dict[int, int] = {}
-        #: wraps functions at bind time (``uop=None``: the single step).
-        self._probe = probe = cpu.probe
-        self._step = cpu.step if probe is None else probe(None, cpu.step)
+        self.cache = cache = shared_cache(cpu)
+        step = type(cpu).step
+        #: ``step(cpu)``: the single step, through the cache's probe.
+        self._step = step if cache.probe is None else cache.probe(None, step)
         self.stats = UopStats()
 
     def close(self) -> None:
-        """Drop the references back to the CPU (``Process.close``);
+        """Drop the reference back to the CPU (``Process.close``);
         ``stats`` stays readable and the engine does not run again."""
-        self.cpu = self._step = self._probe = None
+        self.cpu = None
 
     def _new_block(self, entry: int) -> Superblock:
         cache = self.cache
-        if cache.cached_blocks >= cache.capacity:
+        if len(cache.blocks) >= cache.capacity:
             cache.evict_all()
         block = self._build(entry)
-        self._blocks[entry] = block
-        cache.cached_blocks += 1
+        cache.blocks[entry] = block
         self.stats.blocks_built += 1
         return block
 
@@ -994,7 +978,7 @@ class UopEngine:
         prog = cpu.program
         patches = prog.patches
         cache = self.cache
-        blocks = self._blocks
+        blocks = cache.blocks
         stats = self.stats
         step = self._step
         settle = self._settle
@@ -1022,7 +1006,7 @@ class UopEngine:
                         or regs.mxcsr & _RC_FIELD):
                     if runs:
                         settle(runs)
-                    step()
+                    step(cpu)
                     retired += 1
                     stats.single_steps += 1
                     continue
@@ -1041,7 +1025,7 @@ class UopEngine:
                     cur = block
                     i = 0
                     for fn in (block.body if k == n else block.body[:k]):
-                        out = fn()
+                        out = fn(cpu)
                         if out is not None:
                             break
                         i += 1
@@ -1067,13 +1051,13 @@ class UopEngine:
                     # No runnable block (sys/unmapped/odd shape): seed step.
                     if runs:
                         settle(runs)
-                    step()
+                    step(cpu)
                     retired += 1
                     stats.single_steps += 1
                     continue
                 if not block.pure_tail:
                     settle(runs)
-                tail()
+                tail(cpu)
                 retired += 1
                 tails += 1
         finally:
@@ -1144,12 +1128,14 @@ class UopEngine:
         """A block at ``entry``, shaped as a fresh build, that slices
         stretches a live block covers out of its bound functions."""
         cpu = self.cpu
+        mem = cpu.mem
         prog = cpu.program
         by_addr = prog.by_addr
         patches = prog.patches
-        probe = self._probe
-        blocks = self._blocks
-        inner = self._inner
+        cache = self.cache
+        probe = cache.probe
+        blocks = cache.blocks
+        inner = cache.inner
         body = []
         uops = []
         tail = None
@@ -1181,7 +1167,7 @@ class UopEngine:
             uop = lower(instr)
             cls = uop.opclass
             if cls is OpClass.CONTROL:
-                tail = bind_control(uop, cpu)
+                tail = bind_control(uop, mem, prog)
                 if tail is not None:
                     if probe is not None:
                         tail = probe(uop, tail)
@@ -1191,7 +1177,7 @@ class UopEngine:
                 break
             if cls is OpClass.SYS:
                 break
-            fn = bind_exec(uop, cpu)
+            fn = bind_exec(uop, mem)
             if fn is None:
                 break
             body.append(fn if probe is None else probe(uop, fn))

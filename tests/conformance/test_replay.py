@@ -98,14 +98,14 @@ def _corrupt_mul(monkeypatch):
     corruption."""
     orig = uops.bind_exec
 
-    def bad_bind(uop, cpu):
-        fn = orig(uop, cpu)
+    def bad_bind(uop, mem):
+        fn = orig(uop, mem)
         if fn is None or uop.mnemonic != "mulsd":
             return fn
         xid = uop.operands[0].id
 
-        def bad_mul():
-            r = fn()
+        def bad_mul(cpu):
+            r = fn(cpu)
             if r is None:               # retired (not SLOW, not a Trap)
                 cpu.regs.xmm[xid][0] ^= 1
             return r

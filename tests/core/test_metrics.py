@@ -85,7 +85,7 @@ def test_shared_cache_counters_reported_once():
         for t in list(proc.threads):
             t.run_quantum(64)
     prog, cache = proc.main.program, proc.sb_cache
-    entries = sorted({e for view in cache.views.values() for e in view})[:5]
+    entries = sorted(cache.blocks)[:5]
     live = [t for t in proc.threads if not (t.halted or t.blocked)]
     assert len(entries) == 5 and len(live) >= 2
     for first in live[:2]:

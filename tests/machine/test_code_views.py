@@ -165,20 +165,20 @@ class TestPerSiteInvalidation:
         """Satellite 2: no-op patch operations are not patch events and
         must leave every cached artifact alone."""
         prog, cpu, cache = self._warm_cpu()
-        blocks = cache.cached_blocks
+        blocks = len(cache.blocks)
         assert blocks > 0
         seq0, inv0 = prog.patch_seq, cache.invalidations
         prog.unpatch(prog.entry)          # nothing patched there
         prog.clear_patches()              # no patches at all
         assert prog.patch_seq == seq0
         assert cache.sync(prog) is False
-        assert cache.cached_blocks == blocks
+        assert len(cache.blocks) == blocks
         assert cache.invalidations == inv0
         assert cache.invalidated_blocks == 0
 
     def test_unrelated_blocks_survive_patch(self):
         prog, cpu, cache = self._warm_cpu()
-        view = cache.view(cpu)
+        view = cache.blocks
         nblocks = len(view)
         assert nblocks >= 2
         target = next(b.entry for b in view.values() if b.end > b.entry)
@@ -196,7 +196,7 @@ class TestPerSiteInvalidation:
         cpu.kernel = LinuxKernel()
         cpu.run()
         cache = cpu._sb_cache
-        view = cache.view(cpu)
+        view = cache.blocks
         assert view
         site = prog.symbols["cold"]
         covered = [(b.entry, b.end) for b in view.values()]

@@ -116,26 +116,26 @@ RBX, RAX = GPR_IDS["rbx"], GPR_IDS["rax"]
 
 def _bind(mem: Memory) -> tuple:
     """The micro-op function of each ``GENERATED`` access over ``mem``
-    and the registers they share."""
+    and the CPU whose registers they run on."""
     prog = assemble("main:\n" + "".join(f"  {line}\n" for line in GENERATED.values()))
     cpu = CPU(prog)
-    cpu.mem = mem
-    fns = {key: bind_exec(lower(instr), cpu)
+    fns = {key: bind_exec(lower(instr), mem)
            for key, instr in zip(GENERATED, prog.instructions)}
-    return cpu.regs, fns
+    return cpu, fns
 
 
 def _fast(mem: Memory, bound, op):
     path, store, addr, size, fp, value = op
     if path == "generated":
-        regs, fns = bound
+        cpu, fns = bound
+        regs = cpu.regs
         regs.gpr[RBX] = addr
         if store:
             if fp:
                 regs.xmm[0][0] = value
             else:
                 regs.gpr[RAX] = value
-        fns[fp, store]()
+        fns[fp, store](cpu)
         if not store:
             return regs.xmm[0][0] if fp else regs.gpr[RAX]
         return None

@@ -314,7 +314,7 @@ class TestSuperblockInvalidation:
         # (Block entries are patch-checked by the engine loop itself, so
         # only a body address truly exercises the epoch flush.)
         engine = cpu._uop_engine
-        entry_block = engine._blocks.get(prog.entry)
+        entry_block = engine.cache.blocks.get(prog.entry)
         assert entry_block is not None and entry_block.n_body >= 2
         first = prog.by_addr[prog.entry]
         target = first.addr + first.size  # second instruction

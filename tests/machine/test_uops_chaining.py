@@ -388,31 +388,34 @@ class TestSlicing:
     """A block missed inside a live block's range reuses that block's
     bound closures instead of binding the instructions again."""
 
-    def test_each_address_bound_once_per_view(self, monkeypatch):
-        """Quantum 32 ends most dispatches mid-block on enzo; every
-        resume must slice, so a patch-free run binds each instruction
-        at most once per thread."""
+    def test_each_address_bound_once_per_process(self, monkeypatch):
+        """Quantum 32 ends most dispatches mid-block; every resume must
+        slice, so a patch-free run binds each instruction
+        at most once per process, however many threads run it
+        (mixed_mt's workers share their loops)."""
         from repro.workloads import get_workload
 
         seen = []
-        for name in ("bind_exec", "bind_control"):
-            real = getattr(uops, name)
+        for bind in ("bind_exec", "bind_control"):
+            real = getattr(uops, bind)
 
-            def spy(uop, cpu, real=real):
-                fn = real(uop, cpu)
+            def spy(uop, *args, real=real):
+                fn = real(uop, *args)
                 if fn is not None:
-                    seen.append((cpu.tid, uop.addr))
+                    seen.append(uop.addr)
                 return fn
-            monkeypatch.setattr(uops, name, spy)
+            monkeypatch.setattr(uops, bind, spy)
 
-        w = get_workload("enzo")
-        program = w.build_program(w.quick_scale or w.default_scale)
-        proc = Process(program)
-        proc.run(quantum=32)
-        stats = proc.main.uop_stats
-        assert stats.partial_block_runs > 100
-        assert len(seen) == len(set(seen)) == stats.uops_bound
-        assert stats.uops_bound <= len(program.instructions)
+        for name in ("enzo", "mixed_mt"):
+            seen.clear()
+            w = get_workload(name)
+            program = w.build_program(w.quick_scale or w.default_scale)
+            proc = Process(program)
+            proc.run(quantum=32)
+            bound = sum(t.uop_stats.uops_bound for t in proc.threads)
+            assert sum(t.uop_stats.partial_block_runs for t in proc.threads) > 100
+            assert len(seen) == len(set(seen)) == bound
+            assert bound <= len(program.instructions)
 
     def test_patch_drops_parent_and_suffixes_and_rebinds(self):
         prog = _program(LOOP_SRC)
@@ -422,11 +425,11 @@ class TestSlicing:
         main, top = prog.symbols["main"], prog.symbols["top"]
         cpu.run_quantum(2)                       # mid-block budget edge
         resume = cpu.regs.rip
-        parent = engine._blocks[main]
+        parent = engine.cache.blocks[main]
         bound = st.uops_bound
         assert bound == parent.n_body + 1        # body + the jne tail
         cpu.run_quantum(10)                      # resume, then jne -> top
-        suffixes = [engine._blocks[resume], engine._blocks[top]]
+        suffixes = [engine.cache.blocks[resume], engine.cache.blocks[top]]
         assert st.uops_bound == bound            # sliced, not rebound
         for s in suffixes:
             assert s.body == parent.body[-s.n_body:] and s.tail is parent.tail
@@ -437,12 +440,12 @@ class TestSlicing:
         prog.patch_call(subsd, tramp)
         cpu.run_quantum(12)
         assert tramp.calls > 0
-        live = list(engine._blocks.values())
+        live = list(engine.cache.blocks.values())
         assert all(b is not parent and b not in suffixes for b in live)
         assert engine.cache.invalidated_blocks >= 1 + len(suffixes)
 
         # Past the site, the resume at ``dec`` binds fresh closures.
-        fresh = engine._blocks[dec.addr]
+        fresh = engine.cache.blocks[dec.addr]
         assert st.uops_bound > bound
         assert fresh.body[0] is not parent.body[parent.uops.index(dec)]
         assert fresh.tail is not parent.tail
@@ -457,11 +460,11 @@ class TestSlicing:
             cpu.run_quantum(3)                   # slices at every resume
         # Blocks take no weakrefs; their closures do, and only blocks
         # hold them.
-        refs = [weakref.ref(fn) for b in engine._blocks.values()
+        refs = [weakref.ref(fn) for b in engine.cache.blocks.values()
                 for fn in (*b.body, b.tail) if fn is not None]
-        assert len(refs) > 2 and engine._inner
+        assert len(refs) > 2 and engine.cache.inner
         engine.cache.evict_all()
         gc.collect()
         assert all(r() is None for r in refs)
         assert not any(isinstance(v, uops.Superblock)
-                       for v in engine._inner.values())
+                       for v in engine.cache.inner.values())

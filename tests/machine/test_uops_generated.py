@@ -86,7 +86,7 @@ def _shapes():
                 uop = uops.lower(prog.by_addr[prog.entry])
             except (AssemblerError, AttributeError):
                 continue  # rejected, or not lowered (an XMM-writing op into memory)
-            if uops.bind_exec(uop, CPU(prog)) is not None:
+            if uops.bind_exec(uop, CPU(prog).mem) is not None:
                 out.append((text, prog))
     for target in ("far", "rdx"):
         for mn in ("jmp", "jne", "jb", "call"):
@@ -169,9 +169,9 @@ def _observed(cpu, events, outcome, control: bool) -> dict:
     return out
 
 
-def _run(fn):
+def _run(fn, cpu):
     try:
-        return ("ok", fn())
+        return ("ok", fn(cpu))
     except MemoryFault:
         return ("fault", MemoryFault)
 
@@ -190,19 +190,21 @@ def test_generated_matches_interpreter(mxcsr):
         control = uop.opclass is OpClass.CONTROL
         for seed, edge in ((1, False), (2, True)):
             got_cpu = _state(prog, edge, MXCSR[mxcsr], seed, "chained")
-            bind = uops.bind_control if control else uops.bind_exec
-            fn = bind(uop, got_cpu)
+            if control:
+                fn = uops.bind_control(uop, got_cpu.mem, prog)
+            else:
+                fn = uops.bind_exec(uop, got_cpu.mem)
             assert fn.__code__.co_filename == "<micro-op>"
             got_events, want_events = [], []
             # Attached after binding: the function must still see it.
             got_cpu.mem.observers.append(lambda *ev: got_events.append(ev))
-            got = _run(fn)
+            got = _run(fn, got_cpu)
             if got[0] == "ok":
                 got = ("ok", _trap_fields(got[1]))
 
             want_cpu = _state(prog, edge, MXCSR[mxcsr], seed, "interp")
             want_cpu.mem.observers.append(lambda *ev: want_events.append(ev))
-            want = _run(want_cpu.step)
+            want = _run(CPU.step, want_cpu)
             if want[0] == "ok":
                 traps = want_cpu.kernel.traps
                 want = ("ok", _trap_fields(traps[0]) if traps else None)
@@ -241,7 +243,7 @@ def test_maker_table_stays_small():
 
 #: bytes a bound micro-op retained on enzo@6 under SEQ_SHORT/mpfr when
 #: each was a web of nested closures (1,292), and the ceiling for the
-#: generated function, half of it; it measured 255.
+#: generated function, half of it; it measures about 237.
 CLOSURE_BYTES = 1292
 MAX_BYTES = CLOSURE_BYTES // 2
 
@@ -254,9 +256,9 @@ def test_bound_uop_size():
     sizes = []
     bind = uops.bind_exec
 
-    def measured(uop, cpu):
+    def measured(uop, mem):
         before = tracemalloc.get_traced_memory()[0]
-        fn = bind(uop, cpu)
+        fn = bind(uop, mem)
         if fn is not None:
             sizes.append(tracemalloc.get_traced_memory()[0] - before)
         return fn

@@ -3,7 +3,7 @@ archive.  Each int or ``Counter`` field of ``Telemetry``, ``UopStats``,
 ``SchedulerStats`` and ``SuperblockCache`` must appear in
 ``export.result_to_dict(...)["metrics"]`` and be diffed by
 ``compare_runs``, so a new counter can never drop out of a hand-written
-list.  The only fields left out are the settings and gauges below; a new
+list.  The only fields left out are the settings below; a new
 exemption must be a deliberate addition here."""
 
 import copy
@@ -20,9 +20,8 @@ from repro.machine.uops import SuperblockCache, UopStats
 HOLDERS = {"fpvm": Telemetry, "uop": UopStats, "sched": SchedulerStats,
            "sbcache": SuperblockCache}
 
-#: settings and gauges: not counts, so never merged or exported.
-EXEMPT = {"sched.quantum", "sbcache.epoch", "sbcache.capacity",
-          "sbcache.cached_blocks"}
+#: settings: not counts, so never merged or exported.
+EXEMPT = {"sched.quantum", "sbcache.epoch", "sbcache.capacity"}
 
 
 def _counter_fields() -> list[str]:
