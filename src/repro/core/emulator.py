@@ -33,11 +33,10 @@ from repro.errors import BoxHeapExhaustedError, ConfigError, MachineError
 from repro.fpu import bits as B
 from repro.fpu.ieee import UCOMI_EQUAL, UCOMI_GREATER, UCOMI_LESS, UCOMI_UNORDERED
 from repro.machine import codegen
-from repro.machine.isa import Mem, Reg, Xmm
-from repro.machine.uops import CMP_TABLES, MicroOp
+from repro.machine.isa import OpClass, Xmm
+from repro.machine.uops import CMP_TABLES, MicroOp, fp_mov_text, int_mov_text
 
 U64 = 0xFFFF_FFFF_FFFF_FFFF
-RSP = 7
 
 #: Instructions the emulator can decode, bind and emulate (§4.2's
 #: "about 40 move opcodes" plus the arithmetic core and cmpxx family).
@@ -307,15 +306,18 @@ def bind(uop: MicroOp, vm):
     """Bind one micro-op for one VM into a :class:`_Step`."""
     build, fp, probe, cost = _KINDS[uop.emu_kind]
     ops = uop.operands
-    gen = _Source(ops, fp)
-    lanes, body = build(uop, gen)
+    shape, params = codegen.scan(ops)
+    if ops and shape[0] in ("i", "l", "L"):
+        params["w0"] = f"cannot write operand {ops[0]!r}"
+    writes, body = build(uop, params)
     flow = vm.flow is not None
     if flow:
-        gen.params["addr"] = uop.addr
+        params["addr"] = uop.addr
     store = vm.allocator.store
-    key = (uop.mnemonic, flow, store.kind, *gen.shape)
-    make = codegen.maker(_MAKERS, key, lambda: gen.source(body, probe, range(uop.lanes), flow,
-                                                          store.test("box")),
+    key = (uop.mnemonic, flow, store.kind, *shape)
+    make = codegen.maker(_MAKERS, key, lambda: _source(ops, params, body, fp, probe,
+                                                       range(uop.lanes), flow,
+                                                       store.test("box")),
                          _GLOBALS, "<emulator step>")
     costs = vm.costs
     charges = [("bind", costs.bind_per_operand * max(len(ops), 1)),
@@ -324,8 +326,14 @@ def bind(uop: MicroOp, vm):
         altmath = vm.altmath.costs
         unit = altmath.op(uop.ieee) if cost == "op" else getattr(altmath, cost)
         charges.append(("altmath", unit * uop.lanes))
-    return _Step(make(vm.emulator.env, **gen.params), vm.ledger.charger(*charges),
-                 _lanes_mask(ops[0], lanes) if ops else 0)
+    run = _declined if make is None else make(vm.emulator.env, **params)
+    return _Step(run, vm.ledger.charger(*charges), writes)
+
+
+def _declined(ctx, mode=RUN) -> bool:
+    """A shape the move text refuses: left to the CPU, like an
+    unsupported instruction."""
+    return False
 
 
 def _lanes_mask(op, lanes) -> int:
@@ -352,7 +360,7 @@ def _cannot_write(message: str, value) -> None:
 
 #: Module globals of the generated code.
 _GLOBALS = {
-    "U64": U64, "RSP": RSP, "SIGN": B.F64_SIGN_MASK, "_cannot_write": _cannot_write,
+    **codegen.GLOBALS, "SIGN": B.F64_SIGN_MASK, "_cannot_write": _cannot_write,
     "SIG_MASK": nanbox._PATTERN_MASK, "SIG": nanbox._PATTERN,
     "UNSIGNED": _UNSIGNED, "TOP": _TOP, "FREE": FREE, "PTR_MASK": nanbox.NANBOX_PTR_MASK,
     "QNAN": B.CANONICAL_QNAN, "BoxHeapExhaustedError": BoxHeapExhaustedError,
@@ -362,119 +370,82 @@ _GLOBALS = {
 
 
 #: (mnemonic, flow on, box store kind, *operand shape) -> the ``make`` its source
-#: defines.  The source depends on the key alone (operand values are
-#: ``make``'s arguments), so one process-wide table serves every VM; it
-#: holds one entry per distinct key ever bound, a few dozen.
+#: defines, or None for a refused move shape.  The source depends on the key alone
+#: (operand values are ``make``'s arguments), so one process-wide table serves every
+#: VM; it holds one entry per distinct key ever bound, a few dozen.
 _MAKERS: dict = {}
 
 
-class _Source:
-    """The source of one micro-op's step: operand reads and writes as
-    text specialized to each operand's kind, and ``params``, the
-    per-step values (register ids, displacements, immediates) the text
-    names.  XMM and GPR operands index the context's lists; a memory
-    operand's effective address is computed once, first, from its
-    base, index, scale and displacement."""
+def _source(ops, params, body, fp, probe, lanes, flow: bool, live: str) -> str | None:
+    """Source of ``make(env, **params)``, which returns the step
+    function (None: the move text refuses the shape), its operand
+    access a context :class:`codegen.Text`'s.  ``body(t, src, dst)``
+    emits into ``t``; ``src(pos, lane)`` is a source lane's bits,
+    ``src(pos, lane, True)`` its alt value, ``dst(lane, value)`` writes
+    operand 0.  ``fp`` gives each operand's access kind, and addresses
+    are computed once, first (a move, ``fp`` None, does both as the
+    CPU).  ``probe`` names the operands rule (2) checks in each of
+    ``lanes`` (None: no rule); ``flow`` opens the recorder's op window;
+    ``live`` is the store's liveness test of ``box``."""
+    t = codegen.Text(ops, ctx=True)
+    window = (["begin_op(addr)"], ["end_op()"]) if flow else ([], [])
 
-    def __init__(self, ops, fp) -> None:
-        self.ops, self.fp = ops, fp
-        #: the operand kinds the text depends on (with the mnemonic,
-        #: the key of the text) and the values it names.
-        self.shape, self.params = codegen.scan(ops)
-        if ops and self.shape[0] in ("i", "l", "L"):
-            self.params["w0"] = f"cannot write operand {ops[0]!r}"
-        self.used: set[str] = set()
+    def src(pos, lane, value=False):
+        return _resolved(t.read(pos, fp[pos], lane=lane), value)
 
-    def use(self, name: str) -> str:
-        """``name`` (``xmm``, ``gpr`` or ``mem``), loaded from the
-        context at the top of the step."""
-        self.used.add(name)
-        return name
-
-    def read(self, pos: int, lane: int) -> str:
-        op = self.ops[pos]
-        if isinstance(op, Xmm):
-            return f"{self.use('xmm')}[x{pos}][{lane}]"
-        if isinstance(op, Reg):
-            return f"{self.use('gpr')}[r{pos}]"
-        if isinstance(op, Mem):
-            at = f"ea{pos} + {8 * lane}" if lane else f"ea{pos}"
-            return f"{self.use('mem')}.observed_load({at}, {op.size}, {self.fp[pos]})"
-        return f"i{pos}"
-
-    def write(self, pos: int, lane: int, value: str) -> str:
-        op = self.ops[pos]
-        if isinstance(op, Xmm):
-            return f"{self.use('xmm')}[x{pos}][{lane}] = ({value}) & U64"
-        if isinstance(op, Reg):
-            return f"{self.use('gpr')}[r{pos}] = ({value}) & U64"
-        if isinstance(op, Mem):
-            at = f"ea{pos} + {8 * lane}" if lane else f"ea{pos}"
-            return f"{self.use('mem')}.observed_store({at}, {value}, {op.size}, {self.fp[pos]})"
-        return f"_cannot_write(w{pos}, {value})"
-
-    def source(self, body, probe, lanes, flow: bool, live: str) -> str:
-        """Source of ``make(env, **params)``, which returns the step
-        function.  ``body(src)`` gives the emulation's lines,
-        ``src(pos, lane)`` the expression for a source lane's bits and
-        ``src(pos, lane, True)`` for its alt value; ``probe`` names the
-        operands rule (2) checks in each of ``lanes`` (None: the rule
-        does not apply); with ``flow`` the body runs inside the flow
-        recorder's op window; ``live`` is the box store's liveness test
-        of ``box``."""
-        window = (["begin_op(addr)"], ["end_op()"]) if flow else ([], [])
-
-        def src(pos, lane, value=False):
-            return _resolved(self.read(pos, lane), value)
-        lines = [*window[0], *body(src), *window[1], "return True"]
+    def dst(lane, value):
+        t.write(0, value, fp[0], lane=lane)
+    try:
+        if fp is not None:
+            t.hold()
+        lines = [*window[0], *t.capture(body, t, src, dst), *window[1], "return True"]
         if probe is not None:
             probed = [(pos, lane) for lane in lanes for pos in probe]
-            lines = self._entry(body, probed, window, live) + lines
-        prologue = [line for pos, op in enumerate(self.ops) if isinstance(op, Mem)
-                    for line in codegen.address(pos, op, self.use("gpr"))]
-        loads = [f"{name} = ctx.{attr}" for name, attr in
-                 (("xmm", "xmm"), ("gpr", "gpr"), ("mem", "memory")) if name in self.used]
-        code = loads + prologue + lines
-        text = "\n".join(code)
-        # Every name the step reads is a local bound as a default: no
-        # cell per value, and the fastest lookup.
-        names = [f"{name}=env[{name!r}]" for name in codegen.used(text, _ENV)]
-        names += [f"{name}={name}" for name in self.params]
-        return "\n".join([f"def make({', '.join(['env', *self.params])}):",
-                          f"    def step(ctx, mode={RUN}, {', '.join(names)}):",
-                          *_indent(code, 8), "    return step", ""])
+            lines = _entry(t, body, fp, probed, window, live, dst) + lines
+    except codegen.Refused:
+        return None
+    code = [*t.lines, *lines]
+    text = "\n".join(code)
+    code = [*t.prologue(text), *code]
+    # Every name the step reads is a local bound as a default: no
+    # cell per value, and the fastest lookup.
+    names = [f"{name}=env[{name!r}]" for name in codegen.used(text, _ENV)]
+    names += [f"{name}={name}" for name in params]
+    return "\n".join([f"def make({', '.join(['env', *params])}):",
+                      f"    def step(ctx, mode={RUN}, {', '.join(names)}):",
+                      *_indent(code, 8), "    return step", ""])
 
-    def _entry(self, body, probed, window, live: str) -> list[str]:
-        """The ENTER branch.  It reads the ``probed`` source lanes in
-        order until one holds a box we own (:func:`_if_owned`, which
-        fetches its value), and returns False if none does; then it
-        runs the body on the bits read so far and reads the rest, so it
-        reads each source once, except that after the first lane a GPR
-        or memory source is read again where a write to a non-XMM
-        destination could have changed it.  The owned lane's value is the fetched
-        one (``owned``), unless it is read again.  A probe read that
-        raises under ENTER sets ``emu.probe_raised``: nothing ran, so the
-        step's charges are not due."""
-        reread = not isinstance(self.ops[0], Xmm)
-        lines = []
-        for i, (pos, lane) in enumerate(probed):
-            read = [f"v{pos}{lane} = {self.read(pos, lane)}"]
-            if isinstance(self.ops[pos], Mem):
-                read = ["try:", *_indent(read), "except BaseException:",
-                        "    emu.probe_raised = True", "    raise"]
-            known = probed[:i + 1]
 
-            def entered(p, l, value=False, known=known, found=(pos, lane)):
-                if (p, l) not in known or (
-                        l and reread and not isinstance(self.ops[p], Xmm)):
-                    return _resolved(self.read(p, l), value)
-                if value and (p, l) == found:
-                    return f"owned(box, v{p}{l})"
-                return _resolved(f"v{p}{l}", value)
-            v = f"v{pos}{lane}"
-            lines += [*read, *_if_owned(v, live, [
-                *window[0], *body(entered), *window[1], "return True"])]
-        return ["if mode:", *_indent([*lines, "return False"])]
+def _entry(t, body, fp, probed, window, live: str, dst) -> list[str]:
+    """The ENTER branch.  It reads the ``probed`` source lanes in
+    order until one holds a box we own (:func:`_if_owned`, which
+    fetches its value), and returns False if none does; then it
+    runs the body on the bits read so far and reads the rest, so it
+    reads each source once, except that after the first lane a GPR
+    or memory source is read again where a write to a non-XMM
+    destination could have changed it.  The owned lane's value is the fetched
+    one (``owned``), unless it is read again.  A probe read that
+    raises under ENTER sets ``emu.probe_raised``: nothing ran, so the
+    step's charges are not due."""
+    reread = t.kind(0) != "x"
+    lines = []
+    for i, (pos, lane) in enumerate(probed):
+        v = f"v{pos}{lane}"
+        read = t.capture(lambda: t.emit(f"{v} = {t.read(pos, fp[pos], lane=lane)}"))
+        if t.kind(pos) == "m":
+            read = ["try:", *_indent(read), "except BaseException:",
+                    "    emu.probe_raised = True", "    raise"]
+        known = probed[:i + 1]
+
+        def entered(p, l, value=False, known=known, found=(pos, lane)):
+            if (p, l) not in known or l and reread and t.kind(p) != "x":
+                return _resolved(t.read(p, fp[p], lane=l), value)
+            if value and (p, l) == found:
+                return f"owned(box, v{p}{l})"
+            return _resolved(f"v{p}{l}", value)
+        lines += [*read, *_if_owned(v, live, [
+            *window[0], *t.capture(body, t, entered, dst), *window[1], "return True"])]
+    return ["if mode:", *_indent([*lines, "return False"])]
 
 
 def _indent(lines, n: int = 4) -> list[str]:
@@ -486,138 +457,112 @@ def _resolved(bits: str, value: bool) -> str:
 
 
 # ---------------------------------------------------------- step kinds
-# Each builds one emulation kind's body from ``(uop, gen)`` and returns
-# ``(lanes of operand 0 written, body)``; ``body(src)`` is the list of
-# source lines with ``src(pos, lane)`` standing for a source read and
-# ``src(pos, lane, True)`` for its alt value.
-def _bin(uop, gen):
-    gen.params["op"] = uop.ieee
+# Each builds one emulation kind's body from ``(uop, params)`` and returns
+# ``(lazy-FP mask of the lanes written, body)``; ``body(t, src, dst)``
+# emits the source lines into the text ``t`` (see :func:`_source`).
+def _bin(uop, params):
+    params["op"] = uop.ieee
     lanes = range(uop.lanes)
 
-    def body(src):
-        lines = []
+    def body(t, src, dst):
         for lane in lanes:
-            lines += [f"a = {src(0, lane, True)}",
-                      f"b = {src(1, lane, True)}",
-                      "counts[op] += 1",
-                      gen.write(0, lane, "produce(binary(op, a, b), ctx)")]
-        return lines
-    return lanes, body
+            t.emit(f"a = {src(0, lane, True)}")
+            t.emit(f"b = {src(1, lane, True)}")
+            t.emit("counts[op] += 1")
+            dst(lane, "produce(binary(op, a, b), ctx)")
+    return _lanes_mask(uop.operands[0], lanes), body
 
 
-def _sqrt(uop, gen):
+def _sqrt(uop, params):
     lanes = range(uop.lanes)
 
-    def body(src):
-        lines = []
+    def body(t, src, dst):
         for lane in lanes:
-            lines += [f"value = {src(1, lane, True)}",
-                      gen.write(0, lane, 'produce(unary("sqrt", value), ctx)')]
-        return lines
-    return lanes, body
+            t.emit(f"value = {src(1, lane, True)}")
+            dst(lane, 'produce(unary("sqrt", value), ctx)')
+    return _lanes_mask(uop.operands[0], lanes), body
 
 
-def _fma(uop, gen):
+def _fma(uop, params):
     """dst = src2 * dst + src3 (the 213 operand order)."""
-    return range(uop.lanes), lambda src: [
-        f"mul2 = {src(1, 0, True)}",
-        f"mul1 = {src(0, 0, True)}",
-        f"addend = {src(2, 0, True)}",
-        'counts["fma"] += 1',
-        gen.write(0, 0, "produce(fma(mul2, mul1, addend), ctx)")]
+    def body(t, src, dst):
+        t.emit(f"mul2 = {src(1, 0, True)}")
+        t.emit(f"mul1 = {src(0, 0, True)}")
+        t.emit(f"addend = {src(2, 0, True)}")
+        t.emit('counts["fma"] += 1')
+        dst(0, "produce(fma(mul2, mul1, addend), ctx)")
+    return _lanes_mask(uop.operands[0], (0,)), body
 
 
-def _cvtsi2sd(uop, gen):
-    return range(uop.lanes), lambda src: [
-        gen.write(0, 0, f"produce(from_i64({src(1, 0)}), ctx)")]
+def _cvtsi2sd(uop, params):
+    return _lanes_mask(uop.operands[0], (0,)), lambda t, src, dst: dst(
+        0, f"produce(from_i64({src(1, 0)}), ctx)")
 
 
-def _cvt2si(uop, gen):
-    gen.params["truncate"] = uop.emu_arg
-    return range(uop.lanes), lambda src: [
-        f"value = {src(1, 0, True)}",
-        gen.write(0, 0, "to_i64(value, truncate=truncate)")]
+def _cvt2si(uop, params):
+    params["truncate"] = uop.emu_arg
+
+    def body(t, src, dst):
+        t.emit(f"value = {src(1, 0, True)}")
+        dst(0, "to_i64(value, truncate=truncate)")
+    return _lanes_mask(uop.operands[0], (0,)), body
 
 
-def _compare(uop, gen):
+def _compare(uop, params):
     """ucomisd/comisd set flags; cmpXXsd writes an all-ones or zero mask."""
-    if uop.emu_kind == "cmp":
-        gen.params["if_unord"], gen.params["pred"] = CMP_TABLES[uop.emu_arg]
-        lanes = (0,)
-        tail = [gen.write(0, 0, "U64 if (if_unord if c is None else pred(c)) else 0")]
-    else:
-        lanes = ()
-        tail = ["packed = (UCOMI_UNORDERED if c is None else UCOMI_EQUAL if c == 0"
-                " else UCOMI_LESS if c < 0 else UCOMI_GREATER)",
-                "flags = ctx.flags",
-                "flags.zf, flags.pf, flags.cf = bool(packed & 1), bool(packed & 2),"
-                " bool(packed & 4)",
-                "flags.sf = flags.of = False"]
-    return lanes, lambda src: [f"a = {src(0, 0, True)}", f"b = {src(1, 0, True)}",
-                               "c = compare(a, b)", *tail]
+    cmp = uop.emu_kind == "cmp"
+    if cmp:
+        params["if_unord"], params["pred"] = CMP_TABLES[uop.emu_arg]
+
+    def body(t, src, dst):
+        t.emit(f"a = {src(0, 0, True)}")
+        t.emit(f"b = {src(1, 0, True)}")
+        t.emit("c = compare(a, b)")
+        if cmp:
+            dst(0, "U64 if (if_unord if c is None else pred(c)) else 0")
+        else:
+            t.emit("packed = (UCOMI_UNORDERED if c is None else UCOMI_EQUAL if c == 0"
+                   " else UCOMI_LESS if c < 0 else UCOMI_GREATER)",
+                   "flags = ctx.flags",
+                   "flags.zf, flags.pf, flags.cf = bool(packed & 1), bool(packed & 2),"
+                   " bool(packed & 4)",
+                   "flags.sf = flags.of = False")
+    return _lanes_mask(uop.operands[0], (0,) if cmp else ()), body
 
 
-def _xorpd(uop, gen):
+def _xorpd(uop, params):
     # Raw xor: correct for plain doubles, and correct for boxed values
     # when the mask only touches the sign bit (the compiler idiom)
     # thanks to the negation convention.  A non-sign mask over a boxed
     # value demotes it first.
-    def body(src):
-        lines = []
+    def body(t, src, dst):
         for lane in (0, 1):
-            lines += [f"a = {src(0, lane)}", f"b = {src(1, lane)}",
-                      "if a & SIG_MASK == SIG and b & ~SIGN:",
-                      "    a = demote(a)",
-                      "if b & SIG_MASK == SIG and a & ~SIGN and not a & SIG_MASK == SIG:",
-                      "    b = demote(b)",
-                      gen.write(0, lane, "a ^ b")]
-        return lines
-    return (0, 1), body
+            t.emit(f"a = {src(0, lane)}")
+            t.emit(f"b = {src(1, lane)}")
+            t.emit("if a & SIG_MASK == SIG and b & ~SIGN:",
+                   "    a = demote(a)",
+                   "if b & SIG_MASK == SIG and a & ~SIGN and not a & SIG_MASK == SIG:",
+                   "    b = demote(b)")
+            dst(lane, "a ^ b")
+    return _lanes_mask(uop.operands[0], (0, 1)), body
 
 
-def _move(uop, gen):
-    """FP moves.  movapd/movupd read both lanes, then write both;
-    movsd/movq/movhpd/movlpd copy one raw lane, and a movsd load or a
-    movq into an XMM register zeroes its high lane."""
+def _move(uop, params):
+    """Moves run the micro-op's move text without its RIP write.  An FP
+    move marks the lanes it writes; mov, lea and pop an XMM
+    destination's low lane."""
     mn = uop.mnemonic
-    dst, src_op = uop.operands
-    if mn in ("movapd", "movupd"):
-        return (0, 1), lambda src: [f"lo = {src(1, 0)}", f"hi = {src(1, 1)}",
-                                    gen.write(0, 0, "lo"), gen.write(0, 1, "hi")]
-    dst_xmm = isinstance(dst, Xmm)
-    src_lane, dst_lane = ((0, 1) if dst_xmm else (1, 0)) if mn == "movhpd" else (0, 0)
-    zero = dst_xmm and (mn == "movq" or (mn == "movsd" and not isinstance(src_op, Xmm)))
-
-    def body(src):
-        lines = [gen.write(0, dst_lane, src(1, src_lane))]
-        if zero:
-            lines.append(f"{gen.use('xmm')}[x0][1] = 0")
-        return lines
-    return ((dst_lane, 1) if zero else (dst_lane,)), body
-
-
-def _intmov(uop, gen):
-    """mov, lea, push and pop."""
-    mn = uop.mnemonic
-    if mn == "mov":
-        return (0,), lambda src: [gen.write(0, 0, src(1, 0))]
-    if mn == "lea":
-        ea = "ea1" if isinstance(uop.operands[1], Mem) else "0"
-        return (0,), lambda src: [gen.write(0, 0, ea)]
-    gpr, mem = gen.use("gpr"), gen.use("mem")
-    if mn == "push":
-        return (), lambda src: [f"rsp = {gpr}[RSP] = ({gpr}[RSP] - 8) & U64",
-                                f"{mem}.write_u64(rsp, {src(0, 0)})"]
-    return (0,), lambda src: [f"rsp = {gpr}[RSP]",  # pop
-                              gen.write(0, 0, f"{mem}.read_u64(rsp)"),
-                              f"{gpr}[RSP] = (rsp + 8) & U64"]
+    if uop.opclass is OpClass.FP_MOV:
+        return uop.xmm_writes, lambda t, src, dst: fp_mov_text(t, mn)
+    writes = _lanes_mask(uop.operands[0], () if mn == "push" else (0,))
+    return writes, lambda t, src, dst: int_mov_text(t, mn)
 
 
 _FP = (True, True, True)
 #: emu_kind -> (builder, per-operand ``fp`` flag of memory accesses
-#: (observers see it), operands rule (2) probes or None, the altmath
-#: cost field charged per lane: "op" for ``costs.op(uop.ieee)``, None
-#: for no altmath charge).
+#: (observers see it; None: the move text picks it), operands rule (2)
+#: probes or None, the altmath cost field charged per lane: "op" for
+#: ``costs.op(uop.ieee)``, None for no altmath charge).
 _KINDS = {
     "bin": (_bin, _FP, (0, 1), "op"),
     "sqrt": (_sqrt, _FP, (1,), "op"),
@@ -627,6 +572,6 @@ _KINDS = {
     "ucomi": (_compare, _FP, (0, 1), "compare"),
     "cmp": (_compare, _FP, (0, 1), "compare"),
     "xorpd": (_xorpd, _FP, None, None),
-    "fpmov": (_move, _FP, None, None),
-    "intmov": (_intmov, (False, False), None, None),
+    "fpmov": (_move, None, None, None),
+    "intmov": (_move, None, None, None),
 }

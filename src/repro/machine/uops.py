@@ -55,7 +55,6 @@ over quanta of the remaining step limit.
 
 from __future__ import annotations
 
-import struct
 from collections import Counter
 
 from repro.fpu import fast as F
@@ -65,17 +64,13 @@ from repro.machine import codegen
 from repro.machine.isa import (
     CONDITION_CODES,
     FP_TOUCH_CLASSES,
-    Imm,
     Instruction,
     Label,
-    Mem,
     OpClass,
     OPCODES,
     xmm_write_mask,
     Reg,
-    Xmm,
 )
-from repro.machine.memory import PAGE_SHIFT, PAGE_SIZE, PROT_READ, PROT_WRITE
 
 U64 = 0xFFFF_FFFF_FFFF_FFFF
 
@@ -220,24 +215,16 @@ def _s64(v: int) -> int:
 # defaults, with the process's memory and page dict.  It is called with
 # the running thread's CPU and loads ``cpu.regs`` and ``regs.gpr``/
 # ``regs.xmm`` per call (sigreturn replaces the lists), so every thread
-# of the process runs the same function.  The text serves an 8-byte
-# access inside one mapped page with the needed prot bit through
-# ``struct`` on the page; every
-# other access (first touch of an unmapped page, a page straddle, a
-# protection fault, another size) goes to the ``Memory`` method, and
-# the stack accesses of push, pop, call and ret to ``read_u64``/
-# ``write_u64``.  Observers (read per call, so late attaches count) are
-# notified after the access, with the arguments the methods pass.
-_Q = struct.Struct("<Q")
-
+# of the process runs the same function.  Operand reads and writes are
+# ``codegen.Text``'s, memory served inline as it describes; the stack
+# accesses of push, pop, call and ret go to ``read_u64``/``write_u64``.
 #: the process state every micro-op function may take as defaults.
 _SHARED_NAMES = ("mem", "pages")
 
 #: module globals of the generated code; ``Trap``/``XF`` join on the
 #: first compile (cpu.py imports this module).
 _GLOBALS = {
-    "U64": U64, "s64": _s64, "PARITY": _PARITY,
-    "UNPACK": _Q.unpack_from, "PACK_INTO": _Q.pack_into,
+    **codegen.GLOBALS, "s64": _s64, "PARITY": _PARITY,
     "FPFlags": FPFlags, "from_status": FPFlags.from_status,
     "CONTROL": OpClass.CONTROL, "SENTINEL": _RETURN_SENTINEL,
 }
@@ -267,10 +254,6 @@ def _fast_form(mn: str, ieee):
 _FP_FORMS = {mn: (_fast_form(mn, info.ieee), F.flagged(info.ieee))
              for mn, info in OPCODES.items()
              if info.opclass in (OpClass.FP_ARITH, OpClass.FP_CVT)}
-
-
-class _Refused(Exception):
-    """The micro-op's shape has no function: its step runs ``cpu.step()``."""
 
 
 def bind_exec(uop: MicroOp, mem):
@@ -337,15 +320,13 @@ def _source(build, uop: MicroOp, params: dict) -> str | None:
     if "Trap" not in _GLOBALS:
         from repro.machine.cpu import Trap, TrapKind
         _GLOBALS.update(Trap=Trap, XF=TrapKind.XF)
-    text = _Text(uop.instr.operands)
+    text = codegen.Text(uop.instr.operands)
     try:
         build(text, uop)
-    except _Refused:
-        return None
+    except codegen.Refused:
+        return None  # the engine single-steps the shape
     body = "\n".join(text.lines)
-    code = ["regs = cpu.regs",
-            *(f"{name} = regs.{name}" for name in codegen.used(body, ("gpr", "xmm"))),
-            *text.lines]
+    code = [*text.prologue(body), *text.lines]
     # Only the names the text reads are defaults: no cell per value,
     # and the fastest lookup.
     names = codegen.used(body, (*_SHARED_NAMES, *params))
@@ -354,133 +335,23 @@ def _source(build, uop: MicroOp, params: dict) -> str | None:
                       *("        " + line for line in code), "    return run", ""])
 
 
-class _Text:
-    """The statements of one micro-op's function, in execution order.
-    A read returns the expression for its value: a register lane, an
-    immediate, or the local a memory read was loaded into.  A memory
-    operand's address ``ea{pos}`` is computed at each access, unless a
-    write reuses (``fresh=False``) the one its operand's read computed
-    with no GPR written between."""
-
-    def __init__(self, ops) -> None:
-        self.ops = ops
-        self.lines: list[str] = []
-        self.pad = ""
-
-    def emit(self, *lines: str) -> None:
-        self.lines += [self.pad + line for line in lines]
-
-    def kind(self, pos: int):
-        op = self.ops[pos]
-        for cls, name in ((Xmm, "x"), (Reg, "r"), (Mem, "m"), (Imm, "i")):
-            if isinstance(op, cls):
-                return name
-        return None
-
-    def need(self, pos: int, *kinds: str) -> None:
-        if self.kind(pos) not in kinds:
-            raise _Refused
-
-    def ea(self, pos: int) -> None:
-        self.emit(*codegen.address(pos, self.ops[pos], "gpr"))
-
-    def read(self, pos: int, fp: bool, sized: bool = False) -> str:
-        """The seed's ``read_u64_operand`` (``read_sized_operand`` when
-        ``sized``): a memory operand is an 8-byte load whatever its
-        declared size, unless ``sized``."""
-        kind = self.kind(pos)
-        if kind == "x":
-            return f"xmm[x{pos}][0]"
-        if kind == "r":
-            return f"gpr[r{pos}]"
-        if kind == "i":
-            return f"i{pos}"
-        if kind != "m":
-            raise _Refused
-        self.ea(pos)
-        size = self.ops[pos].size
-        if sized and size != 8:
-            self.emit(f"v{pos} = mem.observed_load(ea{pos}, {size}, {fp})")
-        else:
-            self.load8(f"v{pos}", f"ea{pos}", fp)
-        return f"v{pos}"
-
-    def read128(self, pos: int) -> tuple[str, str]:
-        """The seed's ``read_xmm_or_mem128``: both lanes, low first."""
-        kind = self.kind(pos)
-        if kind == "x":
-            self.emit(f"lo{pos}, hi{pos} = xmm[x{pos}]")
-        elif kind == "m":
-            self.ea(pos)
-            self.load8(f"lo{pos}", f"ea{pos}", True)
-            self.emit(f"at{pos} = ea{pos} + 8")
-            self.load8(f"hi{pos}", f"at{pos}", True)
-        else:
-            raise _Refused
-        return f"lo{pos}", f"hi{pos}"
-
-    def write(self, pos: int, value: str, fp: bool, fresh: bool = True) -> None:
-        """The seed's ``write_u64_operand``: a memory store honours the
-        operand's size."""
-        kind = self.kind(pos)
-        if kind == "x":
-            self.emit(f"xmm[x{pos}][0] = ({value}) & U64")
-        elif kind == "r":
-            self.emit(f"gpr[r{pos}] = ({value}) & U64")
-        elif kind == "m":
-            if fresh:
-                self.ea(pos)
-            size = self.ops[pos].size
-            if size != 8:
-                self.emit(f"mem.observed_store(ea{pos}, {value}, {size}, {fp})")
-            else:
-                self.store8(f"ea{pos}", value, fp)
-        else:
-            raise _Refused
-
-    def load8(self, var: str, at: str, fp: bool) -> None:
-        kind = "fp_load" if fp else "int_load"
-        self.emit(f"page = pages.get({at} >> {PAGE_SHIFT})",
-                  f"off = {at} & {PAGE_SIZE - 1}",
-                  f"if page is not None and off <= {PAGE_SIZE - 8} and page.prot & {PROT_READ}:",
-                  f"    {var} = UNPACK(page.data, off)[0]",
-                  "    if mem.observers:",
-                  "        for obs in mem.observers:",
-                  f"            obs({at}, 8, {kind!r}, {var})",
-                  "else:",
-                  f"    {var} = mem.observed_load({at}, 8, {fp})")
-
-    def store8(self, at: str, value: str, fp: bool) -> None:
-        kind = "fp_store" if fp else "int_store"
-        self.emit(f"out = {value}",
-                  f"page = pages.get({at} >> {PAGE_SHIFT})",
-                  f"off = {at} & {PAGE_SIZE - 1}",
-                  f"if page is not None and off <= {PAGE_SIZE - 8} and page.prot & {PROT_WRITE}:",
-                  "    PACK_INTO(page.data, off, out & U64)",
-                  "    if mem.observers:",
-                  "        for obs in mem.observers:",
-                  f"            obs({at}, 8, {kind!r}, out)",
-                  "else:",
-                  f"    mem.observed_store({at}, out, 8, {fp})")
-
-
-def _exec_text(t: _Text, uop: MicroOp) -> None:
+def _exec_text(t: codegen.Text, uop: MicroOp) -> None:
     cls = uop.opclass
     if cls in (OpClass.FP_ARITH, OpClass.FP_CVT):
         _fp_text(t, uop)
     elif cls is OpClass.FP_BITWISE:
         _bitwise_text(t, uop.mnemonic)
     elif cls is OpClass.FP_MOV:
-        _fp_mov_text(t, uop.mnemonic)
+        fp_mov_text(t, uop.mnemonic)
     elif cls is OpClass.INT_MOV:
-        _int_mov_text(t, uop.mnemonic)
+        int_mov_text(t, uop.mnemonic)
     else:
         _int_alu_text(t, uop.mnemonic)
     t.pad = ""
     t.emit("regs.rip = end")
 
 
-def _fp_text(t: _Text, uop: MicroOp) -> None:
+def _fp_text(t: codegen.Text, uop: MicroOp) -> None:
     """One function, both paths.  FP unit off: the flagless #XF ``Trap``
     ``cpu._exec_fp`` delivers, before any operand read.  All masks set
     and RC nearest: the values-only ``fast`` form.  Otherwise the
@@ -490,7 +361,7 @@ def _fp_text(t: _Text, uop: MicroOp) -> None:
     status ORed into MXCSR and RIP advanced, as ``_exec_fp`` does."""
     mn = uop.mnemonic
     if _FP_FORMS[mn][0] is None:
-        raise _Refused
+        raise codegen.Refused
     t.emit("if cpu.fp_disabled:", "    return Trap(XF, addr, instr, FPFlags())",
            "mx = regs.mxcsr")
     lane0 = ["xmm[x0][0] = res"]
@@ -554,7 +425,7 @@ def _fp_text(t: _Text, uop: MicroOp) -> None:
     t.emit("regs.mxcsr = mx | st")
 
 
-def _bitwise_text(t: _Text, mn: str) -> None:
+def _bitwise_text(t: codegen.Text, mn: str) -> None:
     t.need(0, "x")
     lo, hi = t.read128(1)
     t.emit("lanes = xmm[x0]")
@@ -568,7 +439,8 @@ def _bitwise_text(t: _Text, mn: str) -> None:
 _BITWISE = {"xorpd": "^", "andpd": "&", "orpd": "|"}
 
 
-def _fp_mov_text(t: _Text, mn: str) -> None:
+def fp_mov_text(t: codegen.Text, mn: str) -> None:
+    """An FP move, the engine's and (without RIP) the emulator's."""
     dst, src = t.kind(0), t.kind(1)
     if mn == "shufpd":
         t.need(0, "x")
@@ -581,21 +453,20 @@ def _fp_mov_text(t: _Text, mn: str) -> None:
     elif mn in ("movsd", "movq") and dst == "x":
         val = t.read(1, mn == "movsd" or src == "m")
         t.emit("lanes = xmm[x0]", f"lanes[0] = {val}", "lanes[1] = 0")
-    elif mn in ("movsd", "movq") and src == "x":
-        t.write(0, "xmm[x1][0]", mn == "movsd" or dst == "m")
+    elif mn in ("movsd", "movq") and t.reg(1):
+        t.write(0, t.lane(1), mn == "movsd" or dst == "m")
     elif mn in ("movapd", "movupd") and dst == "x":
         lo, hi = t.read128(1)
         t.emit("lanes = xmm[x0]", f"lanes[0] = {lo}", f"lanes[1] = {hi}")
-    elif mn in ("movapd", "movupd") and dst == "m" and src == "x":
-        t.ea(0)
-        t.emit("lanes = xmm[x1]")
-        t.store8("ea0", "lanes[0]", True)
+    elif mn in ("movapd", "movupd") and dst == "m" and t.reg(1):
+        t.ea(0)  # two 8-byte stores, whatever the operand's size
+        t.store8("ea0", t.lane(1, 0), True)
         t.emit("at0 = ea0 + 8")
-        t.store8("at0", "lanes[1]", True)
+        t.store8("at0", t.lane(1, 1), True)
     elif mn in ("movhpd", "movlpd") and dst == "x":
         t.emit(f"xmm[x0][{int(mn == 'movhpd')}] = {t.read(1, True)}")
-    elif mn in ("movhpd", "movlpd") and src == "x":
-        t.write(0, f"xmm[x1][{int(mn == 'movhpd')}]", True)
+    elif mn in ("movhpd", "movlpd") and t.reg(1):
+        t.write(0, t.lane(1, int(mn == "movhpd")), True)
     elif mn == "movddup" and dst == "x":
         t.emit(f"val = {t.read(1, True)}", "lanes = xmm[x0]", "lanes[0] = val",
                "lanes[1] = val")
@@ -606,23 +477,18 @@ def _fp_mov_text(t: _Text, mn: str) -> None:
         _, hi = t.read128(1)
         t.emit("lanes = xmm[x0]", "lanes[0] = lanes[1]", f"lanes[1] = {hi}")
     else:
-        raise _Refused
+        raise codegen.Refused
 
 
-def _int_mov_text(t: _Text, mn: str) -> None:
+def int_mov_text(t: codegen.Text, mn: str) -> None:
+    """An integer move, the engine's and (without RIP) the emulator's."""
     if mn == "mov":
-        val = t.read(1, False, sized=True)
-        if t.kind(0) == "m" and t.ops[0].size != 8:
-            t.emit(f"val = {val}")
-            t.ea(0)
-            t.emit(f"mem.observed_store(ea0, val, {t.ops[0].size}, False)")
-        else:
-            t.write(0, val, False)
+        t.write(0, t.read(1, False, sized=True), False)
     elif mn == "lea":
         t.need(0, "r")
         t.need(1, "m")
         t.ea(1)
-        t.emit("gpr[r0] = ea1")
+        t.emit(f"{t.lane(0)} = ea1")
     elif mn == "push":
         t.emit(f"val = {t.read(0, False)}", "rsp = (gpr[7] - 8) & U64",
                "gpr[7] = rsp", "mem.write_u64(rsp, val)")
@@ -638,10 +504,10 @@ def _int_mov_text(t: _Text, mn: str) -> None:
         t.write(0, "vb", False)
         t.write(1, "va", False)
     else:
-        raise _Refused
+        raise codegen.Refused
 
 
-def _int_alu_text(t: _Text, mn: str) -> None:
+def _int_alu_text(t: codegen.Text, mn: str) -> None:
     flags = ["f.zf = r == 0", "f.sf = bool(r >> 63)", "f.pf = PARITY[r & 0xFF]"]
     writes = mn not in ("cmp", "test")
     if writes:
@@ -681,12 +547,12 @@ def _int_alu_text(t: _Text, mn: str) -> None:
     elif mn == "not":
         t.emit("r = (~a) & U64")
     else:
-        raise _Refused
+        raise codegen.Refused
     if writes:
         t.write(0, "r", False, fresh=False)
 
 
-def _control_text(t: _Text, uop: MicroOp) -> None:
+def _control_text(t: codegen.Text, uop: MicroOp) -> None:
     mn = uop.mnemonic
     if mn == "ret":
         t.emit("rsp = gpr[7]", "ra = mem.read_u64(rsp)", "gpr[7] = (rsp + 8) & U64",
@@ -698,7 +564,7 @@ def _control_text(t: _Text, uop: MicroOp) -> None:
         elif isinstance(kind, Reg):
             target = "regs.gpr[r0]"
         else:
-            raise _Refused
+            raise codegen.Refused
         if mn == "jmp":
             t.emit(f"regs.rip = {target}")
         elif mn == "call":
@@ -710,7 +576,7 @@ def _control_text(t: _Text, uop: MicroOp) -> None:
         elif mn in CONDITION_CODES:
             t.emit(f"regs.rip = {target} if cond(regs.flags) else end")
         else:
-            raise _Refused
+            raise codegen.Refused
     t.emit("cpu.cycles += cost", "cpu.work_cycles += cost", "cpu.instruction_count += 1",
            "cpu.retired_by_class[CONTROL] += 1")
 

@@ -409,7 +409,7 @@ def test_entered_run_matches_run(mnemonic):
     fused replay's merged probe and step, which hands the probed box's
     value to the body) leaves all that the pinned RUN record holds.
     Its memory traffic holds RUN's, perhaps in another order: a memory
-    source that the probe read may be read again (``_Source._entry``)."""
+    source that the probe read may be read again (``emulator._entry``)."""
     for key in [k for k in _GOLDEN if k.split()[0] == mnemonic]:
         shape = tuple(key.split()[1].split(","))
         for live, flow in VARIANTS:

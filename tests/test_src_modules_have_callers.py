@@ -20,7 +20,7 @@ CALLER_DIRS = ("src", "benchmarks", "bench_fpvm", "examples")
 #: Modules that nothing imports because they are entry points.
 ALLOWED = {
     "repro.__main__": "the `python -m repro` CLI entry",
-    "repro.machine.isadoc": "generates docs/ISA.md (write_isa_reference)",
+    "repro.machine.isadoc": "CI regenerates docs/ISA.md with write_isa_reference and diffs it",
     "repro.harness.export": "the metrics export surface (result_to_dict, compare_runs)",
 }
 
