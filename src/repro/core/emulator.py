@@ -109,7 +109,8 @@ class Emulator:
 
     # --------------------------------------------------------- emulation
     def emulate(self, uop: MicroOp, context, mode: int = RUN) -> bool:
-        """Emulate one micro-op; returns False if unsupported.  With
+        """Emulate one micro-op; returns False if unsupported (its
+        mnemonic or its operand shape).  With
         ``mode`` ENTER, sequence termination rule (2) applies where it
         applies to the kind: False too when no source holds a box we
         own, with nothing charged, marked or counted.  Charges
@@ -118,6 +119,8 @@ class Emulator:
         if uop not in self.steps and uop.mnemonic not in self.supported_set:
             return False
         step = self.step(uop)
+        if step.run is None:
+            return False
         try:
             if not step.run(context, mode):
                 return False
@@ -288,7 +291,9 @@ def _if_owned(bits: str, live: str, then: list[str]) -> list[str]:
 # ------------------------------------------------------------- binding
 class _Step:
     """One micro-op bound for one VM.  ``run(context, mode)`` is its
-    generated function (modes RUN and ENTER); ``charge`` records
+    generated function (modes RUN and ENTER), or None for an operand
+    shape the move text refuses, which is unsupported like a mnemonic
+    outside ``supported_instructions``; ``charge`` records
     its constant charges (``bind`` per operand, ``emul`` dispatch, the
     op's fixed altmath cost), kept as ``charge.charges``; ``writes`` is
     the static lazy-FP mask of the XMM lanes a completed run wrote.
@@ -326,14 +331,8 @@ def bind(uop: MicroOp, vm):
         altmath = vm.altmath.costs
         unit = altmath.op(uop.ieee) if cost == "op" else getattr(altmath, cost)
         charges.append(("altmath", unit * uop.lanes))
-    run = _declined if make is None else make(vm.emulator.env, **params)
+    run = None if make is None else make(vm.emulator.env, **params)
     return _Step(run, vm.ledger.charger(*charges), writes)
-
-
-def _declined(ctx, mode=RUN) -> bool:
-    """A shape the move text refuses: left to the CPU, like an
-    unsupported instruction."""
-    return False
 
 
 def _lanes_mask(op, lanes) -> int:

@@ -11,8 +11,10 @@ from repro.machine.cpu import CPU, TIERS
 from repro.machine.decoder import decode_instruction
 from repro.machine.encoding import encode_instruction
 from repro.machine.hostlib import install_host_library
-from repro.machine.isa import Imm, Instruction, Xmm
+from repro.kernel.signals import SignalContext
+from repro.machine.isa import Imm, Instruction, Reg, Xmm
 from repro.machine.program import Program
+from repro.machine.uops import lower
 
 
 def run_fpvm(source: str, config: FPVMConfig):
@@ -130,21 +132,28 @@ def test_running_off_text_faults_like_native(config, tier):
         assert (rec.length, rec.reason) == (1, "no_instruction")
 
 
-def _immediate_destination_program():
-    """RUN_OFF_TEXT_SRC ending in ``cvttsd2si 7, xmm0; hlt``, built as
-    IR: the assembler refuses an immediate destination.  The conversion
-    of 0.1 is inexact, so it traps under FPVM."""
-    asm = assemble(RUN_OFF_TEXT_SRC.replace("addsd xmm0, xmm1", "hlt"))
+def _ending_in(source: str, mnemonic: str, *operands):
+    """``source`` followed by ``mnemonic operands; hlt``, built as IR for
+    an operand shape the assembler refuses."""
+    asm = assemble(source + "  hlt\n")
     *head, hlt = asm.instructions
-    convert = Instruction("cvttsd2si", (Imm(7), Xmm("xmm0")), addr=hlt.addr)
+    last = Instruction(mnemonic, operands, addr=hlt.addr)
     prog = Program()
     prog.data, prog.symbols, prog.entry = asm.data, asm.symbols, asm.entry
-    for instr in (*head, convert,
-                  Instruction("hlt", addr=convert.addr + len(encode_instruction(convert)))):
+    for instr in (*head, last,
+                  Instruction("hlt", addr=last.addr + len(encode_instruction(last)))):
         prog.add_instruction(instr)
     prog.finalize_text()
     install_host_library(prog)
     return prog
+
+
+def _immediate_destination_program():
+    """RUN_OFF_TEXT_SRC ending in ``cvttsd2si 7, xmm0; hlt`` instead of
+    its ``addsd``.  The conversion of 0.1 is inexact, so it traps under
+    FPVM."""
+    return _ending_in(RUN_OFF_TEXT_SRC.replace("  addsd xmm0, xmm1\n", ""),
+                      "cvttsd2si", Imm(7), Xmm("xmm0"))
 
 
 @pytest.mark.parametrize("tier", list(TIERS))
@@ -166,6 +175,34 @@ def test_immediate_destination_faults_like_native(config, tier):
         faults.append((type(info.value), str(info.value)))
     assert faults[0] == faults[1] == (MachineError, "cannot write operand Imm(value=7)")
     assert vm.telemetry.traps == 1
+
+
+@pytest.mark.parametrize("tier", list(TIERS))
+def test_refused_move_shape_is_unsupported(tier):
+    """A move whose operand shape the move text refuses (``movapd xmm2,
+    rax``, which no x86 encoding has) is unsupported like a mnemonic
+    outside ``supported_instructions``: the sequence after a trap stops
+    before it with reason ``unsupported``, the CPU runs it and raises
+    its native fault, and ``Emulator.emulate`` declines it with nothing
+    charged."""
+    faults = []
+    for cfg in (None, FPVMConfig.seq_short(patch_site_source="none")):
+        prog = _ending_in(RUN_OFF_TEXT_SRC, "movapd", Xmm("xmm2"), Reg("rax"))
+        cpu = CPU(prog, uops=TIERS[tier])
+        cpu.kernel = LinuxKernel()
+        vm = FPVM(cfg).attach(cpu, cpu.kernel) if cfg else None
+        with pytest.raises(MachineError) as info:
+            cpu.run()
+        faults.append(str(info.value))
+    assert faults[0] == faults[1] == "cannot read 128-bit operand Reg(name='rax')"
+    (rec,) = vm.trace_stats.traces.values()
+    assert (rec.length, rec.reason, rec.terminator) == (1, "unsupported", "movapd")
+    assert (vm.telemetry.traps, vm.telemetry.emulated_instructions) == (1, 1)
+    move = prog.instructions[-2]
+    assert move.mnemonic == "movapd" and move.addr not in vm.program.patches
+    charged = vm.ledger.total()
+    assert not vm.emulator.emulate(lower(move), SignalContext(cpu, live=True))
+    assert vm.ledger.total() == charged
 
 
 @pytest.mark.parametrize("tier", list(TIERS))
