@@ -109,8 +109,7 @@ class Emulator:
 
     # --------------------------------------------------------- emulation
     def emulate(self, uop: MicroOp, context, mode: int = RUN) -> bool:
-        """Emulate one micro-op; returns False if unsupported (its
-        mnemonic or its operand shape).  With
+        """Emulate one micro-op; returns False if unsupported.  With
         ``mode`` ENTER, sequence termination rule (2) applies where it
         applies to the kind: False too when no source holds a box we
         own, with nothing charged, marked or counted.  Charges

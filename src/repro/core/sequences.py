@@ -280,12 +280,9 @@ class SequenceEmulator:
                 # hook that emulation would skip, and a step with no run
                 # has an operand shape the move text refuses: hand either
                 # back to the CPU.
-                if instr.mnemonic not in supported or mode and addr in patches:
-                    run = None
-                else:
+                if instr.mnemonic in supported and not (mode and addr in patches):
                     step = steps.get(instr) or emulator.step(instr)
-                    run = step.run
-                if run is None:
+                if step is None or step.run is None:
                     step = None
                     if not mode:
                         raise UnemulatableTrapError(
@@ -293,7 +290,7 @@ class SequenceEmulator:
                     terminator, reason = instr.mnemonic, "unsupported"
                     break
                 # With ENTER, one run applies rule (2) and emulates.
-                if not run(context, mode):
+                if not step.run(context, mode):
                     terminator, reason = instr.mnemonic, "no_boxed_source"
                     step = None
                     break
