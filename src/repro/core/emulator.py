@@ -545,7 +545,7 @@ def _xorpd(uop, params):
     return _lanes_mask(uop.operands[0], (0, 1)), body
 
 
-def _move(uop, params):
+def _uop_move(uop, params):
     """Moves run the micro-op's move text without its RIP write.  An FP
     move marks the lanes it writes; mov, lea and pop an XMM
     destination's low lane."""
@@ -570,6 +570,6 @@ _KINDS = {
     "ucomi": (_compare, _FP, (0, 1), "compare"),
     "cmp": (_compare, _FP, (0, 1), "compare"),
     "xorpd": (_xorpd, _FP, None, None),
-    "fpmov": (_move, None, None, None),
-    "intmov": (_move, None, None, None),
+    "fpmov": (_uop_move, None, None, None),
+    "intmov": (_uop_move, None, None, None),
 }
