@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from repro.core import nanbox
 from repro.core.alloc import FREE
-from repro.errors import BoxHeapExhaustedError, ConfigError, MachineError
+from repro.errors import BoxHeapExhaustedError, ConfigError
 from repro.fpu import bits as B
 from repro.fpu.ieee import UCOMI_EQUAL, UCOMI_GREATER, UCOMI_LESS, UCOMI_UNORDERED
 from repro.machine import codegen
@@ -118,8 +118,6 @@ class Emulator:
         if uop not in self.steps and uop.mnemonic not in self.supported_set:
             return False
         step = self.step(uop)
-        if step.run is None:
-            return False
         try:
             if not step.run(context, mode):
                 return False
@@ -290,9 +288,7 @@ def _if_owned(bits: str, live: str, then: list[str]) -> list[str]:
 # ------------------------------------------------------------- binding
 class _Step:
     """One micro-op bound for one VM.  ``run(context, mode)`` is its
-    generated function (modes RUN and ENTER), or None for an operand
-    shape the move text refuses, which is unsupported like a mnemonic
-    outside ``supported_instructions``; ``charge`` records
+    generated function (modes RUN and ENTER); ``charge`` records
     its constant charges (``bind`` per operand, ``emul`` dispatch, the
     op's fixed altmath cost), kept as ``charge.charges``; ``writes`` is
     the static lazy-FP mask of the XMM lanes a completed run wrote.
@@ -311,8 +307,6 @@ def bind(uop: MicroOp, vm):
     build, fp, probe, cost = _KINDS[uop.emu_kind]
     ops = uop.operands
     shape, params = codegen.scan(ops)
-    if ops and shape[0] in ("i", "l", "L"):
-        params["w0"] = f"cannot write operand {ops[0]!r}"
     writes, body = build(uop, params)
     flow = vm.flow is not None
     if flow:
@@ -330,8 +324,7 @@ def bind(uop: MicroOp, vm):
         altmath = vm.altmath.costs
         unit = altmath.op(uop.ieee) if cost == "op" else getattr(altmath, cost)
         charges.append(("altmath", unit * uop.lanes))
-    run = None if make is None else make(vm.emulator.env, **params)
-    return _Step(run, vm.ledger.charger(*charges), writes)
+    return _Step(make(vm.emulator.env, **params), vm.ledger.charger(*charges), writes)
 
 
 def _lanes_mask(op, lanes) -> int:
@@ -352,13 +345,9 @@ _ENV = ("resolve", "owned", "produce", "emu", "slots", "box0", "counts", "demote
         "begin_op", "end_op", *_ALTMATH)
 
 
-def _cannot_write(message: str, value) -> None:
-    raise MachineError(message)
-
-
 #: Module globals of the generated code.
 _GLOBALS = {
-    **codegen.GLOBALS, "SIGN": B.F64_SIGN_MASK, "_cannot_write": _cannot_write,
+    **codegen.GLOBALS, "SIGN": B.F64_SIGN_MASK,
     "SIG_MASK": nanbox._PATTERN_MASK, "SIG": nanbox._PATTERN,
     "UNSIGNED": _UNSIGNED, "TOP": _TOP, "FREE": FREE, "PTR_MASK": nanbox.NANBOX_PTR_MASK,
     "QNAN": B.CANONICAL_QNAN, "BoxHeapExhaustedError": BoxHeapExhaustedError,
@@ -368,19 +357,19 @@ _GLOBALS = {
 
 
 #: (mnemonic, flow on, box store kind, *operand shape) -> the ``make`` its source
-#: defines, or None for a refused move shape.  The source depends on the key alone
-#: (operand values are ``make``'s arguments), so one process-wide table serves every
-#: VM; it holds one entry per distinct key ever bound, a few dozen.
+#: defines.  The source depends on the key alone (operand values are ``make``'s
+#: arguments), so one process-wide table serves every VM; it holds one entry per
+#: distinct key ever bound, a few dozen.
 _MAKERS: dict = {}
 
 
-def _source(ops, params, body, fp, probe, lanes, flow: bool, live: str) -> str | None:
+def _source(ops, params, body, fp, probe, lanes, flow: bool, live: str) -> str:
     """Source of ``make(env, **params)``, which returns the step
-    function (None: the move text refuses the shape), its operand
-    access a context :class:`codegen.Text`'s.  ``body(t, src, dst)``
-    emits into ``t``; ``src(pos, lane)`` is a source lane's bits,
-    ``src(pos, lane, True)`` its alt value, ``dst(lane, value)`` writes
-    operand 0.  ``fp`` gives each operand's access kind, and addresses
+    function, its operand access a context :class:`codegen.Text`'s.
+    ``body(t, src, dst)`` emits into ``t``; ``src(pos, lane)`` is a
+    source lane's bits, ``src(pos, lane, True)`` its alt value,
+    ``dst(lane, value)`` writes operand 0.  ``fp`` gives each operand's
+    access kind, and addresses
     are computed once, first (a move, ``fp`` None, does both as the
     CPU).  ``probe`` names the operands rule (2) checks in each of
     ``lanes`` (None: no rule); ``flow`` opens the recorder's op window;
@@ -393,15 +382,12 @@ def _source(ops, params, body, fp, probe, lanes, flow: bool, live: str) -> str |
 
     def dst(lane, value):
         t.write(0, value, fp[0], lane=lane)
-    try:
-        if fp is not None:
-            t.hold()
-        lines = [*window[0], *t.capture(body, t, src, dst), *window[1], "return True"]
-        if probe is not None:
-            probed = [(pos, lane) for lane in lanes for pos in probe]
-            lines = _entry(t, body, fp, probed, window, live, dst) + lines
-    except codegen.Refused:
-        return None
+    if fp is not None:
+        t.hold()
+    lines = [*window[0], *t.capture(body, t, src, dst), *window[1], "return True"]
+    if probe is not None:
+        probed = [(pos, lane) for lane in lanes for pos in probe]
+        lines = _entry(t, body, fp, probed, window, live, dst) + lines
     code = [*t.lines, *lines]
     text = "\n".join(code)
     code = [*t.prologue(text), *code]

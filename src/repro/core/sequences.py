@@ -277,13 +277,10 @@ class SequenceEmulator:
                 else:  # a miss, or a corrupt entry for the lookup to refuse
                     instr = self._fetch(addr)
                 # Rule (1).  A patched instruction carries a correctness
-                # hook that emulation would skip, and a step with no run
-                # has an operand shape the move text refuses: hand either
-                # back to the CPU.
+                # hook that emulation would skip: hand it back to the CPU.
                 if instr.mnemonic in supported and not (mode and addr in patches):
                     step = steps.get(instr) or emulator.step(instr)
-                if step is None or step.run is None:
-                    step = None
+                if step is None:
                     if not mode:
                         raise UnemulatableTrapError(
                             f"faulting instruction {instr} at {addr:#x} is not emulatable")
@@ -338,8 +335,6 @@ class SequenceEmulator:
             if uop is None or uop.addr != addr or not emulator.supported(uop):
                 return False
         steps = [emulator.step(uop) for uop in uops]
-        if any(step.run is None for step in steps):
-            return False
         trace.uops = uops
         trace.ops = tuple((step.run, ENTER if i else RUN) for i, step in enumerate(steps))
         columns: dict[str, list[int]] = {}

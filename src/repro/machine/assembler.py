@@ -27,9 +27,8 @@ from __future__ import annotations
 import re
 import struct
 
-from repro.errors import AssemblerError
+from repro.errors import AssemblerError, EncodingError
 from repro.machine.isa import (
-    FP_TOUCH_CLASSES,
     GPR_IDS,
     OPCODES,
     XMM_IDS,
@@ -49,15 +48,6 @@ _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):\s*(.*)$")
 _MEM_RE = re.compile(r"^\[(.*)\]$")
 _COMMENT_RE = re.compile(r"[;#]")
 _SIZE_PREFIXES = {"byte": 1, "word": 2, "dword": 4, "qword": 8, "xmmword": 16}
-
-#: The first-operand kinds an SSE mnemonic's x86 forms allow: an XMM
-#: register, but a GPR for cvt(t)sd2si, and also memory for the moves'
-#: store forms (and a GPR for movq).
-_SSE_DST = {mn: (Xmm,) for mn, info in OPCODES.items() if info.opclass in FP_TOUCH_CLASSES}
-_SSE_DST.update(cvttsd2si=(Reg,), cvtsd2si=(Reg,), movq=(Xmm, Reg, Mem), **dict.fromkeys(
-    ("movsd", "movapd", "movupd", "movhpd", "movlpd"), (Xmm, Mem)))
-_KIND_NAMES = {Xmm: "an XMM register", Reg: "a general register", Mem: "memory"}
-
 
 def assemble(source: str, text_base: int = TEXT_BASE, data_base: int = DATA_BASE) -> Program:
     """Assemble ``source`` into a :class:`Program`."""
@@ -115,8 +105,7 @@ def assemble(source: str, text_base: int = TEXT_BASE, data_base: int = DATA_BASE
     # ------------------------------------------------------- resolve
     program.symbols.update(symbols)
     for mnemonic, operand_strs, line_no, iaddr in pending:
-        info = OPCODES[mnemonic]
-        control = info.opclass is OpClass.CONTROL
+        control = OPCODES[mnemonic].opclass is OpClass.CONTROL
         operands = []
         for s in operand_strs:
             op = parsed.get((s, control))
@@ -124,23 +113,10 @@ def assemble(source: str, text_base: int = TEXT_BASE, data_base: int = DATA_BASE
                 op = parsed[s, control] = _parse_operand(
                     s, symbols, control, line_no)
             operands.append(op)
-        if len(operands) != info.arity:
-            raise AssemblerError(
-                f"{mnemonic} expects {info.arity} operands, got {len(operands)}",
-                line_no,
-            )
-        if info.writes_dst and operands and isinstance(operands[0], Imm):
-            raise AssemblerError(
-                f"{mnemonic} cannot write an immediate destination", line_no)
-        allowed = _SSE_DST.get(mnemonic)
-        if allowed and type(operands[0]) not in allowed:
-            kinds = " or ".join(map(_KIND_NAMES.get, allowed))
-            raise AssemblerError(f"{mnemonic} first operand must be {kinds}, "
-                                 f"got {operand_strs[0]!r}", line_no)
-        if sum(isinstance(op, Mem) for op in operands) > 1:
-            raise AssemblerError(
-                f"{mnemonic} takes at most one memory operand", line_no)
-        instr = Instruction(mnemonic, tuple(operands), addr=iaddr)
+        try:
+            instr = Instruction(mnemonic, tuple(operands), addr=iaddr)
+        except EncodingError as exc:
+            raise AssemblerError(str(exc), line_no) from None
         program.add_instruction(instr)
         program.lines[iaddr] = line_no
 

@@ -84,10 +84,6 @@ def address(pos: int, op: Mem, gpr: str) -> list[str]:
     return [f"ea{pos} = ({' + '.join(terms)} + d{pos}) & U64"] if terms else []
 
 
-class Refused(Exception):
-    """The text has no form for the operand shape."""
-
-
 class Text:
     """The statements of one bound function over ``ops``, in execution
     order.  Registers and memory come from the running CPU
@@ -98,10 +94,9 @@ class Text:
     :meth:`hold` computed it or a write passes ``fresh=False``.  An
     8-byte in-page access with the prot bit is served inline, notifying
     observers as ``Memory`` does; others go to the ``Memory`` method.
-    Where the CPU text refuses a shape (the engine single-steps it), a
-    context text keeps the emulator's golden-pinned reading: a register
-    of either file stands where one is named, and a write to an
-    immediate raises through ``_cannot_write(w{pos}, value)``."""
+    ``ops`` has a shape the opcode table admits
+    (:class:`~repro.machine.isa.Instruction` refuses any other), so
+    every text has a form for it."""
 
     def __init__(self, ops, ctx: bool = False) -> None:
         self.ops = ops
@@ -117,11 +112,9 @@ class Text:
     def capture(self, build, *args) -> list[str]:
         """The lines ``build(*args)`` emits, kept out of the text."""
         lines, self.lines = self.lines, []
-        try:
-            build(*args)
-            return self.lines
-        finally:
-            self.lines = lines
+        build(*args)
+        lines, self.lines = self.lines, lines
+        return lines
 
     def kind(self, pos: int):
         op = self.ops[pos]
@@ -129,19 +122,6 @@ class Text:
             if isinstance(op, cls):
                 return name
         return None
-
-    def reg(self, pos: int) -> bool:
-        """Whether operand ``pos`` is an XMM register, or a GPR standing
-        for one in a context text."""
-        kind = self.kind(pos)
-        return kind == "x" or self.ctx and kind == "r"
-
-    def need(self, pos: int, *kinds: str) -> None:
-        kind = self.kind(pos)
-        if self.ctx and kind in ("x", "r"):
-            kind = "x" if "x" in kinds else "r"
-        if kind not in kinds:
-            raise Refused
 
     def lane(self, pos: int, lane: int = 0) -> str:
         """Register operand ``pos``'s lane ``lane`` (a GPR has one)."""
@@ -175,8 +155,6 @@ class Text:
             return self.lane(pos, lane)
         if kind == "i":
             return f"i{pos}"
-        if kind != "m":
-            raise Refused
         self.ea(pos)
         size = self.ops[pos].size
         var = f"hi{pos}" if lane else f"v{pos}"
@@ -188,36 +166,28 @@ class Text:
 
     def read128(self, pos: int) -> tuple[str, str]:
         """The seed's ``read_xmm_or_mem128``: both lanes, low first."""
-        kind = self.kind(pos)
-        if kind == "x":
+        if self.kind(pos) == "x":
             self.emit(f"lo{pos}, hi{pos} = xmm[x{pos}]")
-        elif kind == "m":
+        else:
             self.ea(pos)
             self.load8(f"lo{pos}", f"ea{pos}", True)
             self.load8(f"hi{pos}", self._at(pos, 1), True)
-        else:
-            raise Refused
         return f"lo{pos}", f"hi{pos}"
 
     def write(self, pos: int, value: str, fp: bool, fresh: bool = True, lane: int = 0) -> None:
         """The seed's ``write_u64_operand`` of lane ``lane``: a memory
         store honours the operand's size, and its lane 1 is the 8 bytes
         after lane 0."""
-        kind = self.kind(pos)
-        if kind in ("x", "r"):
+        if self.kind(pos) in ("x", "r"):
             self.emit(f"{self.lane(pos, lane)} = ({value}) & U64")
-        elif kind == "m":
-            if fresh:
-                self.ea(pos)
-            size = self.ops[pos].size
-            if size != 8 and not lane:
-                self.emit(f"mem.observed_store(ea{pos}, {value}, {size}, {fp})")
-            else:
-                self.store8(self._at(pos, lane), value, fp)
-        elif self.ctx:
-            self.emit(f"_cannot_write(w{pos}, {value})")
+            return
+        if fresh:
+            self.ea(pos)
+        size = self.ops[pos].size
+        if size != 8 and not lane:
+            self.emit(f"mem.observed_store(ea{pos}, {value}, {size}, {fp})")
         else:
-            raise Refused
+            self.store8(self._at(pos, lane), value, fp)
 
     def load8(self, var: str, at: str, fp: bool) -> None:
         kind = "fp_load" if fp else "int_load"
@@ -265,20 +235,17 @@ def used(text: str, names) -> list[str]:
 
 def maker(table: dict, key, source, namespace: dict, filename: str):
     """The ``make`` for ``key`` in ``table``.  On a miss ``source()``
-    gives the text that defines ``make``, or None when nothing is made
-    for this key; it is compiled with ``namespace`` as its globals and
-    kept, None included, so every later request with the key is one
-    lookup.  A table serves every CPU or VM of the process and holds
-    one entry per distinct key ever bound, a few dozen."""
+    gives the text that defines ``make``; it is compiled with
+    ``namespace`` as its globals and kept, so every later request with
+    the key is one lookup.  A table serves every CPU or VM of the
+    process and holds one entry per distinct key ever bound, a few
+    dozen."""
     try:
         return table[key]
     except KeyError:
         pass
-    text = source()
-    make = None
-    if text is not None:
-        code = dict(namespace)
-        exec(compile(text, filename, "exec"), code)
-        make = code["make"]
-    table[key] = make
+    text = source()  # may add to ``namespace``
+    code = dict(namespace)
+    exec(compile(text, filename, "exec"), code)
+    make = table[key] = code["make"]
     return make

@@ -316,9 +316,7 @@ class CPU:
             return self.regs.xmm[op.id][0]
         if isinstance(op, Imm):
             return op.value & U64
-        if isinstance(op, Mem):
-            return self.mem.observed_load(self.effective_address(op), 8, fp)
-        raise MachineError(f"cannot read operand {op!r}")
+        return self.mem.observed_load(self.effective_address(op), 8, fp)
 
     def read_sized_operand(self, op, fp: bool) -> int:
         if isinstance(op, Mem) and op.size != 8:
@@ -330,20 +328,16 @@ class CPU:
             self.regs.write_gpr(op.id, value)
         elif isinstance(op, Xmm):
             self.regs.write_xmm_lane(op.id, 0, value)
-        elif isinstance(op, Mem):
-            self.mem.observed_store(self.effective_address(op), value, op.size, fp)
         else:
-            raise MachineError(f"cannot write operand {op!r}")
+            self.mem.observed_store(self.effective_address(op), value, op.size, fp)
 
     def read_xmm_or_mem128(self, op) -> tuple[int, int]:
         if isinstance(op, Xmm):
             return self.regs.read_xmm128(op.id)
-        if isinstance(op, Mem):
-            ea = self.effective_address(op)
-            lo = self.mem.observed_load(ea, 8, True)
-            hi = self.mem.observed_load(ea + 8, 8, True)
-            return lo, hi
-        raise MachineError(f"cannot read 128-bit operand {op!r}")
+        ea = self.effective_address(op)
+        lo = self.mem.observed_load(ea, 8, True)
+        hi = self.mem.observed_load(ea + 8, 8, True)
+        return lo, hi
 
     def push(self, value: int) -> None:
         rsp = (self.regs.gpr[7] - 8) & U64
@@ -540,12 +534,10 @@ class CPU:
             if isinstance(dst, Xmm):
                 value = self.read_u64_operand(src, fp=isinstance(src, Mem))
                 regs.write_xmm128(dst.id, value, 0)
-            elif isinstance(src, Xmm):
+            else:
                 # The porous path: FP bits flow into the integer world.
                 self.write_u64_operand(dst, regs.xmm[src.id][0],
                                        fp=isinstance(dst, Mem))
-            else:
-                raise MachineError("movq needs an XMM operand")
         elif mn == "movddup":
             lo = self.read_u64_operand(src, fp=True)
             regs.write_xmm128(dst.id, lo, lo)
@@ -699,9 +691,7 @@ class CPU:
             # External symbol: dynamic (PLT-style) binding via the
             # rewritable symbol table -- the interposition point.
             return self.program.resolve(op.name)
-        if isinstance(op, Reg):
-            return self.regs.gpr[op.id]
-        raise MachineError(f"bad branch target {op!r}")
+        return self.regs.gpr[op.id]
 
     # --------------------------------------------------------------- system
     def _exec_sys(self, instr: Instruction):

@@ -48,7 +48,9 @@ def _reg(names: tuple[str, ...], rid: int) -> str:
 def decode_instruction(raw: bytes, addr: int = 0) -> Instruction:
     """Decode one instruction from ``raw`` (which must start at the
     instruction's first byte).  ``addr`` is recorded on the result.
-    Malformed bytes raise :class:`~repro.errors.EncodingError`."""
+    Malformed bytes raise :class:`~repro.errors.EncodingError`, as do
+    well-formed bytes of an operand shape the opcode table's forms
+    refuse (:class:`~repro.machine.isa.Instruction` checks them)."""
     if len(raw) < 2:
         raise EncodingError("truncated instruction header")
     opcode_id = raw[0]

@@ -3,13 +3,17 @@
 The opcode table is the single source of truth consumed by the
 assembler, the encoder/decoder, the CPU interpreter, and FPVM's own
 emulator (which supports a *subset* — the support gap is what
-terminates emulated instruction sequences, §4.2).
+terminates emulated instruction sequences, §4.2).  Its operand forms
+are the only operand shapes an :class:`Instruction` may have.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
+
+from repro.errors import EncodingError
 
 GPR_NAMES = (
     "rax", "rbx", "rcx", "rdx", "rsi", "rdi", "rbp", "rsp",
@@ -141,27 +145,59 @@ class OpClass(enum.Enum):
     __hash__ = object.__hash__
 
 
+#: The operand kinds an operand form names, in the order forms list them.
+OPERAND_KINDS = {"xmm": Xmm, "reg": Reg, "mem": Mem, "imm": Imm, "label": Label}
+_KIND_TEXT = {Xmm: "an XMM register", Reg: "a general register", Mem: "memory",
+              Imm: "an immediate", Label: "a label"}
+
+
+def form_shapes(forms: str) -> list[tuple[str, ...]]:
+    """The operand shapes ``forms`` admits, as tuples of kind names.
+    ``forms`` lists alternatives separated by ``;``, each a
+    comma-separated list of positions whose ``/``-separated kinds it
+    admits in every combination: ``"xmm, xmm/mem; mem, xmm"`` admits
+    ``(xmm, xmm)``, ``(xmm, mem)`` and ``(mem, xmm)``.  The empty text
+    admits one shape, no operands."""
+    out: list[tuple[str, ...]] = []
+    for alternative in forms.split(";"):
+        positions = [part.strip().split("/") for part in alternative.split(",")]
+        out += itertools.product(*positions) if alternative.strip() else [()]
+    return out
+
+
 @dataclass(frozen=True)
 class OpcodeInfo:
     """Static metadata for one mnemonic."""
 
     mnemonic: str
     opclass: OpClass
+    #: the operand forms every reader runs alike (:func:`form_shapes`);
+    #: :class:`Instruction` refuses any other shape.
+    forms: str
     #: mnemonic for :func:`repro.fpu.ieee.ieee_op`, if FP arithmetic.
     ieee: str | None = None
     #: number of 64-bit lanes an FP op processes (1=scalar, 2=packed).
     lanes: int = 1
-    #: operand count accepted by the assembler.
-    arity: int = 2
     #: native execution cost in cycles (see machine.costs for the story).
     cost: int = 1
-    #: True if the op writes its first operand (dst, src convention).
-    writes_dst: bool = True
+    #: operand count, the forms' length.
+    arity: int = 0
+    #: the admitted shapes as tuples of operand classes.
+    types: frozenset = frozenset()
 
 
-def _op(mn, cls, ieee=None, lanes=1, arity=2, cost=1, writes_dst=True):
-    return OpcodeInfo(mn, cls, ieee, lanes, arity, cost, writes_dst)
+def _op(mn, cls, forms, ieee=None, lanes=1, cost=1):
+    shapes = form_shapes(forms)
+    types = frozenset(tuple(OPERAND_KINDS[kind] for kind in shape) for shape in shapes)
+    return OpcodeInfo(mn, cls, forms, ieee, lanes, cost, len(shapes[0]), types)
 
+
+#: The forms shared by families of mnemonics.
+_SCALAR = "xmm, xmm/reg/mem/imm"
+_PACKED = "xmm, xmm/mem"
+_INT2 = "xmm/reg, xmm/reg/mem/imm; mem, xmm/reg/imm"
+_INT1 = "xmm/reg/mem"
+_TARGET = "reg/label"
 
 _FP_COST = {"add": 4, "sub": 4, "mul": 5, "div": 13, "sqrt": 20, "min": 4, "max": 4}
 
@@ -177,73 +213,76 @@ for _name, _ieee in [
     ("addsd", "add"), ("subsd", "sub"), ("mulsd", "mul"), ("divsd", "div"),
     ("minsd", "min"), ("maxsd", "max"),
 ]:
-    _register(_op(_name, OpClass.FP_ARITH, ieee=_ieee, cost=_FP_COST[_ieee]))
-_register(_op("sqrtsd", OpClass.FP_ARITH, ieee="sqrt", cost=_FP_COST["sqrt"]))
+    _register(_op(_name, OpClass.FP_ARITH, _SCALAR, ieee=_ieee, cost=_FP_COST[_ieee]))
+_register(_op("sqrtsd", OpClass.FP_ARITH, _SCALAR, ieee="sqrt", cost=_FP_COST["sqrt"]))
 # FMA3 (VEX): dst = src2 * dst + src3, fused with a single rounding.
-_register(_op("vfmadd213sd", OpClass.FP_ARITH, ieee="fma", arity=3, cost=5))
-_register(_op("ucomisd", OpClass.FP_ARITH, ieee="ucomi", cost=3, writes_dst=False))
-_register(_op("comisd", OpClass.FP_ARITH, ieee="comi", cost=3, writes_dst=False))
+_register(_op("vfmadd213sd", OpClass.FP_ARITH, "xmm, xmm, xmm/reg/mem/imm", ieee="fma",
+              cost=5))
+_register(_op("ucomisd", OpClass.FP_ARITH, _SCALAR, ieee="ucomi", cost=3))
+_register(_op("comisd", OpClass.FP_ARITH, _SCALAR, ieee="comi", cost=3))
 for _pred in ("eq", "lt", "le", "unord", "neq", "nlt", "nle", "ord"):
-    _register(_op(f"cmp{_pred}sd", OpClass.FP_ARITH, ieee=f"cmp_{_pred}", cost=4))
+    _register(_op(f"cmp{_pred}sd", OpClass.FP_ARITH, _SCALAR, ieee=f"cmp_{_pred}", cost=4))
 
 # --- SSE2 packed double arithmetic ------------------------------------------
 for _name, _ieee in [
     ("addpd", "add"), ("subpd", "sub"), ("mulpd", "mul"), ("divpd", "div"),
     ("minpd", "min"), ("maxpd", "max"),
 ]:
-    _register(_op(_name, OpClass.FP_ARITH, ieee=_ieee, lanes=2, cost=_FP_COST[_ieee]))
-_register(_op("sqrtpd", OpClass.FP_ARITH, ieee="sqrt", lanes=2, cost=_FP_COST["sqrt"]))
+    _register(_op(_name, OpClass.FP_ARITH, _PACKED, ieee=_ieee, lanes=2,
+                  cost=_FP_COST[_ieee]))
+_register(_op("sqrtpd", OpClass.FP_ARITH, _PACKED, ieee="sqrt", lanes=2,
+              cost=_FP_COST["sqrt"]))
 
 # --- conversions -------------------------------------------------------------
-_register(_op("cvtsi2sd", OpClass.FP_CVT, ieee="cvtsi2sd", cost=5))
-_register(_op("cvttsd2si", OpClass.FP_CVT, ieee="cvttsd2si", cost=5))
-_register(_op("cvtsd2si", OpClass.FP_CVT, ieee="cvtsd2si", cost=5))
+_register(_op("cvtsi2sd", OpClass.FP_CVT, _SCALAR, ieee="cvtsi2sd", cost=5))
+_register(_op("cvttsd2si", OpClass.FP_CVT, "reg, xmm/reg/mem/imm", ieee="cvttsd2si", cost=5))
+_register(_op("cvtsd2si", OpClass.FP_CVT, "reg, xmm/reg/mem/imm", ieee="cvtsd2si", cost=5))
 
 # --- FP bitwise (sign tricks; raise no FP exceptions) ------------------------
 for _name in ("xorpd", "andpd", "orpd", "andnpd"):
-    _register(_op(_name, OpClass.FP_BITWISE, cost=1))
+    _register(_op(_name, OpClass.FP_BITWISE, _PACKED, cost=1))
 
 # --- XMM moves ---------------------------------------------------------------
-for _name in ("movsd", "movapd", "movupd", "movhpd", "movlpd", "movq",
-              "movddup"):
-    _register(_op(_name, OpClass.FP_MOV, cost=1))
+for _name, _forms in [
+    ("movsd", f"{_SCALAR}; mem, xmm"), ("movapd", f"{_PACKED}; mem, xmm"),
+    ("movupd", f"{_PACKED}; mem, xmm"), ("movhpd", f"{_SCALAR}; mem, xmm"),
+    ("movlpd", f"{_SCALAR}; mem, xmm"), ("movq", f"{_SCALAR}; reg/mem, xmm"),
+    ("movddup", _SCALAR),
+]:
+    _register(_op(_name, OpClass.FP_MOV, _forms, cost=1))
 # Shuffles/unpacks: 2-operand lane rearrangers (shufpd takes an imm8
 # control as a third operand).  Deliberately outside the emulator's
 # default supported set — part of the "123 ignored" opcodes of §4.2.
-_register(_op("unpcklpd", OpClass.FP_MOV, cost=1))
-_register(_op("unpckhpd", OpClass.FP_MOV, cost=1))
-_register(_op("shufpd", OpClass.FP_MOV, arity=3, cost=1))
+_register(_op("unpcklpd", OpClass.FP_MOV, _PACKED, cost=1))
+_register(_op("unpckhpd", OpClass.FP_MOV, _PACKED, cost=1))
+_register(_op("shufpd", OpClass.FP_MOV, "xmm, xmm/mem, imm", cost=1))
 
 # --- GPR moves ---------------------------------------------------------------
-_register(_op("mov", OpClass.INT_MOV, cost=1))
-_register(_op("lea", OpClass.INT_MOV, cost=1))
-_register(_op("push", OpClass.INT_MOV, arity=1, cost=2, writes_dst=False))
-_register(_op("pop", OpClass.INT_MOV, arity=1, cost=2))
-_register(_op("xchg", OpClass.INT_MOV, cost=2))
+_register(_op("mov", OpClass.INT_MOV, _INT2, cost=1))
+_register(_op("lea", OpClass.INT_MOV, "reg, mem", cost=1))
+_register(_op("push", OpClass.INT_MOV, "xmm/reg/mem/imm", cost=2))
+_register(_op("pop", OpClass.INT_MOV, _INT1, cost=2))
+_register(_op("xchg", OpClass.INT_MOV, "xmm/reg, xmm/reg/mem; mem, xmm/reg", cost=2))
 
 # --- integer ALU -------------------------------------------------------------
-for _name in ("add", "sub", "and", "or", "xor"):
-    _register(_op(_name, OpClass.INT_ALU, cost=1))
-_register(_op("imul", OpClass.INT_ALU, cost=3))
-for _name in ("shl", "shr", "sar"):
-    _register(_op(_name, OpClass.INT_ALU, cost=1))
-_register(_op("cmp", OpClass.INT_ALU, cost=1, writes_dst=False))
-_register(_op("test", OpClass.INT_ALU, cost=1, writes_dst=False))
+for _name in ("add", "sub", "and", "or", "xor", "imul", "shl", "shr", "sar"):
+    _register(_op(_name, OpClass.INT_ALU, _INT2, cost=3 if _name == "imul" else 1))
+for _name in ("cmp", "test"):
+    _register(_op(_name, OpClass.INT_ALU, "xmm/reg/imm, xmm/reg/mem/imm; mem, xmm/reg/imm",
+                  cost=1))
 for _name in ("inc", "dec", "neg", "not"):
-    _register(_op(_name, OpClass.INT_ALU, arity=1, cost=1))
+    _register(_op(_name, OpClass.INT_ALU, _INT1, cost=1))
 
 # --- control flow ------------------------------------------------------------
-_register(_op("jmp", OpClass.CONTROL, arity=1, cost=1, writes_dst=False))
-for _name in ("je", "jne", "jl", "jle", "jg", "jge", "jb", "jbe",
+for _name in ("jmp", "je", "jne", "jl", "jle", "jg", "jge", "jb", "jbe",
               "ja", "jae", "js", "jns", "jp", "jnp"):
-    _register(_op(_name, OpClass.CONTROL, arity=1, cost=1, writes_dst=False))
-_register(_op("call", OpClass.CONTROL, arity=1, cost=4, writes_dst=False))
-_register(_op("ret", OpClass.CONTROL, arity=0, cost=4, writes_dst=False))
+    _register(_op(_name, OpClass.CONTROL, _TARGET, cost=1))
+_register(_op("call", OpClass.CONTROL, _TARGET, cost=4))
+_register(_op("ret", OpClass.CONTROL, "", cost=4))
 
 # --- system ------------------------------------------------------------------
-_register(_op("int3", OpClass.SYS, arity=0, cost=1, writes_dst=False))
-_register(_op("nop", OpClass.SYS, arity=0, cost=1, writes_dst=False))
-_register(_op("hlt", OpClass.SYS, arity=0, cost=1, writes_dst=False))
+for _name in ("int3", "nop", "hlt"):
+    _register(_op(_name, OpClass.SYS, "", cost=1))
 
 #: Stable numbering for the binary encoding.
 OPCODE_IDS: dict[str, int] = {mn: i for i, mn in enumerate(sorted(OPCODES))}
@@ -335,9 +374,12 @@ class Instruction:
     raw: bytes = b""
 
     def __post_init__(self) -> None:
-        if self.mnemonic not in OPCODES:
+        info = OPCODES.get(self.mnemonic)
+        if info is None:
             raise ValueError(f"unknown mnemonic {self.mnemonic!r}")
-        self.operands = tuple(self.operands)
+        ops = self.operands = tuple(self.operands)
+        if tuple(map(type, ops)) not in info.types:
+            raise EncodingError(_refusal(info, ops))
 
     @property
     def info(self) -> OpcodeInfo:
@@ -379,3 +421,20 @@ class Instruction:
         if not self.operands:
             return self.mnemonic
         return f"{self.mnemonic} " + ", ".join(str(o) for o in self.operands)
+
+
+def _refusal(info: OpcodeInfo, ops: tuple) -> str:
+    """Why ``info.forms`` refuse ``ops``: the count, or the first
+    operand no admitted shape with the operands before it allows."""
+    if len(ops) != info.arity:
+        return f"{info.mnemonic} expects {info.arity} operands, got {len(ops)}"
+    for pos, op in enumerate(ops):
+        head = tuple(map(type, ops[:pos]))
+        allowed = {shape[pos] for shape in info.types if shape[:pos] == head}
+        if type(op) not in allowed:
+            kinds = [_KIND_TEXT[cls] for cls in OPERAND_KINDS.values() if cls in allowed]
+            must = kinds[0] if len(kinds) == 1 else f"{', '.join(kinds[:-1])} or {kinds[-1]}"
+            got = _KIND_TEXT.get(type(op), "an operand")
+            return (f"{info.mnemonic} {('first', 'second', 'third')[pos]} operand "
+                    f"must be {must}, got {got} {op}")
+    raise AssertionError("an admitted shape")  # pragma: no cover

@@ -2,8 +2,8 @@
 
 The table in :mod:`repro.machine.isa` is the single source of truth;
 this renderer keeps the documentation honest by deriving it, including
-each mnemonic's FPVM-emulator support status (the §4.2 supported /
-ignored split).
+each mnemonic's admitted operand forms and its FPVM-emulator support
+status (the §4.2 supported / ignored split).
 """
 
 from __future__ import annotations
@@ -38,6 +38,13 @@ def render_isa_reference() -> str:
         "`python -c \"from repro.machine.isadoc import write_isa_reference;"
         " write_isa_reference()\"`.",
         "",
+        "The **operand forms** column lists the only operand shapes an",
+        "instruction may have, however it is built (IR, assembler or",
+        "decoder): alternatives are separated by `;`, operands by `,`, and",
+        "`/` separates the kinds one operand may be (`xmm` an XMM register,",
+        "`reg` a general register, `mem` memory, `imm` an immediate, `label`",
+        "a code label).  Any other shape is an `EncodingError`.",
+        "",
         "The **emulated** column is FPVM's §4.2 support split: supported",
         "mnemonics can appear inside emulated instruction sequences;",
         "unsupported ones terminate sequences and run natively.",
@@ -52,12 +59,13 @@ def render_isa_reference() -> str:
             continue
         lines.append(f"## {_CLASS_TITLES[opclass]}")
         lines.append("")
-        lines.append("| mnemonic | operands | lanes | native cycles | emulated |")
+        lines.append("| mnemonic | operand forms | lanes | native cycles | emulated |")
         lines.append("|---|---|---|---|---|")
         for info in members:
             emulated = "yes" if info.mnemonic in DEFAULT_SUPPORTED else "no"
+            forms = f"`{info.forms}`" if info.forms else "none"
             lines.append(
-                f"| `{info.mnemonic}` | {info.arity} | {info.lanes} "
+                f"| `{info.mnemonic}` | {forms} | {info.lanes} "
                 f"| {info.cost} | {emulated} |"
             )
         lines.append("")

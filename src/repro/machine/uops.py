@@ -69,7 +69,6 @@ from repro.machine.isa import (
     OpClass,
     OPCODES,
     xmm_write_mask,
-    Reg,
 )
 
 U64 = 0xFFFF_FFFF_FFFF_FFFF
@@ -229,8 +228,7 @@ _GLOBALS = {
     "CONTROL": OpClass.CONTROL, "SENTINEL": _RETURN_SENTINEL,
 }
 
-#: (mnemonic, *operand shape) -> the ``make`` its text defines, or None
-#: for a refused shape.
+#: (mnemonic, *operand shape) -> the ``make`` its text defines.
 _MAKERS: dict = {}
 
 _EXEC_CLASSES = frozenset({OpClass.FP_ARITH, OpClass.FP_CVT, OpClass.FP_BITWISE,
@@ -238,7 +236,7 @@ _EXEC_CLASSES = frozenset({OpClass.FP_ARITH, OpClass.FP_CVT, OpClass.FP_BITWISE,
 
 
 def _fast_form(mn: str, ieee):
-    """The values-only evaluator of an FP mnemonic (None: not bound)."""
+    """The values-only evaluator of an FP mnemonic."""
     if mn in ("cvtsi2sd", "cvttsd2si", "cvtsd2si"):
         return getattr(F, mn)
     if mn in ("ucomisd", "comisd"):
@@ -247,7 +245,7 @@ def _fast_form(mn: str, ieee):
         return F.cmp_mask(CMP_PREDS[mn])
     if mn == "vfmadd213sd":
         return F.fma
-    return FAST_SCALAR.get(ieee)
+    return FAST_SCALAR[ieee]
 
 
 #: FP mnemonic -> its ``(fast, flag)`` evaluators.
@@ -259,7 +257,7 @@ _FP_FORMS = {mn: (_fast_form(mn, info.ieee), F.flagged(info.ieee))
 def bind_exec(uop: MicroOp, mem):
     """Bind a body-execute function ``fn(cpu)`` over the process memory
     ``mem``, or None if the micro-op cannot run inside a superblock body
-    (control/sys/odd shapes).  Any thread of the process may call it.
+    (control/sys).  Any thread of the process may call it.
 
     Contract: executes the instruction exactly like the seed handler
     (same reads, same write order, RIP set at the end) and returns None
@@ -271,18 +269,13 @@ def bind_exec(uop: MicroOp, mem):
     """
     if uop.opclass not in _EXEC_CLASSES:
         return None
-    try:
-        shape, params = codegen.scan(uop.instr.operands)
-    except (KeyError, AttributeError, TypeError):
-        return None  # malformed operands: let cpu.step() raise its way
+    shape, params = codegen.scan(uop.instr.operands)
     params["end"] = uop.end
     if uop.fp_trap_capable:
         params["fast"], params["flag"] = _FP_FORMS[uop.mnemonic]
         params["addr"], params["instr"] = uop.addr, uop.instr
     make = codegen.maker(_MAKERS, (uop.mnemonic, *shape),
                          lambda: _source(_exec_text, uop, params), _GLOBALS, "<micro-op>")
-    if make is None:
-        return None
     return make(mem, mem._pages, **params)
 
 
@@ -293,10 +286,7 @@ def bind_control(uop: MicroOp, mem, program):
     handler-then-retire order exactly — in particular a host function
     body runs *before* the call instruction retires."""
     ops = uop.instr.operands
-    try:
-        shape, params = codegen.scan(ops)
-    except (KeyError, AttributeError, TypeError):
-        return None
+    shape, params = codegen.scan(ops)
     mn = uop.mnemonic
     params.update(end=uop.end, cost=uop.cost)
     if shape and shape[0] == "L":
@@ -307,24 +297,19 @@ def bind_control(uop: MicroOp, mem, program):
         params["cond"] = CONDITION_CODES[mn]
     make = codegen.maker(_MAKERS, (mn, *shape),
                          lambda: _source(_control_text, uop, params), _GLOBALS, "<micro-op>")
-    if make is None:
-        return None
     return make(mem, mem._pages, **params)
 
 
-def _source(build, uop: MicroOp, params: dict) -> str | None:
+def _source(build, uop: MicroOp, params: dict) -> str:
     """Text of ``make(mem, pages, **params)``, which returns the
-    micro-op's function ``run(cpu)``; None when ``build`` refuses the
-    shape.  The text depends only on the key: ``build`` reads operand
-    kinds and memory forms, never their values."""
+    micro-op's function ``run(cpu)``.  The text depends only on the
+    key: ``build`` reads operand kinds and memory forms, never their
+    values."""
     if "Trap" not in _GLOBALS:
         from repro.machine.cpu import Trap, TrapKind
         _GLOBALS.update(Trap=Trap, XF=TrapKind.XF)
     text = codegen.Text(uop.instr.operands)
-    try:
-        build(text, uop)
-    except codegen.Refused:
-        return None  # the engine single-steps the shape
+    build(text, uop)
     body = "\n".join(text.lines)
     code = [*text.prologue(body), *text.lines]
     # Only the names the text reads are defaults: no cell per value,
@@ -360,43 +345,33 @@ def _fp_text(t: codegen.Text, uop: MicroOp) -> None:
     ``Trap`` with nothing committed, else the result is committed, the
     status ORed into MXCSR and RIP advanced, as ``_exec_fp`` does."""
     mn = uop.mnemonic
-    if _FP_FORMS[mn][0] is None:
-        raise codegen.Refused
     t.emit("if cpu.fp_disabled:", "    return Trap(XF, addr, instr, FPFlags())",
            "mx = regs.mxcsr")
     lane0 = ["xmm[x0][0] = res"]
     if mn == "cvtsi2sd":
-        t.need(0, "x")
         t.emit(f"val = {t.read(1, False)}")
         fast, flag, commit = ["xmm[x0][0] = fast(val)"], ["res, st = flag(val)"], lane0
     elif mn in ("cvttsd2si", "cvtsd2si"):
-        t.need(0, "x", "r", "m")
         t.emit(f"val = {t.read(1, True)}")
         fast, flag, commit = None, ["res, st = flag(val)"], None  # written by ``t.write``
     elif mn in ("ucomisd", "comisd"):
-        t.need(0, "x")
         t.emit(f"val = {t.read(1, True)}")
         commit = ["f = regs.flags", "f.zf = bool(res & 1)", "f.pf = bool(res & 2)",
                   "f.cf = bool(res & 4)", "f.sf = False", "f.of = False"]
         fast = ["res = fast(xmm[x0][0], val)", *commit]
         flag = ["res, st = flag(xmm[x0][0], val)"]
     elif mn == "vfmadd213sd":
-        t.need(0, "x")
-        t.need(1, "x")
         t.emit(f"val = {t.read(2, True)}")
         fast = ["lanes = xmm[x0]", "lanes[0] = fast(xmm[x1][0], lanes[0], val)"]
         flag, commit = ["res, st = flag(xmm[x1][0], xmm[x0][0], val)"], lane0
     elif mn == "sqrtsd":
-        t.need(0, "x")
         t.emit(f"val = {t.read(1, True)}")
         fast, flag, commit = ["xmm[x0][0] = fast(val)"], ["res, st = flag(val)"], lane0
     elif uop.lanes == 1:  # cmpXXsd and the scalar binary ops
-        t.need(0, "x")
         t.emit(f"val = {t.read(1, True)}")
         fast = ["lanes = xmm[x0]", "lanes[0] = fast(lanes[0], val)"]
         flag, commit = ["res, st = flag(xmm[x0][0], val)"], lane0
     else:  # sqrtpd and the packed binary ops
-        t.need(0, "x")
         lo, hi = t.read128(1)
         if mn == "sqrtpd":
             fast = ["lanes = xmm[x0]", f"lanes[0] = fast({lo})", f"lanes[1] = fast({hi})"]
@@ -426,7 +401,6 @@ def _fp_text(t: codegen.Text, uop: MicroOp) -> None:
 
 
 def _bitwise_text(t: codegen.Text, mn: str) -> None:
-    t.need(0, "x")
     lo, hi = t.read128(1)
     t.emit("lanes = xmm[x0]")
     if mn in _BITWISE:
@@ -443,41 +417,36 @@ def fp_mov_text(t: codegen.Text, mn: str) -> None:
     """An FP move, the engine's and (without RIP) the emulator's."""
     dst, src = t.kind(0), t.kind(1)
     if mn == "shufpd":
-        t.need(0, "x")
-        t.need(2, "i")
         lo, hi = t.read128(1)
         t.emit("lanes = xmm[x0]", "dlo, dhi = lanes",
                "lanes[0] = dhi if i2 & 1 else dlo", f"lanes[1] = {hi} if i2 & 2 else {lo}")
-    elif mn == "movsd" and dst == src == "x":
+    elif dst != "x":  # a store of an XMM register
+        if mn in ("movapd", "movupd"):
+            t.ea(0)  # two 8-byte stores, whatever the operand's size
+            t.store8("ea0", "xmm[x1][0]", True)
+            t.emit("at0 = ea0 + 8")
+            t.store8("at0", "xmm[x1][1]", True)
+        else:
+            t.write(0, f"xmm[x1][{int(mn == 'movhpd')}]", mn != "movq" or dst == "m")
+    elif mn == "movsd" and src == "x":
         t.emit("xmm[x0][0] = xmm[x1][0]")
-    elif mn in ("movsd", "movq") and dst == "x":
+    elif mn in ("movsd", "movq"):
         val = t.read(1, mn == "movsd" or src == "m")
         t.emit("lanes = xmm[x0]", f"lanes[0] = {val}", "lanes[1] = 0")
-    elif mn in ("movsd", "movq") and t.reg(1):
-        t.write(0, t.lane(1), mn == "movsd" or dst == "m")
-    elif mn in ("movapd", "movupd") and dst == "x":
+    elif mn in ("movapd", "movupd"):
         lo, hi = t.read128(1)
         t.emit("lanes = xmm[x0]", f"lanes[0] = {lo}", f"lanes[1] = {hi}")
-    elif mn in ("movapd", "movupd") and dst == "m" and t.reg(1):
-        t.ea(0)  # two 8-byte stores, whatever the operand's size
-        t.store8("ea0", t.lane(1, 0), True)
-        t.emit("at0 = ea0 + 8")
-        t.store8("at0", t.lane(1, 1), True)
-    elif mn in ("movhpd", "movlpd") and dst == "x":
+    elif mn in ("movhpd", "movlpd"):
         t.emit(f"xmm[x0][{int(mn == 'movhpd')}] = {t.read(1, True)}")
-    elif mn in ("movhpd", "movlpd") and t.reg(1):
-        t.write(0, t.lane(1, int(mn == "movhpd")), True)
-    elif mn == "movddup" and dst == "x":
+    elif mn == "movddup":
         t.emit(f"val = {t.read(1, True)}", "lanes = xmm[x0]", "lanes[0] = val",
                "lanes[1] = val")
-    elif mn == "unpcklpd" and dst == "x":
+    elif mn == "unpcklpd":
         lo, _ = t.read128(1)
         t.emit(f"xmm[x0][1] = {lo}")
-    elif mn == "unpckhpd" and dst == "x":
+    else:  # unpckhpd
         _, hi = t.read128(1)
         t.emit("lanes = xmm[x0]", "lanes[0] = lanes[1]", f"lanes[1] = {hi}")
-    else:
-        raise codegen.Refused
 
 
 def int_mov_text(t: codegen.Text, mn: str) -> None:
@@ -485,33 +454,24 @@ def int_mov_text(t: codegen.Text, mn: str) -> None:
     if mn == "mov":
         t.write(0, t.read(1, False, sized=True), False)
     elif mn == "lea":
-        t.need(0, "r")
-        t.need(1, "m")
         t.ea(1)
-        t.emit(f"{t.lane(0)} = ea1")
+        t.emit("gpr[r0] = ea1")
     elif mn == "push":
         t.emit(f"val = {t.read(0, False)}", "rsp = (gpr[7] - 8) & U64",
                "gpr[7] = rsp", "mem.write_u64(rsp, val)")
     elif mn == "pop":
-        t.need(0, "x", "r", "m")
         t.emit("rsp = gpr[7]", "val = mem.read_u64(rsp)", "gpr[7] = (rsp + 8) & U64")
         t.write(0, "val", False)
-    elif mn == "xchg":
-        t.need(0, "x", "r", "m")
-        t.need(1, "x", "r", "m")
+    else:  # xchg
         t.emit(f"va = {t.read(0, False)}")
         t.emit(f"vb = {t.read(1, False)}")
         t.write(0, "vb", False)
         t.write(1, "va", False)
-    else:
-        raise codegen.Refused
 
 
 def _int_alu_text(t: codegen.Text, mn: str) -> None:
     flags = ["f.zf = r == 0", "f.sf = bool(r >> 63)", "f.pf = PARITY[r & 0xFF]"]
     writes = mn not in ("cmp", "test")
-    if writes:
-        t.need(0, "x", "r", "m")
     t.emit(f"a = {t.read(0, False)}")
     if mn in ("add", "sub", "cmp", "and", "or", "xor", "test", "imul", "shl", "shr", "sar"):
         t.emit(f"b = {t.read(1, False)}")
@@ -544,10 +504,8 @@ def _int_alu_text(t: codegen.Text, mn: str) -> None:
     elif mn == "neg":
         t.emit("r = (-a) & U64", "f = regs.flags", "f.cf = a != 0", "f.of = a == (1 << 63)",
                *flags)
-    elif mn == "not":
+    else:  # not
         t.emit("r = (~a) & U64")
-    else:
-        raise codegen.Refused
     if writes:
         t.write(0, "r", False, fresh=False)
 
@@ -561,10 +519,8 @@ def _control_text(t: codegen.Text, uop: MicroOp) -> None:
         kind = uop.instr.operands[0]
         if isinstance(kind, Label):
             target = "i0" if kind.addr is not None and kind.addr != -1 else "prog.resolve(name)"
-        elif isinstance(kind, Reg):
-            target = "regs.gpr[r0]"
         else:
-            raise codegen.Refused
+            target = "regs.gpr[r0]"
         if mn == "jmp":
             t.emit(f"regs.rip = {target}")
         elif mn == "call":
@@ -573,10 +529,8 @@ def _control_text(t: codegen.Text, uop: MicroOp) -> None:
                    "    regs.rip = end", "    host.fn(cpu)", "else:",
                    "    rsp = (gpr[7] - 8) & U64", "    gpr[7] = rsp",
                    "    mem.write_u64(rsp, end)", "    regs.rip = target")
-        elif mn in CONDITION_CODES:
-            t.emit(f"regs.rip = {target} if cond(regs.flags) else end")
         else:
-            raise codegen.Refused
+            t.emit(f"regs.rip = {target} if cond(regs.flags) else end")
     t.emit("cpu.cycles += cost", "cpu.work_cycles += cost", "cpu.instruction_count += 1",
            "cpu.retired_by_class[CONTROL] += 1")
 
@@ -914,7 +868,7 @@ class UopEngine:
                 elif tail is not None:
                     runs[block] = runs.get(block, 0) + 1
                 else:
-                    # No runnable block (sys/unmapped/odd shape): seed step.
+                    # No runnable block (sys/unmapped): seed step.
                     if runs:
                         settle(runs)
                     step(cpu)

@@ -13,8 +13,8 @@ class TestISADoc:
 
     def test_support_split_reported(self):
         text = render_isa_reference()
-        assert "| `movhpd` | 2 | 1 | 1 | no |" in text
-        assert "| `movsd` | 2 | 1 | 1 | yes |" in text
+        assert "| `movhpd` | `xmm, xmm/reg/mem/imm; mem, xmm` | 1 | 1 | no |" in text
+        assert "| `movsd` | `xmm, xmm/reg/mem/imm; mem, xmm` | 1 | 1 | yes |" in text
 
     def test_totals_line(self):
         text = render_isa_reference()

@@ -21,6 +21,7 @@ from repro.machine.isa import (
     OpClass,
     Reg,
     Xmm,
+    form_shapes,
 )
 from tests.machine.snapshots import restore, snapshot
 
@@ -44,17 +45,14 @@ labels = st.integers(min_value=0, max_value=2**40).map(
 
 _KIND_STRATEGY = {"reg": gprs, "xmm": xmms, "imm": imms, "mem": mems, "label": labels}
 
-#: plausible operand-kind signatures per opcode class (the decoder does
-#: not validate semantics, only structure, so any kinds round-trip).
-any_operand = st.one_of(gprs, xmms, imms, mems, labels)
-
 
 @st.composite
 def instructions(draw):
+    """A mnemonic in one of the operand shapes its forms admit (the
+    decoder refuses any other, as construction does)."""
     mnemonic = draw(st.sampled_from(sorted(OPCODES)))
-    arity = OPCODES[mnemonic].arity
-    ops = tuple(draw(any_operand) for _ in range(arity))
-    return Instruction(mnemonic, ops)
+    shape = draw(st.sampled_from(form_shapes(OPCODES[mnemonic].forms)))
+    return Instruction(mnemonic, tuple(draw(_KIND_STRATEGY[kind]) for kind in shape))
 
 
 class TestEncodeDecodeProperty:

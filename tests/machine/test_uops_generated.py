@@ -68,8 +68,9 @@ def _host(cpu):
 
 
 def _shapes():
-    """``(label, program)`` per bound exec shape and per control form:
-    one program per key and per pattern of repeated operands."""
+    """``(label, program)`` per exec shape the opcode table admits and
+    per control form: one program per key and per pattern of repeated
+    operands."""
     out = []
     seen = set()
     for mn, info in OPCODES.items():
@@ -83,11 +84,9 @@ def _shapes():
             text = f"{mn} {', '.join(ops)}"
             try:
                 prog = assemble(f"main:\n  {text}\n  hlt\n")
-                uop = uops.lower(prog.by_addr[prog.entry])
-            except (AssemblerError, AttributeError):
-                continue  # rejected, or not lowered (an XMM-writing op into memory)
-            if uops.bind_exec(uop, CPU(prog).mem) is not None:
-                out.append((text, prog))
+            except AssemblerError:
+                continue  # a shape the opcode table refuses
+            out.append((text, prog))
     for target in ("far", "rdx"):
         for mn in ("jmp", "jne", "jb", "call"):
             out.append((f"{mn} {target}", assemble(
@@ -237,8 +236,7 @@ def test_maker_table_stays_small():
     for name in ("lorenz", "fbench", "enzo", "mixed_mt"):
         w = get_workload(name)
         Process(w.build_program(w.quick_scale or w.default_scale)).run()
-    bound = [key for key, make in uops._MAKERS.items() if make is not None]
-    assert 20 <= len(bound) and len(uops._MAKERS) <= 100
+    assert 20 <= len(uops._MAKERS) <= 100
 
 
 #: bytes a bound micro-op retained on enzo@6 under SEQ_SHORT/mpfr when
