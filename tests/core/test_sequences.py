@@ -4,12 +4,15 @@ import pytest
 
 from repro.core.decode_cache import DecodeCache
 from repro.core.vm import FPVM, FPVMConfig
-from repro.errors import FPVMFaultError, UnemulatableTrapError
+from repro.errors import AssemblerError, FPVMFaultError, UnemulatableTrapError
 from repro.kernel.kernel import LinuxKernel
 from repro.machine.assembler import assemble
 from repro.machine.cpu import CPU, TIERS
 from repro.machine.decoder import decode_instruction
 from repro.machine.hostlib import install_host_library
+from repro.kernel.signals import SignalContext
+from repro.machine.isa import GPR_IDS, XMM_IDS
+from repro.machine.uops import lower
 
 
 def run_fpvm(source: str, config: FPVMConfig):
@@ -125,6 +128,80 @@ def test_running_off_text_faults_like_native(config, tier):
     if config.sequence_emulation:
         (rec,) = vm.trace_stats.traces.values()
         assert (rec.length, rec.reason) == (1, "no_instruction")
+
+
+def _ending_in(source: str, line: str, config, tier):
+    """Assembles ``source`` followed by ``line; hlt`` and runs it to its
+    ``hlt`` on ``tier``, under FPVM with ``config`` unless it is None;
+    the CPU, its program and the VM."""
+    prog = assemble(f"{source}  {line}\n  hlt\n")
+    install_host_library(prog)
+    cpu = CPU(prog, uops=TIERS[tier])
+    cpu.kernel = LinuxKernel()
+    vm = FPVM(config).attach(cpu, cpu.kernel) if config else None
+    cpu.run()
+    return cpu, prog, vm
+
+
+def _refused_line(source: str, line: str) -> str:
+    """The assembler's error for ``source`` followed by ``line; hlt``:
+    the opcode table refuses the shape before any run can load it."""
+    with pytest.raises(AssemblerError) as info:
+        assemble(f"{source}  {line}\n  hlt\n")
+    return str(info.value)
+
+
+#: RUN_OFF_TEXT_SRC without its ``addsd``: the conversion of 0.1 that
+#: follows is inexact, so it traps under FPVM.
+CONVERT_SRC = RUN_OFF_TEXT_SRC.replace("  addsd xmm0, xmm1\n", "")
+
+
+@pytest.mark.parametrize("tier", list(TIERS))
+@pytest.mark.parametrize("config", [
+    FPVMConfig.none(patch_site_source="none"),
+    FPVMConfig.seq_short(patch_site_source="none"),
+], ids=["NONE", "SEQ_SHORT"])
+def test_immediate_destination_faults_like_native(config, tier):
+    """A write to an immediate destination (``cvttsd2si 7, xmm0``)
+    faults before any run, native or under FPVM: the assembler refuses
+    its line.  The register destination the table admits in its place
+    is written by FPVM's emulation after the trap exactly as a native
+    run writes it."""
+    assert _refused_line(CONVERT_SRC, "cvttsd2si 7, xmm0") == (
+        "line 9: cvttsd2si first operand must be a general register, got an immediate 7")
+    rax = GPR_IDS["rax"]
+    native, _, _ = _ending_in(CONVERT_SRC, "cvttsd2si rax, xmm0", None, tier)
+    cpu, _, vm = _ending_in(CONVERT_SRC, "cvttsd2si rax, xmm0", config, tier)
+    assert cpu.regs.gpr[rax] == native.regs.gpr[rax] == 0
+    assert (vm.telemetry.traps, vm.telemetry.emulated_instructions) == (1, 1)
+
+
+@pytest.mark.parametrize("tier", list(TIERS))
+def test_refused_move_shape_is_unsupported(tier):
+    """A move shape no x86 encoding has (``movapd xmm2, rax``) is refused
+    by the assembler, so nothing is left for FPVM to decline.  A move
+    the table admits but FPVM does not emulate (``movhpd``, outside
+    ``supported_instructions``) is the unsupported case: the sequence
+    after a trap stops before it with reason ``unsupported``, the CPU
+    runs it as a native run does, and ``Emulator.emulate`` declines it
+    with nothing charged."""
+    assert _refused_line(RUN_OFF_TEXT_SRC, "movapd xmm2, rax") == (
+        "line 10: movapd second operand must be an XMM register or memory, "
+        "got a general register rax")
+    line = "movhpd xmm2, [rip + a]"
+    xmm2 = XMM_IDS["xmm2"]
+    native, _, _ = _ending_in(RUN_OFF_TEXT_SRC, line, None, tier)
+    cpu, prog, vm = _ending_in(
+        RUN_OFF_TEXT_SRC, line, FPVMConfig.seq_short(patch_site_source="none"), tier)
+    assert cpu.regs.read_xmm128(xmm2) == native.regs.read_xmm128(xmm2)
+    (rec,) = vm.trace_stats.traces.values()
+    assert (rec.length, rec.reason, rec.terminator) == (1, "unsupported", "movhpd")
+    assert (vm.telemetry.traps, vm.telemetry.emulated_instructions) == (1, 1)
+    move = prog.instructions[-2]
+    assert move.mnemonic == "movhpd" and move.addr not in vm.program.patches
+    charged = vm.ledger.total()
+    assert not vm.emulator.emulate(lower(move), SignalContext(cpu, live=True))
+    assert vm.ledger.total() == charged
 
 
 @pytest.mark.parametrize("tier", list(TIERS))
