@@ -33,7 +33,7 @@ from repro.errors import BoxHeapExhaustedError, ConfigError
 from repro.fpu import bits as B
 from repro.fpu.ieee import UCOMI_EQUAL, UCOMI_GREATER, UCOMI_LESS, UCOMI_UNORDERED
 from repro.machine import codegen
-from repro.machine.isa import OpClass, Xmm
+from repro.machine.isa import OpClass
 from repro.machine.uops import CMP_TABLES, MicroOp, fp_mov_text, int_mov_text
 
 U64 = 0xFFFF_FFFF_FFFF_FFFF
@@ -89,8 +89,7 @@ class Emulator:
         self.steps: dict = {}
         self.resolve, self.owned, self.produce, self.settle = _value_flow(vm)
         #: set by a step run with ENTER whose source read raised (its
-        #: charges are not due); the sequence walk and the fused replay
-        #: read and clear it.
+        #: charges are not due); the sequence emulator reads and clears it.
         self.probe_raised = False
         altmath, flow = vm.altmath, vm.flow
         #: what every generated step of this VM may name (see ``_ENV``).
@@ -291,10 +290,11 @@ class _Step:
     generated function (modes RUN and ENTER); ``charge`` records
     its constant charges (``bind`` per operand, ``emul`` dispatch, the
     op's fixed altmath cost), kept as ``charge.charges``; ``writes`` is
-    the static lazy-FP mask of the XMM lanes a completed run wrote.
+    the static lazy-FP mask of the XMM lanes a completed run wrote, the
+    CPU's own (``MicroOp.xmm_writes``).
     :meth:`Emulator.emulate` charges, runs and marks one instruction;
-    the sequence emulator's walk and fused traces run steps directly and
-    settle value flow, marks and counts once per trap."""
+    the sequence emulator's loop runs steps directly and settles value
+    flow, marks and counts once per trap."""
 
     __slots__ = ("run", "charge", "writes")
 
@@ -307,7 +307,7 @@ def bind(uop: MicroOp, vm):
     build, fp, probe, cost = _KINDS[uop.emu_kind]
     ops = uop.operands
     shape, params = codegen.scan(ops)
-    writes, body = build(uop, params)
+    body = build(uop, params)
     flow = vm.flow is not None
     if flow:
         params["addr"] = uop.addr
@@ -324,17 +324,8 @@ def bind(uop: MicroOp, vm):
         altmath = vm.altmath.costs
         unit = altmath.op(uop.ieee) if cost == "op" else getattr(altmath, cost)
         charges.append(("altmath", unit * uop.lanes))
-    return _Step(make(vm.emulator.env, **params), vm.ledger.charger(*charges), writes)
-
-
-def _lanes_mask(op, lanes) -> int:
-    """The lazy-FP mask (bit ``2*xid + lane``) of writing ``lanes`` of
-    destination ``op``: 0 unless it is an XMM register."""
-    mask = 0
-    if isinstance(op, Xmm):
-        for lane in lanes:
-            mask |= 1 << (2 * op.id + lane)
-    return mask
+    return _Step(make(vm.emulator.env, **params), vm.ledger.charger(*charges),
+                 uop.xmm_writes)
 
 
 #: The altmath methods steps call, looked up on the VM's system when
@@ -441,9 +432,9 @@ def _resolved(bits: str, value: bool) -> str:
 
 
 # ---------------------------------------------------------- step kinds
-# Each builds one emulation kind's body from ``(uop, params)`` and returns
-# ``(lazy-FP mask of the lanes written, body)``; ``body(t, src, dst)``
-# emits the source lines into the text ``t`` (see :func:`_source`).
+# Each builds one emulation kind's body from ``(uop, params)``;
+# ``body(t, src, dst)`` emits the source lines into the text ``t`` (see
+# :func:`_source`).
 def _bin(uop, params):
     params["op"] = uop.ieee
     lanes = range(uop.lanes)
@@ -454,7 +445,7 @@ def _bin(uop, params):
             t.emit(f"b = {src(1, lane, True)}")
             t.emit("counts[op] += 1")
             dst(lane, "produce(binary(op, a, b), ctx)")
-    return _lanes_mask(uop.operands[0], lanes), body
+    return body
 
 
 def _sqrt(uop, params):
@@ -464,7 +455,7 @@ def _sqrt(uop, params):
         for lane in lanes:
             t.emit(f"value = {src(1, lane, True)}")
             dst(lane, 'produce(unary("sqrt", value), ctx)')
-    return _lanes_mask(uop.operands[0], lanes), body
+    return body
 
 
 def _fma(uop, params):
@@ -475,12 +466,11 @@ def _fma(uop, params):
         t.emit(f"addend = {src(2, 0, True)}")
         t.emit('counts["fma"] += 1')
         dst(0, "produce(fma(mul2, mul1, addend), ctx)")
-    return _lanes_mask(uop.operands[0], (0,)), body
+    return body
 
 
 def _cvtsi2sd(uop, params):
-    return _lanes_mask(uop.operands[0], (0,)), lambda t, src, dst: dst(
-        0, f"produce(from_i64({src(1, 0)}), ctx)")
+    return lambda t, src, dst: dst(0, f"produce(from_i64({src(1, 0)}), ctx)")
 
 
 def _cvt2si(uop, params):
@@ -489,7 +479,7 @@ def _cvt2si(uop, params):
     def body(t, src, dst):
         t.emit(f"value = {src(1, 0, True)}")
         dst(0, "to_i64(value, truncate=truncate)")
-    return _lanes_mask(uop.operands[0], (0,)), body
+    return body
 
 
 def _compare(uop, params):
@@ -511,7 +501,7 @@ def _compare(uop, params):
                    "flags.zf, flags.pf, flags.cf = bool(packed & 1), bool(packed & 2),"
                    " bool(packed & 4)",
                    "flags.sf = flags.of = False")
-    return _lanes_mask(uop.operands[0], (0,) if cmp else ()), body
+    return body
 
 
 def _xorpd(uop, params):
@@ -528,18 +518,14 @@ def _xorpd(uop, params):
                    "if b & SIG_MASK == SIG and a & ~SIGN and not a & SIG_MASK == SIG:",
                    "    b = demote(b)")
             dst(lane, "a ^ b")
-    return _lanes_mask(uop.operands[0], (0, 1)), body
+    return body
 
 
 def _uop_move(uop, params):
-    """Moves run the micro-op's move text without its RIP write.  An FP
-    move marks the lanes it writes; mov, lea and pop an XMM
-    destination's low lane."""
+    """Moves run the micro-op's move text without its RIP write."""
     mn = uop.mnemonic
-    if uop.opclass is OpClass.FP_MOV:
-        return uop.xmm_writes, lambda t, src, dst: fp_mov_text(t, mn)
-    writes = _lanes_mask(uop.operands[0], () if mn == "push" else (0,))
-    return writes, lambda t, src, dst: int_mov_text(t, mn)
+    text = fp_mov_text if uop.opclass is OpClass.FP_MOV else int_mov_text
+    return lambda t, src, dst: text(t, mn)
 
 
 _FP = (True, True, True)

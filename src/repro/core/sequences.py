@@ -142,23 +142,22 @@ class CompiledTrace:
     """A hot trace promoted into the compiled tier (§4.2's trace cache
     made literal), with its binding for the VM that compiled it.
 
-    A trap at ``entry`` replays the trace without patch lookups,
-    supported checks or loop control; the data-dependent probes of rule
-    (2) still run, inside the steps.  After a full replay the
-    interpreted walk goes on from ``end``, the recorded terminator.
+    A trap at ``entry`` runs the trace first in its loop, without
+    fetches, patch lookups, supported checks or loop control; the
+    data-dependent probes of rule (2) still run, inside the steps.
+    After a full run the walk goes on from ``end``, the recorded terminator.
 
     :meth:`SequenceEmulator._fuse` sets the binding from the VM's
     decode-cache entries: ``uops``, the entries it was fused with (None
-    until fused); ``ops``, ``(run, mode)`` per step, the step's bound
-    function and ENTER past the first step (a step with no probe ignores
-    the mode); ``sums``, per ledger category the prefix sums of the
-    steps' constant charges; and ``marks``, the prefix ORs of the steps'
-    lazy-FP lane masks (``_Step.writes``).  ``stamp`` is the decode cache's
+    until fused); ``steps``, their bound steps, and ``runs``, the
+    steps' functions; ``sums``, per ledger category the prefix sums of
+    the steps' constant charges; and ``marks``, the prefix ORs of the
+    steps' lazy-FP lane masks (``_Step.writes``).  ``stamp`` is the decode cache's
     :attr:`~repro.core.decode_cache.DecodeCache.stamp` when the binding
     was last found current; while it matches, no entry changed.
     """
 
-    __slots__ = ("entry", "addrs", "end", "uops", "ops", "sums", "marks", "stamp")
+    __slots__ = ("entry", "addrs", "end", "uops", "steps", "runs", "sums", "marks", "stamp")
 
     def __init__(self, addrs: tuple[int, ...], end: int) -> None:
         self.entry = addrs[0]
@@ -166,7 +165,7 @@ class CompiledTrace:
         self.addrs = addrs
         #: address of the recorded terminator (first non-emulated instr).
         self.end = end
-        self.uops = self.ops = self.sums = self.marks = self.stamp = None
+        self.uops = self.steps = self.runs = self.sums = self.marks = self.stamp = None
 
 
 class SequenceEmulator:
@@ -184,11 +183,12 @@ class SequenceEmulator:
     ``_heat`` with them.  :meth:`reset` (run by ``FPVM.attach``) starts
     it cold.
 
-    A trace replays fused from the VM's own decode-cache entries,
-    settling the accounting once per trap; without all of them resident
-    and sound the trap is interpreted, which charges what a step-wise
-    replay of the trace would.  The entries are checked again only
-    after the cache changed (its ``stamp`` moved).
+    One loop, :meth:`_emulate`, runs every trap and settles it once.
+    A trace runs first in it, fused from the VM's own decode-cache
+    entries; without all of them resident and sound the trap walks,
+    which charges what a step-wise replay of the trace would.  The
+    entries are checked again only after the cache changed (its
+    ``stamp`` moved).
     """
 
     def __init__(self, vm) -> None:
@@ -225,46 +225,59 @@ class SequenceEmulator:
                     del self._heat[key]
             self._epoch = seq
         trace = compiled.get(addr)
-        if trace is None:
-            return self._interpret(context, addr)
         cache = vm.decode_cache
-        if trace.stamp != cache.stamp:
-            if cache.resident(trace.addrs) != trace.uops and not self._fuse(trace):
-                return self._interpret(context, addr)
-            trace.stamp = cache.stamp
-        return self._replay(trace, context)
+        if trace is not None and trace.stamp != cache.stamp:
+            if cache.resident(trace.addrs) == trace.uops or self._fuse(trace):
+                trace.stamp = cache.stamp
+            else:
+                trace = None
+        return self._emulate(context, addr, trace)
 
-    def _interpret(self, context, addr: int, prefix: tuple[int, ...] = ()) -> int:
-        """The interpreted emulate-until-termination loop.  ``prefix``
-        holds the addresses a fully replayed compiled trace emulated;
-        ``addr`` is then its recorded terminator, which the walk checks
-        against both rules like any instruction past the first.
+    def _emulate(self, context, addr: int, trace: CompiledTrace | None = None) -> int:
+        """The emulate-until-termination loop.  A fused ``trace``
+        (entered at ``addr``) runs first: its steps, with no fetch and
+        no rule-(1) check, rule (2) running inside them; an early stop
+        ends the sequence.  The walk then goes on from the recorded
+        terminator (or starts at the trap), fetching each instruction
+        and checking both rules.
 
-        Each instruction's bound step runs directly, as in the fused
-        replay, and every exit (a stop, a raising fetch or step) settles
-        what fetching and emulating one at a time
-        (:meth:`_fetch`, :meth:`Emulator.emulate`) would: decode-cache
-        hits are served inline and charged together, the steps' value
-        flow settles and their lane marks and count land once, and a
-        raising step still owes its constant charges unless its probe
-        read raised.  Entered at a trace's end, it charges one more
-        decode-cache hit once the terminator's step is charged: a second
-        fetch of the terminator, the compiled tier's known over-count
-        (docs/architecture.md)."""
+        Every exit (a stop, a raising fetch or step) settles what
+        fetching and emulating one at a time (:meth:`_fetch`,
+        :meth:`Emulator.emulate`) would: the trace's hits, charges and
+        lanes from its prefix sums after one LRU touch, the walk's inline
+        hits together, value flow and lane marks once, and a raising
+        step's constant charges unless its probe read raised.  A walk
+        after a trace charges a second fetch of the terminator once its
+        step is charged: the known over-count (docs/architecture.md)."""
         vm = self.vm
         by_addr, patches = vm.program.by_addr, vm.program.patches
         emulator = vm.emulator
         steps, supported = emulator.steps, emulator.supported_set
         entries = vm.decode_cache.entries
         single = not vm.config.sequence_emulation
-        terminator = ""
-        reason = "single"
-        hits = marks = done = 0
+        terminator, reason = "", "single"
+        hits = marks = k = 0  # k: trace steps done
+        prefix = ()  # the addresses the trace emulated; the walk's follow
         emulated = []
-        mode = ENTER if prefix else RUN  # rule (2) applies past the trap's first instruction
-        step = None  # the step running; once raised, one that ran past its probe
+        walk = trace is None  # else once the trace has run in full
+        mode = RUN  # rule (2) applies past the trap's first instruction
+        step = None  # the walk's step running; once raised, one that ran past its probe
         try:
-            while True:
+            if trace is not None:
+                for run in trace.runs:
+                    if not run(context, mode):
+                        break
+                    k += 1
+                    mode = ENTER
+                prefix = trace.addrs[:k]
+                if k < len(trace.addrs):  # data-dependent early stop
+                    terminator, reason = trace.uops[k].mnemonic, "no_boxed_source"
+                    addr = trace.addrs[k]
+                else:  # the walk goes on from the recorded terminator,
+                    # its fetches after the trace's (LRU order, evictions)
+                    vm.decode_cache.touch(prefix)
+                    addr, walk = trace.end, True
+            while walk:
                 if addr not in by_addr:
                     # Ran off the end of text: nothing to fetch here, and
                     # the CPU faults on it when execution resumes.
@@ -294,7 +307,6 @@ class SequenceEmulator:
                 step.charge()
                 marks |= step.writes
                 step = None
-                done += 1
                 emulated.append(addr)
                 mode = ENTER
                 addr += instr.size
@@ -303,6 +315,8 @@ class SequenceEmulator:
                     terminator = nxt.mnemonic if nxt is not None else ""
                     break
         except BaseException:
+            if not walk:  # the trace's step k raised
+                step = trace.steps[k]
             if step is not None:
                 if emulator.probe_raised:
                     emulator.probe_raised = False
@@ -312,15 +326,26 @@ class SequenceEmulator:
             raise
         finally:
             emulator.settle()
+            telemetry = vm.telemetry
+            if trace is not None:
+                # A hit per fetched trace step (every step up to k), in
+                # trace order; the charges and lanes of the k done.
+                fetched = trace.addrs[:k + 1]
+                if not walk:  # the trace phase ended the sequence
+                    vm.decode_cache.touch(fetched)
+                elif emulated or step is not None:
+                    hits += 1  # ROADMAP 1(c): the terminator's second fetch, kept
+                hits += len(fetched)
+                marks |= trace.marks[k]
+                for category, sums in trace.sums:
+                    vm.ledger.charge(category, sums[k])
+                telemetry.compiled_trace_hits += 1
             if marks:
                 context.mark(marks)
-            telemetry = vm.telemetry
-            if prefix and (done or step is not None):
-                hits += 1  # ROADMAP 1(c): the terminator's second fetch, kept
             if hits:
                 vm.ledger.charge("decache", vm.costs.decode_cache_hit * hits)
                 telemetry.decode_hits += hits
-            telemetry.emulated_instructions += done
+            telemetry.emulated_instructions += k + len(emulated)
 
         self._finish(prefix + tuple(emulated), terminator, reason)
         return addr
@@ -334,9 +359,8 @@ class SequenceEmulator:
         for uop, addr in zip(uops, trace.addrs):
             if uop is None or uop.addr != addr or not emulator.supported(uop):
                 return False
-        steps = [emulator.step(uop) for uop in uops]
-        trace.uops = uops
-        trace.ops = tuple((step.run, ENTER if i else RUN) for i, step in enumerate(steps))
+        steps = trace.steps = tuple(emulator.step(uop) for uop in uops)
+        trace.uops, trace.runs = uops, tuple(step.run for step in steps)
         columns: dict[str, list[int]] = {}
         for i, step in enumerate(steps, 1):
             for category, cycles in step.charge.charges:
@@ -344,45 +368,6 @@ class SequenceEmulator:
         trace.sums = tuple((c, array("q", accumulate(col))) for c, col in columns.items())
         trace.marks = array("Q", accumulate((step.writes for step in steps), or_, initial=0))
         return True
-
-    def _replay(self, trace: CompiledTrace, context) -> int:
-        """The fused replay; every exit (early probe stop, full run, a
-        raising probe or body) settles what fetching and emulating the
-        steps one at a time would charge.  After a full run the
-        interpreted walk goes on from the recorded terminator."""
-        emulator = self.vm.emulator
-        k = 0              # steps emulated
-        started = False    # step k raised past its probe: its charges are due
-        try:
-            for run, mode in trace.ops:
-                if not run(context, mode):
-                    break
-                k += 1
-        except BaseException:
-            started = not emulator.probe_raised
-            emulator.probe_raised = False
-            raise
-        finally:
-            # The steps' value-flow cycles, a decode-cache hit per
-            # fetched step (every step up to k), in trace order, the
-            # charges of the steps that ran and the lanes of the k that
-            # completed.
-            emulator.settle()
-            if trace.marks[k]:
-                context.mark(trace.marks[k])
-            vm, fetched = self.vm, trace.addrs[:k + 1]
-            vm.decode_cache.touch(fetched)
-            vm.ledger.charge("decache", vm.costs.decode_cache_hit * len(fetched))
-            for category, sums in trace.sums:
-                vm.ledger.charge(category, sums[k + started])
-            telemetry = vm.telemetry
-            telemetry.compiled_trace_hits += 1
-            telemetry.decode_hits += len(fetched)
-            telemetry.emulated_instructions += k
-        if k < len(trace.addrs):  # data-dependent early stop
-            self._finish(trace.addrs[:k], trace.uops[k].mnemonic, "no_boxed_source")
-            return trace.addrs[k]
-        return self._interpret(context, trace.end, trace.addrs)
 
     def _finish(self, addrs: tuple[int, ...], terminator: str, reason: str) -> None:
         """Shared sequence epilogue: telemetry, statistics, and the

@@ -195,8 +195,8 @@ def _op(mn, cls, forms, ieee=None, lanes=1, cost=1):
 #: The forms shared by families of mnemonics.
 _SCALAR = "xmm, xmm/reg/mem/imm"
 _PACKED = "xmm, xmm/mem"
-_INT2 = "xmm/reg, xmm/reg/mem/imm; mem, xmm/reg/imm"
-_INT1 = "xmm/reg/mem"
+_INT2 = "reg, reg/mem/imm; mem, reg/imm"
+_INT1 = "reg/mem"
 _TARGET = "reg/label"
 
 _FP_COST = {"add": 4, "sub": 4, "mul": 5, "div": 13, "sqrt": 20, "min": 4, "max": 4}
@@ -260,15 +260,15 @@ _register(_op("shufpd", OpClass.FP_MOV, "xmm, xmm/mem, imm", cost=1))
 # --- GPR moves ---------------------------------------------------------------
 _register(_op("mov", OpClass.INT_MOV, _INT2, cost=1))
 _register(_op("lea", OpClass.INT_MOV, "reg, mem", cost=1))
-_register(_op("push", OpClass.INT_MOV, "xmm/reg/mem/imm", cost=2))
+_register(_op("push", OpClass.INT_MOV, "reg/mem/imm", cost=2))
 _register(_op("pop", OpClass.INT_MOV, _INT1, cost=2))
-_register(_op("xchg", OpClass.INT_MOV, "xmm/reg, xmm/reg/mem; mem, xmm/reg", cost=2))
+_register(_op("xchg", OpClass.INT_MOV, "reg, reg/mem; mem, reg", cost=2))
 
 # --- integer ALU -------------------------------------------------------------
 for _name in ("add", "sub", "and", "or", "xor", "imul", "shl", "shr", "sar"):
     _register(_op(_name, OpClass.INT_ALU, _INT2, cost=3 if _name == "imul" else 1))
 for _name in ("cmp", "test"):
-    _register(_op(_name, OpClass.INT_ALU, "xmm/reg/imm, xmm/reg/mem/imm; mem, xmm/reg/imm",
+    _register(_op(_name, OpClass.INT_ALU, "reg/imm, reg/mem/imm; mem, reg/imm",
                   cost=1))
 for _name in ("inc", "dec", "neg", "not"):
     _register(_op(_name, OpClass.INT_ALU, _INT1, cost=1))

@@ -10,13 +10,16 @@ apart from the generated steps:
   integer) none of whose FP sources holds a box our allocator owns
   stops it (:func:`any_source_boxed`, reading the sources itself).
 
-:func:`stepwise_interpret` is the interpreted walk that fetches
-(``SequenceEmulator._fetch``) and emulates (``Emulator.emulate``) one
-instruction at a time.  Entered at a fully replayed compiled trace's
-end, every reference first fetches the recorded terminator and checks
-it (:func:`terminator_stops`), then walks on from it, fetching it
-again: the compiled tier's known over-count (ROADMAP 1(c)), which
-production keeps as one extra decode-cache hit.
+:func:`stepwise_emulate` stands for the sequence emulator's one loop
+(``SequenceEmulator._emulate``), and is the seam the tests patch: a
+compiled trace replays one fetch (``SequenceEmulator._fetch``) and one
+emulation (``Emulator.emulate``) at a time (:func:`_run_stepwise`),
+and every walk, :func:`stepwise_interpret` by default, does the same.
+Entered at a fully replayed compiled trace's end, every reference walk
+first fetches the recorded terminator and checks it
+(:func:`terminator_stops`), then walks on from it, fetching it again:
+the compiled tier's known over-count (ROADMAP 1(c)), which production
+keeps as one extra decode-cache hit.
 """
 
 from __future__ import annotations
@@ -90,8 +93,8 @@ def terminator_stops(seq, context, addr: int, prefix: tuple[int, ...]) -> bool:
 
 
 def stepwise_interpret(self, context, addr: int, prefix: tuple[int, ...] = ()) -> int:
-    """``SequenceEmulator._interpret`` one fetch and one ``emulate``
-    per instruction."""
+    """The walk of ``SequenceEmulator._emulate``, one fetch and one
+    ``emulate`` per instruction."""
     vm = self.vm
     by_addr = vm.program.by_addr
     if prefix and terminator_stops(self, context, addr, prefix):
@@ -122,3 +125,29 @@ def stepwise_interpret(self, context, addr: int, prefix: tuple[int, ...] = ()) -
 
     self._finish(tuple(emulated), terminator, reason)
     return addr
+
+
+def _run_stepwise(self, trace, context, walk=stepwise_interpret) -> int:
+    """The trace phase of ``SequenceEmulator._emulate``: one decode-cache
+    fetch and emulation at a time, rule (2) checked apart from the step,
+    and after a full run ``walk`` from the recorded terminator."""
+    vm = self.vm
+    vm.telemetry.compiled_trace_hits += 1
+    emulated: list[int] = []
+    for addr in trace.addrs:
+        uop = self._fetch(addr)
+        if emulated and rule2_applies(uop) and not any_source_boxed(vm, uop, context):
+            # Data-dependent early stop, same as interpreted.
+            self._finish(tuple(emulated), uop.mnemonic, "no_boxed_source")
+            return addr
+        vm.emulator.emulate(uop, context)
+        emulated.append(addr)
+    return walk(self, context, trace.end, trace.addrs)
+
+
+def stepwise_emulate(self, context, addr: int, trace=None, walk=stepwise_interpret) -> int:
+    """``SequenceEmulator._emulate`` step-wise: a compiled ``trace``
+    through :func:`_run_stepwise`, any other trap through ``walk``."""
+    if trace is None:
+        return walk(self, context, addr)
+    return _run_stepwise(self, trace, context, walk)

@@ -1,6 +1,7 @@
 """The compiled-trace tier of the sequence emulator: promotion at the
-heat threshold, bit-identical replay, the fused replay against the
-step-wise reference (:func:`_run_stepwise`) on every exit, the
+heat threshold, bit-identical replay, the sequence emulator's loop
+with a fused trace against the step-wise reference
+(``reference_sequences.stepwise_emulate``) on every exit, the
 interpreted walk of a trace that cannot fuse, the residency stamp that
 skips re-checking a fused trace's entries, promotion only on the
 chained tier, eviction when the program's patch state changes, and the
@@ -22,7 +23,7 @@ from repro.machine.assembler import assemble
 from repro.machine.cpu import CPU
 from repro.machine.hostlib import install_host_library
 from repro.machine.memory import PAGE_SIZE, PROT_WRITE
-from tests.core.reference_sequences import any_source_boxed, rule2_applies, stepwise_interpret
+from tests.core.reference_sequences import stepwise_emulate
 
 
 # A tight loop whose emulated trace is identical every iteration, so
@@ -230,13 +231,14 @@ class TestAttach:
         ledger, telemetry = vm.ledger.snapshot(), snapshot(vm.telemetry)
 
         replayed = []
-        replay = SequenceEmulator._replay
+        emulate = SequenceEmulator._emulate
 
-        def spy(self, trace, context):
-            replayed.append(trace)
-            return replay(self, trace, context)
+        def spy(self, context, addr, trace=None):
+            if trace is not None:
+                replayed.append(trace)
+            return emulate(self, context, addr, trace)
 
-        monkeypatch.setattr(SequenceEmulator, "_replay", spy)
+        monkeypatch.setattr(SequenceEmulator, "_emulate", spy)
         cpu = attach(SHIFTED_SRC, vm)
         assert not vm.sequencer.compiled
         cpu.run()
@@ -399,6 +401,33 @@ top:
   hlt
 """
 
+# The compiled trace [addsd, movsd] meets its recorded terminator, the
+# mulsd, whose sources are plain: xmm1, and the zeros of ``buf`` under
+# ``rbx``, which moves on 128 bytes a lap.  The lap whose ``rbx`` lies
+# in the write-only page (``_unreadable_slot``) faults in the
+# terminator's probe read, before its step starts.
+TERMINATOR_PROBE_FAULT_SRC = """
+.data
+a: .double 0.1
+b: .double 0.7
+n: .quad 60
+buf: .space 8192
+.text
+main:
+  mov rcx, [rip + n]
+  lea rbx, [rip + buf]
+  movsd xmm0, [rip + a]
+top:
+  addsd xmm0, [rip + b]
+  movsd xmm1, [rip + a]
+  mulsd xmm1, [rbx]
+  add rbx, 128
+  dec rcx
+  jne top
+  call print_f64
+  hlt
+"""
+
 
 def _unreadable_slot(cpu) -> None:
     """Make the first page boundary past ``buf + 256`` write-only."""
@@ -415,30 +444,13 @@ EXIT_CASES = {
     "box_heap_exhausted_own_lanes": (HEAP_LANES_SRC, _SMALL_HEAP, "raise",
                                      BoxHeapExhaustedError),
     "probe_read_faults": (PROBE_FAULT_SRC, {}, "raise", MemoryFault),
+    "terminator_probe_faults": (TERMINATOR_PROBE_FAULT_SRC, {}, "terminator_raises",
+                                MemoryFault),
     "terminator_raises": (TERMINATOR_HEAP_SRC, _SMALL_HEAP, "terminator_raises",
                           BoxHeapExhaustedError),
 }
 #: case -> what to do to the CPU before it runs.
-PREPARE = {"probe_read_faults": _unreadable_slot}
-
-
-def _run_stepwise(self, trace, context) -> int:
-    """The replay the fused one stands for (``SequenceEmulator._replay``
-    under test): one decode-cache fetch and emulation at a time, rule
-    (2) checked apart from the step, and after a full run the step-wise
-    walk from the recorded terminator."""
-    vm = self.vm
-    vm.telemetry.compiled_trace_hits += 1
-    emulated: list[int] = []
-    for addr in trace.addrs:
-        uop = self._fetch(addr)
-        if emulated and rule2_applies(uop) and not any_source_boxed(vm, uop, context):
-            # Data-dependent early stop, same as interpreted.
-            self._finish(tuple(emulated), uop.mnemonic, "no_boxed_source")
-            return addr
-        vm.emulator.emulate(uop, context)
-        emulated.append(addr)
-    return stepwise_interpret(self, context, trace.end, trace.addrs)
+PREPARE = {"probe_read_faults": _unreadable_slot, "terminator_probe_faults": _unreadable_slot}
 
 
 def _observe(source: str, config: FPVMConfig, error, *, stepwise: bool = False,
@@ -449,14 +461,14 @@ def _observe(source: str, config: FPVMConfig, error, *, stepwise: bool = False,
     trap's ``written_xmm``) and the final register banks, and the fused
     exits taken: an early stop, a stop at the recorded terminator, a
     walk past it, a raise in the trace, or a raise at the terminator
-    the walk entered (no instruction done).  ``stepwise`` replays every
-    compiled trace through :func:`_run_stepwise` instead;
-    ``prepare(cpu)`` runs before the guest."""
+    the walk entered (no instruction walked).  ``stepwise`` runs the
+    step-wise reference (:func:`stepwise_emulate`) on every trap,
+    replaying every compiled trace; ``prepare(cpu)`` runs before the
+    guest."""
     exits = []
     written = []
-    replay = SequenceEmulator._replay
+    emulate = SequenceEmulator._emulate
     handle = SequenceEmulator.handle_fp_trap
-    interpret = SequenceEmulator._interpret
 
     def written_spy(self, context, trap):
         # Read after the sequence, raising or not: a trap whose body
@@ -466,30 +478,26 @@ def _observe(source: str, config: FPVMConfig, error, *, stepwise: bool = False,
         finally:
             written.append(context.written_xmm)
 
-    def spy(self, trace, context):
+    def spy(self, context, addr, trace=None):
+        if trace is None:
+            return emulate(self, context, addr)
         exits.append("raise")
-        resume = replay(self, trace, context)
+        done = self.vm.telemetry.emulated_instructions
+        try:
+            resume = emulate(self, context, addr, trace)
+        except BaseException:
+            if self.vm.telemetry.emulated_instructions - done == len(trace.addrs):
+                exits[-1] = "terminator_raises"
+            raise
         exits[-1] = ("term" if resume == trace.end
                      else "early" if resume in trace.addrs else "past")
         return resume
-
-    def walk_spy(self, context, addr, prefix=()):
-        done = self.vm.telemetry.emulated_instructions
-        try:
-            return interpret(self, context, addr, prefix)
-        except BaseException:
-            if prefix and self.vm.telemetry.emulated_instructions == done:
-                exits[-1] = "terminator_raises"
-            raise
 
     with monkeypatch.context() as m:
         m.setattr(SequenceEmulator, "handle_fp_trap", written_spy)
         if stepwise:
             m.setattr(SequenceEmulator, "_fuse", lambda self, trace: True)
-            m.setattr(SequenceEmulator, "_replay", _run_stepwise)
-        else:
-            m.setattr(SequenceEmulator, "_replay", spy)
-            m.setattr(SequenceEmulator, "_interpret", walk_spy)
+        m.setattr(SequenceEmulator, "_emulate", stepwise_emulate if stepwise else spy)
         prog = assemble(source)
         install_host_library(prog)
         cpu = CPU(prog, uops=uops)
@@ -525,8 +533,8 @@ def _check_fused(config: FPVMConfig, case: str, monkeypatch) -> None:
 
 
 class TestFusedReplay:
-    """The fused replay settles and marks exactly what the step-wise
-    reference charges and marks, on every exit, with the flow recorder
+    """A trap that runs a fused trace settles and marks exactly what the
+    step-wise reference charges and marks, on every exit, with the flow recorder
     on or off, with every trace's entries resident (the default 64K
     decode cache: every trap at a compiled entry runs fused); in live
     contexts (short-circuited traps) and in signal-frame contexts."""

@@ -31,9 +31,9 @@ moved digest can be diffed between two checkouts, and ``--diff``
 prints every ``(case, input class, field)`` whose value differs
 between two dumps, with both values:
 
-    PYTHONPATH=src python tests/core/test_emulator_golden.py --write
-    PYTHONPATH=src python tests/core/test_emulator_golden.py --dump out.json
-    PYTHONPATH=src python tests/core/test_emulator_golden.py --diff old.json new.json
+    PYTHONPATH=src:. python tests/core/test_emulator_golden.py --write
+    PYTHONPATH=src:. python tests/core/test_emulator_golden.py --dump out.json
+    PYTHONPATH=src:. python tests/core/test_emulator_golden.py --diff old.json new.json
 """
 
 from __future__ import annotations

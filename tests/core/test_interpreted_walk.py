@@ -1,6 +1,6 @@
-"""The interpreted walk (``SequenceEmulator._interpret``) against the
-step-wise reference ``stepwise_interpret`` in
-``tests/core/reference_sequences.py``, the walk that fetches
+"""The walk of the sequence emulator's loop (``SequenceEmulator._emulate``)
+against the step-wise reference ``stepwise_emulate`` in
+``tests/core/reference_sequences.py``, whose walk fetches
 (``_fetch``) and emulates (``Emulator.emulate``) one instruction at a
 time and so charges, settles, marks and counts each one as it goes.
 
@@ -36,7 +36,7 @@ from repro.machine.cpu import CPU
 from repro.machine.hostlib import install_host_library
 from repro.machine.memory import PAGE_SHIFT, PAGE_SIZE, PROT_READ
 from repro.machine.program import MAGIC_PAGE_ADDR
-from tests.core.reference_sequences import stepwise_interpret
+from tests.core.reference_sequences import stepwise_emulate
 from tests.core.test_compiled_traces import (
     EARLY_STOP_SRC,
     HEAP_LANES_SRC,
@@ -155,7 +155,7 @@ def _observe(source, config, error, prepare, *, reference, uops, monkeypatch):
 
     with monkeypatch.context() as m:
         if reference:
-            m.setattr(SequenceEmulator, "_interpret", stepwise_interpret)
+            m.setattr(SequenceEmulator, "_emulate", stepwise_emulate)
         m.setattr(SequenceEmulator, "handle_fp_trap", spy)
         prog = assemble(source)
         install_host_library(prog)
@@ -202,17 +202,18 @@ def test_walk_matches_stepwise(case, monkeypatch):
 
 
 def test_walk_after_a_compiled_trace_matches_stepwise(hot_traces, monkeypatch):
-    """A fully replayed compiled trace hands its emulated prefix to the
-    walk, which starts at the recorded terminator: it stops there or
-    goes on.  The reference fetches and checks the terminator itself,
-    then walks on from it step by step."""
+    """After a compiled trace runs in full the loop walks on from the
+    recorded terminator: it stops there or goes on.  The reference
+    fetches and checks the terminator itself, then walks on from it
+    step by step."""
     handed = []
-    interpret = SequenceEmulator._interpret
+    emulate = SequenceEmulator._emulate
 
-    def spy(self, context, addr, prefix=()):
-        handed.append(bool(prefix))
-        return interpret(self, context, addr, prefix)
-    monkeypatch.setattr(SequenceEmulator, "_interpret", spy)
+    def spy(self, context, addr, trace=None):
+        resume = emulate(self, context, addr, trace)
+        handed.append(trace is not None and resume not in trace.addrs)
+        return resume
+    monkeypatch.setattr(SequenceEmulator, "_emulate", spy)
     source = TERMINATOR_SRC
     walk = _observe(source, FPVMConfig.seq_short(), None, None, reference=False, uops=None,
                     monkeypatch=monkeypatch)

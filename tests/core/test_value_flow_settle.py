@@ -11,6 +11,7 @@ early probe stop, a libm wrapper, single-instruction NONE traps) the
 CPU's cycles and the ledger must equal the reference's."""
 
 from collections import Counter
+from functools import partialmethod
 
 import pytest
 
@@ -76,10 +77,10 @@ def _per_event_value_flow(vm):
 
 def _exits(run, monkeypatch, *, reference: bool) -> list:
     """``(exit, cpu.cycles, ledger)`` after every trap and libm wrapper
-    call of ``run()``, and the fused replay exits taken."""
+    call of ``run()``, and the traps that ran a fused trace."""
     trail = []
     handle = SequenceEmulator.handle_fp_trap
-    replay = SequenceEmulator._replay
+    emulate = SequenceEmulator._emulate
     make_libm = wrappers_mod._make_libm_forward_wrapper
 
     def handle_spy(self, context, trap):
@@ -88,9 +89,10 @@ def _exits(run, monkeypatch, *, reference: bool) -> list:
         finally:
             trail.append(("trap", context.cpu.cycles, self.vm.ledger.snapshot()))
 
-    def replay_spy(self, trace, context):
-        trail.append(("fused",))
-        return replay(self, trace, context)
+    def fused_spy(self, context, addr, trace=None):
+        if trace is not None:
+            trail.append(("fused",))
+        return emulate(self, context, addr, trace)
 
     def make_libm_spy(vm, host):
         wrapper = make_libm(vm, host)
@@ -106,7 +108,7 @@ def _exits(run, monkeypatch, *, reference: bool) -> list:
         if reference:
             m.setattr(emulator_mod, "_value_flow", _per_event_value_flow)
         m.setattr(SequenceEmulator, "handle_fp_trap", handle_spy)
-        m.setattr(SequenceEmulator, "_replay", replay_spy)
+        m.setattr(SequenceEmulator, "_emulate", fused_spy)
         m.setattr(wrappers_mod, "_make_libm_forward_wrapper", make_libm_spy)
         run()
     return trail
@@ -129,13 +131,13 @@ def test_fused_replay_raising_mid_trace(hot_traces, monkeypatch):
 
 def test_fused_replay_probe_stop(hot_traces, monkeypatch):
     stops = []
-    replay = SequenceEmulator._replay
+    emulate = SequenceEmulator._emulate
 
-    def counting(self, trace, context):
-        resume = replay(self, trace, context)
-        stops.append(resume in trace.addrs)
+    def counting(self, context, addr, trace=None):
+        resume = emulate(self, context, addr, trace)
+        stops.append(trace is not None and resume in trace.addrs)
         return resume
-    monkeypatch.setattr(SequenceEmulator, "_replay", counting)
+    monkeypatch.setattr(SequenceEmulator, "_emulate", counting)
     _check(lambda: run_source(EARLY_STOP_SRC, FPVMConfig.seq_short()), monkeypatch,
            "fused", "trap")
     assert any(stops)
@@ -184,6 +186,11 @@ def _probe_then_emulate(self, context, addr, prefix=()):
     return addr
 
 
+#: The step-wise loop (``reference.stepwise_emulate``) walking with
+#: :func:`_probe_then_emulate`, after a compiled trace too.
+_probing_emulate = partialmethod(reference.stepwise_emulate, walk=_probe_then_emulate)
+
+
 def _trap_trail(run, monkeypatch, *, reference: bool) -> list:
     """``(cycles, ledger, telemetry, trace record)`` after every trap."""
     trail = []
@@ -200,7 +207,7 @@ def _trap_trail(run, monkeypatch, *, reference: bool) -> list:
 
     with monkeypatch.context() as m:
         if reference:
-            m.setattr(SequenceEmulator, "_interpret", _probe_then_emulate)
+            m.setattr(SequenceEmulator, "_emulate", _probing_emulate)
         m.setattr(SequenceEmulator, "handle_fp_trap", handle_spy)
         run()
     return trail
